@@ -14,8 +14,8 @@ great model, D/R, 3000 instructions) and asserts:
 4. warm re-run: with a result store configured, executing the same plan
    a second time recomputes **zero** jobs — every point is served from
    the store;
-5. engine-feature lesions (batching, specialization) landed at exactly
-   0.0 importance with no bit-identity mismatches.
+5. the engine-feature lesion (batching) landed at exactly 0.0
+   importance with no bit-identity mismatches.
 
 Exit status is the check result; the JSON/CSV reports are left in
 ``--out-dir`` for upload as a build artifact.

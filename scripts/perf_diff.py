@@ -138,40 +138,6 @@ def batched_rows(new: dict, baseline: dict) -> list[tuple[str, object, object]]:
     return rows
 
 
-def _specialized_block(report: dict) -> dict | None:
-    """The record's ``specialized`` block (PR 7 schema), or ``None`` for
-    records that predate engine specialization or carry a malformed
-    block — old-schema records must keep diffing cleanly."""
-    block = report.get("specialized")
-    if not isinstance(block, dict):
-        return None
-    if not isinstance(block.get("grid_speedup"), (int, float)):
-        return None
-    return block
-
-
-def specialized_rows(
-    new: dict, baseline: dict
-) -> list[tuple[str, object, object]]:
-    """Rows of (label, fresh ratio, committed ratio) for the paired
-    generic-vs-specialized aggregates.  Empty when the fresh record has
-    no specialized block.  Each ratio is generic seconds / specialized
-    seconds for the same grid on the same host — the only specialized
-    number that is comparable across records.
-    """
-    fresh = _specialized_block(new)
-    if fresh is None:
-        return []
-    committed = _specialized_block(baseline) or {}
-    return [
-        (
-            f"full grid ({fresh.get('grid_lanes', '?')} lanes)",
-            fresh.get("grid_speedup"),
-            committed.get("grid_speedup"),
-        )
-    ]
-
-
 def _service_block(report: dict) -> dict | None:
     """The record's ``service`` block (SLO summary written by
     ``scripts/service_load.py``), or ``None`` for records that predate
@@ -438,18 +404,6 @@ def render_text(rows, new: dict, baseline: dict) -> str:
             lines.append(
                 f"  {label:28s} {fresh:.3f}x  (committed: {committed_text})"
             )
-    paired = specialized_rows(new, baseline)
-    if paired:
-        lines.append(
-            "specialized engine (paired generic/specialized, same host):"
-        )
-        for label, fresh, committed in paired:
-            committed_text = (
-                f"{committed:.3f}x" if committed is not None else "-"
-            )
-            lines.append(
-                f"  {label:28s} {fresh:.3f}x  (committed: {committed_text})"
-            )
     slo = service_rows(new, baseline)
     if slo:
         lines.append("service SLO (scripts/service_load.py, same host):")
@@ -512,21 +466,6 @@ def render_markdown(rows, new: dict, baseline: dict) -> str:
             "|---|---:|---:|",
         ]
         for label, fresh, committed in speedups:
-            committed_text = (
-                f"{committed:.3f}x" if committed is not None else "–"
-            )
-            lines.append(f"| {label} | {fresh:.3f}x | {committed_text} |")
-    paired = specialized_rows(new, baseline)
-    if paired:
-        lines += [
-            "",
-            "**Specialized engine** (paired generic/specialized on the "
-            "runner — host effects cancel):",
-            "",
-            "| aggregate | fresh | committed |",
-            "|---|---:|---:|",
-        ]
-        for label, fresh, committed in paired:
             committed_text = (
                 f"{committed:.3f}x" if committed is not None else "–"
             )

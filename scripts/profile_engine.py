@@ -6,19 +6,15 @@ per-call overhead; this wrapper makes the profile one command away:
     PYTHONPATH=src python scripts/profile_engine.py
     PYTHONPATH=src python scripts/profile_engine.py \
         --benchmark perl --config 4/24 --model none --sort tottime
-    PYTHONPATH=src python scripts/profile_engine.py --no-specialize
     PYTHONPATH=src python scripts/profile_engine.py --batch
 
-All three engine paths are profileable: the scalar config-specialized
-path (the default), the scalar generic path (``--no-specialize``), and
+Both engine paths are profileable: the scalar path (the default) and
 the batched multi-config path (``--batch``, one ``run_batch`` call over
 a baseline lane plus the model's four timing x confidence lanes).  The
 run is profiled once under :mod:`cProfile` and printed three ways — a
-per-stage cumulative-time table over the pipeline's stage methods
-(specialized methods live under synthetic ``<specialized:…>``
-filenames but keep their names, so the table compares directly across
-engine paths), then the top rows by cumulative time (where the cycles
-go) and by internal time (which bodies to inline next).
+per-stage cumulative-time table over the pipeline's stage methods, then
+the top rows by cumulative time (where the cycles go) and by internal
+time (which bodies to inline next).
 docs/PERFORMANCE.md records the findings this view produced.
 """
 
@@ -26,19 +22,15 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import os
 import pstats
 import sys
 
-#: Stage methods worth a dedicated table row whichever engine emitted
-#: them — a superset of repro.engine.templates.STAGE_METHODS plus the
-#: hot helpers the specializer leaves generic.
+#: Pipeline stage methods and hot helpers worth a dedicated table row.
 STAGE_ROWS = (
     "run",
     "_fetch",
     "_dispatch",
     "_predict_value",
-    "_predict_value_fast",
     "_issue",
     "_try_load_access",
     "_start_execution",
@@ -60,31 +52,21 @@ STAGE_ROWS = (
 
 def print_stage_table(stats: pstats.Stats, top: int) -> None:
     """Cumulative/internal time per pipeline stage method, summed over
-    every code object with that name — generic ``pipeline.py`` frames
-    and generated ``<specialized:…>`` frames alike."""
-    rows: dict[str, tuple[int, float, float, set[str]]] = {}
-    for (filename, _line, funcname), entry in stats.stats.items():
+    every code object with that name."""
+    rows: dict[str, tuple[int, float, float]] = {}
+    for (_filename, _line, funcname), entry in stats.stats.items():
         if funcname not in STAGE_ROWS:
             continue
         _cc, ncalls, tottime, cumtime, _callers = entry
-        calls, tot, cum, origins = rows.get(funcname, (0, 0.0, 0.0, set()))
-        origins.add(
-            "specialized" if filename.startswith("<specialized") else "generic"
-        )
-        rows[funcname] = (calls + ncalls, tot + tottime, cum + cumtime, origins)
+        calls, tot, cum = rows.get(funcname, (0, 0.0, 0.0))
+        rows[funcname] = (calls + ncalls, tot + tottime, cum + cumtime)
     if not rows:
         return
     print(f"=== per-stage cumulative time (top {top}) ===")
-    print(
-        f"{'stage method':26s} {'ncalls':>10s} {'tottime':>9s} "
-        f"{'cumtime':>9s}  origin"
-    )
+    print(f"{'stage method':26s} {'ncalls':>10s} {'tottime':>9s} {'cumtime':>9s}")
     ranked = sorted(rows.items(), key=lambda item: -item[1][2])[:top]
-    for funcname, (calls, tot, cum, origins) in ranked:
-        print(
-            f"{funcname:26s} {calls:>10d} {tot:>9.3f} {cum:>9.3f}  "
-            f"{'+'.join(sorted(origins))}"
-        )
+    for funcname, (calls, tot, cum) in ranked:
+        print(f"{funcname:26s} {calls:>10d} {tot:>9.3f} {cum:>9.3f}")
     print()
 
 
@@ -109,15 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--specialize",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "use the config-specialized engine (--no-specialize profiles "
-            "the generic interpreter path; applies to --batch lanes too)"
-        ),
-    )
-    parser.add_argument(
         "--top", type=int, default=20, help="rows per ranking (default 20)"
     )
     parser.add_argument(
@@ -134,13 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.core.model import named_models
     from repro.engine.config import paper_config
     from repro.engine.sim import run_baseline, run_trace
-    from repro.engine.specialize import SPECIALIZE_ENV_VAR
     from repro.programs.suite import kernel
-
-    if not args.specialize:
-        # Exported through the environment (not a kwarg) so the batched
-        # path's lanes see the same engine choice as direct calls.
-        os.environ[SPECIALIZE_ENV_VAR] = "0"
 
     config = paper_config(args.config)
     trace = kernel(args.benchmark).trace(args.max_instructions)
@@ -190,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     result = profiler.runcall(simulate)
     print(
         f"{args.benchmark} @ {config.label}, model={args.model}, "
-        f"engine={result.engine_path or 'generic'}: "
+        f"engine={result.engine_path}: "
         f"{result.counters.retired} instructions in "
         f"{result.counters.cycles} cycles\n"
     )

@@ -7,13 +7,10 @@ per-job RNG, same collaborator factories), and reports the result.  A
 parallel heartbeat thread proves liveness on a second connection so a
 worker busy inside a long simulation still beats.
 
-Execution inherits the config-specialized engine
-(:mod:`repro.engine.specialize`): each worker process builds and
-memoizes specialized classes *locally*, keyed by the same canonical
-fingerprint discipline as :func:`repro.cluster.serial.job_key` — classes
-never cross the wire, and ``REPRO_ENGINE_SPECIALIZE=0`` in a worker's
-environment forces its runs generic (the result's ``engine_path`` field
-travels back for attribution).
+Only job descriptions and results cross the wire; the engine itself is
+the same in-process :class:`~repro.engine.pipeline.PipelineSimulator`
+the local harness runs (the result's ``engine_path`` field travels back
+for attribution).
 
 Traces come from the persistent VSRT v3 disk cache
 (:mod:`repro.trace.cache`): a warm entry is ``mmap``-ed with zero parse

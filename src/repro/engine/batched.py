@@ -499,14 +499,11 @@ def run_batch(jobs, trace) -> list[SimulationResult]:
 
 
 def _run_lane(job, plan: BatchPlan) -> SimulationResult:
-    """One batch lane.  Lanes ride ``run_baseline``/``run_trace``, so
-    each picks up its config-specialized engine class automatically
-    (:mod:`repro.engine.specialize` — replay lanes fingerprint the
-    Replay* collaborator types and fold the packed-code dispatch branch
-    in); the result's engine path is prefixed so perf investigations can
-    tell a batched lane from a scalar run."""
+    """One batch lane.  Lanes ride ``run_baseline``/``run_trace`` on the
+    scalar engine; the result's engine path is relabelled so perf
+    investigations can tell a batched lane from a scalar run."""
     result = _run_lane_inner(job, plan)
-    result.engine_path = f"batched ({result.engine_path or 'generic'})"
+    result.engine_path = "batched"
     return result
 
 

@@ -43,7 +43,9 @@ single cycle of behaviour (the golden-counter tests pin this):
 from __future__ import annotations
 
 import gc
+import weakref
 from collections import deque
+from functools import partial
 from heapq import heappop as _heappop, heappush as _heappush
 from itertools import islice as _islice
 
@@ -209,7 +211,11 @@ class PipelineSimulator:
         if self._obs_on:
             self._trc_mark = tracer.mark
             self._trc_lat = tracer.latency
-            self.lsq.on_event = self._obs_lsq_event
+            # Bound to a weak proxy: a bound method would make the
+            # simulator reference itself through its own LSQ.
+            self.lsq.on_event = partial(
+                type(self)._obs_lsq_event, weakref.proxy(self)
+            )
         else:
             self._trc_mark = self._trc_lat = None
         #: Cached log flag and latency constants (hot-path attribute
@@ -238,15 +244,18 @@ class PipelineSimulator:
         #: ``_clear_taints`` skip that helper entirely.
         scheme = self.variables.verification
         self._chain_equality = scheme is not VerificationScheme.PARALLEL_NETWORK
-        #: Scheme dispatch for ``_on_verify``, resolved once per run.
+        #: Scheme dispatch for ``_on_verify``, resolved once per run to a
+        #: plain function of the class (never a bound method: the
+        #: simulator holds no reference to itself, so dropping the last
+        #: caller reference frees it without waiting for the cycle
+        #: collector).
+        cls = type(self)
         if scheme is VerificationScheme.PARALLEL_NETWORK:
-            self._verify_impl = self._verify_parallel
+            self._verify_impl = cls._verify_parallel
         elif scheme is VerificationScheme.HIERARCHICAL:
-            self._verify_impl = self._verify_hierarchical
+            self._verify_impl = cls._verify_hierarchical
         else:  # RETIREMENT_BASED and HYBRID
-            self._verify_impl = lambda source, cycle: (
-                self._verify_retirement_based(source, cycle, scheme)
-            )
+            self._verify_impl = cls._verify_retirement_based
         #: VP-gate fast flags: with the default config every register
         #: writer is prediction-eligible and ports are unlimited, so the
         #: per-dispatch gate collapses to two truthy attribute loads.
@@ -290,10 +299,10 @@ class PipelineSimulator:
         #: Fused fast path for the default model stack — exact types only
         #: (a subclass could override any of the methods being inlined),
         #: delayed update timing, exact equality.  When it applies,
-        #: ``_predict_value`` is rebound to the fused variant and the
-        #: confidence table's internals are hoisted for the retire-side
-        #: inline update.  Behaviour is bit-identical either way (the
-        #: golden-counter tests run both stacks).
+        #: ``_dispatch`` inlines prediction, and the predictor's and
+        #: confidence table's internals are hoisted for the dispatch- and
+        #: retire-side inlines.  Behaviour is bit-identical either way
+        #: (the golden-counter tests run both stacks).
         self._fast_vp = (
             type(self.predictor) is ContextValuePredictor
             and type(self.confidence) is ResettingConfidenceEstimator
@@ -325,7 +334,6 @@ class PipelineSimulator:
             self._fvp_fold16_ok = vp._fold16_ok
             self._fvp_consume = vp._consume_speculative
             self._fvp_walk = vp._walk_live
-            self._predict_value = self._predict_value_fast
         else:
             self._fconf_counters = None
             self._fconf_mask = self._fconf_max = 0
@@ -358,17 +366,19 @@ class PipelineSimulator:
         #: is ``(kind, station, epoch)`` plus a trailing consumer frontier
         #: for wave transactions.
         self._events: dict[int, list[tuple]] = {}
-        #: kind -> bound handler for the point-event kinds (wave and
+        #: kind -> handler function (called as ``handler(self, station,
+        #: cycle)``) for the point-event kinds; wave and
         #: provisional-invalidate entries carry extra state and keep
-        #: their explicit dispatch in ``_process_events``).
+        #: their explicit dispatch in ``_process_events``.  Plain class
+        #: functions, like ``_verify_impl``, keep the simulator acyclic.
         self._event_handlers = (
-            self._on_result,
-            self._on_equality,
-            self._on_verify,
-            self._on_invalidate,
+            cls._on_result,
+            cls._on_equality,
+            cls._on_verify,
+            cls._on_invalidate,
             None,
             None,
-            self._on_addrgen,
+            cls._on_addrgen,
             None,
         )
         #: Fetched instructions awaiting dispatch as raw
@@ -731,7 +741,8 @@ class PipelineSimulator:
         # Order-sensitive selection policies keep the unconditional insert
         # so pool iteration order stays byte-identical.
         pool_all = not self._sel_paper
-        # Fused value-prediction inline (see _predict_value_fast): with the
+        # Fused value-prediction inline (the ``_fast_vp`` selection in
+        # __init__; bit-identical to _predict_value): with the
         # default stack active, the whole predict+confidence body runs here
         # with every table hoisted to a local — zero calls per prediction.
         fast_vp = vp_on and self._fast_vp
@@ -893,8 +904,10 @@ class PipelineSimulator:
                 and (vp_unlimited or self._vp_port_available())
             ):
                 if fast_vp:
-                    # _predict_value_fast, inlined (kept in lockstep; the
-                    # golden-counter tests pin bit-identical behaviour).
+                    # ContextValuePredictor.predict_speculate and
+                    # ResettingConfidenceEstimator.confident, inlined (kept
+                    # in lockstep; the golden-counter tests pin
+                    # bit-identical behaviour).
                     actual = rec.dest_value
                     pc = rec.pc
                     n_lookups += 1
@@ -1150,84 +1163,6 @@ class PipelineSimulator:
         else:
             self._vp_train(rec.pc, actual, None, rec.dest_fold)
             self._conf_update(rec.pc, pred_correct)
-
-        if confident:
-            station.predicted = True
-            station.predicted_confident = True
-            station.pred_correct = pred_correct
-            station.out_ready = True
-            station.taint_mask = self._alloc_taint_mask(station)
-            station.out_taints = station.taint_mask
-            station.out_correct = pred_correct
-            counters.speculated += 1
-            if not pred_correct:
-                counters.misspeculations += 1
-            if self._log_on:
-                self.log.emit(rec.seq, SpecEventKind.PREDICT, self.cycle)
-            if self._obs_on:
-                self._trc_mark(
-                    self.cycle, rec.seq, station.sid, "predict",
-                    "correct" if pred_correct else "incorrect",
-                )
-
-    def _predict_value_fast(self, station: Station) -> None:
-        """``_predict_value`` for the default stack, with the predictor's
-        fused predict+speculate and the confidence probe inlined so one
-        prediction performs zero intermediate calls (see the ``_fast_vp``
-        selection in ``__init__``; bit-identical to the generic path)."""
-        rec = station.rec
-        actual = rec.dest_value
-        pc = rec.pc
-        vp = self.predictor
-        # -- ContextValuePredictor.predict_speculate, inlined ------------
-        self._fvp_stats.lookups += 1
-        index = (pc >> _VP_PC_SHIFT) & self._fvp_l1_mask
-        entries = self._fvp_entries
-        entry = entries.get(index)
-        if entry is None:
-            entry = entries[index] = self._fvp_fresh.copy()
-        unmasked = entry[0]
-        ctx = unmasked & self._fvp_ctx_mask
-        predicted = self._fvp_values[ctx]
-        fold = self._fvp_folds[ctx]
-        token = vp._next_token
-        vp._next_token = token + 1
-        spec = self._fvp_spec.get(index)
-        if spec is None:
-            spec = self._fvp_spec[index] = []
-        order = self._fvp_order
-        depth = len(spec)
-        if depth < order:
-            # Entry layout: [live, committed, head, folds…, values…].
-            oldest = entry[3 + (entry[2] + depth) % order]
-        else:
-            oldest = spec[depth - order][2]
-        entry[0] = ((unmasked ^ oldest) >> 1) ^ (fold << (order - 1))
-        spec.append((token, predicted, fold))
-
-        pred_correct = predicted == actual
-        # -- ResettingConfidenceEstimator.confident, inlined -------------
-        confident = (
-            self._fconf_counters[(pc >> _VP_PC_SHIFT) & self._fconf_mask]
-            == self._fconf_max
-        )
-
-        counters = self.counters
-        counters.predictions += 1
-        if pred_correct:
-            counters.predictions_correct += 1
-            if confident:
-                counters.correct_high += 1
-            else:
-                counters.correct_low += 1
-        elif confident:
-            counters.incorrect_high += 1
-        else:
-            counters.incorrect_low += 1
-
-        station.pending_train = (
-            pc, actual, pred_correct, token, rec.dest_fold,
-        )
 
         if confident:
             station.predicted = True
@@ -1598,7 +1533,7 @@ class PipelineSimulator:
                 if kind < _WAVE_VERIFY or kind == _ADDRGEN:
                     if station.epoch != epoch or station.retired:
                         continue
-                    handlers[kind](station, cycle)
+                    handlers[kind](self, station, cycle)
                 else:
                     # Wave / provisional-invalidate transactions outlive
                     # nullification of their source: waves may ripple after
@@ -1818,7 +1753,7 @@ class PipelineSimulator:
     def _on_verify(self, source: Station, cycle: int) -> None:
         if source.prediction_resolved:
             return
-        self._verify_impl(source, cycle)
+        self._verify_impl(self, source, cycle)
 
     def _resolve_correct(self, station: Station, cycle: int) -> None:
         station.prediction_resolved = True
@@ -2070,15 +2005,13 @@ class PipelineSimulator:
                 sorted(next_frontier, key=lambda s: s.sid),
             )
 
-    def _verify_retirement_based(
-        self, source: Station, cycle: int, scheme: VerificationScheme
-    ) -> None:
+    def _verify_retirement_based(self, source: Station, cycle: int) -> None:
         """Resolution is known (EQ comparator fired); propagation to
         successors happens only through the retirement window (and, for
         HYBRID, additionally through hierarchical broadcast)."""
         self._resolve_correct(source, cycle)
         self._retire_verified |= source.taint_mask
-        if scheme is VerificationScheme.HYBRID:
+        if self.variables.verification is VerificationScheme.HYBRID:
             self._schedule_wave(
                 cycle + 1, _WAVE_VERIFY, source, [s for s, __ in source.consumers]
             )

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from repro.core.model import SpeculativeExecutionModel
 from repro.engine.config import ProcessorConfig
 from repro.engine.pipeline import PipelineSimulator
-from repro.engine.specialize import simulator_class
 from repro.metrics.accuracy import AccuracyBreakdown
 from repro.metrics.counters import SimCounters
 from repro.metrics.speedup import speedup as _speedup
@@ -34,8 +33,9 @@ class SimulationResult:
     confidence_kind: str | None = None
     update_timing: str | None = None
     extra: dict[str, float] = field(default_factory=dict)
-    #: Which engine produced this run ("specialized", "generic (<reason>)",
-    #: "batched (...)"), for perf attribution.  Excluded from equality —
+    #: Which engine produced this run ("generic" for a scalar run,
+    #: "batched" for a batched-engine lane), for perf attribution.
+    #: Excluded from equality —
     #: bit-identity checks compare *simulation* outcomes, and the same
     #: outcome may legitimately come from different engine paths.
     engine_path: str | None = field(default=None, compare=False)
@@ -60,6 +60,15 @@ class SimulationResult:
         return f"{self.update_timing}/{self.confidence_kind}"
 
 
+def simulator_class() -> tuple[type, str]:
+    """The engine class every scalar run uses, with its engine-path label.
+
+    There is one scalar engine; the lookup stays a named call so the
+    engine choice is a single seam that span tracers can wrap.
+    """
+    return PipelineSimulator, "generic"
+
+
 def make_confidence(kind: str) -> ConfidenceEstimator:
     """Build a confidence estimator from the paper's R/O notation."""
     normalized = kind.strip().upper()
@@ -77,7 +86,6 @@ def run_baseline(
     tracer=None,
     hierarchy=None,
     fetch_engine=None,
-    specialize: bool | None = None,
 ) -> SimulationResult:
     """Simulate the base processor (no value prediction).
 
@@ -86,13 +94,8 @@ def run_baseline(
     ``hierarchy``/``fetch_engine`` inject pre-built collaborators — the
     batched engine (:mod:`repro.engine.batched`) uses them to share one
     predicted fetch stream across lanes; leave them ``None`` otherwise.
-    ``specialize`` forces the config-specialized engine on/off; ``None``
-    (the default) follows ``REPRO_ENGINE_SPECIALIZE`` (on unless
-    disabled — see :mod:`repro.engine.specialize`).
     """
-    engine, engine_path = simulator_class(
-        config, None, tracer=tracer, enabled=specialize
-    )
+    engine, engine_path = simulator_class()
     simulator = engine(
         trace,
         config,
@@ -119,7 +122,6 @@ def run_trace(
     hierarchy=None,
     fetch_engine=None,
     confidence_kind: str | None = None,
-    specialize: bool | None = None,
 ) -> SimulationResult:
     """Simulate one value-speculative run.
 
@@ -141,19 +143,8 @@ def run_trace(
         confidence = make_confidence(confidence)
     elif confidence_kind is None:
         confidence_kind = "O" if isinstance(confidence, OracleConfidence) else "R"
-    # Resolve the collaborator *instances* before picking the engine
-    # class: the specializer's knob derivation is type- and
-    # instance-sensitive and must see exactly what the simulator will.
     predictor = predictor or ContextValuePredictor()
-    engine, engine_path = simulator_class(
-        config,
-        model,
-        predictor=predictor,
-        confidence=confidence,
-        update_timing=update_timing,
-        tracer=tracer,
-        enabled=specialize,
-    )
+    engine, engine_path = simulator_class()
     simulator = engine(
         trace,
         config,

@@ -23,12 +23,9 @@ Design rules that keep ``--jobs N`` cycle-exact against ``--jobs 1``:
   already deterministic; the seeding is a guard rail, not a dependency.)
 * Results are merged by *submission index*, never by completion order:
   ``run_jobs`` returns results positionally aligned with its input list.
-* Workers build their config-specialized engine classes locally.
-  ``_execute`` runs ``run_baseline``/``run_trace`` in-process, so each
-  pool worker grows its own fingerprint-keyed class cache
-  (:mod:`repro.engine.specialize`); generated classes are never pickled
-  or shipped, and ``REPRO_ENGINE_SPECIALIZE=0`` (exported by
-  ``--no-specialize``) is inherited through the worker environment.
+* Workers run the one scalar engine in-process: ``_execute`` calls
+  ``run_baseline``/``run_trace`` directly, so a worker needs no per-job
+  set-up beyond its trace.
 
 The sequential path (``jobs <= 1``) runs the exact same ``_execute``
 function inline — same trace cache, same factory handling — so it is not

@@ -76,9 +76,9 @@ class InstrumentedRun:
 
     @property
     def engine_path(self) -> str:
-        """Which engine produced this run (instrumented runs attach a
-        live tracer, so the expected answer is the generic fallback —
-        stated explicitly so perf investigations are attributable)."""
+        """Which engine produced this run (instrumented runs are always
+        scalar, so the answer is ``"generic"`` — stated explicitly so perf
+        investigations are attributable)."""
         return self.result.engine_path or "generic"
 
 

@@ -292,3 +292,21 @@ def test_tracer_runs_stay_scalar_and_consistent():
     job = SimJob("compress", config, GREAT_MODEL, None, "R", "I")
     (batched,) = run_batch([job], trace)
     assert counters_dict(batched.counters) == counters_dict(traced.counters)
+
+
+def test_batched_lanes_report_engine_path():
+    """``engine_path`` tells batched lanes apart from scalar runs (it is
+    excluded from result equality, so it never affects bit-identity)."""
+    from repro.engine.sim import run_trace
+
+    trace = _load_trace("spec_compress")
+    config = ProcessorConfig(issue_width=4, window_size=24)
+    jobs = [
+        SimJob("compress", config, None, SPEC_TRACE_LIMIT),
+        SimJob("compress", config, GREAT_MODEL, SPEC_TRACE_LIMIT),
+    ]
+    lanes = run_batch(jobs, trace)
+    assert [r.engine_path for r in lanes] == ["batched", "batched"]
+    scalar = run_trace(trace, config, GREAT_MODEL, update_timing="I")
+    assert scalar.engine_path == "generic"
+    assert scalar == lanes[1]

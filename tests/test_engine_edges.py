@@ -1,5 +1,10 @@
 """Engine edge-case tests: structural stalls, wrong-path interactions,
-scheme coverage on real kernels, determinism across schemes."""
+scheme coverage on real kernels, determinism across schemes, and the
+simulator's reference graph (acyclic, so a finished run frees at once)."""
+
+import gc
+import weakref
+from dataclasses import fields, replace
 
 import pytest
 
@@ -14,12 +19,14 @@ from repro.core.variables import (
     VerificationScheme,
     WakeupPolicy,
 )
-from repro.engine.config import ProcessorConfig
+from repro.engine.config import ProcessorConfig, paper_config
 from repro.engine.pipeline import PipelineSimulator
 from repro.engine.sim import run_baseline, run_trace
+from repro.harness.parallel import SimJob, run_jobs
 from repro.isa.opcodes import Opcode
 from repro.programs.suite import kernel
 from repro.trace.record import TraceRecord
+from repro.vp.last_value import LastValuePredictor
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +214,129 @@ def test_counters_consistency_on_kernel(m88ksim_trace):
         == c.predictions
     )
     assert c.misspeculations == c.incorrect_high
+
+
+# -- verification x invalidation pairs the golden grids never reach --------
+
+_SCHEME_PAIRS = [
+    (verification, invalidation)
+    for verification in VerificationScheme
+    for invalidation in InvalidationScheme
+]
+_PAIR_LIMIT = 800
+
+
+def _pair_model(verification, invalidation) -> SpeculativeExecutionModel:
+    return SpeculativeExecutionModel(
+        name=f"great-{verification.name}-{invalidation.name}",
+        variables=replace(
+            GREAT_MODEL.variables,
+            verification=verification,
+            invalidation=invalidation,
+        ),
+        latencies=GREAT_MODEL.latencies,
+    )
+
+
+def _counters_dict(counters) -> dict:
+    return {
+        f.name: getattr(counters, f.name)
+        for f in fields(counters)
+        if f.name != "extra"
+    }
+
+
+@pytest.fixture(scope="module")
+def pooled_scheme_pairs():
+    """Every pair's run on a two-process pool, keyed by pair."""
+    jobs = [
+        SimJob(
+            "micro:fib", paper_config("4/24"), _pair_model(v, i), _PAIR_LIMIT,
+            update_timing="D",
+        )
+        for v, i in _SCHEME_PAIRS
+    ]
+    return dict(zip(_SCHEME_PAIRS, run_jobs(jobs, jobs=2)))
+
+
+@pytest.mark.parametrize(
+    "verification,invalidation",
+    _SCHEME_PAIRS,
+    ids=[f"{v.name}__{i.name}" for v, i in _SCHEME_PAIRS],
+)
+def test_scheme_pair_retires_and_is_deterministic(
+    verification, invalidation, pooled_scheme_pairs
+):
+    """Each pair retires the whole trace, and its counters repeat exactly
+    on a second in-process run and on a pool worker."""
+    trace = kernel("micro:fib").trace(_PAIR_LIMIT)
+    model = _pair_model(verification, invalidation)
+
+    def once():
+        result = run_trace(
+            trace, paper_config("4/24"), model, confidence="R",
+            update_timing="D",
+        )
+        return _counters_dict(result.counters)
+
+    first = once()
+    assert first["retired"] == len(trace) == _PAIR_LIMIT
+    assert once() == first
+    pooled = pooled_scheme_pairs[(verification, invalidation)]
+    assert _counters_dict(pooled.counters) == first
+
+
+# -- reference graph -------------------------------------------------------
+
+
+def _scheme_model(scheme) -> SpeculativeExecutionModel:
+    return SpeculativeExecutionModel(
+        f"great-{scheme.value}",
+        replace(GREAT_MODEL.variables, verification=scheme),
+        GREAT_MODEL.latencies,
+    )
+
+
+_ACYCLIC_RUNS = {
+    "base": dict(model=None),
+    "fused-vp": dict(model=GREAT_MODEL),
+    "general-vp": dict(model=GREAT_MODEL, predictor=LastValuePredictor),
+    **{
+        f"verify-{scheme.name}": dict(model=_scheme_model(scheme))
+        for scheme in VerificationScheme
+    },
+}
+
+
+@pytest.mark.parametrize("setup", list(_ACYCLIC_RUNS))
+def test_finished_simulator_is_freed_without_gc(setup):
+    """A simulator holds no reference to itself (no bound methods of its
+    own, no self-capturing closures), so dropping the last caller
+    reference frees it and its predictor tables by reference counting
+    alone — peak memory does not wait on the cycle collector."""
+    spec = _ACYCLIC_RUNS[setup]
+    predictor = spec.get("predictor")
+    trace = kernel("micro:fib").trace(400)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        simulator = PipelineSimulator(
+            trace,
+            ProcessorConfig(4, 24),
+            spec["model"],
+            predictor=predictor() if predictor else None,
+        )
+        simulator.run()
+        alive = weakref.ref(simulator)
+        tables = (
+            weakref.ref(simulator.predictor)
+            if simulator.predictor is not None
+            else None
+        )
+        del simulator
+        assert alive() is None, "simulator survived its last reference"
+        assert tables is None or tables() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -98,6 +98,10 @@ def test_all_eight_kinds_observed_on_fib_good(fib_good):
     assert fib_good.kinds_seen == set(LatencyEventKind)
 
 
+def test_instrumented_runs_attribute_their_engine_path(fib_good):
+    assert fib_good.engine_path == "generic"
+
+
 # -- zero-cost / bit-exactness -------------------------------------------
 
 

@@ -110,40 +110,6 @@ def test_fail_below_still_gates(perf_diff, tmp_path, capsys):
                            "--fail-below", "0.9"]) == 1
 
 
-def test_specialized_block_rendered_and_old_schema_tolerated(
-    perf_diff, tmp_path, capsys
-):
-    """A fresh record with the PR 7 ``specialized`` block renders the
-    paired table even when the committed baseline predates it."""
-    new = tmp_path / "new.json"
-    old = tmp_path / "old.json"
-    new.write_text(json.dumps(_record(
-        specialized={"grid_speedup": 1.08, "grid_lanes": 78},
-    )))
-    old.write_text(json.dumps(_record()))  # no specialized block
-    assert perf_diff.main([str(new), "--baseline", str(old)]) == 0
-    out = capsys.readouterr().out
-    assert "specialized engine" in out
-    assert "78 lanes" in out and "1.080x" in out
-    # Markdown rendering too.
-    assert perf_diff.main([str(new), "--baseline", str(old),
-                           "--markdown"]) == 0
-    out = capsys.readouterr().out
-    assert "**Specialized engine**" in out and "1.080x" in out
-
-
-def test_specialized_rows_absent_or_malformed(perf_diff):
-    assert perf_diff.specialized_rows(_record(), _record()) == []
-    assert perf_diff.specialized_rows(
-        _record(specialized={"grid_speedup": "fast"}), _record()
-    ) == []
-    rows = perf_diff.specialized_rows(
-        _record(specialized={"grid_speedup": 1.1, "grid_lanes": 78}),
-        _record(specialized={"grid_speedup": 1.05, "grid_lanes": 78}),
-    )
-    assert rows == [("full grid (78 lanes)", 1.1, 1.05)]
-
-
 def test_service_block_rendered_and_old_schema_tolerated(
     perf_diff, tmp_path, capsys
 ):
