@@ -26,10 +26,9 @@ import subprocess
 import time
 from pathlib import Path
 
-from conftest import BENCH_BENCHMARKS, BENCH_CONFIGS, BENCH_TRACE_LIMIT
-from repro.core.model import GOOD_MODEL, GREAT_MODEL, SUPER_MODEL
+from conftest import BENCH_CONFIGS, BENCH_TRACE_LIMIT
+from repro.core.model import GOOD_MODEL, GREAT_MODEL
 from repro.engine.sim import run_baseline, run_trace
-from repro.harness.parallel import SimJob, run_jobs
 
 _REPS = 3
 _OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine_perf.json"
@@ -123,62 +122,6 @@ def _measure(fn) -> float:
     return best
 
 
-#: Grid passes per side for the batched-vs-scalar comparison.  The two
-#: paths run interleaved (scalar pass, batched pass, repeat) and each
-#: side keeps its best pass, for the same reason the PR 3 reference used
-#: per-cell minima: paired ratios survive host-throughput drift, means
-#: do not.
-_BATCHED_REPS = 3
-
-#: CI-safe floor for the batched/scalar grid ratio.  The honest measured
-#: grid-level speedup is ~1.1x (see docs/PERFORMANCE.md section 8 for
-#: why the per-lane timing core bounds it); the assertion only guards
-#: against the batched path becoming dramatically slower than scalar.
-_MIN_BATCHED_RATIO = 0.8
-
-
-def _figure3_grid() -> list[SimJob]:
-    """The figure3-shaped bench grid: per config, baselines then every
-    (setting x model x benchmark) point — the workload ``run_figure3``
-    hands to the batch planner."""
-    settings = (("D", "R"), ("I", "R"), ("D", "O"), ("I", "O"))
-    models = (GOOD_MODEL, GREAT_MODEL, SUPER_MODEL)
-    jobs: list[SimJob] = []
-    for config in BENCH_CONFIGS:
-        jobs.extend(
-            SimJob(n, config, None, BENCH_TRACE_LIMIT)
-            for n in BENCH_BENCHMARKS
-        )
-        for timing, conf in settings:
-            for model in models:
-                jobs.extend(
-                    SimJob(
-                        n, config, model, BENCH_TRACE_LIMIT,
-                        confidence=conf, update_timing=timing,
-                    )
-                    for n in BENCH_BENCHMARKS
-                )
-    return jobs
-
-
-def _paired_grid_seconds(jobs: list[SimJob]) -> tuple[float, float, bool]:
-    """Best-of interleaved whole-grid passes: (scalar, batched, identical)."""
-    scalar_results = run_jobs(jobs, 1, batch=1)  # warm traces + wp memo
-    batched_results = run_jobs(jobs, 1, batch=0)
-    identical = [r.counters for r in scalar_results] == [
-        r.counters for r in batched_results
-    ]
-    scalar_best = batched_best = float("inf")
-    for _ in range(_BATCHED_REPS):
-        start = time.process_time()
-        run_jobs(jobs, 1, batch=1)
-        scalar_best = min(scalar_best, time.process_time() - start)
-        start = time.process_time()
-        run_jobs(jobs, 1, batch=0)
-        batched_best = min(batched_best, time.process_time() - start)
-    return scalar_best, batched_best, identical
-
-
 def test_bench_perf_grid(bench_traces):
     points = []
     total_instructions = 0
@@ -239,72 +182,17 @@ def test_bench_perf_grid(bench_traces):
             aggregate_ips / _SEED_REFERENCE_IPS, 2
         ),
     }
-    # Carry the paired engine comparisons forward so a grid-only rerun
-    # does not drop them from the record; test_bench_perf_batched and
-    # test_bench_perf_sampled rewrite them with fresh numbers when they
-    # run.
+    # Carry the paired sampled-vs-exact comparison forward so a
+    # grid-only rerun does not drop it from the record;
+    # test_bench_perf_sampled rewrites it with fresh numbers when it runs.
     if _OUT_PATH.exists():
         previous = json.loads(_OUT_PATH.read_text())
-        for block in ("batched", "sampled"):
-            if block in previous:
-                report[block] = previous[block]
+        if "sampled" in previous:
+            report["sampled"] = previous["sampled"]
     _OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     assert aggregate_ips > _MIN_AGGREGATE_IPS
     assert len(points) == len(BENCH_CONFIGS) * len(_MODELS) * len(bench_traces)
-
-
-def test_bench_perf_batched():
-    """Paired batched-vs-scalar grid throughput (PR 6).
-
-    Measures the figure3-shaped bench grid through ``run_jobs`` both
-    ways — scalar per-point (``batch=1``, the PR 5 engine's path,
-    unchanged by the batched engine) and fully batched (``batch=0``) —
-    in interleaved passes, and records the paired ratios in the report's
-    ``batched`` block.  Two aggregates: the full grid (half its lanes
-    are delayed-update-timing, whose value-prediction state is not
-    replayable — docs/PERFORMANCE.md section 8), and the
-    immediate-timing subset where the recorded-column replay applies.
-    """
-    grid = _figure3_grid()
-    scalar_s, batched_s, identical = _paired_grid_seconds(grid)
-    itiming = [j for j in grid if j.model is None or j.update_timing == "I"]
-    it_scalar_s, it_batched_s, it_identical = _paired_grid_seconds(itiming)
-
-    batched_block = {
-        "grid_lanes": len(grid),
-        "scalar_best_seconds": round(scalar_s, 6),
-        "batched_best_seconds": round(batched_s, 6),
-        "grid_speedup": round(scalar_s / batched_s, 3),
-        "itiming_lanes": len(itiming),
-        "itiming_scalar_best_seconds": round(it_scalar_s, 6),
-        "itiming_batched_best_seconds": round(it_batched_s, 6),
-        "itiming_speedup": round(it_scalar_s / it_batched_s, 3),
-        "pr5_reference": {
-            "commit": _git_revision(),
-            "measured": time.strftime("%Y-%m-%d"),
-            "note": (
-                "the scalar side IS the PR 5 per-point engine (the "
-                "batched engine leaves it untouched), run interleaved "
-                "with the batched side in the same time window on the "
-                "same host; the speedups above are those paired ratios"
-            ),
-        },
-        "note": (
-            "grid-level gain is bounded by the per-lane timing core: "
-            "the shared front end is ~12-15% of a lane and recorded "
-            "value-prediction replay only applies to immediate-timing "
-            "lanes (delayed timing trains at retire, which is "
-            "lane-timing-dependent) — see docs/PERFORMANCE.md section 8"
-        ),
-    }
-
-    report = json.loads(_OUT_PATH.read_text()) if _OUT_PATH.exists() else {}
-    report["batched"] = batched_block
-    _OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-
-    assert identical and it_identical  # bit-identity while we have both
-    assert scalar_s / batched_s > _MIN_BATCHED_RATIO
 
 
 #: Acceptance bars for phase-sampled simulation (the PR 9 streaming
@@ -439,14 +327,9 @@ def test_bench_perf_report_readable():
         "pr1_reference",
         "pr3_reference",
         "speedup_vs_seed_reference",
-        "batched",
         "sampled",
     } <= set(report)
     assert set(report["model_aggregate_ips"]) == {"base", "great", "good"}
-    batched = report["batched"]
-    assert batched["grid_speedup"] > 0
-    assert batched["itiming_speedup"] > 0
-    assert "pr5_reference" in batched
     sampled = report["sampled"]
     assert len(sampled["workloads"]) >= 2
     for result in sampled["workloads"].values():

@@ -7,9 +7,7 @@ the harmonic-mean speedup the machine *loses* when that component is
 lesioned — verification network downgraded to retirement-based,
 selective invalidation replaced by complete squash, confidence gating
 switched off, and so on.  A negative importance (HARMFUL flag) means
-removing the mechanism helped on this workload; the two `engine-*`
-rows execute identical jobs through a different engine strategy and
-must land at exactly 0.0.
+removing the mechanism helped on this workload.
 
 Run:  python examples/ablation_report.py
 """
@@ -21,7 +19,6 @@ from repro.ablation import (
     execute_plan,
     plan_ablation,
     render_text,
-    verify_engine_identity,
 )
 from repro.core.model import GOOD_MODEL
 from repro.engine.config import paper_config
@@ -42,9 +39,7 @@ def main() -> None:
         f"over {len(spec.benchmarks)} benchmark(s); "
         f"plan fingerprint {plan.fingerprint}"
     )
-    executed = execute_plan(plan)
-    mismatches = verify_engine_identity(executed)
-    report = build_report(plan, executed, engine_mismatches=mismatches)
+    report = build_report(plan, execute_plan(plan))
     print()
     print(render_text(report))
 

@@ -13,9 +13,7 @@ great model, D/R, 3000 instructions) and asserts:
    a registry rebuilt from scratch) yields byte-identical IDs;
 4. warm re-run: with a result store configured, executing the same plan
    a second time recomputes **zero** jobs — every point is served from
-   the store;
-5. the engine-feature lesion (batching) landed at exactly 0.0
-   importance with no bit-identity mismatches.
+   the store.
 
 Exit status is the check result; the JSON/CSV reports are left in
 ``--out-dir`` for upload as a build artifact.
@@ -63,7 +61,6 @@ def main(argv: list[str] | None = None) -> int:
         render_csv,
         render_text,
         validate_report,
-        verify_engine_identity,
         write_report,
     )
     from repro.core.model import GREAT_MODEL
@@ -84,8 +81,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("run IDs differ between two plannings of the same spec")
 
     executed = execute_plan(plan, jobs=args.jobs)
-    mismatches = verify_engine_identity(executed)
-    failures.extend(f"engine identity: {m}" for m in mismatches)
 
     # Bit-identity of the baseline run against the committed golden
     # snapshot — the same (kernel, config, model, D/R, limit) point the
@@ -99,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     if vp_counters != golden["vp"]:
         failures.append("baseline speculative counters diverge from golden")
 
-    report = build_report(plan, executed, engine_mismatches=mismatches)
+    report = build_report(plan, executed)
     try:
         validate_report(report)
     except ValueError as error:
@@ -108,12 +103,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"only {len(report['components'])} components ranked; need >= 6"
         )
-    for entry in report["components"]:
-        if entry["engine"] and entry["importance"] != 0.0:
-            failures.append(
-                f"engine component {entry['label']} importance "
-                f"{entry['importance']} != 0.0"
-            )
 
     # Warm re-run through the result store: the second execution of the
     # identical plan must compute nothing.

@@ -12,8 +12,8 @@ reason entries instead of runs.
 Every run carries a stable content-hash run ID built from the same
 canonical-representation discipline as
 :func:`repro.cluster.serial.job_key`: the ID digests the benchmark
-list, the lesioned component names, the engine overrides and the full
-job fingerprints of every (base, speculative) job the run executes.
+list, the lesioned component names and the full job fingerprints of
+every (base, speculative) job the run executes.
 Two processes planning the same spec — regardless of the order
 components were registered in — produce byte-identical IDs, so reports
 from different machines and revisions are directly comparable and the
@@ -66,7 +66,6 @@ class PlannedRun:
     point: AblationPoint
     jobs: tuple[SimJob, ...]  # speculative runs, one per benchmark
     base_jobs: tuple[SimJob, ...]  # matching no-speculation runs
-    engine_overrides: tuple[tuple[str, object], ...] = ()
 
     @property
     def is_baseline(self) -> bool:
@@ -105,7 +104,6 @@ class AblationPlan:
 def run_id_text(
     spec: AblationSpec,
     components: tuple[str, ...],
-    engine_overrides: tuple[tuple[str, object], ...],
     jobs: tuple[SimJob, ...],
     base_jobs: tuple[SimJob, ...],
 ) -> str:
@@ -113,7 +111,10 @@ def run_id_text(
     lines = [
         f"vsablate v{PLAN_VERSION}",
         "components=" + ",".join(sorted(components)),
-        "engine=" + ",".join(f"{k}={v!r}" for k, v in sorted(engine_overrides)),
+        # Once the execution-level overrides of engine components, which
+        # no longer exist.  Kept as a fixed empty field so the run IDs in
+        # existing reports stay valid.
+        "engine=",
     ]
     for benchmark, base, job in zip(spec.benchmarks, base_jobs, jobs):
         lines.append(f"benchmark={benchmark}")
@@ -130,10 +131,8 @@ def _make_run(
     (the empty tuple builds the baseline).  Raises ``NotApplicable``
     when any lesion does not apply."""
     point = spec.point
-    overrides: dict[str, object] = {}
     for component in components:
         point = component.apply(point)
-        overrides.update(component.engine_overrides)
     names = tuple(sorted(component.name for component in components))
     jobs = tuple(
         point.job(benchmark, spec.max_instructions)
@@ -143,8 +142,7 @@ def _make_run(
         point.base_job(benchmark, spec.max_instructions)
         for benchmark in spec.benchmarks
     )
-    engine_overrides = tuple(sorted(overrides.items()))
-    text = run_id_text(spec, names, engine_overrides, jobs, base_jobs)
+    text = run_id_text(spec, names, jobs, base_jobs)
     run_id = hashlib.sha256(text.encode()).hexdigest()[:_ID_CHARS]
     label = "baseline" if not names else "no-" + "+".join(names)
     return PlannedRun(
@@ -154,7 +152,6 @@ def _make_run(
         point=point,
         jobs=jobs,
         base_jobs=base_jobs,
-        engine_overrides=engine_overrides,
     )
 
 

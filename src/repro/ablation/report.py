@@ -11,10 +11,7 @@ A *harmful* component is one whose lesioning **helps** (importance
 < 0): the baseline is paying for a mechanism that costs speedup on this
 workload.  The canonical example is ``delayed-update`` — its lesion
 substitutes the immediate-update idealization, so a negative importance
-there just restates the paper's realistic-update penalty.  Engine
-components (``engine-*``) execute identical jobs and must land at
-exactly 0.0; any other value is an engine bug, which is why the
-executor's differential check feeds the report.
+there just restates the paper's realistic-update penalty.
 
 The JSON document leads with the same ``{v, revision, fingerprint}``
 header block the throughput record (``BENCH_engine_perf.json``) uses,
@@ -85,7 +82,6 @@ def build_report(
     plan: AblationPlan,
     executed: list[RunResults],
     *,
-    engine_mismatches: list[str] | None = None,
     revision: str | None = None,
 ) -> dict:
     """The versioned ablation report document.
@@ -103,7 +99,6 @@ def build_report(
             "importance": importance,
             "ipc_delta": baseline["ipc"] - metrics["ipc"],
             "harmful": importance < 0,
-            "engine": bool(item.run.engine_overrides),
         })
     components.sort(key=lambda c: c["importance"], reverse=True)
     spec = plan.spec
@@ -127,7 +122,6 @@ def build_report(
             for entry in plan.skipped
         ],
         "runs_dropped": plan.runs_dropped,
-        "engine_mismatches": list(engine_mismatches or []),
     }
 
 
@@ -176,15 +170,11 @@ def render_text(report: dict) -> str:
         f"{'importance':>10}  flags",
     ]
     for rank, entry in enumerate(report["components"], start=1):
-        flags = []
-        if entry["harmful"]:
-            flags.append("HARMFUL")
-        if entry.get("engine"):
-            flags.append("engine")
+        flags = "HARMFUL" if entry["harmful"] else ""
         lines.append(
             f"{rank:>4}  {'+'.join(entry['components']):<34} "
             f"{entry['speedup']:>8.4f} {entry['importance']:>+10.4f}  "
-            f"{' '.join(flags)}".rstrip()
+            f"{flags}".rstrip()
         )
     for entry in report["skipped"]:
         lines.append(
@@ -194,8 +184,6 @@ def render_text(report: dict) -> str:
         lines.append(
             f"  ({report['runs_dropped']} planned run(s) dropped by --limit)"
         )
-    for mismatch in report.get("engine_mismatches", []):
-        lines.append(f"  ENGINE MISMATCH: {mismatch}")
     return "\n".join(lines)
 
 
@@ -203,12 +191,12 @@ def render_csv(report: dict) -> str:
     """One row per ranked component (plus the baseline), machine-shaped."""
     rows = [
         "rank,run_id,label,components,speedup,ipc,importance,ipc_delta,"
-        "harmful,engine"
+        "harmful"
     ]
     baseline = report["baseline"]
     rows.append(
         f"0,{baseline['run_id']},{baseline['label']},,"
-        f"{baseline['speedup']:.6f},{baseline['ipc']:.6f},0.0,0.0,False,False"
+        f"{baseline['speedup']:.6f},{baseline['ipc']:.6f},0.0,0.0,False"
     )
     for rank, entry in enumerate(report["components"], start=1):
         rows.append(
@@ -216,7 +204,7 @@ def render_csv(report: dict) -> str:
             f"{'+'.join(entry['components'])},"
             f"{entry['speedup']:.6f},{entry['ipc']:.6f},"
             f"{entry['importance']:.6f},{entry['ipc_delta']:.6f},"
-            f"{entry['harmful']},{entry['engine']}"
+            f"{entry['harmful']}"
         )
     return "\n".join(rows)
 

@@ -44,6 +44,11 @@ from repro.metrics.summary import summarize_counters
 from repro.programs.suite import kernel, kernel_names
 
 
+#: `repro ablate` defaults for the shared grid options it leaves unset.
+ABLATE_BENCHMARKS = ("micro:fib",)
+ABLATE_MAX_INSTRUCTIONS = 3000
+
+
 def _experiment_kwargs(args: argparse.Namespace) -> dict:
     kwargs: dict = {}
     if getattr(args, "max_instructions", None) is not None:
@@ -54,15 +59,6 @@ def _experiment_kwargs(args: argparse.Namespace) -> dict:
         kwargs["jobs"] = args.jobs
     if getattr(args, "backend", None) is not None:
         kwargs["backend"] = args.backend
-    if getattr(args, "batch", None) is not None:
-        # Exported as the env default rather than a kwarg so every
-        # experiment — including sweeps whose wrappers predate the
-        # batching planner — honors it through run_jobs' resolution.
-        import os
-
-        from repro.harness.parallel import BATCH_ENV_VAR
-
-        os.environ[BATCH_ENV_VAR] = str(args.batch)
     return kwargs
 
 
@@ -242,7 +238,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         f"{run.benchmark} @ {run.result.config.label} "
         f"({run.model_name or 'base'}) — "
         f"{run.result.cycles} cycles, ipc {run.result.ipc:.3f}"
-        f" [engine: {run.engine_path}]"
     )
 
     if args.action == "trace":
@@ -453,7 +448,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store=store,
         backend=args.backend,
         jobs=args.jobs if args.jobs is not None else 1,
-        batch=args.batch,
         max_queue=args.max_queue,
         store_max_entries=args.store_max_entries,
     )
@@ -570,7 +564,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         render_csv,
         render_text,
         validate_report,
-        verify_engine_identity,
         write_report,
     )
 
@@ -581,19 +574,23 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         update_timing=args.update_timing,
     )
     spec = AblationSpec(
-        benchmarks=tuple(args.benchmarks),
+        benchmarks=tuple(
+            ABLATE_BENCHMARKS if args.benchmarks is None else args.benchmarks
+        ),
         point=point,
-        max_instructions=args.max_instructions,
+        max_instructions=(
+            ABLATE_MAX_INSTRUCTIONS
+            if args.max_instructions is None
+            else args.max_instructions
+        ),
     )
     plan = plan_ablation(spec, pairs=args.pairs, limit=args.limit)
     executed = execute_plan(
         plan,
         jobs=args.jobs if args.jobs is not None else 1,
         backend=args.backend,
-        batch=args.batch,
     )
-    mismatches = verify_engine_identity(executed)
-    report = build_report(plan, executed, engine_mismatches=mismatches)
+    report = build_report(plan, executed)
     validate_report(report)
     print(render_text(report))
     if args.json:
@@ -606,7 +603,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(render_csv(report) + "\n")
         print(f"csv report written to {path}")
-    return 1 if mismatches else 0
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -618,55 +615,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list experiments").set_defaults(func=_cmd_list)
 
-    run_parser = sub.add_parser("run", help="run one experiment")
-    run_parser.add_argument("id", help="experiment id (see `repro list`)")
-    run_parser.add_argument(
+    # The grid options `run`, its shorthands and `ablate` share.  A
+    # value left unset means the command's own default.
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument(
         "--max-instructions",
         type=int,
         default=None,
-        help="truncate each kernel trace (default: experiment-specific)",
+        help="truncate each kernel trace (default: command-specific)",
     )
-    run_parser.add_argument(
+    grid.add_argument(
         "--benchmarks",
         nargs="*",
         default=None,
         metavar="NAME",
-        help=f"restrict to a subset of {kernel_names()}",
+        help=f"restrict to a subset of {kernel_names()} "
+        "(ablate also takes micro:<name>)",
     )
-    run_parser.add_argument(
+    grid.add_argument(
         "--jobs",
         type=int,
         default=None,
         metavar="N",
         help="worker processes for the simulation grid (0 = all cores)",
     )
-    run_parser.add_argument(
+    grid.add_argument(
         "--backend",
         choices=("local", "cluster", "service"),
         default=None,
         help="grid execution backend (default: REPRO_SWEEP_BACKEND or local)",
     )
-    run_parser.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "run up to N compatible same-trace grid points per batched-"
-            "engine unit (0 = unbounded; default: REPRO_SWEEP_BATCH or 1)"
-        ),
+
+    run_parser = sub.add_parser(
+        "run", parents=[grid], help="run one experiment"
     )
+    run_parser.add_argument("id", help="experiment id (see `repro list`)")
     run_parser.set_defaults(func=_cmd_run)
 
     for shorthand in ("table1", "figure1", "figure3", "figure4"):
-        p = sub.add_parser(shorthand, help=f"shorthand for `run {shorthand}`")
-        p.add_argument("--max-instructions", type=int, default=None)
-        p.add_argument("--benchmarks", nargs="*", default=None)
-        p.add_argument("--jobs", type=int, default=None, metavar="N")
-        p.add_argument(
-            "--backend", choices=("local", "cluster", "service"), default=None
+        p = sub.add_parser(
+            shorthand, parents=[grid], help=f"shorthand for `run {shorthand}`"
         )
-        p.add_argument("--batch", type=int, default=None, metavar="N")
         p.set_defaults(func=_cmd_run, id=shorthand)
 
     describe_parser = sub.add_parser(
@@ -788,11 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, metavar="N",
         help="worker count for an ephemeral local cluster",
     )
-    submit_parser.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="batched-engine group size (0 = unbounded; default: "
-        "REPRO_SWEEP_BATCH or 1)",
-    )
     submit_parser.set_defaults(func=_cmd_cluster)
 
     status_parser = cluster_sub.add_parser(
@@ -836,11 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     service_parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="process-pool width for --backend pool",
-    )
-    service_parser.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="batched-engine group size (0 = unbounded; default: "
-        "REPRO_SWEEP_BATCH or 1)",
     )
     service_parser.add_argument(
         "--max-queue", type=int, default=256, metavar="N",
@@ -906,15 +885,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ablate_parser = sub.add_parser(
         "ablate",
+        parents=[grid],
         help="leave-one-out ablation over the registered model components",
-    )
-    ablate_parser.add_argument(
-        "--benchmarks",
-        nargs="*",
-        default=["micro:fib"],
-        metavar="NAME",
-        help="suite kernels and/or micro:<name> kernels "
-        "(default: micro:fib)",
+        description="Leave-one-out ablation over the registered model "
+        f"components (defaults: --benchmarks {' '.join(ABLATE_BENCHMARKS)} "
+        f"--max-instructions {ABLATE_MAX_INSTRUCTIONS}).",
     )
     ablate_parser.add_argument(
         "--config",
@@ -933,10 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline predictor update timing (default: D, realistic)",
     )
     ablate_parser.add_argument(
-        "--max-instructions", type=int, default=3000,
-        help="truncate each kernel trace (default: 3000)",
-    )
-    ablate_parser.add_argument(
         "--pairs",
         action="store_true",
         help="also lesion every component pair (interaction probing)",
@@ -949,11 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap the number of lesioned runs (dropped runs are counted "
         "in the report, never silently truncated)",
     )
-    ablate_parser.add_argument("--jobs", type=int, default=None, metavar="N")
-    ablate_parser.add_argument(
-        "--backend", choices=("local", "cluster", "service"), default=None
-    )
-    ablate_parser.add_argument("--batch", type=int, default=None, metavar="N")
     ablate_parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the versioned JSON report",

@@ -9,8 +9,7 @@ worker busy inside a long simulation still beats.
 
 Only job descriptions and results cross the wire; the engine itself is
 the same in-process :class:`~repro.engine.pipeline.PipelineSimulator`
-the local harness runs (the result's ``engine_path`` field travels back
-for attribution).
+the local harness runs.
 
 Traces come from the persistent VSRT v3 disk cache
 (:mod:`repro.trace.cache`): a warm entry is ``mmap``-ed with zero parse

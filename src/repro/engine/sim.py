@@ -33,12 +33,6 @@ class SimulationResult:
     confidence_kind: str | None = None
     update_timing: str | None = None
     extra: dict[str, float] = field(default_factory=dict)
-    #: Which engine produced this run ("generic" for a scalar run,
-    #: "batched" for a batched-engine lane), for perf attribution.
-    #: Excluded from equality —
-    #: bit-identity checks compare *simulation* outcomes, and the same
-    #: outcome may legitimately come from different engine paths.
-    engine_path: str | None = field(default=None, compare=False)
 
     @property
     def cycles(self) -> int:
@@ -61,10 +55,10 @@ class SimulationResult:
 
 
 def simulator_class() -> tuple[type, str]:
-    """The engine class every scalar run uses, with its engine-path label.
+    """The engine class every run uses, with its engine-path label.
 
-    There is one scalar engine; the lookup stays a named call so the
-    engine choice is a single seam that span tracers can wrap.
+    There is one engine; the lookup stays a named call so the engine
+    choice is a single seam that span tracers can wrap.
     """
     return PipelineSimulator, "generic"
 
@@ -84,30 +78,15 @@ def run_baseline(
     config: ProcessorConfig,
     *,
     tracer=None,
-    hierarchy=None,
-    fetch_engine=None,
 ) -> SimulationResult:
     """Simulate the base processor (no value prediction).
 
     ``tracer`` optionally attaches a :class:`repro.obs.PipelineTracer`
     (or any object with its duck type) for lifecycle/latency recording.
-    ``hierarchy``/``fetch_engine`` inject pre-built collaborators — the
-    batched engine (:mod:`repro.engine.batched`) uses them to share one
-    predicted fetch stream across lanes; leave them ``None`` otherwise.
     """
-    engine, engine_path = simulator_class()
-    simulator = engine(
-        trace,
-        config,
-        model=None,
-        hierarchy=hierarchy,
-        fetch_engine=fetch_engine,
-        tracer=tracer,
-    )
-    counters = simulator.run()
-    return SimulationResult(
-        counters=counters, config=config, engine_path=engine_path
-    )
+    engine, _path = simulator_class()
+    counters = engine(trace, config, model=None, tracer=tracer).run()
+    return SimulationResult(counters=counters, config=config)
 
 
 def run_trace(
@@ -119,32 +98,21 @@ def run_trace(
     update_timing: UpdateTiming | str = UpdateTiming.DELAYED,
     predictor: ValuePredictor | None = None,
     tracer=None,
-    hierarchy=None,
-    fetch_engine=None,
-    confidence_kind: str | None = None,
 ) -> SimulationResult:
     """Simulate one value-speculative run.
 
     ``confidence`` accepts the paper's shorthand ("real"/"oracle") or a
     ready estimator; ``update_timing`` accepts "I"/"D" or the enum;
     ``tracer`` optionally attaches an observability tracer (see
-    :mod:`repro.obs`).  ``hierarchy``/``fetch_engine`` inject pre-built
-    collaborators (see :mod:`repro.engine.batched`); ``confidence_kind``
-    overrides the paper-notation label when ``confidence`` is a wrapper
-    (e.g. a replay estimator) whose kind cannot be inferred by type.
+    :mod:`repro.obs`).
     """
     if isinstance(update_timing, str):
         update_timing = UpdateTiming(update_timing.strip().upper())
     if isinstance(confidence, str):
-        if confidence_kind is None:
-            confidence_kind = (
-                "O" if confidence.strip().upper() in ("O", "ORACLE") else "R"
-            )
         confidence = make_confidence(confidence)
-    elif confidence_kind is None:
-        confidence_kind = "O" if isinstance(confidence, OracleConfidence) else "R"
+    confidence_kind = "O" if isinstance(confidence, OracleConfidence) else "R"
     predictor = predictor or ContextValuePredictor()
-    engine, engine_path = simulator_class()
+    engine, _path = simulator_class()
     simulator = engine(
         trace,
         config,
@@ -152,8 +120,6 @@ def run_trace(
         predictor=predictor,
         confidence=confidence,
         update_timing=update_timing,
-        hierarchy=hierarchy,
-        fetch_engine=fetch_engine,
         tracer=tracer,
     )
     counters = simulator.run()
@@ -163,7 +129,6 @@ def run_trace(
         model_name=model.name,
         confidence_kind=confidence_kind,
         update_timing=update_timing.label,
-        engine_path=engine_path,
     )
 
 

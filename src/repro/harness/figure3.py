@@ -63,7 +63,6 @@ def run_figure3(
     models: tuple[SpeculativeExecutionModel, ...] = MODELS,
     jobs: int = 1,
     backend: str | None = None,
-    batch: int | None = None,
 ) -> list[Figure3Cell]:
     """Run the full Figure 3 sweep.
 
@@ -71,13 +70,11 @@ def run_figure3(
     cycle-level engine is the cost driver — see DESIGN.md); the paper's
     qualitative shape is stable from a few thousand instructions up.
     ``jobs`` fans the whole (config x setting x model x benchmark) grid —
-    baselines included — over worker processes; ``batch`` additionally
-    groups same-benchmark points into batched-engine units (see
-    :mod:`repro.engine.batched`).  The cells are identical for any
-    combination of the two.
+    baselines included — over worker processes; the cells are identical
+    for any worker count.
     """
     names = _suite_names(benchmarks)
-    # One flat batch: per config, the baselines then every
+    # One flat grid: per config, the baselines then every
     # (setting, model, benchmark) point, submitted together.
     job_list: list[SimJob] = []
     for config in configs:
@@ -95,7 +92,7 @@ def run_figure3(
                     )
                     for n in names
                 )
-    results = iter(run_jobs(job_list, jobs=jobs, backend=backend, batch=batch))
+    results = iter(run_jobs(job_list, jobs=jobs, backend=backend))
 
     cells: list[Figure3Cell] = []
     for config in configs:

@@ -47,7 +47,6 @@ and the CI warm-sweep smoke assert the zero-materialization property.
 
 from __future__ import annotations
 
-import logging
 import os
 import random
 import tempfile
@@ -74,14 +73,6 @@ STRICT_ENV_VAR = "REPRO_TRACE_STRICT"
 #: at ``REPRO_SERVICE_ADDR``).  Lets any harness entry point ride a
 #: shared backend without code changes.
 BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
-
-#: Env var: default batch size for the batching planner when the caller
-#: does not pass one — ``1`` (scalar, the default), ``N`` (up to N
-#: compatible same-trace jobs per execution unit), or ``0`` (unbounded:
-#: one unit per compatible same-trace group).  See :func:`plan_units`.
-BATCH_ENV_VAR = "REPRO_SWEEP_BATCH"
-
-_log = logging.getLogger(__name__)
 
 #: Default per-job attempt budget when a *worker* dies mid-grid (the
 #: job itself raising is never retried — jobs are deterministic, so a
@@ -125,138 +116,42 @@ class SimJob:
         return zlib.crc32(key)
 
 
-@dataclass(frozen=True)
-class BatchJob:
-    """A planner execution unit: several :class:`SimJob` points that
-    share one staged trace and run as lanes of the batched engine
-    (:mod:`repro.engine.batched`) in a single worker.
+def plan_units(job_list: list[SimJob]) -> tuple[list[SimJob], list[list[int]]]:
+    """Map submitted grid points to execution units.
 
-    Exposes ``benchmark``/``max_instructions`` like a :class:`SimJob`
-    (every member shares them, by construction in :func:`plan_units`) so
-    trace staging, cluster cache warming and worker-side trace
-    acquisition treat a batch exactly like a point.  Executing a
-    ``BatchJob`` yields a *list* of results, positionally aligned with
-    ``jobs``.
+    Returns ``(units, slots)``: ``units`` are the distinct jobs by
+    :func:`~repro.cluster.serial.job_key`, in first-submission order, and
+    ``slots[k]`` lists the ``job_list`` indices unit ``k`` serves.  A
+    grid repeating a point (ablation run sets share their baseline jobs)
+    thus pays for each distinct key once, on every backend, and
+    :func:`_expand_units` scatters the shared result back to every
+    occurrence.
     """
+    from repro.cluster.serial import job_key
 
-    jobs: tuple[SimJob, ...]
-
-    @property
-    def benchmark(self) -> str:
-        return self.jobs[0].benchmark
-
-    @property
-    def max_instructions(self) -> int | None:
-        return self.jobs[0].max_instructions
-
-    def task_seed(self) -> int:
-        return self.jobs[0].task_seed()
-
-
-def resolve_batch(batch: int | None = None) -> int:
-    """The effective planner batch size: explicit argument, then
-    ``REPRO_SWEEP_BATCH``, then 1 (scalar execution)."""
-    source = "batch size"
-    if batch is None:
-        raw = os.environ.get(BATCH_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        source = f"{BATCH_ENV_VAR}={raw!r}"
-        try:
-            batch = int(raw)
-        except ValueError as error:
-            raise ValueError(
-                f"{source} is not an integer batch size "
-                "(use 1 for scalar, N for chunks of N, 0 for unbounded)"
-            ) from error
-    if batch < 0:
-        raise ValueError(
-            f"{source} must be >= 0 (1 = scalar, N = chunks of N, "
-            f"0 = unbounded), got {batch}"
-        )
-    return batch
-
-
-def plan_units(
-    job_list: list[SimJob], batch: int
-) -> tuple[list, list[list[int]]]:
-    """Group a grid into execution units for the batched engine.
-
-    Returns ``(units, slots)``: ``units`` is a list of :class:`SimJob`
-    (scalar) and :class:`BatchJob` (batched) entries, and ``slots[k]``
-    holds the original ``job_list`` indices unit ``k`` produces, so
-    results expand back to submission order regardless of how the grid
-    was grouped.
-
-    Planner rules (documented in docs/PERFORMANCE.md §8):
-
-    * ``batch == 1`` — identity: every job is its own scalar unit
-      (the default; ``batch == 0`` means unbounded group size).
-    * Jobs group by (benchmark, trace limit); different traces cannot
-      share a batch and stay scalar relative to each other.
-    * Within a group, jobs rejected by
-      :func:`repro.engine.batched.batch_compatible` (e.g. complete
-      invalidation, whose recovery rewinds the shared fetch stream)
-      fall back to scalar units, with the reason logged — never an
-      error.
-    * Compatible group members are chunked into ``BatchJob`` units of at
-      most ``batch`` jobs (``batch == 0`` means one unit per group); a
-      chunk of one is kept scalar (a one-lane batch only adds column
-      recording cost).
-
-    Grouping preserves submission order within and across groups, so
-    planning is deterministic for a given ``job_list``.
-    """
-    if batch == 1:
-        return list(job_list), [[i] for i in range(len(job_list))]
-    from repro.engine.batched import batch_compatible
-
-    groups: dict[tuple, list[int]] = {}
-    for i, job in enumerate(job_list):
-        groups.setdefault((job.benchmark, job.max_instructions), []).append(i)
-    units: list = []
+    units: list[SimJob] = []
     slots: list[list[int]] = []
-    for key, indices in groups.items():
-        compatible: list[int] = []
-        for i in indices:
-            ok, reason = batch_compatible(job_list[i])
-            if ok:
-                compatible.append(i)
-            else:
-                _log.info(
-                    "batch planner: job %d (%s) runs scalar: %s",
-                    i, job_list[i].benchmark, reason,
-                )
-                units.append(job_list[i])
-                slots.append([i])
-        size = len(compatible) if batch == 0 else batch
-        for start in range(0, len(compatible), max(size, 1)):
-            chunk = compatible[start : start + max(size, 1)]
-            if len(chunk) == 1:
-                _log.info(
-                    "batch planner: job %d (%s) runs scalar: "
-                    "singleton group", chunk[0], key[0],
-                )
-                units.append(job_list[chunk[0]])
-            else:
-                units.append(
-                    BatchJob(jobs=tuple(job_list[i] for i in chunk))
-                )
-            slots.append(chunk)
+    unit_of: dict[str, int] = {}
+    for index, job in enumerate(job_list):
+        key = job_key(job)
+        unit = unit_of.get(key)
+        if unit is None:
+            unit_of[key] = len(units)
+            units.append(job)
+            slots.append([index])
+        else:
+            slots[unit].append(index)
     return units, slots
 
 
 def _expand_units(
-    unit_results: list, slots: list[list[int]], n_jobs: int
+    unit_results: list[SimulationResult], slots: list[list[int]], n_jobs: int
 ) -> list[SimulationResult]:
     """Scatter per-unit results back to submission order."""
     results: list[SimulationResult | None] = [None] * n_jobs
-    for unit_result, indices in zip(unit_results, slots):
-        if len(indices) == 1 and not isinstance(unit_result, list):
-            results[indices[0]] = unit_result
-        else:
-            for index, result in zip(indices, unit_result):
-                results[index] = result
+    for result, indices in zip(unit_results, slots):
+        for index in indices:
+            results[index] = result
     return results  # type: ignore[return-value]
 
 
@@ -480,11 +375,9 @@ def _stage_traces_into(
         handles[key] = handle
 
 
-def _execute(job: SimJob | BatchJob) -> SimulationResult | list[SimulationResult]:
-    """Run one execution unit to completion (worker side; also the
-    inline path).  A :class:`BatchJob` unit runs all its lanes through
-    the batched engine over the one shared trace and returns a *list*
-    of results aligned with ``job.jobs``.
+def _execute(job: SimJob) -> SimulationResult:
+    """Run one grid point to completion (worker side; also the inline
+    path).
 
     The job seed feeds a *local* :class:`random.Random`, not the global
     module state: reseeding the process-wide RNG from a worker would
@@ -493,11 +386,6 @@ def _execute(job: SimJob | BatchJob) -> SimulationResult | list[SimulationResult
     Nothing in the engine draws from global :mod:`random`; collaborators
     that want stochasticity receive this instance explicitly.
     """
-    if isinstance(job, BatchJob):
-        from repro.engine.batched import run_batch
-
-        trace = _trace_for(job.benchmark, job.max_instructions)
-        return run_batch(job.jobs, trace)
     rng = random.Random(job.task_seed())
     trace = _trace_for(job.benchmark, job.max_instructions)
     if job.model is None:
@@ -606,7 +494,6 @@ def run_jobs(
     *,
     backend: str | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    batch: int | None = None,
 ) -> list[SimulationResult]:
     """Execute a grid of simulation points, ``jobs`` processes wide.
 
@@ -617,14 +504,9 @@ def run_jobs(
     routes the grid through the fault-tolerant sweep service
     (:mod:`repro.cluster`) with bit-identical results.
 
-    ``batch`` (default ``REPRO_SWEEP_BATCH``, then 1) turns on the
-    batching planner: up to ``batch`` compatible jobs sharing one
-    (benchmark, trace limit) run as lanes of the batched engine in a
-    single worker, paying the shared front end once per unit instead of
-    once per point (``0`` = unbounded group size).  Results stay
-    bit-identical and positionally aligned for every batch size and
-    backend; incompatible jobs fall back to scalar units with a logged
-    reason (see :func:`plan_units`).
+    The grid is planned into units first (:func:`plan_units`): a point
+    submitted more than once runs once and its result fills every
+    occurrence.
 
     The local pool survives worker death: completed results are kept,
     the pool is rebuilt, and only unfinished jobs are resubmitted, each
@@ -632,7 +514,7 @@ def run_jobs(
 
     When the persistent result store is configured
     (``REPRO_RESULT_STORE=<dir>``; see :mod:`repro.service.results`),
-    jobs whose results are already on disk are served from the store —
+    units whose results are already on disk are served from the store —
     *warm jobs skip execution on every backend* — and freshly computed
     results are written back, so any sweep this process runs warms the
     same store the always-on simulation service reads.
@@ -645,81 +527,51 @@ def run_jobs(
         from repro.service.client import run_jobs_service
 
         return run_jobs_service(job_list)
-    from repro.cluster.serial import job_key
-
-    keys = [job_key(job) for job in job_list]
-    first: dict[str, int] = {}
-    for index, key in enumerate(keys):
-        first.setdefault(key, index)
-    if len(first) < len(keys):
-        # A grid repeating a point (ablation run sets share their
-        # baseline jobs) pays for each distinct key once, on every
-        # backend — store configured or not.  Distinct jobs execute in
-        # first-submission order and the shared result is scattered
-        # back to every occurrence, so results stay positionally
-        # aligned with the submitted list.
-        unique = run_jobs(
-            [job_list[index] for index in first.values()],
-            jobs, backend=backend,
-            max_attempts=max_attempts, batch=batch,
-        )
-        by_key = dict(zip(first, unique))
-        return [by_key[key] for key in keys]
+    units, slots = plan_units(job_list)
     from repro.service import results as result_store
 
     directory = result_store.store_dir()
     if directory is None:
-        return _run_jobs_backend(
-            job_list, jobs, backend=backend,
-            max_attempts=max_attempts, batch=batch,
+        results = _run_jobs_backend(
+            units, jobs, backend=backend, max_attempts=max_attempts
         )
-    # Store consult: serve warm keys from disk, execute only the cold
-    # remainder, then persist what was computed.
-    results: list = [
-        result_store.load_result(key, directory) for key in keys
-    ]
-    cold: dict[str, int] = {}
-    for index, (key, result) in enumerate(zip(keys, results)):
-        if result is None and key not in cold:
-            cold[key] = index
-    if cold:
-        computed = _run_jobs_backend(
-            [job_list[index] for index in cold.values()],
-            jobs, backend=backend,
-            max_attempts=max_attempts, batch=batch,
-        )
-        fresh = dict(zip(cold.keys(), computed))
-        for key, result in fresh.items():
-            result_store.store_result(key, result, directory)
-        for index, key in enumerate(keys):
-            if results[index] is None:
-                results[index] = fresh[key]
-    return results
+    else:
+        # Store consult: serve warm units from disk, execute only the
+        # cold remainder, then persist what was computed.
+        from repro.cluster.serial import job_key
+
+        keys = [job_key(unit) for unit in units]
+        results = [result_store.load_result(key, directory) for key in keys]
+        cold = [k for k, result in enumerate(results) if result is None]
+        if cold:
+            computed = _run_jobs_backend(
+                [units[k] for k in cold], jobs,
+                backend=backend, max_attempts=max_attempts,
+            )
+            for k, result in zip(cold, computed):
+                result_store.store_result(keys[k], result, directory)
+                results[k] = result
+    return _expand_units(results, slots, len(job_list))
 
 
 def _run_jobs_backend(
-    job_list: list[SimJob],
+    units: list[SimJob],
     jobs: int = 1,
     *,
     backend: str = "local",
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    batch: int | None = None,
 ) -> list[SimulationResult]:
-    """The execution core behind :func:`run_jobs`: plan units, then run
-    them on the local pool or the cluster (no store involvement)."""
-    units, slots = plan_units(job_list, resolve_batch(batch))
+    """The execution core behind :func:`run_jobs`: run planned units on
+    the local pool or the cluster (no store involvement), results
+    aligned with ``units``."""
     if backend == "cluster":
         # Imported lazily: repro.cluster depends on this module.
         from repro.cluster.client import run_jobs_cluster
 
-        return _expand_units(
-            run_jobs_cluster(units, jobs), slots, len(job_list)
-        )
+        return run_jobs_cluster(units, jobs)
     workers = effective_jobs(jobs, len(units))
     if workers <= 1:
-        return _expand_units(
-            [_execute(unit) for unit in units], slots, len(job_list)
-        )
+        return [_execute(unit) for unit in units]
     handles, cleanups = _stage_traces(units)
     results: list = [None] * len(units)
     try:
@@ -727,7 +579,7 @@ def _run_jobs_backend(
     finally:
         for release in cleanups:
             release()
-    return _expand_units(results, slots, len(job_list))
+    return results
 
 
 def run_grid(
@@ -741,15 +593,11 @@ def run_grid(
     predictor: Callable | None = None,
     jobs: int = 1,
     backend: str | None = None,
-    batch: int | None = None,
 ) -> dict[str, SimulationResult]:
     """One (config, model, setting) row across a benchmark suite.
 
     The common harness shape: same settings, one run per benchmark,
-    results keyed by benchmark name in input order.  (Each row job has a
-    distinct benchmark, so ``batch`` only matters here when the caller's
-    grid shares traces — it is accepted for interface symmetry and
-    forwarded to :func:`run_jobs`.)
+    results keyed by benchmark name in input order.
     """
     job_list = [
         SimJob(
@@ -763,9 +611,4 @@ def run_grid(
         )
         for name in benchmarks
     ]
-    return dict(
-        zip(
-            benchmarks,
-            run_jobs(job_list, jobs=jobs, backend=backend, batch=batch),
-        )
-    )
+    return dict(zip(benchmarks, run_jobs(job_list, jobs=jobs, backend=backend)))

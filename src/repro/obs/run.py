@@ -74,13 +74,6 @@ class InstrumentedRun:
     def kinds_seen(self) -> set[LatencyEventKind]:
         return self.tracer.kinds_seen()
 
-    @property
-    def engine_path(self) -> str:
-        """Which engine produced this run (instrumented runs are always
-        scalar, so the answer is ``"generic"`` — stated explicitly so perf
-        investigations are attributable)."""
-        return self.result.engine_path or "generic"
-
 
 def run_instrumented(
     benchmark: str,

@@ -2,9 +2,8 @@
 
 The tentpole invariants: run IDs are stable content hashes (same spec →
 same IDs across processes and registry orderings), inapplicable lesions
-become skipped-with-reason entries rather than crashes, engine-feature
-lesions land at exactly 0.0 importance (they run identical jobs), and
-the report document validates, ranks, and renders in all three shapes.
+become skipped-with-reason entries rather than crashes, and the report
+document validates, ranks, and renders in all three shapes.
 """
 
 import json
@@ -32,7 +31,6 @@ from repro.ablation import (
     render_text,
     report_record,
     validate_report,
-    verify_engine_identity,
     write_report,
 )
 from repro.core.model import GREAT_MODEL, SpeculativeExecutionModel
@@ -98,21 +96,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match="needs a lesion"):
             Component(name="x", title="x", description="x", lesion_label="x")
 
-    def test_engine_component_requires_overrides(self):
-        with pytest.raises(ValueError, match="needs engine_overrides"):
-            Component(
-                name="x", title="x", description="x", lesion_label="x",
-                kind="engine",
-            )
-
     def test_every_model_lesion_changes_the_job_fingerprint(self):
         from repro.cluster.serial import job_key
 
         point = _point()
         baseline_key = job_key(point.job("micro:fib", _LIMIT))
         for component in default_registry():
-            if component.kind != "model":
-                continue
             lesioned = component.apply(point)
             assert (
                 job_key(lesioned.job("micro:fib", _LIMIT)) != baseline_key
@@ -234,6 +223,20 @@ class TestPlanner:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == [run.run_id for run in plan.runs]
 
+    def test_default_spec_baseline_run_id_is_pinned(self):
+        # `repro ablate` with every default.  The run-ID text keeps its
+        # empty `engine=` line, so IDs in reports written while engine
+        # components existed still match today's plans.
+        spec = AblationSpec(
+            benchmarks=("micro:fib",),
+            point=AblationPoint(
+                config=paper_config("8/48"), model=GREAT_MODEL,
+                update_timing="D",
+            ),
+            max_instructions=3000,
+        )
+        assert plan_ablation(spec).baseline.run_id == "28656ecf068fd84c6f716eb5"
+
     def test_run_ids_sensitive_to_spec_content(self):
         base = plan_ablation(_spec())
         other_limit = plan_ablation(_spec(max_instructions=_LIMIT + 1))
@@ -256,48 +259,35 @@ def executed_report():
     """One executed tiny ablation shared by the report tests."""
     plan = plan_ablation(_spec())
     executed = execute_plan(plan)
-    mismatches = verify_engine_identity(executed)
-    report = build_report(
-        plan, executed, engine_mismatches=mismatches, revision="test"
-    )
-    return plan, executed, mismatches, report
+    report = build_report(plan, executed, revision="test")
+    return plan, executed, report
 
 
 class TestExecuteAndReport:
-    def test_engine_lesions_are_bit_identical_and_zero_importance(
-        self, executed_report
-    ):
-        _, _, mismatches, report = executed_report
-        assert mismatches == []
-        engine_entries = [e for e in report["components"] if e["engine"]]
-        assert {e["label"] for e in engine_entries} == {"no-engine-batching"}
-        for entry in engine_entries:
-            assert entry["importance"] == 0.0
-            assert not entry["harmful"]
 
     def test_report_validates_and_ranks_by_importance(self, executed_report):
-        _, _, _, report = executed_report
+        _, _, report = executed_report
         validate_report(report)
         importances = [e["importance"] for e in report["components"]]
         assert importances == sorted(importances, reverse=True)
         assert len(report["components"]) >= 6
 
     def test_harmful_flag_tracks_negative_importance(self, executed_report):
-        _, _, _, report = executed_report
+        _, _, report = executed_report
         for entry in report["components"]:
             assert entry["harmful"] == (entry["importance"] < 0)
 
     def test_header_block_matches_perf_record_convention(
         self, executed_report
     ):
-        plan, _, _, report = executed_report
+        plan, _, report = executed_report
         assert report["v"] == 1
         assert report["kind"] == "ablation"
         assert report["revision"] == "test"
         assert report["fingerprint"] == plan.fingerprint
 
     def test_renderings_cover_every_component(self, executed_report):
-        _, _, _, report = executed_report
+        _, _, report = executed_report
         text = render_text(report)
         csv = render_csv(report)
         for entry in report["components"]:
@@ -308,7 +298,7 @@ class TestExecuteAndReport:
         assert len(csv.splitlines()) == 2 + len(report["components"])
 
     def test_report_record_block_shape(self, executed_report):
-        _, _, _, report = executed_report
+        _, _, report = executed_report
         block = report_record(report)
         assert block["fingerprint"] == report["fingerprint"]
         assert set(block["importance"]) == {
@@ -316,12 +306,12 @@ class TestExecuteAndReport:
         }
 
     def test_write_report_round_trips(self, executed_report, tmp_path):
-        _, _, _, report = executed_report
+        _, _, report = executed_report
         path = write_report(report, tmp_path / "nested" / "report.json")
         assert json.loads(path.read_text()) == report
 
     def test_executed_runs_align_with_plan(self, executed_report):
-        plan, executed, _, _ = executed_report
+        plan, executed, _ = executed_report
         assert [item.run.run_id for item in executed] == [
             run.run_id for run in plan.runs
         ]
@@ -332,7 +322,7 @@ class TestExecuteAndReport:
     def test_model_lesions_change_simulation_outcomes(self, executed_report):
         # At least one mechanism must matter on this workload, or the
         # whole framework is measuring nothing.
-        _, _, _, report = executed_report
+        _, _, report = executed_report
         assert any(
             e["importance"] != 0.0 for e in report["components"]
         )
@@ -340,7 +330,7 @@ class TestExecuteAndReport:
 
 class TestBackendEquivalence:
     def test_pool_and_cluster_bit_identical_to_serial(self, executed_report):
-        plan, serial, _, _ = executed_report
+        plan, serial, _ = executed_report
         pooled = execute_plan(plan, jobs=2)
         clustered = execute_plan(plan, jobs=2, backend="cluster")
         for label, other in (("pool", pooled), ("cluster", clustered)):
@@ -362,19 +352,19 @@ class TestValidateReport:
             validate_report([])
 
     def test_rejects_wrong_kind(self, executed_report):
-        _, _, _, report = executed_report
+        _, _, report = executed_report
         with pytest.raises(ValueError, match="not an ablation report"):
             validate_report({**report, "kind": "throughput"})
 
     def test_rejects_missing_fields(self, executed_report):
-        _, _, _, report = executed_report
+        _, _, report = executed_report
         broken = dict(report)
         del broken["fingerprint"]
         with pytest.raises(ValueError, match="fingerprint"):
             validate_report(broken)
 
     def test_rejects_malformed_run_id(self, executed_report):
-        _, _, _, report = executed_report
+        _, _, report = executed_report
         broken = json.loads(json.dumps(report))
         broken["components"][0]["run_id"] = "short"
         with pytest.raises(ValueError, match="malformed run_id"):

@@ -1,13 +1,14 @@
-"""Batched multi-config engine: bit-identity and planner behaviour.
+"""Submitted grid points versus execution units: planning and scatter.
 
-The batched engine (``repro.engine.batched``) shares the predicted
-fetch stream — and, for immediate-timing lanes, recorded
-value-prediction columns — across every configuration in a batch.  The
-contract is *bit-identity*: a batched lane must produce exactly the
-SimCounters of the scalar engine.  This suite pins that contract
-against every golden snapshot and variant golden, across batch sizes
-{1, 2, full-grid} and the serial / process-pool / cluster backends,
-and checks the planner's scalar fallback for batch-incompatible jobs.
+``run_jobs`` plans every submitted batch of points into execution units
+(:func:`repro.harness.parallel.plan_units`): one unit per distinct job
+key, in first-submission order, with ``slots[k]`` naming the submission
+indices unit ``k`` serves.  Results are scattered back by those slots.
+The contract is that planning is invisible: every position of the
+result list equals what running its point alone produces.  This suite
+pins that contract against every golden and variant snapshot (each
+point submitted twice), across submission chunk sizes and the serial,
+process-pool and cluster backends.
 """
 
 import dataclasses
@@ -17,26 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.asm import assemble
+import repro.harness.parallel as parallel
 from repro.core.model import GREAT_MODEL
 from repro.core.variables import InvalidationScheme
-from repro.engine.batched import (
-    StreamFetchEngine,
-    batch_compatible,
-    run_batch,
-)
 from repro.engine.config import ProcessorConfig
-from repro.func import Machine
-from repro.harness.parallel import (
-    BatchJob,
-    SimJob,
-    plan_units,
-    resolve_batch,
-    run_jobs,
-)
-from repro.programs.micro import micro_kernel
-from repro.programs.suite import benchmark_suite
-from repro.trace.capture import capture_trace
+from repro.harness.parallel import SimJob, plan_units, run_jobs
 from repro.vp.confidence import SaturatingConfidenceEstimator
 from repro.vp.hybrid import HybridPredictor
 from repro.vp.last_value import LastValuePredictor
@@ -82,15 +68,12 @@ def _result_key(result):
     )
 
 
-def _load_trace(label: str):
+def _benchmark_and_limit(label: str) -> tuple[str, int]:
+    """A snapshot's workload label as a job's (benchmark, trace limit)."""
     kind, name = label.split("_", 1)
     if kind == "micro":
-        machine = Machine(assemble(micro_kernel(name)))
-        return capture_trace(machine, MICRO_TRACE_LIMIT)
-    for spec in benchmark_suite():
-        if spec.name == name:
-            return spec.trace(SPEC_TRACE_LIMIT)
-    raise KeyError(label)
+        return f"micro:{name}", MICRO_TRACE_LIMIT
+    return name, SPEC_TRACE_LIMIT
 
 
 def _snapshot_config(snapshot) -> ProcessorConfig:
@@ -100,46 +83,58 @@ def _snapshot_config(snapshot) -> ProcessorConfig:
     )
 
 
+def _with_duplicates(jobs: list) -> list:
+    """Every job submitted twice: the grid, then the grid reversed."""
+    return jobs + jobs[::-1]
+
+
 @pytest.mark.parametrize("path", SNAPSHOTS, ids=[p.stem for p in SNAPSHOTS])
 def test_batched_matches_golden(path):
-    """A two-lane batch (baseline + great D/R) reproduces every main
-    golden snapshot bit-for-bit through the shared fetch stream."""
+    """A submission of baseline + great D/R, each point twice, plans
+    into two units and reproduces the main snapshot at every position."""
     snapshot = json.loads(path.read_text())
-    trace = _load_trace(snapshot["workload"])
+    benchmark, limit = _benchmark_and_limit(snapshot["workload"])
     config = _snapshot_config(snapshot)
-    workload = snapshot["workload"]
     jobs = [
-        SimJob(workload, config, None, None),
+        SimJob(benchmark, config, None, limit),
         SimJob(
-            workload, config, GREAT_MODEL, None,
+            benchmark, config, GREAT_MODEL, limit,
             confidence="R", update_timing="D",
         ),
     ]
-    base, vp = run_batch(jobs, trace)
-    assert counters_dict(base.counters) == snapshot["base"]
-    assert counters_dict(vp.counters) == snapshot["vp"]
+    submitted = _with_duplicates(jobs)
+    units, slots = plan_units(submitted)
+    assert units == jobs and slots == [[0, 3], [1, 2]]
+    base, vp, vp_again, base_again = run_jobs(submitted)
+    for result in (base, base_again):
+        assert counters_dict(result.counters) == snapshot["base"]
+    for result in (vp, vp_again):
+        assert counters_dict(result.counters) == snapshot["vp"]
 
 
 @pytest.mark.parametrize(
     "path", VARIANT_SNAPSHOTS, ids=[p.stem for p in VARIANT_SNAPSHOTS]
 )
 def test_batched_matches_variant_golden(path):
-    """Batched lanes reproduce the variant goldens — immediate update
-    timing (replayed value-prediction columns), saturating confidence,
-    and every alternative predictor implementation."""
+    """Duplicated variant points — immediate update timing, saturating
+    confidence, every alternative predictor implementation — run once
+    and fill both positions with the variant snapshot."""
     snapshot = json.loads(path.read_text())
-    trace = _load_trace(snapshot["workload"])
+    benchmark, limit = _benchmark_and_limit(snapshot["workload"])
     job = SimJob(
-        snapshot["workload"],
+        benchmark,
         _snapshot_config(snapshot),
         GREAT_MODEL,
-        None,
+        limit,
         confidence=_CONFIDENCE[snapshot["confidence"]],
         update_timing=snapshot["update_timing"],
         predictor=_PREDICTOR[snapshot["predictor"]],
     )
-    (result,) = run_batch([job], trace)
-    assert counters_dict(result.counters) == snapshot["vp"]
+    units, slots = plan_units([job, job])
+    assert units == [job] and slots == [[0, 1]]
+    first, second = run_jobs([job, job])
+    assert first is second
+    assert counters_dict(first.counters) == snapshot["vp"]
 
 
 def _small_grid():
@@ -161,27 +156,66 @@ def _small_grid():
 
 @pytest.fixture(scope="module")
 def small_grid_reference():
+    """The small grid with each point executed alone, outside the
+    planner."""
     jobs = _small_grid()
-    return jobs, [_result_key(r) for r in run_jobs(jobs, 1, batch=1)]
+    return jobs, [_result_key(parallel._execute(job)) for job in jobs]
+
+
+def _assert_duplicates_run_once(grid, reference, **kwargs):
+    """Submit ``grid`` with a duplicate of every point: each distinct
+    point reaches the backend exactly once, in first-submission order,
+    and its result fills every position that submitted it."""
+    calls: list = []
+    real = parallel._run_jobs_backend
+
+    def spy(units, *args, **kw):
+        calls.append(list(units))
+        return real(units, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel, "_run_jobs_backend", spy)
+        results = run_jobs(_with_duplicates(grid), **kwargs)
+    assert calls == [grid]
+    assert [_result_key(r) for r in results] == reference + reference[::-1]
 
 
 @pytest.mark.parametrize("batch", [1, 2, 0], ids=["b1", "b2", "bfull"])
 def test_batch_sizes_serial(small_grid_reference, batch):
+    """Submitting the grid serially in chunks of 1, 2 or all points,
+    each chunk with its duplicates, matches one point at a time."""
     jobs, reference = small_grid_reference
-    results = run_jobs(jobs, 1, batch=batch)
-    assert [_result_key(r) for r in results] == reference
+    size = batch or len(jobs)
+    for start in range(0, len(jobs), size):
+        _assert_duplicates_run_once(
+            jobs[start : start + size], reference[start : start + size],
+            jobs=1,
+        )
 
 
 def test_batched_pool_backend(small_grid_reference):
     jobs, reference = small_grid_reference
-    results = run_jobs(jobs, 4, batch=2)
-    assert [_result_key(r) for r in results] == reference
+    _assert_duplicates_run_once(jobs, reference, jobs=2)
 
 
 def test_batched_cluster_backend(small_grid_reference):
     jobs, reference = small_grid_reference
-    results = run_jobs(jobs, 2, backend="cluster", batch=0)
-    assert [_result_key(r) for r in results] == reference
+    _assert_duplicates_run_once(jobs, reference, jobs=2, backend="cluster")
+
+
+def test_plan_units_slots_and_first_submission_order():
+    config = ProcessorConfig()
+    a = SimJob("compress", config, None, 800)
+    b = SimJob("compress", config, GREAT_MODEL, 800, "R", "D")
+    c = SimJob("m88ksim", config, GREAT_MODEL, 800, "R", "I")
+    # An equal job built separately is the same unit: keys are content
+    # hashes, not identities.
+    b_again = SimJob("compress", config, GREAT_MODEL, 800, "R", "D")
+    units, slots = plan_units([b, a, b_again, c, a, b])
+    assert units == [b, a, c]
+    assert slots == [[0, 2, 5], [1, 4], [3]]
+    assert plan_units([]) == ([], [])
+    assert run_jobs([]) == []
 
 
 def _complete_invalidation_model():
@@ -193,11 +227,11 @@ def _complete_invalidation_model():
     )
 
 
-def test_planner_mixed_compatibility_fallback(caplog):
-    """A grid mixing batchable jobs, a batch-incompatible model
-    (complete invalidation rewinds the shared fetch stream) and
-    different traces plans into batches plus logged scalar units — and
-    still merges bit-identically."""
+def test_planner_mixed_compatibility_fallback():
+    """A grid mixing models (complete invalidation among them), trace
+    limits and benchmarks plans into one unit per distinct point,
+    whatever the model, and merges bit-identically with running each
+    point alone."""
     config = ProcessorConfig()
     complete = _complete_invalidation_model()
     jobs = [
@@ -205,108 +239,38 @@ def test_planner_mixed_compatibility_fallback(caplog):
         SimJob("compress", config, GREAT_MODEL, 800, "R", "D"),
         SimJob("compress", config, complete, 800, "R", "D"),
         SimJob("compress", config, GREAT_MODEL, 800, "R", "I"),
-        # A different trace limit: same benchmark, different batch group.
+        # A different trace limit: same benchmark, a different point.
         SimJob("compress", config, GREAT_MODEL, 600, "R", "D"),
         SimJob("m88ksim", config, GREAT_MODEL, 800, "R", "I"),
     ]
-    ok, reason = batch_compatible(jobs[2])
-    assert not ok and "invalidation" in reason
+    submitted = jobs + [jobs[2], jobs[4]]
+    units, slots = plan_units(submitted)
+    assert units == jobs
+    assert slots == [[0], [1], [2, 6], [3], [4, 7], [5]]
 
-    with caplog.at_level("INFO", logger="repro.harness.parallel"):
-        units, slots = plan_units(jobs, 0)
-    assert any("runs scalar" in record.message for record in caplog.records)
-
-    batched = [u for u in units if isinstance(u, BatchJob)]
-    scalar = [u for u in units if isinstance(u, SimJob)]
-    # compress@800 batches its three compatible lanes; the complete-
-    # invalidation job and both singleton groups stay scalar.
-    assert len(batched) == 1 and len(batched[0].jobs) == 3
-    assert len(scalar) == 3
-    assert sorted(i for chunk in slots for i in chunk) == list(range(len(jobs)))
-
-    reference = [_result_key(r) for r in run_jobs(jobs, 1, batch=1)]
-    results = run_jobs(jobs, 1, batch=0)
+    reference = [_result_key(parallel._execute(job)) for job in submitted]
+    results = run_jobs(submitted, 1)
     assert [_result_key(r) for r in results] == reference
 
 
-def test_resolve_batch_env(monkeypatch):
-    from repro.harness.parallel import BATCH_ENV_VAR
-
-    assert resolve_batch(None) == 1
-    assert resolve_batch(4) == 4
-    monkeypatch.setenv(BATCH_ENV_VAR, "8")
-    assert resolve_batch(None) == 8
-    assert resolve_batch(2) == 2
-    monkeypatch.setenv(BATCH_ENV_VAR, "nope")
-    with pytest.raises(ValueError):
-        resolve_batch(None)
-    with pytest.raises(ValueError):
-        resolve_batch(-1)
-
-
-def test_resolve_batch_env_invalid_spellings_name_the_var(monkeypatch):
-    """Bad ``REPRO_SWEEP_BATCH`` spellings must fail at entry with a
-    message that names the env var and the accepted values — not a bare
-    ``ValueError`` from deep inside the planner."""
-    from repro.harness.parallel import BATCH_ENV_VAR
-
-    monkeypatch.setenv(BATCH_ENV_VAR, "full")
-    with pytest.raises(ValueError, match=r"REPRO_SWEEP_BATCH='full'.*unbounded"):
-        resolve_batch(None)
-
-    monkeypatch.setenv(BATCH_ENV_VAR, "-1")
-    with pytest.raises(ValueError, match=r"REPRO_SWEEP_BATCH='-1'.*>= 0"):
-        resolve_batch(None)
-
-    # An explicit argument bypasses the env var entirely.
-    assert resolve_batch(3) == 3
-
-
-def test_stream_fetch_engine_refuses_rewind():
-    """Complete invalidation needs ``rewind_to``; the replay front end
-    must fail loudly if the planner gate were ever bypassed."""
-    trace = _load_trace("spec_compress")
-    rows = trace.rows() if hasattr(trace, "rows") else trace
-    engine = StreamFetchEngine(rows, bytearray(len(rows)), None)
-    with pytest.raises(RuntimeError, match="scalar path"):
-        engine.rewind_to(0, 0)
-
-
 def test_tracer_runs_stay_scalar_and_consistent():
-    """The obs tracer contract under batching: instrumented re-runs use
-    the scalar engine (run_trace directly — the sweeps' instrument path
-    never goes through the planner), and the batched engine reproduces
-    the same counters for the identical uninstrumented job."""
+    """The obs tracer contract: an instrumented run (run_trace with a
+    tracer — the sweeps' instrument path never goes through the
+    planner) reproduces the counters run_jobs returns for the same
+    uninstrumented point."""
     from repro.engine.sim import run_trace
     from repro.obs import PipelineTracer
+    from repro.trace.cache import cached_trace
 
-    trace = _load_trace("spec_compress")
     config = ProcessorConfig()
     tracer = PipelineTracer()
     traced = run_trace(
-        trace, config, GREAT_MODEL,
+        cached_trace("compress", SPEC_TRACE_LIMIT), config, GREAT_MODEL,
         confidence="R", update_timing="I", tracer=tracer,
     )
     assert tracer.config_label == config.label  # the tracer really ran
     assert tracer.lifecycle_marks()
-    job = SimJob("compress", config, GREAT_MODEL, None, "R", "I")
-    (batched,) = run_batch([job], trace)
-    assert counters_dict(batched.counters) == counters_dict(traced.counters)
-
-
-def test_batched_lanes_report_engine_path():
-    """``engine_path`` tells batched lanes apart from scalar runs (it is
-    excluded from result equality, so it never affects bit-identity)."""
-    from repro.engine.sim import run_trace
-
-    trace = _load_trace("spec_compress")
-    config = ProcessorConfig(issue_width=4, window_size=24)
-    jobs = [
-        SimJob("compress", config, None, SPEC_TRACE_LIMIT),
-        SimJob("compress", config, GREAT_MODEL, SPEC_TRACE_LIMIT),
-    ]
-    lanes = run_batch(jobs, trace)
-    assert [r.engine_path for r in lanes] == ["batched", "batched"]
-    scalar = run_trace(trace, config, GREAT_MODEL, update_timing="I")
-    assert scalar.engine_path == "generic"
-    assert scalar == lanes[1]
+    job = SimJob("compress", config, GREAT_MODEL, SPEC_TRACE_LIMIT, "R", "I")
+    (planned, again) = run_jobs([job, job])
+    assert planned is again
+    assert counters_dict(planned.counters) == counters_dict(traced.counters)

@@ -102,6 +102,27 @@ def test_figure4_shorthand(capsys):
     assert "CH %" in capsys.readouterr().out
 
 
+def test_batch_option_is_gone_and_shorthands_share_grid_options(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure3", "--batch", "2"])
+    assert excinfo.value.code == 2
+    assert "--batch" in capsys.readouterr().err
+
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    for command in ("run table1", "table1", "figure1", "figure3", "figure4",
+                    "ablate"):
+        args = parser.parse_args(
+            command.split() + ["--jobs", "2", "--backend", "cluster",
+                               "--max-instructions", "500",
+                               "--benchmarks", "compress"]
+        )
+        assert (args.jobs, args.backend) == (2, "cluster"), command
+        assert args.max_instructions == 500
+        assert args.benchmarks == ["compress"]
+
+
 def test_ablate(capsys, tmp_path):
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"

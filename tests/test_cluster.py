@@ -218,6 +218,22 @@ class TestSerial:
         assert restored.update_timing == result.update_timing
         assert restored.extra == result.extra
 
+    def test_documents_with_engine_path_still_read(self, tmp_path):
+        import json
+
+        from repro.service import results as result_store
+
+        job = SimJob("compress", _CONFIG, GREAT_MODEL, _LIMIT)
+        result = run_jobs([job])[0]
+        # Results written while several engines existed carried the
+        # engine that ran them; such documents still read, key ignored.
+        old = {**result_to_wire(result), "engine_path": "generic"}
+        assert "engine_path" not in result_to_wire(result)
+        assert result_from_wire(json.loads(json.dumps(old))) == result
+        key = job_key(job)
+        result_store.store_result(key, old, tmp_path)
+        assert result_store.load_result(key, tmp_path) == result
+
     def test_sweep_id_deterministic(self):
         keys = [job_key(j) for j in _grid()]
         assert sweep_id_for(keys) == sweep_id_for(list(keys))

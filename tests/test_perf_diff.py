@@ -110,6 +110,27 @@ def test_fail_below_still_gates(perf_diff, tmp_path, capsys):
                            "--fail-below", "0.9"]) == 1
 
 
+def test_old_record_with_batched_block_still_diffs(perf_diff, tmp_path, capsys):
+    """Records written while the batched engine existed carry a
+    ``batched`` block; they diff like any other record and the block is
+    ignored in both renderings."""
+    batched = {
+        "grid_lanes": 78, "grid_speedup": 1.08,
+        "itiming_lanes": 26, "itiming_speedup": 1.18,
+    }
+    new = tmp_path / "new.json"
+    old = tmp_path / "old.json"
+    new.write_text(json.dumps(_record(batched=batched)))
+    old.write_text(json.dumps(_record(
+        model_aggregate_ips={"base": 50_000}, batched=batched,
+    )))
+    for extra in ([], ["--markdown"]):
+        assert perf_diff.main([str(new), "--baseline", str(old)] + extra) == 0
+        out = capsys.readouterr().out
+        assert "2.000" in out
+        assert "batched" not in out.lower()
+
+
 def test_service_block_rendered_and_old_schema_tolerated(
     perf_diff, tmp_path, capsys
 ):

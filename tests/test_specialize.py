@@ -1,7 +1,7 @@
 """The generic engine pinned against every golden snapshot, traced.
 
 Config specialization (per-point generated engine classes) was removed;
-:class:`~repro.engine.pipeline.PipelineSimulator` is the only scalar
+:class:`~repro.engine.pipeline.PipelineSimulator` is the only
 engine and :func:`repro.engine.sim.simulator_class` always hands it out
 as ``"generic"``.  ``test_golden_counters.py`` and
 ``test_golden_variants.py`` pin its untraced runs.  This file pins the
@@ -102,7 +102,6 @@ def test_generic_matches_golden(path):
 
     tracer = PipelineTracer()
     base = run_baseline(trace, config, tracer=tracer)
-    assert base.engine_path == "generic"
     assert counters_dict(base.counters) == snapshot["base"]
     _assert_traced(tracer, config)
 
@@ -111,7 +110,6 @@ def test_generic_matches_golden(path):
         trace, config, GREAT_MODEL, confidence="R", update_timing="D",
         tracer=tracer,
     )
-    assert vp.engine_path == "generic"
     assert counters_dict(vp.counters) == snapshot["vp"]
     _assert_traced(tracer, config)
 
@@ -133,6 +131,5 @@ def test_generic_matches_golden_variants(path):
         predictor=_PREDICTOR[snapshot["predictor"]](),
         tracer=tracer,
     )
-    assert result.engine_path == "generic"
     assert counters_dict(result.counters) == snapshot["vp"]
     _assert_traced(tracer, config)
