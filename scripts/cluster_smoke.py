@@ -54,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     # A private warm trace cache: the inline reference pass populates
-    # it, so cluster workers mmap entries instead of re-capturing.
+    # it, so cluster workers read entries instead of re-capturing.
     os.environ.setdefault(
         "REPRO_TRACE_CACHE", tempfile.mkdtemp(prefix="repro-cluster-smoke-")
     )

@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     # A private warm trace cache: the inline reference pass populates
-    # it, so the service's executors mmap entries instead of
+    # it, so the service's executors read entries instead of
     # re-capturing.
     os.environ.setdefault(
         "REPRO_TRACE_CACHE", tempfile.mkdtemp(prefix="repro-service-smoke-")

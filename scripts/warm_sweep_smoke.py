@@ -5,12 +5,12 @@ Runs the same small sweep grid twice against a fresh private trace
 cache:
 
 1. **Cold** — captures each distinct (benchmark, limit) trace exactly
-   once and populates the VSRT v3 cache.
+   once and populates the VSRT v4 cache.
 2. **Warm, fanned** — re-runs the grid with ``--jobs N`` workers under
    ``REPRO_TRACE_STRICT=1``, so any worker that would fall back to
    functional capture *fails the run* instead: the sweep completing is
    the proof that warm sweeps perform **zero trace regenerations**
-   (workers are served entirely from mmap'd cache entries).
+   (workers are served entirely from cache entries).
 
 The script also asserts the warm results are bit-identical to the cold
 ones, counts functional-simulator captures directly (the cold run must
@@ -68,14 +68,23 @@ def main(argv: list[str] | None = None) -> int:
     from repro.harness import parallel
     from repro.programs.suite import KernelSpec
 
+    # Count functional-simulator captures through both entry points: the
+    # in-memory KernelSpec.trace and the streaming KernelSpec.iter_trace
+    # (the trace cache's capture path).
     captures = {"count": 0}
     original_trace = KernelSpec.trace
+    original_iter = KernelSpec.iter_trace
 
     def counting_trace(self, max_instructions=None):
         captures["count"] += 1
         return original_trace(self, max_instructions)
 
+    def counting_iter(self, max_instructions=None):
+        captures["count"] += 1
+        return original_iter(self, max_instructions)
+
     KernelSpec.trace = counting_trace
+    KernelSpec.iter_trace = counting_iter
 
     config = ProcessorConfig(issue_width=4, window_size=24)
     jobs = [
@@ -120,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         status = 1
 
     own_rss, worker_rss = _peak_rss_mib()
-    entries = sorted(Path(cache_dir).glob("*.vsrt3"))
+    entries = sorted(Path(cache_dir).glob("*.vsrt4"))
     cache_bytes = sum(path.stat().st_size for path in entries)
 
     rows = [

@@ -501,6 +501,20 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _describe_geometry(geometry: dict) -> str:
+    """One ``repro cache info`` line: an entry's chunk geometry."""
+    if "error" in geometry:
+        return "[unreadable entry]"
+    sizes = geometry["chunk_bytes"]
+    if not sizes:
+        return "0 records (no chunks)"
+    return (
+        f"{geometry['records']} records in {geometry['chunks']} chunk(s) "
+        f"of {geometry['chunk_size']} "
+        f"(payload {min(sizes)}-{max(sizes)} bytes/chunk)"
+    )
+
+
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.trace import cache as trace_cache
 
@@ -510,25 +524,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"trace cache: {state}")
         if info["enabled"]:
             print(f"  dir      {info['dir']}")
-            print(
-                f"  entries  {info['entries']} "
-                f"({info['v3_entries']} v3, {info['v4_entries']} chunked v4)"
-            )
+            print(f"  entries  {info['entries']}")
             print(f"  bytes    {info['bytes']}")
             for name in info["files"]:
-                geometry = info["chunked"].get(name)
-                if geometry is None:
-                    print(f"    {name}")
-                elif "error" in geometry:
-                    print(f"    {name}  [unreadable v4 entry]")
-                else:
-                    sizes = geometry["chunk_bytes"]
-                    print(
-                        f"    {name}  {geometry['records']} records in "
-                        f"{geometry['chunks']} chunks of "
-                        f"{geometry['chunk_size']} "
-                        f"(payload {min(sizes)}-{max(sizes)} bytes/chunk)"
-                    )
+                geometry = _describe_geometry(info["geometry"][name])
+                print(f"    {name}  {geometry}")
         return 0
     if args.action == "clear":
         removed = trace_cache.clear_cache()

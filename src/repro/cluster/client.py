@@ -269,7 +269,7 @@ class LocalCluster:
 
 def _warm_local_cache(job_list: list[SimJob]) -> None:
     """Capture each distinct trace once, parent-side, into the shared
-    disk cache, so every worker's first touch is a warm ``mmap`` (and
+    disk cache, so every worker's first touch is a warm read (and
     strict workers never trip on a cold cache)."""
     from repro.trace import cache as trace_cache
 

@@ -11,9 +11,9 @@ Only job descriptions and results cross the wire; the engine itself is
 the same in-process :class:`~repro.engine.pipeline.PipelineSimulator`
 the local harness runs.
 
-Traces come from the persistent VSRT v3 disk cache
-(:mod:`repro.trace.cache`): a warm entry is ``mmap``-ed with zero parse
-cost, a cold miss falls back to functional capture *unless*
+Traces come from the persistent VSRT v4 disk cache
+(:mod:`repro.trace.cache`): a warm entry is read with zero parse cost,
+a cold miss falls back to functional capture *unless*
 ``REPRO_TRACE_STRICT`` is set, in which case the job fails rather than
 silently re-materialize (the same strictness contract the local pool
 workers honor).

@@ -31,18 +31,19 @@ The sequential path (``jobs <= 1``) runs the exact same ``_execute``
 function inline — same trace cache, same factory handling — so it is not
 a separate code path that can drift.
 
-Trace distribution is zero-copy.  Before spawning workers, ``run_jobs``
-*stages* every distinct (benchmark, limit) the grid needs exactly once:
-when the persistent disk cache is enabled the stage is just "make sure
-the VSRT v3 entry exists", and each worker ``mmap``s the entry file;
-when it is disabled, the parent serializes the columnar trace into one
-``multiprocessing.shared_memory`` segment per key and workers attach to
-it.  Either way the instruction stream crosses the process boundary as
-*shared pages*, not pickled ``TraceRecord`` lists — a host materializes
-each trace at most once per sweep, and worker startup cost is O(1) in
-trace length.  Setting ``REPRO_TRACE_STRICT=1`` makes workers *fail*
-instead of falling back to functional capture, which is how the tests
-and the CI warm-sweep smoke assert the zero-materialization property.
+Trace distribution never pickles records.  Before spawning workers,
+``run_jobs`` *stages* every distinct (benchmark, limit) the grid needs
+exactly once: when the persistent disk cache is enabled the stage is
+just "make sure the VSRT v4 entry exists", and each worker opens the
+entry file by name; when it is disabled, the parent copies the trace's
+columns into one ``multiprocessing.shared_memory`` segment per key (a
+v4 image, no row materialized) and workers attach to it zero-copy.
+Either way the instruction stream crosses the process boundary as
+column bytes, not pickled ``TraceRecord`` lists — a host materializes
+each trace at most once per sweep.  Setting ``REPRO_TRACE_STRICT=1``
+makes workers *fail* instead of falling back to functional capture,
+which is how the tests and the CI warm-sweep smoke assert the
+zero-materialization property.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from typing import Callable
 from repro.core.model import SpeculativeExecutionModel
 from repro.engine.config import ProcessorConfig
 from repro.engine.sim import SimulationResult, run_baseline, run_trace
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import ChunkedTrace, ColumnarTrace
 
 #: Env var: when truthy, workers refuse to regenerate traces (memo or
 #: staged handle only).  Used by tests/CI to assert warm sweeps perform
@@ -158,18 +159,17 @@ def _expand_units(
 #: Per-process memo of built traces.  Workers are long-lived (one pool
 #: services a whole grid), so each process pays trace acquisition once
 #: per (benchmark, limit) no matter how many jobs it executes.
-_TRACE_CACHE: dict[tuple[str, int | None], ColumnarTrace | list] = {}
+_TRACE_CACHE: dict[tuple[str, int | None], ColumnarTrace | ChunkedTrace] = {}
 
 
 @dataclass(frozen=True)
 class TraceHandle:
     """A picklable pointer to a staged trace's shared bytes.
 
-    ``kind`` is ``"file"`` (``name`` is a VSRT v3 or v4 file — usually a
+    ``kind`` is ``"file"`` (``name`` is a VSRT v4 file — usually a
     disk-cache entry, sometimes a staged temp file) or ``"shm"``
     (``name`` is a ``multiprocessing.shared_memory`` segment holding
-    ``nbytes`` of v3 or v4 payload).  The attach side sniffs the magic,
-    so one handle shape covers both formats.
+    ``nbytes`` of v4 bytes).
     """
 
     kind: str
@@ -201,26 +201,18 @@ def _init_worker(
 
 
 def _attach_handle(handle: TraceHandle):
-    """Open a staged trace without copying its payload.
+    """Open a staged trace.
 
-    The leading magic selects the reader: v3 entries attach as one
-    mmap/buffer-backed :class:`ColumnarTrace`; v4 entries attach as a
-    :class:`~repro.trace.columnar.ChunkedTrace`, so a worker simulating
-    a long trace holds at most its chunk LRU window — never the whole
-    payload — whether the handle is a file or a shared-memory segment.
+    A one-chunk trace attaches as its :class:`ColumnarTrace`; a longer
+    one as a :class:`~repro.trace.columnar.ChunkedTrace`, so a worker
+    simulating a long trace holds at most its chunk LRU window — never
+    the whole payload — whether the handle is a file or a shared-memory
+    segment (whose chunks are served zero-copy).
     """
-    from repro.trace.binary import (
-        loads_trace_binary_v3,
-        loads_trace_chunked,
-        read_trace_binary_v3,
-        read_trace_chunked,
-        sniff_format,
-    )
+    from repro.trace.binary import loads_trace_chunked, read_trace_chunked
 
     if handle.kind == "file":
-        if sniff_format(handle.name) == "v4":
-            return read_trace_chunked(handle.name)
-        return read_trace_binary_v3(handle.name)
+        return read_trace_chunked(handle.name).collapse()
     from multiprocessing import resource_tracker
     from multiprocessing.shared_memory import SharedMemory
 
@@ -233,10 +225,7 @@ def _attach_handle(handle: TraceHandle):
     except Exception:
         pass
     _ATTACHED_SEGMENTS.append(segment)
-    payload = segment.buf[: handle.nbytes]
-    if sniff_format(payload) == "v4":
-        return loads_trace_chunked(payload)
-    return loads_trace_binary_v3(payload)
+    return loads_trace_chunked(segment.buf[: handle.nbytes]).collapse()
 
 
 def _trace_for(benchmark: str, max_instructions: int | None):
@@ -244,10 +233,10 @@ def _trace_for(benchmark: str, max_instructions: int | None):
     zero-copy handle, then the persistent on-disk cache
     (:mod:`repro.trace.cache`), then functional capture.
 
-    The handle tier is what makes parallel sweeps O(1) in trace length
-    per worker: the parent stages each distinct trace once and workers
-    map the same physical pages.  The disk tier behind it makes trace
-    *construction* a once-per-machine cost.  Under
+    The handle tier is what keeps workers off the functional simulator:
+    the parent stages each distinct trace once and workers open the
+    cache entry by name or attach its shared-memory copy.  The disk tier
+    behind it makes trace *construction* a once-per-machine cost.  Under
     ``REPRO_TRACE_STRICT`` a worker that would fall past the handle
     tier raises instead — the regression tests' proof that warm sweeps
     never re-materialize traces in workers.
@@ -284,8 +273,8 @@ def _stage_traces(
     expose it as a shared buffer; returns (handles, cleanup callables).
 
     Preference order per key: an existing (or freshly stored) disk-cache
-    entry mmap'd by name; a ``multiprocessing.shared_memory`` segment
-    with the v3 bytes; a temp file as the last resort when shared memory
+    entry opened by name; a ``multiprocessing.shared_memory`` segment
+    with the v4 bytes; a temp file as the last resort when shared memory
     is unavailable.  Cleanups run after the pool has shut down — and if
     staging *itself* fails partway (a capture error on the third
     benchmark after two segments exist), the segments already created
@@ -312,8 +301,7 @@ def _stage_traces_into(
     cleanups: list,
 ) -> None:
     from repro.trace import cache as trace_cache
-    from repro.trace.binary import dumps_trace_binary_v3, dumps_trace_chunked
-    from repro.trace.columnar import ChunkedTrace
+    from repro.trace.binary import dumps_trace_chunked
 
     for key in dict.fromkeys((job.benchmark, job.max_instructions) for job in job_list):
         benchmark, limit = key
@@ -322,31 +310,16 @@ def _stage_traces_into(
 
             source = kernel(benchmark).source
             path = trace_cache.trace_path(benchmark, source, limit)
-            chunked_path = trace_cache.trace_path_chunked(benchmark, source, limit)
-            if (
-                path is not None
-                and not path.is_file()
-                and (chunked_path is None or not chunked_path.is_file())
-            ):
+            if not path.is_file():
                 # Cold cache: capture once here in the parent (also
                 # memoized, so the inline path reuses it) and store.
                 _TRACE_CACHE[key] = trace_cache.cached_trace(benchmark, limit)
-            if path is not None and path.is_file():
+            if path.is_file():
                 handles[key] = TraceHandle("file", str(path), path.stat().st_size)
                 continue
-            if chunked_path is not None and chunked_path.is_file():
-                handles[key] = TraceHandle(
-                    "file", str(chunked_path), chunked_path.stat().st_size
-                )
-                continue
-        staged = _trace_for(benchmark, limit)
-        if isinstance(staged, ChunkedTrace):
-            # Preserve the chunked layout in shared memory so workers
-            # attach a ChunkedTrace over the shared buffer (per-chunk
-            # zero-copy slices) instead of materializing every record.
-            data = dumps_trace_chunked(staged)
-        else:
-            data = dumps_trace_binary_v3(staged)
+        # Column copies only: a ChunkedTrace keeps its chunks, so workers
+        # attach per-chunk zero-copy slices of the shared buffer.
+        data = dumps_trace_chunked(_trace_for(benchmark, limit))
         handle = None
         try:
             from multiprocessing.shared_memory import SharedMemory
@@ -367,7 +340,7 @@ def _stage_traces_into(
 
             cleanups.append(_release)
         else:  # pragma: no cover - hosts without POSIX shared memory
-            fd, tmp_path = tempfile.mkstemp(suffix=".vsrt3")
+            fd, tmp_path = tempfile.mkstemp(suffix=".vsrt4")
             with os.fdopen(fd, "wb") as tmp:
                 tmp.write(data)
             handle = TraceHandle("file", tmp_path, len(data))

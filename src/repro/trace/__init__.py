@@ -37,18 +37,10 @@ from repro.trace.transform import (
 from repro.trace.binary import (
     ChunkWriter,
     chunked_entry_info,
-    dumps_trace_binary,
-    dumps_trace_binary_v3,
     dumps_trace_chunked,
-    loads_trace_binary,
-    loads_trace_binary_v3,
     loads_trace_chunked,
-    read_trace_binary,
-    read_trace_binary_v3,
+    open_trace,
     read_trace_chunked,
-    sniff_format,
-    write_trace_binary,
-    write_trace_binary_v3,
     write_trace_chunked,
 )
 from repro.trace.columnar import ChunkedTrace, ColumnarTrace, as_columnar
@@ -82,20 +74,12 @@ __all__ = [
     "region_of_interest",
     "concatenate",
     "loop_region",
-    "dumps_trace_binary",
-    "loads_trace_binary",
-    "read_trace_binary",
-    "write_trace_binary",
-    "dumps_trace_binary_v3",
-    "loads_trace_binary_v3",
-    "read_trace_binary_v3",
-    "write_trace_binary_v3",
     "ChunkWriter",
     "chunked_entry_info",
     "dumps_trace_chunked",
     "loads_trace_chunked",
+    "open_trace",
     "read_trace_chunked",
-    "sniff_format",
     "write_trace_chunked",
     "ChunkedTrace",
     "ColumnarTrace",

@@ -1,66 +1,21 @@
-"""Binary trace formats.
+"""VSRT v4, the binary trace format: chunked columns with a CRC per chunk.
 
-Two generations coexist here:
-
-**v2 (varint + delta, sequential).**  Kernel traces compress well — PCs
-cluster, sequence numbers increment, addresses stride — so records are
-encoded as a flags byte plus LEB128-style varints with PC/address deltas
-against the previous record.  Typical traces are 5–10x smaller than the
-text format and parse faster.
-
-Layout::
-
-    magic   b"VSRT\\x02"
-    count   varint
-    records:
-      flags   1 byte:  bit0 has_dest, bit1 has_mem, bit2 is_branch-taken,
-                       bit3 has_branch_outcome, bit4 pc_delta_is_8,
-                       bit5 next_is_fallthrough
-      opcode  1 byte (stable opcode code)
-      pc      signed varint delta from previous pc (absent if bit4)
-      nsrcs   1 byte, then each source register 1 byte
-      dest    1 byte + value varint         (if bit0)
-      addr    signed varint delta from previous addr + size 1 byte (if bit1)
-      next_pc signed varint delta from pc   (if not bit5)
-
-**v3 (fixed-width columnar, mmap-able).**  The trace cache's hot
-operation is not the cold write but the warm *read* — every sweep, CI
-job and parallel worker re-loads the same entries — so v3 trades disk
-bytes for zero parse cost: the file body IS the in-memory column layout
-of :class:`~repro.trace.columnar.ColumnarTrace`.  A warm load is an
-``mmap`` plus header validation; no per-record decode, no per-record
-allocation, and the OS page cache shares the physical pages between
-every process mapping the same entry.
-
-Layout (all integers little-endian)::
-
-    magic   b"VSRT\\x03"
-    pad     3 bytes (zero)
-    count   u64
-    columns (each 8-byte aligned, ``count`` items, in COLUMN_SPEC order):
-      pc u64 | next_pc u64 | dest_value u64 | mem_addr u64 |
-      srcs u32 (count | r0<<8 | r1<<16 | r2<<24) | dest_fold u16 |
-      opcode u8 | flags u8 (bit0 has_dest, bit1 has_mem,
-      bit2 branch_taken, bit3 has_branch_outcome) | mem_size u8 |
-      dest_reg u8 (0xFF = none)
-
-The file size is an exact function of ``count``, which doubles as the
-truncation check: a partially-written or clipped entry can never match
-the expected size and is rejected before any column is touched.
-
-**v4 (chunked columnar, streaming).**  v3 materializes the whole trace
-at capture time and maps the whole body at load time, which caps runs at
-traces that fit in memory.  v4 splits the body into fixed-size windowed
-chunks (default 1M records, ``REPRO_TRACE_CHUNK``), each an independent
-v3-style column block with its own CRC32, written *incrementally* by
-:class:`ChunkWriter` as the functional simulator produces records — peak
-writer memory is O(chunk), regardless of trace length.  Readers get a
-:class:`~repro.trace.columnar.ChunkedTrace` that loads one chunk at a
-time (CRC-checked), so replaying a 10M-instruction trace holds at most
-two chunks of rows.  Each chunk's index entry also carries a
-basic-block-vector fingerprint (instruction counts bucketed by basic-
-block leader PC) computed during the write, the raw material for
-phase-sampled simulation (:mod:`repro.sampling`).
+The body is a sequence of fixed-size windowed chunks (default 1M
+records, ``REPRO_TRACE_CHUNK``), each one column block laid out exactly
+like the in-memory columns of a :class:`~repro.trace.columnar.ColumnarTrace`
+(:data:`~repro.trace.columnar.COLUMN_SPEC`), so loading a chunk is a
+bounded read plus a handful of ``memoryview.cast`` calls — no
+per-record decode, no per-record allocation.  :class:`ChunkWriter`
+writes chunks *incrementally* as the functional simulator produces
+records, so peak writer memory is O(chunk) regardless of trace length.
+Readers get a :class:`~repro.trace.columnar.ChunkedTrace` that loads one
+chunk at a time (CRC-checked), so replaying a 10M-instruction trace
+holds at most two chunks of rows; a file of one chunk — every trace up
+to the chunk size — is served as that chunk's ``ColumnarTrace``
+(:meth:`~repro.trace.columnar.ChunkedTrace.collapse`).  Each chunk's
+index entry also carries a basic-block-vector fingerprint (instruction
+counts bucketed by basic-block leader PC) computed during the write,
+the raw material for phase-sampled simulation (:mod:`repro.sampling`).
 
 Layout (all integers little-endian)::
 
@@ -73,7 +28,12 @@ Layout (all integers little-endian)::
     bbv_dim      u32    fingerprint buckets per chunk
     index_crc    u32    CRC32 of the index block
     chunks, each 8-byte aligned:
-      columns in COLUMN_SPEC order, each 8-byte aligned from chunk start
+      columns in COLUMN_SPEC order, each 8-byte aligned from chunk start:
+        pc u64 | next_pc u64 | dest_value u64 | mem_addr u64 |
+        srcs u32 (count | r0<<8 | r1<<16 | r2<<24) | dest_fold u16 |
+        opcode u8 | flags u8 (bit0 has_dest, bit1 has_mem,
+        bit2 branch_taken, bit3 has_branch_outcome) | mem_size u8 |
+        dest_reg u8 (0xFF = none)
     index, one entry per chunk:
       offset u64 | count u64 | crc u32 (chunk payload CRC32) | pad u32 |
       bbv    bbv_dim x u32
@@ -81,303 +41,30 @@ Layout (all integers little-endian)::
 The file size must equal ``index_offset + chunk_count * entry_size`` —
 the truncation check — and the index itself is CRC-guarded, so a torn
 write is rejected at open and a corrupt chunk is rejected the first time
-it is loaded.
+it is loaded.  Each chunk's CRC is checked once per opened trace.
 """
 
 from __future__ import annotations
 
 import io
-import mmap as _mmap
 import os
 import struct
-import sys
 import zlib
-from array import array
 from pathlib import Path
 
-from repro.isa.opcodes import INSTRUCTION_BYTES, OPCODE_BY_CODE
 from repro.trace.columnar import (
     COLUMN_SPEC,
+    KIND_CONTROL,
     ChunkedTrace,
     ColumnarTrace,
     ColumnarTraceError,
-    as_columnar,
-    pack_record_fields,
+    column_appender,
+    column_bytes,
+    new_columns,
 )
 from repro.trace.record import TraceRecord
 
-MAGIC = b"VSRT\x02"
-MAGIC_V3 = b"VSRT\x03"
-MAGIC_V4 = b"VSRT\x04"
-
-#: v3 header: 5 magic bytes, 3 zero pad bytes, u64 record count.
-_V3_HEADER_SIZE = 16
-
-
-class BinaryTraceError(ValueError):
-    """Raised when binary trace data is malformed."""
-
-
-def _write_uvarint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise BinaryTraceError(f"uvarint cannot encode {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _write_svarint(out: bytearray, value: int) -> None:
-    # zigzag encoding
-    _write_uvarint(out, (value << 1) ^ (value >> 63) if value < 0 else value << 1)
-
-
-def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise BinaryTraceError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-
-
-def _read_svarint(data: bytes, pos: int) -> tuple[int, int]:
-    raw, pos = _read_uvarint(data, pos)
-    return (raw >> 1) ^ -(raw & 1), pos
-
-
-def dumps_trace_binary(records: list[TraceRecord]) -> bytes:
-    """Serialize records to the binary format."""
-    out = bytearray(MAGIC)
-    _write_uvarint(out, len(records))
-    prev_pc = 0
-    prev_addr = 0
-    for rec in records:
-        flags = 0
-        has_dest = rec.dest_reg is not None
-        has_mem = rec.mem_addr is not None
-        fallthrough = rec.next_pc == rec.pc + INSTRUCTION_BYTES
-        if has_dest:
-            flags |= 1
-        if has_mem:
-            flags |= 2
-        if rec.branch_taken:
-            flags |= 4
-        if rec.branch_taken is not None:
-            flags |= 8
-        if rec.pc - prev_pc == INSTRUCTION_BYTES:
-            flags |= 16
-        if fallthrough:
-            flags |= 32
-        out.append(flags)
-        out.append(rec.opcode.code)
-        if not flags & 16:
-            _write_svarint(out, rec.pc - prev_pc)
-        out.append(len(rec.src_regs))
-        out.extend(rec.src_regs)
-        if has_dest:
-            out.append(rec.dest_reg)
-            _write_uvarint(out, rec.dest_value or 0)
-        if has_mem:
-            _write_svarint(out, rec.mem_addr - prev_addr)
-            out.append(rec.mem_size or 0)
-            prev_addr = rec.mem_addr
-        if not fallthrough:
-            _write_svarint(out, rec.next_pc - rec.pc)
-        prev_pc = rec.pc
-    return bytes(out)
-
-
-def loads_trace_binary(data: bytes) -> list[TraceRecord]:
-    """Parse records from the binary format."""
-    try:
-        return _loads(data)
-    except IndexError:
-        raise BinaryTraceError("truncated record") from None
-
-
-def _loads(data: bytes) -> list[TraceRecord]:
-    if not data.startswith(MAGIC):
-        raise BinaryTraceError("bad magic (not a v2 binary trace)")
-    pos = len(MAGIC)
-    count, pos = _read_uvarint(data, pos)
-    records: list[TraceRecord] = []
-    prev_pc = 0
-    prev_addr = 0
-    for seq in range(count):
-        if pos >= len(data):
-            raise BinaryTraceError(f"truncated at record {seq}")
-        flags = data[pos]
-        opcode_byte = data[pos + 1]
-        pos += 2
-        opcode = OPCODE_BY_CODE.get(opcode_byte)
-        if opcode is None:
-            raise BinaryTraceError(f"unknown opcode byte {opcode_byte:#x}")
-        if flags & 16:
-            pc = prev_pc + INSTRUCTION_BYTES
-        else:
-            delta, pos = _read_svarint(data, pos)
-            pc = prev_pc + delta
-        nsrcs = data[pos]
-        pos += 1
-        src_regs = tuple(data[pos : pos + nsrcs])
-        pos += nsrcs
-        dest_reg = dest_value = None
-        if flags & 1:
-            dest_reg = data[pos]
-            pos += 1
-            dest_value, pos = _read_uvarint(data, pos)
-        mem_addr = mem_size = None
-        if flags & 2:
-            delta, pos = _read_svarint(data, pos)
-            mem_addr = prev_addr + delta
-            mem_size = data[pos]
-            pos += 1
-            prev_addr = mem_addr
-        branch_taken = bool(flags & 4) if flags & 8 else None
-        if flags & 32:
-            next_pc = pc + INSTRUCTION_BYTES
-        else:
-            delta, pos = _read_svarint(data, pos)
-            next_pc = pc + delta
-        records.append(
-            TraceRecord(
-                seq=seq,
-                pc=pc,
-                opcode=opcode,
-                src_regs=src_regs,
-                dest_reg=dest_reg,
-                dest_value=dest_value,
-                mem_addr=mem_addr,
-                mem_size=mem_size,
-                branch_taken=branch_taken,
-                next_pc=next_pc,
-            )
-        )
-        prev_pc = pc
-    return records
-
-
-def write_trace_binary(records: list[TraceRecord], path: str | Path) -> int:
-    """Write records to ``path``; returns the byte size written."""
-    data = dumps_trace_binary(records)
-    Path(path).write_bytes(data)
-    return len(data)
-
-
-def read_trace_binary(path: str | Path) -> list[TraceRecord]:
-    """Read records from ``path``."""
-    return loads_trace_binary(Path(path).read_bytes())
-
-
-# -- v3: fixed-width columnar, mmap-able -----------------------------------
-
-
-def v3_layout(count: int) -> tuple[dict[str, int], int]:
-    """Column byte offsets and total file size for ``count`` records.
-
-    Each column starts 8-byte aligned so every fixed-width view (and any
-    future numpy consumer) sits on a natural boundary regardless of the
-    mix of item sizes before it.
-    """
-    offsets: dict[str, int] = {}
-    pos = _V3_HEADER_SIZE
-    for name, _typecode, itemsize in COLUMN_SPEC:
-        pos = (pos + 7) & ~7
-        offsets[name] = pos
-        pos += count * itemsize
-    return offsets, pos
-
-
-def dumps_trace_binary_v3(trace) -> bytes:
-    """Serialize a trace (records or :class:`ColumnarTrace`) to v3 bytes."""
-    columnar = as_columnar(trace)
-    count = len(columnar)
-    offsets, total = v3_layout(count)
-    out = bytearray(total)
-    out[: len(MAGIC_V3)] = MAGIC_V3
-    struct.pack_into("<Q", out, 8, count)
-    for name, _typecode, itemsize in COLUMN_SPEC:
-        start = offsets[name]
-        out[start : start + count * itemsize] = columnar.column_bytes(name)
-    return bytes(out)
-
-
-def _v3_validate(buffer) -> tuple[int, dict[str, int]]:
-    """Check magic, size and count; returns (count, column offsets)."""
-    size = len(buffer)
-    if size < _V3_HEADER_SIZE:
-        raise BinaryTraceError("truncated v3 header")
-    if bytes(buffer[: len(MAGIC_V3)]) != MAGIC_V3:
-        raise BinaryTraceError("bad magic (not a v3 binary trace)")
-    (count,) = struct.unpack_from("<Q", buffer, 8)
-    offsets, expected = v3_layout(count)
-    if size != expected:
-        raise BinaryTraceError(
-            f"v3 size mismatch: {count} records need {expected} bytes, "
-            f"file has {size}"
-        )
-    return count, offsets
-
-
-def loads_trace_binary_v3(buffer) -> ColumnarTrace:
-    """Wrap v3 ``buffer`` (bytes, mmap, shared memory) without copying.
-
-    The returned trace's columns are views into ``buffer``; the buffer
-    must stay alive (and writable mappings unmodified) for the trace's
-    lifetime — the trace holds a reference to enforce the former.
-    """
-    count, offsets = _v3_validate(buffer)
-    try:
-        return ColumnarTrace.from_buffer(buffer, count, offsets)
-    except ColumnarTraceError as exc:
-        raise BinaryTraceError(str(exc)) from None
-
-
-def write_trace_binary_v3(trace, path: str | Path) -> int:
-    """Write a trace to ``path`` in v3; returns the byte size written."""
-    data = dumps_trace_binary_v3(trace)
-    Path(path).write_bytes(data)
-    return len(data)
-
-
-def read_trace_binary_v3(path: str | Path, use_mmap: bool = True) -> ColumnarTrace:
-    """Load a v3 trace from ``path``.
-
-    With ``use_mmap`` (the default) the columns are served straight from
-    a read-only shared mapping of the file: load time is O(1) in trace
-    length and concurrent processes mapping the same entry share one
-    copy of the pages.  The mapping stays open for the trace's lifetime
-    (released when the trace is garbage collected).  ``use_mmap=False``
-    reads the file into bytes instead — same validation, private copy.
-    """
-    if not use_mmap:
-        return loads_trace_binary_v3(Path(path).read_bytes())
-    with open(path, "rb") as handle:
-        try:
-            mapped = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
-        except ValueError:  # zero-length file: cannot mmap, and invalid anyway
-            raise BinaryTraceError("truncated v3 header") from None
-    try:
-        return loads_trace_binary_v3(mapped)
-    except BinaryTraceError:
-        try:
-            mapped.close()
-        except BufferError:  # column views still referenced by the traceback
-            pass
-        raise
-
-
-# -- v4: chunked columnar, streaming ---------------------------------------
+MAGIC = b"VSRT\x04"
 
 #: Default records per chunk (overridable per writer; the cache layer
 #: reads ``REPRO_TRACE_CHUNK`` — see :mod:`repro.trace.cache`).
@@ -386,17 +73,24 @@ DEFAULT_CHUNK_RECORDS = 1_000_000
 #: Basic-block-vector fingerprint buckets per chunk.
 BBV_DIM = 32
 
-#: v4 header: magic(5) pad(3) total u64 chunk_size u64 chunk_count u64
+#: Header: magic(5) pad(3) total u64 chunk_size u64 chunk_count u64
 #: index_offset u64 bbv_dim u32 index_crc u32.
-_V4_HEADER = struct.Struct("<5s3xQQQQII")
-_V4_HEADER_SIZE = _V4_HEADER.size  # 48
+_HEADER = struct.Struct("<5s3xQQQQII")
+_HEADER_SIZE = _HEADER.size  # 48
 
 _MASK64 = (1 << 64) - 1
 
-_PAYLOAD_LITTLE_ENDIAN = sys.byteorder == "little"
+#: kind byte -> 1 for control-flow instructions (basic-block ends).
+_BLOCK_END_TABLE = bytes(
+    1 if kind & KIND_CONTROL else 0 for kind in range(256)
+)
 
 
-def _v4_entry_struct(bbv_dim: int) -> struct.Struct:
+class BinaryTraceError(ValueError):
+    """Raised when binary trace data is malformed."""
+
+
+def _entry_struct(bbv_dim: int) -> struct.Struct:
     return struct.Struct(f"<QQI4x{bbv_dim}I")
 
 
@@ -419,19 +113,45 @@ def _bbv_bucket(leader_pc: int, dim: int) -> int:
     return (mixed >> 32) % dim
 
 
+def _column_bbv(chunk: ColumnarTrace, dim: int) -> tuple[int, ...]:
+    """The fingerprint :meth:`ChunkWriter.append` computes for ``chunk``'s
+    records, read from its ``pc`` and ``kind`` columns: one bucket per
+    basic block, no row materialized."""
+    bbv = [0] * dim
+    ends = chunk.kind.translate(_BLOCK_END_TABLE)
+    pc = chunk.pc
+    count = len(ends)
+    start = 0
+    while start < count:
+        end = ends.find(1, start) + 1 or count
+        bbv[_bbv_bucket(pc[start], dim)] += end - start
+        start = end
+    return tuple(bbv)
+
+
+def _chunk_payload(columns, count: int) -> bytearray:
+    """One chunk's payload from ``columns`` (name -> column)."""
+    offsets, size = chunk_layout(count)
+    payload = bytearray(size)
+    for name, _typecode, itemsize in COLUMN_SPEC:
+        start = offsets[name]
+        payload[start : start + count * itemsize] = column_bytes(columns[name])
+    return payload
+
+
 class ChunkWriter:
     """Incremental VSRT v4 writer with O(chunk) memory.
 
     Feed it records one at a time (:meth:`append`) or in bulk
     (:meth:`extend`); every ``chunk_records`` records it flushes one
     self-contained column block (with CRC and basic-block-vector
-    fingerprint) to the output and drops its buffers.  ``close`` (or
+    fingerprint) to the output and empties its buffers.  ``close`` (or
     leaving the context manager) seals the file: tail chunk, index, and
     the header patched in place.
 
     ``out`` is a path or a seekable binary file object (``BytesIO``
-    works, which is how shared-memory staging serializes a chunked
-    trace).
+    works, which is how shared-memory staging and uncached captures
+    serialize a trace).
     """
 
     def __init__(
@@ -453,20 +173,18 @@ class ChunkWriter:
         else:
             self._file = open(out, "wb")
             self._owns_file = True
-        self._file.write(b"\x00" * _V4_HEADER_SIZE)
-        self._pos = _V4_HEADER_SIZE
+        self._file.write(b"\x00" * _HEADER_SIZE)
+        self._pos = _HEADER_SIZE
         self._index: list[tuple[int, int, int, tuple[int, ...]]] = []
         self.total = 0
         self._closed = False
-        self._new_columns()
-        #: Basic-block tracking: the leader PC of the block the next
-        #: record belongs to (``None`` = next record starts a block).
-        self._leader: int | None = None
-        self._bbv = [0] * bbv_dim
-
-    def _new_columns(self) -> None:
-        self._cols = {name: array(tc) for name, tc, _s in COLUMN_SPEC}
+        self._cols = new_columns()
+        self._encode = column_appender(self._cols)
         self._buffered = 0
+        #: Fingerprint bucket of the basic block the next record belongs
+        #: to (``None`` = the next record starts a block).
+        self._bucket: int | None = None
+        self._bbv = [0] * bbv_dim
 
     @property
     def chunk_count(self) -> int:
@@ -480,23 +198,12 @@ class ChunkWriter:
 
     def append(self, rec: TraceRecord) -> None:
         """Buffer one record, flushing a chunk when the window fills."""
-        packed, flag = pack_record_fields(rec)
-        cols = self._cols
-        cols["pc"].append(rec.pc & _MASK64)
-        cols["next_pc"].append(rec.next_pc & _MASK64)
-        cols["dest_value"].append((rec.dest_value or 0) & _MASK64)
-        cols["mem_addr"].append((rec.mem_addr or 0) & _MASK64)
-        cols["srcs"].append(packed)
-        cols["dest_fold"].append(rec.dest_fold)
-        cols["opcode"].append(rec.opcode.code)
-        cols["flags"].append(flag)
-        cols["mem_size"].append(rec.mem_size or 0)
-        cols["dest_reg"].append(0xFF if rec.dest_reg is None else rec.dest_reg)
-        if self._leader is None:
-            self._leader = rec.pc
-        self._bbv[_bbv_bucket(self._leader, self._bbv_dim)] += 1
-        if rec.is_control:
-            self._leader = None
+        self._encode(rec)
+        bucket = self._bucket
+        if bucket is None:
+            bucket = _bbv_bucket(rec.pc, self._bbv_dim)
+        self._bbv[bucket] += 1
+        self._bucket = None if rec.is_control else bucket
         self._buffered += 1
         self.total += 1
         if self._buffered >= self._chunk_records:
@@ -511,15 +218,32 @@ class ChunkWriter:
         count = self._buffered
         if not count:
             return
-        offsets, size = chunk_layout(count)
-        payload = bytearray(size)
-        for name, _typecode, itemsize in COLUMN_SPEC:
-            col = self._cols[name]
-            if not _PAYLOAD_LITTLE_ENDIAN:  # pragma: no cover - BE hosts
-                col = array(col.typecode, col)
-                col.byteswap()
-            start = offsets[name]
-            payload[start : start + count * itemsize] = col.tobytes()
+        payload = _chunk_payload(self._cols, count)
+        self._write_payload(payload, count, self._bbv)
+        for column in self._cols.values():
+            del column[:]
+        self._buffered = 0
+        self._bbv = [0] * self._bbv_dim
+        # Fingerprints are per-chunk: a basic block straddling a chunk
+        # boundary counts under its first PC in the new chunk, exactly
+        # as an after-the-fact walk of that chunk alone would bucket it.
+        self._bucket = None
+
+    def _write_chunk(self, chunk: ColumnarTrace, bbv=None) -> None:
+        """Write ``chunk`` as one whole chunk straight from its column
+        bytes; ``bbv`` is its fingerprint when already known.  The
+        caller keeps the layout valid: nothing buffered, and only the
+        last chunk may hold fewer than ``chunk_records`` records."""
+        count = len(chunk)
+        if not count:
+            return
+        columns = {name: getattr(chunk, name) for name, _t, _s in COLUMN_SPEC}
+        if bbv is None:
+            bbv = _column_bbv(chunk, self._bbv_dim)
+        self._write_payload(_chunk_payload(columns, count), count, bbv)
+        self.total += count
+
+    def _write_payload(self, payload: bytearray, count: int, bbv) -> None:
         # 8-align the chunk start so column views sit on natural
         # boundaries in mmap/shared-memory consumers.
         pad = (-self._pos) % 8
@@ -527,16 +251,8 @@ class ChunkWriter:
             self._file.write(b"\x00" * pad)
             self._pos += pad
         self._file.write(payload)
-        self._index.append(
-            (self._pos, count, zlib.crc32(payload), tuple(self._bbv))
-        )
-        self._pos += size
-        self._bbv = [0] * self._bbv_dim
-        # Fingerprints are per-chunk: a basic block straddling a chunk
-        # boundary counts under its first PC in the new chunk, exactly
-        # as an after-the-fact walk of that chunk alone would bucket it.
-        self._leader = None
-        self._new_columns()
+        self._index.append((self._pos, count, zlib.crc32(payload), tuple(bbv)))
+        self._pos += len(payload)
 
     def close(self) -> int:
         """Seal the file (tail chunk + index + header); returns the
@@ -550,13 +266,13 @@ class ChunkWriter:
             self._file.write(b"\x00" * pad)
             self._pos += pad
         index_offset = self._pos
-        entry = _v4_entry_struct(self._bbv_dim)
+        entry = _entry_struct(self._bbv_dim)
         index = bytearray()
         for offset, count, crc, bbv in self._index:
             index += entry.pack(offset, count, crc, *bbv)
         self._file.write(index)
-        header = _V4_HEADER.pack(
-            MAGIC_V4,
+        header = _HEADER.pack(
+            MAGIC,
             self.total,
             self._chunk_records,
             len(self._index),
@@ -583,22 +299,22 @@ class ChunkWriter:
             self._file.close()
 
 
-def _v4_parse_header(header: bytes):
+def _parse_header(header: bytes):
     magic, total, chunk_size, chunk_count, index_offset, bbv_dim, index_crc = (
-        _V4_HEADER.unpack(header)
+        _HEADER.unpack(header)
     )
-    if magic != MAGIC_V4:
+    if magic != MAGIC:
         raise BinaryTraceError("bad magic (not a v4 chunked trace)")
     if chunk_size < 1 or bbv_dim < 1:
         raise BinaryTraceError("corrupt v4 header (zero chunk size)")
     return total, chunk_size, chunk_count, index_offset, bbv_dim, index_crc
 
 
-def _v4_parse_index(
+def _parse_index(
     index_bytes: bytes, chunk_count: int, bbv_dim: int, index_crc: int,
     total: int, chunk_size: int, file_size: int, index_offset: int,
 ):
-    entry = _v4_entry_struct(bbv_dim)
+    entry = _entry_struct(bbv_dim)
     if len(index_bytes) != chunk_count * entry.size:
         raise BinaryTraceError("truncated v4 index")
     if file_size != index_offset + chunk_count * entry.size:
@@ -631,76 +347,76 @@ def _v4_parse_index(
     return offsets, counts, crcs, bbvs
 
 
-class _ChunkSourceBase:
-    """Shared v4 chunk-source state (offsets/counts/CRCs/fingerprints)."""
+class _ChunkSource:
+    """Shared chunk-source state (offsets/counts/CRCs/fingerprints).
 
-    def __init__(self, header: bytes, index_bytes: bytes, file_size: int):
+    Subclasses supply ``_read(offset, size)``; each chunk's CRC is
+    checked once, the first time its payload is read."""
+
+    def _open(self, file_size: int) -> None:
+        if file_size < _HEADER_SIZE:
+            raise BinaryTraceError("truncated v4 header")
         (total, chunk_size, chunk_count, index_offset, bbv_dim, index_crc) = (
-            _v4_parse_header(header)
+            _parse_header(bytes(self._read(0, _HEADER_SIZE)))
         )
+        if index_offset > file_size:
+            raise BinaryTraceError("v4 index offset beyond end of file")
+        index_bytes = bytes(self._read(index_offset, file_size - index_offset))
         self.total = total
         self.chunk_size = chunk_size
-        self.offsets, self.counts, self.crcs, self.bbvs = _v4_parse_index(
+        self.offsets, self.counts, self.crcs, self.bbvs = _parse_index(
             index_bytes, chunk_count, bbv_dim, index_crc,
             total, chunk_size, file_size, index_offset,
         )
+        self._verified = [False] * chunk_count
 
-    def _wrap(self, payload, index: int, seq_base: int) -> ColumnarTrace:
+    def _payload(self, index: int):
+        _coffsets, size = chunk_layout(self.counts[index])
+        payload = self._read(self.offsets[index], size)
+        if len(payload) != size:
+            raise BinaryTraceError(f"v4 chunk {index} truncated")
+        if not self._verified[index]:
+            if zlib.crc32(payload) != self.crcs[index]:
+                raise BinaryTraceError(f"v4 chunk {index} CRC mismatch")
+            self._verified[index] = True
+        return payload
+
+    def load_chunk(self, index: int, seq_base: int) -> ColumnarTrace:
         count = self.counts[index]
         offsets, _size = chunk_layout(count)
         try:
             return ColumnarTrace.from_buffer(
-                payload, count, offsets, seq_base=seq_base
+                self._payload(index), count, offsets, seq_base=seq_base
             )
         except ColumnarTraceError as exc:
             raise BinaryTraceError(str(exc)) from None
 
+    def verify(self) -> None:
+        """CRC-check every chunk in one streaming pass (bounded memory);
+        later loads of the chunks skip the CRC."""
+        for index in range(len(self.counts)):
+            self._payload(index)
 
-class _FileChunkSource(_ChunkSourceBase):
+
+class _FileChunkSource(_ChunkSource):
     """Chunks served by positional reads from a v4 file — loading a
-    chunk costs one bounded read (plus a CRC pass over it), never a
-    whole-file map, so resident memory tracks the LRU window, not the
-    trace.  Reads use ``os.pread`` so the file offset is never shared
-    state: forked pool workers inherit the parent's open file
-    description, and seek+read pairs from sibling processes would race
-    on its offset and return scrambled payloads."""
+    chunk costs one bounded read, never a whole-file map, so resident
+    memory tracks the LRU window, not the trace.  Reads use ``os.pread``
+    so the file offset is never shared state: forked pool workers
+    inherit the parent's open file description, and seek+read pairs
+    from sibling processes would race on its offset and return
+    scrambled payloads."""
 
     def __init__(self, path: str | Path):
-        self._path = Path(path)
-        self._file = open(self._path, "rb")
+        self._file = open(path, "rb")
         try:
-            file_size = self._file.seek(0, io.SEEK_END)
-            if file_size < _V4_HEADER_SIZE:
-                raise BinaryTraceError("truncated v4 header")
-            header = self._pread(_V4_HEADER_SIZE, 0)
-            index_offset = _v4_parse_header(header)[3]
-            if index_offset > file_size:
-                raise BinaryTraceError("v4 index offset beyond end of file")
-            index_bytes = self._pread(file_size - index_offset, index_offset)
-            super().__init__(header, index_bytes, file_size)
+            self._open(self._file.seek(0, io.SEEK_END))
         except BaseException:
             self._file.close()
             raise
 
-    def _pread(self, size: int, offset: int) -> bytes:
+    def _read(self, offset: int, size: int) -> bytes:
         return os.pread(self._file.fileno(), size, offset)
-
-    def load_chunk(self, index: int, seq_base: int) -> ColumnarTrace:
-        _coffsets, size = chunk_layout(self.counts[index])
-        payload = self._pread(size, self.offsets[index])
-        if len(payload) != size:
-            raise BinaryTraceError(f"v4 chunk {index} truncated")
-        if zlib.crc32(payload) != self.crcs[index]:
-            raise BinaryTraceError(f"v4 chunk {index} CRC mismatch")
-        return self._wrap(payload, index, seq_base)
-
-    def verify(self) -> None:
-        """CRC-check every chunk (streaming, bounded memory)."""
-        for index in range(len(self.counts)):
-            _coffsets, size = chunk_layout(self.counts[index])
-            payload = self._pread(size, self.offsets[index])
-            if len(payload) != size or zlib.crc32(payload) != self.crcs[index]:
-                raise BinaryTraceError(f"v4 chunk {index} CRC mismatch")
 
     def __del__(self):  # pragma: no cover - GC timing
         try:
@@ -709,49 +425,42 @@ class _FileChunkSource(_ChunkSourceBase):
             pass
 
 
-class _BufferChunkSource(_ChunkSourceBase):
-    """Chunks served zero-copy from one buffer (shared memory, bytes);
-    each chunk's CRC is checked once, on first load."""
+class _BufferChunkSource(_ChunkSource):
+    """Chunks served zero-copy from one buffer (shared memory, bytes)."""
 
     def __init__(self, buffer):
         self._view = memoryview(buffer)
-        file_size = len(self._view)
-        if file_size < _V4_HEADER_SIZE:
-            raise BinaryTraceError("truncated v4 header")
-        header = bytes(self._view[:_V4_HEADER_SIZE])
-        index_offset = _v4_parse_header(header)[3]
-        if index_offset > file_size:
-            raise BinaryTraceError("v4 index offset beyond end of file")
-        index_bytes = bytes(self._view[index_offset:])
-        super().__init__(header, index_bytes, file_size)
-        self._verified = [False] * len(self.counts)
+        self._open(len(self._view))
 
-    def load_chunk(self, index: int, seq_base: int) -> ColumnarTrace:
-        _coffsets, size = chunk_layout(self.counts[index])
-        start = self.offsets[index]
-        payload = self._view[start : start + size]
-        if not self._verified[index]:
-            if zlib.crc32(payload) != self.crcs[index]:
-                raise BinaryTraceError(f"v4 chunk {index} CRC mismatch")
-            self._verified[index] = True
-        return self._wrap(payload, index, seq_base)
+    def _read(self, offset: int, size: int) -> memoryview:
+        return self._view[offset : offset + size]
 
 
 def read_trace_chunked(
-    path: str | Path, *, verify: bool = False, keep_chunks: int = 2
+    path: str | Path, *, keep_chunks: int = 2
 ) -> ChunkedTrace:
-    """Open a v4 chunked trace from ``path``.
+    """Open a v4 trace from ``path``.
 
     Opening validates the header and CRC-guarded index only — O(1) in
-    trace length.  ``verify=True`` additionally CRC-checks every chunk
-    in one streaming pass (bounded memory); the cache layer uses it so a
-    corrupt entry is detected at load time and regenerated, never
+    trace length; each chunk's CRC is checked when it is first loaded.
+    """
+    return ChunkedTrace(_FileChunkSource(path), keep_chunks=keep_chunks)
+
+
+def open_trace(path: str | Path) -> ColumnarTrace | ChunkedTrace:
+    """Open a v4 trace for replay with every chunk CRC-checked exactly
+    once, now.
+
+    A file of at most one chunk is returned as that chunk's
+    :class:`ColumnarTrace` (read and checked in one pass); a longer one
+    as a verified :class:`ChunkedTrace`.  This is the cache's warm-load
+    path: a corrupt entry raises :class:`BinaryTraceError` here, never
     mid-simulation.
     """
     source = _FileChunkSource(path)
-    if verify:
+    if len(source.counts) > 1:
         source.verify()
-    return ChunkedTrace(source, keep_chunks=keep_chunks)
+    return ChunkedTrace(source).collapse()
 
 
 def loads_trace_chunked(buffer, *, keep_chunks: int = 2) -> ChunkedTrace:
@@ -774,26 +483,26 @@ def write_trace_chunked(
 def dumps_trace_chunked(
     trace, chunk_records: int = DEFAULT_CHUNK_RECORDS
 ) -> bytes:
-    """Serialize a trace to v4 bytes (for shared-memory staging)."""
-    if isinstance(trace, ChunkedTrace):
-        chunk_records = trace.chunk_size
+    """Serialize a trace to v4 bytes (for shared-memory staging).
+
+    Column-backed traces are copied column by column, never
+    materializing a row: a :class:`ColumnarTrace` is written as one
+    chunk, and a :class:`ChunkedTrace` keeps its chunk geometry and its
+    capture-time fingerprints.  Either way the bytes equal those of the
+    same records streamed through :class:`ChunkWriter`.
+    """
     out = io.BytesIO()
-    with ChunkWriter(out, chunk_records) as writer:
-        writer.extend(iter(trace))
-    return out.getvalue()
-
-
-def sniff_format(path_or_buffer) -> str:
-    """``"v2"``, ``"v3"`` or ``"v4"`` from the leading magic bytes."""
-    if isinstance(path_or_buffer, (str, Path)):
-        with open(path_or_buffer, "rb") as handle:
-            head = handle.read(5)
+    if isinstance(trace, ChunkedTrace):
+        with ChunkWriter(out, trace.chunk_size) as writer:
+            for index, bbv in enumerate(trace.bbvs()):
+                writer._write_chunk(trace.chunk(index), bbv)
+    elif isinstance(trace, ColumnarTrace):
+        with ChunkWriter(out, max(chunk_records, len(trace))) as writer:
+            writer._write_chunk(trace)
     else:
-        head = bytes(memoryview(path_or_buffer)[:5])
-    for magic, name in ((MAGIC_V4, "v4"), (MAGIC_V3, "v3"), (MAGIC, "v2")):
-        if head == magic:
-            return name
-    raise BinaryTraceError("unknown trace magic")
+        with ChunkWriter(out, chunk_records) as writer:
+            writer.extend(trace)
+    return out.getvalue()
 
 
 def chunked_entry_info(path: str | Path) -> dict:

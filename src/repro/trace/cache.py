@@ -5,29 +5,31 @@ whole instruction budget — for the full-scale experiments that is minutes
 of pure-Python interpretation per benchmark, repeated identically by
 every sweep, figure, benchmark run and CI job.  The dynamic trace is a
 pure function of (kernel source, instruction limit), so this module
-memoises it on disk: entries are stored in the VSRT v3 columnar binary
-format (:mod:`repro.trace.binary`) under a key derived from the benchmark
-name, a hash of the kernel *source text*, and the limit.  v3 entries are
-the on-disk image of a :class:`~repro.trace.columnar.ColumnarTrace`, so a
-warm hit is served by ``mmap`` — zero parse cost, zero per-record
-allocation, and concurrent sweep workers mapping the same entry share
-one copy of the pages in the OS page cache.
+memoises it on disk: entries are VSRT v4 files (:mod:`repro.trace.binary`)
+under a key derived from the benchmark name, a hash of the kernel
+*source text*, and the limit.  A capture streams from the functional
+simulator straight into a :class:`~repro.trace.binary.ChunkWriter`, so
+its peak memory is O(chunk) regardless of trace length.  A warm hit of
+one chunk — every trace up to the chunk size — is served as that
+chunk's :class:`~repro.trace.columnar.ColumnarTrace`: one read, one CRC
+pass, no per-record decode.  Longer entries are served as a
+:class:`~repro.trace.columnar.ChunkedTrace`, one chunk at a time.
 
 Content addressing makes invalidation automatic: editing a kernel changes
 its source hash, which changes the file name, so stale entries are simply
-never found again (``repro cache clear`` removes them).  Format bumps are
-handled the same way: the ``.vsrt3`` suffix changed with the layout, so a
-v3 reader never even opens a leftover v2 entry.  The engine-side
-representation (``TraceRecord``) never enters the key — row views are
-rebuilt from the columns on demand, so engine changes cannot be masked
-by a stale cache.
+never found again (``repro cache clear`` removes them, along with the
+files older trace formats left behind).  The engine-side representation
+(``TraceRecord``) never enters the key — row views are rebuilt from the
+columns on demand, so engine changes cannot be masked by a stale cache.
 
-Configuration is via the ``REPRO_TRACE_CACHE`` environment variable:
+Configuration is via environment variables:
 
-* unset — cache under ``$XDG_CACHE_HOME/repro/traces`` (falling back to
-  ``~/.cache/repro/traces``);
-* a path — cache under that directory;
-* ``off``, ``none``, ``0`` or empty — disable the cache entirely.
+* ``REPRO_TRACE_CACHE`` unset — cache under ``$XDG_CACHE_HOME/repro/traces``
+  (falling back to ``~/.cache/repro/traces``); a path — cache under that
+  directory; ``off``, ``none``, ``0`` or empty — disable the cache
+  entirely (captures are then held in memory only).
+* ``REPRO_TRACE_CHUNK`` — records per chunk (a positive integer;
+  default 1M).
 
 Writes are atomic (temp file + ``os.replace``) so concurrent sweep
 workers can share one cache directory without coordination: the worst
@@ -38,6 +40,7 @@ overwriting the other's identical entry.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 from pathlib import Path
 
@@ -46,19 +49,16 @@ from repro.trace.binary import (
     BinaryTraceError,
     ChunkWriter,
     chunked_entry_info,
-    dumps_trace_binary_v3,
-    read_trace_binary_v3,
+    loads_trace_chunked,
+    open_trace,
     read_trace_chunked,
 )
-from repro.trace.columnar import ChunkedTrace, ColumnarTrace, as_columnar
+from repro.trace.columnar import ChunkedTrace, ColumnarTrace
 
 ENV_VAR = "REPRO_TRACE_CACHE"
 
-#: Env var: records per chunk for streaming capture and VSRT v4 cache
-#: entries.  Unset = the format default (1M records); a positive integer
-#: overrides it; any falsy spelling ("0", "off", "none", ...) disables
-#: chunked storage entirely (every capture materializes in memory and
-#: stores v3, the pre-streaming behavior).
+#: Env var: records per chunk for streaming capture and cache entries.
+#: Unset = the format default (1M records); otherwise a positive integer.
 CHUNK_ENV_VAR = "REPRO_TRACE_CHUNK"
 
 #: ``REPRO_TRACE_CACHE`` values that turn the cache off.  Any common
@@ -68,33 +68,26 @@ _DISABLED_VALUES = frozenset({"", "0", "off", "none", "disabled", "false", "no"}
 
 #: File suffix; bump together with the binary format's magic so readers
 #: of a new format never even open old-format files.
-_SUFFIX = ".vsrt3"
-
-#: Suffix for chunked (VSRT v4) entries — long traces only; short
-#: captures keep the mmap-friendly single-block v3 layout.
-_SUFFIX_V4 = ".vsrt4"
+_SUFFIX = ".vsrt4"
 
 #: Hex digits of the kernel-source SHA-256 kept in the key.
 _HASH_CHARS = 16
 
 
-def chunk_records() -> int | None:
-    """Records per chunk from ``REPRO_TRACE_CHUNK``; ``None`` when
-    chunked storage is disabled."""
+def chunk_records() -> int:
+    """Records per chunk from ``REPRO_TRACE_CHUNK``."""
     raw = os.environ.get(CHUNK_ENV_VAR)
     if raw is None:
         return DEFAULT_CHUNK_RECORDS
-    if raw.strip().lower() in _DISABLED_VALUES:
-        return None
     try:
         value = int(raw)
-    except ValueError as error:
-        raise ValueError(
-            f"{CHUNK_ENV_VAR}={raw!r} is not an integer chunk size "
-            "(records per chunk, or 0/off to disable chunked storage)"
-        ) from error
+    except ValueError:
+        value = 0
     if value < 1:
-        return None
+        raise ValueError(
+            f"{CHUNK_ENV_VAR}={raw!r} is not a positive integer "
+            "(records per chunk)"
+        )
     return value
 
 
@@ -140,84 +133,29 @@ def trace_path(
     return directory / (trace_key(benchmark, source, max_instructions) + _SUFFIX)
 
 
-def trace_path_chunked(
-    benchmark: str, source: str, max_instructions: int | None
-) -> Path | None:
-    """Where a *chunked* (v4) entry for this key lives."""
-    directory = cache_dir()
-    if directory is None:
-        return None
-    return directory / (
-        trace_key(benchmark, source, max_instructions) + _SUFFIX_V4
-    )
-
-
 def load_trace(
     benchmark: str, source: str, max_instructions: int | None
 ) -> ColumnarTrace | ChunkedTrace | None:
     """Return the cached trace for this key, or ``None`` on a miss.
 
-    v3 hits are mmap-backed :class:`ColumnarTrace` objects — the mapping
-    stays open for the trace's lifetime.  v4 hits are
-    :class:`ChunkedTrace` objects serving one chunk at a time; every
-    chunk CRC is verified in one streaming pass at load, so a corrupt
-    middle chunk is detected *here* (treated as a miss and deleted —
-    the next capture regenerates it), never mid-simulation.
+    Every chunk's CRC is checked once, here, so a corrupt entry is
+    detected at load (treated as a miss and deleted — the next capture
+    regenerates it), never mid-simulation.  A one-chunk hit is a
+    :class:`ColumnarTrace`; a longer one is a :class:`ChunkedTrace`.
     """
     path = trace_path(benchmark, source, max_instructions)
-    if path is not None and path.is_file():
-        try:
-            return read_trace_binary_v3(path)
-        except OSError:
-            return None
-        except BinaryTraceError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-    chunked = trace_path_chunked(benchmark, source, max_instructions)
-    if chunked is None or not chunked.is_file():
+    if path is None or not path.is_file():
         return None
     try:
-        return read_trace_chunked(chunked, verify=True)
+        return open_trace(path)
     except OSError:
         return None
     except BinaryTraceError:
         try:
-            chunked.unlink()
+            path.unlink()
         except OSError:
             pass
         return None
-
-
-def store_trace(
-    benchmark: str,
-    source: str,
-    max_instructions: int | None,
-    records,
-) -> Path | None:
-    """Atomically write ``records`` under this key; returns the path.
-
-    Returns ``None`` (and stores nothing) when the cache is disabled or
-    the directory is unwritable — caching is an optimisation, never a
-    hard dependency.
-    """
-    path = trace_path(benchmark, source, max_instructions)
-    if path is None:
-        return None
-    data = dumps_trace_binary_v3(records)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        return None
-    return path
 
 
 def cached_trace(
@@ -230,13 +168,12 @@ def cached_trace(
     entirely; a miss captures the trace and populates the cache for the
     next caller.
 
-    Capture *streams*: with the cache writable and chunked storage on
-    (``REPRO_TRACE_CHUNK``, default 1M records per chunk), records flow
-    from the functional simulator straight into a chunk writer, so peak
-    memory is O(chunk) regardless of trace length.  Captures no longer
-    than one chunk are converted to the mmap-friendly v3 layout; longer
-    captures keep the chunked v4 layout and are served as
-    :class:`ChunkedTrace`.
+    Capture *streams*: records flow from the functional simulator
+    straight into a chunk writer (``REPRO_TRACE_CHUNK`` records per
+    chunk), so peak memory is O(chunk) regardless of trace length.  The
+    writer targets a temp file renamed into place, or memory when the
+    cache is off or unwritable — caching is an optimisation, never a
+    hard dependency.  The result has the same shape as a warm hit.
     """
     from repro.programs.suite import kernel
 
@@ -245,106 +182,71 @@ def cached_trace(
     if cached is not None:
         return cached
     chunk = chunk_records()
-    directory = cache_dir()
-    if chunk is not None and directory is not None:
-        streamed = _capture_streaming(
-            benchmark, spec, max_instructions, chunk, directory
-        )
-        if streamed is not None:
-            return streamed
-    trace = as_columnar(spec.trace(max_instructions))
-    store_trace(benchmark, spec.source, max_instructions, trace)
-    return trace
-
-
-def _capture_streaming(
-    benchmark: str,
-    spec,
-    max_instructions: int | None,
-    chunk: int,
-    directory: Path,
-) -> ColumnarTrace | ChunkedTrace | None:
-    """Capture ``spec``'s trace with bounded memory, storing v4 (long
-    captures) or v3 (captures that fit one chunk).  Returns ``None`` on
-    any filesystem failure so the caller can fall back to the in-memory
-    path — caching is an optimisation, never a hard dependency.
-    """
-    path = trace_path_chunked(benchmark, spec.source, max_instructions)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        with ChunkWriter(tmp, chunk) as writer:
-            writer.extend(spec.iter_trace(max_instructions))
-        if writer.total <= chunk:
-            # Single-chunk capture: keep the zero-parse v3 layout.
-            trace = read_trace_chunked(tmp)
-            columnar = (
-                trace.chunk(0) if trace.chunk_count else as_columnar([])
-            )
-            # Return the heap-backed decoded chunk, not a re-loaded mmap
-            # of the entry just stored: a miss must hand back a trace
-            # that stays valid even if the cache file is later deleted
-            # or overwritten (warm hits get the zero-parse mmap path).
-            store_trace(benchmark, spec.source, max_instructions, columnar)
-            tmp.unlink()
-            return columnar
-        os.replace(tmp, path)
-        return read_trace_chunked(path)
-    except OSError:
+    path = trace_path(benchmark, spec.source, max_instructions)
+    if path is not None:
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.unlink()
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with ChunkWriter(tmp, chunk) as writer:
+                writer.extend(spec.iter_trace(max_instructions))
+            os.replace(tmp, path)
+            return read_trace_chunked(path).collapse()
         except OSError:
-            pass
-        return None
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+    out = io.BytesIO()
+    with ChunkWriter(out, chunk) as writer:
+        writer.extend(spec.iter_trace(max_instructions))
+    return loads_trace_chunked(out.getvalue()).collapse()
 
 
 # -- maintenance (the `repro cache` subcommand) ---------------------------
 
 
 def cache_entries() -> list[Path]:
-    """Every entry file (v3 and v4) currently in the cache directory."""
+    """Every entry file currently in the cache directory."""
     directory = cache_dir()
     if directory is None or not directory.is_dir():
         return []
-    return sorted(
-        list(directory.glob(f"*{_SUFFIX}"))
-        + list(directory.glob(f"*{_SUFFIX_V4}"))
-    )
+    return sorted(directory.glob(f"*{_SUFFIX}"))
 
 
 def cache_info() -> dict:
     """Summary of the cache's location and contents.
 
-    v4 (chunked) entries additionally report their chunk geometry —
-    chunk count and per-chunk payload sizes — read from the entry index
+    ``geometry`` maps each entry to its chunk geometry — record and
+    chunk counts, per-chunk payload sizes — read from the entry index
     alone, without loading any chunk data.
     """
     directory = cache_dir()
     entries = cache_entries()
-    v3 = [path for path in entries if path.suffix == _SUFFIX]
-    v4 = [path for path in entries if path.suffix == _SUFFIX_V4]
-    chunked: dict[str, dict] = {}
-    for path in v4:
+    geometry: dict[str, dict] = {}
+    for path in entries:
         try:
-            chunked[path.name] = chunked_entry_info(path)
+            geometry[path.name] = chunked_entry_info(path)
         except (OSError, BinaryTraceError):
-            chunked[path.name] = {"error": "unreadable"}
+            geometry[path.name] = {"error": "unreadable"}
     return {
         "enabled": directory is not None,
         "dir": str(directory) if directory is not None else None,
         "entries": len(entries),
         "bytes": sum(path.stat().st_size for path in entries),
         "files": [path.name for path in entries],
-        "v3_entries": len(v3),
-        "v4_entries": len(v4),
-        "chunked": chunked,
+        "geometry": geometry,
     }
 
 
 def clear_cache() -> int:
-    """Delete every cache entry; returns the number removed."""
+    """Delete every cache entry, plus the single-block entries older
+    versions wrote (never read, so they would only strand disk space);
+    returns the number removed."""
+    directory = cache_dir()
+    if directory is None or not directory.is_dir():
+        return 0
     removed = 0
-    for path in cache_entries():
+    for path in cache_entries() + sorted(directory.glob("*.vsrt3")):
         try:
             path.unlink()
             removed += 1

@@ -7,14 +7,16 @@ worker fan-out.  A :class:`ColumnarTrace` keeps the per-instruction facts
 of :class:`~repro.trace.record.TraceRecord` as parallel fixed-width
 columns instead of one Python object per instruction:
 
-* **Zero-parse loading.**  The column layout is exactly the VSRT v3
-  on-disk layout (:mod:`repro.trace.binary`), so a cache hit is an
-  ``mmap`` plus a handful of ``memoryview.cast`` calls — no per-record
-  decode, no per-record allocation, O(1) in trace length.
+* **A ColumnarTrace is one chunk.**  Its column layout is exactly one
+  chunk of the VSRT v4 format (:mod:`repro.trace.binary`), so loading a
+  chunk is one read plus a handful of ``memoryview.cast`` calls — no
+  per-record decode, no per-record allocation — and a cache entry of
+  one chunk is served as a ``ColumnarTrace``.
 * **Zero-copy distribution.**  The same property lets the parallel sweep
-  runner hand a trace to worker processes as a shared buffer (an mmap'd
-  cache file or a ``multiprocessing.shared_memory`` segment) instead of
-  pickling a list of records per worker (:mod:`repro.harness.parallel`).
+  runner hand a trace to worker processes as a shared buffer (a
+  ``multiprocessing.shared_memory`` segment) or a cache file name
+  instead of pickling a list of records per worker
+  (:mod:`repro.harness.parallel`).
 * **Row-view compatibility.**  The timing engine consumes
   ``TraceRecord`` objects; ``trace[i]`` materializes the row *once*, on
   first touch, and memoizes it, so replaying the same trace object
@@ -48,15 +50,15 @@ mem_size   u8      access width in bytes (0 when not a memory op)
 dest_reg   u8      destination register (0xFF when none)
 ========== ======= ====================================================
 
-``seq`` is implicit: row *i* has ``seq == i`` (the same contract as the
-VSRT v2 stream format — cache entries are always renumbered captures).
+``seq`` is implicit: row *i* has ``seq == i`` (cache entries are always
+renumbered captures).
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.isa.opcodes import CLASS_LATENCY, OPCODE_BY_CODE, OpClass, Opcode
 from repro.trace.record import TraceRecord
@@ -156,34 +158,76 @@ COLUMN_SPEC: tuple[tuple[str, str, int], ...] = (
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
-def pack_record_fields(rec: TraceRecord) -> tuple[int, int]:
-    """``(packed_srcs, flags)`` for one record — the column encoding
-    shared by :meth:`ColumnarTrace.from_records` and the streaming v4
-    chunk writer (:class:`repro.trace.binary.ChunkWriter`)."""
-    regs = rec.src_regs
-    nsrcs = len(regs)
-    if nsrcs > MAX_SRC_REGS:
-        raise ColumnarTraceError(
-            f"record has {nsrcs} source registers; the packed "
-            f"srcs column holds at most {MAX_SRC_REGS}"
-        )
-    packed = nsrcs
-    for pos, reg in enumerate(regs):
-        if not 0 <= reg <= 0xFF:
+def new_columns() -> dict[str, array]:
+    """Empty ``array`` columns, one per :data:`COLUMN_SPEC` entry."""
+    return {name: array(typecode) for name, typecode, _size in COLUMN_SPEC}
+
+
+def column_appender(
+    columns: dict[str, array],
+) -> Callable[[TraceRecord], None]:
+    """A function appending one record to ``columns`` (as made by
+    :func:`new_columns`) — the one column encoding, shared by
+    :meth:`ColumnarTrace.from_records` and the streaming v4 chunk writer
+    (:class:`repro.trace.binary.ChunkWriter`)."""
+    pc = columns["pc"].append
+    next_pc = columns["next_pc"].append
+    dest_value = columns["dest_value"].append
+    mem_addr = columns["mem_addr"].append
+    srcs = columns["srcs"].append
+    dest_fold = columns["dest_fold"].append
+    opcode = columns["opcode"].append
+    flags = columns["flags"].append
+    mem_size = columns["mem_size"].append
+    dest_reg = columns["dest_reg"].append
+
+    def append(rec: TraceRecord) -> None:
+        regs = rec.src_regs
+        packed = len(regs)
+        if packed > MAX_SRC_REGS:
             raise ColumnarTraceError(
-                f"source register {reg} does not fit the srcs column"
+                f"record has {packed} source registers; the packed "
+                f"srcs column holds at most {MAX_SRC_REGS}"
             )
-        packed |= reg << (8 * (pos + 1))
-    flag = 0
-    if rec.dest_reg is not None:
-        flag |= FLAG_HAS_DEST
-    if rec.mem_addr is not None:
-        flag |= FLAG_HAS_MEM
-    if rec.branch_taken is not None:
-        flag |= FLAG_HAS_BRANCH
-        if rec.branch_taken:
-            flag |= FLAG_BRANCH_TAKEN
-    return packed, flag
+        shift = 8
+        for reg in regs:
+            if not 0 <= reg <= 0xFF:
+                raise ColumnarTraceError(
+                    f"source register {reg} does not fit the srcs column"
+                )
+            packed |= reg << shift
+            shift += 8
+        dest = rec.dest_reg
+        mem = rec.mem_addr
+        taken = rec.branch_taken
+        flag = 0 if dest is None else FLAG_HAS_DEST
+        if mem is not None:
+            flag |= FLAG_HAS_MEM
+        if taken is not None:
+            flag |= FLAG_HAS_BRANCH
+            if taken:
+                flag |= FLAG_BRANCH_TAKEN
+        pc(rec.pc & _MASK64)
+        next_pc(rec.next_pc & _MASK64)
+        dest_value((rec.dest_value or 0) & _MASK64)
+        mem_addr((mem or 0) & _MASK64)
+        srcs(packed)
+        dest_fold(rec.dest_fold)
+        opcode(rec.opcode.code)
+        flags(flag)
+        mem_size(rec.mem_size or 0)
+        dest_reg(0xFF if dest is None else dest)
+
+    return append
+
+
+def column_bytes(column) -> bytes:
+    """The raw little-endian bytes of one column (``array`` or
+    ``memoryview``)."""
+    if not _LITTLE_ENDIAN and isinstance(column, array):  # pragma: no cover
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column.tobytes()
 
 
 class ColumnarTrace:
@@ -233,43 +277,13 @@ class ColumnarTrace:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_records(cls, records: list) -> "ColumnarTrace":
+    def from_records(cls, records) -> "ColumnarTrace":
         """Build columns from an iterable of :class:`TraceRecord`."""
-        pc = array("Q")
-        next_pc = array("Q")
-        dest_value = array("Q")
-        mem_addr = array("Q")
-        srcs = array("I")
-        dest_fold = array("H")
-        opcode = array("B")
-        flags = array("B")
-        mem_size = array("B")
-        dest_reg = array("B")
+        columns = new_columns()
+        append = column_appender(columns)
         for rec in records:
-            packed, flag = pack_record_fields(rec)
-            pc.append(rec.pc & _MASK64)
-            next_pc.append(rec.next_pc & _MASK64)
-            dest_value.append((rec.dest_value or 0) & _MASK64)
-            mem_addr.append((rec.mem_addr or 0) & _MASK64)
-            srcs.append(packed)
-            dest_fold.append(rec.dest_fold)
-            opcode.append(rec.opcode.code)
-            flags.append(flag)
-            mem_size.append(rec.mem_size or 0)
-            dest_reg.append(0xFF if rec.dest_reg is None else rec.dest_reg)
-        columns = {
-            "pc": pc,
-            "next_pc": next_pc,
-            "dest_value": dest_value,
-            "mem_addr": mem_addr,
-            "srcs": srcs,
-            "dest_fold": dest_fold,
-            "opcode": opcode,
-            "flags": flags,
-            "mem_size": mem_size,
-            "dest_reg": dest_reg,
-        }
-        return cls(columns, len(opcode))
+            append(rec)
+        return cls(columns, len(columns["opcode"]))
 
     @classmethod
     def from_buffer(
@@ -442,13 +456,7 @@ class ColumnarTrace:
 
     def column_bytes(self, name: str) -> bytes:
         """The raw little-endian bytes of one column."""
-        column = getattr(self, name)
-        if isinstance(column, array):
-            if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian only
-                column = array(column.typecode, column)
-                column.byteswap()
-            return column.tobytes()
-        return bytes(column)
+        return column_bytes(getattr(self, name))
 
 
 class ChunkedTrace:
@@ -531,6 +539,16 @@ class ChunkedTrace:
             del loaded[next(iter(loaded))]
         loaded[index] = trace
         return trace
+
+    def collapse(self) -> "ColumnarTrace | ChunkedTrace":
+        """This trace as its only chunk when it has at most one — a
+        :class:`ColumnarTrace`, which the engine replays at list speed —
+        and ``self`` otherwise."""
+        if len(self._counts) > 1:
+            return self
+        if not self._counts:
+            return ColumnarTrace.from_records(())
+        return self.chunk(0)
 
     def bbvs(self) -> tuple[tuple[int, ...], ...]:
         """Per-chunk basic-block-vector fingerprints (capture-time)."""

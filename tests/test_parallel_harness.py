@@ -180,7 +180,7 @@ class TestStagingCleanup:
 
         monkeypatch.setattr(shm_module, "SharedMemory", RecordingSharedMemory)
 
-        real_dumps = trace_binary.dumps_trace_binary_v3
+        real_dumps = trace_binary.dumps_trace_chunked
         calls = {"n": 0}
 
         def failing_dumps(trace):
@@ -189,7 +189,7 @@ class TestStagingCleanup:
                 raise RuntimeError("injected staging failure")
             return real_dumps(trace)
 
-        monkeypatch.setattr(trace_binary, "dumps_trace_binary_v3", failing_dumps)
+        monkeypatch.setattr(trace_binary, "dumps_trace_chunked", failing_dumps)
 
         grid = [
             SimJob("compress", _CONFIG, None, _LIMIT),

@@ -158,20 +158,40 @@ class TestBackendsStreaming:
         ]
 
     def _reference(self, monkeypatch, tmp_path):
-        """The grid run serially with chunking off: pure in-memory."""
+        """The grid run serially on in-memory record lists, then a
+        chunked cache set up for the backend under test."""
         from repro.harness import parallel
-        from repro.harness.parallel import run_jobs
+        from repro.programs.suite import kernel
         from repro.trace import cache as trace_cache
 
-        monkeypatch.setenv(trace_cache.ENV_VAR, str(tmp_path / "ref"))
-        monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "off")
-        monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
-        reference = run_jobs(self._grid(), jobs=1)
-        # Switch to a chunked cache for the backend under test.
+        reference = []
+        for job in self._grid():
+            records = kernel(job.benchmark).trace(job.max_instructions)
+            if job.model is None:
+                reference.append(run_baseline(records, job.config))
+            else:
+                reference.append(run_trace(
+                    records,
+                    job.config,
+                    job.model,
+                    confidence=job.confidence,
+                    update_timing=job.update_timing,
+                ))
         monkeypatch.setenv(trace_cache.ENV_VAR, str(tmp_path / "chunked"))
         monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "400")
         monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
         return reference
+
+    @staticmethod
+    def _assert_multi_chunk(directory):
+        """The premise of the test: every cache entry the backend read
+        really spans several chunks."""
+        from repro.trace.binary import chunked_entry_info
+
+        entries = sorted(directory.glob("*.vsrt4"))
+        assert len(entries) == 2  # compress and m88ksim
+        for entry in entries:
+            assert chunked_entry_info(entry)["chunks"] > 1, entry.name
 
     @pytest.mark.parametrize("backend,jobs", [
         ("local", 1),
@@ -188,8 +208,7 @@ class TestBackendsStreaming:
         assert [counters_dict(r.counters) for r in results] == [
             counters_dict(r.counters) for r in reference
         ]
-        # The cache really is chunked (the premise of the test).
-        assert list((tmp_path / "chunked").glob("*.vsrt4"))
+        self._assert_multi_chunk(tmp_path / "chunked")
 
     def test_service_backend_matches_in_memory(self, monkeypatch, tmp_path):
         from repro.harness.parallel import run_jobs
@@ -204,4 +223,4 @@ class TestBackendsStreaming:
         assert [counters_dict(r.counters) for r in results] == [
             counters_dict(r.counters) for r in reference
         ]
-        assert list((tmp_path / "chunked").glob("*.vsrt4"))
+        self._assert_multi_chunk(tmp_path / "chunked")

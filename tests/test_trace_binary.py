@@ -1,4 +1,4 @@
-"""Binary trace format tests (round trip, compactness, malformed input)."""
+"""VSRT v4 binary format tests (round trip, edges, malformed input)."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,11 +6,10 @@ from hypothesis import given, strategies as st
 from repro.isa.opcodes import Opcode
 from repro.trace import (
     TraceRecord,
-    dumps_trace,
-    dumps_trace_binary,
-    loads_trace_binary,
-    read_trace_binary,
-    write_trace_binary,
+    dumps_trace_chunked,
+    loads_trace_chunked,
+    read_trace_chunked,
+    write_trace_chunked,
 )
 from repro.trace.binary import BinaryTraceError
 
@@ -51,51 +50,59 @@ def _renumber(records):
     return out
 
 
-@given(records=st.lists(_record, max_size=30))
-def test_binary_round_trip(records):
+@given(
+    records=st.lists(_record, max_size=30),
+    chunk=st.integers(1, 12),
+)
+def test_binary_round_trip(records, chunk):
     records = _renumber(records)
-    assert loads_trace_binary(dumps_trace_binary(records)) == records
+    trace = loads_trace_chunked(dumps_trace_chunked(records, chunk))
+    assert trace == records
+    assert trace.collapse() == records
 
 
 def test_binary_round_trip_on_kernel_trace():
     from repro.programs.suite import kernel
 
     trace = kernel("compress").trace(max_instructions=3000)
-    blob = dumps_trace_binary(trace)
-    assert loads_trace_binary(blob) == trace
-
-
-def test_binary_is_much_smaller_than_text():
-    from repro.programs.suite import kernel
-
-    trace = kernel("perl").trace(max_instructions=3000)
-    text_size = len(dumps_trace(trace))
-    binary_size = len(dumps_trace_binary(trace))
-    assert binary_size < text_size / 3
+    blob = dumps_trace_chunked(trace)
+    loaded = loads_trace_chunked(blob)
+    assert loaded.chunk_count == 1
+    assert loaded == trace
+    assert loaded.collapse() == trace
 
 
 def test_file_round_trip(tmp_path):
     from repro.programs.suite import kernel
 
     trace = kernel("gcc").trace(max_instructions=500)
-    path = tmp_path / "trace.bin"
-    size = write_trace_binary(trace, path)
-    assert path.stat().st_size == size
-    assert read_trace_binary(path) == trace
+    path = tmp_path / "trace.vsrt4"
+    assert write_trace_chunked(trace, path) == len(trace)
+    assert path.read_bytes() == dumps_trace_chunked(trace)
+    assert read_trace_chunked(path) == trace
 
 
 def test_bad_magic_rejected():
     with pytest.raises(BinaryTraceError, match="magic"):
-        loads_trace_binary(b"NOPE" + bytes(10))
+        loads_trace_chunked(b"NOPE" + bytes(60))
+    # The retired single-block and varint formats are not v4 either.
+    for magic in (b"VSRT\x03", b"VSRT\x02"):
+        with pytest.raises(BinaryTraceError, match="magic"):
+            loads_trace_chunked(magic + bytes(59))
 
 
 def test_truncated_data_rejected():
     from repro.programs.suite import kernel
 
-    blob = dumps_trace_binary(kernel("gcc").trace(max_instructions=50))
-    with pytest.raises(BinaryTraceError):
-        loads_trace_binary(blob[: len(blob) // 2])
+    blob = dumps_trace_chunked(kernel("gcc").trace(max_instructions=50))
+    for clipped in (blob[:10], blob[: len(blob) // 2], blob[:-1]):
+        with pytest.raises(BinaryTraceError):
+            loads_trace_chunked(clipped)
 
 
 def test_empty_trace():
-    assert loads_trace_binary(dumps_trace_binary([])) == []
+    blob = dumps_trace_chunked([])
+    trace = loads_trace_chunked(blob)
+    assert trace.chunk_count == 0
+    assert trace == []
+    assert trace.collapse() == []

@@ -6,7 +6,16 @@ import pytest
 
 from repro.programs.suite import KernelSpec, kernel
 from repro.trace import cache as trace_cache
+from repro.trace.binary import write_trace_chunked
 from repro.trace.record import TraceRecord
+
+
+def _store(benchmark, source, limit, records):
+    """Write ``records`` as the cache entry for this key; returns its path."""
+    path = trace_cache.trace_path(benchmark, source, limit)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_trace_chunked(records, path)
+    return path
 
 
 @pytest.fixture()
@@ -62,7 +71,7 @@ def test_env_disables_cache(monkeypatch):
         monkeypatch.setenv(trace_cache.ENV_VAR, value)
         assert trace_cache.cache_dir() is None
         assert not trace_cache.cache_enabled()
-        assert trace_cache.store_trace("x", "s", 1, []) is None
+        assert trace_cache.trace_path("x", "s", 1) is None
         assert trace_cache.load_trace("x", "s", 1) is None
 
 
@@ -75,7 +84,6 @@ def test_env_falsy_spellings_disable_not_relocate(monkeypatch, tmp_path):
         assert trace_cache.cache_dir() is None, value
         assert not trace_cache.cache_enabled()
         assert trace_cache.trace_path("x", "s", 1) is None
-        assert trace_cache.store_trace("x", "s", 1, []) is None
         assert trace_cache.cache_entries() == []
     # No stray "false"/"no" directories were created anywhere nearby.
     assert sorted(p.name for p in tmp_path.iterdir()) == []
@@ -104,8 +112,8 @@ def test_env_overrides_location(cache_dir):
 
 def test_round_trip_preserves_records(cache_dir):
     trace = kernel("compress").trace(200)
-    path = trace_cache.store_trace("compress", "src", 200, trace)
-    assert path is not None and path.is_file()
+    path = _store("compress", "src", 200, trace)
+    assert path.is_file()
     loaded = trace_cache.load_trace("compress", "src", 200)
     assert loaded == trace
     # Engine-critical derived fields survive the round trip too.
@@ -119,7 +127,7 @@ def test_miss_on_unknown_key(cache_dir):
 
 def test_stale_source_hash_invalidates(cache_dir):
     trace = kernel("compress").trace(50)
-    trace_cache.store_trace("compress", "old source", 50, trace)
+    _store("compress", "old source", 50, trace)
     # Same benchmark and limit, edited kernel source: must be a miss.
     assert trace_cache.load_trace("compress", "new source", 50) is None
     assert trace_cache.load_trace("compress", "old source", 50) == trace
@@ -127,7 +135,7 @@ def test_stale_source_hash_invalidates(cache_dir):
 
 def test_corrupt_entry_is_miss_and_removed(cache_dir):
     trace = kernel("compress").trace(20)
-    path = trace_cache.store_trace("compress", "src", 20, trace)
+    path = _store("compress", "src", 20, trace)
     path.write_bytes(b"VSRT\x02garbage-not-varints")
     assert trace_cache.load_trace("compress", "src", 20) is None
     assert not path.exists()
@@ -169,6 +177,22 @@ def test_info_and_clear(cache_dir):
     assert info["enabled"] and info["entries"] == 2 and info["bytes"] > 0
     assert trace_cache.clear_cache() == 2
     assert trace_cache.cache_info()["entries"] == 0
+
+
+def test_clear_removes_legacy_entries(cache_dir):
+    """Files older versions stored under the retired ``.vsrt3`` suffix
+    are never read again; ``clear`` deletes them with the live entries
+    and leaves unrelated files alone."""
+    trace_cache.cached_trace("compress", 30)
+    legacy = cache_dir / "compress-0123456789abcdef-500.vsrt3"
+    legacy.write_bytes(b"VSRT\x03" + bytes(11))
+    unrelated = cache_dir / "notes.txt"
+    unrelated.write_text("keep")
+    info = trace_cache.cache_info()
+    assert info["files"] == [next(cache_dir.glob("*.vsrt4")).name]
+    assert trace_cache.clear_cache() == 2
+    assert not list(cache_dir.glob("*.vsrt*"))
+    assert unrelated.exists()
 
 
 def test_warm_cache(cache_dir, capture_counter):
@@ -239,6 +263,9 @@ def test_cli_cache_commands(cache_dir, capsys):
     assert main(["cache", "info"]) == 0
     out = capsys.readouterr().out
     assert "enabled" in out and str(cache_dir) in out
+    (entry,) = trace_cache.cache_entries()
+    assert f"{entry.name}  40 records in 1 chunk(s) of 1000000" in out
+    assert "v3" not in out
 
     assert main(["cache", "clear"]) == 0
     assert "removed 1" in capsys.readouterr().out

@@ -22,8 +22,8 @@ from repro.trace.binary import (
     chunked_entry_info,
     dumps_trace_chunked,
     loads_trace_chunked,
+    open_trace,
     read_trace_chunked,
-    sniff_format,
     write_trace_chunked,
 )
 from repro.trace.columnar import ChunkedTrace, ColumnarTrace, as_columnar
@@ -46,7 +46,6 @@ class TestRoundTrip:
         path = tmp_path / "t.vsrt4"
         total = write_trace_chunked(records, path, 400)
         assert total == len(records)
-        assert sniff_format(path) == "v4"
         trace = read_trace_chunked(path)
         assert isinstance(trace, ChunkedTrace)
         assert len(trace) == len(records)
@@ -54,7 +53,6 @@ class TestRoundTrip:
 
     def test_buffer_round_trip(self, records):
         data = dumps_trace_chunked(records, 400)
-        assert sniff_format(data) == "v4"
         trace = loads_trace_chunked(data)
         assert list(trace) == records
 
@@ -75,6 +73,41 @@ class TestRoundTrip:
         again = loads_trace_chunked(dumps_trace_chunked(trace))
         assert again.chunk_size == 300
         assert again == trace
+
+    def test_dumps_of_columnar_trace_matches_records(self, records):
+        # A ColumnarTrace is written as one chunk straight from its
+        # columns (fingerprint from pc/kind): same bytes, no row built.
+        columnar = as_columnar(records)
+        for chunk_records in (len(records), 10_000):
+            data = dumps_trace_chunked(columnar, chunk_records)
+            assert data == dumps_trace_chunked(records, chunk_records)
+        assert columnar.materialized_rows == 0
+        # A columnar chunk of a ChunkedTrace keeps only its own rows.
+        chunked = loads_trace_chunked(dumps_trace_chunked(records, 1_000))
+        tail = chunked.chunk(2)
+        assert dumps_trace_chunked(tail) == dumps_trace_chunked(records[2_000:])
+        assert tail.materialized_rows == 0
+
+    def test_warm_load_checks_each_chunk_crc_once(
+        self, records, tmp_path, monkeypatch
+    ):
+        from repro.trace import binary
+
+        calls = {"n": 0}
+        real_crc32 = binary.zlib.crc32
+
+        def counting_crc32(data):
+            calls["n"] += 1
+            return real_crc32(data)
+
+        monkeypatch.setattr(binary.zlib, "crc32", counting_crc32)
+        for chunk_records, chunks in ((400, 7), (5_000, 1)):
+            path = tmp_path / f"t{chunk_records}.vsrt4"
+            write_trace_chunked(records, path, chunk_records)
+            calls["n"] = 0
+            trace = open_trace(path)
+            assert list(trace) == records  # every chunk loaded again
+            assert calls["n"] == 1 + chunks  # the index, then each chunk
 
     def test_seq_is_global_across_chunks(self, records, tmp_path):
         path = tmp_path / "t.vsrt4"
@@ -194,7 +227,7 @@ class TestCorruption:
         data[offset] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(BinaryTraceError):
-            read_trace_chunked(path, verify=True)
+            open_trace(path)
 
     def test_corrupt_chunk_detected_lazily_without_verify(
         self, records, tmp_path
@@ -247,15 +280,21 @@ class TestCorruption:
 
 
 class TestCacheIntegration:
-    def test_short_capture_stays_v3(self, monkeypatch, tmp_path):
+    def test_short_capture_is_one_chunk(self, monkeypatch, tmp_path):
+        """A short capture is one ``.vsrt4`` chunk served as a
+        ColumnarTrace, cold and warm alike."""
         from repro.trace import cache as trace_cache
 
         monkeypatch.setenv(trace_cache.ENV_VAR, str(tmp_path))
         monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "5000")
-        trace = trace_cache.cached_trace("compress", 1_000)
-        assert isinstance(trace, ColumnarTrace)
-        assert list(tmp_path.glob("*.vsrt3"))
-        assert not list(tmp_path.glob("*.vsrt4"))
+        cold = trace_cache.cached_trace("compress", 1_000)
+        assert isinstance(cold, ColumnarTrace)
+        (entry,) = tmp_path.glob("*.vsrt4")
+        assert chunked_entry_info(entry)["chunk_records"] == [1_000]
+        warm = trace_cache.cached_trace("compress", 1_000)
+        assert isinstance(warm, ColumnarTrace)
+        assert warm == cold
+        assert list(tmp_path.iterdir()) == [entry]
 
     def test_long_capture_stores_v4(self, monkeypatch, tmp_path):
         from repro.trace import cache as trace_cache
@@ -265,26 +304,35 @@ class TestCacheIntegration:
         trace = trace_cache.cached_trace("compress", 2_000)
         assert isinstance(trace, ChunkedTrace)
         assert trace.chunk_count == 4
-        assert not list(tmp_path.glob("*.vsrt3"))
         assert list(tmp_path.glob("*.vsrt4"))
         # No stray temp files from the streaming capture.
         assert not list(tmp_path.glob(".*tmp"))
-
-    def test_chunking_disabled_stores_v3(self, monkeypatch, tmp_path):
-        from repro.trace import cache as trace_cache
-
-        monkeypatch.setenv(trace_cache.ENV_VAR, str(tmp_path))
-        monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "off")
-        trace = trace_cache.cached_trace("compress", 2_000)
-        assert isinstance(trace, ColumnarTrace)
-        assert list(tmp_path.glob("*.vsrt3"))
 
     def test_chunk_env_rejects_garbage(self, monkeypatch):
         from repro.trace import cache as trace_cache
 
         monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "many")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=trace_cache.CHUNK_ENV_VAR):
             trace_cache.chunk_records()
+
+    def test_chunk_env_takes_positive_integers_only(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.trace import cache as trace_cache
+
+        monkeypatch.delenv(trace_cache.CHUNK_ENV_VAR, raising=False)
+        assert trace_cache.chunk_records() == 1_000_000
+        monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "250")
+        assert trace_cache.chunk_records() == 250
+        # No spelling turns chunked storage off any more.
+        monkeypatch.setenv(trace_cache.ENV_VAR, str(tmp_path))
+        for value in ("0", "-5", "off", "none", "", "1.5"):
+            monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, value)
+            with pytest.raises(ValueError, match=trace_cache.CHUNK_ENV_VAR):
+                trace_cache.chunk_records()
+            with pytest.raises(ValueError, match=trace_cache.CHUNK_ENV_VAR):
+                trace_cache.cached_trace("compress", 100)
+        assert not list(tmp_path.iterdir())
 
     def test_cache_info_reports_chunk_breakdown(self, monkeypatch, tmp_path):
         from repro.trace import cache as trace_cache
@@ -296,11 +344,11 @@ class TestCacheIntegration:
         trace_cache.cached_trace("compress", 400)
         info = trace_cache.cache_info()
         assert info["entries"] == 2
-        assert info["v3_entries"] == 1
-        assert info["v4_entries"] == 1
-        (geometry,) = info["chunked"].values()
-        assert geometry["records"] == 2_000
-        assert geometry["chunks"] == 4
+        assert "v3_entries" not in info and "v4_entries" not in info
+        geometry = sorted(
+            (g["records"], g["chunks"]) for g in info["geometry"].values()
+        )
+        assert geometry == [(400, 1), (2_000, 4)]
 
     def test_warm_cache_without_materializing(self, monkeypatch, tmp_path):
         from repro.trace import cache as trace_cache

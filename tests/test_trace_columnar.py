@@ -1,5 +1,5 @@
-"""Columnar trace plane: struct-of-arrays traces, the VSRT v3 format,
-and zero-copy distribution to sweep workers.
+"""Columnar trace plane: struct-of-arrays traces, one VSRT v4 chunk
+each, and zero-copy distribution to sweep workers.
 
 Three layers under test, mirroring docs/PERFORMANCE.md ("Columnar trace
 plane"):
@@ -7,10 +7,10 @@ plane"):
 * :class:`repro.trace.columnar.ColumnarTrace` — row-view equivalence
   with ``list[TraceRecord]``, lazy memoized materialization, packing
   limits;
-* the v3 binary format (:mod:`repro.trace.binary`) — round trips
-  including the edges (empty trace, ``dest_reg=None``, 64-bit maxima),
-  truncation/corruption rejection, and the cache's regenerate-on-corrupt
-  fallback;
+* a ColumnarTrace as one v4 chunk (:mod:`repro.trace.binary`) — round
+  trips including the edges (empty trace, ``dest_reg=None``, 64-bit
+  maxima), truncation/corruption rejection, and the cache's
+  regenerate-on-corrupt fallback;
 * the parallel harness's zero-copy staging — golden equivalence of
   columnar vs record-list inputs at ``jobs=1`` and ``jobs>1``, and the
   ``REPRO_TRACE_STRICT`` proof that a warm ``jobs=4`` sweep performs
@@ -26,13 +26,14 @@ from repro.programs.suite import KernelSpec, kernel
 from repro.trace import cache as trace_cache
 from repro.trace.binary import (
     BinaryTraceError,
-    dumps_trace_binary_v3,
-    loads_trace_binary_v3,
-    read_trace_binary_v3,
-    v3_layout,
-    write_trace_binary_v3,
+    chunk_layout,
+    dumps_trace_chunked,
+    loads_trace_chunked,
+    open_trace,
+    write_trace_chunked,
 )
 from repro.trace.columnar import (
+    COLUMN_SPEC,
     ColumnarTrace,
     ColumnarTraceError,
     as_columnar,
@@ -139,27 +140,37 @@ def test_columnar_rejects_unpackable_records():
         ColumnarTrace.from_records([_rec(0, 0, src_regs=(300,))])
 
 
-# -- v3 round trips, including the edges ----------------------------------
+# -- one-chunk v4 round trips, including the edges -------------------------
+
+#: Byte offset of the only chunk's payload in a v4 image (after the
+#: 48-byte header).
+_CHUNK0 = 48
 
 
-def test_v3_empty_trace_round_trip():
-    blob = dumps_trace_binary_v3([])
-    loaded = loads_trace_binary_v3(blob)
+def _round_trip(records):
+    """``records`` through v4 bytes and back, as the one-chunk
+    ColumnarTrace a cache hit returns."""
+    loaded = loads_trace_chunked(dumps_trace_chunked(records)).collapse()
+    assert isinstance(loaded, ColumnarTrace)
+    return loaded
+
+
+def test_v4_empty_trace_round_trip():
+    loaded = _round_trip([])
     assert len(loaded) == 0
     assert loaded == []
 
 
-def test_v3_none_dest_round_trip():
+def test_v4_none_dest_round_trip():
     records = [_rec(0, 0x1000, src_regs=(5,))]  # no destination register
-    loaded = loads_trace_binary_v3(dumps_trace_binary_v3(records))
+    loaded = _round_trip(records)
     assert loaded[0].dest_reg is None
     assert loaded[0].dest_value is None
     assert loaded == records
 
 
-def test_v3_64bit_maxima_round_trip():
-    # The fixed-width columns must carry full-range u64 payloads (the
-    # varint v2 format handled these too; v3 must not truncate them).
+def test_v4_64bit_maxima_round_trip():
+    # The fixed-width columns must carry full-range u64 payloads.
     records = [
         _rec(
             0,
@@ -171,70 +182,79 @@ def test_v3_64bit_maxima_round_trip():
         ),
         _rec(1, 0, dest_reg=1, dest_value=0),
     ]
-    loaded = loads_trace_binary_v3(dumps_trace_binary_v3(records))
+    loaded = _round_trip(records)
     assert loaded[0].dest_value == _MAX64
     assert loaded[0].pc == (_MAX64 & ~7) - INSTRUCTION_BYTES
     assert loaded[0].next_pc == _MAX64 & ~7
     assert loaded == records
 
 
-def test_v3_kernel_trace_file_round_trip(tmp_path):
+def test_v4_kernel_trace_file_round_trip(tmp_path):
     records = kernel("gcc").trace(max_instructions=400)
-    path = tmp_path / "trace.vsrt3"
-    size = write_trace_binary_v3(records, path)
-    assert path.stat().st_size == size
-    for use_mmap in (True, False):
-        loaded = read_trace_binary_v3(path, use_mmap=use_mmap)
-        assert isinstance(loaded, ColumnarTrace)
-        assert loaded == records
+    path = tmp_path / "trace.vsrt4"
+    write_trace_chunked(records, path)
+    loaded = open_trace(path)
+    assert isinstance(loaded, ColumnarTrace)
+    assert loaded == records
 
 
-def test_v3_layout_is_aligned_and_exact():
-    offsets, total = v3_layout(7)
+def test_chunk_layout_is_aligned_and_exact():
+    offsets, size = chunk_layout(7)
     assert all(offset % 8 == 0 for offset in offsets.values())
-    blob = dumps_trace_binary_v3(kernel("compress").trace(max_instructions=7))
-    assert len(blob) == total
+    trace = as_columnar(kernel("compress").trace(max_instructions=7))
+    blob = dumps_trace_chunked(trace)
+    # Header, the one chunk's payload padded to 8 bytes, then one index
+    # entry (offset, count, crc, pad, 32 fingerprint buckets).
+    entry = 8 + 8 + 4 + 4 + 4 * 32
+    assert len(blob) == _CHUNK0 + ((size + 7) & ~7) + entry
+    for name, _typecode, itemsize in COLUMN_SPEC:
+        start = _CHUNK0 + offsets[name]
+        assert blob[start : start + 7 * itemsize] == trace.column_bytes(name)
 
 
-def test_v3_bad_magic_rejected():
+def test_v4_bad_magic_rejected():
     with pytest.raises(BinaryTraceError, match="magic"):
-        loads_trace_binary_v3(b"NOPE" + bytes(32))
+        loads_trace_chunked(b"NOPE" + bytes(60))
 
 
-def test_v3_truncated_rejected():
-    blob = dumps_trace_binary_v3(kernel("compress").trace(max_instructions=20))
+def test_v4_truncated_rejected():
+    blob = dumps_trace_chunked(kernel("compress").trace(max_instructions=20))
     with pytest.raises(BinaryTraceError, match="header"):
-        loads_trace_binary_v3(blob[:10])
-    with pytest.raises(BinaryTraceError, match="size mismatch"):
-        loads_trace_binary_v3(blob[:-8])
-    with pytest.raises(BinaryTraceError, match="size mismatch"):
-        loads_trace_binary_v3(blob + bytes(8))
+        loads_trace_chunked(blob[:10])
+    with pytest.raises(BinaryTraceError):
+        loads_trace_chunked(blob[:-8])
+    with pytest.raises(BinaryTraceError, match="index"):
+        loads_trace_chunked(blob + bytes(8))
 
 
-def test_v3_truncated_file_rejected_and_unmapped(tmp_path):
-    path = tmp_path / "clipped.vsrt3"
-    blob = dumps_trace_binary_v3(kernel("compress").trace(max_instructions=20))
+def test_v4_truncated_file_rejected(tmp_path):
+    path = tmp_path / "clipped.vsrt4"
+    blob = dumps_trace_chunked(kernel("compress").trace(max_instructions=20))
     path.write_bytes(blob[:-16])
     with pytest.raises(BinaryTraceError):
-        read_trace_binary_v3(path)
+        open_trace(path)
     path.write_bytes(b"")
     with pytest.raises(BinaryTraceError, match="header"):
-        read_trace_binary_v3(path)
+        open_trace(path)
 
 
-def test_v3_unknown_opcode_rejected():
-    blob = bytearray(dumps_trace_binary_v3([_rec(0, 0)]))
-    offsets, _total = v3_layout(1)
+def test_v4_unknown_opcode_rejected():
+    offsets, _size = chunk_layout(1)
     used = {op.code for op in Opcode}
-    blob[offsets["opcode"]] = next(c for c in range(256) if c not in used)
+    trace = as_columnar([_rec(0, 0)])
+    trace.opcode[0] = next(c for c in range(256) if c not in used)
+    # Written through the writer, so the chunk CRC matches: the opcode
+    # check itself must reject it.
+    blob = dumps_trace_chunked(trace)
+    assert blob[_CHUNK0 + offsets["opcode"]] == trace.opcode[0]
     with pytest.raises(BinaryTraceError, match="opcode"):
-        loads_trace_binary_v3(bytes(blob))
+        loads_trace_chunked(blob).collapse()
 
 
-def test_v3_mmap_load_is_zero_parse(tmp_path):
-    path = tmp_path / "trace.vsrt3"
-    write_trace_binary_v3(kernel("compress").trace(max_instructions=200), path)
-    loaded = read_trace_binary_v3(path)
+def test_v4_load_is_zero_parse(tmp_path):
+    path = tmp_path / "trace.vsrt4"
+    write_trace_chunked(kernel("compress").trace(max_instructions=200), path)
+    loaded = open_trace(path)
     # Buffer-backed and nothing materialized until a row is touched.
     assert "buffer-backed" in repr(loaded)
     assert loaded.materialized_rows == 0
@@ -245,26 +265,34 @@ def test_v3_mmap_load_is_zero_parse(tmp_path):
 # -- cache fallback on corruption -----------------------------------------
 
 
-def test_corrupt_v3_cache_entry_falls_back_to_regeneration(
+def test_corrupt_cache_entry_falls_back_to_regeneration(
     cache_dir, capture_counter
 ):
     """A clipped/garbage cache entry must be a miss that deletes the file
     and re-captures — never a crash, never a wrong trace."""
     first = trace_cache.cached_trace("compress", 60)
+    assert isinstance(first, ColumnarTrace)
     assert capture_counter["count"] == 1
     path = trace_cache.trace_path("compress", kernel("compress").source, 60)
     good = path.read_bytes()
+    flipped = bytearray(good)
+    flipped[_CHUNK0 + 100] ^= 0xFF  # inside the one chunk: fails its CRC
 
-    # Note the middle one carries a plausible v3 magic but a body that
-    # cannot match any record count's exact file size.
-    for corruption in (good[:-24], b"VSRT\x03" + b"\x00" * 21, b"junk"):
+    # The second one carries a plausible v4 magic but a garbage body.
+    corruptions = (
+        good[:-24],
+        b"VSRT\x04" + b"\x00" * 59,
+        b"junk",
+        bytes(flipped),
+    )
+    for corruption in corruptions:
         path.write_bytes(corruption)
         regenerated = trace_cache.cached_trace("compress", 60)
         assert regenerated == first
-    assert capture_counter["count"] == 4  # one re-capture per corruption
+    assert capture_counter["count"] == 1 + len(corruptions)
     # The final regeneration rewrote a valid entry: warm again.
     trace_cache.cached_trace("compress", 60)
-    assert capture_counter["count"] == 4
+    assert capture_counter["count"] == 1 + len(corruptions)
 
 
 # -- golden equivalence: columnar input, serial and fanned ----------------
@@ -328,6 +356,31 @@ def test_sweep_golden_identical_with_shared_memory_staging(monkeypatch):
     monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
     fanned = parallel.run_jobs(jobs, jobs=2)
     assert [r.counters for r in serial] == [r.counters for r in fanned]
+
+
+def test_shared_memory_staging_materializes_no_rows(monkeypatch):
+    """With the disk cache off, staging copies the trace's columns into
+    shared memory as one v4 chunk: the parent builds no row."""
+    from repro.engine.config import ProcessorConfig
+    from repro.harness import parallel
+
+    monkeypatch.setenv(trace_cache.ENV_VAR, "off")
+    monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
+    config = ProcessorConfig(issue_width=4, window_size=24)
+    handles, cleanups = parallel._stage_traces(
+        [parallel.SimJob("compress", config, None, 400)]
+    )
+    try:
+        staged = parallel._TRACE_CACHE[("compress", 400)]
+        assert isinstance(staged, ColumnarTrace)
+        assert staged.materialized_rows == 0
+        (handle,) = handles.values()
+        assert handle.kind == "shm"
+        records = kernel("compress").trace(max_instructions=400)
+        assert handle.nbytes == len(dumps_trace_chunked(records))
+    finally:
+        for release in cleanups:
+            release()
 
 
 # -- strict mode: warm sweeps perform zero worker materializations --------
