@@ -5,12 +5,12 @@ Drives the fault-tolerant sweep service (``repro.cluster``) through the
 full acceptance scenario on one host:
 
 1. Runs a small Figure 3 grid inline (``jobs=1``) as the reference.
-2. Starts a scheduler (journal attached) plus two worker subprocesses,
+2. Starts a scheduler over a result store plus two worker subprocesses,
    one carrying an injected ``kill_on_lease`` fault — it SIGKILLs
    itself upon its first lease, mid-sweep.
-3. Submits the same grid, waits until at least one point is journaled,
+3. Submits the same grid, waits until at least one point is stored,
    then **kills the scheduler** and restarts a fresh one on the same
-   port over the same journal (a forced restart with total in-memory
+   port over the same store (a forced restart with total in-memory
    state loss).
 4. Lets the resumed sweep finish and asserts:
 
@@ -18,11 +18,12 @@ full acceptance scenario on one host:
      bit-identical to the inline reference,
    * the faulty worker really died of SIGKILL,
    * every point completed before the restart was *replayed* from the
-     journal by the resubmission (zero recomputed jobs), and
-   * the journal holds exactly one record per grid point.
+     store by the resubmission (zero recomputed pre-restart points), and
+   * the store holds exactly one entry per grid point.
 
-The journal is left in ``--out-dir`` for CI to upload as an artifact;
-a summary table is appended to ``$GITHUB_STEP_SUMMARY`` when set.
+The store (``store/``) is left in ``--out-dir`` for CI to upload as an
+artifact; a summary table is appended to ``$GITHUB_STEP_SUMMARY`` when
+set.
 
 Usage::
 
@@ -37,6 +38,7 @@ import signal
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 
@@ -61,13 +63,18 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.cluster.client import ClusterClient, spawn_worker
     from repro.cluster.faults import FaultPlan
-    from repro.cluster.journal import SweepJournal
-    from repro.cluster.scheduler import ClusterScheduler, SchedulerConfig
+    from repro.cluster.serial import job_key
+    from repro.cluster.scheduler import (
+        ClusterScheduler,
+        SchedulerConfig,
+        SchedulerTracer,
+    )
     from repro.core.model import GOOD_MODEL, GREAT_MODEL
     from repro.engine.config import paper_config
     from repro.harness.figure3 import SETTINGS
     from repro.harness.parallel import SimJob, run_jobs
     from repro.metrics.counters import SimCounters
+    from repro.service import results as result_store
 
     # A small Figure 3 grid: one configuration, the paper's four
     # settings, two models — baselines included, exactly as
@@ -89,8 +96,11 @@ def main(argv: list[str] | None = None) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    journal_path = out_dir / "journal.jsonl"
-    journal_path.unlink(missing_ok=True)
+    store = out_dir / "store"
+    result_store.clear_store(store)
+
+    def stored_keys() -> set[str]:
+        return {path.stem for path in result_store.store_entries(store)}
 
     supervision = dict(
         heartbeat_interval=0.1,
@@ -101,8 +111,9 @@ def main(argv: list[str] | None = None) -> int:
         backoff_base=0.05,
         backoff_cap=0.25,
     )
+    tracer = SchedulerTracer()  # shared by both schedulers
     first = ClusterScheduler(
-        SchedulerConfig(journal_path=journal_path, **supervision)
+        SchedulerConfig(store_dir=store, **supervision), tracer=tracer
     )
     address = first.start()
     workers = [
@@ -116,19 +127,18 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         client.submit(grid)
-        reader = SweepJournal(journal_path)
         deadline = time.monotonic() + 120.0
-        while not reader.replay():
+        while not stored_keys():
             if time.monotonic() > deadline:
-                print("FAIL: no journaled point before the forced restart")
+                print("FAIL: no stored point before the forced restart")
                 return 1
             time.sleep(0.05)
         first.stop()  # forced restart: all in-memory state is lost
-        pre_restart = set(reader.replay())
+        pre_restart = stored_keys()
 
         second = ClusterScheduler(
-            SchedulerConfig(port=address[1], journal_path=journal_path,
-                            **supervision)
+            SchedulerConfig(port=address[1], store_dir=store, **supervision),
+            tracer=tracer,
         )
         second.start()
         try:
@@ -137,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
             if replayed < len(pre_restart):
                 print(
                     f"FAIL: only {replayed}/{len(pre_restart)} pre-restart "
-                    "points replayed from the journal (recompute happened)"
+                    "points replayed from the store (recompute happened)"
                 )
                 status = 1
             results = client.run(grid, poll=0.05, timeout=300.0)
@@ -170,12 +180,22 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: merged SimCounters differ from the jobs=1 reference")
         status = 1
 
-    records = SweepJournal(journal_path).records()
-    keys = [record["key"] for record in records]
-    if len(keys) != len(set(keys)) or len(set(keys)) != len(grid):
+    # Every pre-restart point was recorded once before the restart, so
+    # a second result-recorded event for it means it was recomputed.
+    recorded = Counter(
+        detail["key"] for _, kind, detail in tracer.items()
+        if kind == "result-recorded"
+    )
+    recomputed = [key for key in pre_restart if recorded[key] > 1]
+    if recomputed:
+        print(f"FAIL: {len(recomputed)} pre-restart point(s) recomputed")
+        status = 1
+    grid_keys = {job_key(job) for job in grid}
+    entries = stored_keys()
+    if entries != grid_keys:
         print(
-            f"FAIL: journal holds {len(keys)} records / {len(set(keys))} "
-            f"unique keys for a {len(grid)}-point grid"
+            f"FAIL: store holds {len(entries)} entries for a "
+            f"{len(grid_keys)}-point grid"
         )
         status = 1
 
@@ -183,12 +203,11 @@ def main(argv: list[str] | None = None) -> int:
         ("grid points", str(len(grid))),
         ("inline reference (jobs=1)", f"{serial_seconds:.2f} s"),
         ("cluster (kill + restart)", f"{cluster_seconds:.2f} s"),
-        ("points journaled before restart", str(len(pre_restart))),
-        ("pre-restart points recomputed", "0"
-         if status == 0 else "(see failures)"),
+        ("points stored before restart", str(len(pre_restart))),
+        ("pre-restart points recomputed", str(len(recomputed))),
         ("faulty worker exit", f"signal {-killed_rc}"
          if killed_rc is not None and killed_rc < 0 else str(killed_rc)),
-        ("journal records", str(len(records))),
+        ("store entries", str(len(entries))),
         ("merged SimCounters identical", "yes" if merged_ref ==
          merged_cluster else "NO"),
         ("result", "ok" if status == 0 else "FAIL"),

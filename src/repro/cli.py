@@ -290,41 +290,24 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster.client import ADDR_ENV_VAR, ClusterClient
 
     if args.action == "serve":
-        import signal as _signal
-        from pathlib import Path
-
         from repro.cluster.scheduler import ClusterScheduler, SchedulerConfig
 
         host, port = protocol.parse_address(args.bind)
         config = SchedulerConfig(
             host=host,
             port=port,
-            journal_path=Path(args.journal) if args.journal else None,
+            store_dir=_store_option(args),
             heartbeat_timeout=args.heartbeat_timeout,
             lease_timeout=args.lease_timeout,
             max_attempts=args.max_attempts,
         )
         scheduler = ClusterScheduler(config)
         bound = scheduler.start()
-        journal = args.journal or "(none — sweeps will not survive restarts)"
         print(f"scheduler listening on {bound[0]}:{bound[1]}")
-        print(f"journal: {journal}")
+        _print_store_line(config.store_dir)
         print(f"workers connect with: repro cluster work --connect "
               f"{bound[0]}:{bound[1]}")
-        try:
-            _signal.pause()
-        except (KeyboardInterrupt, AttributeError):
-            # AttributeError: no signal.pause on some platforms; fall
-            # back to a sleep loop interrupted the same way.
-            try:
-                import time as _time
-
-                while True:
-                    _time.sleep(3600)
-            except KeyboardInterrupt:
-                pass
-        finally:
-            scheduler.stop()
+        _serve_until_interrupted(scheduler)
         return 0
 
     if args.action == "work":
@@ -380,7 +363,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _print_status_text(status: dict, title: str) -> None:
     """Human rendering of a status document (cluster scheduler and
-    simulation service share the ``jobs`` count schema)."""
+    simulation service share the ``jobs`` count schema and the
+    ``store`` block)."""
     print(title)
     jobs = status.get("jobs") or {}
     print(
@@ -425,27 +409,51 @@ def _print_status_text(status: dict, title: str) -> None:
                           "rejected")
             )
         )
-    journal = status.get("journal")
-    if isinstance(journal, dict):
-        print(f"  journal  {journal.get('path')}")
+
+
+def _store_option(args: argparse.Namespace):
+    """The store directory a server's ``--store`` option names
+    (``None``: disabled); both ``serve`` commands share the rule."""
+    from repro.service import results as rs
+
+    return rs.resolve_store(rs.AUTO_STORE if args.store is None else args.store)
+
+
+def _print_store_line(store) -> None:
+    print(
+        "result store: "
+        + (str(store) if store is not None else
+           "(disabled — results held in memory only)")
+    )
+
+
+def _serve_until_interrupted(server) -> None:
+    """Block until Ctrl+C, then stop ``server`` (a started scheduler or
+    service)."""
+    import signal
+    import time
+
+    try:
+        if hasattr(signal, "pause"):
+            signal.pause()
+        while True:  # no signal.pause, or a handled signal woke it
+            time.sleep(3600)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.stop()
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """The always-on simulation service (``repro serve``)."""
-    import signal as _signal
-
     from repro.cluster import protocol
-    from repro.service.server import AUTO_STORE, ServiceConfig, SimulationService
+    from repro.service.server import ServiceConfig, SimulationService
 
-    store: object = AUTO_STORE
-    if args.store is not None:
-        lowered = args.store.strip().lower()
-        store = None if lowered in ("off", "none", "0", "") else args.store
     host, port = protocol.parse_address(args.bind)
     config = ServiceConfig(
         host=host,
         port=port,
-        store=store,
+        store=_store_option(args),
         backend=args.backend,
         jobs=args.jobs if args.jobs is not None else 1,
         max_queue=args.max_queue,
@@ -454,25 +462,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = SimulationService(config)
     bound = service.start()
     print(f"simulation service listening on http://{bound[0]}:{bound[1]}/v1/")
-    print(
-        "result store: "
-        + (str(service.store_dir) if service.store_dir else
-           "(disabled — results held in memory only)")
-    )
+    _print_store_line(service.store_dir)
     print(f"backend: {config.backend} (jobs={config.jobs})")
     print(f"submit with: repro submit <id> --connect {bound[0]}:{bound[1]}")
-    try:
-        _signal.pause()
-    except (KeyboardInterrupt, AttributeError):
-        try:
-            import time as _time
-
-            while True:
-                _time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-    finally:
-        service.stop()
+    _serve_until_interrupted(service)
     return 0
 
 
@@ -606,6 +599,15 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_store_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--store", default=None, metavar="DIR",
+        help="result-store directory completed points persist to and "
+        "resume from, or `off` to disable (default: REPRO_RESULT_STORE, "
+        "else $XDG_CACHE_HOME/repro/results)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -726,11 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bind", default="127.0.0.1:7787", metavar="HOST:PORT",
         help="listen address (port 0 picks a free port)",
     )
-    serve_parser.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="append-only sweep journal; lets resubmitted sweeps replay "
-        "completed points across scheduler restarts",
-    )
+    _add_store_option(serve_parser)
     serve_parser.add_argument(
         "--heartbeat-timeout", type=float, default=8.0, metavar="SECONDS",
         help="presume a silent worker dead after this long",
@@ -803,11 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen address (port 0 picks a free port; bracket IPv6 "
         "literals, e.g. [::1]:7788)",
     )
-    service_parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="result-store directory, or `off` to disable (default: "
-        "REPRO_RESULT_STORE, else $XDG_CACHE_HOME/repro/results)",
-    )
+    _add_store_option(service_parser)
     service_parser.add_argument(
         "--store-max-entries", type=int, default=None, metavar="N",
         help="evict oldest store entries beyond this count after each "

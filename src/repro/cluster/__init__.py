@@ -6,24 +6,25 @@ batch of independent :class:`~repro.harness.parallel.SimJob` points.
 pool; this package turns the same batch into a *service*: a TCP
 scheduler hands jobs to long-lived worker processes (on one host or
 many) under lease/heartbeat supervision, retries jobs whose worker died,
-and journals every completed point to disk so an interrupted sweep —
-worker crash, scheduler crash, whole-host reboot — resumes without
+and writes every completed point to the content-addressed result store
+(:mod:`repro.service.results`) so an interrupted sweep — worker crash,
+scheduler crash, whole-host reboot — resumes on resubmission without
 recomputing anything.
 
 Layering (each module usable and testable on its own):
 
 * :mod:`repro.cluster.protocol` — length-prefixed JSON frames and the
   message vocabulary (register / lease / heartbeat / result / submit /
-  status / fetch / shutdown).
+  status / fetch / shutdown), and the one submit/poll/resubmit loop
+  both remote clients share.
 * :mod:`repro.cluster.serial`   — canonical job content hashes, job
   blobs, and the JSON wire form of :class:`SimulationResult`.
-* :mod:`repro.cluster.journal`  — the append-only, fsynced, torn-tail
-  tolerant sweep journal keyed by job content hash.
 * :mod:`repro.cluster.faults`   — the fault-injection plan used by the
   tests and the CI smoke to prove the recovery paths.
 * :mod:`repro.cluster.scheduler` — the service: lease-based assignment,
   heartbeat-driven dead-worker detection, bounded retry with
-  exponential backoff + jitter, journal replay, obs event recording.
+  exponential backoff + jitter, result-store writes and resume, obs
+  event recording.
 * :mod:`repro.cluster.worker`   — the worker loop (``python -m
   repro.cluster.worker`` or ``repro cluster work``).
 * :mod:`repro.cluster.client`   — submit/wait/fetch, plus the ephemeral
@@ -44,7 +45,6 @@ from repro.cluster.client import (
     run_jobs_cluster,
 )
 from repro.cluster.faults import FaultPlan
-from repro.cluster.journal import SweepJournal
 from repro.cluster.protocol import ProtocolError
 from repro.cluster.scheduler import ClusterScheduler, SchedulerConfig, SchedulerTracer
 from repro.cluster.serial import job_key
@@ -58,7 +58,6 @@ __all__ = [
     "ProtocolError",
     "SchedulerConfig",
     "SchedulerTracer",
-    "SweepJournal",
     "job_key",
     "run_jobs_cluster",
 ]

@@ -7,13 +7,16 @@ Two ways in:
   ``REPRO_CLUSTER_ADDR`` (or ``address=``) at it and
   :func:`run_jobs_cluster` submits the grid there.  The client is
   stateless and restart-proof: every request rides a fresh connection,
-  and if the scheduler bounces mid-sweep the client simply resubmits —
-  the journal makes resubmission free for completed points.
+  and if the scheduler bounces mid-sweep the client simply resubmits
+  (:func:`repro.cluster.protocol.resubmit_until_done`) — the result
+  store makes resubmission free for completed points.
 * **Ephemeral mode** — no address configured: :class:`LocalCluster`
   stands up an in-process scheduler plus N worker *subprocesses*, runs
   the grid, and tears everything down.  This is what
   ``run_jobs(..., backend="cluster")`` uses, giving any harness entry
-  point worker-death survival without deployment ceremony.
+  point worker-death survival without deployment ceremony.  Its
+  scheduler persists to ``REPRO_RESULT_STORE`` when that is set, so an
+  interrupted ephemeral sweep resumes point by point.
 
 Merging is by submission order, exactly like
 :func:`repro.harness.parallel.run_jobs`: results come back positionally
@@ -26,23 +29,23 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 from repro.cluster import protocol
 from repro.cluster.faults import FAULTS_ENV_VAR, FaultPlan
-from repro.cluster.scheduler import ClusterScheduler, SchedulerConfig, SchedulerTracer
+from repro.cluster.scheduler import (
+    ClusterScheduler,
+    SchedulerConfig,
+    SchedulerTracer,
+    sweep_id_for,
+)
 from repro.cluster.serial import job_key, job_to_blob, result_from_wire
 from repro.engine.sim import SimulationResult
 from repro.harness.parallel import SimJob
 
 #: Env var: ``host:port`` of a running scheduler for service mode.
 ADDR_ENV_VAR = "REPRO_CLUSTER_ADDR"
-
-#: Env var: journal path used by ephemeral local clusters (so even
-#: one-shot ``backend="cluster"`` sweeps can resume across invocations).
-JOURNAL_ENV_VAR = "REPRO_CLUSTER_JOURNAL"
 
 
 class ClusterSweepError(RuntimeError):
@@ -92,7 +95,9 @@ class ClusterClient:
     def fetch(self, sweep_id: str) -> list[SimulationResult] | None:
         """The sweep's results in submission order, or ``None`` while
         jobs are still outstanding.  Raises :class:`ClusterSweepError`
-        once any job has exhausted its attempt budget."""
+        once any job has exhausted its attempt budget, and
+        :class:`~repro.cluster.protocol.SweepLost` when the scheduler
+        does not know the sweep (it restarted)."""
         reply = self._request({"type": "fetch", "sweep_id": sweep_id})
         kind = reply.get("type")
         if kind == "results":
@@ -101,7 +106,10 @@ class ClusterClient:
             return None
         if reply.get("failures"):
             raise ClusterSweepError(reply["failures"])
-        raise RuntimeError(f"fetch failed: {reply.get('reason', reply)!r}")
+        reason = str(reply.get("reason", reply))
+        if reason.startswith("unknown sweep"):
+            raise protocol.SweepLost(reason)
+        raise RuntimeError(f"fetch failed: {reason!r}")
 
     def shutdown(self, *, drain: bool = False) -> dict:
         return self._request({"type": "shutdown", "drain": drain})
@@ -118,39 +126,20 @@ class ClusterClient:
         """Submit a grid and wait for its results.
 
         Survives a scheduler restart mid-sweep: when the service drops
-        (connection refused) or forgets the sweep (restarted with only
-        the journal), the client resubmits the identical grid — the
-        journal replays every completed point, so resubmission costs
-        nothing and recomputes nothing.
+        (connection refused) or forgets the sweep (restarted), the
+        client resubmits the identical grid under the same sweep id —
+        the scheduler replays every completed point from its result
+        store, so resubmission recomputes nothing.
         """
         if not job_list:
             return []
-        deadline = None if timeout is None else time.monotonic() + timeout
-        receipt: dict | None = None
-        while True:
-            results = None
-            if receipt is None:
-                try:
-                    receipt = self.submit(job_list)
-                except (OSError, protocol.ProtocolError):
-                    receipt = None  # scheduler down/restarting: retry
-            if receipt is not None:
-                try:
-                    results = self.fetch(receipt["sweep_id"])
-                except ClusterSweepError:
-                    raise
-                except (OSError, protocol.ProtocolError, RuntimeError):
-                    # Dropped connection, or a restarted scheduler that
-                    # no longer knows the sweep: resubmit (free — the
-                    # journal replays completed points).
-                    receipt = None
-            if results is not None:
-                return results
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"cluster sweep incomplete after {timeout}s"
-                )
-            time.sleep(poll)
+        sweep_id = sweep_id_for([job_key(job) for job in job_list])
+        return protocol.resubmit_until_done(
+            lambda: self.submit(job_list, sweep_id),
+            lambda: self.fetch(sweep_id),
+            poll=poll,
+            timeout=timeout,
+        )
 
 
 # -- worker process management --------------------------------------------
@@ -293,8 +282,9 @@ def run_jobs_cluster(
     With an address (argument or ``REPRO_CLUSTER_ADDR``), the grid goes
     to that running service and ``jobs`` is ignored — capacity belongs
     to the service's workers.  Otherwise an ephemeral local cluster
-    with ``jobs`` workers runs it; ``REPRO_CLUSTER_JOURNAL`` may pin
-    the journal so even ephemeral sweeps resume across invocations.
+    with ``jobs`` workers runs it over ``REPRO_RESULT_STORE`` (no
+    persistence when unset), so an interrupted sweep resumes from the
+    points it already stored.
     """
     if not job_list:
         return []
@@ -306,29 +296,17 @@ def run_jobs_cluster(
         return ClusterClient(address).run(job_list, timeout=timeout)
 
     from repro.harness.parallel import effective_jobs
+    from repro.service import results as result_store
 
     _warm_local_cache(job_list)
     workers = effective_jobs(jobs if jobs is not None else 1, len(job_list))
-    journal_override = os.environ.get(JOURNAL_ENV_VAR, "").strip()
-    tmpdir: tempfile.TemporaryDirectory | None = None
-    if journal_override:
-        journal_path = Path(journal_override)
-    else:
-        tmpdir = tempfile.TemporaryDirectory(prefix="repro-cluster-")
-        journal_path = Path(tmpdir.name) / "journal.jsonl"
     config = SchedulerConfig(
-        journal_path=journal_path,
+        store_dir=result_store.store_dir(),
         heartbeat_interval=0.2,
         heartbeat_timeout=2.0,
         lease_timeout=120.0,
         poll_interval=0.05,
         monitor_interval=0.1,
     )
-    try:
-        with LocalCluster(config, workers=workers) as cluster:
-            return cluster.client().run(
-                job_list, poll=0.05, timeout=timeout
-            )
-    finally:
-        if tmpdir is not None:
-            tmpdir.cleanup()
+    with LocalCluster(config, workers=workers) as cluster:
+        return cluster.client().run(job_list, poll=0.05, timeout=timeout)

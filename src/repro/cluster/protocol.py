@@ -3,8 +3,8 @@
 Every message between scheduler, workers and clients is one *frame*: a
 4-byte big-endian payload length followed by that many bytes of UTF-8
 JSON encoding a single object with a ``"type"`` field.  JSON keeps the
-control plane human-readable (``tcpdump``-able, and the journal reuses
-the same records); the one opaque field is a job's pickled
+control plane human-readable (``tcpdump``-able, and the result store
+keeps the same result documents); the one opaque field is a job's pickled
 :class:`~repro.harness.parallel.SimJob`, carried base64-encoded inside
 the ``submit``/``job`` messages (see :mod:`repro.cluster.serial`).
 
@@ -34,6 +34,10 @@ payload that is not valid JSON raises :class:`FrameCorrupt` — the
 scheduler answers what it can and drops the connection, and the
 fault-injection tests drive every one of these paths.
 
+:func:`resubmit_until_done` is the one submit/poll/resubmit loop of
+both remote backends (this scheduler and the HTTP service of
+:mod:`repro.service`).
+
 The protocol trusts its network: job blobs are pickles, so the service
 must only be exposed to hosts that are already trusted to run the code
 (the same trust a shared batch queue requires).  See docs/CLUSTER.md.
@@ -45,6 +49,7 @@ import json
 import re
 import socket
 import struct
+import time
 
 #: Hard ceiling on one frame's payload (declared-length check).  Large
 #: grids fit comfortably: a SimJob blob is a few KB, so ~10k-point
@@ -68,6 +73,11 @@ class OversizedFrame(ProtocolError):
 
 class FrameCorrupt(ProtocolError):
     """A complete frame's payload was not a JSON object."""
+
+
+class SweepLost(Exception):
+    """The server no longer knows a submitted sweep (it restarted);
+    resubmitting the same jobs recovers it."""
 
 
 def encode_frame(message: dict) -> bytes:
@@ -166,3 +176,39 @@ def parse_address(text: str) -> tuple[str, int]:
     if not sep or not host:
         raise ValueError(f"expected host:port, got {text!r}")
     return host, int(port)
+
+
+def resubmit_until_done(submit, fetch, *, poll: float,
+                        max_poll: float | None = None,
+                        timeout: float | None = None):
+    """Submit, then poll until results arrive, resubmitting when lost.
+
+    ``submit()`` offers the jobs to the server; ``fetch()`` returns the
+    results, ``None`` while they are pending, or raises
+    :class:`SweepLost`.  A lost sweep, a dropped connection
+    (:class:`OSError`, :class:`ProtocolError`) or a server that is down
+    at submit time all lead to a resubmission on the next poll: jobs
+    are content-keyed and results persist in the server's result
+    store, so resubmitting costs nothing for completed points.  Any
+    other error is terminal and propagates.  Polls start ``poll``
+    seconds apart and grow by half each time up to ``max_poll``
+    (default: ``poll``, a fixed interval); past ``timeout`` seconds the
+    loop raises :class:`TimeoutError`.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    delay = poll
+    submitted = False
+    while True:
+        try:
+            if not submitted:
+                submit()
+                submitted = True
+            results = fetch()
+            if results is not None:
+                return results
+        except (OSError, ProtocolError, SweepLost):
+            submitted = False
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError(f"sweep incomplete after {timeout}s")
+        time.sleep(delay)
+        delay = min(delay * 1.5, max_poll if max_poll is not None else poll)

@@ -1,15 +1,16 @@
 """The cluster scheduler: lease-based assignment with crash recovery.
 
-One scheduler process owns a sweep's truth: the set of jobs, who is
-computing what, and the journal of durably completed points.  Workers
-are *leased* jobs one at a time and prove liveness with heartbeats; a
-worker that stops heartbeating (killed, wedged, partitioned) has its
-lease revoked and its job requeued with exponential backoff and a
-bounded attempt budget.  Completed results are fsynced to the journal
-*before* the worker is acknowledged, so a scheduler crash never loses
-an acknowledged point — restarting the scheduler over the same journal
-and resubmitting the same grid replays every completed job from disk
-and recomputes nothing.
+One scheduler process owns a sweep's truth: the set of jobs and who is
+computing what.  Workers are *leased* jobs one at a time and prove
+liveness with heartbeats; a worker that stops heartbeating (killed,
+wedged, partitioned) has its lease revoked and its job requeued with
+exponential backoff and a bounded attempt budget.  Completed results
+are written (and fsynced) to the content-addressed result store
+(:mod:`repro.service.results`) *before* the worker is acknowledged, so
+a scheduler crash never loses an acknowledged point.  Resume happens at
+submit time: a restarted scheduler over the same store looks up every
+submitted key it does not hold, serves the stored ones as done, and
+recomputes only the rest.
 
 Correctness stance: because jobs are deterministic pure functions
 (:func:`repro.harness.parallel._execute` with a content-derived seed),
@@ -28,20 +29,20 @@ workers); a monitor thread expires dead workers and stale leases.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.cluster.faults import FaultPlan
-from repro.cluster.journal import SweepJournal
 from repro.cluster.protocol import (
     ProtocolError,
     recv_frame,
     send_frame,
 )
+from repro.service import results as result_store
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,9 @@ class SchedulerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; read the bound port from .address
-    journal_path: str | os.PathLike | None = None
+    #: Result-store directory completed points persist to and resume
+    #: from (``None``: results live only in memory).
+    store_dir: Path | None = None
     #: Workers are told to beat this often...
     heartbeat_interval: float = 2.0
     #: ...and are presumed dead after this long without a beat.
@@ -104,7 +107,7 @@ class SchedulerTracer:
 @dataclass
 class _JobState:
     key: str
-    blob: str | None  # None for journal-replayed/orphan-adopted entries
+    blob: str | None  # None for orphan-adopted entries
     status: str = "pending"  # pending | leased | done | failed
     attempts: int = 0  # leases granted so far
     next_eligible: float = 0.0
@@ -112,7 +115,7 @@ class _JobState:
     lease_deadline: float = 0.0
     result: dict | None = None  # wire form (serial.result_to_wire)
     error: str | None = None
-    replayed: bool = False  # served from the journal, not computed here
+    replayed: bool = False  # served from the result store, not computed here
 
 
 @dataclass
@@ -143,7 +146,6 @@ class ClusterScheduler:
         self._jobs: dict[str, _JobState] = {}
         self._workers: dict[str, _WorkerState] = {}
         self._sweeps: dict[str, list[str]] = {}
-        self._journal: SweepJournal | None = None
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self._conns: set[socket.socket] = set()
@@ -152,20 +154,6 @@ class ClusterScheduler:
         self._rng = random.Random()
         self._fail_leases_left = self.config.faults.fail_leases
         self.address: tuple[str, int] | None = None
-        if self.config.journal_path is not None:
-            self._journal = SweepJournal(self.config.journal_path)
-            for key, record in self._journal.replay().items():
-                self._jobs[key] = _JobState(
-                    key=key,
-                    blob=None,
-                    status="done",
-                    attempts=record.get("attempt", 1),
-                    result=record["result"],
-                    replayed=True,
-                )
-            if self._jobs:
-                self._trace("journal-replayed", records=len(self._jobs),
-                            path=str(self._journal.path))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -188,8 +176,7 @@ class ClusterScheduler:
         return self.address
 
     def stop(self) -> None:
-        """Stop serving.  The journal is closed last, after the fsync of
-        any in-flight append completed under the lock."""
+        """Stop serving."""
         self._stopping.set()
         if self._listener is not None:
             try:
@@ -206,8 +193,6 @@ class ClusterScheduler:
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._threads.clear()
-        if self._journal is not None:
-            self._journal.close()
         self._trace("scheduler-stopped")
 
     def drain(self) -> None:
@@ -391,30 +376,35 @@ class ClusterScheduler:
         key = str(message.get("key", ""))
         worker_id = str(message.get("worker_id", ""))
         ok = bool(message.get("ok", False))
+        # A result for a key this scheduler never issued may already be
+        # in the store (a previous incarnation recorded it but the ack
+        # was lost): look it up before taking the lock.
+        stored = self._load(key) if ok and key not in self._jobs else None
         with self._lock:
             worker = self._touch_worker(worker_id)
             if worker.leased == key:
                 worker.leased = None
             job = self._jobs.get(key)
+            adopted = False
             if job is None:
                 if not ok:
                     return {"type": "ok", "known": False}
-                # An orphan result: the worker finished a job this
-                # scheduler never issued (it was leased by a previous
-                # incarnation before a restart).  The journal is keyed
-                # by content hash, so the result is adoptable as-is —
+                # An orphan result: the worker finished a job leased by
+                # a previous incarnation before a restart.  Keys are
+                # content hashes, so the result is adoptable as-is —
                 # the resubmitted sweep will find it already done.
-                job = _JobState(key=key, blob=None, status="done",
-                                attempts=int(message.get("attempt", 1)),
-                                worker=worker_id,
-                                result=message.get("result"))
+                job = _JobState(key=key, blob=None,
+                                attempts=int(message.get("attempt", 1)))
                 self._jobs[key] = job
-                self._journal_append(job)
-                self._trace("orphan-result-adopted", key=key, worker=worker_id)
-                return {"type": "ok", "adopted": True}
+                if stored is not None:
+                    job.status, job.result, job.replayed = "done", stored, True
+                else:
+                    adopted = True
+                    self._trace("orphan-result-adopted", key=key,
+                                worker=worker_id)
             if job.status == "done":
                 # Deterministic re-execution: a duplicate completion is
-                # bit-identical to the journaled one.  Keep the first.
+                # bit-identical to the recorded one.  Keep the first.
                 self._trace("result-duplicate", key=key, worker=worker_id)
                 return {"type": "ok", "duplicate": True}
             if ok:
@@ -422,22 +412,30 @@ class ClusterScheduler:
                 job.worker = worker_id
                 job.result = message.get("result")
                 job.error = None
-                self._journal_append(job, attempt=int(message.get("attempt",
-                                                                  job.attempts)))
+                self._persist(job)
                 self._trace("result-recorded", key=key, worker=worker_id,
                             attempt=job.attempts)
-                return {"type": "ok"}
+                return ({"type": "ok", "adopted": True} if adopted
+                        else {"type": "ok"})
             self._fail_attempt(job, str(message.get("error", "worker error")))
             return {"type": "ok", "requeued": job.status == "pending"}
 
-    def _journal_append(self, job: _JobState, attempt: int | None = None) -> None:
-        if self._journal is not None and job.result is not None:
-            self._journal.append(
-                job.key,
-                job.result,
-                attempt=attempt if attempt is not None else job.attempts,
-                worker=job.worker or "",
-            )
+    def _load(self, key: str) -> dict | None:
+        """The stored result for ``key`` (``None``: a miss, a corrupt
+        entry, or no store)."""
+        if self.config.store_dir is None:
+            return None
+        return result_store.load_wire(key, self.config.store_dir)
+
+    def _persist(self, job: _JobState) -> None:
+        """Durably store a completed result before the worker is
+        acknowledged.  A failed write keeps the result in memory only."""
+        if self.config.store_dir is None or not isinstance(job.result, dict):
+            return
+        if result_store.store_result(job.key, job.result,
+                                     self.config.store_dir) is None:
+            self._trace("store-write-failed", key=job.key,
+                        dir=str(self.config.store_dir))
 
     def _fail_attempt(self, job: _JobState, error: str) -> None:
         """One attempt burned (worker error, death, or lease expiry):
@@ -466,23 +464,33 @@ class ClusterScheduler:
         jobs = message.get("jobs")
         if not isinstance(jobs, list) or not jobs:
             return {"type": "error", "reason": "submit without jobs"}
-        keys: list[str] = []
+        entries: list[tuple[str, str]] = []
+        for entry in jobs:
+            key = str(entry.get("key", ""))
+            blob = entry.get("blob")
+            if not key or not isinstance(blob, str):
+                return {"type": "error",
+                        "reason": "submit entry without key/blob"}
+            entries.append((key, blob))
+        keys = [key for key, _ in entries]
+        # Resume: a key this scheduler does not hold may have been
+        # stored by a previous run.  Disk reads stay outside the lock.
+        stored = {key: self._load(key) for key in keys if key not in self._jobs}
         replayed = completed = fresh = 0
         with self._lock:
-            for entry in jobs:
-                key = str(entry.get("key", ""))
-                blob = entry.get("blob")
-                if not key or not isinstance(blob, str):
-                    return {"type": "error",
-                            "reason": "submit entry without key/blob"}
-                keys.append(key)
+            for key, blob in entries:
                 job = self._jobs.get(key)
                 if job is None:
-                    self._jobs[key] = _JobState(key=key, blob=blob)
-                    fresh += 1
-                    continue
+                    wire = stored.get(key)
+                    if wire is None:
+                        self._jobs[key] = _JobState(key=key, blob=blob)
+                        fresh += 1
+                        continue
+                    job = _JobState(key=key, blob=blob, status="done",
+                                    result=wire, replayed=True)
+                    self._jobs[key] = job
                 if job.blob is None:
-                    job.blob = blob  # replayed/orphan entries learn their spec
+                    job.blob = blob  # orphan entries learn their spec
                 if job.status == "done":
                     completed += 1
                     if job.replayed:
@@ -529,16 +537,13 @@ class ClusterScheduler:
                 }
                 for w in self._workers.values()
             }
-        journal = None
-        if self._journal is not None:
-            journal = {"path": str(self._journal.path)}
         return {
             "type": "status",
             "jobs": counts,
             "sweeps": sweeps,
             "workers": workers,
             "draining": self._draining,
-            "journal": journal,
+            "store": result_store.store_info(self.config.store_dir),
         }
 
     def _handle_fetch(self, message: dict) -> dict:

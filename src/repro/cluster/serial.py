@@ -1,9 +1,9 @@
-"""Job identity and wire/journal serialization.
+"""Job identity and wire/result-store serialization.
 
 Three concerns live here because they must agree with each other:
 
 * :func:`job_key` — the *content hash* of a :class:`SimJob`.  It is the
-  journal key and the scheduler's dedup key, so it must be stable across
+  result-store key and the scheduler's dedup key, so it must be stable across
   processes, interpreter restarts and hosts (no ``id()``, no
   ``PYTHONHASHSEED``-dependent ``hash()``, no pickle memo accidents):
   it hashes a canonical *text* rendering of the job built from frozen
@@ -12,11 +12,11 @@ Three concerns live here because they must agree with each other:
   (nested config/model dataclasses, factory callables) crosses the wire:
   pickled, base64-armored so it embeds in a JSON frame.
 * :func:`result_to_wire` / :func:`result_from_wire` — how a
-  :class:`SimulationResult` travels back and is journaled: plain JSON.
+  :class:`SimulationResult` travels back and is stored: plain JSON.
   Every counter is an int and JSON round-trips Python ints and floats
   exactly (``repr`` based), so a result that came over the wire or out
-  of the journal compares equal — bit-identical — to one computed
-  inline.  Keeping results JSON (not pickle) also makes the journal
+  of the result store compares equal — bit-identical — to one computed
+  inline.  Keeping results JSON (not pickle) also makes store entries
   greppable and schema-checkable.
 """
 
@@ -34,7 +34,7 @@ from repro.harness.parallel import SimJob
 from repro.metrics.counters import SimCounters
 
 #: Hex digits of the job hash kept as the key (96 bits: collision-safe
-#: for any conceivable grid, short enough to read in journal lines).
+#: for any conceivable grid, short enough to read in file names).
 _KEY_CHARS = 24
 
 
@@ -88,14 +88,13 @@ def job_fingerprint(job: SimJob) -> str:
 
 
 def job_key(job: SimJob) -> str:
-    """Content hash of one grid point — the journal, dedup and
-    result-store key (:mod:`repro.service.results`).
+    """Content hash of one grid point — the dedup and result-store key
+    (:mod:`repro.service.results`).
 
     Two jobs with equal settings hash equal no matter which process,
     host or session computed the hash; any setting change (config field,
-    model latency, predictor factory argument) changes the key, so a
-    journal or result store can never serve stale results for an edited
-    sweep.
+    model latency, predictor factory argument) changes the key, so the
+    result store can never serve stale results for an edited sweep.
     """
     digest = hashlib.sha256(job_fingerprint(job).encode("utf-8")).hexdigest()
     return digest[:_KEY_CHARS]
@@ -111,7 +110,7 @@ def job_from_blob(blob: str) -> SimJob:
 
 
 def result_to_wire(result: SimulationResult) -> dict:
-    """A result's JSON form (wire frames and journal records)."""
+    """A result's JSON form (wire frames and result-store entries)."""
     return {
         "counters": asdict(result.counters),
         "config": asdict(result.config),
@@ -124,8 +123,8 @@ def result_to_wire(result: SimulationResult) -> dict:
 
 def result_from_wire(doc: dict) -> SimulationResult:
     """Rebuild a result; inverse of :func:`result_to_wire`.  Keys this
-    version does not write, which older store and journal documents may
-    carry, are ignored."""
+    version does not write, which older store entries may carry, are
+    ignored."""
     counters_doc = dict(doc["counters"])
     extra = counters_doc.pop("extra", {}) or {}
     counters = SimCounters(**counters_doc)

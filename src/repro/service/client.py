@@ -1,11 +1,12 @@
 """Client library for the simulation service.
 
 :class:`ServiceClient` speaks the HTTP/JSON protocol of
-:mod:`repro.service.server` with the same restart-proof discipline the
-cluster client uses: submission is idempotent (jobs are content-keyed,
-so resubmitting is free — warm keys come straight back from the result
-store), results are polled, and a client that observes a stalled or
-restarted service simply resubmits and keeps polling.  Backpressure
+:mod:`repro.service.server` through the same submit/poll/resubmit loop
+as the cluster client (:func:`repro.cluster.protocol.resubmit_until_done`):
+submission is idempotent (jobs are content-keyed, so resubmitting is
+free — warm keys come straight back from the result store), results are
+polled, and a client that finds the service down or restarted simply
+resubmits and keeps polling.  Backpressure
 (``429``) is handled by honoring ``Retry-After`` and halving the
 submission chunk, so a client behind a saturated service degrades to a
 slower trickle instead of failing.
@@ -24,7 +25,7 @@ import json
 import os
 import time
 
-from repro.cluster.protocol import parse_address
+from repro.cluster.protocol import SweepLost, parse_address, resubmit_until_done
 from repro.cluster.serial import job_key, job_to_blob, result_from_wire
 
 #: Where ``--backend service`` connects when no address is given
@@ -186,51 +187,46 @@ class ServiceClient:
 
     # -- the high-level loop ----------------------------------------------
 
+    def _poll(self, keys: list[str]) -> list | None:
+        """The results for ``keys`` in order, or ``None`` while any is
+        pending.  Raises :class:`~repro.cluster.protocol.SweepLost` when
+        the service does not know a key (it restarted and lost its
+        in-memory registry), :class:`ServiceError` when a job failed."""
+        doc = self.fetch(keys)
+        kind = doc.get("type")
+        if kind == "results":
+            return [result_from_wire(wire) for wire in doc["results"]]
+        if kind != "error":
+            return None
+        reason = doc.get("reason", "")
+        if reason.startswith("unknown keys"):
+            raise SweepLost(reason)
+        failures = doc.get("failures") or []
+        detail = "; ".join(
+            f"{f.get('key')}: {f.get('error')}" for f in failures[:3]
+        )
+        raise ServiceError(f"service reported failed jobs: {detail or reason}")
+
     def run(self, job_list, timeout: float = DEFAULT_TIMEOUT) -> list:
         """Submit the jobs and poll until every result is available.
 
-        Restart-proof: if a poll finds keys the service no longer knows
-        (it restarted and lost its in-memory registry), the client
-        resubmits — completed keys come back from the persistent store,
-        only the genuinely unfinished remainder re-executes.
+        Restart-proof: when the service is down or no longer knows the
+        keys, the client resubmits — completed keys come back from the
+        persistent store, only the genuinely unfinished remainder
+        re-executes.  Raises :class:`TimeoutError` past ``timeout``.
         """
         job_list = list(job_list)
         if not job_list:
             return []
         deadline = time.monotonic() + timeout
-        keys = self.submit(job_list, deadline=deadline)
-        delay = self.poll_interval
-        while True:
-            if time.monotonic() > deadline:
-                raise ServiceError(
-                    f"timed out after {timeout:.0f}s waiting for "
-                    f"{len(keys)} jobs"
-                )
-            try:
-                doc = self.fetch(keys)
-            except OSError:
-                # Service unreachable (restarting?): back off and retry.
-                time.sleep(min(delay * 4, 1.0))
-                continue
-            kind = doc.get("type")
-            if kind == "results":
-                return [result_from_wire(wire) for wire in doc["results"]]
-            if kind == "error":
-                reason = doc.get("reason", "")
-                if reason.startswith("unknown keys"):
-                    # The service restarted mid-burst: resubmit.  Warm
-                    # keys are served from the store without recompute.
-                    self.submit(job_list, deadline=deadline)
-                    continue
-                failures = doc.get("failures") or []
-                detail = "; ".join(
-                    f"{f.get('key')}: {f.get('error')}" for f in failures[:3]
-                )
-                raise ServiceError(
-                    f"service reported failed jobs: {detail or reason}"
-                )
-            time.sleep(delay)
-            delay = min(delay * 1.5, 1.0)
+        keys = [job_key(job) for job in job_list]
+        return resubmit_until_done(
+            lambda: self.submit(job_list, deadline=deadline),
+            lambda: self._poll(keys),
+            poll=self.poll_interval,
+            max_poll=1.0,
+            timeout=timeout,
+        )
 
 
 def _retry_after(headers: dict, doc: dict) -> float:

@@ -19,22 +19,28 @@ discipline from instruction streams to :class:`SimCounters`:
 * **corruption-tolerant reads** — a torn, truncated or bit-flipped
   entry (checked by a per-entry CRC over the canonical JSON body) is a
   miss, not an error, and is removed so the next store replaces it;
-* **atomic writes** — temp file + ``os.replace``, so concurrent writers
-  (service executors, sweep workers, two racing clients) need no
-  coordination: results are deterministic, so the worst case is one
-  writer harmlessly overwriting another's bit-identical entry.
+* **atomic, durable writes** — temp file, ``fsync``, ``os.replace``,
+  then an ``fsync`` of the directory, so an entry that exists survived
+  a crash, and concurrent writers (service executors, the cluster
+  scheduler, two racing clients) need no coordination: results are
+  deterministic, so the worst case is one writer harmlessly overwriting
+  another's bit-identical entry.  A crash before the rename leaves only
+  a ``.<name>.<pid>.<tid>.tmp`` file, which reads as a miss and which
+  :func:`clear_store` removes.
 
 Entries are JSON (one file per key, ``<job_key>.vsres1``) holding the
-result's wire form (:func:`repro.cluster.serial.result_to_wire`), the
-same schema the cluster journal records — JSON round-trips every
-counter exactly, so a store-served result compares equal, bit for bit,
-to a freshly computed one.
+result's wire form (:func:`repro.cluster.serial.result_to_wire`) —
+JSON round-trips every counter exactly, so a store-served result
+compares equal, bit for bit, to a freshly computed one.  The store is
+the only persistence for results: the simulation service, the cluster
+scheduler and :func:`repro.harness.parallel.run_jobs` all read and
+write it.
 
 Configuration is via the ``REPRO_RESULT_STORE`` environment variable:
 
-* unset — **disabled** for direct harness runs (the simulation service
-  instead defaults to ``$XDG_CACHE_HOME/repro/results``, falling back
-  to ``~/.cache/repro/results`` — see :func:`default_service_dir`);
+* unset — **disabled** for direct harness runs (the servers instead
+  default to ``$XDG_CACHE_HOME/repro/results``, falling back to
+  ``~/.cache/repro/results`` — see :func:`resolve_store`);
 * a path — store under that directory (enables the
   :func:`repro.harness.parallel.run_jobs` warm-skip on every backend);
 * any falsy spelling (``off``, ``none``, ``0``, ``false``, ``no``,
@@ -53,9 +59,13 @@ from pathlib import Path
 
 ENV_VAR = "REPRO_RESULT_STORE"
 
-#: ``REPRO_RESULT_STORE`` values that turn the store off — the same
-#: falsy-spelling set ``REPRO_TRACE_CACHE`` honors.
+#: ``REPRO_RESULT_STORE`` and ``--store`` values that turn the store off
+#: — the same falsy-spelling set ``REPRO_TRACE_CACHE`` honors.
 _DISABLED_VALUES = frozenset({"", "0", "off", "none", "disabled", "false", "no"})
+
+#: A server's store setting when none is given: ``REPRO_RESULT_STORE``,
+#: else :func:`default_service_dir` (see :func:`resolve_store`).
+AUTO_STORE = "auto"
 
 #: File suffix; bump together with :data:`_VERSION` so readers of a new
 #: format never even open old-format entries.
@@ -94,9 +104,22 @@ def default_service_dir() -> Path:
     return base / "repro" / "results"
 
 
-def store_enabled() -> bool:
-    """Whether direct harness runs memoise results (env-var opt-in)."""
-    return store_dir() is not None
+def resolve_store(setting: object = AUTO_STORE) -> Path | None:
+    """A server's store directory from its setting (``None`` = disabled).
+
+    The one rule for ``repro serve --store``, ``repro cluster serve
+    --store`` and ``ServiceConfig.store``: :data:`AUTO_STORE` resolves
+    through ``REPRO_RESULT_STORE`` with :func:`default_service_dir` as
+    the default; ``None`` or a string in :data:`_DISABLED_VALUES`
+    disables the store; anything else is the directory itself.
+    """
+    if setting is None:
+        return None
+    if setting == AUTO_STORE:
+        return store_dir(default=default_service_dir())
+    if isinstance(setting, str) and setting.strip().lower() in _DISABLED_VALUES:
+        return None
+    return Path(setting).expanduser()
 
 
 def result_path(key: str, directory: Path | None = None) -> Path | None:
@@ -109,8 +132,7 @@ def result_path(key: str, directory: Path | None = None) -> Path | None:
 
 
 def _entry_crc(doc: dict) -> int:
-    """CRC of an entry's canonical text, excluding the crc field itself
-    (the journal's discipline, reused)."""
+    """CRC of an entry's canonical text, excluding the crc field itself."""
     body = {k: doc[k] for k in sorted(doc) if k != "crc"}
     return zlib.crc32(
         json.dumps(body, separators=(",", ":"), sort_keys=True).encode()
@@ -118,13 +140,14 @@ def _entry_crc(doc: dict) -> int:
 
 
 def store_result(key: str, result, directory: Path | None = None) -> Path | None:
-    """Atomically write one result under its job key; returns the path.
+    """Atomically and durably write one result under its job key;
+    returns the path.
 
     ``result`` may be a :class:`~repro.engine.sim.SimulationResult` or
-    an already-serialized wire document.
-    Returns ``None`` (and stores nothing) when the store is disabled or
-    the directory is unwritable — the store is an optimisation, never a
-    hard dependency.
+    an already-serialized wire document.  The entry and its directory
+    are ``fsync``-ed before this returns, so a caller may acknowledge
+    the result as durable.  Returns ``None`` when the store is disabled
+    or the write fails — callers then keep the result in memory.
     """
     path = result_path(key, directory)
     if path is None:
@@ -141,8 +164,16 @@ def store_result(key: str, result, directory: Path | None = None) -> Path | None
     )
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except OSError:
         try:
             tmp.unlink()
@@ -211,11 +242,10 @@ def store_entries(directory: Path | None = None) -> list[Path]:
     return sorted(Path(directory).glob(f"*{_SUFFIX}"))
 
 
-def store_info(directory: Path | None = None) -> dict:
-    """Summary of the store's location and contents."""
-    if directory is None:
-        directory = store_dir()
-    entries = store_entries(directory)
+def store_info(directory: Path | None) -> dict:
+    """Summary of a resolved store's location and contents (``None``:
+    disabled — a server's own setting, not ``REPRO_RESULT_STORE``)."""
+    entries = store_entries(directory) if directory is not None else []
     return {
         "enabled": directory is not None,
         "dir": str(directory) if directory is not None else None,
@@ -225,9 +255,15 @@ def store_info(directory: Path | None = None) -> dict:
 
 
 def clear_store(directory: Path | None = None) -> int:
-    """Delete every store entry; returns the number removed."""
+    """Delete every store entry and every temp file a crashed writer
+    left behind; returns the number of files removed."""
+    if directory is None:
+        directory = store_dir()
+    if directory is None:
+        return 0
+    leftovers = sorted(Path(directory).glob(f".*{_SUFFIX}.*.tmp"))
     removed = 0
-    for path in store_entries(directory):
+    for path in store_entries(directory) + leftovers:
         try:
             path.unlink()
             removed += 1

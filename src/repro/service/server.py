@@ -54,7 +54,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 from repro.cluster.serial import (
     job_from_blob,
@@ -64,10 +63,6 @@ from repro.cluster.serial import (
 from repro.harness import parallel
 from repro.service import results as result_store
 from repro.service.admission import FairQueue, clamp_weight
-
-#: Sentinel for ``ServiceConfig.store``: resolve via ``REPRO_RESULT_STORE``
-#: with the service's XDG default.
-AUTO_STORE = "auto"
 
 #: Execution backends the dispatcher knows how to drive.
 BACKENDS = ("serial", "pool", "cluster")
@@ -79,9 +74,10 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; read the bound port from .address
-    #: Result store: :data:`AUTO_STORE` (env var, service default dir),
-    #: a path, or ``None`` (disabled — results live only in memory).
-    store: object = AUTO_STORE
+    #: Result store: ``AUTO_STORE`` (env var, service default dir),
+    #: a path, or ``None``/a disabled spelling (results live only in
+    #: memory) — see :func:`repro.service.results.resolve_store`.
+    store: object = result_store.AUTO_STORE
     #: How admitted jobs execute: ``serial`` (inline in the dispatcher),
     #: ``pool`` (``run_jobs`` process pool, ``jobs`` wide) or
     #: ``cluster`` (the :mod:`repro.cluster` sweep service).
@@ -176,7 +172,7 @@ class SimulationService:
 
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
-        self.store_dir = self._resolve_store(self.config.store)
+        self.store_dir = result_store.resolve_store(self.config.store)
         self._lock = threading.RLock()
         self._entries: dict[str, _Entry] = {}
         self._queue = FairQueue(self.config.max_queue)
@@ -186,19 +182,6 @@ class SimulationService:
         self._threads: list[threading.Thread] = []
         self._started = time.monotonic()
         self.address: tuple[str, int] | None = None
-
-    @staticmethod
-    def _resolve_store(store: object) -> Path | None:
-        if store is None:
-            return None
-        if store == AUTO_STORE:
-            # Only the auto default consults REPRO_RESULT_STORE (path
-            # relocates, falsy spelling disables); an explicit
-            # ``ServiceConfig.store`` path means exactly that path.
-            return result_store.store_dir(
-                default=result_store.default_service_dir()
-            )
-        return Path(store).expanduser()
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -3,20 +3,24 @@
 Three layers of coverage:
 
 * Edges of the building blocks — wire framing (truncated, oversized,
-  corrupt frames), the crash-safe journal (torn tail, damaged middle,
-  duplicate keys), job content hashing and result serialization.
+  corrupt frames), the shared submit/poll/resubmit loop, job content
+  hashing and result serialization.
 * The scheduler's protocol behavior against a real socket: unknown
-  message types, duplicate results (idempotent, journaled once).
+  message types, duplicate results (idempotent, stored once), and
+  resume from the result store (an empty store, a crashed writer's
+  leftover temp file, a corrupt entry among good ones).
 * End-to-end sweeps through real worker subprocesses with injected
   faults — worker SIGKILL mid-sweep, a forced scheduler restart over
-  the journal, lease failures, frame corruption, dropped heartbeats,
-  attempt-budget exhaustion — every one asserting the repo's tentpole
-  invariant: the merged results are bit-identical to ``jobs=1``.
+  the result store, lease failures, frame corruption, dropped
+  heartbeats, attempt-budget exhaustion — every one asserting the
+  repo's tentpole invariant: the merged results are bit-identical to
+  ``jobs=1``.
 """
 
 import socket
 import struct
 import time
+from collections import Counter
 
 import pytest
 
@@ -28,7 +32,6 @@ from repro.cluster.client import (
     spawn_worker,
 )
 from repro.cluster.faults import FaultPlan
-from repro.cluster.journal import SweepJournal
 from repro.cluster.scheduler import (
     ClusterScheduler,
     SchedulerConfig,
@@ -45,6 +48,7 @@ from repro.cluster.serial import (
 from repro.core.model import GREAT_MODEL
 from repro.engine.config import ProcessorConfig
 from repro.harness.parallel import SimJob, run_jobs
+from repro.service import results as result_store
 
 _CONFIG = ProcessorConfig(issue_width=4, window_size=24)
 _LIMIT = 400
@@ -71,6 +75,19 @@ def _grid() -> list[SimJob]:
 
 def _counters(results) -> list:
     return [r.counters for r in results]
+
+
+def _recorded(tracer: SchedulerTracer) -> Counter:
+    """How many times each key's result was recorded (computed and
+    stored) across every scheduler sharing ``tracer``."""
+    return Counter(
+        detail["key"] for _, kind, detail in tracer.items()
+        if kind == "result-recorded"
+    )
+
+
+def _stored_keys(directory) -> list[str]:
+    return [path.stem for path in result_store.store_entries(directory)]
 
 
 # -- wire protocol ----------------------------------------------------------
@@ -174,6 +191,61 @@ class TestProtocol:
                 protocol.parse_address(text)
 
 
+class TestResubmitLoop:
+    """``protocol.resubmit_until_done`` with fake submit/fetch."""
+
+    def test_lost_fetch_resubmits_exactly_once(self):
+        calls = []
+        replies = iter([None, protocol.SweepLost("restarted"), None, ["r"]])
+
+        def fetch():
+            calls.append("fetch")
+            reply = next(replies)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        result = protocol.resubmit_until_done(
+            lambda: calls.append("submit"), fetch, poll=0.001, timeout=10
+        )
+        assert result == ["r"]
+        assert calls == ["submit", "fetch", "fetch",
+                         "submit", "fetch", "fetch"]
+
+    def test_server_down_at_submit_is_retried(self):
+        attempts = []
+
+        def submit():
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise ConnectionRefusedError("down")
+
+        assert protocol.resubmit_until_done(
+            submit, lambda: "done", poll=0.001, timeout=10
+        ) == "done"
+        assert len(attempts) == 2
+
+    def test_terminal_error_propagates(self):
+        def fetch():
+            raise ClusterSweepError([{"key": "k", "error": "boom",
+                                      "attempts": 3}])
+
+        submits = []
+        with pytest.raises(ClusterSweepError):
+            protocol.resubmit_until_done(
+                lambda: submits.append(1), fetch, poll=0.001, timeout=10
+            )
+        assert submits == [1]
+
+    def test_deadline_raises_timeout(self):
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            protocol.resubmit_until_done(
+                lambda: None, lambda: None, poll=0.01, timeout=0.05
+            )
+        assert time.monotonic() - start < 5.0
+
+
 # -- job identity and serialization ----------------------------------------
 
 
@@ -209,7 +281,7 @@ class TestSerial:
         import json
 
         result = run_jobs([SimJob("compress", _CONFIG, GREAT_MODEL, _LIMIT)])[0]
-        # Through actual JSON text, like the wire and the journal.
+        # Through actual JSON text, like the wire and the result store.
         restored = result_from_wire(json.loads(json.dumps(result_to_wire(result))))
         assert restored.counters == result.counters
         assert restored.config == result.config
@@ -220,8 +292,6 @@ class TestSerial:
 
     def test_documents_with_engine_path_still_read(self, tmp_path):
         import json
-
-        from repro.service import results as result_store
 
         job = SimJob("compress", _CONFIG, GREAT_MODEL, _LIMIT)
         result = run_jobs([job])[0]
@@ -238,76 +308,6 @@ class TestSerial:
         keys = [job_key(j) for j in _grid()]
         assert sweep_id_for(keys) == sweep_id_for(list(keys))
         assert sweep_id_for(keys) != sweep_id_for(keys[:-1])
-
-
-# -- the journal ------------------------------------------------------------
-
-
-class TestJournal:
-    def test_append_replay_roundtrip(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal:
-            journal.append("k1", {"cycles": 10}, attempt=1, worker="w1")
-            journal.append("k2", {"cycles": 20}, attempt=2, worker="w2")
-        replayed = SweepJournal(path).replay()
-        assert set(replayed) == {"k1", "k2"}
-        assert replayed["k1"]["result"] == {"cycles": 10}
-        assert replayed["k2"]["attempt"] == 2
-
-    def test_missing_file_is_empty_sweep(self, tmp_path):
-        journal = SweepJournal(tmp_path / "absent.jsonl")
-        assert journal.replay() == {}
-        assert journal.records() == []
-
-    def test_duplicate_keys_first_wins(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal:
-            journal.append("k1", {"cycles": 10})
-            journal.append("k1", {"cycles": 10})
-        replayed = SweepJournal(path).replay()
-        assert list(replayed) == ["k1"]
-
-    def test_torn_final_record_dropped_and_resumable(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal:
-            journal.append("k1", {"cycles": 10})
-            journal.append("k2", {"cycles": 20})
-        # Crash mid-append: the last record loses its tail bytes.
-        data = path.read_bytes()
-        path.write_bytes(data[:-7])
-        resumed = SweepJournal(path)
-        assert set(resumed.replay()) == {"k1"}
-        assert resumed.discarded == 0  # torn tail is expected, not damage
-        # Resuming the writer truncates the torn bytes before appending.
-        resumed.append("k3", {"cycles": 30})
-        resumed.close()
-        assert set(SweepJournal(path).replay()) == {"k1", "k3"}
-
-    def test_torn_record_without_newline_dropped(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal:
-            journal.append("k1", {"cycles": 10})
-        with open(path, "ab") as fh:
-            fh.write(b'{"key": "k2", "unterminated')  # no newline
-        assert set(SweepJournal(path).replay()) == {"k1"}
-
-    def test_damaged_middle_stops_replay(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with SweepJournal(path) as journal:
-            journal.append("k1", {"cycles": 10})
-            journal.append("k2", {"cycles": 20})
-            journal.append("k3", {"cycles": 30})
-        lines = path.read_bytes().split(b"\n")
-        # Flip bytes inside the middle record: CRC no longer matches.
-        lines[1] = lines[1][:12] + b"XX" + lines[1][14:]
-        path.write_bytes(b"\n".join(lines))
-        damaged = SweepJournal(path)
-        assert set(damaged.replay()) == {"k1"}
-        assert damaged.discarded == 1  # k3 was intact but after damage
-        # The next writer truncates back to the last good record.
-        damaged.append("k4", {"cycles": 40})
-        damaged.close()
-        assert set(SweepJournal(path).replay()) == {"k1", "k4"}
 
 
 # -- scheduler protocol behavior -------------------------------------------
@@ -337,9 +337,10 @@ class TestSchedulerProtocol:
         job = SimJob("compress", _CONFIG, None, _LIMIT)
         key = job_key(job)
         wire = result_to_wire(run_jobs([job])[0])
-        journal_path = tmp_path / "journal.jsonl"
-        config = SchedulerConfig(journal_path=journal_path, **_FAST)
-        with ClusterScheduler(config) as scheduler:
+        store = tmp_path / "store"
+        tracer = SchedulerTracer()
+        config = SchedulerConfig(store_dir=store, **_FAST)
+        with ClusterScheduler(config, tracer=tracer) as scheduler:
             with protocol.connect(scheduler.address) as sock:
                 protocol.request(sock, {
                     "type": "submit",
@@ -353,9 +354,93 @@ class TestSchedulerProtocol:
                           "attempt": 1, "ok": True, "result": wire}
                 first = protocol.request(sock, report)
                 duplicate = protocol.request(sock, dict(report, attempt=2))
+                status = protocol.request(sock, {"type": "status"})
         assert first["type"] == "ok" and "duplicate" not in first
         assert duplicate["type"] == "ok" and duplicate["duplicate"] is True
-        assert [r["key"] for r in SweepJournal(journal_path).records()] == [key]
+        assert _recorded(tracer) == {key: 1}
+        assert _stored_keys(store) == [key]
+        assert result_store.load_wire(key, store) == wire
+        assert status["store"]["dir"] == str(store)
+        assert status["store"]["entries"] == 1
+
+    def test_failed_store_write_keeps_result_in_memory(self, tmp_path):
+        job = SimJob("compress", _CONFIG, None, _LIMIT)
+        key = job_key(job)
+        wire = result_to_wire(run_jobs([job])[0])
+        unwritable = tmp_path / "a-file"
+        unwritable.write_text("not a directory")
+        tracer = SchedulerTracer()
+        config = SchedulerConfig(store_dir=unwritable, **_FAST)
+        with ClusterScheduler(config, tracer=tracer) as scheduler:
+            ClusterClient(scheduler.address).submit([job])
+            with protocol.connect(scheduler.address) as sock:
+                lease = protocol.request(sock, {"type": "lease",
+                                                "worker_id": "w1"})
+                assert lease["key"] == key
+                ack = protocol.request(sock, {
+                    "type": "result", "worker_id": "w1", "key": key,
+                    "attempt": 1, "ok": True, "result": wire,
+                })
+            fetched = ClusterClient(scheduler.address).fetch(
+                sweep_id_for([key])
+            )
+        assert ack["type"] == "ok"
+        assert "store-write-failed" in tracer.kinds()
+        assert _counters(fetched) == [result_from_wire(wire).counters]
+
+
+class TestResumeFromStore:
+    """A scheduler over a result store resumes at submit time: stored
+    keys come back ``done``/``replayed``, everything else is computed.
+    The store's damaged-state cases map to the scheduler here."""
+
+    def test_empty_store_is_a_fresh_sweep(self, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        with ClusterScheduler(SchedulerConfig(store_dir=store,
+                                              **_FAST)) as scheduler:
+            receipt = ClusterClient(scheduler.address).submit(_grid())
+        assert receipt["total"] == len(_grid())
+        assert receipt["completed"] == receipt["replayed"] == 0
+        assert _stored_keys(store) == []
+
+    def test_leftover_temp_file_is_a_miss(self, tmp_path):
+        # A writer that crashed between its temp-file write and the
+        # rename leaves a temp file and no entry: the key is recomputed.
+        grid = _grid()[:2]
+        store = tmp_path / "store"
+        stored_key, torn_key = (job_key(j) for j in grid)
+        result_store.store_result(stored_key, {"cycles": 10}, store)
+        leftover = store / f".{torn_key}.vsres1.4242.17.tmp"
+        leftover.write_bytes(b'{"v":1,"key":"' + torn_key.encode())
+        with ClusterScheduler(SchedulerConfig(store_dir=store,
+                                              **_FAST)) as scheduler:
+            receipt = ClusterClient(scheduler.address).submit(grid)
+            status = ClusterClient(scheduler.address).status()
+        assert receipt["replayed"] == receipt["completed"] == 1
+        assert status["jobs"]["pending"] == 1
+        assert status["store"]["entries"] == 1
+
+    def test_corrupt_entry_recomputed_good_entries_replayed(self, tmp_path):
+        grid = _grid()
+        serial = run_jobs(grid, jobs=1)
+        store = tmp_path / "store"
+        keys = [job_key(j) for j in grid]
+        for key, result in zip(keys, serial):
+            result_store.store_result(key, result, store)
+        damaged = result_store.result_path(keys[1], store)
+        raw = damaged.read_bytes()
+        middle = len(raw) // 2
+        damaged.write_bytes(raw[:middle] + b"XX" + raw[middle + 2:])
+        tracer = SchedulerTracer()
+        config = SchedulerConfig(store_dir=store, **_FAST)
+        with LocalCluster(config, workers=1, tracer=tracer) as cluster:
+            receipt = cluster.client().submit(grid)
+            results = cluster.client().run(grid, poll=0.05, timeout=120)
+        assert receipt["replayed"] == len(grid) - 1
+        assert _counters(results) == _counters(serial)
+        assert _recorded(tracer) == {keys[1]: 1}
+        assert sorted(_stored_keys(store)) == sorted(keys)
 
 
 # -- end-to-end sweeps with injected faults --------------------------------
@@ -372,54 +457,59 @@ class TestClusterSweeps:
     def test_worker_killed_mid_sweep(self, tmp_path):
         grid = _grid()
         serial = run_jobs(grid, jobs=1)
-        journal_path = tmp_path / "journal.jsonl"
+        store = tmp_path / "store"
         tracer = SchedulerTracer()
-        config = SchedulerConfig(journal_path=journal_path, **_FAST)
+        config = SchedulerConfig(store_dir=store, **_FAST)
+        # Worker 1's frames are slowed so it cannot drain the grid before
+        # worker 0 has started and taken (and died on) its first lease.
         with LocalCluster(
             config,
             workers=2,
-            worker_faults={0: FaultPlan(kill_on_lease=1)},
+            worker_faults={0: FaultPlan(kill_on_lease=1),
+                           1: FaultPlan(delay_frame_s=0.2)},
             tracer=tracer,
         ) as cluster:
             results = cluster.client().run(grid, poll=0.05, timeout=120)
         assert _counters(results) == _counters(serial)
         # The kill was detected and the orphaned job requeued.
         assert {"worker-dead", "job-requeued"} & tracer.kinds()
-        journaled = [r["key"] for r in SweepJournal(journal_path).records()]
-        assert sorted(journaled) == sorted(job_key(j) for j in grid)
+        keys = sorted(job_key(j) for j in grid)
+        assert sorted(_recorded(tracer).elements()) == keys
+        assert sorted(_stored_keys(store)) == keys
 
     def test_scheduler_restart_resumes_without_recompute(self, tmp_path):
         """The acceptance scenario: kill the scheduler mid-sweep, restart
-        it over the same journal, and finish — bit-identical to serial,
-        with every pre-restart point replayed from disk, not re-run."""
+        it over the same result store, and finish — bit-identical to
+        serial, with every pre-restart point replayed from disk, not
+        re-run."""
         grid = _grid()
         serial = run_jobs(grid, jobs=1)
-        journal_path = tmp_path / "journal.jsonl"
-        first = ClusterScheduler(SchedulerConfig(journal_path=journal_path,
-                                                 **_FAST))
+        store = tmp_path / "store"
+        tracer = SchedulerTracer()  # shared: counts span the restart
+        first = ClusterScheduler(SchedulerConfig(store_dir=store, **_FAST),
+                                 tracer=tracer)
         address = first.start()
         workers = [spawn_worker(address, reconnect_deadline=60.0)
                    for _ in range(2)]
         client = ClusterClient(address)
         try:
             client.submit(grid)
-            reader = SweepJournal(journal_path)
             deadline = time.monotonic() + 60.0
-            while not reader.replay():
+            while not _stored_keys(store):
                 assert time.monotonic() < deadline, "no progress before kill"
                 time.sleep(0.05)
             first.stop()  # forced restart: drop all in-memory state
-            pre_restart = set(reader.replay())
+            pre_restart = set(_stored_keys(store))
 
             second = ClusterScheduler(
-                SchedulerConfig(port=address[1], journal_path=journal_path,
-                                **_FAST)
+                SchedulerConfig(port=address[1], store_dir=store, **_FAST),
+                tracer=tracer,
             )
             second.start()
             try:
                 receipt = client.submit(grid)
                 # Every point completed before the restart was replayed
-                # from the journal — zero of them recomputed.
+                # from the store — zero of them recomputed.
                 assert receipt["replayed"] >= len(pre_restart)
                 results = client.run(grid, poll=0.05, timeout=120)
             finally:
@@ -433,11 +523,12 @@ class TestClusterSweeps:
                     process.kill()
                     process.wait()
         assert _counters(results) == _counters(serial)
-        # Each key journaled exactly once: completions were never redone
-        # and duplicates were never re-acknowledged into the journal.
-        journaled = [r["key"] for r in SweepJournal(journal_path).records()]
-        assert len(journaled) == len(set(journaled)) == len(grid)
-        assert pre_restart <= set(journaled)
+        # Each key recorded exactly once across both schedulers:
+        # completions were never redone and duplicates never re-stored.
+        keys = sorted(job_key(j) for j in grid)
+        assert sorted(_recorded(tracer).elements()) == keys
+        assert sorted(_stored_keys(store)) == keys
+        assert pre_restart <= set(keys)
 
     def test_injected_lease_failures_are_retried(self):
         grid = _grid()[:2]

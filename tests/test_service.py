@@ -68,7 +68,6 @@ class TestResultStore:
     def test_disabled_paths_are_none(self, monkeypatch):
         monkeypatch.delenv(rs.ENV_VAR, raising=False)
         assert rs.store_dir() is None
-        assert not rs.store_enabled()
         assert rs.result_path("ab" * 12) is None
         assert rs.store_result("ab" * 12, {"cycles": 1}) is None
         assert rs.load_wire("ab" * 12) is None
@@ -181,6 +180,82 @@ class TestResultStore:
         assert rs.clear_store(tmp_path) == 1
         assert rs.store_entries(tmp_path) == []
 
+    def test_write_is_fsynced_around_the_rename(self, computed, tmp_path,
+                                                monkeypatch):
+        import os
+        import stat
+
+        job, result = computed
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(rs.os, "fsync", fsync)
+        monkeypatch.setattr(rs.os, "replace", replace)
+        key = job_key(job)
+        rs.store_result(key, result, tmp_path)
+        # The entry's bytes are durable before it becomes visible, and
+        # its directory entry is durable before the call returns.
+        assert calls == [("fsync", False), ("replace", key + ".vsres1"),
+                         ("fsync", True)]
+
+    def test_clear_removes_crash_leftovers(self, computed, tmp_path):
+        # A writer killed between its temp-file write and the rename
+        # leaves a dot-prefixed temp file: a miss to readers, and gone
+        # after a clear.
+        job, result = computed
+        key = job_key(job)
+        rs.store_result(key, result, tmp_path)
+        leftover = tmp_path / f".{key}.vsres1.4242.17.tmp"
+        leftover.write_bytes(b'{"v":1,"key"')
+        unrelated = tmp_path / "notes.txt"
+        unrelated.write_text("kept")
+        assert len(rs.store_entries(tmp_path)) == 1
+        assert rs.clear_store(tmp_path) == 2
+        assert not leftover.exists()
+        assert unrelated.exists()
+        assert rs.load_wire(key, tmp_path) is None
+
+    @pytest.mark.parametrize(
+        "spelling", ["off", "none", "0", "false", "no", "disabled", ""]
+    )
+    def test_disabled_spellings_turn_the_store_off(
+        self, spelling, tmp_path, monkeypatch
+    ):
+        from repro.cli import _store_option, build_parser
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_RESULT_STORE", spelling)
+        assert rs.store_dir() is None
+        assert rs.resolve_store() is None
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "env"))
+        assert rs.resolve_store(spelling.upper()) is None
+        assert SimulationService(ServiceConfig(store=spelling)).store_dir is None
+        for command in (["serve"], ["cluster", "serve"]):
+            args = build_parser().parse_args([*command, "--store", spelling])
+            assert _store_option(args) is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_option_default_and_path(self, tmp_path, monkeypatch):
+        from repro.cli import _store_option, build_parser
+
+        parser = build_parser()
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "env"))
+        for command in (["serve"], ["cluster", "serve"]):
+            assert _store_option(parser.parse_args(command)) == tmp_path / "env"
+            args = parser.parse_args([*command, "--store", str(tmp_path / "s")])
+            assert _store_option(args) == tmp_path / "s"
+        monkeypatch.delenv("REPRO_RESULT_STORE")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert rs.resolve_store() == tmp_path / "xdg" / "repro" / "results"
+
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_SNAPSHOTS = sorted(GOLDEN_DIR.glob("*.json"))
@@ -257,7 +332,7 @@ class TestRunJobsStore:
 
     def test_unset_env_disables_for_harness(self, monkeypatch):
         monkeypatch.delenv(rs.ENV_VAR, raising=False)
-        assert not rs.store_enabled()
+        assert rs.store_dir() is None
 
 
 # -- the admission queue ---------------------------------------------------
