@@ -62,7 +62,7 @@ from repro.core.variables import (
 )
 from repro.core.events import EventLog, LatencyEventKind, SpecEventKind
 from repro.engine.config import ProcessorConfig
-from repro.isa.opcodes import INSTRUCTION_BYTES, OpClass
+from repro.isa.opcodes import OpClass
 from repro.frontend.fetch import FetchEngine
 from repro.frontend.gshare import GsharePredictor
 from repro.mem.hierarchy import MemoryHierarchy, make_paper_hierarchy
@@ -79,11 +79,6 @@ from repro.window.selection import select
 from repro.window.station import Operand, Station
 from repro.window.taintmask import TaintBitAllocator
 from repro.window.wakeup import operand_state_labels
-
-#: PC -> table-index shift used by the fused value-prediction fast path
-#: (the same shift the predictor and confidence tables use internally).
-_VP_PC_SHIFT = INSTRUCTION_BYTES.bit_length() - 1
-_MASK64 = (1 << 64) - 1
 
 # Event kinds on the timing heap.
 _RESULT = 0
@@ -287,48 +282,6 @@ class PipelineSimulator:
             self._conf_update = self.confidence.update
         else:
             self._conf_confident = self._conf_update = None
-        #: Fused fast path for the default model stack — exact types only
-        #: (a subclass could override any of the methods being inlined),
-        #: delayed update timing, exact equality.  When it applies,
-        #: ``_dispatch`` inlines prediction, and the predictor's and
-        #: confidence table's internals are hoisted for the dispatch- and
-        #: retire-side inlines.  Behaviour is bit-identical either way
-        #: (the golden-counter tests run both stacks).
-        self._fast_vp = (
-            type(self.predictor) is ContextValuePredictor
-            and type(self.confidence) is ResettingConfidenceEstimator
-            and self._vp_delayed
-            and not self._eq_shift
-        )
-        if self._fast_vp:
-            self._fconf_counters = self.confidence._counters
-            self._fconf_mask = self.confidence._mask
-            self._fconf_max = self.confidence.max_count
-            # Predictor table internals, hoisted once so the fused
-            # predict path performs no repeated attribute chains (the
-            # containers are never rebound by ContextValuePredictor,
-            # only mutated in place; ``_next_token`` is an int and must
-            # keep living on the predictor).
-            vp = self.predictor
-            self._fvp_stats = vp.stats
-            self._fvp_l1_mask = vp._l1_mask
-            self._fvp_entries = vp._entries
-            self._fvp_fresh = vp._fresh
-            self._fvp_ctx_mask = vp._ctx_mask
-            self._fvp_values = vp._values
-            self._fvp_folds = vp._value_folds
-            self._fvp_spec = vp._spec
-            self._fvp_order = vp.order
-            # Train-side internals for the retire-side inline (same
-            # never-rebound guarantee as the predict-side hoists above).
-            self._fvp_counters = vp._counters
-            self._fvp_fold16_ok = vp._fold16_ok
-            self._fvp_consume = vp._consume_speculative
-            self._fvp_walk = vp._walk_live
-        else:
-            self._fconf_counters = None
-            self._fconf_mask = self._fconf_max = 0
-            self._fvp_fold16_ok = False
 
         self.cycle = 0
         self._next_sid = 0
@@ -715,32 +668,9 @@ class PipelineSimulator:
         # Order-sensitive selection policies keep the unconditional insert
         # so pool iteration order stays byte-identical.
         pool_all = not self._sel_paper
-        # Fused value-prediction inline (the ``_fast_vp`` selection in
-        # __init__; bit-identical to _predict_value): with the
-        # default stack active, the whole predict+confidence body runs here
-        # with every table hoisted to a local — zero calls per prediction.
-        fast_vp = vp_on and self._fast_vp
-        if fast_vp:
-            predictor = self.predictor
-            fvp_stats = self._fvp_stats
-            fvp_l1_mask = self._fvp_l1_mask
-            fvp_entries = self._fvp_entries
-            fvp_fresh = self._fvp_fresh
-            fvp_ctx_mask = self._fvp_ctx_mask
-            fvp_values = self._fvp_values
-            fvp_folds = self._fvp_folds
-            fvp_spec = self._fvp_spec
-            fvp_order = self._fvp_order
-            fconf_counters = self._fconf_counters
-            fconf_mask = self._fconf_mask
-            fconf_max = self._fconf_max
-            alloc_taint_mask = self._alloc_taint_mask
-            vp_shift = _VP_PC_SHIFT
         # Per-instruction counters accumulate in locals and flush once
         # after the loop (an attribute RMW per instruction is overhead).
         n_wrong = n_branches = n_mispred = n_loads = n_stores = 0
-        n_lookups = n_pred = n_pred_correct = 0
-        n_ch = n_cl = n_ih = n_il = n_specd = n_misspec = 0
         while dispatched < width:
             if not fetch_queue:
                 if dispatched == 0 and not self.fetch_engine.exhausted:
@@ -869,81 +799,7 @@ class PipelineSimulator:
                 and (predict_all or self._prediction_eligible(rec))
                 and (vp_unlimited or self._vp_port_available())
             ):
-                if fast_vp:
-                    # ContextValuePredictor.predict_speculate and
-                    # ResettingConfidenceEstimator.confident, inlined (kept
-                    # in lockstep; the golden-counter tests pin
-                    # bit-identical behaviour).
-                    actual = rec.dest_value
-                    pc = rec.pc
-                    n_lookups += 1
-                    index = (pc >> vp_shift) & fvp_l1_mask
-                    entry = fvp_entries.get(index)
-                    if entry is None:
-                        entry = fvp_entries[index] = fvp_fresh.copy()
-                    unmasked = entry[0]
-                    ctx = unmasked & fvp_ctx_mask
-                    predicted = fvp_values[ctx]
-                    fold = fvp_folds[ctx]
-                    token = predictor._next_token
-                    predictor._next_token = token + 1
-                    spec = fvp_spec.get(index)
-                    if spec is None:
-                        spec = fvp_spec[index] = []
-                    depth = len(spec)
-                    if depth < fvp_order:
-                        # Entry layout: [live, committed, head, folds…,
-                        # values…].
-                        oldest = entry[3 + (entry[2] + depth) % fvp_order]
-                    else:
-                        oldest = spec[depth - fvp_order][2]
-                    entry[0] = (
-                        ((unmasked ^ oldest) >> 1)
-                        ^ (fold << (fvp_order - 1))
-                    )
-                    spec.append((token, predicted, fold))
-
-                    pred_correct = predicted == actual
-                    confident = (
-                        fconf_counters[(pc >> vp_shift) & fconf_mask]
-                        == fconf_max
-                    )
-                    n_pred += 1
-                    if pred_correct:
-                        n_pred_correct += 1
-                        if confident:
-                            n_ch += 1
-                        else:
-                            n_cl += 1
-                    elif confident:
-                        n_ih += 1
-                    else:
-                        n_il += 1
-                    station.pending_train = (
-                        pc, actual, pred_correct, token, rec.dest_fold,
-                    )
-                    if confident:
-                        station.predicted = True
-                        station.predicted_confident = True
-                        station.pred_correct = pred_correct
-                        station.out_ready = True
-                        station.taint_mask = alloc_taint_mask(station)
-                        station.out_taints = station.taint_mask
-                        station.out_correct = pred_correct
-                        n_specd += 1
-                        if not pred_correct:
-                            n_misspec += 1
-                        if log_on:
-                            self.log.emit(
-                                rec.seq, SpecEventKind.PREDICT, cycle
-                            )
-                        if obs_on:
-                            self._trc_mark(
-                                cycle, rec.seq, sid, "predict",
-                                "correct" if pred_correct else "incorrect",
-                            )
-                else:
-                    self._predict_value(station)
+                self._predict_value(station)
 
             if rec.is_branch and not wrong_path:
                 n_branches += 1
@@ -988,16 +844,6 @@ class PipelineSimulator:
             counters.branch_mispredictions += n_mispred
             counters.loads += n_loads
             counters.stores += n_stores
-        if n_lookups:
-            fvp_stats.lookups += n_lookups
-            counters.predictions += n_pred
-            counters.predictions_correct += n_pred_correct
-            counters.correct_high += n_ch
-            counters.correct_low += n_cl
-            counters.incorrect_high += n_ih
-            counters.incorrect_low += n_il
-            counters.speculated += n_specd
-            counters.misspeculations += n_misspec
 
     _LONG_LATENCY_CLASSES = frozenset(
         (
@@ -2163,26 +2009,7 @@ class PipelineSimulator:
         counters = self.counters
         log_on = self._log_on
         obs_on = self._obs_on
-        fast_conf = self._fconf_counters
-        conf_mask = self._fconf_mask
-        conf_max = self._fconf_max
         lsq = self.lsq
-        # Retire-side train inline: applies on the fast stack when the
-        # 16-bit fold carried by pending_train matches the predictor's
-        # context width (always true for the paper configuration).
-        fast_train = fast_conf is not None and self._fvp_fold16_ok
-        if fast_train:
-            vp_l1_mask = self._fvp_l1_mask
-            vp_entries = self._fvp_entries
-            vp_fresh = self._fvp_fresh
-            vp_ctx_mask = self._fvp_ctx_mask
-            vp_values = self._fvp_values
-            vp_vfolds = self._fvp_folds
-            vp_counters = self._fvp_counters
-            vp_order = self._fvp_order
-            vp_spec_map = self._fvp_spec
-            vp_consume = self._fvp_consume
-            vp_walk = self._fvp_walk
         # One bounded snapshot of the window head replaces a fresh
         # ``next(iter(...))`` per retirement (we delete exactly the heads
         # we iterate, in order, so the snapshot stays the live head run).
@@ -2241,58 +2068,8 @@ class PipelineSimulator:
             pending = head.pending_train
             if pending is not None:
                 pc, actual, pred_correct, token, fold16 = pending
-                if fast_train:
-                    # ContextValuePredictor.train, inlined (kept in
-                    # lockstep with vp/context.py; the fused predict path
-                    # guarantees token and fold16 are present).
-                    actual &= _MASK64
-                    index = (pc >> _VP_PC_SHIFT) & vp_l1_mask
-                    entry = vp_entries.get(index)
-                    if entry is None:
-                        entry = vp_entries[index] = vp_fresh.copy()
-                    committed = entry[1]
-                    ctx = committed & vp_ctx_mask
-                    if vp_values[ctx] == actual:
-                        vp_counters[ctx] = 1
-                    elif vp_counters[ctx]:
-                        vp_counters[ctx] = 0
-                    else:
-                        vp_values[ctx] = actual
-                        vp_vfolds[ctx] = fold16
-                    ring_head = entry[2]
-                    slot = 3 + ring_head
-                    committed = (
-                        ((committed ^ entry[slot]) >> 1)
-                        ^ (fold16 << (vp_order - 1))
-                    )
-                    entry[1] = committed
-                    entry[slot] = fold16
-                    entry[slot + vp_order] = actual
-                    ring_head += 1
-                    entry[2] = 0 if ring_head == vp_order else ring_head
-                    spec = vp_spec_map.get(index) if vp_spec_map else None
-                    if spec:
-                        vp_consume(spec, token, actual)
-                        if not spec:
-                            del vp_spec_map[index]
-                            entry[0] = committed
-                        else:
-                            entry[0] = vp_walk(entry, spec)
-                    else:
-                        entry[0] = committed
-                else:
-                    self._vp_train(pc, actual, token, fold16)
-                if fast_conf is not None:
-                    # ResettingConfidenceEstimator.update, inlined (the
-                    # ``_fast_vp`` stack guarantees the exact type).
-                    cidx = (pc >> _VP_PC_SHIFT) & conf_mask
-                    if pred_correct:
-                        if fast_conf[cidx] < conf_max:
-                            fast_conf[cidx] += 1
-                    else:
-                        fast_conf[cidx] = 0
-                else:
-                    self._conf_update(pc, pred_correct)
+                self._vp_train(pc, actual, token, fold16)
+                self._conf_update(pc, pred_correct)
             if log_on:
                 self.log.emit(rec.seq, SpecEventKind.RETIRE, cycle)
             if obs_on:

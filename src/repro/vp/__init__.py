@@ -17,7 +17,7 @@ predictor with the correct value right after each prediction; *delayed*
 into the history table at prediction time.
 """
 
-from repro.vp.base import ValuePredictor, PredictorStats
+from repro.vp.base import ValuePredictor
 from repro.vp.context import ContextValuePredictor
 from repro.vp.last_value import LastValuePredictor
 from repro.vp.stride import StridePredictor
@@ -34,7 +34,6 @@ from repro.vp.update_timing import UpdateTiming
 
 __all__ = [
     "ValuePredictor",
-    "PredictorStats",
     "ContextValuePredictor",
     "LastValuePredictor",
     "StridePredictor",

@@ -3,50 +3,30 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-
-
-@dataclass
-class PredictorStats:
-    """Outcome counters for a value predictor."""
-
-    lookups: int = 0
-    correct: int = 0
-    incorrect: int = 0
-
-    @property
-    def resolved(self) -> int:
-        return self.correct + self.incorrect
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.resolved if self.resolved else 0.0
 
 
 class ValuePredictor(abc.ABC):
     """A PC-indexed predictor of instruction output values.
 
-    The engine drives predictors through three calls, matching the paper's
-    two update-timing policies (Section 5.2):
+    The engine drives predictors through these calls, matching the
+    paper's two update-timing policies (Section 5.2):
 
-    * :meth:`predict` at dispatch — returns the predicted output value.
-
-    * Under **immediate** (I) timing the engine calls
-      ``train(pc, actual)`` right away: internal history advances with the
-      correct value and the prediction structures learn instantly.
+    * Under **immediate** (I) timing the engine calls :meth:`predict` at
+      dispatch and then ``train(pc, actual, None, fold16)`` right away:
+      internal history advances with the correct value and the
+      prediction structures learn instantly.
 
     * Under **delayed** (D) timing the engine calls
-      ``token = speculate(pc, predicted)`` at dispatch — the history is
-      updated *speculatively with the prediction* (and never repaired) —
-      and ``train(pc, actual, token)`` at retirement, which trains the
-      prediction structures using the context that was live at prediction
-      time without touching the history again.
+      ``predicted, token = predict_speculate(pc)`` at dispatch — the
+      history is updated *speculatively with the prediction* (and never
+      repaired) — and ``train(pc, actual, token, fold16)`` at
+      retirement, which trains the prediction structures using the
+      context that was live at prediction time without touching the
+      history again.
 
-    ``record_outcome`` is bookkeeping only (accuracy statistics).
+    * When a squash removes an in-flight delayed-timing prediction the
+      engine calls :meth:`flush_speculative` for its PC.
     """
-
-    def __init__(self) -> None:
-        self.stats = PredictorStats()
 
     @abc.abstractmethod
     def predict(self, pc: int) -> int:
@@ -89,9 +69,3 @@ class ValuePredictor(abc.ABC):
     def flush_speculative(self, pc: int) -> None:
         """Hook for squash recovery; predictors whose speculative state
         self-corrects (the paper's choice) need not override."""
-
-    def record_outcome(self, correct: bool) -> None:
-        if correct:
-            self.stats.correct += 1
-        else:
-            self.stats.incorrect += 1

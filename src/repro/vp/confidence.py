@@ -10,7 +10,6 @@ maximum."  The evaluated configuration uses 64K entries of 3-bit counters.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 from repro.isa.opcodes import INSTRUCTION_BYTES
 
@@ -21,39 +20,8 @@ _PC_SHIFT = INSTRUCTION_BYTES.bit_length() - 1
 assert 1 << _PC_SHIFT == INSTRUCTION_BYTES
 
 
-@dataclass
-class ConfidenceStats:
-    """Counts of (confidence, outcome) pairs — the raw material of Fig. 4."""
-
-    correct_high: int = 0  # CH
-    correct_low: int = 0  # CL
-    incorrect_high: int = 0  # IH
-    incorrect_low: int = 0  # IL
-
-    @property
-    def total(self) -> int:
-        return (
-            self.correct_high
-            + self.correct_low
-            + self.incorrect_high
-            + self.incorrect_low
-        )
-
-    def fractions(self) -> dict[str, float]:
-        total = self.total or 1
-        return {
-            "CH": self.correct_high / total,
-            "CL": self.correct_low / total,
-            "IH": self.incorrect_high / total,
-            "IL": self.incorrect_low / total,
-        }
-
-
 class ConfidenceEstimator(abc.ABC):
     """Assigns high/low confidence to each value prediction."""
-
-    def __init__(self) -> None:
-        self.stats = ConfidenceStats()
 
     @abc.abstractmethod
     def confident(self, pc: int, prediction_correct: bool) -> bool:
@@ -66,17 +34,6 @@ class ConfidenceEstimator(abc.ABC):
     @abc.abstractmethod
     def update(self, pc: int, correct: bool) -> None:
         """Learn a resolved prediction outcome."""
-
-    def record(self, confident: bool, correct: bool) -> None:
-        """Accumulate the CH/CL/IH/IL breakdown."""
-        if correct and confident:
-            self.stats.correct_high += 1
-        elif correct:
-            self.stats.correct_low += 1
-        elif confident:
-            self.stats.incorrect_high += 1
-        else:
-            self.stats.incorrect_low += 1
 
 
 class SaturatingConfidenceEstimator(ConfidenceEstimator):
@@ -96,7 +53,6 @@ class SaturatingConfidenceEstimator(ConfidenceEstimator):
         threshold: int | None = None,
         down_step: int = 1,
     ):
-        super().__init__()
         if table_bits <= 0 or counter_bits <= 0:
             raise ValueError("table_bits and counter_bits must be positive")
         if down_step <= 0:
@@ -141,7 +97,6 @@ class HistoryConfidenceEstimator(ConfidenceEstimator):
     """
 
     def __init__(self, table_bits: int = 16, history_bits: int = 4):
-        super().__init__()
         if table_bits <= 0 or history_bits <= 0:
             raise ValueError("table_bits and history_bits must be positive")
         self.history_bits = history_bits
@@ -183,7 +138,6 @@ class ResettingConfidenceEstimator(ConfidenceEstimator):
     """The paper's realistic estimator: PC-indexed resetting counters."""
 
     def __init__(self, table_bits: int = 16, counter_bits: int = 3):
-        super().__init__()
         if table_bits <= 0 or counter_bits <= 0:
             raise ValueError("table_bits and counter_bits must be positive")
         self.table_bits = table_bits

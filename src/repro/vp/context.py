@@ -97,7 +97,6 @@ class ContextValuePredictor(ValuePredictor):
         context_bits: int = 16,
         order: int = 4,
     ):
-        super().__init__()
         if order < 1:
             raise ValueError("order must be >= 1")
         if history_bits <= 0 or context_bits <= 0:
@@ -162,15 +161,6 @@ class ContextValuePredictor(ValuePredictor):
     # -- ValuePredictor interface --------------------------------------------
 
     def predict(self, pc: int) -> int:
-        self.stats.lookups += 1
-        entry = self._entries.get((pc >> _PC_SHIFT) & self._l1_mask)
-        if entry is None:
-            return self._values[0]
-        return self._values[entry[_LIVE] & self._ctx_mask]
-
-    def peek(self, pc: int) -> int:
-        """:meth:`predict` without touching the lookup statistics (used by
-        composite predictors that sample component predictions)."""
         entry = self._entries.get((pc >> _PC_SHIFT) & self._l1_mask)
         if entry is None:
             return self._values[0]
@@ -182,7 +172,6 @@ class ContextValuePredictor(ValuePredictor):
         so the whole call performs no value folding at all.  The O(1)
         live-context advance is inlined — this is the hottest
         delayed-timing entry point."""
-        self.stats.lookups += 1
         index = (pc >> _PC_SHIFT) & self._l1_mask
         entries = self._entries
         entry = entries.get(index)

@@ -18,12 +18,10 @@ class FixedValuePredictor(ValuePredictor):
     that never matches (so confidence gating keeps them unspeculated)."""
 
     def __init__(self, values_by_pc: dict[int, int], default: int = 0xDEAD_BEEF):
-        super().__init__()
         self.values_by_pc = {pc: v & _MASK64 for pc, v in values_by_pc.items()}
         self.default = default & _MASK64
 
     def predict(self, pc: int) -> int:
-        self.stats.lookups += 1
         return self.values_by_pc.get(pc, self.default)
 
     def speculate(self, pc: int, predicted: int) -> None:
@@ -53,7 +51,6 @@ class ConfidentForPCs(ConfidenceEstimator):
     """Speculate only on a scripted set of PCs."""
 
     def __init__(self, pcs: set[int]):
-        super().__init__()
         self.pcs = set(pcs)
 
     def confident(self, pc: int, prediction_correct: bool) -> bool:

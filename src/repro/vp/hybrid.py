@@ -21,7 +21,6 @@ class HybridPredictor(ValuePredictor):
     """Chooser-arbitrated context + stride predictor."""
 
     def __init__(self, table_bits: int = 16, order: int = 4):
-        super().__init__()
         self.context = ContextValuePredictor(
             history_bits=table_bits, context_bits=table_bits, order=order
         )
@@ -34,7 +33,6 @@ class HybridPredictor(ValuePredictor):
         return (pc >> _PC_SHIFT) & self._chooser_mask
 
     def predict(self, pc: int) -> int:
-        self.stats.lookups += 1
         ctx_pred = self.context.predict(pc)
         stride_pred = self.stride.predict(pc)
         use_context = self._chooser[self._index(pc)] >= 2
@@ -43,8 +41,8 @@ class HybridPredictor(ValuePredictor):
     def speculate(self, pc: int, predicted: int) -> tuple:
         """Both components advance speculatively; the component predictions
         live in the token so the chooser can train at retirement."""
-        ctx_pred = self.context.peek(pc)  # peeks are not real lookups
-        stride_pred = self.stride.peek(pc)
+        ctx_pred = self.context.predict(pc)
+        stride_pred = self.stride.predict(pc)
         ctx_token = self.context.speculate(pc, predicted)
         stride_token = self.stride.speculate(pc, predicted)
         return (ctx_token, stride_token, ctx_pred, stride_pred)
@@ -58,8 +56,8 @@ class HybridPredictor(ValuePredictor):
     ) -> None:
         actual &= _MASK64
         if token is None:
-            ctx_pred = self.context.peek(pc)
-            stride_pred = self.stride.peek(pc)
+            ctx_pred = self.context.predict(pc)
+            stride_pred = self.stride.predict(pc)
             self._train_chooser(pc, ctx_pred == actual, stride_pred == actual)
             self.context.train(pc, actual, fold16=fold16)
             self.stride.train(pc, actual, fold16=fold16)

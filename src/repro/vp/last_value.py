@@ -26,7 +26,6 @@ class LastValuePredictor(ValuePredictor):
     """
 
     def __init__(self, table_bits: int = 16):
-        super().__init__()
         if table_bits <= 0:
             raise ValueError("table_bits must be positive")
         self._mask = (1 << table_bits) - 1
@@ -36,7 +35,6 @@ class LastValuePredictor(ValuePredictor):
         return (pc >> _PC_SHIFT) & self._mask
 
     def predict(self, pc: int) -> int:
-        self.stats.lookups += 1
         return self._values[(pc >> _PC_SHIFT) & self._mask]
 
     def speculate(self, pc: int, predicted: int) -> None:

@@ -25,7 +25,6 @@ class StridePredictor(ValuePredictor):
     """Two-delta stride predictor with speculative last-value advance."""
 
     def __init__(self, table_bits: int = 16):
-        super().__init__()
         if table_bits <= 0:
             raise ValueError("table_bits must be positive")
         self._mask = (1 << table_bits) - 1
@@ -36,12 +35,6 @@ class StridePredictor(ValuePredictor):
         self._pending_stride: list[int | None] = [None] * size
 
     def predict(self, pc: int) -> int:
-        self.stats.lookups += 1
-        index = (pc >> _PC_SHIFT) & self._mask
-        return (self._last[index] + self._stride[index]) & _MASK64
-
-    def peek(self, pc: int) -> int:
-        """:meth:`predict` without touching the lookup statistics."""
         index = (pc >> _PC_SHIFT) & self._mask
         return (self._last[index] + self._stride[index]) & _MASK64
 

@@ -52,7 +52,6 @@ class TaggedContextPredictor(ValuePredictor):
         tag_bits: int = 16,
         context_bits: int = 16,
     ):
-        super().__init__()
         if min(l1_sets_bits, l2_sets_bits, assoc, order, tag_bits) <= 0:
             raise ValueError("all geometry parameters must be positive")
         self.assoc = assoc
@@ -145,7 +144,6 @@ class TaggedContextPredictor(ValuePredictor):
         return payload[0]
 
     def predict(self, pc: int) -> int:
-        self.stats.lookups += 1
         value = self.lookup(pc)
         return 0 if value is None else value
 

@@ -299,7 +299,7 @@ def _scheme_model(scheme) -> SpeculativeExecutionModel:
 
 _ACYCLIC_RUNS = {
     "base": dict(model=None),
-    "fused-vp": dict(model=GREAT_MODEL),
+    "context-vp": dict(model=GREAT_MODEL),
     "general-vp": dict(model=GREAT_MODEL, predictor=LastValuePredictor),
     **{
         f"verify-{scheme.name}": dict(model=_scheme_model(scheme))

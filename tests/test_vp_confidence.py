@@ -57,24 +57,6 @@ class TestOracle:
         assert oracle.confident(0x1000, True)
 
 
-def test_breakdown_recording():
-    estimator = OracleConfidence()
-    estimator.record(confident=True, correct=True)  # CH
-    estimator.record(confident=False, correct=True)  # CL
-    estimator.record(confident=True, correct=False)  # IH
-    estimator.record(confident=False, correct=False)  # IL
-    stats = estimator.stats
-    assert (
-        stats.correct_high,
-        stats.correct_low,
-        stats.incorrect_high,
-        stats.incorrect_low,
-    ) == (1, 1, 1, 1)
-    fractions = stats.fractions()
-    assert fractions == {"CH": 0.25, "CL": 0.25, "IH": 0.25, "IL": 0.25}
-    assert stats.total == 4
-
-
 class TestScriptedHelpers:
     def test_fixed_predictor(self):
         predictor = FixedValuePredictor({0x1000: 5})

@@ -1,8 +1,9 @@
 """Context-based (FCM) value predictor tests."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.isa.opcodes import INSTRUCTION_BYTES
 from repro.vp.context import ContextValuePredictor, fold_value
 
 
@@ -139,8 +140,67 @@ def test_validation():
         ContextValuePredictor(history_bits=0)
 
 
-def test_stats_lookups():
-    predictor = ContextValuePredictor()
-    predictor.predict(0x1000)
-    predictor.predict(0x1008)
-    assert predictor.stats.lookups == 2
+# Four PCs over a 2-entry level-1 table, so entries alias in pairs.
+_PCS = [0x1000 + i * INSTRUCTION_BYTES for i in range(4)]
+_VALUES = [1, 2, 7, 0xFFFF, 0x1_0001, (1 << 64) - 1]
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("predict"), st.sampled_from(_PCS)),
+        st.tuples(
+            st.just("train"),
+            st.integers(0, 15),  # which outstanding prediction retires
+            st.sampled_from([None, *_VALUES]),  # None: the prediction
+        ),
+        st.tuples(st.just("flush"), st.sampled_from(_PCS)),
+    ),
+    max_size=60,
+)
+
+
+def _assert_same_state(fused, split):
+    for pc in _PCS:
+        assert fused.context_of(pc) == split.context_of(pc)
+        assert fused.speculative_depth(pc) == split.speculative_depth(pc)
+        assert fused.committed_history(pc) == split.committed_history(pc)
+
+
+@settings(max_examples=400)
+@given(
+    ops=_ops,
+    context_bits=st.sampled_from([16, 8]),  # 16 uses the trace's fold16
+    order=st.integers(1, 4),
+)
+def test_predict_speculate_matches_predict_then_speculate(
+    ops, context_bits, order
+):
+    """The engine's one delayed-timing dispatch call is a hand-fused copy
+    of ``predict`` + ``speculate``; both must evolve identical state under
+    any interleaving of predictions, retirements and squash flushes."""
+    fused = ContextValuePredictor(
+        history_bits=1, context_bits=context_bits, order=order
+    )
+    split = ContextValuePredictor(
+        history_bits=1, context_bits=context_bits, order=order
+    )
+    outstanding = []  # (pc, token, predicted), oldest first
+    for op in ops:
+        if op[0] == "predict":
+            pc = op[1]
+            predicted, token = fused.predict_speculate(pc)
+            split_predicted = split.predict(pc)
+            split_token = split.speculate(pc, split_predicted)
+            assert (predicted, token) == (split_predicted, split_token)
+            outstanding.append((pc, token, predicted))
+        elif op[0] == "train":
+            if not outstanding:
+                continue
+            pc, token, predicted = outstanding.pop(op[1] % len(outstanding))
+            actual = predicted if op[2] is None else op[2]
+            fold16 = fold_value(actual, 16)
+            fused.train(pc, actual, token, fold16)
+            split.train(pc, actual, token, fold16)
+        else:
+            fused.flush_speculative(op[1])
+            split.flush_speculative(op[1])
+        _assert_same_state(fused, split)
