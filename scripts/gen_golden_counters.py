@@ -5,6 +5,9 @@ fixed workload/configuration pins the engine's timing behaviour exactly.
 ``tests/test_golden_counters.py`` replays every snapshot and asserts
 bit-for-bit equality, which is how performance work on the engine proves
 it is a pure speed change and not a model change.
+``tests/golden/sweeps/sweeps.json`` (:func:`sweep_snapshot`, replayed by
+``tests/test_golden_sweeps.py``) pins every design-space sweep the same
+way.
 
 Run this ONLY when a timing change is intentional::
 
@@ -15,15 +18,18 @@ and say so in the commit message.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import fields
 from pathlib import Path
 
 from repro.asm import assemble
+from repro.cluster.serial import job_key
 from repro.core.model import GREAT_MODEL
 from repro.engine.config import ProcessorConfig
 from repro.engine.sim import run_baseline, run_trace
 from repro.func import Machine
+from repro.harness import sweeps
 from repro.programs.micro import MICRO_KERNELS, micro_kernel
 from repro.programs.suite import benchmark_suite
 from repro.trace.capture import capture_trace
@@ -80,7 +86,49 @@ def workloads():
         yield f"spec_{spec.name}", spec.trace(SPEC_TRACE_LIMIT)
 
 
+def sweep_snapshot(benchmarks=("compress", "go"), max_instructions=400) -> dict:
+    """Every sweep in ``SWEEPS`` on a small fixed workload: each point's
+    label, speedup and detail as ``float.hex``, and a sha256 of the
+    ``job_key`` sequence the sweep submits to ``run_jobs``.  The key hash
+    pins the grid itself (which points, in which order, with which
+    factories), so a refactor cannot reorder a grid or cold the result
+    store."""
+    snapshot = {"benchmarks": list(benchmarks),
+                "max_instructions": max_instructions, "sweeps": {}}
+    run_jobs = sweeps.run_jobs
+    for name in sorted(s.variants.__name__ for s in sweeps.SWEEPS.values()):
+        submitted = []
+
+        def recording(job_list, *args, **kwargs):
+            submitted.append(list(job_list))
+            return run_jobs(job_list, *args, **kwargs)
+
+        sweeps.run_jobs = recording
+        try:
+            points = getattr(sweeps, name)(
+                max_instructions=max_instructions, benchmarks=list(benchmarks)
+            )
+        finally:
+            sweeps.run_jobs = run_jobs
+        keys = "\n".join(job_key(job) for batch in submitted for job in batch)
+        snapshot["sweeps"][name] = {
+            "run_jobs_calls": len(submitted),
+            "jobs": sum(len(batch) for batch in submitted),
+            "job_keys_sha256": hashlib.sha256(keys.encode("ascii")).hexdigest(),
+            "points": [
+                {"label": p.label, "speedup": float.hex(p.speedup),
+                 "detail": {k: float.hex(v) for k, v in p.detail.items()}}
+                for p in points
+            ],
+        }
+    return snapshot
+
+
 def main() -> None:
+    sweep_path = GOLDEN_DIR / "sweeps" / "sweeps.json"
+    sweep_path.parent.mkdir(parents=True, exist_ok=True)
+    sweep_path.write_text(json.dumps(sweep_snapshot(), indent=1) + "\n")
+    print(f"wrote sweeps/{sweep_path.name}")
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     VARIANT_DIR.mkdir(parents=True, exist_ok=True)
     for label, trace in workloads():

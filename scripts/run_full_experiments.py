@@ -18,20 +18,7 @@ from repro.harness.figure1 import render_figure1, run_figure1
 from repro.harness.figure3 import figure3_table, render_figure3, run_figure3
 from repro.harness.figure4 import render_figure4, run_figure4
 from repro.harness.render import render_table
-from repro.harness.sweeps import (
-    approximate_equality_sweep,
-    branch_predictor_sweep,
-    confidence_scheme_sweep,
-    confidence_strength_sweep,
-    invalidation_scheme_sweep,
-    latency_sensitivity_sweep,
-    predictor_sweep,
-    resolution_policy_sweep,
-    selective_prediction_sweep,
-    verification_scheme_sweep,
-    vp_ports_sweep,
-    width_scaling_sweep,
-)
+from repro.harness.sweeps import SWEEPS
 from repro.harness.table1 import render_table1, run_table1
 
 
@@ -101,24 +88,13 @@ def main() -> None:
     ]
     section("Figure 4", render_figure4(f4))
 
-    for name, sweep in (
-        ("ABL-L latency sensitivity", latency_sensitivity_sweep),
-        ("ABL-V verification schemes", verification_scheme_sweep),
-        ("ABL-I invalidation schemes", invalidation_scheme_sweep),
-        ("ABL-P predictors", predictor_sweep),
-        ("ABL-R resolution policies", resolution_policy_sweep),
-        ("ABL-C confidence width", confidence_strength_sweep),
-        ("ABL-CS confidence schemes", confidence_scheme_sweep),
-        ("ABL-S selective prediction", selective_prediction_sweep),
-        ("ABL-PT predictor ports", vp_ports_sweep),
-        ("ABL-B branch predictors", branch_predictor_sweep),
-        ("ABL-E approximate equality", approximate_equality_sweep),
-        ("ABL-W width scaling", width_scaling_sweep),
-    ):
+    for sweep in SWEEPS.values():
+        if sweep.section is None:
+            continue
         points = sweep(max_instructions=args.sweep_limit, jobs=args.jobs)
-        report[name] = {p.label: round(p.speedup, 4) for p in points}
+        report[sweep.section] = {p.label: round(p.speedup, 4) for p in points}
         section(
-            name,
+            sweep.section,
             render_table(("Point", "HM Speedup"),
                          [(p.label, p.speedup) for p in points]),
         )

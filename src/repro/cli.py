@@ -41,7 +41,7 @@ from repro.engine.config import paper_config
 from repro.engine.sim import run_baseline, run_trace
 from repro.harness.experiments import EXPERIMENTS
 from repro.metrics.summary import summarize_counters
-from repro.programs.suite import kernel, kernel_names
+from repro.programs.suite import BenchmarkSelectionError, kernel, kernel_names
 
 
 #: `repro ablate` defaults for the shared grid options it leaves unset.
@@ -63,20 +63,22 @@ def _experiment_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    for experiment in EXPERIMENTS.values():
-        print(f"{experiment.id:14s} {experiment.paper_ref:22s} {experiment.title}")
+    id_width = max(len(e.id) for e in EXPERIMENTS.values())
+    ref_width = max(len(e.paper_ref) for e in EXPERIMENTS.values())
+    for e in EXPERIMENTS.values():
+        print(f"{e.id:{id_width}s} {e.paper_ref:{ref_width}s} {e.title}")
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace, **overrides) -> int:
+    """Run experiment ``args.id`` with the command's grid options
+    (``overrides`` win); ``submit`` and ``cluster submit`` pin the
+    backend through it."""
     experiment = EXPERIMENTS.get(args.id)
     if experiment is None:
         print(f"unknown experiment {args.id!r}; try `repro list`", file=sys.stderr)
         return 2
-    kwargs = _experiment_kwargs(args)
-    if experiment.id in ("figure1",):
-        kwargs = {}  # figure1 takes no workload knobs
-    print(experiment.run(**kwargs))
+    print(experiment.run(**{**_experiment_kwargs(args), **overrides}))
     return 0
 
 
@@ -323,19 +325,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.action == "submit":
         import os as _os
 
-        experiment = EXPERIMENTS.get(args.id)
-        if experiment is None:
-            print(
-                f"unknown experiment {args.id!r}; try `repro list`",
-                file=sys.stderr,
-            )
-            return 2
         if args.connect:
             _os.environ[ADDR_ENV_VAR] = args.connect
-        kwargs = _experiment_kwargs(args)
-        kwargs["backend"] = "cluster"
-        print(experiment.run(**kwargs))
-        return 0
+        return _cmd_run(args, backend="cluster")
 
     # status
     import json as _json
@@ -476,10 +468,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro.service.client import ENV_ADDR
 
-    experiment = EXPERIMENTS.get(args.id)
-    if experiment is None:
-        print(f"unknown experiment {args.id!r}; try `repro list`", file=sys.stderr)
-        return 2
     if args.connect:
         _os.environ[ENV_ADDR] = args.connect
     if not _os.environ.get(ENV_ADDR):
@@ -488,10 +476,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    kwargs = _experiment_kwargs(args)
-    kwargs["backend"] = "service"
-    print(experiment.run(**kwargs))
-    return 0
+    return _cmd_run(args, backend="service")
 
 
 def _describe_geometry(geometry: dict) -> str:
@@ -951,6 +936,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # output piped into a pager/head that closed early: not an error
         return 0
+    except BenchmarkSelectionError as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

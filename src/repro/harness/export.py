@@ -11,9 +11,9 @@ import io
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.harness import sweeps as _sweeps
 from repro.harness.figure3 import Figure3Cell, run_figure3
 from repro.harness.figure4 import Figure4Cell, run_figure4
+from repro.harness.sweeps import SWEEPS
 from repro.harness.table1 import Table1Row, run_table1
 
 
@@ -77,25 +77,13 @@ def sweep_csv(points) -> str:
 
 
 #: Exportable datasets: id -> (runner, csv-formatter).  Runner kwargs are
-#: the usual (max_instructions=..., benchmarks=...).
+#: the usual (max_instructions=..., benchmarks=...).  Every sweep in
+#: :data:`~repro.harness.sweeps.SWEEPS` exports with :func:`sweep_csv`.
 EXPORTS: dict[str, tuple[Callable, Callable]] = {
     "table1": (run_table1, table1_csv),
     "figure3": (run_figure3, figure3_csv),
     "figure4": (run_figure4, figure4_csv),
-    "abl-latency": (_sweeps.latency_sensitivity_sweep, sweep_csv),
-    "abl-verify": (_sweeps.verification_scheme_sweep, sweep_csv),
-    "abl-inval": (_sweeps.invalidation_scheme_sweep, sweep_csv),
-    "abl-predictor": (_sweeps.predictor_sweep, sweep_csv),
-    "abl-resolution": (_sweeps.resolution_policy_sweep, sweep_csv),
-    "abl-confidence": (_sweeps.confidence_strength_sweep, sweep_csv),
-    "abl-confidence-scheme": (_sweeps.confidence_scheme_sweep, sweep_csv),
-    "abl-tables": (_sweeps.predictor_size_sweep, sweep_csv),
-    "abl-frontend": (_sweeps.frontend_idealism_sweep, sweep_csv),
-    "abl-scaling": (_sweeps.width_scaling_sweep, sweep_csv),
-    "abl-selective": (_sweeps.selective_prediction_sweep, sweep_csv),
-    "abl-ports": (_sweeps.vp_ports_sweep, sweep_csv),
-    "abl-bpred": (_sweeps.branch_predictor_sweep, sweep_csv),
-    "abl-equality": (_sweeps.approximate_equality_sweep, sweep_csv),
+    **{sweep.id: (sweep, sweep_csv) for sweep in SWEEPS.values()},
 }
 
 

@@ -21,7 +21,7 @@ from repro.engine.config import PAPER_CONFIGS, ProcessorConfig
 from repro.harness.parallel import SimJob, run_jobs
 from repro.harness.render import render_bar, render_table
 from repro.metrics.speedup import harmonic_mean
-from repro.programs.suite import benchmark_suite
+from repro.programs.suite import select_benchmarks
 
 #: The paper's four update-timing/confidence settings.
 SETTINGS: tuple[tuple[str, str], ...] = (
@@ -45,17 +45,6 @@ class Figure3Cell:
     per_benchmark: dict[str, float] = field(default_factory=dict, compare=False)
 
 
-def _suite_names(benchmarks: list[str] | None) -> list[str]:
-    names = [
-        spec.name
-        for spec in benchmark_suite()
-        if benchmarks is None or spec.name in benchmarks
-    ]
-    if not names:
-        raise ValueError(f"no benchmarks selected from {benchmarks!r}")
-    return names
-
-
 def run_figure3(
     max_instructions: int | None = 6000,
     benchmarks: list[str] | None = None,
@@ -73,7 +62,7 @@ def run_figure3(
     baselines included — over worker processes; the cells are identical
     for any worker count.
     """
-    names = _suite_names(benchmarks)
+    names = select_benchmarks(benchmarks)
     # One flat grid: per config, the baselines then every
     # (setting, model, benchmark) point, submitted together.
     job_list: list[SimJob] = []

@@ -18,7 +18,7 @@ from repro.engine.config import PAPER_CONFIGS, ProcessorConfig
 from repro.harness.parallel import SimJob, run_jobs
 from repro.harness.render import render_table
 from repro.metrics.accuracy import AccuracyBreakdown, average_breakdown
-from repro.programs.suite import benchmark_suite
+from repro.programs.suite import select_benchmarks
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,7 @@ def run_figure4(
     """Measure the CH/CL/IH/IL breakdown for the great model (real
     confidence) across configurations and update timings.  ``jobs`` fans
     the (config x timing x benchmark) grid over worker processes."""
-    names = [
-        spec.name
-        for spec in benchmark_suite()
-        if benchmarks is None or spec.name in benchmarks
-    ]
-    if not names:
-        raise ValueError(f"no benchmarks selected from {benchmarks!r}")
+    names = select_benchmarks(benchmarks)
     grid = [(config, timing) for config in configs for timing in ("D", "I")]
     job_list = [
         SimJob(

@@ -2,8 +2,16 @@
 
 These regenerate the ablations DESIGN.md indexes: per-latency-variable
 sensitivity (ABL-L), the Section 3.2 verification-scheme comparison
-(ABL-V), the Section 3.1 invalidation-scheme comparison (ABL-I), and a
-value-predictor comparison (extension).
+(ABL-V), the Section 3.1 invalidation-scheme comparison (ABL-I), a
+value-predictor comparison (extension) and ten more.
+
+Each sweep is declared once, as a :class:`Sweep` in :data:`SWEEPS`: its
+id, list title, paper reference, rendered heading and the builder of its
+variants.  ``repro run abl-*`` (:data:`repro.harness.experiments.EXPERIMENTS`),
+``repro export`` (:data:`repro.harness.export.EXPORTS`) and
+``scripts/run_full_experiments.py`` all read the table.  Each entry is
+also importable under its builder's name (``verification_scheme_sweep``
+and so on); calling it runs the sweep.
 
 Every sweep flattens its whole grid — the baseline runs *and* every
 variant x benchmark point — into a single batch for
@@ -31,12 +39,20 @@ from repro.core.variables import (
 from repro.engine.config import ProcessorConfig
 from repro.engine.sim import SimulationResult
 from repro.harness.parallel import SimJob, run_jobs
+from repro.harness.render import render_table
+from repro.metrics.counters import SimCounters
 from repro.metrics.speedup import harmonic_mean
-from repro.programs.suite import benchmark_suite
+from repro.programs.suite import select_benchmarks
 from repro.vp.base import ValuePredictor
+from repro.vp.confidence import (
+    HistoryConfidenceEstimator,
+    ResettingConfidenceEstimator,
+    SaturatingConfidenceEstimator,
+)
 from repro.vp.context import ContextValuePredictor
 from repro.vp.hybrid import HybridPredictor
 from repro.vp.last_value import LastValuePredictor
+from repro.vp.oracle import OracleConfidence
 from repro.vp.stride import StridePredictor
 from repro.vp.tagged import TaggedContextPredictor
 
@@ -76,10 +92,6 @@ class SweepVariant:
     @property
     def baseline(self) -> ProcessorConfig:
         return self.base_config if self.base_config is not None else self.config
-
-
-#: Backwards-compatible alias (the pre-observability private name).
-_Variant = SweepVariant
 
 
 def instrument_variant(
@@ -122,75 +134,113 @@ def instrument_variant(
     )
 
 
-def _benchmark_names(benchmarks: list[str] | None) -> list[str]:
-    names = [
-        spec.name
-        for spec in benchmark_suite()
-        if benchmarks is None or spec.name in benchmarks
-    ]
-    if not names:
-        raise ValueError(f"no benchmarks selected from {benchmarks!r}")
-    return names
+@dataclass(frozen=True)
+class Sweep:
+    """One design-space sweep, declared once.
 
-
-def _run_sweep(
-    names: list[str],
-    max_instructions: int | None,
-    variants: list[_Variant],
-    *,
-    jobs: int = 1,
-    backend: str | None = None,
-    extra_detail: Callable[[list[SimulationResult]], dict[str, float]] | None = None,
-) -> list[SweepPoint]:
-    """Execute a sweep's full grid as one parallel batch.
-
-    The batch is: one baseline run per distinct baseline config per
-    benchmark, then every variant x benchmark point, all submitted to
-    :func:`run_jobs` together so a multi-benchmark, multi-variant sweep
-    saturates the worker pool instead of synchronising per variant.
+    ``variants(config, **axes)`` builds the sweep's variants around the
+    base machine ``config``; its docstring gives the reason for the
+    sweep.  ``extra_detail`` adds suite-wide figures to each point's
+    detail, and ``section`` names the sweep's section of the full
+    reproduction (``None``: not part of it).  Calling the entry runs
+    the sweep.
     """
-    base_configs: list[ProcessorConfig] = []
-    for variant in variants:
-        if variant.baseline not in base_configs:
-            base_configs.append(variant.baseline)
-    job_list = [
-        SimJob(name, config, None, max_instructions)
-        for config in base_configs
-        for name in names
-    ]
-    for variant in variants:
-        job_list.extend(
-            SimJob(
-                name,
-                variant.config,
-                variant.model,
-                max_instructions,
-                confidence=variant.confidence,
-                update_timing=variant.update_timing,
-                predictor=variant.predictor,
-            )
-            for name in names
-        )
-    results = run_jobs(job_list, jobs=jobs, backend=backend)
 
-    width = len(names)
-    base_cycles: dict[ProcessorConfig, dict[str, int]] = {}
-    for i, config in enumerate(base_configs):
-        chunk = results[i * width : (i + 1) * width]
-        base_cycles[config] = {n: r.cycles for n, r in zip(names, chunk)}
-    points: list[SweepPoint] = []
-    offset = len(base_configs) * width
-    for i, variant in enumerate(variants):
-        chunk = results[offset + i * width : offset + (i + 1) * width]
-        base = base_cycles[variant.baseline]
-        per_benchmark = {n: base[n] / r.cycles for n, r in zip(names, chunk)}
-        detail = dict(per_benchmark)
-        if extra_detail is not None:
-            detail.update(extra_detail(chunk))
-        points.append(
-            SweepPoint(variant.label, harmonic_mean(per_benchmark.values()), detail)
+    id: str
+    title: str
+    paper_ref: str
+    heading: str
+    variants: Callable[..., list[SweepVariant]]
+    section: str | None = None
+    extra_detail: Callable[[list[SimulationResult]], dict[str, float]] | None = None
+
+    def __call__(
+        self,
+        max_instructions: int | None = 5000,
+        benchmarks: list[str] | None = None,
+        config: ProcessorConfig | None = None,
+        jobs: int = 1,
+        backend: str | None = None,
+        **axes,
+    ) -> list[SweepPoint]:
+        """Run the sweep's full grid as one parallel batch.
+
+        The batch is: one baseline run per distinct baseline config per
+        benchmark, then every variant x benchmark point, all submitted to
+        :func:`run_jobs` together so a multi-benchmark, multi-variant sweep
+        saturates the worker pool instead of synchronising per variant.
+        ``axes`` are the builder's own keywords (``values=``,
+        ``counter_bits=`` and so on).
+        """
+        config = config or ProcessorConfig(issue_width=8, window_size=48)
+        names = select_benchmarks(benchmarks)
+        variants = self.variants(config, **axes)
+        base_configs: list[ProcessorConfig] = []
+        for variant in variants:
+            if variant.baseline not in base_configs:
+                base_configs.append(variant.baseline)
+        job_list = [
+            SimJob(name, base_config, None, max_instructions)
+            for base_config in base_configs
+            for name in names
+        ]
+        for variant in variants:
+            job_list.extend(
+                SimJob(
+                    name,
+                    variant.config,
+                    variant.model,
+                    max_instructions,
+                    confidence=variant.confidence,
+                    update_timing=variant.update_timing,
+                    predictor=variant.predictor,
+                )
+                for name in names
+            )
+        results = run_jobs(job_list, jobs=jobs, backend=backend)
+
+        width = len(names)
+        base_cycles: dict[ProcessorConfig, dict[str, int]] = {}
+        for i, base_config in enumerate(base_configs):
+            chunk = results[i * width : (i + 1) * width]
+            base_cycles[base_config] = {n: r.cycles for n, r in zip(names, chunk)}
+        points: list[SweepPoint] = []
+        offset = len(base_configs) * width
+        for i, variant in enumerate(variants):
+            chunk = results[offset + i * width : offset + (i + 1) * width]
+            base = base_cycles[variant.baseline]
+            per_benchmark = {n: base[n] / r.cycles for n, r in zip(names, chunk)}
+            detail = dict(per_benchmark)
+            if self.extra_detail is not None:
+                detail.update(self.extra_detail(chunk))
+            points.append(
+                SweepPoint(variant.label, harmonic_mean(per_benchmark.values()), detail)
+            )
+        return points
+
+    def render(self, points: list[SweepPoint]) -> str:
+        """The points as a table under the sweep's heading."""
+        return render_table(
+            ("Point", "HM Speedup"),
+            [(p.label, p.speedup) for p in points],
+            title=self.heading,
         )
-    return points
+
+
+#: Every sweep by id, in the order the full reproduction runs them.
+SWEEPS: dict[str, Sweep] = {}
+
+
+def _sweep(id: str, title: str, paper_ref: str, heading: str, **options):
+    """Declare the decorated variant builder as sweep ``id`` in
+    :data:`SWEEPS`; the builder's name becomes the entry."""
+
+    def declare(variants: Callable[..., list[SweepVariant]]) -> Sweep:
+        entry = Sweep(id, title, paper_ref, heading, variants, **options)
+        SWEEPS[id] = entry
+        return entry
+
+    return declare
 
 
 #: The latency variables the sensitivity sweep perturbs, as LatencyModel
@@ -205,24 +255,23 @@ LATENCY_FIELDS: dict[str, str] = {
 }
 
 
+@_sweep(
+    "abl-latency", "Latency-variable sensitivity sweep", "Section 6 discussion",
+    "ABL-L: per-latency-variable sensitivity (around great)",
+    section="ABL-L latency sensitivity",
+)
 def latency_sensitivity_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
+    config: ProcessorConfig,
     values: tuple[int, ...] = (0, 1, 2),
     base_latencies: LatencyModel = GREAT_LATENCIES,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
+) -> list[SweepVariant]:
     """ABL-L: vary each latency variable independently around a base model.
 
     Reproduces the paper's core claim of *non-uniform sensitivity*: fast
     verification matters; with infrequent misspeculation, invalidation and
     reissue latency barely do.
     """
-    config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
-    variants: list[_Variant] = []
+    variants: list[SweepVariant] = []
     for field_name, label in LATENCY_FIELDS.items():
         for value in values:
             overrides = {field_name: value}
@@ -232,22 +281,19 @@ def latency_sensitivity_sweep(
             model = SpeculativeExecutionModel(
                 f"great[{label}={value}]", GREAT_MODEL.variables, latencies
             )
-            variants.append(_Variant(f"{label}={value}", config, model))
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)
+            variants.append(SweepVariant(f"{label}={value}", config, model))
+    return variants
 
 
-def verification_scheme_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
+@_sweep(
+    "abl-verify", "Verification scheme comparison", "Section 3.2",
+    "ABL-V: verification schemes (great latencies)",
+    section="ABL-V verification schemes",
+)
+def verification_scheme_sweep(config: ProcessorConfig) -> list[SweepVariant]:
     """ABL-V: the Section 3.2 verification approaches under great latencies."""
-    config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
-    variants = [
-        _Variant(
+    return [
+        SweepVariant(
             scheme.value,
             config,
             SpeculativeExecutionModel(
@@ -258,22 +304,19 @@ def verification_scheme_sweep(
         )
         for scheme in VerificationScheme
     ]
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)
 
 
+@_sweep(
+    "abl-inval", "Invalidation scheme comparison", "Section 3.1",
+    "ABL-I: invalidation schemes (great latencies)",
+    section="ABL-I invalidation schemes",
+)
 def invalidation_scheme_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
-    confidence: str = "R",
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
+    config: ProcessorConfig, confidence: str = "R"
+) -> list[SweepVariant]:
     """ABL-I: selective (parallel/hierarchical) vs complete invalidation."""
-    config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
-    variants = [
-        _Variant(
+    return [
+        SweepVariant(
             scheme.value,
             config,
             SpeculativeExecutionModel(
@@ -285,16 +328,38 @@ def invalidation_scheme_sweep(
         )
         for scheme in InvalidationScheme
     ]
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)
 
 
-def resolution_policy_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
+#: Predictor factories for the predictor-comparison sweep.
+PREDICTOR_FACTORIES: dict[str, type[ValuePredictor]] = {
+    "context": ContextValuePredictor,
+    "last-value": LastValuePredictor,
+    "stride": StridePredictor,
+    "hybrid": HybridPredictor,
+    "tagged-context": TaggedContextPredictor,
+}
+
+
+@_sweep(
+    "abl-predictor", "Value predictor comparison", "extension",
+    "ABL-P: value predictors (great model)",
+    section="ABL-P predictors",
+)
+def predictor_sweep(config: ProcessorConfig) -> list[SweepVariant]:
+    """Extension: compare value predictors under the great model."""
+    return [
+        SweepVariant(label, config, GREAT_MODEL, predictor=factory)
+        for label, factory in PREDICTOR_FACTORIES.items()
+    ]
+
+
+@_sweep(
+    "abl-resolution", "Branch/memory resolution policy comparison",
+    "Section 3.2 discussion",
+    "ABL-R: branch/memory resolution policies (great latencies)",
+    section="ABL-R resolution policies",
+)
+def resolution_policy_sweep(config: ProcessorConfig) -> list[SweepVariant]:
     """Section 3.2 follow-up: resolve branches/memory with valid operands
     only (the paper's choice) versus allowing speculative resolution.
 
@@ -303,9 +368,7 @@ def resolution_policy_sweep(
     model validator enforces they be zero), so instructions stop waiting
     for the network at the price of acting on possibly-wrong inputs.
     """
-    config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
-    variants: list[_Variant] = []
+    variants: list[SweepVariant] = []
     for label, branch_res, memory_res in (
         ("valid-only (paper)", BranchResolution.VALID_ONLY,
          MemoryResolution.VALID_ONLY),
@@ -334,18 +397,18 @@ def resolution_policy_sweep(
             ),
             latencies,
         )
-        variants.append(_Variant(label, config, model))
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)
+        variants.append(SweepVariant(label, config, model))
+    return variants
 
 
+@_sweep(
+    "abl-confidence", "Confidence counter-width sweep", "Section 3.6 discussion",
+    "ABL-C: confidence counter width (great model, I timing)",
+    section="ABL-C confidence width",
+)
 def confidence_strength_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
-    counter_bits: tuple[int, ...] = (1, 2, 3, 4),
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
+    config: ProcessorConfig, counter_bits: tuple[int, ...] = (1, 2, 3, 4)
+) -> list[SweepVariant]:
     """Section 3.6 follow-up: vary the resetting-counter width.
 
     Wider counters demand longer correct streaks before speculating:
@@ -353,12 +416,8 @@ def confidence_strength_sweep(
     predictions go unused (the CL set grows) — the coverage/accuracy
     trade-off behind the paper's real-vs-oracle gap.
     """
-    from repro.vp.confidence import ResettingConfidenceEstimator
-
-    config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
     variants = [
-        _Variant(
+        SweepVariant(
             f"{bits}-bit counters",
             config,
             GREAT_MODEL,
@@ -366,72 +425,48 @@ def confidence_strength_sweep(
         )
         for bits in counter_bits
     ]
-    variants.append(_Variant("oracle", config, GREAT_MODEL, confidence="O"))
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)
+    variants.append(SweepVariant("oracle", config, GREAT_MODEL, confidence="O"))
+    return variants
 
 
-def approximate_equality_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
-    low_bits: tuple[int, ...] = (0, 4, 8, 16),
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
-    """Section 3.3 extension: non-strict equality.
+def _misspeculation_rate(chunk: list[SimulationResult]) -> dict[str, float]:
+    combined = SimCounters.merged(r.counters for r in chunk)
+    return {"_misspeculation_rate": combined.misspeculation_rate}
 
-    "Alternatives that do not require strict equality have been suggested
-    but have not been explored" — this sweep explores them: the EQ
-    comparators ignore the low N bits, accepting near-miss predictions
-    (timing-only tolerance; architectural results are unaffected).
+
+@_sweep(
+    "abl-confidence-scheme", "Confidence estimation scheme comparison",
+    "Section 3.6 discussion",
+    "ABL-CS: confidence estimation schemes (great model, I timing)",
+    section="ABL-CS confidence schemes",
+    extra_detail=_misspeculation_rate,
+)
+def confidence_scheme_sweep(config: ProcessorConfig) -> list[SweepVariant]:
+    """Section 3.6: compare confidence estimation mechanisms.
+
+    The paper evaluates resetting counters against an oracle and points
+    at Calder et al.'s levels and Bekerman et al.'s history scheme as
+    alternatives; this sweep runs all of them under the great model.
     """
-    base_config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
-    variants = [
-        _Variant(
-            "strict (paper)" if bits == 0 else f"ignore low {bits} bits",
-            base_config.with_overrides(equality_ignore_low_bits=bits),
-            GREAT_MODEL,
-            base_config=base_config,
-        )
-        for bits in low_bits
+    schemes = {
+        "resetting (paper)": ResettingConfidenceEstimator,
+        "saturating": SaturatingConfidenceEstimator,
+        "history": HistoryConfidenceEstimator,
+        "oracle": OracleConfidence,
+    }
+    return [
+        SweepVariant(label, config, GREAT_MODEL, confidence=factory)
+        for label, factory in schemes.items()
     ]
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)
 
 
-def branch_predictor_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
-    """Front-end direction predictors and their interaction with value
-    speculation: each point reports the VP speedup *relative to a base
-    processor with the same branch predictor*, so the column isolates how
-    branch quality modulates what value speculation can add (fewer
-    squashes leave longer stretches of useful speculative work — but also
-    fewer pipeline drains to re-seed the delayed-update predictor)."""
-    base_config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
-    variants = [
-        _Variant(
-            f"{bp} (paper)" if bp == "gshare" else bp,
-            base_config.with_overrides(branch_predictor=bp),
-            GREAT_MODEL,
-        )
-        for bp in ("bimodal", "local", "gshare", "tournament")
-    ]
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)
-
-
-def selective_prediction_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
+@_sweep(
+    "abl-selective", "Selective value prediction by instruction class",
+    "Sections 3.5-3.6 discussion",
+    "ABL-S: selective value prediction by instruction class",
+    section="ABL-S selective prediction",
+)
+def selective_prediction_sweep(config: ProcessorConfig) -> list[SweepVariant]:
     """Selective value prediction (Calder et al. [8], discussed in the
     paper's Sections 3.5–3.6): restrict prediction to instruction classes.
 
@@ -439,63 +474,110 @@ def selective_prediction_sweep(
     buys the most; predicting everything buys breadth at the cost of
     predictor pressure (and, in real designs, ports and power).
     """
-    base_config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
-    variants = [
-        _Variant(
+    return [
+        SweepVariant(
             policy,
-            base_config.with_overrides(predict_classes=policy),
+            config.with_overrides(predict_classes=policy),
             GREAT_MODEL,
-            base_config=base_config,
+            base_config=config,
         )
         for policy in ("all", "long-latency", "loads", "alu")
     ]
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)
 
 
+@_sweep(
+    "abl-ports", "Value-predictor port count", "Section 3 (deferred dimension)",
+    "ABL-PT: value-predictor ports per cycle",
+    section="ABL-PT predictor ports",
+)
 def vp_ports_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
-    ports: tuple[int, ...] = (1, 2, 4, 0),
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
+    config: ProcessorConfig, ports: tuple[int, ...] = (1, 2, 4, 0)
+) -> list[SweepVariant]:
     """Predictor-port sensitivity: how many predictions per cycle the
     dispatch stage may request (0 = unlimited, the paper's assumption)."""
-    base_config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
-    variants = [
-        _Variant(
+    return [
+        SweepVariant(
             "unlimited" if count == 0 else f"{count} port(s)",
-            base_config.with_overrides(vp_ports=count),
+            config.with_overrides(vp_ports=count),
             GREAT_MODEL,
-            base_config=base_config,
+            base_config=config,
         )
         for count in ports
     ]
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)
 
 
+@_sweep(
+    "abl-bpred", "Branch predictors x value speculation",
+    "Section 5.1 configuration",
+    "ABL-B: branch predictors x value speculation (great model)",
+    section="ABL-B branch predictors",
+)
+def branch_predictor_sweep(config: ProcessorConfig) -> list[SweepVariant]:
+    """Front-end direction predictors and their interaction with value
+    speculation: each point reports the VP speedup *relative to a base
+    processor with the same branch predictor*, so the column isolates how
+    branch quality modulates what value speculation can add (fewer
+    squashes leave longer stretches of useful speculative work — but also
+    fewer pipeline drains to re-seed the delayed-update predictor)."""
+    return [
+        SweepVariant(
+            f"{bp} (paper)" if bp == "gshare" else bp,
+            config.with_overrides(branch_predictor=bp),
+            GREAT_MODEL,
+        )
+        for bp in ("bimodal", "local", "gshare", "tournament")
+    ]
+
+
+@_sweep(
+    "abl-equality", "Approximate (non-strict) value equality",
+    "Section 3.3 (explicitly unexplored)",
+    "ABL-E: approximate (non-strict) equality",
+    section="ABL-E approximate equality",
+)
+def approximate_equality_sweep(
+    config: ProcessorConfig, low_bits: tuple[int, ...] = (0, 4, 8, 16)
+) -> list[SweepVariant]:
+    """Section 3.3 extension: non-strict equality.
+
+    "Alternatives that do not require strict equality have been suggested
+    but have not been explored" — this sweep explores them: the EQ
+    comparators ignore the low N bits, accepting near-miss predictions
+    (timing-only tolerance; architectural results are unaffected).
+    """
+    return [
+        SweepVariant(
+            "strict (paper)" if bits == 0 else f"ignore low {bits} bits",
+            config.with_overrides(equality_ignore_low_bits=bits),
+            GREAT_MODEL,
+            base_config=config,
+        )
+        for bits in low_bits
+    ]
+
+
+@_sweep(
+    "abl-scaling", "Width/window scaling beyond the paper's three points",
+    "Section 6 trend",
+    "ABL-W: width/window scaling (great model, I/R)",
+    section="ABL-W width scaling",
+)
 def width_scaling_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
+    config: ProcessorConfig,
     widths: tuple[int, ...] = (2, 4, 8, 16, 32),
     window_per_width: int = 6,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
+) -> list[SweepVariant]:
     """Extend the paper's width/window axis beyond its three points.
 
     Gabbay & Mendelson's argument, which the paper confirms at 4/24–16/96:
     "wider processors expose more dependences and hence increase the
     potential of value speculation."  This sweep continues the curve.
+    Every point is its own machine, so the base ``config`` is unused.
     """
     if any(w <= 0 for w in widths) or window_per_width <= 0:
         raise ValueError("widths and window_per_width must be positive")
-    names = _benchmark_names(benchmarks)
-    variants = [
-        _Variant(
+    return [
+        SweepVariant(
             f"{width}/{width * window_per_width}",
             ProcessorConfig(
                 issue_width=width, window_size=width * window_per_width
@@ -504,69 +586,20 @@ def width_scaling_sweep(
         )
         for width in widths
     ]
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)
 
 
-def confidence_scheme_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
-    """Section 3.6: compare confidence estimation mechanisms.
-
-    The paper evaluates resetting counters against an oracle and points
-    at Calder et al.'s levels and Bekerman et al.'s history scheme as
-    alternatives; this sweep runs all of them under the great model.
-    """
-    from repro.vp.confidence import (
-        HistoryConfidenceEstimator,
-        ResettingConfidenceEstimator,
-        SaturatingConfidenceEstimator,
-    )
-    from repro.vp.oracle import OracleConfidence
-
-    config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
-    schemes = {
-        "resetting (paper)": ResettingConfidenceEstimator,
-        "saturating": SaturatingConfidenceEstimator,
-        "history": HistoryConfidenceEstimator,
-        "oracle": OracleConfidence,
-    }
-    variants = [
-        _Variant(label, config, GREAT_MODEL, confidence=factory)
-        for label, factory in schemes.items()
-    ]
-
-    def misspeculation_rate(chunk: list[SimulationResult]) -> dict[str, float]:
-        from repro.metrics.counters import SimCounters
-
-        combined = SimCounters.merged(r.counters for r in chunk)
-        return {"_misspeculation_rate": combined.misspeculation_rate}
-
-    return _run_sweep(
-        names, max_instructions, variants, jobs=jobs, backend=backend,
-        extra_detail=misspeculation_rate,
-    )
-
-
+@_sweep(
+    "abl-tables", "Predictor table-size sweep", "Section 3 (deferred dimension)",
+    "ABL-T: predictor table sizes (great model)",
+)
 def predictor_size_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
-    table_bits: tuple[int, ...] = (8, 10, 12, 16),
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
+    config: ProcessorConfig, table_bits: tuple[int, ...] = (8, 10, 12, 16)
+) -> list[SweepVariant]:
     """Predictor table-size sensitivity (the "tables configuration"
     dimension the paper defers): shrink the context predictor's level-1
     and level-2 tables and watch aliasing erode speedup."""
-    config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
-    variants = [
-        _Variant(
+    return [
+        SweepVariant(
             f"{1 << bits}-entry tables",
             config,
             GREAT_MODEL,
@@ -576,55 +609,21 @@ def predictor_size_sweep(
         )
         for bits in table_bits
     ]
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)
 
 
-def frontend_idealism_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
+@_sweep(
+    "abl-frontend", "Frontend idealism (ideal targets vs BTB+RAS)",
+    "Section 5.1 assumption",
+    "ABL-F: frontend idealism (great model vs per-frontend base)",
+)
+def frontend_idealism_sweep(config: ProcessorConfig) -> list[SweepVariant]:
     """Relax the paper's ideal-target front end: control-transfer targets
     come from a BTB and return-address stack instead of being free."""
-    config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
-    variants = [
-        _Variant(
+    return [
+        SweepVariant(
             label,
             config.with_overrides(ideal_branch_targets=ideal),
             GREAT_MODEL,
         )
-        for label, ideal in (
-            ("ideal targets (paper)", True), ("BTB + RAS", False)
-        )
+        for label, ideal in (("ideal targets (paper)", True), ("BTB + RAS", False))
     ]
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)
-
-
-#: Predictor factories for the predictor-comparison sweep.
-PREDICTOR_FACTORIES: dict[str, type[ValuePredictor]] = {
-    "context": ContextValuePredictor,
-    "last-value": LastValuePredictor,
-    "stride": StridePredictor,
-    "hybrid": HybridPredictor,
-    "tagged-context": TaggedContextPredictor,
-}
-
-
-def predictor_sweep(
-    max_instructions: int | None = 5000,
-    benchmarks: list[str] | None = None,
-    config: ProcessorConfig | None = None,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[SweepPoint]:
-    """Extension: compare value predictors under the great model."""
-    config = config or ProcessorConfig(issue_width=8, window_size=48)
-    names = _benchmark_names(benchmarks)
-    variants = [
-        _Variant(label, config, GREAT_MODEL, predictor=factory)
-        for label, factory in PREDICTOR_FACTORIES.items()
-    ]
-    return _run_sweep(names, max_instructions, variants, jobs=jobs, backend=backend)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.harness.render import render_table
-from repro.programs.suite import benchmark_suite
+from repro.programs.suite import kernel, select_benchmarks
 from repro.trace.stats import compute_stats
 
 
@@ -28,10 +28,14 @@ class Table1Row:
     paper_predicted_pct: float
 
 
-def run_table1(max_instructions: int | None = None) -> list[Table1Row]:
-    """Execute every kernel and measure its Table 1 characteristics."""
+def run_table1(
+    max_instructions: int | None = None, benchmarks: list[str] | None = None
+) -> list[Table1Row]:
+    """Execute the selected kernels (default: all) and measure their
+    Table 1 characteristics."""
     rows: list[Table1Row] = []
-    for spec in benchmark_suite():
+    for name in select_benchmarks(benchmarks):
+        spec = kernel(name)
         trace = spec.trace(max_instructions)
         stats = compute_stats(trace)
         rows.append(

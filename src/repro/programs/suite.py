@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.asm import Program, assemble
 from repro.func import Machine
@@ -87,6 +88,31 @@ def benchmark_suite() -> tuple[KernelSpec, ...]:
 
 def kernel_names() -> list[str]:
     return [spec.name for spec in _SUITE]
+
+
+class BenchmarkSelectionError(ValueError):
+    """A benchmark selection names an unknown kernel, or none at all."""
+
+
+def select_benchmarks(benchmarks: Iterable[str] | None = None) -> list[str]:
+    """The names of the selected suite kernels, in suite order (all of
+    them for ``None``).
+
+    Raises :class:`BenchmarkSelectionError` naming any entry that is not
+    a suite kernel, and when the selection is empty.
+    """
+    names = kernel_names()
+    if benchmarks is None:
+        return names
+    wanted = list(benchmarks)
+    unknown = [name for name in wanted if name not in names]
+    if unknown:
+        raise BenchmarkSelectionError(
+            f"unknown benchmark(s) {unknown}; know {names}"
+        )
+    if not wanted:
+        raise BenchmarkSelectionError("no benchmarks selected")
+    return [name for name in names if name in wanted]
 
 
 #: Benchmark-name prefix selecting a synthetic micro-kernel

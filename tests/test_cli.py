@@ -11,6 +11,21 @@ def test_list(capsys):
     assert "figure3" in out and "table1" in out
 
 
+def test_list_aligns_every_column(capsys):
+    from repro.harness.experiments import EXPERIMENTS
+
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(EXPERIMENTS)
+    ref_starts = {
+        line.index(e.paper_ref, len(e.id)) for line, e in zip(lines, EXPERIMENTS.values())
+    }
+    title_starts = {
+        line.rindex(e.title) for line, e in zip(lines, EXPERIMENTS.values())
+    }
+    assert len(ref_starts) == len(title_starts) == 1
+
+
 def test_describe(capsys):
     assert main(["describe", "super"]) == 0
     out = capsys.readouterr().out
@@ -153,3 +168,79 @@ def test_ablate_pairs_grow_the_run_set(capsys):
     # limit 0 drops every lesioned run but the counter proves the pairs
     # were planned.
     assert "dropped by --limit" in out
+
+
+@pytest.mark.parametrize("command", ["run", "export"])
+def test_unknown_benchmark_is_a_one_line_error(command, capsys):
+    code = main(
+        [command, "abl-inval", "--max-instructions", "300",
+         "--benchmarks", "compress", "cmopress"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err and "cmopress" in err
+
+
+def test_submit_unknown_benchmark_fails_before_contacting_the_service(
+    monkeypatch, capsys
+):
+    from repro.service.client import ENV_ADDR
+
+    monkeypatch.setenv(ENV_ADDR, "127.0.0.1:1")
+    code = main(
+        ["submit", "abl-inval", "--max-instructions", "300",
+         "--benchmarks", "cmopress"]
+    )
+    assert code == 2
+    assert "cmopress" in capsys.readouterr().err
+
+
+def test_run_table1_honours_benchmarks(capsys):
+    code = main(
+        ["run", "table1", "--max-instructions", "300",
+         "--benchmarks", "go", "compress"]
+    )
+    assert code == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[3:]]
+    assert rows == ["compress", "go"]
+
+
+def test_export_table1_honours_benchmarks(capsys):
+    code = main(
+        ["export", "table1", "--max-instructions", "300",
+         "--benchmarks", "compress"]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("compress,")
+
+
+def test_figure1_ignores_grid_options_on_cluster_submit(monkeypatch, capsys):
+    from repro.cluster.client import ADDR_ENV_VAR
+
+    monkeypatch.delenv(ADDR_ENV_VAR, raising=False)
+    assert main(["run", "figure1"]) == 0
+    expected = capsys.readouterr().out
+    code = main(
+        ["cluster", "submit", "figure1", "--max-instructions", "100",
+         "--jobs", "1"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_figure1_ignores_grid_options_on_submit(monkeypatch, capsys):
+    from repro.service.client import ENV_ADDR
+
+    # figure1 runs no grid, so the service is never contacted
+    monkeypatch.setenv(ENV_ADDR, "127.0.0.1:1")
+    assert main(["run", "figure1", "--max-instructions", "100"]) == 0
+    expected = capsys.readouterr().out
+    code = main(
+        ["submit", "figure1", "--max-instructions", "100",
+         "--benchmarks", "compress"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == expected

@@ -59,6 +59,28 @@ def test_kernel_lookup():
         kernel("spice")
 
 
+def test_select_benchmarks_returns_suite_order():
+    from repro.programs.suite import select_benchmarks
+
+    assert select_benchmarks() == kernel_names()
+    assert select_benchmarks(["perl", "compress", "perl"]) == ["compress", "perl"]
+
+
+@pytest.mark.parametrize(
+    "selection, message",
+    [
+        (["compress", "cmopress"], r"unknown benchmark\(s\) \['cmopress'\]"),
+        (["micro:fib"], r"unknown benchmark\(s\) \['micro:fib'\]"),
+        ([], "no benchmarks selected"),
+    ],
+)
+def test_select_benchmarks_rejects_bad_selections(selection, message):
+    from repro.programs.suite import select_benchmarks
+
+    with pytest.raises(ValueError, match=message):
+        select_benchmarks(selection)
+
+
 def test_suite_order_matches_table1():
     suite = benchmark_suite()
     assert [s.name for s in suite] == kernel_names()
