@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Cluster sweep smoke (the CI `cluster-smoke` job, runnable locally).
 
-Drives the fault-tolerant sweep service (``repro.cluster``) through the
-full acceptance scenario on one host:
+Drives the simulation service's worker plane (``backend="cluster"``)
+through the full acceptance scenario on one host:
 
 1. Runs a small Figure 3 grid inline (``jobs=1``) as the reference.
-2. Starts a scheduler over a result store plus two worker subprocesses,
-   one carrying an injected ``kill_on_lease`` fault — it SIGKILLs
-   itself upon its first lease, mid-sweep.
+2. Starts a service over a result store plus two ``repro cluster work``
+   subprocesses, one carrying an injected ``kill_on_lease`` fault — it
+   SIGKILLs itself upon its first lease, mid-sweep.
 3. Submits the same grid, waits until at least one point is stored,
-   then **kills the scheduler** and restarts a fresh one on the same
+   then **kills the service** and restarts a fresh one on the same
    port over the same store (a forced restart with total in-memory
    state loss).
 4. Lets the resumed sweep finish and asserts:
@@ -56,25 +56,26 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     # A private warm trace cache: the inline reference pass populates
-    # it, so cluster workers read entries instead of re-capturing.
+    # it, so the workers read entries instead of re-capturing.
     os.environ.setdefault(
         "REPRO_TRACE_CACHE", tempfile.mkdtemp(prefix="repro-cluster-smoke-")
     )
 
-    from repro.cluster.client import ClusterClient, spawn_worker
     from repro.cluster.faults import FaultPlan
-    from repro.cluster.serial import job_key
-    from repro.cluster.scheduler import (
-        ClusterScheduler,
-        SchedulerConfig,
-        SchedulerTracer,
-    )
+    from repro.cluster.serial import job_key, job_to_blob
+    from repro.cluster.worker import reap, spawn_worker
     from repro.core.model import GOOD_MODEL, GREAT_MODEL
     from repro.engine.config import paper_config
     from repro.harness.figure3 import SETTINGS
     from repro.harness.parallel import SimJob, run_jobs
     from repro.metrics.counters import SimCounters
     from repro.service import results as result_store
+    from repro.service.client import ServiceClient
+    from repro.service.server import (
+        ServiceConfig,
+        ServiceTracer,
+        SimulationService,
+    )
 
     # A small Figure 3 grid: one configuration, the paper's four
     # settings, two models — baselines included, exactly as
@@ -103,25 +104,22 @@ def main(argv: list[str] | None = None) -> int:
         return {path.stem for path in result_store.store_entries(store)}
 
     supervision = dict(
-        heartbeat_interval=0.1,
+        store=store,
+        backend="cluster",
         heartbeat_timeout=1.0,
         lease_timeout=60.0,
         poll_interval=0.05,
-        monitor_interval=0.05,
-        backoff_base=0.05,
-        backoff_cap=0.25,
     )
-    tracer = SchedulerTracer()  # shared by both schedulers
-    first = ClusterScheduler(
-        SchedulerConfig(store_dir=store, **supervision), tracer=tracer
-    )
+    tracer = ServiceTracer()  # shared by both incarnations
+    first = SimulationService(ServiceConfig(**supervision), tracer=tracer)
     address = first.start()
     workers = [
         spawn_worker(address, faults=FaultPlan(kill_on_lease=args.kill_lease),
                      reconnect_deadline=120.0),
         spawn_worker(address, reconnect_deadline=120.0),
     ]
-    client = ClusterClient(address)
+    client = ServiceClient(*address)
+    blobs = [{"key": job_key(job), "blob": job_to_blob(job)} for job in grid]
 
     status = 0
     start = time.perf_counter()
@@ -136,35 +134,29 @@ def main(argv: list[str] | None = None) -> int:
         first.stop()  # forced restart: all in-memory state is lost
         pre_restart = stored_keys()
 
-        second = ClusterScheduler(
-            SchedulerConfig(port=address[1], store_dir=store, **supervision),
-            tracer=tracer,
+        second = SimulationService(
+            ServiceConfig(port=address[1], **supervision), tracer=tracer
         )
         second.start()
         try:
-            receipt = client.submit(grid)
-            replayed = int(receipt.get("replayed", 0))
+            _, _, receipt = client._request(
+                "POST", "/v1/submit", {"jobs": blobs}
+            )
+            replayed = receipt.get("dispositions", []).count("store")
             if replayed < len(pre_restart):
                 print(
                     f"FAIL: only {replayed}/{len(pre_restart)} pre-restart "
                     "points replayed from the store (recompute happened)"
                 )
                 status = 1
-            results = client.run(grid, poll=0.05, timeout=300.0)
+            results = client.run(grid, timeout=300.0)
         finally:
             second.drain()
-            for process in workers:
-                try:
-                    process.wait(timeout=60)
-                except Exception:
-                    pass
+            reap(workers, timeout=60)
             second.stop()
     finally:
-        for process in workers:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
-    cluster_seconds = time.perf_counter() - start
+        reap(workers, timeout=0)
+    leased_seconds = time.perf_counter() - start
 
     killed_rc = workers[0].returncode
     if killed_rc != -signal.SIGKILL:
@@ -172,11 +164,11 @@ def main(argv: list[str] | None = None) -> int:
         status = 1
 
     if [r.counters for r in results] != [r.counters for r in reference]:
-        print("FAIL: cluster results differ from the jobs=1 reference")
+        print("FAIL: leased results differ from the jobs=1 reference")
         status = 1
     merged_ref = SimCounters.merged(r.counters for r in reference)
-    merged_cluster = SimCounters.merged(r.counters for r in results)
-    if merged_ref != merged_cluster:
+    merged_leased = SimCounters.merged(r.counters for r in results)
+    if merged_ref != merged_leased:
         print("FAIL: merged SimCounters differ from the jobs=1 reference")
         status = 1
 
@@ -202,14 +194,14 @@ def main(argv: list[str] | None = None) -> int:
     rows = [
         ("grid points", str(len(grid))),
         ("inline reference (jobs=1)", f"{serial_seconds:.2f} s"),
-        ("cluster (kill + restart)", f"{cluster_seconds:.2f} s"),
+        ("leased (kill + restart)", f"{leased_seconds:.2f} s"),
         ("points stored before restart", str(len(pre_restart))),
         ("pre-restart points recomputed", str(len(recomputed))),
         ("faulty worker exit", f"signal {-killed_rc}"
          if killed_rc is not None and killed_rc < 0 else str(killed_rc)),
         ("store entries", str(len(entries))),
         ("merged SimCounters identical", "yes" if merged_ref ==
-         merged_cluster else "NO"),
+         merged_leased else "NO"),
         ("result", "ok" if status == 0 else "FAIL"),
     ]
     width = max(len(label) for label, _ in rows)
@@ -219,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:
         lines = [
-            "### Cluster sweep smoke (worker kill + scheduler restart)",
+            "### Cluster sweep smoke (worker kill + service restart)",
             "",
             "| check | value |",
             "|---|---|",

@@ -255,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
 
     service = None
     if args.connect:
-        from repro.cluster.protocol import parse_address
+        from repro.service.client import parse_address
 
         host, port = parse_address(args.connect)
     else:

@@ -9,17 +9,17 @@ bench <name> [options]    simulate one benchmark kernel and print counters
 obs trace|histo|export    instrumented runs: timelines, latency histograms
 ablate [options]          leave-one-out ablation, ranked importance report
 cache info|clear|warm     manage the persistent on-disk trace cache
-cluster serve|work|submit|status   the fault-tolerant sweep service
-serve [options]           run the always-on HTTP simulation service
-submit <id> --connect     run an experiment through a running service
+serve [options]           run the simulation service (HTTP, result store)
+submit <id> [--connect]   run an experiment through the simulation service
+cluster work|status       a worker for `serve --backend cluster`; status
 table1 / figure1 / figure3 / figure4   shorthands for ``run <id>``
 
-Any grid-running command accepts ``--backend cluster`` (or
-``REPRO_SWEEP_BACKEND=cluster``) to route its simulation grid through
-the fault-tolerant cluster sweep service — see docs/CLUSTER.md — or
-``--backend service`` (with ``REPRO_SERVICE_ADDR=HOST:PORT``) to run
-it through the always-on HTTP service and its persistent result store
-— see docs/SERVICE.md.
+Any grid-running command accepts ``--backend service`` (or
+``REPRO_SWEEP_BACKEND=service``) to run its simulation grid through the
+simulation service — the one at ``REPRO_SERVICE_ADDR=HOST:PORT``, or
+without it an ephemeral in-process service leasing the grid to
+``--jobs`` worker processes — with bit-identical results; see
+docs/SERVICE.md.
 
 ``obs`` accepts suite kernel names and micro kernels via the
 ``micro:<name>`` form (e.g. ``micro:fib``).
@@ -40,6 +40,7 @@ from repro.core.model import named_models
 from repro.engine.config import paper_config
 from repro.engine.sim import run_baseline, run_trace
 from repro.harness.experiments import EXPERIMENTS
+from repro.harness.parallel import BACKENDS, BackendSelectionError
 from repro.metrics.summary import summarize_counters
 from repro.programs.suite import BenchmarkSelectionError, kernel, kernel_names
 
@@ -72,8 +73,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace, **overrides) -> int:
     """Run experiment ``args.id`` with the command's grid options
-    (``overrides`` win); ``submit`` and ``cluster submit`` pin the
-    backend through it."""
+    (``overrides`` win); ``submit`` pins the backend through it."""
     experiment = EXPERIMENTS.get(args.id)
     if experiment is None:
         print(f"unknown experiment {args.id!r}; try `repro list`", file=sys.stderr)
@@ -288,75 +288,40 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import protocol
-    from repro.cluster.client import ADDR_ENV_VAR, ClusterClient
+    import json as _json
+    import os as _os
 
-    if args.action == "serve":
-        from repro.cluster.scheduler import ClusterScheduler, SchedulerConfig
-
-        host, port = protocol.parse_address(args.bind)
-        config = SchedulerConfig(
-            host=host,
-            port=port,
-            store_dir=_store_option(args),
-            heartbeat_timeout=args.heartbeat_timeout,
-            lease_timeout=args.lease_timeout,
-            max_attempts=args.max_attempts,
-        )
-        scheduler = ClusterScheduler(config)
-        bound = scheduler.start()
-        print(f"scheduler listening on {bound[0]}:{bound[1]}")
-        _print_store_line(config.store_dir)
-        print(f"workers connect with: repro cluster work --connect "
-              f"{bound[0]}:{bound[1]}")
-        _serve_until_interrupted(scheduler)
-        return 0
+    from repro.service.client import ENV_ADDR, ServiceClient, parse_address
 
     if args.action == "work":
         from repro.cluster.worker import ClusterWorker
 
         worker = ClusterWorker(
-            protocol.parse_address(args.connect),
+            parse_address(args.connect),
             strict=True if args.strict else None,
             reconnect_deadline=args.reconnect_deadline,
         )
         return worker.run()
 
-    if args.action == "submit":
-        import os as _os
-
-        if args.connect:
-            _os.environ[ADDR_ENV_VAR] = args.connect
-        return _cmd_run(args, backend="cluster")
-
     # status
-    import json as _json
-    import os as _os
-
-    address = args.connect or _os.environ.get(ADDR_ENV_VAR, "")
+    address = args.connect or _os.environ.get(ENV_ADDR, "")
     if not address:
-        print(
-            f"no scheduler address (--connect or {ADDR_ENV_VAR})",
-            file=sys.stderr,
-        )
+        print(f"no service address (--connect or {ENV_ADDR})", file=sys.stderr)
         return 2
-    client = ClusterClient(protocol.parse_address(address))
     try:
-        status = client.status()
+        status = ServiceClient(*parse_address(address)).status()
     except OSError as error:
-        print(f"scheduler unreachable at {address}: {error}", file=sys.stderr)
+        print(f"service unreachable at {address}: {error}", file=sys.stderr)
         return 1
     if getattr(args, "json", False):
         print(_json.dumps(status, indent=2, sort_keys=True))
         return 0
-    _print_status_text(status, f"scheduler at {address}")
+    _print_status_text(status, f"service at {address}")
     return 0
 
 
 def _print_status_text(status: dict, title: str) -> None:
-    """Human rendering of a status document (cluster scheduler and
-    simulation service share the ``jobs`` count schema and the
-    ``store`` block)."""
+    """Human rendering of a service status document."""
     print(title)
     jobs = status.get("jobs") or {}
     print(
@@ -367,9 +332,6 @@ def _print_status_text(status: dict, title: str) -> None:
     workers = status.get("workers")
     if isinstance(workers, dict):
         print(f"  workers  {len(workers)}")
-    sweeps = status.get("sweeps")
-    if isinstance(sweeps, dict):
-        print(f"  sweeps   {len(sweeps)}")
     queue = status.get("queue")
     if isinstance(queue, dict):
         print(f"  queue    {queue.get('depth', 0)}/{queue.get('max', '?')}")
@@ -404,8 +366,8 @@ def _print_status_text(status: dict, title: str) -> None:
 
 
 def _store_option(args: argparse.Namespace):
-    """The store directory a server's ``--store`` option names
-    (``None``: disabled); both ``serve`` commands share the rule."""
+    """The store directory ``serve --store`` names (``None``:
+    disabled)."""
     from repro.service import results as rs
 
     return rs.resolve_store(rs.AUTO_STORE if args.store is None else args.store)
@@ -420,8 +382,7 @@ def _print_store_line(store) -> None:
 
 
 def _serve_until_interrupted(server) -> None:
-    """Block until Ctrl+C, then stop ``server`` (a started scheduler or
-    service)."""
+    """Block until Ctrl+C, then stop the started ``server``."""
     import signal
     import time
 
@@ -437,11 +398,11 @@ def _serve_until_interrupted(server) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """The always-on simulation service (``repro serve``)."""
-    from repro.cluster import protocol
+    """The simulation service (``repro serve``)."""
+    from repro.service.client import parse_address
     from repro.service.server import ServiceConfig, SimulationService
 
-    host, port = protocol.parse_address(args.bind)
+    host, port = parse_address(args.bind)
     config = ServiceConfig(
         host=host,
         port=port,
@@ -450,32 +411,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs if args.jobs is not None else 1,
         max_queue=args.max_queue,
         store_max_entries=args.store_max_entries,
+        heartbeat_timeout=args.heartbeat_timeout,
+        lease_timeout=args.lease_timeout,
+        max_attempts=args.max_attempts,
     )
     service = SimulationService(config)
     bound = service.start()
-    print(f"simulation service listening on http://{bound[0]}:{bound[1]}/v1/")
+    address = f"{bound[0]}:{bound[1]}"
+    print(f"simulation service listening on http://{address}/v1/")
     _print_store_line(service.store_dir)
     print(f"backend: {config.backend} (jobs={config.jobs})")
-    print(f"submit with: repro submit <id> --connect {bound[0]}:{bound[1]}")
+    if config.backend == "cluster":
+        print(f"workers connect with: repro cluster work --connect {address}")
+    print(f"submit with: repro submit <id> --connect {address}")
     _serve_until_interrupted(service)
     return 0
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    """Run an experiment's grid through a running simulation service
-    (``repro submit <id> --connect HOST:PORT``)."""
+    """Run an experiment's grid through the simulation service at
+    ``--connect`` (or ``REPRO_SERVICE_ADDR``), else an ephemeral one
+    with ``--jobs`` leased workers."""
     import os as _os
 
     from repro.service.client import ENV_ADDR
 
     if args.connect:
         _os.environ[ENV_ADDR] = args.connect
-    if not _os.environ.get(ENV_ADDR):
-        print(
-            f"no service address (--connect or {ENV_ADDR})",
-            file=sys.stderr,
-        )
-        return 2
     return _cmd_run(args, backend="service")
 
 
@@ -628,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid.add_argument(
         "--backend",
-        choices=("local", "cluster", "service"),
+        choices=BACKENDS,
         default=None,
         help="grid execution backend (default: REPRO_SWEEP_BACKEND or local)",
     )
@@ -702,42 +664,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster_parser = sub.add_parser(
         "cluster",
-        help="fault-tolerant sweep service (see docs/CLUSTER.md)",
+        help="workers for `serve --backend cluster` (see docs/SERVICE.md)",
     )
     cluster_sub = cluster_parser.add_subparsers(dest="action", required=True)
 
-    serve_parser = cluster_sub.add_parser(
-        "serve", help="run a sweep scheduler (Ctrl+C to stop)"
-    )
-    serve_parser.add_argument(
-        "--bind", default="127.0.0.1:7787", metavar="HOST:PORT",
-        help="listen address (port 0 picks a free port)",
-    )
-    _add_store_option(serve_parser)
-    serve_parser.add_argument(
-        "--heartbeat-timeout", type=float, default=8.0, metavar="SECONDS",
-        help="presume a silent worker dead after this long",
-    )
-    serve_parser.add_argument(
-        "--lease-timeout", type=float, default=600.0, metavar="SECONDS",
-        help="requeue a leased job not reported back within this long",
-    )
-    serve_parser.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
-        help="per-job attempt budget before the sweep is failed",
-    )
-    serve_parser.set_defaults(func=_cmd_cluster)
-
     work_parser = cluster_sub.add_parser(
-        "work", help="run one worker process against a scheduler"
+        "work", help="run one worker process against a service"
     )
     work_parser.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
-        help="scheduler address",
+        help="service address",
     )
     work_parser.add_argument(
         "--reconnect-deadline", type=float, default=30.0, metavar="SECONDS",
-        help="keep retrying an unreachable scheduler this long",
+        help="keep retrying an unreachable service this long",
     )
     work_parser.add_argument(
         "--strict", action="store_true",
@@ -745,41 +685,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     work_parser.set_defaults(func=_cmd_cluster)
 
-    submit_parser = cluster_sub.add_parser(
-        "submit", help="run an experiment's grid on the cluster backend"
-    )
-    submit_parser.add_argument("id", help="experiment id (see `repro list`)")
-    submit_parser.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
-        help="scheduler address (default: REPRO_CLUSTER_ADDR, else an "
-        "ephemeral local cluster)",
-    )
-    submit_parser.add_argument("--max-instructions", type=int, default=None)
-    submit_parser.add_argument("--benchmarks", nargs="*", default=None)
-    submit_parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker count for an ephemeral local cluster",
-    )
-    submit_parser.set_defaults(func=_cmd_cluster)
-
     status_parser = cluster_sub.add_parser(
-        "status", help="print a scheduler's workers/jobs/sweeps"
+        "status", help="print a service's jobs, workers, queue and store"
     )
     status_parser.add_argument(
         "--connect", default=None, metavar="HOST:PORT",
-        help="scheduler address (default: REPRO_CLUSTER_ADDR)",
+        help="service address (default: REPRO_SERVICE_ADDR)",
     )
     status_parser.add_argument(
         "--json", action="store_true",
-        help="emit the raw status document as JSON (the same schema the "
-        "service's /v1/status endpoint uses for its jobs block)",
+        help="emit the raw GET /v1/status document as JSON",
     )
     status_parser.set_defaults(func=_cmd_cluster)
 
     service_parser = sub.add_parser(
         "serve",
-        help="run the always-on HTTP simulation service "
-        "(see docs/SERVICE.md; Ctrl+C to stop)",
+        help="run the simulation service (see docs/SERVICE.md; Ctrl+C "
+        "to stop)",
     )
     service_parser.add_argument(
         "--bind", default="127.0.0.1:7788", metavar="HOST:PORT",
@@ -790,11 +712,12 @@ def build_parser() -> argparse.ArgumentParser:
     service_parser.add_argument(
         "--store-max-entries", type=int, default=None, metavar="N",
         help="evict oldest store entries beyond this count after each "
-        "dispatch cycle (default: unbounded)",
+        "dispatch cycle or worker result (default: unbounded)",
     )
     service_parser.add_argument(
         "--backend", choices=("serial", "pool", "cluster"), default="serial",
-        help="how admitted jobs execute (default: serial)",
+        help="how admitted jobs execute; cluster leases them to "
+        "`repro cluster work` workers (default: serial)",
     )
     service_parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -805,19 +728,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission bound: queued jobs beyond this draw 429 "
         "(default: 256)",
     )
+    service_parser.add_argument(
+        "--heartbeat-timeout", type=float, default=8.0, metavar="SECONDS",
+        help="--backend cluster: presume a silent worker dead after this long",
+    )
+    service_parser.add_argument(
+        "--lease-timeout", type=float, default=600.0, metavar="SECONDS",
+        help="--backend cluster: requeue a leased job whose worker stopped "
+        "heartbeating for it within this long",
+    )
+    service_parser.add_argument(
+        "--max-attempts", type=int, default=3, metavar="N",
+        help="--backend cluster: per-job attempt budget before it fails",
+    )
     service_parser.set_defaults(func=_cmd_serve)
 
     svc_submit = sub.add_parser(
         "submit",
-        help="run an experiment's grid through a running simulation service",
+        help="run an experiment's grid through the simulation service",
     )
     svc_submit.add_argument("id", help="experiment id (see `repro list`)")
     svc_submit.add_argument(
         "--connect", default=None, metavar="HOST:PORT",
-        help="service address (default: REPRO_SERVICE_ADDR)",
+        help="service address (default: REPRO_SERVICE_ADDR, else an "
+        "ephemeral in-process service with --jobs workers)",
     )
     svc_submit.add_argument("--max-instructions", type=int, default=None)
     svc_submit.add_argument("--benchmarks", nargs="*", default=None)
+    svc_submit.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="worker processes for an ephemeral service",
+    )
     svc_submit.set_defaults(func=_cmd_submit)
 
     obs_parser = sub.add_parser(
@@ -936,7 +877,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # output piped into a pager/head that closed early: not an error
         return 0
-    except BenchmarkSelectionError as error:
+    except (BenchmarkSelectionError, BackendSelectionError) as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2
 

@@ -1,35 +1,26 @@
-"""Fault injection for the cluster service.
+"""Fault injection for cluster workers.
 
 Recovery code that is never exercised is broken code waiting for a bad
-night, so every failure path the scheduler claims to survive has a knob
-here that forces it on demand: the unit tests, the e2e tests and the CI
-``cluster-smoke`` job all drive real injected faults through the real
-service rather than mocking the failure.
+night, so every worker failure the service claims to survive has a
+knob here that forces it on demand: the unit tests, the e2e tests and
+the CI ``cluster-smoke`` job all drive real injected faults through the
+real service rather than mocking the failure.
 
-A :class:`FaultPlan` is carried by the *faulty party*: worker-side knobs
-ride to the worker process in the ``REPRO_CLUSTER_FAULTS`` environment
-variable (JSON), scheduler-side knobs sit on the
-:class:`~repro.cluster.scheduler.SchedulerConfig`.  All knobs default
-to "off"; a default plan is exactly a production run.
+A :class:`FaultPlan` rides to the worker process in the
+``REPRO_CLUSTER_FAULTS`` environment variable (JSON).  The one
+service-side knob, ``fail_leases``, is
+:attr:`repro.service.server.ServiceConfig.fail_leases`.  All knobs
+default to "off"; a default plan is exactly a production run.
 
-Worker-side knobs
------------------
 ``kill_on_lease = n``      SIGKILL ourselves upon receiving the *n*-th
                            lease (1-based) — a worker dying mid-job.
 ``drop_heartbeats_after``  stop sending heartbeats after that many beats
                            while continuing to work — a wedged/partitioned
-                           worker the scheduler must presume dead.
-``corrupt_result = n``     flip bytes in the *n*-th result frame so the
-                           scheduler receives garbage — a framing-level
-                           corruption the protocol must reject safely.
-``delay_frame_s``          sleep before every frame send — slow links;
+                           worker the service must presume dead.
+``corrupt_result = n``     mangle the *n*-th result body so the service
+                           receives garbage it must reject safely.
+``delay_request_s``        sleep before every request — slow links;
                            shakes out timeout races.
-
-Scheduler-side knobs
---------------------
-``fail_leases = n``        reject the first *n* lease requests with an
-                           injected error — workers must back off and
-                           retry rather than die.
 """
 
 from __future__ import annotations
@@ -49,8 +40,7 @@ class FaultPlan:
     kill_on_lease: int = 0
     drop_heartbeats_after: int = 0
     corrupt_result: int = 0
-    delay_frame_s: float = 0.0
-    fail_leases: int = 0
+    delay_request_s: float = 0.0
 
     def any(self) -> bool:
         return any(v for v in asdict(self).values())
@@ -76,10 +66,7 @@ class FaultPlan:
             return cls()
 
 
-def corrupt_bytes(frame: bytes) -> bytes:
-    """Deterministically mangle a frame's payload (header left intact so
-    the receiver reads the full payload, then fails to decode it)."""
-    if len(frame) <= 4:
-        return frame
-    payload = bytes(b ^ 0x5A for b in frame[4:])
-    return frame[:4] + payload
+def corrupt_bytes(body: bytes) -> bytes:
+    """Deterministically mangle a request body: same length, so the
+    service reads all of it, then fails to decode it."""
+    return bytes(b ^ 0x5A for b in body)

@@ -3,14 +3,14 @@
 Three concerns live here because they must agree with each other:
 
 * :func:`job_key` — the *content hash* of a :class:`SimJob`.  It is the
-  result-store key and the scheduler's dedup key, so it must be stable across
+  result-store key and the service's dedup key, so it must be stable across
   processes, interpreter restarts and hosts (no ``id()``, no
   ``PYTHONHASHSEED``-dependent ``hash()``, no pickle memo accidents):
   it hashes a canonical *text* rendering of the job built from frozen
   dataclass reprs and qualified callable names.
 * :func:`job_to_blob` / :func:`job_from_blob` — how a job's full fidelity
   (nested config/model dataclasses, factory callables) crosses the wire:
-  pickled, base64-armored so it embeds in a JSON frame.
+  pickled, base64-armored so it embeds in a JSON request body.
 * :func:`result_to_wire` / :func:`result_from_wire` — how a
   :class:`SimulationResult` travels back and is stored: plain JSON.
   Every counter is an int and JSON round-trips Python ints and floats
@@ -110,7 +110,8 @@ def job_from_blob(blob: str) -> SimJob:
 
 
 def result_to_wire(result: SimulationResult) -> dict:
-    """A result's JSON form (wire frames and result-store entries)."""
+    """A result's JSON form (worker reports, service replies and
+    result-store entries)."""
     return {
         "counters": asdict(result.counters),
         "config": asdict(result.config),

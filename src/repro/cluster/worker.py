@@ -1,11 +1,12 @@
 """The cluster worker: lease, execute, report, heartbeat.
 
 A worker is a long-lived process that repeatedly leases one job from
-the scheduler, executes it with *exactly* the local harness's job
-runner (:func:`repro.harness.parallel._execute` — same content-derived
-per-job RNG, same collaborator factories), and reports the result.  A
-parallel heartbeat thread proves liveness on a second connection so a
-worker busy inside a long simulation still beats.
+the simulation service's worker plane (:mod:`repro.service.server`,
+``backend="cluster"``), executes it with *exactly* the local harness's
+job runner (:func:`repro.harness.parallel._execute` — same
+content-derived per-job RNG, same collaborator factories), and reports
+the result.  A parallel heartbeat thread proves liveness so a worker
+busy inside a long simulation still beats.
 
 Only job descriptions and results cross the wire; the engine itself is
 the same in-process :class:`~repro.engine.pipeline.PipelineSimulator`
@@ -18,36 +19,39 @@ a cold miss falls back to functional capture *unless*
 silently re-materialize (the same strictness contract the local pool
 workers honor).
 
-Workers are crash-first: any connection failure — scheduler restart,
-network blip, a corrupt frame the scheduler refused — is handled by
-reconnecting (with the worker's stable, self-generated id) and
-retrying, up to a reconnect deadline.  Results are safe to resend: the
-scheduler treats duplicates as idempotent because re-execution is
-deterministic.
+Workers are crash-first: every request rides a fresh HTTP connection,
+and any connection failure — a service restart, a network blip — is
+retried until the reconnect deadline.  Results are safe to resend: the
+service treats duplicates as idempotent because re-execution is
+deterministic, and each result carries its job blob so a restarted
+service can verify and adopt it.
 
-Run one with ``repro cluster work --connect HOST:PORT`` or
-``python -m repro.cluster.worker --connect HOST:PORT``.  Fault
-injection (tests/CI only) arrives via ``REPRO_CLUSTER_FAULTS``.
+Run one with ``repro cluster work --connect HOST:PORT``; the fault
+plan of the tests and the CI smoke arrives via ``REPRO_CLUSTER_FAULTS``.
 """
 
 from __future__ import annotations
 
-import argparse
+import http.client
+import json
 import os
 import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
+from pathlib import Path
 
-from repro.cluster import protocol
-from repro.cluster.faults import FaultPlan, corrupt_bytes
+from repro.cluster.faults import FAULTS_ENV_VAR, FaultPlan, corrupt_bytes
 from repro.cluster.serial import job_from_blob, result_to_wire
 from repro.harness import parallel
+from repro.service.client import ServiceClient
 
 
 class WorkerShutdown(Exception):
-    """The worker should exit (drain, or reconnect deadline exceeded)."""
+    """The worker should exit (drain, refusal, or reconnect deadline)."""
 
     def __init__(self, message: str, code: int = 0):
         super().__init__(message)
@@ -56,13 +60,13 @@ class WorkerShutdown(Exception):
 
 def make_worker_id() -> str:
     """A stable, globally unique worker identity, generated worker-side
-    so it survives scheduler restarts and reconnects."""
+    so it survives service restarts."""
     host = socket.gethostname().split(".", 1)[0]
     return f"w-{host}-{os.getpid()}-{os.urandom(3).hex()}"
 
 
 class ClusterWorker:
-    """One worker's connection state and execution loop."""
+    """One worker's execution loop against one service address."""
 
     def __init__(
         self,
@@ -72,104 +76,59 @@ class ClusterWorker:
         faults: FaultPlan | None = None,
         reconnect_deadline: float = 30.0,
     ):
-        self.address = address
         self.worker_id = make_worker_id()
+        self.client = ServiceClient(*address, client_id=self.worker_id)
         self.strict = parallel.strict_no_capture() if strict is None else strict
         self.faults = faults if faults is not None else FaultPlan.from_env()
         self.reconnect_deadline = reconnect_deadline
         self.heartbeat_interval = 1.0
         self.poll_interval = 0.25
         self.jobs_done = 0
-        self._sock: socket.socket | None = None
         self._stop = threading.Event()
         self._lease_count = 0
         self._result_count = 0
 
-    # -- connection management --------------------------------------------
+    def _post(self, path: str, message: dict, *, corrupt: bool = False) -> dict:
+        """POST one worker-plane message and return the service's reply,
+        retrying connection failures until the reconnect deadline.
 
-    def _connect(self) -> None:
-        """(Re)open the control connection and register."""
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-        sock = protocol.connect(self.address, timeout=10.0)
-        reply = protocol.request(sock, {
-            "type": "register",
-            "worker_id": self.worker_id,
-            "pid": os.getpid(),
-            "host": socket.gethostname(),
-        })
-        if reply.get("type") != "ok":
-            sock.close()
-            raise OSError(f"register rejected: {reply!r}")
-        self.heartbeat_interval = float(
-            reply.get("heartbeat_interval", self.heartbeat_interval)
-        )
-        self.poll_interval = float(reply.get("poll_interval", self.poll_interval))
-        self._sock = sock
-
-    def _reconnect_until_deadline(self, deadline: float) -> None:
+        ``corrupt`` injects the corrupt-result fault: the first
+        transmission is mangled (the service must answer ``400`` and
+        stay healthy), then the clean body is resent — exactly the
+        recovery a real corrupting link needs.
+        """
+        message = {"worker_id": self.worker_id, **message}
+        raw = corrupt_bytes(json.dumps(message).encode()) if corrupt else None
+        deadline = time.monotonic() + self.reconnect_deadline
         while True:
+            if self.faults.delay_request_s > 0:
+                time.sleep(self.faults.delay_request_s)
             try:
-                self._connect()
-                return
-            except (OSError, protocol.ProtocolError):
+                status, _, reply = self.client._request(
+                    "POST", path, None if raw else message, raw=raw
+                )
+            except (OSError, http.client.HTTPException):
                 if time.monotonic() > deadline:
                     raise WorkerShutdown(
-                        "scheduler unreachable past reconnect deadline", code=3
+                        "service unreachable past reconnect deadline", code=3
                     ) from None
-                self._stop.wait(0.2)
-                if self._stop.is_set():
+                if self._stop.wait(0.2):
                     raise WorkerShutdown("stopped while reconnecting") from None
-
-    def _request(self, message: dict, *, corrupt_once: bool = False) -> dict:
-        """Send one request, reconnecting/resending as needed.
-
-        ``corrupt_once`` injects the corrupt-frame fault: the first
-        transmission is mangled (the scheduler must reject it and stay
-        healthy), then the clean frame is resent on a fresh connection —
-        which is exactly the recovery a real corrupting link needs.
-        """
-        deadline = time.monotonic() + self.reconnect_deadline
-        corrupted = not (corrupt_once and self._take_corrupt_slot(message))
-        while True:
-            try:
-                if self._sock is None:
-                    self._reconnect_until_deadline(deadline)
-                assert self._sock is not None
-                if self.faults.delay_frame_s > 0:
-                    time.sleep(self.faults.delay_frame_s)
-                frame = protocol.encode_frame(message)
-                if not corrupted:
-                    corrupted = True
-                    self._sock.sendall(corrupt_bytes(frame))
-                    try:
-                        protocol.recv_frame(self._sock)  # error or EOF
-                    except protocol.ProtocolError:
-                        pass
-                    raise OSError("resend after injected frame corruption")
-                self._sock.sendall(frame)
-                reply = protocol.recv_frame(self._sock)
-                if reply is None:
-                    raise OSError("scheduler closed the connection")
+                continue
+            if raw is not None:
+                raw = None  # the mangled body was refused: resend it clean
+                continue
+            if status in (200, 503):  # 503: a transient lease error
                 return reply
-            except (OSError, protocol.ProtocolError):
-                self._sock = None
-                self._reconnect_until_deadline(deadline)
-
-    def _take_corrupt_slot(self, message: dict) -> bool:
-        if message.get("type") != "result" or self.faults.corrupt_result <= 0:
-            return False
-        return self._result_count + 1 == self.faults.corrupt_result
+            raise WorkerShutdown(
+                f"service refused {path} ({status}): {reply.get('error')}",
+                code=2,
+            )
 
     # -- heartbeats --------------------------------------------------------
 
     def _heartbeat_loop(self) -> None:
         beats = 0
-        sock: socket.socket | None = None
         while not self._stop.wait(self.heartbeat_interval):
             if (
                 self.faults.drop_heartbeats_after
@@ -177,25 +136,11 @@ class ClusterWorker:
             ):
                 continue  # injected partition: alive but silent
             try:
-                if sock is None:
-                    sock = protocol.connect(self.address, timeout=5.0)
-                protocol.request(sock, {
-                    "type": "heartbeat",
-                    "worker_id": self.worker_id,
-                })
+                self.client._request("POST", "/v1/heartbeat",
+                                     {"worker_id": self.worker_id})
                 beats += 1
-            except (OSError, protocol.ProtocolError):
-                if sock is not None:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
-                sock = None  # retry on the next tick
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            except (OSError, http.client.HTTPException):
+                pass  # retry on the next tick
 
     # -- execution ---------------------------------------------------------
 
@@ -223,49 +168,35 @@ class ClusterWorker:
         parallel._TRACE_CACHE[key] = trace
 
     def _run_job(self, lease: dict) -> None:
-        key = lease["key"]
-        attempt = int(lease.get("attempt", 1))
-        report = {
-            "type": "result",
-            "worker_id": self.worker_id,
-            "key": key,
-            "attempt": attempt,
-        }
+        report = {"key": lease["key"], "blob": lease["blob"],
+                  "attempt": int(lease.get("attempt", 1))}
         try:
             job = job_from_blob(lease["blob"])
             self._ensure_trace(job.benchmark, job.max_instructions)
-            result = parallel._execute(job)
+            report["result"] = result_to_wire(parallel._execute(job))
             report["ok"] = True
-            report["result"] = result_to_wire(result)
         except Exception as error:
             report["ok"] = False
             report["error"] = f"{type(error).__name__}: {error}"
-        self._request(report, corrupt_once=True)
         self._result_count += 1
+        self._post("/v1/result", report,
+                   corrupt=self._result_count == self.faults.corrupt_result)
         if report["ok"]:
             self.jobs_done += 1
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> int:
-        try:
-            self._connect()
-        except (OSError, protocol.ProtocolError):
-            deadline = time.monotonic() + self.reconnect_deadline
-            try:
-                self._reconnect_until_deadline(deadline)
-            except WorkerShutdown as shutdown:
-                return shutdown.code
         heartbeats = threading.Thread(
             target=self._heartbeat_loop, name="worker-heartbeat", daemon=True
         )
         heartbeats.start()
         try:
             while True:
-                reply = self._request({
-                    "type": "lease",
-                    "worker_id": self.worker_id,
-                })
+                reply = self._post("/v1/lease", {})
+                self.heartbeat_interval = float(
+                    reply.get("heartbeat_interval", self.heartbeat_interval)
+                )
                 kind = reply.get("type")
                 if kind == "shutdown":
                     return 0
@@ -284,38 +215,79 @@ class ClusterWorker:
             return shutdown.code
         finally:
             self._stop.set()
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
 
 
-def worker_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro cluster work",
-        description="Run one cluster sweep worker (see docs/CLUSTER.md)",
-    )
-    parser.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="scheduler address",
-    )
-    parser.add_argument(
-        "--reconnect-deadline", type=float, default=30.0,
-        help="seconds to keep retrying an unreachable scheduler",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help=f"fail jobs on cold traces (same as {parallel.STRICT_ENV_VAR}=1)",
-    )
-    args = parser.parse_args(argv)
-    worker = ClusterWorker(
-        protocol.parse_address(args.connect),
-        strict=True if args.strict else None,
-        reconnect_deadline=args.reconnect_deadline,
-    )
-    return worker.run()
+# -- worker process management --------------------------------------------
 
 
-if __name__ == "__main__":
-    sys.exit(worker_main())
+def spawn_worker(
+    address: tuple[str, int],
+    *,
+    faults: FaultPlan | None = None,
+    reconnect_deadline: float = 30.0,
+    quiet: bool = True,
+) -> subprocess.Popen:
+    """Start one ``repro cluster work`` subprocess against ``address``.
+
+    The child gets this interpreter and this checkout (``src`` is put on
+    ``PYTHONPATH`` explicitly, so spawning works from any cwd), inherits
+    the environment — trace-cache location included — and carries its
+    fault plan, if any, in ``REPRO_CLUSTER_FAULTS``.
+    """
+    env = os.environ.copy()
+    src_root = str(Path(__file__).resolve().parents[2])
+    env["PYTHONPATH"] = src_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    if faults is not None and faults.any():
+        env[FAULTS_ENV_VAR] = faults.to_env()
+    else:
+        env.pop(FAULTS_ENV_VAR, None)
+    command = [
+        sys.executable, "-m", "repro", "cluster", "work",
+        "--connect", f"{address[0]}:{address[1]}",
+        "--reconnect-deadline", str(reconnect_deadline),
+    ]
+    return subprocess.Popen(
+        command,
+        env=env,
+        stdout=subprocess.DEVNULL if quiet else None,
+        stderr=subprocess.DEVNULL if quiet else None,
+    )
+
+
+def reap(processes: list[subprocess.Popen], timeout: float = 5.0) -> None:
+    """Wait for worker processes to exit; terminate (then kill) any
+    still running after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    for proc in processes:
+        try:
+            proc.wait(timeout=max(0.1, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            proc.terminate()
+            try:
+                proc.wait(timeout=2.0)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+
+
+@contextmanager
+def local_workers(service, count: int, *,
+                  faults: dict[int, FaultPlan] | None = None,
+                  reconnect_deadline: float = 30.0):
+    """``count`` worker subprocesses leasing from a started ``service``
+    (a :class:`~repro.service.server.SimulationService` with
+    ``backend="cluster"``).  On exit the service is drained, so the
+    workers leave at their next lease, and they are reaped.
+    ``faults`` assigns a :class:`FaultPlan` per worker slot."""
+    processes = [
+        spawn_worker(service.address, faults=(faults or {}).get(slot),
+                     reconnect_deadline=reconnect_deadline)
+        for slot in range(count)
+    ]
+    try:
+        yield processes
+    finally:
+        service.drain()
+        reap(processes)

@@ -26,8 +26,7 @@ class Experiment:
 
     ``runner`` returns the rendered text and takes the grid options
     named in ``options``; :meth:`run` drops the other grid options, so
-    every command (``run``, ``submit``, ``cluster submit``) can pass all
-    of them.
+    every command (``run``, ``submit``) can pass all of them.
     """
 
     id: str

@@ -68,12 +68,15 @@ from repro.trace.columnar import ChunkedTrace, ColumnarTrace
 STRICT_ENV_VAR = "REPRO_TRACE_STRICT"
 
 #: Env var: default execution backend for ``run_jobs`` when the caller
-#: does not pass one — ``local`` (this module's process pool),
-#: ``cluster`` (the fault-tolerant sweep service, :mod:`repro.cluster`)
-#: or ``service`` (the always-on HTTP front door, :mod:`repro.service`,
-#: at ``REPRO_SERVICE_ADDR``).  Lets any harness entry point ride a
-#: shared backend without code changes.
+#: does not pass one — ``local`` (this module's process pool) or
+#: ``service`` (the simulation service, :mod:`repro.service`: the one
+#: at ``REPRO_SERVICE_ADDR``, else an ephemeral one with leased worker
+#: processes).  Lets any harness entry point ride a shared backend
+#: without code changes.
 BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
+
+#: The values ``run_jobs``' ``backend`` (and ``REPRO_SWEEP_BACKEND``) take.
+BACKENDS = ("local", "service")
 
 #: Default per-job attempt budget when a *worker* dies mid-grid (the
 #: job itself raising is never retried — jobs are deterministic, so a
@@ -388,14 +391,18 @@ def effective_jobs(jobs: int | None, n_tasks: int) -> int:
     return max(1, min(jobs, n_tasks))
 
 
+class BackendSelectionError(ValueError):
+    """A sweep backend that is not one of :data:`BACKENDS`."""
+
+
 def resolve_backend(backend: str | None = None) -> str:
     """The effective sweep backend: explicit argument, then
     ``REPRO_SWEEP_BACKEND``, then ``local``."""
     chosen = backend or os.environ.get(BACKEND_ENV_VAR, "").strip() or "local"
-    if chosen not in ("local", "cluster", "service"):
-        raise ValueError(
-            f"unknown sweep backend {chosen!r} "
-            "(expected 'local', 'cluster' or 'service')"
+    if chosen not in BACKENDS:
+        raise BackendSelectionError(
+            f"unknown sweep backend {chosen!r} (from --backend or "
+            f"{BACKEND_ENV_VAR}); expected one of: {', '.join(BACKENDS)}"
         )
     return chosen
 
@@ -473,9 +480,9 @@ def run_jobs(
     Returns results positionally aligned with ``job_list`` regardless of
     completion order, so callers can ``zip`` jobs with results and the
     merged output is identical for any worker count — and for any
-    backend: ``backend="cluster"`` (or ``REPRO_SWEEP_BACKEND=cluster``)
-    routes the grid through the fault-tolerant sweep service
-    (:mod:`repro.cluster`) with bit-identical results.
+    backend: ``backend="service"`` (or ``REPRO_SWEEP_BACKEND=service``)
+    routes the grid through the simulation service (:mod:`repro.service`)
+    with bit-identical results.
 
     The grid is planned into units first (:func:`plan_units`): a point
     submitted more than once runs once and its result fills every
@@ -487,23 +494,17 @@ def run_jobs(
 
     When the persistent result store is configured
     (``REPRO_RESULT_STORE=<dir>``; see :mod:`repro.service.results`),
-    units whose results are already on disk are served from the store —
-    *warm jobs skip execution on every backend* — and freshly computed
-    results are written back, so any sweep this process runs warms the
-    same store the always-on simulation service reads.
+    local units whose results are already on disk are served from the
+    store — *warm jobs skip execution* — and freshly computed results
+    are written back, so any sweep this process runs warms the same
+    store the simulation service reads.  The service backend leaves
+    the store to the service.
     """
     backend = resolve_backend(backend)
-    if backend == "service":
-        # The service owns planning, dedup and the result store; jobs
-        # travel as submitted points.  Imported lazily — the service
-        # client depends (via repro.cluster) on this module.
-        from repro.service.client import run_jobs_service
-
-        return run_jobs_service(job_list)
     units, slots = plan_units(job_list)
     from repro.service import results as result_store
 
-    directory = result_store.store_dir()
+    directory = result_store.store_dir() if backend == "local" else None
     if directory is None:
         results = _run_jobs_backend(
             units, jobs, backend=backend, max_attempts=max_attempts
@@ -535,13 +536,13 @@ def _run_jobs_backend(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> list[SimulationResult]:
     """The execution core behind :func:`run_jobs`: run planned units on
-    the local pool or the cluster (no store involvement), results
+    the local pool or the service (no local store involvement), results
     aligned with ``units``."""
-    if backend == "cluster":
-        # Imported lazily: repro.cluster depends on this module.
-        from repro.cluster.client import run_jobs_cluster
+    if backend == "service":
+        # Imported lazily: the service client depends on this module.
+        from repro.service.client import run_jobs_service
 
-        return run_jobs_cluster(units, jobs)
+        return run_jobs_service(units, jobs)
     workers = effective_jobs(jobs, len(units))
     if workers <= 1:
         return [_execute(unit) for unit in units]

@@ -1,21 +1,18 @@
 """Client library for the simulation service.
 
 :class:`ServiceClient` speaks the HTTP/JSON protocol of
-:mod:`repro.service.server` through the same submit/poll/resubmit loop
-as the cluster client (:func:`repro.cluster.protocol.resubmit_until_done`):
-submission is idempotent (jobs are content-keyed, so resubmitting is
-free — warm keys come straight back from the result store), results are
-polled, and a client that finds the service down or restarted simply
-resubmits and keeps polling.  Backpressure
-(``429``) is handled by honoring ``Retry-After`` and halving the
-submission chunk, so a client behind a saturated service degrades to a
-slower trickle instead of failing.
+:mod:`repro.service.server` through one submit/poll/resubmit loop
+(:func:`resubmit_until_done`): submission is idempotent (jobs are
+content-keyed, so resubmitting is free — warm keys come straight back
+from the result store), results are polled, and a client that finds
+the service down or restarted simply resubmits and keeps polling.
+Backpressure (``429``) is handled by honoring ``Retry-After`` and
+halving the submission chunk, so a client behind a saturated service
+degrades to a slower trickle instead of failing.
 
-:func:`run_jobs_service` adapts the client to the
-:func:`repro.harness.parallel.run_jobs` calling convention so
-``--backend service`` (or ``REPRO_SWEEP_BACKEND=service`` plus
-``REPRO_SERVICE_ADDR``) routes any existing sweep through a shared
-always-on service instead of local processes.
+:func:`run_jobs_service` is ``run_jobs(..., backend="service")``: with
+an address it sends the grid to that service; without one it stands up
+an in-process service plus worker subprocesses for the one grid.
 """
 
 from __future__ import annotations
@@ -23,9 +20,9 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import re
 import time
 
-from repro.cluster.protocol import SweepLost, parse_address, resubmit_until_done
 from repro.cluster.serial import job_key, job_to_blob, result_from_wire
 
 #: Where ``--backend service`` connects when no address is given
@@ -35,9 +32,75 @@ ENV_ADDR = "REPRO_SERVICE_ADDR"
 DEFAULT_TIMEOUT = 600.0
 DEFAULT_CHUNK = 32
 
+#: Largest request body either side accepts.  A SimJob blob is a few
+#: KB, so ~10k-point submissions stay under it.
+MAX_BODY = 32 * 1024 * 1024
+
 
 class ServiceError(RuntimeError):
     """The service reported a terminal error for this request."""
+
+
+class SweepLost(Exception):
+    """The service no longer knows submitted keys (it restarted);
+    resubmitting the same jobs recovers them."""
+
+
+def parse_address(text: str) -> tuple[str, int]:
+    """Parse a ``host:port`` string (the CLI's ``--connect`` form).
+
+    IPv6 literals use the standard bracketed form — ``[::1]:9000``
+    parses to ``("::1", 9000)`` — since a bare ``rpartition(":")``
+    would otherwise hand the bracketed host straight to the socket
+    layer, which rejects it.  Hostnames and IPv4 stay ``host:port``.
+    """
+    bracketed = re.match(r"^\[([^\[\]]+)\]:(\d+)$", text)
+    if bracketed:
+        return bracketed.group(1), int(bracketed.group(2))
+    if text.startswith("["):
+        raise ValueError(
+            f"expected [v6-literal]:port, got {text!r} "
+            "(bracket the host and follow it with :port)"
+        )
+    host, sep, port = text.rpartition(":")
+    if not sep or not host:
+        raise ValueError(f"expected host:port, got {text!r}")
+    return host, int(port)
+
+
+def resubmit_until_done(submit, fetch, *, poll: float,
+                        max_poll: float | None = None,
+                        timeout: float | None = None):
+    """Submit, then poll until results arrive, resubmitting when lost.
+
+    ``submit()`` offers the jobs to the server; ``fetch()`` returns the
+    results, ``None`` while they are pending, or raises
+    :class:`SweepLost`.  A lost sweep, a dropped connection or a server
+    that is down at submit time all lead to a resubmission on the next
+    poll: jobs are content-keyed and results persist in the server's
+    result store, so resubmitting costs nothing for completed points.
+    Any other error is terminal and propagates.  Polls start ``poll``
+    seconds apart and grow by half each time up to ``max_poll``
+    (default: ``poll``, a fixed interval); past ``timeout`` seconds the
+    loop raises :class:`TimeoutError`.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    delay = poll
+    submitted = False
+    while True:
+        try:
+            if not submitted:
+                submit()
+                submitted = True
+            results = fetch()
+            if results is not None:
+                return results
+        except (OSError, http.client.HTTPException, SweepLost):
+            submitted = False
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError(f"sweep incomplete after {timeout}s")
+        time.sleep(delay)
+        delay = min(delay * 1.5, max_poll if max_poll is not None else poll)
 
 
 class ServiceClient:
@@ -62,36 +125,28 @@ class ServiceClient:
         self.poll_interval = poll_interval
         self.chunk = max(1, int(chunk))
 
-    @classmethod
-    def from_address(cls, address: str | None = None, **kwargs) -> "ServiceClient":
-        """Build a client from ``host:port`` text (or ``$REPRO_SERVICE_ADDR``)."""
-        if address is None:
-            address = os.environ.get(ENV_ADDR)
-        if not address:
-            raise ServiceError(
-                "no service address: pass --connect HOST:PORT or set "
-                f"{ENV_ADDR}"
-            )
-        host, port = parse_address(address)
-        return cls(host, port, **kwargs)
-
     # -- transport ---------------------------------------------------------
 
-    def _request(self, method: str, path: str, body: dict | None = None):
+    def _request(self, method: str, path: str, body: dict | None = None,
+                 *, raw: bytes | None = None):
+        """One request on a fresh connection: ``(status, headers, doc)``.
+        ``raw`` sends those bytes as the body instead of ``body``."""
+        payload = raw if body is None else json.dumps(body).encode("utf-8")
+        if payload is not None and len(payload) > MAX_BODY:
+            raise ServiceError(
+                f"request body of {len(payload)} bytes exceeds "
+                f"MAX_BODY={MAX_BODY}"
+            )
         conn = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
+            headers = {"Content-Type": "application/json"} if payload else {}
             conn.request(method, path, body=payload, headers=headers)
             response = conn.getresponse()
-            raw = response.read()
+            data = response.read()
             try:
-                doc = json.loads(raw.decode("utf-8")) if raw else {}
+                doc = json.loads(data.decode("utf-8")) if data else {}
             except (UnicodeDecodeError, json.JSONDecodeError):
                 doc = {}
             return response.status, dict(response.getheaders()), doc
@@ -189,7 +244,7 @@ class ServiceClient:
 
     def _poll(self, keys: list[str]) -> list | None:
         """The results for ``keys`` in order, or ``None`` while any is
-        pending.  Raises :class:`~repro.cluster.protocol.SweepLost` when
+        pending.  Raises :class:`SweepLost` when
         the service does not know a key (it restarted and lost its
         in-memory registry), :class:`ServiceError` when a job failed."""
         doc = self.fetch(keys)
@@ -207,18 +262,19 @@ class ServiceClient:
         )
         raise ServiceError(f"service reported failed jobs: {detail or reason}")
 
-    def run(self, job_list, timeout: float = DEFAULT_TIMEOUT) -> list:
+    def run(self, job_list, timeout: float | None = DEFAULT_TIMEOUT) -> list:
         """Submit the jobs and poll until every result is available.
 
         Restart-proof: when the service is down or no longer knows the
         keys, the client resubmits — completed keys come back from the
         persistent store, only the genuinely unfinished remainder
-        re-executes.  Raises :class:`TimeoutError` past ``timeout``.
+        re-executes.  Raises :class:`TimeoutError` past ``timeout``
+        seconds (``None``: wait indefinitely).
         """
         job_list = list(job_list)
         if not job_list:
             return []
-        deadline = time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         keys = [job_key(job) for job in job_list]
         return resubmit_until_done(
             lambda: self.submit(job_list, deadline=deadline),
@@ -242,8 +298,35 @@ def _retry_after(headers: dict, doc: dict) -> float:
         return 0.5
 
 
-def run_jobs_service(job_list, *, address: str | None = None, **kwargs) -> list:
-    """``run_jobs``-shaped entry point: execute jobs on the service at
-    ``address`` (default ``$REPRO_SERVICE_ADDR``)."""
-    client = ServiceClient.from_address(address, **kwargs)
-    return client.run(list(job_list))
+def run_jobs_service(job_list, jobs: int = 1) -> list:
+    """``run_jobs(..., backend="service")``: execute jobs on a service.
+
+    With ``$REPRO_SERVICE_ADDR`` set the grid goes to that running
+    service and ``jobs`` is ignored — capacity belongs to the service.  Otherwise an in-process service leases the grid to
+    ``jobs`` worker subprocesses over ``REPRO_RESULT_STORE`` (no
+    persistence when unset), so an interrupted sweep resumes from the
+    points it already stored.
+    """
+    if not job_list:
+        return []
+    address = os.environ.get(ENV_ADDR, "").strip()
+    if address:
+        return ServiceClient(*parse_address(address)).run(job_list)
+
+    from repro.cluster.worker import local_workers
+    from repro.harness.parallel import effective_jobs
+    from repro.service import results as result_store
+    from repro.service.server import ServiceConfig, SimulationService
+
+    config = ServiceConfig(
+        store=result_store.store_dir(),
+        backend="cluster",
+        max_queue=max(1, len(job_list)),
+        heartbeat_timeout=2.0,
+        lease_timeout=120.0,
+        poll_interval=0.05,
+    )
+    with SimulationService(config) as service:
+        with local_workers(service, effective_jobs(jobs, len(job_list))):
+            client = ServiceClient(*service.address)
+            return client.run(job_list, timeout=None)

@@ -21,8 +21,8 @@ discipline from instruction streams to :class:`SimCounters`:
   miss, not an error, and is removed so the next store replaces it;
 * **atomic, durable writes** — temp file, ``fsync``, ``os.replace``,
   then an ``fsync`` of the directory, so an entry that exists survived
-  a crash, and concurrent writers (service executors, the cluster
-  scheduler, two racing clients) need no coordination: results are
+  a crash, and concurrent writers (service executors, two services,
+  racing clients) need no coordination: results are
   deterministic, so the worst case is one writer harmlessly overwriting
   another's bit-identical entry.  A crash before the rename leaves only
   a ``.<name>.<pid>.<tid>.tmp`` file, which reads as a miss and which
@@ -32,17 +32,17 @@ Entries are JSON (one file per key, ``<job_key>.vsres1``) holding the
 result's wire form (:func:`repro.cluster.serial.result_to_wire`) —
 JSON round-trips every counter exactly, so a store-served result
 compares equal, bit for bit, to a freshly computed one.  The store is
-the only persistence for results: the simulation service, the cluster
-scheduler and :func:`repro.harness.parallel.run_jobs` all read and
-write it.
+the only persistence for results: the simulation service and
+:func:`repro.harness.parallel.run_jobs` both read and write it.
 
 Configuration is via the ``REPRO_RESULT_STORE`` environment variable:
 
-* unset — **disabled** for direct harness runs (the servers instead
-  default to ``$XDG_CACHE_HOME/repro/results``, falling back to
-  ``~/.cache/repro/results`` — see :func:`resolve_store`);
+* unset — **disabled** for direct harness runs (``repro serve``
+  instead defaults to ``$XDG_CACHE_HOME/repro/results``, falling back
+  to ``~/.cache/repro/results`` — see :func:`resolve_store`);
 * a path — store under that directory (enables the
-  :func:`repro.harness.parallel.run_jobs` warm-skip on every backend);
+  :func:`repro.harness.parallel.run_jobs` warm-skip, and is the store
+  of the ephemeral service the ``service`` backend starts);
 * any falsy spelling (``off``, ``none``, ``0``, ``false``, ``no``,
   ``disabled`` or empty) — disabled everywhere, matching
   ``REPRO_TRACE_CACHE`` semantics exactly (never misread as a
@@ -107,8 +107,8 @@ def default_service_dir() -> Path:
 def resolve_store(setting: object = AUTO_STORE) -> Path | None:
     """A server's store directory from its setting (``None`` = disabled).
 
-    The one rule for ``repro serve --store``, ``repro cluster serve
-    --store`` and ``ServiceConfig.store``: :data:`AUTO_STORE` resolves
+    The one rule for ``repro serve --store`` and
+    ``ServiceConfig.store``: :data:`AUTO_STORE` resolves
     through ``REPRO_RESULT_STORE`` with :func:`default_service_dir` as
     the default; ``None`` or a string in :data:`_DISABLED_VALUES`
     disables the store; anything else is the directory itself.

@@ -1,11 +1,11 @@
-"""The always-on simulation service: an HTTP/JSON front door over the
-simulation backends with in-flight dedup and a persistent result store.
+"""The simulation service: an HTTP/JSON front door over the simulation
+backends, and the one scheduler of simulation jobs, with in-flight
+dedup and a persistent result store.
 
-This is the long-lived, multi-tenant promotion of the sweep machinery:
-where ``run_jobs`` executes a grid and exits, and the cluster scheduler
-owns one sweep at a time, the service accepts sweep/experiment/single-
-point requests from many concurrent clients indefinitely and guarantees
-that **previously computed results are never recomputed**:
+Where ``run_jobs`` executes a grid and exits, the service accepts
+sweep/experiment/single-point requests from many concurrent clients
+indefinitely and guarantees that **previously computed results are
+never recomputed**:
 
 * a request whose job key is already in the persistent result store
   (:mod:`repro.service.results`) is answered straight from disk — a
@@ -14,45 +14,70 @@ that **previously computed results are never recomputed**:
   in-flight execution — one execution per ``job_key``, every waiter
   shares the result;
 * only genuinely new keys are admitted to the bounded fair queue
-  (:mod:`repro.service.admission`) and executed — on any backend
-  (serial / process pool / cluster) via
-  :func:`repro.harness.parallel.run_jobs` — then persisted to the
+  (:mod:`repro.service.admission`) and executed, then persisted to the
   store before waiters are released, so a service restart mid-burst
   serves every completed point from disk.
 
+How admitted keys execute is the backend: ``serial`` and ``pool`` run
+them in a dispatcher thread through
+:func:`repro.harness.parallel.run_jobs` (inline, or a process pool
+``jobs`` wide); ``cluster`` leases them, one key at a time, to
+``repro cluster work`` processes on any host — the *worker plane*:
+
+* ``POST /v1/lease`` hands a worker one queued key with a deadline;
+  ``/v1/heartbeat`` proves the worker alive and extends its lease;
+  ``/v1/result`` reports the outcome, which is fsynced into the store
+  *before* the worker is answered, so a service crash never loses an
+  acknowledged point.
+* A monitor thread presumes a worker dead after ``heartbeat_timeout``
+  seconds without any request, and requeues its key, as it does a key
+  whose lease lapsed.  Every lease burns one of the key's
+  ``max_attempts``; a requeued key waits out exponential backoff with
+  jitter, and a key out of attempts fails.
+* Jobs are deterministic pure functions, so at-least-once execution
+  with first-result-wins is as good as exactly-once: a later
+  completion is flagged ``duplicate`` and not stored again.
+* A result for a key this service does not hold (a previous
+  incarnation leased it before a restart) is adopted into the store —
+  but only when the job blob it carries hashes to the key.
+
 Protocol: plain HTTP/1.1 with JSON bodies on the stdlib threaded
 server (``http.server.ThreadingHTTPServer`` — one thread per
-connection; handler threads only enqueue and wait, the dispatcher
-thread does the heavy lifting).  Jobs travel exactly as they do on the
-cluster wire: ``{"key": <job_key>, "blob": <base64 pickle>}`` — the
-server re-derives the key from the blob and rejects mismatches, so a
-confused client cannot poison the store.  Like the cluster protocol,
-job blobs are pickles: only expose the service to hosts already
+connection).  Jobs travel as ``{"key": <job_key>, "blob": <base64
+pickle>}``; the server re-derives the key from the blob and rejects
+mismatches, so a confused client or worker cannot poison the store.
+Job blobs are pickles: only expose the service to hosts already
 trusted to run the code (see docs/SERVICE.md).
 
 Endpoints (all JSON)::
 
     GET  /v1/healthz          liveness probe
-    GET  /v1/status           service status (cluster-status job schema)
+    GET  /v1/status           service status
     GET  /v1/store            result-store location/size summary
     GET  /v1/result/<key>     one job's state/result
     POST /v1/submit           enqueue jobs, return per-key dispositions
     POST /v1/fetch            results for a key list (or pending counts)
     POST /v1/run              submit + wait: the synchronous front door
+    POST /v1/lease            worker plane: lease one key
+    POST /v1/heartbeat        worker plane: liveness, extends the lease
+    POST /v1/result           worker plane: report a leased key's outcome
 
-Backpressure: a submission that does not fit the queue bound is
-rejected whole with ``429`` and a ``Retry-After`` header computed from
-the observed per-job execution rate — load beyond capacity surfaces as
-explicit, measurable pushback rather than unbounded latency.
+Request bodies above :data:`~repro.service.client.MAX_BODY` draw
+``413`` before a byte of them is read.  Backpressure: a submission that
+does not fit the queue bound is rejected whole with ``429`` and a
+``Retry-After`` header computed from the observed per-job execution
+rate — load beyond capacity surfaces as explicit, measurable pushback
+rather than unbounded latency.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.cluster.serial import (
@@ -63,9 +88,20 @@ from repro.cluster.serial import (
 from repro.harness import parallel
 from repro.service import results as result_store
 from repro.service.admission import FairQueue, clamp_weight
+from repro.service.client import MAX_BODY
 
-#: Execution backends the dispatcher knows how to drive.
+#: How admitted jobs execute (see the module docstring).
 BACKENDS = ("serial", "pool", "cluster")
+
+#: A requeued key waits ``BACKOFF_BASE * 2^(n-1)`` seconds after its
+#: n-th attempt, capped at ``BACKOFF_CAP``, times a jitter factor drawn
+#: from ``[1, 1 + BACKOFF_JITTER]``.
+BACKOFF_BASE = 0.25
+BACKOFF_CAP = 5.0
+BACKOFF_JITTER = 0.25
+
+#: The worker-plane endpoints (``backend="cluster"`` only).
+WORKER_PLANE = ("/v1/lease", "/v1/heartbeat", "/v1/result")
 
 
 @dataclass(frozen=True)
@@ -80,7 +116,7 @@ class ServiceConfig:
     store: object = result_store.AUTO_STORE
     #: How admitted jobs execute: ``serial`` (inline in the dispatcher),
     #: ``pool`` (``run_jobs`` process pool, ``jobs`` wide) or
-    #: ``cluster`` (the :mod:`repro.cluster` sweep service).
+    #: ``cluster`` (leased to ``repro cluster work`` workers).
     backend: str = "serial"
     jobs: int = 1
     #: Queue bound: queued-but-not-dispatched jobs across all clients.
@@ -90,11 +126,26 @@ class ServiceConfig:
     dispatch_window: int | None = None
     default_weight: float = 1.0
     #: Result-store entry budget, enforced after each dispatch cycle
-    #: (``None`` = unbounded).
+    #: and each worker result (``None`` = unbounded).
     store_max_entries: int | None = None
     #: Retry-After bounds for 429 responses.
     retry_after_floor: float = 0.5
     retry_after_cap: float = 30.0
+    # The worker plane (backend="cluster").  The defaults suit a real
+    # deployment; tests shrink them to keep recovery sub-second.
+    #: A worker is presumed dead after this long without any request;
+    #: workers heartbeat four times as often.
+    heartbeat_timeout: float = 8.0
+    #: Revocation of a lease whose worker stopped heartbeating for it
+    #: (heartbeats extend the lease).
+    lease_timeout: float = 60.0
+    #: Leases one key may consume before it fails.
+    max_attempts: int = 3
+    #: Idle workers poll, and the monitor checks liveness, this often.
+    poll_interval: float = 0.25
+    #: Fault injection: answer the first ``n`` lease requests with an
+    #: error, so workers must back off and retry rather than die.
+    fail_leases: int = 0
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -123,19 +174,78 @@ class _Entry:
     invariant.  ``wire`` holds the result only when the store cannot
     (disabled or write failure); otherwise done entries are read back
     from disk, keeping a long-lived service's memory bounded by the
-    *active* keys, not every key it ever served.
+    *active* keys, not every key it ever served.  ``attempts``,
+    ``worker``, ``deadline`` and ``eligible`` are the worker plane's
+    lease bookkeeping.
     """
 
-    __slots__ = ("key", "job", "state", "wire", "source", "error", "done")
+    __slots__ = ("key", "job", "blob", "state", "wire", "source", "error",
+                 "done", "attempts", "worker", "deadline", "eligible")
 
-    def __init__(self, key: str, job=None):
+    def __init__(self, key: str, job=None, blob: str | None = None):
         self.key = key
         self.job = job
+        self.blob = blob
         self.state = "queued"  # queued | running | done | failed
         self.wire: dict | None = None
         self.source: str | None = None  # store | computed
         self.error: str | None = None
         self.done = threading.Event()
+        self.attempts = 0  # leases granted so far
+        self.worker: str | None = None
+        self.deadline = 0.0  # lease revocation time
+        self.eligible = 0.0  # a requeued key's backoff end
+
+
+class _Worker:
+    __slots__ = ("worker_id", "last_beat", "leased")
+
+    def __init__(self, worker_id: str):
+        self.worker_id = worker_id
+        self.last_beat = time.monotonic()
+        self.leased: str | None = None
+
+
+class ServiceTracer:
+    """Optional observability hook: scheduling lifecycle events.
+
+    Events land in a bounded :class:`repro.obs.tracer.EventRing` as
+    ``(wall_time, kind, detail)`` tuples — the same oldest-overwrite
+    discipline the pipeline tracer uses, so a tracer left attached to a
+    long-lived service keeps the most recent window and bounded memory.
+    """
+
+    def __init__(self, capacity: int = 4096):
+        from repro.obs.tracer import EventRing
+
+        self.events = EventRing(capacity)
+
+    def record(self, kind: str, **detail) -> None:
+        self.events.append((time.time(), kind, detail))
+
+    def items(self) -> list:
+        return self.events.items()
+
+    def kinds(self) -> set[str]:
+        return {kind for _, kind, _ in self.events.items()}
+
+
+def verified_job(key: str, blob):
+    """The job a ``(key, blob)`` pair carries; ``ValueError`` unless the
+    blob decodes and hashes to the key."""
+    if not key or not isinstance(blob, str):
+        raise ValueError("job entry without key/blob")
+    try:
+        job = job_from_blob(blob)
+    except Exception as error:
+        raise ValueError(f"undecodable job blob for {key}: {error}")
+    derived = job_key(job)
+    if derived != key:
+        raise ValueError(
+            f"job key mismatch: client claimed {key}, "
+            f"content hashes to {derived}"
+        )
+    return job
 
 
 @dataclass
@@ -170,8 +280,10 @@ class _Stats:
 class SimulationService:
     """The always-on front door.  See the module docstring."""
 
-    def __init__(self, config: ServiceConfig | None = None):
+    def __init__(self, config: ServiceConfig | None = None,
+                 tracer: ServiceTracer | None = None):
         self.config = config or ServiceConfig()
+        self.tracer = tracer
         self.store_dir = result_store.resolve_store(self.config.store)
         self._lock = threading.RLock()
         self._entries: dict[str, _Entry] = {}
@@ -182,11 +294,18 @@ class SimulationService:
         self._threads: list[threading.Thread] = []
         self._started = time.monotonic()
         self.address: tuple[str, int] | None = None
+        # The worker plane.
+        self._workers: dict[str, _Worker] = {}
+        self._retry: list[_Entry] = []  # requeued keys in backoff
+        self._draining = False
+        self._rng = random.Random()
+        self._fail_leases_left = self.config.fail_leases
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        """Bind, listen, and start the HTTP + dispatcher threads."""
+        """Bind, listen, and start the HTTP thread plus the dispatcher
+        (``serial``/``pool``) or the worker monitor (``cluster``)."""
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer(
             (self.config.host, self.config.port), handler
@@ -194,10 +313,11 @@ class SimulationService:
         self._httpd.daemon_threads = True
         self.address = self._httpd.server_address[:2]
         self._started = time.monotonic()
-        for target, name in (
-            (self._httpd.serve_forever, "service-http"),
-            (self._dispatch_loop, "service-dispatch"),
-        ):
+        executor = ((self._monitor_loop, "service-monitor")
+                    if self.config.backend == "cluster"
+                    else (self._dispatch_loop, "service-dispatch"))
+        for target, name in ((self._httpd.serve_forever, "service-http"),
+                             executor):
             thread = threading.Thread(target=target, name=name, daemon=True)
             thread.start()
             self._threads.append(thread)
@@ -220,12 +340,22 @@ class SimulationService:
                     entry.error = "service stopped"
                     entry.done.set()
 
+    def drain(self) -> None:
+        """Tell workers to exit: later lease requests get ``shutdown``."""
+        with self._lock:
+            self._draining = True
+        self._trace("drain-requested")
+
     def __enter__(self) -> "SimulationService":
         self.start()
         return self
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+    def _trace(self, kind: str, **detail) -> None:
+        if self.tracer is not None:
+            self.tracer.record(kind, **detail)
 
     # -- submission (HTTP handler side) ------------------------------------
 
@@ -250,32 +380,19 @@ class SimulationService:
         weight = clamp_weight(
             self.config.default_weight if weight is None else weight
         )
-        parsed: list[tuple[str, object]] = []
+        parsed: list[tuple[str, object, str]] = []
         for doc in jobs:
             if not isinstance(doc, dict):
                 raise ValueError("job entries must be objects")
-            key = str(doc.get("key", ""))
-            blob = doc.get("blob")
-            if not key or not isinstance(blob, str):
-                raise ValueError("job entry without key/blob")
-            try:
-                job = job_from_blob(blob)
-            except Exception as error:
-                raise ValueError(f"undecodable job blob for {key}: {error}")
-            derived = job_key(job)
-            if derived != key:
-                raise ValueError(
-                    f"job key mismatch: client claimed {key}, "
-                    f"content hashes to {derived}"
-                )
-            parsed.append((key, job))
+            key, blob = str(doc.get("key", "")), doc.get("blob")
+            parsed.append((key, verified_job(key, blob), blob))
 
         dispositions: list[str] = []
         with self._lock:
             self.stats.requests += 1
             fresh: list[_Entry] = []
             fresh_keys: set[str] = set()
-            for key, job in parsed:
+            for key, job, blob in parsed:
                 entry = self._entries.get(key)
                 if entry is not None and entry.state == "failed":
                     # A resubmission is the operator's retry button: the
@@ -306,7 +423,7 @@ class SimulationService:
                     dispositions.append("store")
                     continue
                 dispositions.append("queued")
-                fresh.append(_Entry(key, job))
+                fresh.append(_Entry(key, job, blob))
                 fresh_keys.add(key)
             if fresh and not self._queue.offer(client, weight, fresh):
                 self.stats.rejected += 1
@@ -407,9 +524,9 @@ class SimulationService:
     # -- status ------------------------------------------------------------
 
     def status(self) -> dict:
-        """Service status.  The ``jobs`` block uses the cluster status
-        schema (``pending``/``leased``/``done``/``failed`` — ``leased``
-        counts running jobs) so tooling reads both services uniformly.
+        """Service status.  The ``jobs`` block counts ``pending``,
+        ``leased`` (running, on any backend), ``done`` and ``failed``
+        keys; a ``cluster`` service adds its ``workers``.
         """
         counts = {"pending": 0, "leased": 0, "done": 0, "failed": 0}
         with self._lock:
@@ -421,6 +538,12 @@ class SimulationService:
                 else:
                     counts[entry.state] += 1
             stats = self.stats.as_dict()
+            now = time.monotonic()
+            workers = {
+                w.worker_id: {"leased": w.leased,
+                              "age": round(now - w.last_beat, 3)}
+                for w in self._workers.values()
+            }
         return {
             "type": "status",
             "jobs": counts,
@@ -436,9 +559,11 @@ class SimulationService:
             "store": result_store.store_info(self.store_dir),
             "stats": stats,
             "uptime_seconds": round(time.monotonic() - self._started, 3),
+            **({"workers": workers} if self.config.backend == "cluster"
+               else {}),
         }
 
-    # -- execution (dispatcher side) ---------------------------------------
+    # -- execution: the dispatcher (serial / pool) -------------------------
 
     def _dispatch_loop(self) -> None:
         window = max(1, self.config.dispatch_window or max(self.config.jobs, 1))
@@ -457,8 +582,7 @@ class SimulationService:
             results = parallel.run_jobs(
                 [entry.job for entry in entries],
                 jobs=self.config.jobs if self.config.backend == "pool" else 1,
-                backend="cluster" if self.config.backend == "cluster"
-                else "local",
+                backend="local",
             )
         except Exception as error:  # a failed cycle fails its entries only
             with self._lock:
@@ -471,30 +595,218 @@ class SimulationService:
         elapsed = time.perf_counter() - started
         with self._lock:
             for entry, result in zip(entries, results):
-                wire = result_to_wire(result)
-                stored = result_store.store_result(
-                    entry.key, wire, self.store_dir
-                )
-                if stored is None:
-                    entry.wire = wire  # store off/unwritable: keep in memory
-                entry.job = None  # the blob served its purpose
-                entry.state = "done"
-                entry.source = "computed"
-                entry.done.set()
-            self.stats.executed += len(entries)
+                self._settle(entry, result_to_wire(result))
             self.stats.dispatch_cycles += 1
             per_job = elapsed / len(entries)
             ewma = self.stats.ewma_job_seconds
             self.stats.ewma_job_seconds = (
                 per_job if ewma == 0.0 else 0.8 * ewma + 0.2 * per_job
             )
+        self._evict()
+
+    def _settle(self, entry: _Entry, wire: dict) -> None:
+        """Record a computed result (under the lock): durably store it
+        — the fsync completes before this returns — then release the
+        key's waiters.  A failed write keeps the result in memory."""
+        if result_store.store_result(entry.key, wire, self.store_dir) is None:
+            entry.wire = wire
+            if self.store_dir is not None:
+                self._trace("store-write-failed", key=entry.key,
+                            dir=str(self.store_dir))
+        entry.job = entry.blob = None  # the job served its purpose
+        entry.state = "done"
+        entry.source = "computed"
+        entry.error = None
+        entry.done.set()
+        self.stats.executed += 1
+        self._trace("result-recorded", key=entry.key, worker=entry.worker,
+                    attempt=entry.attempts)
+
+    def _evict(self) -> None:
         if self.config.store_max_entries is not None:
             result_store.evict_store(
                 self.store_dir, max_entries=self.config.store_max_entries
             )
 
+    # -- execution: the worker plane (cluster) -------------------------------
+
+    def _touch_worker(self, worker_id: str) -> _Worker:
+        """Upsert a worker record: any request proves a worker alive, so
+        a restarted service re-learns its fleet from the first request
+        each worker sends."""
+        worker = self._workers.get(worker_id)
+        if worker is None:
+            worker = self._workers[worker_id] = _Worker(worker_id)
+        else:
+            worker.last_beat = time.monotonic()
+        return worker
+
+    def lease(self, worker_id: str) -> dict:
+        """``POST /v1/lease``: one queued key for ``worker_id``, or
+        ``idle``/``shutdown``."""
+        cfg = self.config
+        now = time.monotonic()
+        with self._lock:
+            self._touch_worker(worker_id)
+            if self._draining:
+                return {"type": "shutdown"}
+            if self._fail_leases_left > 0:
+                self._fail_leases_left -= 1
+                self._trace("lease-fault-injected", worker=worker_id,
+                            remaining=self._fail_leases_left)
+                return {"type": "error", "reason": "injected-lease-fault"}
+            entry = self._next_lease(now)
+            if entry is None:
+                return {"type": "idle", "retry_after": cfg.poll_interval,
+                        "heartbeat_interval": cfg.heartbeat_timeout / 4}
+            entry.state = "running"
+            entry.attempts += 1
+            entry.worker = worker_id
+            entry.deadline = now + cfg.lease_timeout
+            self._workers[worker_id].leased = entry.key
+            self._trace("lease-granted", worker=worker_id, key=entry.key,
+                        attempt=entry.attempts)
+            return {"type": "job", "key": entry.key, "blob": entry.blob,
+                    "attempt": entry.attempts,
+                    "heartbeat_interval": cfg.heartbeat_timeout / 4}
+
+    def _next_lease(self, now: float) -> _Entry | None:
+        """Fresh keys in fair-queue order first, then the requeued key
+        whose backoff ended earliest.  Keys settled while they waited
+        (an adopted orphan result) are dropped."""
+        while True:
+            taken = self._queue.take(1, timeout=0)
+            if not taken:
+                break
+            if taken[0].state == "queued":
+                return taken[0]
+        self._retry = [e for e in self._retry if e.state == "queued"]
+        eligible = [e for e in self._retry if e.eligible <= now]
+        if not eligible:
+            return None
+        entry = min(eligible, key=lambda e: e.eligible)
+        self._retry.remove(entry)
+        return entry
+
+    def heartbeat(self, worker_id: str) -> dict:
+        """``POST /v1/heartbeat``: a live worker keeps its lease — the
+        deadline moves so long jobs are not revoked mid-run."""
+        with self._lock:
+            worker = self._touch_worker(worker_id)
+            entry = self._entries.get(worker.leased or "")
+            if entry is not None and entry.state == "running":
+                entry.deadline = time.monotonic() + self.config.lease_timeout
+        return {"type": "ok"}
+
+    def record_result(self, worker_id: str, report: dict) -> dict:
+        """``POST /v1/result``: settle a leased key.  ``ValueError`` for
+        a malformed report or an orphan whose blob does not hash to its
+        key."""
+        key = str(report.get("key", ""))
+        ok = bool(report.get("ok"))
+        wire = report.get("result")
+        if ok and not isinstance(wire, dict):
+            raise ValueError("result report without a result document")
+        stored = None
+        with self._lock:
+            known = key in self._entries
+        if ok and not known:
+            # An orphan: a previous incarnation leased the key before a
+            # restart.  Its stored result, if the ack was lost, makes
+            # this a duplicate; otherwise the blob must prove the key.
+            stored = result_store.load_wire(key, self.store_dir)
+            if stored is None:
+                verified_job(key, report.get("blob"))
+        with self._lock:
+            worker = self._touch_worker(worker_id)
+            if worker.leased == key:
+                worker.leased = None
+            entry = self._entries.get(key)
+            if entry is None:
+                if not ok:
+                    return {"type": "ok", "known": False}
+                entry = self._entries[key] = _Entry(key)
+                attempt = report.get("attempt")
+                entry.attempts = attempt if isinstance(attempt, int) else 1
+                if stored is not None:
+                    entry.state, entry.source = "done", "store"
+                    entry.done.set()
+                else:
+                    self._trace("orphan-result-adopted", key=key,
+                                worker=worker_id)
+            if entry.state == "done":
+                # Re-execution is deterministic: a duplicate completion
+                # is bit-identical to the recorded one.  Keep the first.
+                self._trace("result-duplicate", key=key, worker=worker_id)
+                return {"type": "ok", "duplicate": True}
+            if not ok:
+                # Only the lease holder's failure burns an attempt: a
+                # revoked lease's key was already requeued.
+                if entry.state == "running" and entry.worker == worker_id:
+                    self._fail_attempt(entry, str(report.get("error")
+                                                  or "worker error"))
+                return {"type": "ok", "requeued": entry.state == "queued"}
+            entry.worker = worker_id
+            self._settle(entry, wire)
+        self._evict()
+        return {"type": "ok"}
+
+    def _fail_attempt(self, entry: _Entry, error: str) -> None:
+        """One attempt burned (worker error, death, or lease expiry):
+        requeue with backoff, or fail the key at the attempt budget."""
+        cfg = self.config
+        entry.worker = None
+        entry.error = error
+        if entry.attempts >= cfg.max_attempts:
+            entry.state = "failed"
+            entry.error = f"{error} (after {entry.attempts} attempts)"
+            entry.done.set()
+            self.stats.failed += 1
+            self._trace("job-failed", key=entry.key, attempts=entry.attempts,
+                        error=error)
+            return
+        delay = min(BACKOFF_CAP,
+                    BACKOFF_BASE * (2 ** max(0, entry.attempts - 1)))
+        delay *= 1.0 + BACKOFF_JITTER * self._rng.random()
+        entry.state = "queued"
+        entry.eligible = time.monotonic() + delay
+        self._retry.append(entry)
+        self._trace("job-requeued", key=entry.key, attempt=entry.attempts,
+                    backoff=round(delay, 3), error=error)
+
+    def _monitor_loop(self) -> None:
+        """Presume silent workers dead and revoke lapsed leases."""
+        cfg = self.config
+        while not self._stopping.wait(cfg.poll_interval):
+            now = time.monotonic()
+            with self._lock:
+                for worker_id, worker in list(self._workers.items()):
+                    dead = now - worker.last_beat > cfg.heartbeat_timeout
+                    if dead:
+                        del self._workers[worker_id]
+                        self._trace("worker-dead", worker=worker_id,
+                                    leased=worker.leased)
+                    entry = self._entries.get(worker.leased or "")
+                    if (entry is None or entry.state != "running"
+                            or entry.worker != worker_id):
+                        continue
+                    if dead:
+                        self._fail_attempt(entry, f"worker {worker_id} "
+                                                  "stopped heartbeating")
+                    elif now > entry.deadline:
+                        self._fail_attempt(entry,
+                                           f"lease expired on {worker_id}")
+
 
 # -- the HTTP layer --------------------------------------------------------
+
+
+class _Rejected(Exception):
+    """A request body the handler refuses, with its HTTP status."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 def _make_handler(service: SimulationService):
@@ -508,29 +820,40 @@ def _make_handler(service: SimulationService):
         def _reply(self, status: int, doc: dict,
                    headers: dict | None = None) -> None:
             payload = json.dumps(doc).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            try:
+            try:  # the client may already be gone
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                for name, value in (headers or {}).items():
+                    self.send_header(name, value)
+                self.end_headers()
                 self.wfile.write(payload)
             except OSError:
-                pass
+                self.close_connection = True
 
-        def _body(self) -> dict | None:
+        def _body(self) -> dict:
+            """The request's JSON object body.  Raises :class:`_Rejected`
+            for anything else — before reading a byte when the
+            ``Content-Length`` is negative, not an integer or above
+            :data:`MAX_BODY`."""
+            text = self.headers.get("Content-Length", "0")
             try:
-                length = int(self.headers.get("Content-Length", 0))
+                length = int(text)
             except ValueError:
-                return None
-            if length <= 0:
-                return None
+                length = -1
+            if length < 0:
+                raise _Rejected(400, f"bad Content-Length {text!r}")
+            if length > MAX_BODY:
+                raise _Rejected(413, f"request body of {length} bytes "
+                                     f"exceeds MAX_BODY={MAX_BODY}")
             try:
-                doc = json.loads(self.rfile.read(length).decode("utf-8"))
+                data = self.rfile.read(length)
+                doc = json.loads(data.decode("utf-8"))
             except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-                return None
-            return doc if isinstance(doc, dict) else None
+                doc = None
+            if not isinstance(doc, dict):
+                raise _Rejected(400, "expected a JSON object body")
+            return doc
 
         # -- GET ----------------------------------------------------------
 
@@ -555,9 +878,16 @@ def _make_handler(service: SimulationService):
 
         def do_POST(self) -> None:  # noqa: N802
             path = self.path.rstrip("/")
-            body = self._body()
-            if body is None:
-                self._reply(400, {"error": "expected a JSON object body"})
+            try:
+                body = self._body()
+            except _Rejected as rejected:
+                # The body may be unread: this connection cannot carry
+                # another request.
+                service._trace("bad-request", path=path,
+                               status=rejected.status, error=str(rejected))
+                self.close_connection = True
+                self._reply(rejected.status, {"error": str(rejected)},
+                            headers={"Connection": "close"})
                 return
             if path == "/v1/submit":
                 self._submit(body, wait=False)
@@ -569,8 +899,33 @@ def _make_handler(service: SimulationService):
                     self._reply(400, {"error": "fetch without keys"})
                     return
                 self._reply(200, service.fetch(keys))
+            elif path in WORKER_PLANE:
+                self._worker_plane(path, body)
             else:
                 self._reply(404, {"error": f"no such endpoint {self.path!r}"})
+
+        def _worker_plane(self, path: str, body: dict) -> None:
+            if service.config.backend != "cluster":
+                self._reply(409, {
+                    "error": "no worker plane: this service runs its jobs "
+                    f"on the {service.config.backend!r} backend"
+                })
+                return
+            worker_id = str(body.get("worker_id") or "")
+            if not worker_id:
+                self._reply(400, {"error": "worker request without worker_id"})
+                return
+            try:
+                if path == "/v1/lease":
+                    reply = service.lease(worker_id)
+                elif path == "/v1/heartbeat":
+                    reply = service.heartbeat(worker_id)
+                else:
+                    reply = service.record_result(worker_id, body)
+            except ValueError as error:
+                self._reply(400, {"error": str(error)})
+                return
+            self._reply(503 if reply["type"] == "error" else 200, reply)
 
         def _submit(self, body: dict, *, wait: bool) -> None:
             jobs = body.get("jobs")
@@ -579,6 +934,19 @@ def _make_handler(service: SimulationService):
                 return
             client = str(body.get("client") or "anonymous")
             weight = body.get("weight")
+            timeout = body.get("timeout")
+            if wait and timeout is not None:
+                try:
+                    timeout = float(timeout)
+                except (TypeError, ValueError):
+                    timeout = math.nan
+                if not 0 <= timeout <= threading.TIMEOUT_MAX:  # also NaN
+                    self._reply(400, {
+                        "error": "timeout must be a number of seconds in "
+                        f"[0, {threading.TIMEOUT_MAX:g}], got "
+                        f"{body.get('timeout')!r}"
+                    })
+                    return
             try:
                 receipt = service.submit(jobs, client=client, weight=weight)
             except Backpressure as pressure:
@@ -603,8 +971,6 @@ def _make_handler(service: SimulationService):
                 self._reply(202, receipt)
                 return
             keys = [str(doc.get("key")) for doc in jobs]
-            timeout = body.get("timeout")
-            timeout = float(timeout) if timeout is not None else None
             if not service.wait(keys, timeout):
                 self._reply(
                     504,

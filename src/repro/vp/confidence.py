@@ -124,7 +124,7 @@ class AlwaysConfidentEstimator(ConfidenceEstimator):
     The ablation framework's lesion for the confidence component — the
     machine acts on every prediction the value predictor produces, so
     the report isolates what the confidence table itself buys.  Keeping
-    it module-level keeps it picklable for the pool/cluster backends.
+    it module-level keeps it picklable for the pool/service backends.
     """
 
     def confident(self, pc: int, prediction_correct: bool) -> bool:

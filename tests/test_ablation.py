@@ -329,10 +329,14 @@ class TestExecuteAndReport:
 
 
 class TestBackendEquivalence:
-    def test_pool_and_cluster_bit_identical_to_serial(self, executed_report):
+    def test_pool_and_cluster_bit_identical_to_serial(
+        self, executed_report, monkeypatch
+    ):
         plan, serial, _ = executed_report
         pooled = execute_plan(plan, jobs=2)
-        clustered = execute_plan(plan, jobs=2, backend="cluster")
+        # The service backend without an address leases to two workers.
+        monkeypatch.delenv("REPRO_SERVICE_ADDR", raising=False)
+        clustered = execute_plan(plan, jobs=2, backend="service")
         for label, other in (("pool", pooled), ("cluster", clustered)):
             assert [item.run.run_id for item in other] == [
                 item.run.run_id for item in serial

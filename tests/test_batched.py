@@ -8,7 +8,7 @@ The contract is that planning is invisible: every position of the
 result list equals what running its point alone produces.  This suite
 pins that contract against every golden and variant snapshot (each
 point submitted twice), across submission chunk sizes and the serial,
-process-pool and cluster backends.
+process-pool and service backends.
 """
 
 import dataclasses
@@ -198,9 +198,12 @@ def test_batched_pool_backend(small_grid_reference):
     _assert_duplicates_run_once(jobs, reference, jobs=2)
 
 
-def test_batched_cluster_backend(small_grid_reference):
+def test_batched_cluster_backend(small_grid_reference, monkeypatch):
+    # The service backend without an address: an ephemeral service
+    # leases the planned units to two cluster workers.
+    monkeypatch.delenv("REPRO_SERVICE_ADDR", raising=False)
     jobs, reference = small_grid_reference
-    _assert_duplicates_run_once(jobs, reference, jobs=2, backend="cluster")
+    _assert_duplicates_run_once(jobs, reference, jobs=2, backend="service")
 
 
 def test_plan_units_slots_and_first_submission_order():

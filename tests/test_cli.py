@@ -129,11 +129,11 @@ def test_batch_option_is_gone_and_shorthands_share_grid_options(capsys):
     for command in ("run table1", "table1", "figure1", "figure3", "figure4",
                     "ablate"):
         args = parser.parse_args(
-            command.split() + ["--jobs", "2", "--backend", "cluster",
+            command.split() + ["--jobs", "2", "--backend", "service",
                                "--max-instructions", "500",
                                "--benchmarks", "compress"]
         )
-        assert (args.jobs, args.backend) == (2, "cluster"), command
+        assert (args.jobs, args.backend) == (2, "service"), command
         assert args.max_instructions == 500
         assert args.benchmarks == ["compress"]
 
@@ -217,18 +217,52 @@ def test_export_table1_honours_benchmarks(capsys):
     assert len(lines) == 2 and lines[1].startswith("compress,")
 
 
-def test_figure1_ignores_grid_options_on_cluster_submit(monkeypatch, capsys):
-    from repro.cluster.client import ADDR_ENV_VAR
+def test_submit_without_an_address_runs_an_ephemeral_service(
+    monkeypatch, capsys
+):
+    from repro.service.client import ENV_ADDR
 
-    monkeypatch.delenv(ADDR_ENV_VAR, raising=False)
-    assert main(["run", "figure1"]) == 0
+    monkeypatch.delenv(ENV_ADDR, raising=False)
+    options = ["--max-instructions", "300", "--benchmarks", "compress"]
+    assert main(["run", "abl-inval", *options]) == 0
     expected = capsys.readouterr().out
-    code = main(
-        ["cluster", "submit", "figure1", "--max-instructions", "100",
-         "--jobs", "1"]
-    )
-    assert code == 0
+    assert main(["submit", "abl-inval", *options, "--jobs", "2"]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_unknown_sweep_backend_is_a_one_line_error(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_SWEEP_BACKEND", "cluster")
+    code = main(["run", "abl-inval", "--max-instructions", "300",
+                 "--benchmarks", "compress"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err
+    assert "'cluster'" in err and "local, service" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["cluster", "serve"],
+    ["cluster", "submit", "figure3"],
+    ["run", "figure3", "--backend", "cluster"],
+])
+def test_removed_cluster_commands_no_longer_parse(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command)
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_serve_takes_the_worker_plane_options():
+    from repro.cli import build_parser
+
+    args = build_parser().parse_args([
+        "serve", "--backend", "cluster", "--heartbeat-timeout", "3",
+        "--lease-timeout", "9", "--max-attempts", "5",
+    ])
+    assert (args.backend, args.heartbeat_timeout, args.lease_timeout,
+            args.max_attempts) == ("cluster", 3.0, 9.0, 5)
 
 
 def test_figure1_ignores_grid_options_on_submit(monkeypatch, capsys):

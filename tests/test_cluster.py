@@ -1,43 +1,31 @@
-"""The fault-tolerant cluster sweep service (repro.cluster).
+"""The simulation service's worker plane (``backend="cluster"``).
 
 Three layers of coverage:
 
-* Edges of the building blocks — wire framing (truncated, oversized,
-  corrupt frames), the shared submit/poll/resubmit loop, job content
-  hashing and result serialization.
-* The scheduler's protocol behavior against a real socket: unknown
-  message types, duplicate results (idempotent, stored once), and
-  resume from the result store (an empty store, a crashed writer's
-  leftover temp file, a corrupt entry among good ones).
-* End-to-end sweeps through real worker subprocesses with injected
-  faults — worker SIGKILL mid-sweep, a forced scheduler restart over
-  the result store, lease failures, frame corruption, dropped
-  heartbeats, attempt-budget exhaustion — every one asserting the
-  repo's tentpole invariant: the merged results are bit-identical to
-  ``jobs=1``.
+* Edges of the building blocks — the HTTP request boundary (truncated,
+  oversized, corrupt bodies), the shared submit/poll/resubmit loop,
+  job content hashing and result serialization.
+* The worker plane's behavior against a real service: unknown
+  endpoints, key/blob mismatches at submit and in orphan results,
+  duplicate results (idempotent, stored once), and resume from the
+  result store (an empty store, a crashed writer's leftover temp file,
+  a corrupt entry among good ones).
+* End-to-end sweeps through real ``repro cluster work`` subprocesses
+  with injected faults — worker SIGKILL mid-sweep, a forced service
+  restart over the result store, lease failures, result corruption,
+  dropped heartbeats, attempt-budget exhaustion — every one asserting
+  the repo's tentpole invariant: the merged results are bit-identical
+  to ``jobs=1``.
 """
 
 import socket
-import struct
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
-from repro.cluster import protocol
-from repro.cluster.client import (
-    ClusterClient,
-    ClusterSweepError,
-    LocalCluster,
-    spawn_worker,
-)
 from repro.cluster.faults import FaultPlan
-from repro.cluster.scheduler import (
-    ClusterScheduler,
-    SchedulerConfig,
-    SchedulerTracer,
-    sweep_id_for,
-)
 from repro.cluster.serial import (
     job_from_blob,
     job_key,
@@ -45,23 +33,31 @@ from repro.cluster.serial import (
     result_from_wire,
     result_to_wire,
 )
+from repro.cluster.worker import local_workers, reap, spawn_worker
 from repro.core.model import GREAT_MODEL
 from repro.engine.config import ProcessorConfig
 from repro.harness.parallel import SimJob, run_jobs
 from repro.service import results as result_store
+from repro.service.client import (
+    ENV_ADDR,
+    MAX_BODY,
+    ServiceClient,
+    ServiceError,
+    SweepLost,
+    parse_address,
+    resubmit_until_done,
+)
+from repro.service.server import ServiceConfig, ServiceTracer, SimulationService
 
 _CONFIG = ProcessorConfig(issue_width=4, window_size=24)
 _LIMIT = 400
 
 #: Sub-second supervision so fault recovery keeps test wall time low.
 _FAST = dict(
-    heartbeat_interval=0.1,
+    backend="cluster",
     heartbeat_timeout=1.0,
     lease_timeout=30.0,
     poll_interval=0.05,
-    monitor_interval=0.05,
-    backoff_base=0.05,
-    backoff_cap=0.2,
 )
 
 
@@ -77,9 +73,9 @@ def _counters(results) -> list:
     return [r.counters for r in results]
 
 
-def _recorded(tracer: SchedulerTracer) -> Counter:
+def _recorded(tracer: ServiceTracer) -> Counter:
     """How many times each key's result was recorded (computed and
-    stored) across every scheduler sharing ``tracer``."""
+    stored) across every service sharing ``tracer``."""
     return Counter(
         detail["key"] for _, kind, detail in tracer.items()
         if kind == "result-recorded"
@@ -90,113 +86,144 @@ def _stored_keys(directory) -> list[str]:
     return [path.stem for path in result_store.store_entries(directory)]
 
 
-# -- wire protocol ----------------------------------------------------------
+def _service(store=None, tracer=None, **overrides) -> SimulationService:
+    return SimulationService(ServiceConfig(store=store, **{**_FAST, **overrides}),
+                             tracer=tracer)
+
+
+@contextmanager
+def _cluster(store=None, *, workers=1, faults=None, tracer=None, **overrides):
+    """A started worker-plane service plus ``workers`` worker
+    subprocesses; yields the service and a client for it."""
+    with _service(store, tracer, **overrides) as service:
+        with local_workers(service, workers, faults=faults):
+            yield service, ServiceClient(*service.address)
+
+
+def _post(service, path: str, body: dict):
+    return ServiceClient(*service.address)._request("POST", path, body)
+
+
+def _exchange(address, data: bytes, *, close_write: bool = True) -> bytes:
+    """Send raw bytes to the service and read until it closes."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(data)
+        if close_write:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _status_code(response: bytes) -> int:
+    return int(response.split(b" ", 2)[1])
+
+
+def _post_bytes(path: str, body: bytes, length: int | None = None) -> bytes:
+    length = len(body) if length is None else length
+    return (f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode() + body
+
+
+# -- the HTTP request boundary ------------------------------------------------
 
 
 class TestProtocol:
-    def _pair(self):
-        return socket.socketpair()
-
-    def test_frame_roundtrip(self):
-        a, b = self._pair()
-        try:
-            protocol.send_frame(a, {"type": "ping", "n": 1})
-            assert protocol.recv_frame(b) == {"type": "ping", "n": 1}
-        finally:
-            a.close(), b.close()
+    """What the handler does with requests that are not well-formed JSON
+    objects of an acceptable size: answer with a status, and keep
+    serving everyone else."""
 
     def test_clean_eof_is_none(self):
-        a, b = self._pair()
-        a.close()
-        try:
-            assert protocol.recv_frame(b) is None
-        finally:
-            b.close()
+        # A connection closed before any request is the normal end of a
+        # keep-alive connection: no reply, no error, service unaffected.
+        tracer = ServiceTracer()
+        with _service(tracer=tracer) as service:
+            assert _exchange(service.address, b"") == b""
+            assert ServiceClient(*service.address).healthy()
+        assert "bad-request" not in tracer.kinds()
 
     def test_truncated_payload(self):
-        a, b = self._pair()
-        frame = protocol.encode_frame({"type": "lease", "worker_id": "w"})
-        a.sendall(frame[:-3])
-        a.close()
-        try:
-            with pytest.raises(protocol.TruncatedFrame):
-                protocol.recv_frame(b)
-        finally:
-            b.close()
+        with _service() as service:
+            reply = _exchange(service.address,
+                              _post_bytes("/v1/submit", b'{"jobs": [', 100))
+            assert _status_code(reply) == 400
+            assert ServiceClient(*service.address).healthy()
 
     def test_truncated_header(self):
-        a, b = self._pair()
-        a.sendall(b"\x00\x00")
-        a.close()
-        try:
-            with pytest.raises(protocol.TruncatedFrame):
-                protocol.recv_frame(b)
-        finally:
-            b.close()
+        with _service() as service:
+            _exchange(service.address, b"POST /v1/submit HTTP/1.1\r\nContent-Le")
+            assert ServiceClient(*service.address).healthy()
 
     def test_oversized_frame_rejected_before_payload_read(self):
-        a, b = self._pair()
-        # Only the 4-byte header is sent: the declared length alone must
-        # trigger the rejection (no attempt to read/allocate the payload).
-        a.sendall(struct.pack(">I", protocol.MAX_FRAME + 1))
-        try:
-            with pytest.raises(protocol.OversizedFrame):
-                protocol.recv_frame(b)
-        finally:
-            a.close(), b.close()
+        # Only the headers are sent and the connection stays open: the
+        # declared length alone must draw the 413 (a handler that tried
+        # to read or allocate the body would time this test out).
+        with _service() as service:
+            reply = _exchange(service.address,
+                              _post_bytes("/v1/submit", b"", 2 ** 44),
+                              close_write=False)
+            assert _status_code(reply) == 413
+            assert ServiceClient(*service.address).healthy()
+
+    @pytest.mark.parametrize("length", ["-5", "abc", "1.5"])
+    def test_bad_content_length_is_400(self, length):
+        with _service() as service:
+            reply = _exchange(
+                service.address,
+                f"POST /v1/submit HTTP/1.1\r\nContent-Length: {length}"
+                "\r\n\r\n".encode(),
+                close_write=False,
+            )
+            assert _status_code(reply) == 400
+            assert b"Content-Length" in reply
 
     def test_oversized_frame_refused_on_send(self):
-        with pytest.raises(protocol.OversizedFrame):
-            protocol.encode_frame({"blob": "x" * (protocol.MAX_FRAME + 1)})
+        # Port 1 is never listening: the refusal must come before any
+        # connection attempt.
+        client = ServiceClient("127.0.0.1", 1)
+        with pytest.raises(ServiceError, match="MAX_BODY"):
+            client._request("POST", "/v1/submit",
+                            {"blob": "x" * (MAX_BODY + 1)})
 
     def test_corrupt_payload(self):
-        a, b = self._pair()
-        payload = b"\xffnot json\xfe"
-        a.sendall(struct.pack(">I", len(payload)) + payload)
-        try:
-            with pytest.raises(protocol.FrameCorrupt):
-                protocol.recv_frame(b)
-        finally:
-            a.close(), b.close()
+        with _service() as service:
+            reply = _exchange(service.address,
+                              _post_bytes("/v1/submit", b"\xffnot json\xfe"))
+            assert _status_code(reply) == 400
 
     def test_non_object_payload(self):
-        a, b = self._pair()
-        payload = b"[1,2,3]"
-        a.sendall(struct.pack(">I", len(payload)) + payload)
-        try:
-            with pytest.raises(protocol.FrameCorrupt):
-                protocol.recv_frame(b)
-        finally:
-            a.close(), b.close()
+        with _service() as service:
+            reply = _exchange(service.address,
+                              _post_bytes("/v1/lease", b"[1,2,3]"))
+            assert _status_code(reply) == 400
 
     def test_parse_address(self):
-        assert protocol.parse_address("127.0.0.1:7787") == ("127.0.0.1", 7787)
-        assert protocol.parse_address("localhost:0") == ("localhost", 0)
+        assert parse_address("127.0.0.1:7787") == ("127.0.0.1", 7787)
+        assert parse_address("localhost:0") == ("localhost", 0)
         with pytest.raises(ValueError):
-            protocol.parse_address("no-port-here")
+            parse_address("no-port-here")
 
     def test_parse_address_bracketed_ipv6(self):
-        assert protocol.parse_address("[::1]:9000") == ("::1", 9000)
-        assert protocol.parse_address("[2001:db8::2]:7787") == (
-            "2001:db8::2", 7787,
-        )
-        assert protocol.parse_address("[fe80::1%eth0]:80") == (
-            "fe80::1%eth0", 80,
-        )
+        assert parse_address("[::1]:9000") == ("::1", 9000)
+        assert parse_address("[2001:db8::2]:7787") == ("2001:db8::2", 7787)
+        assert parse_address("[fe80::1%eth0]:80") == ("fe80::1%eth0", 80)
 
     def test_parse_address_bad_bracketed_forms(self):
         for text in ("[::1]", "[::1]:", "[::1]:abc", "[]:9000",
                      "[::1:9000", "[::1]9000"):
             with pytest.raises(ValueError):
-                protocol.parse_address(text)
+                parse_address(text)
 
 
 class TestResubmitLoop:
-    """``protocol.resubmit_until_done`` with fake submit/fetch."""
+    """``resubmit_until_done`` with fake submit/fetch."""
 
     def test_lost_fetch_resubmits_exactly_once(self):
         calls = []
-        replies = iter([None, protocol.SweepLost("restarted"), None, ["r"]])
+        replies = iter([None, SweepLost("restarted"), None, ["r"]])
 
         def fetch():
             calls.append("fetch")
@@ -205,7 +232,7 @@ class TestResubmitLoop:
                 raise reply
             return reply
 
-        result = protocol.resubmit_until_done(
+        result = resubmit_until_done(
             lambda: calls.append("submit"), fetch, poll=0.001, timeout=10
         )
         assert result == ["r"]
@@ -220,19 +247,18 @@ class TestResubmitLoop:
             if len(attempts) == 1:
                 raise ConnectionRefusedError("down")
 
-        assert protocol.resubmit_until_done(
+        assert resubmit_until_done(
             submit, lambda: "done", poll=0.001, timeout=10
         ) == "done"
         assert len(attempts) == 2
 
     def test_terminal_error_propagates(self):
         def fetch():
-            raise ClusterSweepError([{"key": "k", "error": "boom",
-                                      "attempts": 3}])
+            raise ServiceError("service reported failed jobs: k: boom")
 
         submits = []
-        with pytest.raises(ClusterSweepError):
-            protocol.resubmit_until_done(
+        with pytest.raises(ServiceError):
+            resubmit_until_done(
                 lambda: submits.append(1), fetch, poll=0.001, timeout=10
             )
         assert submits == [1]
@@ -240,7 +266,7 @@ class TestResubmitLoop:
     def test_deadline_raises_timeout(self):
         start = time.monotonic()
         with pytest.raises(TimeoutError):
-            protocol.resubmit_until_done(
+            resubmit_until_done(
                 lambda: None, lambda: None, poll=0.01, timeout=0.05
             )
         assert time.monotonic() - start < 5.0
@@ -304,64 +330,102 @@ class TestSerial:
         result_store.store_result(key, old, tmp_path)
         assert result_store.load_result(key, tmp_path) == result
 
-    def test_sweep_id_deterministic(self):
-        keys = [job_key(j) for j in _grid()]
-        assert sweep_id_for(keys) == sweep_id_for(list(keys))
-        assert sweep_id_for(keys) != sweep_id_for(keys[:-1])
+
+# -- the worker plane against a real service --------------------------------
 
 
-# -- scheduler protocol behavior -------------------------------------------
+def _lease(service, worker_id="w1") -> dict:
+    code, _, reply = _post(service, "/v1/lease", {"worker_id": worker_id})
+    assert code == 200, reply
+    return reply
 
 
 class TestSchedulerProtocol:
     def test_unknown_message_type_gets_error_reply(self):
-        with ClusterScheduler(SchedulerConfig(**_FAST)) as scheduler:
-            with protocol.connect(scheduler.address) as sock:
-                reply = protocol.request(sock, {"type": "frobnicate"})
-        assert reply["type"] == "error"
-        assert "unknown-message-type" in reply["reason"]
+        # On HTTP the endpoint path is the message type.
+        with _service() as service:
+            code, _, reply = _post(service, "/v1/frobnicate", {"x": 1})
+        assert code == 404
+        assert "no such endpoint" in reply["error"]
 
     def test_corrupt_frame_answered_then_service_stays_up(self):
-        with ClusterScheduler(SchedulerConfig(**_FAST)) as scheduler:
-            with protocol.connect(scheduler.address) as sock:
-                payload = b"garbage"
-                sock.sendall(struct.pack(">I", len(payload)) + payload)
-                reply = protocol.recv_frame(sock)
-                assert reply["type"] == "error"
+        tracer = ServiceTracer()
+        with _service(tracer=tracer) as service:
+            reply = _exchange(service.address,
+                              _post_bytes("/v1/result", b"garbage"))
+            assert _status_code(reply) == 400
             # The bad connection was dropped; a fresh one still works.
-            with protocol.connect(scheduler.address) as sock:
-                reply = protocol.request(sock, {"type": "status"})
-                assert reply["type"] == "status"
+            assert ServiceClient(*service.address).status()["type"] == "status"
+        assert "bad-request" in tracer.kinds()
+
+    def test_worker_plane_needs_the_cluster_backend(self):
+        with _service(backend="serial") as service:
+            code, _, reply = _post(service, "/v1/lease", {"worker_id": "w1"})
+        assert code == 409 and "worker plane" in reply["error"]
+
+    def test_mismatched_key_is_never_leased(self):
+        # The key of one job with the blob of another: refused whole,
+        # so no worker can store B's result under A's key.
+        a = SimJob("compress", _CONFIG, None, _LIMIT)
+        b = SimJob("perl", _CONFIG, None, _LIMIT)
+        with _service() as service:
+            code, _, reply = _post(service, "/v1/submit", {
+                "jobs": [{"key": job_key(a), "blob": job_to_blob(b)}],
+            })
+            lease = _lease(service)
+            status = service.status()
+        assert code == 400 and "mismatch" in reply["error"]
+        assert lease["type"] == "idle"
+        assert status["jobs"] == {"pending": 0, "leased": 0, "done": 0,
+                                  "failed": 0}
+
+    def test_orphan_result_must_carry_a_blob_that_hashes_to_its_key(
+        self, tmp_path
+    ):
+        a = SimJob("compress", _CONFIG, None, _LIMIT)
+        b = SimJob("perl", _CONFIG, None, _LIMIT)
+        wire_b = result_to_wire(run_jobs([b])[0])
+        store = tmp_path / "store"
+        orphan = {"worker_id": "w1", "key": job_key(a), "attempt": 1,
+                  "ok": True, "result": wire_b}
+        with _service(store) as service:
+            refused = [
+                _post(service, "/v1/result", dict(orphan, blob=blob))
+                for blob in (None, job_to_blob(b), "!!not-base64!!")
+            ]
+            assert service.entry_state(job_key(a)) == {"state": "unknown"}
+            # The honest orphan — B's result under B's key — is adopted.
+            code, _, adopted = _post(service, "/v1/result", dict(
+                orphan, key=job_key(b), blob=job_to_blob(b)))
+        assert [code for code, _, _ in refused] == [400, 400, 400]
+        assert "mismatch" in refused[1][2]["error"]
+        assert code == 200 and adopted == {"type": "ok"}
+        assert _stored_keys(store) == [job_key(b)]
 
     def test_duplicate_result_idempotent_and_journaled_once(self, tmp_path):
         job = SimJob("compress", _CONFIG, None, _LIMIT)
         key = job_key(job)
         wire = result_to_wire(run_jobs([job])[0])
         store = tmp_path / "store"
-        tracer = SchedulerTracer()
-        config = SchedulerConfig(store_dir=store, **_FAST)
-        with ClusterScheduler(config, tracer=tracer) as scheduler:
-            with protocol.connect(scheduler.address) as sock:
-                protocol.request(sock, {
-                    "type": "submit",
-                    "jobs": [{"key": key, "blob": job_to_blob(job)}],
-                })
-                protocol.request(sock, {"type": "register", "worker_id": "w1"})
-                lease = protocol.request(sock, {"type": "lease",
-                                                "worker_id": "w1"})
-                assert lease["type"] == "job" and lease["key"] == key
-                report = {"type": "result", "worker_id": "w1", "key": key,
-                          "attempt": 1, "ok": True, "result": wire}
-                first = protocol.request(sock, report)
-                duplicate = protocol.request(sock, dict(report, attempt=2))
-                status = protocol.request(sock, {"type": "status"})
-        assert first["type"] == "ok" and "duplicate" not in first
-        assert duplicate["type"] == "ok" and duplicate["duplicate"] is True
+        tracer = ServiceTracer()
+        with _service(store, tracer) as service:
+            ServiceClient(*service.address).submit([job])
+            lease = _lease(service)
+            assert lease["type"] == "job" and lease["key"] == key
+            report = {"worker_id": "w1", "key": key, "blob": lease["blob"],
+                      "attempt": 1, "ok": True, "result": wire}
+            _, _, first = _post(service, "/v1/result", report)
+            _, _, duplicate = _post(service, "/v1/result",
+                                    dict(report, attempt=2))
+            status = service.status()
+        assert first == {"type": "ok"}
+        assert duplicate == {"type": "ok", "duplicate": True}
         assert _recorded(tracer) == {key: 1}
         assert _stored_keys(store) == [key]
         assert result_store.load_wire(key, store) == wire
         assert status["store"]["dir"] == str(store)
         assert status["store"]["entries"] == 1
+        assert set(status["workers"]) == {"w1"}
 
     def test_failed_store_write_keeps_result_in_memory(self, tmp_path):
         job = SimJob("compress", _CONFIG, None, _LIMIT)
@@ -369,39 +433,38 @@ class TestSchedulerProtocol:
         wire = result_to_wire(run_jobs([job])[0])
         unwritable = tmp_path / "a-file"
         unwritable.write_text("not a directory")
-        tracer = SchedulerTracer()
-        config = SchedulerConfig(store_dir=unwritable, **_FAST)
-        with ClusterScheduler(config, tracer=tracer) as scheduler:
-            ClusterClient(scheduler.address).submit([job])
-            with protocol.connect(scheduler.address) as sock:
-                lease = protocol.request(sock, {"type": "lease",
-                                                "worker_id": "w1"})
-                assert lease["key"] == key
-                ack = protocol.request(sock, {
-                    "type": "result", "worker_id": "w1", "key": key,
-                    "attempt": 1, "ok": True, "result": wire,
-                })
-            fetched = ClusterClient(scheduler.address).fetch(
-                sweep_id_for([key])
-            )
-        assert ack["type"] == "ok"
+        tracer = ServiceTracer()
+        with _service(unwritable, tracer) as service:
+            client = ServiceClient(*service.address)
+            client.submit([job])
+            lease = _lease(service)
+            assert lease["key"] == key
+            code, _, ack = _post(service, "/v1/result", {
+                "worker_id": "w1", "key": key, "blob": lease["blob"],
+                "attempt": 1, "ok": True, "result": wire,
+            })
+            fetched = client.fetch([key])
+        assert code == 200 and ack == {"type": "ok"}
         assert "store-write-failed" in tracer.kinds()
-        assert _counters(fetched) == [result_from_wire(wire).counters]
+        assert fetched["results"] == [wire]
 
 
 class TestResumeFromStore:
-    """A scheduler over a result store resumes at submit time: stored
-    keys come back ``done``/``replayed``, everything else is computed.
-    The store's damaged-state cases map to the scheduler here."""
+    """A service over a result store resumes at submit time: stored
+    keys come back as warm ``store`` hits, everything else is leased.
+    The store's damaged-state cases map to the worker plane here."""
 
     def test_empty_store_is_a_fresh_sweep(self, tmp_path):
         store = tmp_path / "store"
         store.mkdir()
-        with ClusterScheduler(SchedulerConfig(store_dir=store,
-                                              **_FAST)) as scheduler:
-            receipt = ClusterClient(scheduler.address).submit(_grid())
-        assert receipt["total"] == len(_grid())
-        assert receipt["completed"] == receipt["replayed"] == 0
+        with _service(store) as service:
+            receipt = ServiceClient(*service.address)._request(
+                "POST", "/v1/submit",
+                {"jobs": [{"key": job_key(j), "blob": job_to_blob(j)}
+                          for j in _grid()]},
+            )[2]
+        assert receipt["total"] == receipt["queued"] == len(_grid())
+        assert receipt["warm"] == 0
         assert _stored_keys(store) == []
 
     def test_leftover_temp_file_is_a_miss(self, tmp_path):
@@ -413,11 +476,13 @@ class TestResumeFromStore:
         result_store.store_result(stored_key, {"cycles": 10}, store)
         leftover = store / f".{torn_key}.vsres1.4242.17.tmp"
         leftover.write_bytes(b'{"v":1,"key":"' + torn_key.encode())
-        with ClusterScheduler(SchedulerConfig(store_dir=store,
-                                              **_FAST)) as scheduler:
-            receipt = ClusterClient(scheduler.address).submit(grid)
-            status = ClusterClient(scheduler.address).status()
-        assert receipt["replayed"] == receipt["completed"] == 1
+        with _service(store) as service:
+            _, _, receipt = _post(service, "/v1/submit", {
+                "jobs": [{"key": job_key(j), "blob": job_to_blob(j)}
+                         for j in grid],
+            })
+            status = service.status()
+        assert receipt["dispositions"] == ["store", "queued"]
         assert status["jobs"]["pending"] == 1
         assert status["store"]["entries"] == 1
 
@@ -432,12 +497,14 @@ class TestResumeFromStore:
         raw = damaged.read_bytes()
         middle = len(raw) // 2
         damaged.write_bytes(raw[:middle] + b"XX" + raw[middle + 2:])
-        tracer = SchedulerTracer()
-        config = SchedulerConfig(store_dir=store, **_FAST)
-        with LocalCluster(config, workers=1, tracer=tracer) as cluster:
-            receipt = cluster.client().submit(grid)
-            results = cluster.client().run(grid, poll=0.05, timeout=120)
-        assert receipt["replayed"] == len(grid) - 1
+        tracer = ServiceTracer()
+        with _cluster(store, tracer=tracer) as (service, client):
+            _, _, receipt = _post(service, "/v1/submit", {
+                "jobs": [{"key": k, "blob": job_to_blob(j)}
+                         for k, j in zip(keys, grid)],
+            })
+            results = client.run(grid, timeout=120)
+        assert receipt["warm"] == len(grid) - 1
         assert _counters(results) == _counters(serial)
         assert _recorded(tracer) == {keys[1]: 1}
         assert sorted(_stored_keys(store)) == sorted(keys)
@@ -447,51 +514,66 @@ class TestResumeFromStore:
 
 
 class TestClusterSweeps:
-    def test_cluster_backend_bit_identical_to_serial(self):
+    def test_cluster_backend_bit_identical_to_serial(self, monkeypatch):
+        # No address: an ephemeral service leases the grid to two
+        # worker subprocesses.
+        monkeypatch.delenv(ENV_ADDR, raising=False)
         grid = _grid()
         serial = run_jobs(grid, jobs=1)
-        clustered = run_jobs(grid, jobs=2, backend="cluster")
+        clustered = run_jobs(grid, jobs=2, backend="service")
         assert _counters(clustered) == _counters(serial)
         assert [r.cycles for r in clustered] == [r.cycles for r in serial]
+
+    def test_running_service_with_two_workers_bit_identical(
+        self, monkeypatch, tmp_path
+    ):
+        grid = _grid()
+        serial = run_jobs(grid, jobs=1)
+        with _cluster(tmp_path / "store", workers=2) as (service, _):
+            host, port = service.address
+            monkeypatch.setenv(ENV_ADDR, f"{host}:{port}")
+            remote = run_jobs(grid, backend="service")
+            status = service.status()
+        assert _counters(remote) == _counters(serial)
+        assert status["stats"]["executed"] == len(grid)
+        assert len(status["workers"]) == 2
 
     def test_worker_killed_mid_sweep(self, tmp_path):
         grid = _grid()
         serial = run_jobs(grid, jobs=1)
         store = tmp_path / "store"
-        tracer = SchedulerTracer()
-        config = SchedulerConfig(store_dir=store, **_FAST)
-        # Worker 1's frames are slowed so it cannot drain the grid before
-        # worker 0 has started and taken (and died on) its first lease.
-        with LocalCluster(
-            config,
-            workers=2,
-            worker_faults={0: FaultPlan(kill_on_lease=1),
-                           1: FaultPlan(delay_frame_s=0.2)},
-            tracer=tracer,
-        ) as cluster:
-            results = cluster.client().run(grid, poll=0.05, timeout=120)
+        tracer = ServiceTracer()
+        # Worker 1's requests are slowed so it cannot drain the grid
+        # before worker 0 has started and taken (and died on) its first
+        # lease.
+        faults = {0: FaultPlan(kill_on_lease=1),
+                  1: FaultPlan(delay_request_s=0.2)}
+        with _cluster(store, workers=2, faults=faults,
+                      tracer=tracer) as (_, client):
+            results = client.run(grid, timeout=120)
         assert _counters(results) == _counters(serial)
         # The kill was detected and the orphaned job requeued.
-        assert {"worker-dead", "job-requeued"} & tracer.kinds()
+        assert {"worker-dead", "job-requeued"} <= tracer.kinds()
         keys = sorted(job_key(j) for j in grid)
         assert sorted(_recorded(tracer).elements()) == keys
         assert sorted(_stored_keys(store)) == keys
 
     def test_scheduler_restart_resumes_without_recompute(self, tmp_path):
-        """The acceptance scenario: kill the scheduler mid-sweep, restart
+        """The acceptance scenario: kill the service mid-sweep, restart
         it over the same result store, and finish — bit-identical to
         serial, with every pre-restart point replayed from disk, not
         re-run."""
         grid = _grid()
         serial = run_jobs(grid, jobs=1)
         store = tmp_path / "store"
-        tracer = SchedulerTracer()  # shared: counts span the restart
-        first = ClusterScheduler(SchedulerConfig(store_dir=store, **_FAST),
-                                 tracer=tracer)
+        tracer = ServiceTracer()  # shared: counts span the restart
+        first = _service(store, tracer)
         address = first.start()
-        workers = [spawn_worker(address, reconnect_deadline=60.0)
+        # Slowed requests keep part of the grid in flight at the kill.
+        workers = [spawn_worker(address, reconnect_deadline=60.0,
+                                faults=FaultPlan(delay_request_s=0.05))
                    for _ in range(2)]
-        client = ClusterClient(address)
+        client = ServiceClient(*address)
         try:
             client.submit(grid)
             deadline = time.monotonic() + 60.0
@@ -500,30 +582,27 @@ class TestClusterSweeps:
                 time.sleep(0.05)
             first.stop()  # forced restart: drop all in-memory state
             pre_restart = set(_stored_keys(store))
+            assert len(pre_restart) < len(grid), "nothing left to resume"
 
-            second = ClusterScheduler(
-                SchedulerConfig(port=address[1], store_dir=store, **_FAST),
-                tracer=tracer,
-            )
+            second = _service(store, tracer, port=address[1])
             second.start()
             try:
-                receipt = client.submit(grid)
-                # Every point completed before the restart was replayed
+                _, _, receipt = _post(second, "/v1/submit", {
+                    "jobs": [{"key": job_key(j), "blob": job_to_blob(j)}
+                             for j in grid],
+                })
+                # Every point completed before the restart was served
                 # from the store — zero of them recomputed.
-                assert receipt["replayed"] >= len(pre_restart)
-                results = client.run(grid, poll=0.05, timeout=120)
+                assert receipt["warm"] >= len(pre_restart)
+                results = client.run(grid, timeout=120)
             finally:
                 second.drain()
-                for process in workers:
-                    process.wait(timeout=30)
+                reap(workers, timeout=30)
                 second.stop()
         finally:
-            for process in workers:
-                if process.poll() is None:
-                    process.kill()
-                    process.wait()
+            reap(workers, timeout=0)
         assert _counters(results) == _counters(serial)
-        # Each key recorded exactly once across both schedulers:
+        # Each key recorded exactly once across both incarnations:
         # completions were never redone and duplicates never re-stored.
         keys = sorted(job_key(j) for j in grid)
         assert sorted(_recorded(tracer).elements()) == keys
@@ -533,50 +612,39 @@ class TestClusterSweeps:
     def test_injected_lease_failures_are_retried(self):
         grid = _grid()[:2]
         serial = run_jobs(grid, jobs=1)
-        config = SchedulerConfig(faults=FaultPlan(fail_leases=3), **_FAST)
-        tracer = SchedulerTracer()
-        with LocalCluster(config, workers=1, tracer=tracer) as cluster:
-            status = cluster.client().status()
-            assert status["type"] == "status"
-            results = cluster.client().run(grid, poll=0.05, timeout=120)
+        tracer = ServiceTracer()
+        with _cluster(tracer=tracer, fail_leases=3) as (_, client):
+            assert client.status()["type"] == "status"
+            results = client.run(grid, timeout=120)
         assert _counters(results) == _counters(serial)
         assert "lease-fault-injected" in tracer.kinds()
 
     def test_corrupt_result_frame_resent_clean(self):
         grid = _grid()[:2]
         serial = run_jobs(grid, jobs=1)
-        tracer = SchedulerTracer()
-        config = SchedulerConfig(**_FAST)
-        with LocalCluster(
-            config,
-            workers=1,
-            worker_faults={0: FaultPlan(corrupt_result=1)},
-            tracer=tracer,
-        ) as cluster:
-            results = cluster.client().run(grid, poll=0.05, timeout=120)
+        tracer = ServiceTracer()
+        with _cluster(faults={0: FaultPlan(corrupt_result=1)},
+                      tracer=tracer) as (_, client):
+            results = client.run(grid, timeout=120)
         assert _counters(results) == _counters(serial)
-        assert "protocol-error" in tracer.kinds()
+        assert "bad-request" in tracer.kinds()
+        assert sorted(_recorded(tracer)) == sorted(job_key(j) for j in grid)
 
     def test_silent_worker_presumed_dead_sweep_still_exact(self):
         # The worker keeps computing but stops heartbeating after its
-        # first beat: the scheduler must declare it dead and requeue;
-        # its late results are adopted/deduped — never double-counted.
-        # The jobs are sized to outlast the (shrunken) heartbeat timeout,
+        # first beat: the service must declare it dead and requeue; its
+        # late results are adopted/deduped — never double-counted.  The
+        # jobs are sized to outlast the (shrunken) heartbeat timeout,
         # since any request a worker makes also proves it alive.
         grid = [
             SimJob("compress", _CONFIG, GREAT_MODEL, 30000),
             SimJob("perl", _CONFIG, GREAT_MODEL, 30000),
         ]
         serial = run_jobs(grid, jobs=1)
-        tracer = SchedulerTracer()
-        config = SchedulerConfig(**dict(_FAST, heartbeat_timeout=0.2))
-        with LocalCluster(
-            config,
-            workers=1,
-            worker_faults={0: FaultPlan(drop_heartbeats_after=1)},
-            tracer=tracer,
-        ) as cluster:
-            results = cluster.client().run(grid, poll=0.05, timeout=120)
+        tracer = ServiceTracer()
+        with _cluster(faults={0: FaultPlan(drop_heartbeats_after=1)},
+                      tracer=tracer, heartbeat_timeout=0.2) as (_, client):
+            results = client.run(grid, timeout=120)
         assert _counters(results) == _counters(serial)
         assert "worker-dead" in tracer.kinds()
 
@@ -585,10 +653,9 @@ class TestClusterSweeps:
             SimJob("no-such-kernel", _CONFIG, None, _LIMIT),
             SimJob("compress", _CONFIG, None, _LIMIT),
         ]
-        config = SchedulerConfig(max_attempts=2, **_FAST)
-        with LocalCluster(config, workers=1) as cluster:
-            with pytest.raises(ClusterSweepError) as info:
-                cluster.client().run(grid, poll=0.05, timeout=120)
-        (failure,) = info.value.failures
-        assert failure["key"] == job_key(grid[0])
-        assert failure["attempts"] == 2
+        with _cluster(max_attempts=2) as (_, client):
+            with pytest.raises(ServiceError) as info:
+                client.run(grid, timeout=120)
+        message = str(info.value)
+        assert job_key(grid[0]) in message
+        assert message.count("after 2 attempts") == 1

@@ -113,14 +113,17 @@ class TestBackendResolution:
         assert resolve_backend(None) == "local"
         assert resolve_backend("local") == "local"
 
-    def test_env_var_selects_cluster(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "cluster")
-        assert resolve_backend() == "cluster"
+    def test_env_var_selects_service(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "service")
+        assert resolve_backend() == "service"
         assert resolve_backend("local") == "local"  # argument wins
 
-    def test_unknown_backend_rejected(self):
+    def test_unknown_backend_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown sweep backend"):
             resolve_backend("bogus")
+        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "cluster")
+        with pytest.raises(ValueError, match="expected one of: local, service"):
+            resolve_backend()
 
 
 class TestWorkerDeathRecovery:

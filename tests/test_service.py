@@ -238,9 +238,8 @@ class TestResultStore:
         monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "env"))
         assert rs.resolve_store(spelling.upper()) is None
         assert SimulationService(ServiceConfig(store=spelling)).store_dir is None
-        for command in (["serve"], ["cluster", "serve"]):
-            args = build_parser().parse_args([*command, "--store", spelling])
-            assert _store_option(args) is None
+        args = build_parser().parse_args(["serve", "--store", spelling])
+        assert _store_option(args) is None
         assert list(tmp_path.iterdir()) == []
 
     def test_store_option_default_and_path(self, tmp_path, monkeypatch):
@@ -248,10 +247,9 @@ class TestResultStore:
 
         parser = build_parser()
         monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "env"))
-        for command in (["serve"], ["cluster", "serve"]):
-            assert _store_option(parser.parse_args(command)) == tmp_path / "env"
-            args = parser.parse_args([*command, "--store", str(tmp_path / "s")])
-            assert _store_option(args) == tmp_path / "s"
+        assert _store_option(parser.parse_args(["serve"])) == tmp_path / "env"
+        args = parser.parse_args(["serve", "--store", str(tmp_path / "s")])
+        assert _store_option(args) == tmp_path / "s"
         monkeypatch.delenv("REPRO_RESULT_STORE")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         assert rs.resolve_store() == tmp_path / "xdg" / "repro" / "results"
@@ -414,8 +412,9 @@ class TestServiceHTTP:
             assert client.healthy()
             status = client.status()
         assert status["type"] == "status"
-        # the cluster scheduler's jobs schema, exactly
+        # the jobs count schema, exactly
         assert set(status["jobs"]) == {"pending", "leased", "done", "failed"}
+        assert "workers" not in status  # serial: no worker plane
         assert set(status["backend"]) == {"backend", "jobs"}
         assert status["store"]["enabled"] is True
         assert "queue" in status and "clients" in status
@@ -441,6 +440,21 @@ class TestServiceHTTP:
                 {"jobs": [{"key": "0" * 24, "blob": "!!not-base64!!"}]},
             )
             assert code == 400 and "undecodable" in doc["error"]
+
+    @pytest.mark.parametrize("timeout", ["abc", -1, [5], "nan", "inf"])
+    def test_run_rejects_a_bad_timeout_before_admitting(self, tmp_path,
+                                                        timeout):
+        with SimulationService(ServiceConfig(store=tmp_path / "s")) as service:
+            client = ServiceClient(*service.address)
+            job = _job()
+            code, _, doc = _post(
+                client, "/v1/run",
+                {"jobs": [{"key": job_key(job), "blob": job_to_blob(job)}],
+                 "timeout": timeout},
+            )
+            assert code == 400 and "timeout" in doc["error"]
+            # nothing was admitted
+            assert service.status()["stats"]["submitted"] == 0
 
     def test_unknown_endpoint_and_result_states(self, tmp_path):
         with SimulationService(ServiceConfig(store=tmp_path / "s")) as service:

@@ -4,8 +4,8 @@ Every golden snapshot (13 main + 24 predictor-path variants) is replayed
 through a :class:`ChunkedTrace` with a deliberately small chunk size, so
 each workload crosses many chunk boundaries; the counters must match the
 committed snapshots bit for bit.  A second group proves the same through
-the harness backends — pool, cluster and service workers attaching the
-chunked cache entry — against the serial in-memory result.
+the harness backends — pool workers and the service's cluster workers
+attaching the chunked cache entry — against the serial in-memory result.
 
 This is the "streaming changes nothing" guarantee: sampling is the only
 mode allowed to approximate, and it is opt-in and labeled.
@@ -196,7 +196,9 @@ class TestBackendsStreaming:
     @pytest.mark.parametrize("backend,jobs", [
         ("local", 1),
         ("local", 2),
-        ("cluster", 2),
+        # No service address: an ephemeral service leasing to two
+        # cluster workers.
+        pytest.param("service", 2, id="cluster-2"),
     ])
     def test_backend_matches_in_memory(
         self, monkeypatch, tmp_path, backend, jobs
