@@ -15,7 +15,9 @@ cache:
 The script also asserts the warm results are bit-identical to the cold
 ones, counts functional-simulator captures directly (the cold run must
 capture once per benchmark, the warm run zero times in the parent), and
-reports wall time plus peak RSS (parent and worker maxima) — appended
+reports wall time, the cold pass's capture throughput (records captured
+per second inside ``KernelSpec.capture``) and peak RSS (parent and
+worker maxima) — appended
 to ``$GITHUB_STEP_SUMMARY`` as a markdown table when that variable is
 set.  Exit status is the check result.
 
@@ -69,22 +71,26 @@ def main(argv: list[str] | None = None) -> int:
     from repro.programs.suite import KernelSpec
 
     # Count functional-simulator captures through both entry points: the
-    # in-memory KernelSpec.trace and the streaming KernelSpec.iter_trace
-    # (the trace cache's capture path).
-    captures = {"count": 0}
+    # in-memory KernelSpec.trace and KernelSpec.capture (the trace
+    # cache's one capture path), and time the cache's captures.
+    captures = {"count": 0, "records": 0, "seconds": 0.0}
     original_trace = KernelSpec.trace
-    original_iter = KernelSpec.iter_trace
+    original_capture = KernelSpec.capture
 
     def counting_trace(self, max_instructions=None):
         captures["count"] += 1
         return original_trace(self, max_instructions)
 
-    def counting_iter(self, max_instructions=None):
+    def counting_capture(self, writer, max_instructions=None):
         captures["count"] += 1
-        return original_iter(self, max_instructions)
+        start = time.perf_counter()
+        records = original_capture(self, writer, max_instructions)
+        captures["seconds"] += time.perf_counter() - start
+        captures["records"] += records
+        return records
 
     KernelSpec.trace = counting_trace
-    KernelSpec.iter_trace = counting_iter
+    KernelSpec.capture = counting_capture
 
     config = ProcessorConfig(issue_width=4, window_size=24)
     jobs = [
@@ -99,6 +105,9 @@ def main(argv: list[str] | None = None) -> int:
     cold = parallel.run_jobs(jobs, jobs=1)
     cold_seconds = time.perf_counter() - start
     cold_captures = captures["count"]
+    capture_rps = (
+        captures["records"] / captures["seconds"] if captures["seconds"] else 0.0
+    )
     if cold_captures != len(args.benchmarks):
         print(
             f"FAIL: cold sweep captured {cold_captures} traces, expected "
@@ -137,6 +146,10 @@ def main(argv: list[str] | None = None) -> int:
         ("cold (jobs=1, capture+store)", f"{cold_seconds:.2f} s"),
         (f"warm (jobs={args.jobs}, strict)", f"{warm_seconds:.2f} s"),
         ("cold captures", str(cold_captures)),
+        (
+            "cold capture throughput",
+            f"{capture_rps:,.0f} records/s ({captures['records']:,} records)",
+        ),
         ("warm captures (must be 0)", str(warm_captures)),
         ("cache entries", f"{len(entries)} ({cache_bytes:,} bytes)"),
         ("peak RSS, parent", f"{own_rss:.1f} MiB"),

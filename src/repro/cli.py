@@ -466,6 +466,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"  dir      {info['dir']}")
             print(f"  entries  {info['entries']}")
             print(f"  bytes    {info['bytes']}")
+            if info["temp_files"]:
+                print(f"  stranded {info['temp_files']} unfinished capture(s)")
             for name in info["files"]:
                 geometry = _describe_geometry(info["geometry"][name])
                 print(f"    {name}  {geometry}")

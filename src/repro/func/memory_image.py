@@ -2,8 +2,29 @@
 
 from __future__ import annotations
 
+import struct
+
 _CHUNK_BITS = 12
 _CHUNK_SIZE = 1 << _CHUNK_BITS
+
+#: Little-endian unsigned codecs for the access widths the ISA uses: an
+#: access inside one chunk is a single ``unpack_from``/``pack_into`` on
+#: the chunk itself, with no intermediate ``bytes``.
+_UINT = {size: struct.Struct(f"<{code}") for size, code in
+         ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
+
+
+def _one_chunk_codec(address: int, size: int) -> struct.Struct | None:
+    """The codec for a ``size``-byte access at ``address`` when it lies
+    inside one chunk; ``None`` sends it down the general byte path."""
+    codec = _UINT.get(size)
+    if (
+        codec is not None
+        and address >= 0
+        and (address & (_CHUNK_SIZE - 1)) + size <= _CHUNK_SIZE
+    ):
+        return codec
+    return None
 
 
 class MemoryImage:
@@ -50,11 +71,21 @@ class MemoryImage:
 
     def load_uint(self, address: int, size: int) -> int:
         """Read a ``size``-byte little-endian unsigned integer."""
+        codec = _one_chunk_codec(address, size)
+        if codec is not None:
+            chunk, offset = self._chunk_for(address)
+            return codec.unpack_from(chunk, offset)[0]
         return int.from_bytes(self.load_bytes(address, size), "little")
 
     def store_uint(self, address: int, value: int, size: int) -> None:
         """Write a ``size``-byte little-endian unsigned integer."""
-        self.store_bytes(address, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+        value &= (1 << (8 * size)) - 1
+        codec = _one_chunk_codec(address, size)
+        if codec is not None:
+            chunk, offset = self._chunk_for(address)
+            codec.pack_into(chunk, offset, value)
+            return
+        self.store_bytes(address, value.to_bytes(size, "little"))
 
     def load_cstring(self, address: int, limit: int = 4096) -> str:
         """Read a NUL-terminated string (debug/inspection helper)."""

@@ -23,7 +23,7 @@ from repro.programs import (
     vortex as _vortex,
     xlisp as _xlisp,
 )
-from repro.trace import TraceRecord, capture_trace, iter_trace
+from repro.trace import TraceRecord, capture_trace
 
 
 @dataclass(frozen=True)
@@ -46,16 +46,17 @@ class KernelSpec:
         machine = Machine(self.program())
         return capture_trace(machine, max_instructions)
 
-    def iter_trace(self, max_instructions: int | None = None):
-        """Stream the kernel's dynamic trace record by record.
+    def capture(self, writer, max_instructions: int | None = None) -> int:
+        """Execute the kernel straight into ``writer`` (a
+        :class:`~repro.trace.binary.ChunkWriter`); returns the number of
+        records written.
 
-        The bounded-memory form of :meth:`trace`: records are yielded as
-        the functional simulator executes, so a consumer that writes
-        them straight to disk (the chunked trace cache) never holds the
-        whole trace in memory.
+        The bounded-memory form of :meth:`trace` and the trace cache's
+        one capture path: the machine's execution core hands each
+        instruction's fields to ``writer.row``, so no per-instruction
+        object is built and the writer holds at most one chunk.
         """
-        machine = Machine(self.program())
-        return iter_trace(machine, max_instructions)
+        return Machine(self.program()).execute(writer.row, max_instructions)
 
     def run_functional(self) -> list[int]:
         """Run to completion and return the PRINT output (checksums)."""

@@ -52,15 +52,16 @@ import struct
 import zlib
 from pathlib import Path
 
+from repro.isa.opcodes import OPCODE_BY_CODE
 from repro.trace.columnar import (
     COLUMN_SPEC,
-    KIND_CONTROL,
     ChunkedTrace,
     ColumnarTrace,
     ColumnarTraceError,
-    column_appender,
     column_bytes,
     new_columns,
+    record_row,
+    row_appender,
 )
 from repro.trace.record import TraceRecord
 
@@ -80,9 +81,11 @@ _HEADER_SIZE = _HEADER.size  # 48
 
 _MASK64 = (1 << 64) - 1
 
-#: kind byte -> 1 for control-flow instructions (basic-block ends).
-_BLOCK_END_TABLE = bytes(
-    1 if kind & KIND_CONTROL else 0 for kind in range(256)
+#: opcode code -> 1 for control-flow instructions (basic-block ends).
+_BLOCK_END_CODES = bytes(
+    1 if code in OPCODE_BY_CODE and OPCODE_BY_CODE[code].opclass.is_control
+    else 0
+    for code in range(256)
 )
 
 
@@ -113,13 +116,14 @@ def _bbv_bucket(leader_pc: int, dim: int) -> int:
     return (mixed >> 32) % dim
 
 
-def _column_bbv(chunk: ColumnarTrace, dim: int) -> tuple[int, ...]:
-    """The fingerprint :meth:`ChunkWriter.append` computes for ``chunk``'s
-    records, read from its ``pc`` and ``kind`` columns: one bucket per
-    basic block, no row materialized."""
+def _column_bbv(pc, opcode, dim: int) -> tuple[int, ...]:
+    """A chunk's fingerprint from its ``pc`` and ``opcode`` columns: the
+    instructions of each basic block (ended by a control-flow
+    instruction or the chunk's end) counted under its leader's bucket.
+    A block straddling a chunk boundary counts under its first PC in
+    each chunk, so every chunk's fingerprint is its own."""
     bbv = [0] * dim
-    ends = chunk.kind.translate(_BLOCK_END_TABLE)
-    pc = chunk.pc
+    ends = bytes(opcode).translate(_BLOCK_END_CODES)
     count = len(ends)
     start = 0
     while start < count:
@@ -142,9 +146,9 @@ def _chunk_payload(columns, count: int) -> bytearray:
 class ChunkWriter:
     """Incremental VSRT v4 writer with O(chunk) memory.
 
-    Feed it records one at a time (:meth:`append`) or in bulk
-    (:meth:`extend`); every ``chunk_records`` records it flushes one
-    self-contained column block (with CRC and basic-block-vector
+    Feed it rows (``row``), records one at a time (:meth:`append`) or
+    in bulk (:meth:`extend`); every ``chunk_records`` records it flushes
+    one self-contained column block (with CRC and basic-block-vector
     fingerprint) to the output and empties its buffers.  ``close`` (or
     leaving the context manager) seals the file: tail chunk, index, and
     the header patched in place.
@@ -152,6 +156,15 @@ class ChunkWriter:
     ``out`` is a path or a seekable binary file object (``BytesIO``
     works, which is how shared-memory staging and uncached captures
     serialize a trace).
+
+    ``row(pc, next_pc, dest_reg, dest_value, mem_addr, mem_size,
+    branch_taken, srcs, opcode_code)`` is the writer's one entry point:
+    it buffers one record given as its fields (see
+    :func:`~repro.trace.columnar.row_appender`, whose function it is),
+    flushing a chunk when the window fills.  The functional machine's
+    capture calls it directly; :meth:`append` adapts a
+    :class:`TraceRecord` onto it.  A chunk's fingerprint is taken from
+    its columns when it is flushed.
     """
 
     def __init__(
@@ -176,38 +189,30 @@ class ChunkWriter:
         self._file.write(b"\x00" * _HEADER_SIZE)
         self._pos = _HEADER_SIZE
         self._index: list[tuple[int, int, int, tuple[int, ...]]] = []
-        self.total = 0
+        #: Records in chunks already written.
+        self._written = 0
         self._closed = False
         self._cols = new_columns()
-        self._encode = column_appender(self._cols)
-        self._buffered = 0
-        #: Fingerprint bucket of the basic block the next record belongs
-        #: to (``None`` = the next record starts a block).
-        self._bucket: int | None = None
-        self._bbv = [0] * bbv_dim
+        self.row = row_appender(self._cols, chunk_records, self._flush_chunk)
+
+    @property
+    def total(self) -> int:
+        """Records written or buffered so far."""
+        return self._written + self.buffered
 
     @property
     def chunk_count(self) -> int:
-        return len(self._index) + (1 if self._buffered else 0)
+        return len(self._index) + (1 if self.buffered else 0)
 
     @property
     def buffered(self) -> int:
         """Records currently held in memory (never exceeds the chunk
         size — the writer's O(chunk) memory bound)."""
-        return self._buffered
+        return len(self._cols["opcode"])
 
     def append(self, rec: TraceRecord) -> None:
-        """Buffer one record, flushing a chunk when the window fills."""
-        self._encode(rec)
-        bucket = self._bucket
-        if bucket is None:
-            bucket = _bbv_bucket(rec.pc, self._bbv_dim)
-        self._bbv[bucket] += 1
-        self._bucket = None if rec.is_control else bucket
-        self._buffered += 1
-        self.total += 1
-        if self._buffered >= self._chunk_records:
-            self._flush_chunk()
+        """Buffer one record."""
+        self.row(*record_row(rec))
 
     def extend(self, records) -> None:
         append = self.append
@@ -215,19 +220,15 @@ class ChunkWriter:
             append(rec)
 
     def _flush_chunk(self) -> None:
-        count = self._buffered
+        count = self.buffered
         if not count:
             return
-        payload = _chunk_payload(self._cols, count)
-        self._write_payload(payload, count, self._bbv)
-        for column in self._cols.values():
+        columns = self._cols
+        bbv = _column_bbv(columns["pc"], columns["opcode"], self._bbv_dim)
+        self._write_payload(_chunk_payload(columns, count), count, bbv)
+        for column in columns.values():
             del column[:]
-        self._buffered = 0
-        self._bbv = [0] * self._bbv_dim
-        # Fingerprints are per-chunk: a basic block straddling a chunk
-        # boundary counts under its first PC in the new chunk, exactly
-        # as an after-the-fact walk of that chunk alone would bucket it.
-        self._bucket = None
+        self._written += count
 
     def _write_chunk(self, chunk: ColumnarTrace, bbv=None) -> None:
         """Write ``chunk`` as one whole chunk straight from its column
@@ -239,9 +240,9 @@ class ChunkWriter:
             return
         columns = {name: getattr(chunk, name) for name, _t, _s in COLUMN_SPEC}
         if bbv is None:
-            bbv = _column_bbv(chunk, self._bbv_dim)
+            bbv = _column_bbv(chunk.pc, chunk.opcode, self._bbv_dim)
         self._write_payload(_chunk_payload(columns, count), count, bbv)
-        self.total += count
+        self._written += count
 
     def _write_payload(self, payload: bytearray, count: int, bbv) -> None:
         # 8-align the chunk start so column views sit on natural

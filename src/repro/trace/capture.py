@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.asm.assembler import Program, assemble
-from repro.func.machine import Machine
 from repro.trace.record import TraceRecord
+
+if TYPE_CHECKING:
+    # The machine imports the trace column encoding, so this package
+    # must not import the machine at load time.
+    from repro.func.machine import Machine
 
 
 def capture_trace(
@@ -39,8 +43,8 @@ def iter_trace(
             pc=step.pc,
             opcode=instr.opcode,
             src_regs=instr.source_regs(),
-            dest_reg=step.dest_reg if step.dest_reg not in (None, 0) else None,
-            dest_value=step.dest_value if step.dest_reg not in (None, 0) else None,
+            dest_reg=step.dest_reg,
+            dest_value=step.dest_value,
             mem_addr=step.mem_addr,
             mem_size=step.mem_size,
             branch_taken=step.branch_taken,
@@ -58,10 +62,10 @@ def capture_trace_chunked(
     """Run ``machine`` and stream its trace to ``path`` as a VSRT v4
     chunked file; returns the reopened :class:`ChunkedTrace`.
 
-    This is the bounded-memory capture path: records go straight from
-    the functional simulator into the chunk writer, so peak memory is
-    O(chunk) no matter how long the run is (the in-memory
-    :func:`capture_trace` accumulates the whole record list).
+    This is the bounded-memory capture path: the machine's execution
+    core writes each instruction's row straight into the chunk writer,
+    so peak memory is O(chunk) no matter how long the run is (the
+    in-memory :func:`capture_trace` accumulates the whole record list).
     """
     from repro.trace.binary import (
         DEFAULT_CHUNK_RECORDS,
@@ -70,7 +74,7 @@ def capture_trace_chunked(
     )
 
     with ChunkWriter(path, chunk_records or DEFAULT_CHUNK_RECORDS) as writer:
-        writer.extend(iter_trace(machine, max_instructions))
+        machine.execute(writer.row, max_instructions)
     return read_trace_chunked(path)
 
 
@@ -79,6 +83,8 @@ def trace_program(
     max_instructions: int | None = None,
 ) -> tuple[Program, list[TraceRecord]]:
     """Assemble ``source``, execute it, and return (program, trace)."""
+    from repro.func.machine import Machine
+
     program = assemble(source)
     machine = Machine(program)
     trace = capture_trace(machine, max_instructions)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.programs.suite import KernelSpec, kernel
@@ -28,21 +30,23 @@ def cache_dir(tmp_path, monkeypatch):
 
 @pytest.fixture()
 def capture_counter(monkeypatch):
-    """Count functional-simulator trace captures."""
+    """Count functional-simulator trace captures, through either entry
+    point: the in-memory KernelSpec.trace and KernelSpec.capture (the
+    trace cache's one capture path)."""
     calls = {"count": 0}
     original = KernelSpec.trace
-    original_iter = KernelSpec.iter_trace
+    original_capture = KernelSpec.capture
 
     def counting(self, max_instructions=None):
         calls["count"] += 1
         return original(self, max_instructions)
 
-    def counting_iter(self, max_instructions=None):
+    def counting_capture(self, writer, max_instructions=None):
         calls["count"] += 1
-        return original_iter(self, max_instructions)
+        return original_capture(self, writer, max_instructions)
 
     monkeypatch.setattr(KernelSpec, "trace", counting)
-    monkeypatch.setattr(KernelSpec, "iter_trace", counting_iter)
+    monkeypatch.setattr(KernelSpec, "capture", counting_capture)
     return calls
 
 
@@ -193,6 +197,41 @@ def test_clear_removes_legacy_entries(cache_dir):
     assert trace_cache.clear_cache() == 2
     assert not list(cache_dir.glob("*.vsrt*"))
     assert unrelated.exists()
+
+
+def test_interrupted_capture_leaves_no_temp_file(cache_dir, monkeypatch):
+    """A capture stopped by anything, not only an OSError (Ctrl+C here,
+    at the 100th record), unlinks its temp file; ``clear`` also deletes
+    temp files a killed capture stranded, and counts them."""
+    original = KernelSpec.capture
+
+    def interrupted(self, writer, max_instructions=None):
+        row = writer.row
+        rows = itertools.count(1)
+
+        def interrupting(*fields):
+            if next(rows) == 100:
+                raise KeyboardInterrupt
+            row(*fields)
+
+        writer.row = interrupting
+        return original(self, writer, max_instructions)
+
+    monkeypatch.setattr(KernelSpec, "capture", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        trace_cache.cached_trace("compress", 500)
+    assert list(cache_dir.iterdir()) == []
+    assert trace_cache.clear_cache() == 0
+    assert list(cache_dir.iterdir()) == []
+
+    monkeypatch.setattr(KernelSpec, "capture", original)
+    trace_cache.cached_trace("compress", 500)
+    (entry,) = cache_dir.glob("*.vsrt4")
+    stranded = cache_dir / f".{entry.name}.4242.tmp"
+    stranded.write_bytes(b"partial")
+    assert trace_cache.cache_info()["temp_files"] == 1
+    assert trace_cache.clear_cache() == 2
+    assert list(cache_dir.iterdir()) == []
 
 
 def test_warm_cache(cache_dir, capture_counter):

@@ -75,22 +75,22 @@ def cache_dir(tmp_path, monkeypatch):
 @pytest.fixture()
 def capture_counter(monkeypatch):
     # Counts functional-simulation captures through either entry point:
-    # the in-memory KernelSpec.trace and the streaming KernelSpec.iter_trace
-    # (the default capture path since chunked storage landed).
+    # the in-memory KernelSpec.trace and KernelSpec.capture (the trace
+    # cache's one capture path, straight into a chunk writer).
     calls = {"count": 0}
     original_trace = KernelSpec.trace
-    original_iter = KernelSpec.iter_trace
+    original_capture = KernelSpec.capture
 
     def counting_trace(self, max_instructions=None):
         calls["count"] += 1
         return original_trace(self, max_instructions)
 
-    def counting_iter(self, max_instructions=None):
+    def counting_capture(self, writer, max_instructions=None):
         calls["count"] += 1
-        return original_iter(self, max_instructions)
+        return original_capture(self, writer, max_instructions)
 
     monkeypatch.setattr(KernelSpec, "trace", counting_trace)
-    monkeypatch.setattr(KernelSpec, "iter_trace", counting_iter)
+    monkeypatch.setattr(KernelSpec, "capture", counting_capture)
     return calls
 
 
