@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Warm-vs-cold sweep smoke (the CI `perf-smoke` warm step, runnable locally).
 
-Runs the same small sweep grid twice against a fresh private trace
-cache:
+Runs the same small sweep grid three times, the first two against a
+fresh private trace cache:
 
 1. **Cold** — captures each distinct (benchmark, limit) trace exactly
    once and populates the VSRT v4 cache.
@@ -11,15 +11,19 @@ cache:
    functional capture *fails the run* instead: the sweep completing is
    the proof that warm sweeps perform **zero trace regenerations**
    (workers are served entirely from cache entries).
+3. **Cache off, fanned** — re-runs the grid with ``--jobs N`` workers,
+   ``REPRO_TRACE_STRICT=1`` and the cache disabled: the parent stages
+   each trace once into a per-run temp directory, and strict workers
+   must be served from those entries.
 
-The script also asserts the warm results are bit-identical to the cold
-ones, counts functional-simulator captures directly (the cold run must
-capture once per benchmark, the warm run zero times in the parent), and
-reports wall time, the cold pass's capture throughput (records captured
-per second inside ``KernelSpec.capture``) and peak RSS (parent and
-worker maxima) — appended
-to ``$GITHUB_STEP_SUMMARY`` as a markdown table when that variable is
-set.  Exit status is the check result.
+The script also asserts both fanned results are bit-identical to the
+cold ones, counts functional-simulator captures directly (the cold and
+cache-off runs must capture once per benchmark, the warm run zero times
+in the parent), and reports wall times, the cold pass's capture
+throughput (records captured per second inside ``KernelSpec.capture``)
+and peak RSS (parent and worker maxima) — appended to
+``$GITHUB_STEP_SUMMARY`` as a markdown table when that variable is set.
+Exit status is the check result.
 
 Usage::
 
@@ -116,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         status = 1
 
     # A new sweep process would start with an empty per-process memo;
-    # clear it so the warm pass exercises the staging tiers, not the memo.
+    # clear it so the warm pass exercises the staged entries, not the memo.
     parallel._TRACE_CACHE.clear()
     os.environ["REPRO_TRACE_STRICT"] = "1"
     start = time.perf_counter()
@@ -131,11 +135,32 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: warm sweep captured {warm_captures} traces in the parent")
         status = 1
 
-    if [r.counters for r in warm] != [r.counters for r in cold] or [
-        r.cycles for r in warm
-    ] != [r.cycles for r in cold]:
-        print("FAIL: warm fanned results differ from cold inline results")
+    # Cache off: the pool stages into a per-run temp directory, and the
+    # strict workers must still never capture.
+    parallel._TRACE_CACHE.clear()
+    os.environ["REPRO_TRACE_CACHE"] = "off"
+    start = time.perf_counter()
+    try:
+        uncached = parallel.run_jobs(jobs, jobs=args.jobs)
+    except Exception as exc:
+        print(f"FAIL: cache-off sweep regenerated a trace in a worker: {exc}")
+        return 1
+    uncached_seconds = time.perf_counter() - start
+    os.environ["REPRO_TRACE_CACHE"] = cache_dir
+    uncached_captures = captures["count"] - cold_captures - warm_captures
+    if uncached_captures != len(args.benchmarks):
+        print(
+            f"FAIL: cache-off sweep captured {uncached_captures} traces, "
+            f"expected one per benchmark ({len(args.benchmarks)})"
+        )
         status = 1
+
+    for label, fanned in (("warm", warm), ("cache-off", uncached)):
+        if [r.counters for r in fanned] != [r.counters for r in cold] or [
+            r.cycles for r in fanned
+        ] != [r.cycles for r in cold]:
+            print(f"FAIL: {label} fanned results differ from cold inline results")
+            status = 1
 
     own_rss, worker_rss = _peak_rss_mib()
     entries = sorted(Path(cache_dir).glob("*.vsrt4"))
@@ -145,12 +170,17 @@ def main(argv: list[str] | None = None) -> int:
         ("grid points", str(len(jobs))),
         ("cold (jobs=1, capture+store)", f"{cold_seconds:.2f} s"),
         (f"warm (jobs={args.jobs}, strict)", f"{warm_seconds:.2f} s"),
+        (
+            f"cache off (jobs={args.jobs}, strict, temp-dir staging)",
+            f"{uncached_seconds:.2f} s",
+        ),
         ("cold captures", str(cold_captures)),
         (
             "cold capture throughput",
             f"{capture_rps:,.0f} records/s ({captures['records']:,} records)",
         ),
         ("warm captures (must be 0)", str(warm_captures)),
+        ("cache-off captures (one per benchmark)", str(uncached_captures)),
         ("cache entries", f"{len(entries)} ({cache_bytes:,} bytes)"),
         ("peak RSS, parent", f"{own_rss:.1f} MiB"),
         ("peak RSS, worker max", f"{worker_rss:.1f} MiB"),

@@ -12,12 +12,12 @@ Only job descriptions and results cross the wire; the engine itself is
 the same in-process :class:`~repro.engine.pipeline.PipelineSimulator`
 the local harness runs.
 
-Traces come from the persistent VSRT v4 disk cache
-(:mod:`repro.trace.cache`): a warm entry is read with zero parse cost,
-a cold miss falls back to functional capture *unless*
-``REPRO_TRACE_STRICT`` is set, in which case the job fails rather than
-silently re-materialize (the same strictness contract the local pool
-workers honor).
+Traces reach a worker the one way they reach a local pool worker: as a
+VSRT v4 entry of the configured trace cache (:mod:`repro.trace.cache`),
+opened by :func:`repro.harness.parallel._trace_for` with every chunk
+CRC-checked.  A miss (or a corrupt entry) falls back to functional
+capture *unless* ``REPRO_TRACE_STRICT`` is set, in which case the job
+fails rather than silently re-materialize.
 
 Workers are crash-first: every request rides a fresh HTTP connection,
 and any connection failure — a service restart, a network blip — is
@@ -144,35 +144,11 @@ class ClusterWorker:
 
     # -- execution ---------------------------------------------------------
 
-    def _ensure_trace(self, benchmark: str, max_instructions: int | None) -> None:
-        """Warm the process-local memo from the disk cache so
-        :func:`parallel._execute` finds the trace without capturing."""
-        key = (benchmark, max_instructions)
-        if key in parallel._TRACE_CACHE:
-            return
-        from repro.programs.suite import kernel
-        from repro.trace import cache as trace_cache
-
-        trace = None
-        if trace_cache.cache_enabled():
-            trace = trace_cache.load_trace(
-                benchmark, kernel(benchmark).source, max_instructions
-            )
-        if trace is None:
-            if self.strict:
-                raise RuntimeError(
-                    f"{parallel.STRICT_ENV_VAR}: no warm disk-cache entry "
-                    f"for {key!r} and capture is forbidden in workers"
-                )
-            trace = trace_cache.cached_trace(benchmark, max_instructions)
-        parallel._TRACE_CACHE[key] = trace
-
     def _run_job(self, lease: dict) -> None:
         report = {"key": lease["key"], "blob": lease["blob"],
                   "attempt": int(lease.get("attempt", 1))}
         try:
             job = job_from_blob(lease["blob"])
-            self._ensure_trace(job.benchmark, job.max_instructions)
             report["result"] = result_to_wire(parallel._execute(job))
             report["ok"] = True
         except Exception as error:
@@ -187,6 +163,8 @@ class ClusterWorker:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> int:
+        # The pool workers' trace rule, against the configured cache.
+        parallel._init_worker(None, self.strict)
         heartbeats = threading.Thread(
             target=self._heartbeat_loop, name="worker-heartbeat", daemon=True
         )

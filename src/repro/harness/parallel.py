@@ -31,30 +31,31 @@ The sequential path (``jobs <= 1``) runs the exact same ``_execute``
 function inline — same trace cache, same factory handling — so it is not
 a separate code path that can drift.
 
-Trace distribution never pickles records.  Before spawning workers,
-``run_jobs`` *stages* every distinct (benchmark, limit) the grid needs
-exactly once: when the persistent disk cache is enabled the stage is
-just "make sure the VSRT v4 entry exists", and each worker opens the
-entry file by name; when it is disabled, the parent copies the trace's
-columns into one ``multiprocessing.shared_memory`` segment per key (a
-v4 image, no row materialized) and workers attach to it zero-copy.
-Either way the instruction stream crosses the process boundary as
-column bytes, not pickled ``TraceRecord`` lists — a host materializes
-each trace at most once per sweep.  Setting ``REPRO_TRACE_STRICT=1``
-makes workers *fail* instead of falling back to functional capture,
-which is how the tests and the CI warm-sweep smoke assert the
-zero-materialization property.
+Trace distribution never pickles records, and has one staging tier:
+a VSRT v4 cache entry.  Before spawning workers, ``run_jobs`` makes sure
+a staging directory holds an entry for every distinct (benchmark,
+limit) the grid needs, capturing only the missing ones, once.  The
+directory is the configured trace cache when it is on and writable,
+else a per-run temp directory removed when the pool ends.  Workers
+receive the directory's path and open entries by name, so the
+instruction stream crosses the process boundary as column bytes and a
+host materializes each trace at most once per sweep.  Setting
+``REPRO_TRACE_STRICT=1`` makes workers *fail* instead of falling back
+to functional capture, which is how the tests and the CI warm-sweep
+smoke assert the zero-materialization property.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import shutil
 import tempfile
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 from repro.core.model import SpeculativeExecutionModel
@@ -63,7 +64,7 @@ from repro.engine.sim import SimulationResult, run_baseline, run_trace
 from repro.trace.columnar import ChunkedTrace, ColumnarTrace
 
 #: Env var: when truthy, workers refuse to regenerate traces (memo or
-#: staged handle only).  Used by tests/CI to assert warm sweeps perform
+#: staged entry only).  Used by tests/CI to assert warm sweeps perform
 #: zero per-worker trace materializations.
 STRICT_ENV_VAR = "REPRO_TRACE_STRICT"
 
@@ -164,191 +165,80 @@ def _expand_units(
 #: per (benchmark, limit) no matter how many jobs it executes.
 _TRACE_CACHE: dict[tuple[str, int | None], ColumnarTrace | ChunkedTrace] = {}
 
-
-@dataclass(frozen=True)
-class TraceHandle:
-    """A picklable pointer to a staged trace's shared bytes.
-
-    ``kind`` is ``"file"`` (``name`` is a VSRT v4 file — usually a
-    disk-cache entry, sometimes a staged temp file) or ``"shm"``
-    (``name`` is a ``multiprocessing.shared_memory`` segment holding
-    ``nbytes`` of v4 bytes).
-    """
-
-    kind: str
-    name: str
-    nbytes: int
-
-
-#: Handles staged by the parent, installed by the pool initializer.
-_TRACE_HANDLES: dict[tuple[str, int | None], TraceHandle] = {}
+#: The directory this run's VSRT v4 entries were staged into, installed
+#: by the pool initializer; ``None`` means the configured trace cache.
+_STAGING_DIR: Path | None = None
 
 #: Worker-side strictness (parent processes are never strict — staging
 #: itself may legitimately capture on a cold cache).
 _WORKER_STRICT = False
 
-#: Attached shared-memory segments, kept alive for the process lifetime
-#: (their buffers back live ColumnarTrace columns).
-_ATTACHED_SEGMENTS: list = []
 
-
-def _init_worker(
-    handles: dict[tuple[str, int | None], TraceHandle], strict: bool
-) -> None:
-    """Pool initializer: receive staged trace handles (cheap — a few
-    strings per benchmark, never trace data)."""
-    global _WORKER_STRICT
-    _TRACE_HANDLES.clear()
-    _TRACE_HANDLES.update(handles)
+def _init_worker(directory: Path | None, strict: bool) -> None:
+    """Pool initializer: receive the staging directory (one path, never
+    trace data) and the strictness flag."""
+    global _STAGING_DIR, _WORKER_STRICT
+    _STAGING_DIR = directory
     _WORKER_STRICT = strict
 
 
-def _attach_handle(handle: TraceHandle):
-    """Open a staged trace.
-
-    A one-chunk trace attaches as its :class:`ColumnarTrace`; a longer
-    one as a :class:`~repro.trace.columnar.ChunkedTrace`, so a worker
-    simulating a long trace holds at most its chunk LRU window — never
-    the whole payload — whether the handle is a file or a shared-memory
-    segment (whose chunks are served zero-copy).
-    """
-    from repro.trace.binary import loads_trace_chunked, read_trace_chunked
-
-    if handle.kind == "file":
-        return read_trace_chunked(handle.name).collapse()
-    from multiprocessing import resource_tracker
-    from multiprocessing.shared_memory import SharedMemory
-
-    segment = SharedMemory(name=handle.name)
-    try:
-        # Attaching registers the segment with this process's resource
-        # tracker (fixed by track=False in 3.13); unregister so a worker
-        # exit does not unlink a segment the parent still owns.
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
-    _ATTACHED_SEGMENTS.append(segment)
-    return loads_trace_chunked(segment.buf[: handle.nbytes]).collapse()
-
-
 def _trace_for(benchmark: str, max_instructions: int | None):
-    """The trace for one grid point: process memo, then a staged
-    zero-copy handle, then the persistent on-disk cache
-    (:mod:`repro.trace.cache`), then functional capture.
+    """The trace for one grid point, by one rule: the process memo,
+    then the VSRT v4 entry in the staging directory (the configured
+    trace cache unless the parent staged elsewhere), then — unless
+    ``REPRO_TRACE_STRICT`` forbids it — functional capture through
+    :func:`~repro.trace.cache.cached_trace`.
 
-    The handle tier is what keeps workers off the functional simulator:
-    the parent stages each distinct trace once and workers open the
-    cache entry by name or attach its shared-memory copy.  The disk tier
-    behind it makes trace *construction* a once-per-machine cost.  Under
-    ``REPRO_TRACE_STRICT`` a worker that would fall past the handle
-    tier raises instead — the regression tests' proof that warm sweeps
-    never re-materialize traces in workers.
+    :func:`~repro.trace.cache.load_trace` CRC-checks every chunk up
+    front, so a corrupt entry is a miss (and is deleted), never a
+    mid-simulation error.  Under ``REPRO_TRACE_STRICT`` a worker that
+    misses raises instead — the tests' proof that warm sweeps never
+    re-materialize traces in workers.
     """
     key = (benchmark, max_instructions)
     trace = _TRACE_CACHE.get(key)
     if trace is not None:
         return trace
-    handle = _TRACE_HANDLES.get(key)
-    if handle is not None:
-        try:
-            trace = _attach_handle(handle)
-        except Exception:
-            if _WORKER_STRICT:
-                raise
-            trace = None
+    from repro.programs.suite import kernel
+    from repro.trace import cache as trace_cache
+
+    source = kernel(benchmark).source
+    trace = trace_cache.load_trace(
+        benchmark, source, max_instructions, directory=_STAGING_DIR
+    )
     if trace is None:
         if _WORKER_STRICT:
             raise RuntimeError(
-                f"{STRICT_ENV_VAR}: no staged trace for {key!r} and "
+                f"{STRICT_ENV_VAR}: no valid staged trace for {key!r} and "
                 "capture is forbidden in workers"
             )
-        from repro.trace.cache import cached_trace
-
-        trace = cached_trace(benchmark, max_instructions)
+        trace = trace_cache.cached_trace(
+            benchmark, max_instructions, directory=_STAGING_DIR
+        )
     _TRACE_CACHE[key] = trace
     return trace
 
 
-def _stage_traces(
-    job_list: list[SimJob],
-) -> tuple[dict[tuple[str, int | None], TraceHandle], list]:
-    """Materialize each distinct trace the grid needs exactly once and
-    expose it as a shared buffer; returns (handles, cleanup callables).
+def _stage_traces(job_list: list[SimJob], directory: Path) -> bool:
+    """Make sure ``directory`` holds a VSRT v4 entry for each distinct
+    trace the grid needs; ``False`` when one could not be written there.
 
-    Preference order per key: an existing (or freshly stored) disk-cache
-    entry opened by name; a ``multiprocessing.shared_memory`` segment
-    with the v4 bytes; a temp file as the last resort when shared memory
-    is unavailable.  Cleanups run after the pool has shut down — and if
-    staging *itself* fails partway (a capture error on the third
-    benchmark after two segments exist), the segments already created
-    are released before the exception escapes, so no error path leaks
-    shared memory.
+    A missing entry is captured once, here in the parent; a present one
+    is only stat'ed.  Workers then open every entry themselves.
     """
-    handles: dict[tuple[str, int | None], TraceHandle] = {}
-    cleanups: list = []
-    try:
-        _stage_traces_into(job_list, handles, cleanups)
-    except BaseException:
-        for release in cleanups:
-            try:
-                release()
-            except Exception:
-                pass
-        raise
-    return handles, cleanups
-
-
-def _stage_traces_into(
-    job_list: list[SimJob],
-    handles: dict[tuple[str, int | None], TraceHandle],
-    cleanups: list,
-) -> None:
+    from repro.programs.suite import kernel
     from repro.trace import cache as trace_cache
-    from repro.trace.binary import dumps_trace_chunked
 
     for key in dict.fromkeys((job.benchmark, job.max_instructions) for job in job_list):
         benchmark, limit = key
-        if trace_cache.cache_enabled():
-            from repro.programs.suite import kernel
-
-            source = kernel(benchmark).source
-            path = trace_cache.trace_path(benchmark, source, limit)
+        path = trace_cache.trace_path(
+            benchmark, kernel(benchmark).source, limit, directory=directory
+        )
+        if not path.is_file():
+            trace_cache.cached_trace(benchmark, limit, directory=directory)
             if not path.is_file():
-                # Cold cache: capture once here in the parent (also
-                # memoized, so the inline path reuses it) and store.
-                _TRACE_CACHE[key] = trace_cache.cached_trace(benchmark, limit)
-            if path.is_file():
-                handles[key] = TraceHandle("file", str(path), path.stat().st_size)
-                continue
-        # Column copies only: a ChunkedTrace keeps its chunks, so workers
-        # attach per-chunk zero-copy slices of the shared buffer.
-        data = dumps_trace_chunked(_trace_for(benchmark, limit))
-        handle = None
-        try:
-            from multiprocessing.shared_memory import SharedMemory
-
-            segment = SharedMemory(create=True, size=len(data))
-        except (ImportError, OSError):
-            segment = None
-        if segment is not None:
-            segment.buf[: len(data)] = data
-            handle = TraceHandle("shm", segment.name, len(data))
-
-            def _release(segment=segment):
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    pass
-
-            cleanups.append(_release)
-        else:  # pragma: no cover - hosts without POSIX shared memory
-            fd, tmp_path = tempfile.mkstemp(suffix=".vsrt4")
-            with os.fdopen(fd, "wb") as tmp:
-                tmp.write(data)
-            handle = TraceHandle("file", tmp_path, len(data))
-            cleanups.append(lambda tmp_path=tmp_path: os.unlink(tmp_path))
-        handles[key] = handle
+                return False
+    return True
 
 
 def _execute(job: SimJob) -> SimulationResult:
@@ -410,7 +300,7 @@ def resolve_backend(backend: str | None = None) -> str:
 def _run_pool(
     job_list: list[SimJob],
     workers: int,
-    handles: dict[tuple[str, int | None], TraceHandle],
+    directory: Path,
     results: list[SimulationResult | None],
     max_attempts: int,
 ) -> None:
@@ -431,7 +321,7 @@ def _run_pool(
         with ProcessPoolExecutor(
             max_workers=min(workers, len(outstanding)),
             initializer=_init_worker,
-            initargs=(handles, strict),
+            initargs=(directory, strict),
         ) as pool:
             pending: dict = {}
             try:
@@ -546,13 +436,20 @@ def _run_jobs_backend(
     workers = effective_jobs(jobs, len(units))
     if workers <= 1:
         return [_execute(unit) for unit in units]
-    handles, cleanups = _stage_traces(units)
+    from repro.trace.cache import cache_dir
+
+    # One staging tier: the configured trace cache when it is on and
+    # writable, else a per-run temp directory removed with the pool.
+    directory, temp = cache_dir(), None
     results: list = [None] * len(units)
     try:
-        _run_pool(units, workers, handles, results, max_attempts)
+        if directory is None or not _stage_traces(units, directory):
+            directory = temp = Path(tempfile.mkdtemp(prefix="repro-traces-"))
+            _stage_traces(units, directory)
+        _run_pool(units, workers, directory, results, max_attempts)
     finally:
-        for release in cleanups:
-            release()
+        if temp is not None:
+            shutil.rmtree(temp, ignore_errors=True)
     return results
 
 

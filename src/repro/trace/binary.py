@@ -154,8 +154,7 @@ class ChunkWriter:
     the header patched in place.
 
     ``out`` is a path or a seekable binary file object (``BytesIO``
-    works, which is how shared-memory staging and uncached captures
-    serialize a trace).
+    works, which is how uncached captures serialize a trace).
 
     ``row(pc, next_pc, dest_reg, dest_value, mem_addr, mem_size,
     branch_taken, srcs, opcode_code)`` is the writer's one entry point:
@@ -246,7 +245,7 @@ class ChunkWriter:
 
     def _write_payload(self, payload: bytearray, count: int, bbv) -> None:
         # 8-align the chunk start so column views sit on natural
-        # boundaries in mmap/shared-memory consumers.
+        # boundaries in buffer-backed consumers.
         pad = (-self._pos) % 8
         if pad:
             self._file.write(b"\x00" * pad)
@@ -427,7 +426,7 @@ class _FileChunkSource(_ChunkSource):
 
 
 class _BufferChunkSource(_ChunkSource):
-    """Chunks served zero-copy from one buffer (shared memory, bytes)."""
+    """Chunks served zero-copy from one in-memory buffer."""
 
     def __init__(self, buffer):
         self._view = memoryview(buffer)
@@ -465,7 +464,7 @@ def open_trace(path: str | Path) -> ColumnarTrace | ChunkedTrace:
 
 
 def loads_trace_chunked(buffer, *, keep_chunks: int = 2) -> ChunkedTrace:
-    """Wrap v4 ``buffer`` (bytes, mmap, shared memory) without copying."""
+    """Wrap v4 ``buffer`` (bytes, mmap) without copying."""
     return ChunkedTrace(_BufferChunkSource(buffer), keep_chunks=keep_chunks)
 
 
@@ -484,7 +483,7 @@ def write_trace_chunked(
 def dumps_trace_chunked(
     trace, chunk_records: int = DEFAULT_CHUNK_RECORDS
 ) -> bytes:
-    """Serialize a trace to v4 bytes (for shared-memory staging).
+    """Serialize a trace to v4 bytes in memory.
 
     Column-backed traces are copied column by column, never
     materializing a row: a :class:`ColumnarTrace` is written as one

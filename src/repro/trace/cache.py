@@ -133,26 +133,37 @@ def trace_key(benchmark: str, source: str, max_instructions: int | None) -> str:
 
 
 def trace_path(
-    benchmark: str, source: str, max_instructions: int | None
+    benchmark: str,
+    source: str,
+    max_instructions: int | None,
+    *,
+    directory: Path | None = None,
 ) -> Path | None:
-    """Where the entry for this key lives (``None`` when disabled)."""
-    directory = cache_dir()
+    """Where the entry for this key lives in ``directory`` (default: the
+    configured cache; ``None`` when that is disabled)."""
     if directory is None:
-        return None
+        directory = cache_dir()
+        if directory is None:
+            return None
     return directory / (trace_key(benchmark, source, max_instructions) + _SUFFIX)
 
 
 def load_trace(
-    benchmark: str, source: str, max_instructions: int | None
+    benchmark: str,
+    source: str,
+    max_instructions: int | None,
+    *,
+    directory: Path | None = None,
 ) -> ColumnarTrace | ChunkedTrace | None:
     """Return the cached trace for this key, or ``None`` on a miss.
 
-    Every chunk's CRC is checked once, here, so a corrupt entry is
-    detected at load (treated as a miss and deleted — the next capture
-    regenerates it), never mid-simulation.  A one-chunk hit is a
-    :class:`ColumnarTrace`; a longer one is a :class:`ChunkedTrace`.
+    ``directory`` defaults to the configured cache.  Every chunk's CRC
+    is checked once, here, so a corrupt entry is detected at load
+    (treated as a miss and deleted — the next capture regenerates it),
+    never mid-simulation.  A one-chunk hit is a :class:`ColumnarTrace`;
+    a longer one is a :class:`ChunkedTrace`.
     """
-    path = trace_path(benchmark, source, max_instructions)
+    path = trace_path(benchmark, source, max_instructions, directory=directory)
     if path is None or not path.is_file():
         return None
     try:
@@ -165,14 +176,18 @@ def load_trace(
 
 
 def cached_trace(
-    benchmark: str, max_instructions: int | None = None
+    benchmark: str,
+    max_instructions: int | None = None,
+    *,
+    directory: Path | None = None,
 ) -> ColumnarTrace | ChunkedTrace:
     """The dynamic trace for ``benchmark``, from disk when possible.
 
     This is the high-level entry the harness and CLI use in place of
     ``kernel(name).trace(limit)``: a hit skips the functional simulator
-    entirely; a miss captures the trace and populates the cache for the
-    next caller.
+    entirely; a miss captures the trace and populates the cache (or
+    ``directory``, which defaults to the configured cache) for the next
+    caller.
 
     Capture *streams*: the functional machine writes each instruction's
     row straight into a chunk writer (``REPRO_TRACE_CHUNK`` records per
@@ -186,11 +201,15 @@ def cached_trace(
     from repro.programs.suite import kernel
 
     spec = kernel(benchmark)
-    cached = load_trace(benchmark, spec.source, max_instructions)
+    cached = load_trace(
+        benchmark, spec.source, max_instructions, directory=directory
+    )
     if cached is not None:
         return cached
     chunk = chunk_records()
-    path = trace_path(benchmark, spec.source, max_instructions)
+    path = trace_path(
+        benchmark, spec.source, max_instructions, directory=directory
+    )
     if path is not None:
         tmp = path.with_name(f".{path.name}.{os.getpid()}{_TMP_SUFFIX}")
         try:

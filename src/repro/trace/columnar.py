@@ -12,11 +12,10 @@ columns instead of one Python object per instruction:
   chunk is one read plus a handful of ``memoryview.cast`` calls — no
   per-record decode, no per-record allocation — and a cache entry of
   one chunk is served as a ``ColumnarTrace``.
-* **Zero-copy distribution.**  The same property lets the parallel sweep
-  runner hand a trace to worker processes as a shared buffer (a
-  ``multiprocessing.shared_memory`` segment) or a cache file name
-  instead of pickling a list of records per worker
-  (:mod:`repro.harness.parallel`).
+* **Distribution by file name.**  The same property lets the parallel
+  sweep runner hand a trace to worker processes as the name of a VSRT
+  v4 cache entry, its one staging tier, instead of pickling a list of
+  records per worker (:mod:`repro.harness.parallel`).
 * **Row-view compatibility.**  The timing engine consumes
   ``TraceRecord`` objects; ``trace[i]`` materializes the row *once*, on
   first touch, and memoizes it, so replaying the same trace object
@@ -300,7 +299,8 @@ class ColumnarTrace:
         "_count",
         "_rows",
         "_materialized",
-        #: Backing buffer keep-alive (mmap / SharedMemory buffer / bytes);
+        #: Backing buffer keep-alive (the v4 chunk payload, read from a
+        #: cache-entry file or sliced from an in-memory image);
         #: None when columns are own-memory ``array.array`` objects.
         "_buffer",
         #: Global sequence number of row 0 — non-zero when this trace is
@@ -334,8 +334,8 @@ class ColumnarTrace:
     def from_buffer(
         cls, buffer, count: int, offsets: dict[str, int], seq_base: int = 0
     ) -> "ColumnarTrace":
-        """Wrap columns living inside ``buffer`` (mmap, shared memory,
-        bytes) without copying.
+        """Wrap columns living inside ``buffer`` (mmap, bytes) without
+        copying.
 
         ``offsets`` maps column name to byte offset.  On little-endian
         hosts the columns are ``memoryview.cast`` views straight into the
@@ -518,8 +518,8 @@ class ChunkedTrace:
     per chunk), ``chunk_size`` (nominal records per chunk — every chunk
     but the last holds exactly this many), ``load_chunk(i, seq_base)``
     returning a :class:`ColumnarTrace`, and ``bbvs`` (per-chunk
-    basic-block-vector fingerprints, tuples of ints).  The on-disk and
-    shared-memory VSRT v4 sources live in :mod:`repro.trace.binary`.
+    basic-block-vector fingerprints, tuples of ints).  The file and
+    in-memory VSRT v4 sources live in :mod:`repro.trace.binary`.
     """
 
     __slots__ = ("_source", "_counts", "_starts", "_chunk_size", "_total",

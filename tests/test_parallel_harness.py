@@ -162,50 +162,132 @@ class TestWorkerDeathRecovery:
             run_jobs(grid, jobs=2, max_attempts=2)
 
 
+def _raising_confidence():
+    raise RuntimeError("injected job failure")
+
+
 class TestStagingCleanup:
-    def test_no_leaked_segments_on_staging_failure(self, monkeypatch):
-        import multiprocessing.shared_memory as shm_module
+    """With the disk cache off, the pool stages into a per-run temp
+    directory; no exit path may leave it behind."""
 
-        from repro.harness.parallel import _stage_traces
-        from repro.trace import binary as trace_binary
+    @pytest.fixture()
+    def temp_root(self, monkeypatch, tmp_path):
+        import tempfile
 
-        # Disable the disk cache so staging takes the shared-memory path.
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+        import repro.harness.parallel as parallel
 
-        created: list[str] = []
-        real_shared_memory = shm_module.SharedMemory
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
+        return tmp_path
 
-        class RecordingSharedMemory(real_shared_memory):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                if kwargs.get("create"):
-                    created.append(self.name)
+    def test_no_leaked_staging_dir_on_staging_failure(
+        self, monkeypatch, temp_root
+    ):
+        from repro.trace import cache as trace_cache
 
-        monkeypatch.setattr(shm_module, "SharedMemory", RecordingSharedMemory)
-
-        real_dumps = trace_binary.dumps_trace_chunked
+        real_cached_trace = trace_cache.cached_trace
         calls = {"n": 0}
 
-        def failing_dumps(trace):
+        def failing_cached_trace(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("injected staging failure")
-            return real_dumps(trace)
+            return real_cached_trace(*args, **kwargs)
 
-        monkeypatch.setattr(trace_binary, "dumps_trace_chunked", failing_dumps)
-
+        monkeypatch.setattr(trace_cache, "cached_trace", failing_cached_trace)
         grid = [
             SimJob("compress", _CONFIG, None, _LIMIT),
             SimJob("perl", _CONFIG, None, _LIMIT),
         ]
         with pytest.raises(RuntimeError, match="injected staging failure"):
-            _stage_traces(grid)
-        # The first benchmark's segment existed when the second failed;
-        # the error path must have released and unlinked it.
-        assert len(created) == 1
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                real_shared_memory(name=name)
+            run_jobs(grid, jobs=2)
+        # The first benchmark's entry existed when the second failed;
+        # the error path must have removed the whole directory.
+        assert calls["n"] == 2
+        assert not list(temp_root.glob("repro-traces-*"))
+
+    def test_no_leaked_staging_dir_when_a_job_raises(self, temp_root):
+        grid = [
+            SimJob("compress", _CONFIG, None, _LIMIT),
+            SimJob("compress", _CONFIG, GREAT_MODEL, _LIMIT,
+                   confidence=_raising_confidence),
+        ]
+        with pytest.raises(RuntimeError, match="injected job failure"):
+            run_jobs(grid, jobs=2)
+        assert not list(temp_root.glob("repro-traces-*"))
+
+    def test_unwritable_cache_falls_back_to_temp_dir(
+        self, monkeypatch, temp_root
+    ):
+        """A cache path that is a regular file cannot hold entries: the
+        pool stages into a temp directory instead, and strict workers
+        still never capture."""
+        import repro.harness.parallel as parallel
+
+        blocker = temp_root / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(blocker))
+        grid = _tiny_grid()
+        serial = run_jobs(grid, jobs=1)
+        monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
+        monkeypatch.setenv("REPRO_TRACE_STRICT", "1")
+        fanned = run_jobs(grid, jobs=2)
+        assert [r.counters for r in fanned] == [r.counters for r in serial]
+        assert not list(temp_root.glob("repro-traces-*"))
+
+
+class TestCorruptStagedEntry:
+    """A pool worker opens its staged entry with every chunk CRC-checked,
+    so a corrupt multi-chunk entry is a miss — exactly as on the inline
+    path — never an error in the middle of a simulation."""
+
+    _GRID = [
+        SimJob("compress", _CONFIG, None, 500),
+        SimJob("compress", _CONFIG, GREAT_MODEL, 500),
+    ]
+
+    @pytest.fixture()
+    def entry(self, monkeypatch, tmp_path):
+        import repro.harness.parallel as parallel
+        from repro.trace import cache as trace_cache
+        from repro.trace.binary import chunked_entry_info
+
+        monkeypatch.setenv(trace_cache.ENV_VAR, str(tmp_path))
+        monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "100")
+        monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
+        trace_cache.cached_trace("compress", 500)
+        (path,) = tmp_path.glob("*.vsrt4")
+        assert chunked_entry_info(path)["chunks"] == 5
+        return path
+
+    @staticmethod
+    def _corrupt_chunk_2(path):
+        from repro.trace.binary import chunked_entry_info
+
+        info = chunked_entry_info(path)
+        offset = 48 + sum(info["chunk_bytes"][:2]) + 64
+        data = bytearray(path.read_bytes())
+        data[offset] ^= 0xFF
+        path.write_bytes(bytes(data))
+
+    def test_pool_recaptures_like_serial(self, monkeypatch, entry):
+        import repro.harness.parallel as parallel
+        from repro.trace.binary import open_trace
+
+        self._corrupt_chunk_2(entry)
+        serial = run_jobs(self._GRID, jobs=1)
+        self._corrupt_chunk_2(entry)
+        monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
+        fanned = run_jobs(self._GRID, jobs=2)
+        assert [r.counters for r in fanned] == [r.counters for r in serial]
+        assert len(open_trace(entry)) == 500  # a valid entry is left
+
+    def test_strict_pool_refuses_before_simulating(self, monkeypatch, entry):
+        self._corrupt_chunk_2(entry)
+        monkeypatch.setenv("REPRO_TRACE_STRICT", "1")
+        with pytest.raises(RuntimeError, match="REPRO_TRACE_STRICT"):
+            run_jobs(self._GRID, jobs=2)
 
 
 class TestDuplicateJobDedup:

@@ -5,7 +5,8 @@ through a :class:`ChunkedTrace` with a deliberately small chunk size, so
 each workload crosses many chunk boundaries; the counters must match the
 committed snapshots bit for bit.  A second group proves the same through
 the harness backends — pool workers and the service's cluster workers
-attaching the chunked cache entry — against the serial in-memory result.
+opening the chunked cache entry, or the pool's temp staging entry when
+the cache is off — against the serial in-memory result.
 
 This is the "streaming changes nothing" guarantee: sampling is the only
 mode allowed to approximate, and it is opt-in and labeled.
@@ -193,24 +194,46 @@ class TestBackendsStreaming:
         for entry in entries:
             assert chunked_entry_info(entry)["chunks"] > 1, entry.name
 
-    @pytest.mark.parametrize("backend,jobs", [
-        ("local", 1),
-        ("local", 2),
+    @pytest.mark.parametrize("backend,jobs,cache", [
+        pytest.param("local", 1, True, id="local-1"),
+        pytest.param("local", 2, True, id="local-2"),
+        # Cache off: the pool stages into a per-run temp directory.
+        pytest.param("local", 2, False, id="local-2-cache-off"),
         # No service address: an ephemeral service leasing to two
         # cluster workers.
-        pytest.param("service", 2, id="cluster-2"),
+        pytest.param("service", 2, True, id="cluster-2"),
     ])
     def test_backend_matches_in_memory(
-        self, monkeypatch, tmp_path, backend, jobs
+        self, monkeypatch, tmp_path, backend, jobs, cache
     ):
+        import tempfile
+
+        from repro.harness import parallel
         from repro.harness.parallel import run_jobs
+        from repro.trace import cache as trace_cache
 
         reference = self._reference(monkeypatch, tmp_path)
+        pooled = []
+        if not cache:
+            monkeypatch.setenv(trace_cache.ENV_VAR, "off")
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+            real_run_pool = parallel._run_pool
+
+            def run_pool(units, workers, directory, *rest):
+                # The temp directory only lives as long as the pool.
+                self._assert_multi_chunk(directory)
+                pooled.append(directory)
+                return real_run_pool(units, workers, directory, *rest)
+
+            monkeypatch.setattr(parallel, "_run_pool", run_pool)
         results = run_jobs(self._grid(), jobs=jobs, backend=backend)
         assert [counters_dict(r.counters) for r in results] == [
             counters_dict(r.counters) for r in reference
         ]
-        self._assert_multi_chunk(tmp_path / "chunked")
+        if cache:
+            self._assert_multi_chunk(tmp_path / "chunked")
+        else:
+            assert pooled and not list(tmp_path.glob("repro-traces-*"))
 
     def test_service_backend_matches_in_memory(self, monkeypatch, tmp_path):
         from repro.harness.parallel import run_jobs

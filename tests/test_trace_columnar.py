@@ -338,14 +338,18 @@ def test_sweep_golden_identical_serial_vs_fanned(cache_dir, monkeypatch):
     assert [r.cycles for r in serial] == [r.cycles for r in fanned]
 
 
-def test_sweep_golden_identical_with_shared_memory_staging(monkeypatch):
-    """With the disk cache off, staging uses multiprocessing shared
-    memory; results must still match the inline path exactly."""
+def test_sweep_golden_identical_with_temp_dir_staging(monkeypatch, tmp_path):
+    """With the disk cache off, the pool stages entries into a per-run
+    temp directory; results must still match the inline path exactly,
+    and the directory is gone once the pool has ended."""
+    import tempfile
+
     from repro.core.model import GREAT_MODEL
     from repro.engine.config import ProcessorConfig
     from repro.harness import parallel
 
     monkeypatch.setenv(trace_cache.ENV_VAR, "off")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
     config = ProcessorConfig(issue_width=4, window_size=24)
     jobs = [
@@ -356,31 +360,7 @@ def test_sweep_golden_identical_with_shared_memory_staging(monkeypatch):
     monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
     fanned = parallel.run_jobs(jobs, jobs=2)
     assert [r.counters for r in serial] == [r.counters for r in fanned]
-
-
-def test_shared_memory_staging_materializes_no_rows(monkeypatch):
-    """With the disk cache off, staging copies the trace's columns into
-    shared memory as one v4 chunk: the parent builds no row."""
-    from repro.engine.config import ProcessorConfig
-    from repro.harness import parallel
-
-    monkeypatch.setenv(trace_cache.ENV_VAR, "off")
-    monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
-    config = ProcessorConfig(issue_width=4, window_size=24)
-    handles, cleanups = parallel._stage_traces(
-        [parallel.SimJob("compress", config, None, 400)]
-    )
-    try:
-        staged = parallel._TRACE_CACHE[("compress", 400)]
-        assert isinstance(staged, ColumnarTrace)
-        assert staged.materialized_rows == 0
-        (handle,) = handles.values()
-        assert handle.kind == "shm"
-        records = kernel("compress").trace(max_instructions=400)
-        assert handle.nbytes == len(dumps_trace_chunked(records))
-    finally:
-        for release in cleanups:
-            release()
+    assert not list(tmp_path.glob("repro-traces-*"))
 
 
 # -- strict mode: warm sweeps perform zero worker materializations --------
@@ -399,12 +379,12 @@ def test_strict_env_parsing(monkeypatch):
     assert not strict_no_capture()
 
 
-def test_strict_worker_refuses_capture(monkeypatch):
+def test_strict_worker_refuses_capture(monkeypatch, tmp_path):
     from repro.harness import parallel
 
     monkeypatch.setattr(parallel, "_WORKER_STRICT", True)
     monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
-    monkeypatch.setattr(parallel, "_TRACE_HANDLES", {})
+    monkeypatch.setattr(parallel, "_STAGING_DIR", tmp_path)  # empty
     with pytest.raises(RuntimeError, match="REPRO_TRACE_STRICT"):
         parallel._trace_for("compress", 100)
 
@@ -413,7 +393,7 @@ def test_warm_jobs4_sweep_zero_worker_materializations(
     cache_dir, capture_counter, monkeypatch
 ):
     """Acceptance: a warm ``jobs=4`` sweep serves every worker from the
-    staged mmap handles.  ``REPRO_TRACE_STRICT`` turns any worker-side
+    staged cache entries.  ``REPRO_TRACE_STRICT`` turns any worker-side
     fallback to functional capture into a hard failure, so the sweep
     *completing* (with golden counters) is the zero-materialization
     proof; the capture counter pins the parent side to the single cold
