@@ -11,8 +11,8 @@ value speculation introduces — :mod:`repro.core.latency`).
 This package also provides the supporting machinery those definitions imply:
 the four-state operand/value lattice (:mod:`repro.core.value_state`), the
 dependence-closure computations behind verification and invalidation
-(:mod:`repro.core.verification`, :mod:`repro.core.invalidation`), and typed
-event records used for pipeline visualization (:mod:`repro.core.events`).
+(:mod:`repro.core.verification`, :mod:`repro.core.invalidation`), and the
+paper's named latency-event kinds (:mod:`repro.core.events`).
 
 The three named models the paper evaluates — **super**, **great** and
 **good** — are exported as :data:`SUPER_MODEL`, :data:`GREAT_MODEL` and
@@ -44,7 +44,6 @@ from repro.core.model import (
     GOOD_MODEL,
     named_models,
 )
-from repro.core.events import SpecEventKind, SpecEvent
 from repro.core.verification import successor_levels, closure
 from repro.core.invalidation import invalidation_waves
 
@@ -70,8 +69,6 @@ __all__ = [
     "GREAT_MODEL",
     "GOOD_MODEL",
     "named_models",
-    "SpecEventKind",
-    "SpecEvent",
     "successor_levels",
     "closure",
     "invalidation_waves",

@@ -1,14 +1,13 @@
-"""Typed records of speculation-related microarchitectural events.
+"""The paper's named latency events.
 
-The timing engine emits these for pipeline visualization (the Figure 1
-reproduction) and for debugging; they are not part of the hot simulation
-path.
+:class:`LatencyEventKind` tags each latency measurement the engine hands
+to an observability tracer (:mod:`repro.obs`); tracing is the engine's
+only observation channel and is off the hot path when disabled.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class LatencyEventKind(enum.Enum):
@@ -68,57 +67,3 @@ _LATENCY_FIELDS: dict[LatencyEventKind, str] = {
     LatencyEventKind.VERIFICATION_ADDR_MEM_ACCESS:
         "verification_addr_to_mem_access",
 }
-
-
-class SpecEventKind(enum.Enum):
-    """Kinds of per-instruction pipeline events."""
-
-    FETCH = "F"
-    DISPATCH = "D"
-    PREDICT = "P"  # value prediction supplied at dispatch
-    WAKEUP = "w"
-    ISSUE = "I"
-    EXECUTE = "EX"
-    WRITE = "W"  # result written to the RS / broadcast
-    EQUALITY = "EQ"
-    VERIFY = "V"
-    INVALIDATE = "X"
-    REISSUE = "RI"
-    RETIRE = "R"
-    SQUASH = "SQ"
-    RELEASE = "FR"  # window entry freed
-
-
-@dataclass(frozen=True)
-class SpecEvent:
-    """One event: which instruction, what happened, when."""
-
-    seq: int
-    kind: SpecEventKind
-    cycle: int
-    detail: str = ""
-
-    def __str__(self) -> str:
-        suffix = f" ({self.detail})" if self.detail else ""
-        return f"@{self.cycle} i{self.seq} {self.kind.name}{suffix}"
-
-
-class EventLog:
-    """Append-only event log with per-instruction retrieval."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.events: list[SpecEvent] = []
-
-    def emit(self, seq: int, kind: SpecEventKind, cycle: int, detail: str = "") -> None:
-        if self.enabled:
-            self.events.append(SpecEvent(seq, kind, cycle, detail))
-
-    def for_instruction(self, seq: int) -> list[SpecEvent]:
-        return [e for e in self.events if e.seq == seq]
-
-    def by_cycle(self) -> dict[int, list[SpecEvent]]:
-        out: dict[int, list[SpecEvent]] = {}
-        for event in self.events:
-            out.setdefault(event.cycle, []).append(event)
-        return out

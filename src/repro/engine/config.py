@@ -43,11 +43,6 @@ class ProcessorConfig:
     branch_table_bits: int = 16
     #: Safety net for runaway simulations.
     max_cycles: int = 5_000_000
-    #: Record per-instruction pipeline events (slow; for visualization).
-    log_events: bool = False
-    #: Sample (cycle, retired, window occupancy) every N cycles into
-    #: ``PipelineSimulator.samples`` (0 = off); feeds repro.viz timelines.
-    sample_interval: int = 0
     #: Which instructions receive value predictions: "all" (the paper's
     #: configuration), "loads", "long-latency" (loads + complex int + FP),
     #: or "alu" — the selective-prediction dimension of Calder et al. that

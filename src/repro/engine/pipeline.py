@@ -60,7 +60,7 @@ from repro.core.variables import (
     VerificationScheme,
     WakeupPolicy,
 )
-from repro.core.events import EventLog, LatencyEventKind, SpecEventKind
+from repro.core.events import LatencyEventKind
 from repro.engine.config import ProcessorConfig
 from repro.isa.opcodes import OpClass
 from repro.frontend.fetch import FetchEngine
@@ -184,7 +184,6 @@ class PipelineSimulator:
         self.lsq = LoadStoreQueue(config.window_size)
         self.dports = PortPool(config.dcache_ports)
         self.counters = SimCounters()
-        self.log = EventLog(config.log_events)
         #: Observability tracer (see :mod:`repro.obs`).  ``None`` or a
         #: NullTracer keeps every instrumentation site at one falsy check;
         #: a PipelineTracer records lifecycle marks and latency events.
@@ -204,9 +203,8 @@ class PipelineSimulator:
             )
         else:
             self._trc_mark = self._trc_lat = None
-        #: Cached log flag and latency constants (hot-path attribute
-        #: chains collapsed to single loads).
-        self._log_on = self.log.enabled
+        #: Cached latency constants (hot-path attribute chains collapsed
+        #: to single loads).
         latencies = self.latencies
         self._lat_exec_eq = latencies.exec_to_equality
         self._lat_eq_verify = latencies.equality_to_verification
@@ -346,9 +344,6 @@ class PipelineSimulator:
         self._ready_pool: dict[int, Station] = {}
         self._wake_heap: list[tuple[int, int, Station, int]] = []
         self._wake_counter = 0
-        #: (cycle, retired, window_occupancy) samples when
-        #: ``config.sample_interval`` > 0 (see repro.viz).
-        self.samples: list[tuple[int, int, int]] = []
         self._vp_port_cycle = -1
         self._vp_ports_used = 0
 
@@ -536,7 +531,6 @@ class PipelineSimulator:
         trace_len = len(fetch_engine.trace)
         fetch_limit = self._fetch_limit
         max_cycles = self.config.max_cycles
-        sample_interval = self.config.sample_interval
         cycle = self.cycle
         # Only _retire advances the gate, so run() mirrors it in a local
         # and refreshes after each _retire call.
@@ -591,8 +585,6 @@ class PipelineSimulator:
                 if cycle >= fetch_engine._stall_until and len(fetch_queue) < fetch_limit:
                     self._fetch()
                 occupancy_sum += len(win)
-                if sample_interval and cycle % sample_interval == 0:
-                    self.samples.append((cycle, counters.retired, len(win)))
                 cycle += 1
         finally:
             if gc_was_enabled:
@@ -622,13 +614,9 @@ class PipelineSimulator:
         # tuple, so the whole batch lands in the queue in one C-level
         # extend.
         self._fetch_queue.extend(batch)
-        log_on = self._log_on
-        obs_on = self._obs_on
-        if log_on or obs_on:
+        if self._obs_on:
             for rec, wrong_path, __, __ready in batch:
-                if log_on and not wrong_path:
-                    self.log.emit(rec.seq, SpecEventKind.FETCH, cycle)
-                if obs_on and not wrong_path:
+                if not wrong_path:
                     self._trc_mark(cycle, rec.seq, -1, "fetch")
 
     def _dispatch(self) -> None:
@@ -650,7 +638,6 @@ class PipelineSimulator:
         lsq_capacity = lsq.capacity
         pool = self._ready_pool
         window = self.window
-        log_on = self._log_on
         obs_on = self._obs_on
         vp_on = self.vp_enabled
         predict_all = self._predict_all
@@ -830,8 +817,6 @@ class PipelineSimulator:
                 pool[sid] = station
             if wrong_path:
                 n_wrong += 1
-            if log_on and not wrong_path:
-                self.log.emit(rec.seq, SpecEventKind.DISPATCH, cycle)
             if obs_on and not wrong_path:
                 self._trc_mark(cycle, rec.seq, sid, "dispatch")
             dispatched += 1
@@ -932,8 +917,6 @@ class PipelineSimulator:
             counters.speculated += 1
             if not pred_correct:
                 counters.misspeculations += 1
-            if self._log_on:
-                self.log.emit(rec.seq, SpecEventKind.PREDICT, self.cycle)
             if self._obs_on:
                 self._trc_mark(
                     self.cycle, rec.seq, station.sid, "predict",
@@ -1072,12 +1055,11 @@ class PipelineSimulator:
                 pool[overflow.sid] = overflow
             del candidates[width:]
             # _start_execution, inlined for the selected group: the
-            # per-station hoists (events dict, counters, log gates) are
+            # per-station hoists (events dict, counters) are
             # shared across the whole issue group and the issued/
             # speculative/reissue counters flush once.
             events = self._events
             counters = self.counters
-            log_on = self._log_on
             n_spec = 0
             n_reissue = 0
             for entry in candidates:
@@ -1101,12 +1083,6 @@ class PipelineSimulator:
                     bucket.append((_ADDRGEN, station, station.epoch))
                 else:
                     bucket.append((_RESULT, station, station.epoch))
-                if log_on and not station.wrong_path:
-                    self.log.emit(
-                        rec.seq,
-                        SpecEventKind.REISSUE if exec_count else SpecEventKind.ISSUE,
-                        cycle,
-                    )
                 if obs_on and not station.wrong_path:
                     self._obs_issue(station, cycle)
             counters.issued += len(candidates)
@@ -1244,11 +1220,6 @@ class PipelineSimulator:
             bucket.append((_ADDRGEN, station, station.epoch))
         else:
             bucket.append((_RESULT, station, station.epoch))
-        if self._log_on and not station.wrong_path:
-            kind = (
-                SpecEventKind.REISSUE if station.exec_count else SpecEventKind.ISSUE
-            )
-            self.log.emit(rec.seq, kind, cycle)
         if self._obs_on and not station.wrong_path:
             self._obs_issue(station, cycle)
 
@@ -1419,8 +1390,6 @@ class PipelineSimulator:
             and valid
         ):
             self._resolve_mispredicted_branch(station, cycle)
-        if self._log_on and not station.wrong_path:
-            self.log.emit(rec.seq, SpecEventKind.WRITE, cycle)
         if self._obs_on and not station.wrong_path:
             self._trc_mark(
                 cycle, rec.seq, station.sid, "result",
@@ -1455,8 +1424,6 @@ class PipelineSimulator:
         if station.prediction_resolved:
             return
         station.equality_cycle = cycle
-        if self._log_on:
-            self.log.emit(station.rec.seq, SpecEventKind.EQUALITY, cycle)
         if self._obs_on:
             rec = station.rec
             self._trc_mark(
@@ -1521,8 +1488,6 @@ class PipelineSimulator:
             station.out_valid_cycle = cycle
             station.out_via_network = True
         self.counters.verification_events += 1
-        if self._log_on:
-            self.log.emit(station.rec.seq, SpecEventKind.VERIFY, cycle)
         if self._obs_on:
             rec = station.rec
             self._trc_mark(cycle, rec.seq, station.sid, "verify")
@@ -1817,8 +1782,6 @@ class PipelineSimulator:
             return
         source.prediction_muted = True
         self.counters.provisional_invalidations += 1
-        if self._log_on:
-            self.log.emit(source.rec.seq, SpecEventKind.INVALIDATE, cycle)
         obs_on = self._obs_on
         if obs_on:
             self._trc_mark(
@@ -1840,8 +1803,6 @@ class PipelineSimulator:
                 if station.rec.is_memory and not station.wrong_path:
                     if self.lsq.get(station.sid) is not None:
                         self.lsq.clear_address(station.sid)
-                if self._log_on and not station.wrong_path:
-                    self.log.emit(station.rec.seq, SpecEventKind.INVALIDATE, cycle)
                 if obs_on and not station.wrong_path:
                     self._obs_invalidated(station, cycle)
             self._mark_wakeup(station)
@@ -1867,8 +1828,6 @@ class PipelineSimulator:
         source.out_valid_cycle = cycle
         source.out_via_network = True
         self.counters.invalidation_events += 1
-        if self._log_on:
-            self.log.emit(source.rec.seq, SpecEventKind.INVALIDATE, cycle)
         if self._obs_on:
             rec = source.rec
             self._trc_mark(cycle, rec.seq, source.sid, "invalidate", "source")
@@ -1924,8 +1883,6 @@ class PipelineSimulator:
                     entry = self.lsq.get(station.sid)
                     if entry is not None:
                         self.lsq.clear_address(station.sid)
-                if self._log_on and not station.wrong_path:
-                    self.log.emit(station.rec.seq, SpecEventKind.INVALIDATE, cycle)
                 if obs_on and not station.wrong_path:
                     self._obs_invalidated(station, cycle)
             self._mark_wakeup(station)
@@ -2007,7 +1964,6 @@ class PipelineSimulator:
         release_spec = self._lat_release_spec
         pool = self._ready_pool
         counters = self.counters
-        log_on = self._log_on
         obs_on = self._obs_on
         lsq = self.lsq
         # One bounded snapshot of the window head replaces a fresh
@@ -2070,8 +2026,6 @@ class PipelineSimulator:
                 pc, actual, pred_correct, token, fold16 = pending
                 self._vp_train(pc, actual, token, fold16)
                 self._conf_update(pc, pred_correct)
-            if log_on:
-                self.log.emit(rec.seq, SpecEventKind.RETIRE, cycle)
             if obs_on:
                 self._obs_retire(head, cycle, final, spec_involved)
             retired += 1

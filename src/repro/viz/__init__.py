@@ -1,7 +1,8 @@
 """Textual visualization of simulation behaviour.
 
 Terminal-friendly renderings: sparkline time series of IPC and window
-occupancy (from engine samples) and side-by-side run comparisons.
+occupancy (rebuilt from a tracer's lifecycle marks) and side-by-side run
+comparisons.
 """
 
 from repro.viz.timeline import (

@@ -1,11 +1,9 @@
-"""Sparkline time-series rendering of engine samples.
+"""Sparkline time-series rendering of run samples.
 
-Samples are cumulative ``(cycle, retired, occupancy)`` triples.  They
-come either from the engine's own periodic sampling
-(``ProcessorConfig.sample_interval``) or, via
-:func:`samples_from_tracer`, reconstructed from an observability
-tracer's lifecycle marks — so any instrumented run can be rendered
-without re-running it with sampling enabled.
+Samples are cumulative ``(cycle, retired, occupancy)`` triples, rebuilt
+by :func:`samples_from_tracer` from the lifecycle marks of a
+:class:`~repro.obs.PipelineTracer` attached to the run.  Occupancy counts
+correct-path stations only: wrong-path stations emit no dispatch marks.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ def render_timeline(
 ) -> str:
     """IPC and window-occupancy sparklines for one run's samples."""
     if not samples:
-        return f"{label}: no samples (set ProcessorConfig.sample_interval)"
+        return f"{label}: no samples (build them with samples_from_tracer)"
     ipc = _ipc_series(samples)
     occupancy = [float(s[2]) for s in samples]
     lines = []
@@ -82,7 +80,9 @@ def samples_from_tracer(
     tracer's lifecycle marks.
 
     Dispatch marks grow window occupancy; retire and squash marks shrink
-    it (retire also advances the retired count).  One sample is emitted
+    it (retire also advances the retired count).  Only correct-path
+    stations emit dispatch marks, so occupancy excludes wrong-path
+    stations.  One sample is emitted
     per ``interval`` cycles, carrying the state at the end of that
     interval, so the output plugs straight into :func:`render_timeline`.
     Marks beyond the tracer's ring capacity are dropped oldest-first,

@@ -27,6 +27,7 @@ import pytest
 
 from repro.cluster.faults import FaultPlan
 from repro.cluster.serial import (
+    job_fingerprint,
     job_from_blob,
     job_key,
     job_to_blob,
@@ -329,6 +330,33 @@ class TestSerial:
         key = job_key(job)
         result_store.store_result(key, old, tmp_path)
         assert result_store.load_result(key, tmp_path) == result
+
+    def test_documents_with_retired_config_fields_still_read(self, tmp_path):
+        import json
+
+        job = SimJob("compress", _CONFIG, GREAT_MODEL, _LIMIT)
+        result = run_jobs([job])[0]
+        # Entries written while ProcessorConfig had an event log and
+        # per-cycle sampling carry both fields at their defaults.
+        wire = result_to_wire(result)
+        assert "log_events" not in wire["config"]
+        old = {
+            **wire,
+            "config": {**wire["config"], "log_events": False, "sample_interval": 0},
+        }
+        assert result_from_wire(json.loads(json.dumps(old))) == result
+        key = job_key(job)
+        result_store.store_result(key, old, tmp_path)
+        assert result_store.load_result(key, tmp_path) == result
+
+    def test_fingerprint_keeps_the_retired_config_fields(self):
+        # Job keys, ablation run IDs and stored results were computed
+        # from this text while the fields existed; it must not move.
+        text = job_fingerprint(SimJob("compress", _CONFIG, GREAT_MODEL, _LIMIT))
+        assert (
+            "max_cycles=5000000, log_events=False, sample_interval=0, "
+            "predict_classes='all'" in text
+        )
 
 
 # -- the worker plane against a real service --------------------------------

@@ -4,6 +4,7 @@ from repro.engine.config import ProcessorConfig
 from repro.engine.pipeline import PipelineSimulator
 from repro.engine.sim import run_baseline
 from repro.isa.opcodes import Opcode
+from repro.obs import PipelineTracer
 from repro.trace.record import TraceRecord
 
 
@@ -48,18 +49,14 @@ def _warm_hierarchy(trace):
 def _span(trace, config):
     """Cycles from the first issue opportunity to the last retirement,
     the measurement convention of the paper's Figure 1."""
+    tracer = PipelineTracer()
     sim = PipelineSimulator(
-        trace,
-        config.with_overrides(log_events=True),
-        hierarchy=_warm_hierarchy(trace),
+        trace, config, hierarchy=_warm_hierarchy(trace), tracer=tracer
     )
     sim.run()
-    from repro.core.events import SpecEventKind
-
-    dispatch = min(
-        e.cycle for e in sim.log.events if e.kind is SpecEventKind.DISPATCH
-    )
-    retire = max(e.cycle for e in sim.log.events if e.kind is SpecEventKind.RETIRE)
+    marks = tracer.lifecycle_marks()
+    dispatch = min(m.cycle for m in marks if m.phase == "dispatch")
+    retire = max(m.cycle for m in marks if m.phase == "retire")
     return retire - dispatch
 
 
@@ -116,19 +113,16 @@ def test_window_bounds_occupancy():
 
 
 def test_retirement_is_in_order():
-    config = _cfg(log_events=True)
     # a slow mul early, fast adds after: adds finish first but retire later
     trace = [
         TraceRecord(0, 0x1000, Opcode.MUL, (4,), 8, 1, next_pc=0x1008),
         TraceRecord(1, 0x1008, Opcode.ADD, (5,), 9, 2, next_pc=0x1010),
         TraceRecord(2, 0x1010, Opcode.ADD, (6,), 10, 3, next_pc=0x1018),
     ]
-    sim = PipelineSimulator(trace, config)
-    sim.run()
-    from repro.core.events import SpecEventKind
-
+    tracer = PipelineTracer()
+    PipelineSimulator(trace, _cfg(), tracer=tracer).run()
     retires = {
-        e.seq: e.cycle for e in sim.log.events if e.kind is SpecEventKind.RETIRE
+        m.seq: m.cycle for m in tracer.lifecycle_marks() if m.phase == "retire"
     }
     assert retires[0] <= retires[1] <= retires[2]
 

@@ -1,11 +1,18 @@
-"""Visualization tests: sparklines, timelines, engine sampling."""
+"""Visualization tests: sparklines, timelines, samples rebuilt from a
+run's tracer."""
 
 import pytest
 
 from repro.engine.config import ProcessorConfig
 from repro.engine.pipeline import PipelineSimulator
+from repro.obs import PipelineTracer
 from repro.trace.synthetic import SyntheticTraceConfig, generate_synthetic_trace
-from repro.viz import render_ipc_comparison, render_timeline, sparkline
+from repro.viz import (
+    render_ipc_comparison,
+    render_timeline,
+    samples_from_tracer,
+    sparkline,
+)
 
 
 class TestSparkline:
@@ -34,29 +41,31 @@ class TestSparkline:
 
 
 class TestEngineSampling:
-    def _samples(self, interval):
-        trace = generate_synthetic_trace(SyntheticTraceConfig(length=600))
-        config = ProcessorConfig(
-            issue_width=4, window_size=16, sample_interval=interval
-        )
-        sim = PipelineSimulator(trace, config)
-        sim.run()
-        return sim
+    """Timelines come from the tracer: samples_from_tracer over the
+    lifecycle marks of a traced run."""
 
     def test_sampling_disabled_by_default(self):
         trace = generate_synthetic_trace(SyntheticTraceConfig(length=100))
         sim = PipelineSimulator(trace, ProcessorConfig(4, 16))
         sim.run()
-        assert sim.samples == []
+        assert sim.tracer is None and not sim._obs_on
+        assert samples_from_tracer(PipelineTracer()) == []
 
     def test_samples_cover_the_run(self):
-        sim = self._samples(interval=10)
-        assert len(sim.samples) >= 5
-        cycles = [s[0] for s in sim.samples]
+        trace = generate_synthetic_trace(SyntheticTraceConfig(length=600))
+        tracer = PipelineTracer()
+        sim = PipelineSimulator(
+            trace, ProcessorConfig(issue_width=4, window_size=16), tracer=tracer
+        )
+        counters = sim.run()
+        samples = samples_from_tracer(tracer, interval=10)
+        assert len(samples) >= 5
+        cycles = [s[0] for s in samples]
         assert cycles == sorted(cycles)
-        retired = [s[1] for s in sim.samples]
+        retired = [s[1] for s in samples]
         assert retired == sorted(retired)  # cumulative
-        assert all(0 <= occ <= 16 for __, __, occ in sim.samples)
+        assert retired[-1] == counters.retired
+        assert all(0 <= occ <= 16 for __, __, occ in samples)
 
 
 class TestTimelineRender:
