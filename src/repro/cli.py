@@ -289,27 +289,37 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import json as _json
-    import os as _os
 
-    from repro.service.client import ENV_ADDR, ServiceClient, parse_address
+    from repro.service.client import (
+        ENV_ADDR,
+        ServiceClient,
+        env_address,
+        parse_address,
+    )
+
+    try:
+        host_port = parse_address(args.connect) if args.connect else env_address()
+    except ValueError as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
+    if host_port is None:
+        print(f"no service address (--connect or {ENV_ADDR})", file=sys.stderr)
+        return 2
 
     if args.action == "work":
         from repro.cluster.worker import ClusterWorker
 
         worker = ClusterWorker(
-            parse_address(args.connect),
+            host_port,
             strict=True if args.strict else None,
             reconnect_deadline=args.reconnect_deadline,
         )
         return worker.run()
 
     # status
-    address = args.connect or _os.environ.get(ENV_ADDR, "")
-    if not address:
-        print(f"no service address (--connect or {ENV_ADDR})", file=sys.stderr)
-        return 2
+    address = f"{host_port[0]}:{host_port[1]}"
     try:
-        status = ServiceClient(*parse_address(address)).status()
+        status = ServiceClient(*host_port).status()
     except OSError as error:
         print(f"service unreachable at {address}: {error}", file=sys.stderr)
         return 1
@@ -436,9 +446,20 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro.service.client import ENV_ADDR
 
-    if args.connect:
-        _os.environ[ENV_ADDR] = args.connect
-    return _cmd_run(args, backend="service")
+    if args.connect is None:
+        return _cmd_run(args, backend="service")
+    # The grid finds the service through the environment; the caller's
+    # value comes back afterwards, so a later grid in this process does
+    # not silently target this address.
+    previous = _os.environ.get(ENV_ADDR)
+    _os.environ[ENV_ADDR] = args.connect
+    try:
+        return _cmd_run(args, backend="service")
+    finally:
+        if previous is None:
+            del _os.environ[ENV_ADDR]
+        else:
+            _os.environ[ENV_ADDR] = previous
 
 
 def _describe_geometry(geometry: dict) -> str:
@@ -557,6 +578,19 @@ def _add_store_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _address_option(text: str) -> str:
+    """argparse ``type`` of ``--connect`` and ``--bind``: a ``host:port``
+    that :func:`~repro.service.client.parse_address` accepts, kept as
+    typed."""
+    from repro.service.client import parse_address
+
+    try:
+        parse_address(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -595,6 +629,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default=None,
         help="grid execution backend (default: REPRO_SWEEP_BACKEND or local)",
+    )
+
+    # The service address `cluster work`, `cluster status` and `submit`
+    # share; a malformed one is a usage error.
+    connect = argparse.ArgumentParser(add_help=False)
+    connect.add_argument(
+        "--connect", type=_address_option, default=None, metavar="HOST:PORT",
+        help="service address (default: REPRO_SERVICE_ADDR)",
     )
 
     run_parser = sub.add_parser(
@@ -671,11 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_sub = cluster_parser.add_subparsers(dest="action", required=True)
 
     work_parser = cluster_sub.add_parser(
-        "work", help="run one worker process against a service"
-    )
-    work_parser.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="service address",
+        "work", parents=[connect], help="run one worker process against a service"
     )
     work_parser.add_argument(
         "--reconnect-deadline", type=float, default=30.0, metavar="SECONDS",
@@ -688,11 +726,9 @@ def build_parser() -> argparse.ArgumentParser:
     work_parser.set_defaults(func=_cmd_cluster)
 
     status_parser = cluster_sub.add_parser(
-        "status", help="print a service's jobs, workers, queue and store"
-    )
-    status_parser.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
-        help="service address (default: REPRO_SERVICE_ADDR)",
+        "status",
+        parents=[connect],
+        help="print a service's jobs, workers, queue and store",
     )
     status_parser.add_argument(
         "--json", action="store_true",
@@ -706,7 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
         "to stop)",
     )
     service_parser.add_argument(
-        "--bind", default="127.0.0.1:7788", metavar="HOST:PORT",
+        "--bind", type=_address_option, default="127.0.0.1:7788",
+        metavar="HOST:PORT",
         help="listen address (port 0 picks a free port; bracket IPv6 "
         "literals, e.g. [::1]:7788)",
     )
@@ -747,14 +784,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     svc_submit = sub.add_parser(
         "submit",
-        help="run an experiment's grid through the simulation service",
+        parents=[connect],
+        help="run an experiment's grid through the simulation service "
+        "(without an address: an ephemeral in-process service with "
+        "--jobs workers)",
     )
     svc_submit.add_argument("id", help="experiment id (see `repro list`)")
-    svc_submit.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
-        help="service address (default: REPRO_SERVICE_ADDR, else an "
-        "ephemeral in-process service with --jobs workers)",
-    )
     svc_submit.add_argument("--max-instructions", type=int, default=None)
     svc_submit.add_argument("--benchmarks", nargs="*", default=None)
     svc_submit.add_argument(

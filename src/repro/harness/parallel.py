@@ -282,18 +282,27 @@ def effective_jobs(jobs: int | None, n_tasks: int) -> int:
 
 
 class BackendSelectionError(ValueError):
-    """A sweep backend that is not one of :data:`BACKENDS`."""
+    """A sweep backend that is not one of :data:`BACKENDS`, or the
+    service backend with a ``REPRO_SERVICE_ADDR`` that does not parse."""
 
 
 def resolve_backend(backend: str | None = None) -> str:
     """The effective sweep backend: explicit argument, then
-    ``REPRO_SWEEP_BACKEND``, then ``local``."""
+    ``REPRO_SWEEP_BACKEND``, then ``local``.  The service backend's
+    address is checked here, before any trace is staged."""
     chosen = backend or os.environ.get(BACKEND_ENV_VAR, "").strip() or "local"
     if chosen not in BACKENDS:
         raise BackendSelectionError(
             f"unknown sweep backend {chosen!r} (from --backend or "
             f"{BACKEND_ENV_VAR}); expected one of: {', '.join(BACKENDS)}"
         )
+    if chosen == "service":
+        from repro.service.client import env_address
+
+        try:
+            env_address()
+        except ValueError as error:
+            raise BackendSelectionError(str(error)) from None
     return chosen
 
 

@@ -63,9 +63,23 @@ def parse_address(text: str) -> tuple[str, int]:
             "(bracket the host and follow it with :port)"
         )
     host, sep, port = text.rpartition(":")
-    if not sep or not host:
+    if not sep or not host or not port.isdecimal():
         raise ValueError(f"expected host:port, got {text!r}")
     return host, int(port)
+
+
+def env_address() -> tuple[str, int] | None:
+    """The address in ``$REPRO_SERVICE_ADDR``, or ``None`` when it is
+    unset or blank.  Every reader of the variable goes through here, so
+    whitespace means unset everywhere and a malformed value raises one
+    ``ValueError`` that names the variable."""
+    text = os.environ.get(ENV_ADDR, "").strip()
+    if not text:
+        return None
+    try:
+        return parse_address(text)
+    except ValueError as error:
+        raise ValueError(f"{ENV_ADDR}: {error}") from None
 
 
 def resubmit_until_done(submit, fetch, *, poll: float,
@@ -309,9 +323,9 @@ def run_jobs_service(job_list, jobs: int = 1) -> list:
     """
     if not job_list:
         return []
-    address = os.environ.get(ENV_ADDR, "").strip()
-    if address:
-        return ServiceClient(*parse_address(address)).run(job_list)
+    address = env_address()
+    if address is not None:
+        return ServiceClient(*address).run(job_list)
 
     from repro.cluster.worker import local_workers
     from repro.harness.parallel import effective_jobs

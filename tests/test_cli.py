@@ -278,3 +278,68 @@ def test_figure1_ignores_grid_options_on_submit(monkeypatch, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", [
+    ["submit", "figure1", "--connect", "nonsense"],
+    ["cluster", "work", "--connect", "nonsense"],
+    ["cluster", "status", "--connect", "nonsense"],
+    ["serve", "--bind", "nonsense"],
+])
+def test_bad_address_option_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].endswith(
+        "expected host:port, got 'nonsense'"
+    )
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "abl-inval", "--max-instructions", "300",
+     "--benchmarks", "compress", "--backend", "service"],
+    ["submit", "abl-inval", "--max-instructions", "300",
+     "--benchmarks", "compress"],
+    ["cluster", "work"],
+    ["cluster", "status"],
+])
+def test_bad_service_address_in_the_environment_is_a_one_line_error(
+    command, monkeypatch, capsys
+):
+    from repro.service.client import ENV_ADDR
+
+    monkeypatch.setenv(ENV_ADDR, "nonsense")
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err
+    assert ENV_ADDR in err and "'nonsense'" in err
+
+
+def test_blank_service_address_in_the_environment_reads_as_unset(
+    monkeypatch, capsys
+):
+    from repro.service.client import ENV_ADDR
+
+    monkeypatch.setenv(ENV_ADDR, "  ")
+    assert main(["cluster", "status"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"no service address (--connect or {ENV_ADDR})"
+    )
+
+
+def test_submit_connect_leaves_the_callers_environment(monkeypatch, capsys):
+    import os
+
+    from repro.service.client import ENV_ADDR
+
+    # figure1 runs no grid, so neither address is ever contacted
+    monkeypatch.delenv(ENV_ADDR, raising=False)
+    assert main(["submit", "figure1", "--connect", "127.0.0.1:9"]) == 0
+    assert ENV_ADDR not in os.environ
+    monkeypatch.setenv(ENV_ADDR, "127.0.0.1:1")
+    assert main(["submit", "figure1", "--connect", "127.0.0.1:9"]) == 0
+    assert os.environ[ENV_ADDR] == "127.0.0.1:1"
