@@ -23,6 +23,10 @@ Design rules that keep ``--jobs N`` cycle-exact against ``--jobs 1``:
   already deterministic; the seeding is a guard rail, not a dependency.)
 * Results are merged by *submission index*, never by completion order:
   ``run_jobs`` returns results positionally aligned with its input list.
+  That frees the pool to *dispatch* units in any order, and it hands
+  them out longest first (:func:`_longest_first`), ranked by the byte
+  size of each unit's staged trace entry, so a long whole-program point
+  starts at once instead of becoming the grid's tail.
 * Workers run the one scalar engine in-process: ``_execute`` calls
   ``run_baseline``/``run_trace`` directly, so a worker needs no per-job
   set-up beyond its trace.
@@ -219,9 +223,12 @@ def _trace_for(benchmark: str, max_instructions: int | None):
     return trace
 
 
-def _stage_traces(job_list: list[SimJob], directory: Path) -> bool:
+def _stage_traces(
+    job_list: list[SimJob], directory: Path
+) -> dict[tuple[str, int | None], int] | None:
     """Make sure ``directory`` holds a VSRT v4 entry for each distinct
-    trace the grid needs; ``False`` when one could not be written there.
+    trace the grid needs and return each entry's size in bytes, keyed by
+    (benchmark, limit); ``None`` when one could not be written there.
 
     A missing entry is captured once, here in the parent; a present one
     is only stat'ed.  Workers then open every entry themselves.
@@ -229,6 +236,7 @@ def _stage_traces(job_list: list[SimJob], directory: Path) -> bool:
     from repro.programs.suite import kernel
     from repro.trace import cache as trace_cache
 
+    sizes: dict[tuple[str, int | None], int] = {}
     for key in dict.fromkeys((job.benchmark, job.max_instructions) for job in job_list):
         benchmark, limit = key
         path = trace_cache.trace_path(
@@ -237,8 +245,27 @@ def _stage_traces(job_list: list[SimJob], directory: Path) -> bool:
         if not path.is_file():
             trace_cache.cached_trace(benchmark, limit, directory=directory)
             if not path.is_file():
-                return False
-    return True
+                return None
+        sizes[key] = path.stat().st_size
+    return sizes
+
+
+def _longest_first(
+    units: list[SimJob], sizes: dict[tuple[str, int | None], int]
+) -> list[int]:
+    """Unit indices in dispatch order: largest staged trace first.
+
+    An entry's columns are fixed-width (about 42 bytes a record), so its
+    size ranks a unit's engine time well enough to start the long
+    whole-program points first and keep them off the grid's tail.  The
+    sort is stable, so equal sizes — and traces missing from ``sizes``
+    — keep plan order.
+    """
+    return sorted(
+        range(len(units)),
+        key=lambda k: sizes.get((units[k].benchmark, units[k].max_instructions), 0),
+        reverse=True,
+    )
 
 
 def _execute(job: SimJob) -> SimulationResult:
@@ -283,7 +310,8 @@ def effective_jobs(jobs: int | None, n_tasks: int) -> int:
 
 class BackendSelectionError(ValueError):
     """A sweep backend that is not one of :data:`BACKENDS`, or the
-    service backend with a ``REPRO_SERVICE_ADDR`` that does not parse."""
+    service backend with a ``REPRO_SERVICE_ADDR`` that does not parse
+    or refuses connections."""
 
 
 def resolve_backend(backend: str | None = None) -> str:
@@ -312,19 +340,24 @@ def _run_pool(
     directory: Path,
     results: list[SimulationResult | None],
     max_attempts: int,
+    order: list[int],
 ) -> None:
     """Drive the process pool until every slot in ``results`` is filled.
 
+    Jobs are submitted in ``order`` (indices into ``job_list``); results
+    land at their index whatever order they complete in.
+
     Survives worker death (OOM kill, segfault, ``os.kill``): when the
     pool breaks, results already completed are kept, a fresh pool is
-    built, and only the unfinished jobs are resubmitted — each with a
-    bounded attempt budget so a job that reliably kills its worker
-    cannot retry forever.  A job *raising* is not retried: jobs are
-    deterministic, so the error would simply recur.
+    built, and only the unfinished jobs are resubmitted, still in
+    ``order`` — each with a bounded attempt budget so a job that
+    reliably kills its worker cannot retry forever.  A job *raising* is
+    not retried: jobs are deterministic, so the error would simply
+    recur.
     """
     strict = strict_no_capture()
     attempts = [0] * len(job_list)
-    outstanding = [i for i, r in enumerate(results) if r is None]
+    outstanding = [i for i in order if results[i] is None]
     while outstanding:
         broken: BrokenProcessPool | None = None
         with ProcessPoolExecutor(
@@ -452,10 +485,12 @@ def _run_jobs_backend(
     directory, temp = cache_dir(), None
     results: list = [None] * len(units)
     try:
-        if directory is None or not _stage_traces(units, directory):
+        sizes = None if directory is None else _stage_traces(units, directory)
+        if sizes is None:
             directory = temp = Path(tempfile.mkdtemp(prefix="repro-traces-"))
-            _stage_traces(units, directory)
-        _run_pool(units, workers, directory, results, max_attempts)
+            sizes = _stage_traces(units, directory) or {}
+        order = _longest_first(units, sizes)
+        _run_pool(units, workers, directory, results, max_attempts, order)
     finally:
         if temp is not None:
             shutil.rmtree(temp, ignore_errors=True)

@@ -23,47 +23,43 @@ Surfaced as the ``repro obs trace|histo|export`` CLI subcommand and via
 :func:`repro.harness.sweeps.instrument_variant`.
 """
 
-from repro.core.events import LatencyEventKind
-from repro.obs.tracer import (
-    EventRing,
-    LatencyEvent,
-    LifecycleMark,
-    NullTracer,
-    NULL_TRACER,
-    PipelineTracer,
-)
-from repro.obs.aggregate import (
-    LatencyHistogram,
-    aggregate_latency_events,
-    aggregate_by_opcode,
-    lifecycle_spans,
-)
-from repro.obs.export import (
-    chrome_trace,
-    metrics_csv,
-    metrics_dict,
-    summary_table,
-    validate_chrome_trace,
-)
-from repro.obs.run import InstrumentedRun, run_instrumented
+import importlib
 
-__all__ = [
-    "LatencyEventKind",
-    "EventRing",
-    "LatencyEvent",
-    "LifecycleMark",
-    "NullTracer",
-    "NULL_TRACER",
-    "PipelineTracer",
-    "LatencyHistogram",
-    "aggregate_latency_events",
-    "aggregate_by_opcode",
-    "lifecycle_spans",
-    "chrome_trace",
-    "metrics_csv",
-    "metrics_dict",
-    "summary_table",
-    "validate_chrome_trace",
-    "InstrumentedRun",
-    "run_instrumented",
-]
+#: Where each package-level name lives.  They resolve on first use
+#: (PEP 562), so ``import repro.obs.tracer`` — the engine's only import
+#: from this package — loads neither the exporters nor the run helpers.
+_EXPORTS = {
+    "LatencyEventKind": "repro.core.events",
+    "EventRing": "repro.obs.tracer",
+    "LatencyEvent": "repro.obs.tracer",
+    "LifecycleMark": "repro.obs.tracer",
+    "NullTracer": "repro.obs.tracer",
+    "NULL_TRACER": "repro.obs.tracer",
+    "PipelineTracer": "repro.obs.tracer",
+    "LatencyHistogram": "repro.obs.aggregate",
+    "aggregate_latency_events": "repro.obs.aggregate",
+    "aggregate_by_opcode": "repro.obs.aggregate",
+    "lifecycle_spans": "repro.obs.aggregate",
+    "chrome_trace": "repro.obs.export",
+    "metrics_csv": "repro.obs.export",
+    "metrics_dict": "repro.obs.export",
+    "summary_table": "repro.obs.export",
+    "validate_chrome_trace": "repro.obs.export",
+    "InstrumentedRun": "repro.obs.run",
+    "run_instrumented": "repro.obs.run",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -316,16 +316,32 @@ def run_jobs_service(job_list, jobs: int = 1) -> list:
     """``run_jobs(..., backend="service")``: execute jobs on a service.
 
     With ``$REPRO_SERVICE_ADDR`` set the grid goes to that running
-    service and ``jobs`` is ignored — capacity belongs to the service.  Otherwise an in-process service leases the grid to
-    ``jobs`` worker subprocesses over ``REPRO_RESULT_STORE`` (no
-    persistence when unset), so an interrupted sweep resumes from the
-    points it already stored.
+    service and ``jobs`` is ignored — capacity belongs to the service;
+    an address that refuses the first connection raises
+    :class:`~repro.harness.parallel.BackendSelectionError` at once.
+    Otherwise an in-process service leases the grid to ``jobs`` worker
+    subprocesses over ``REPRO_RESULT_STORE`` (no persistence when
+    unset), so an interrupted sweep resumes from the points it already
+    stored.
     """
     if not job_list:
         return []
     address = env_address()
     if address is not None:
-        return ServiceClient(*address).run(job_list)
+        client = ServiceClient(*address)
+        try:
+            client._request("GET", "/v1/healthz")
+        except ConnectionRefusedError:
+            # Nothing listens there: fail now, not at the run's timeout.
+            from repro.harness.parallel import BackendSelectionError
+
+            raise BackendSelectionError(
+                f"{ENV_ADDR}={os.environ[ENV_ADDR].strip()}: connection "
+                "refused (is a service running there?)"
+            ) from None
+        except (OSError, http.client.HTTPException):
+            pass  # anything else is for the run loop's retries to ride out
+        return client.run(job_list)
 
     from repro.cluster.worker import local_workers
     from repro.harness.parallel import effective_jobs

@@ -221,13 +221,22 @@ def load_wire(key: str, directory: Path | None = None) -> dict | None:
 
 def load_result(key: str, directory: Path | None = None):
     """The stored result for this key rebuilt as a
-    :class:`~repro.engine.sim.SimulationResult`, or ``None`` on a miss."""
+    :class:`~repro.engine.sim.SimulationResult`, or ``None`` on a miss.
+
+    A CRC-valid entry this version cannot rebuild — one written by a
+    newer version sharing the store, whose counters or config carry a
+    field this one lacks — is a miss too.  It is left in place: the
+    version that wrote it can still read it.
+    """
     wire = load_wire(key, directory)
     if wire is None:
         return None
     from repro.cluster.serial import result_from_wire
 
-    return result_from_wire(wire)
+    try:
+        return result_from_wire(wire)
+    except (TypeError, KeyError, ValueError):
+        return None
 
 
 # -- maintenance (the service status endpoint and `repro serve`) -----------

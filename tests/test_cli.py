@@ -343,3 +343,27 @@ def test_submit_connect_leaves_the_callers_environment(monkeypatch, capsys):
     monkeypatch.setenv(ENV_ADDR, "127.0.0.1:1")
     assert main(["submit", "figure1", "--connect", "127.0.0.1:9"]) == 0
     assert os.environ[ENV_ADDR] == "127.0.0.1:1"
+
+
+def test_refused_service_address_fails_fast(monkeypatch, capsys):
+    import socket
+    import time
+
+    from repro.service.client import ENV_ADDR
+
+    with socket.socket() as sock:  # a port that was bound, now closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    monkeypatch.setenv(ENV_ADDR, f"127.0.0.1:{port}")
+    begin = time.monotonic()
+    assert main([
+        "run", "abl-inval", "--max-instructions", "300",
+        "--benchmarks", "compress", "--backend", "service",
+    ]) == 2
+    assert time.monotonic() - begin < 30
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert f"{ENV_ADDR}=127.0.0.1:{port}" in lines[0]
+    assert "connection refused" in lines[0]

@@ -257,3 +257,27 @@ def test_cli_obs_trace_writes_valid_json(tmp_path, capsys):
                  "--max-instructions", "2000", "--out", str(out_path)]) == 0
     doc = json.loads(out_path.read_text())
     assert validate_chrome_trace(doc) == []
+
+
+def test_tracer_import_leaves_exporters_and_run_helpers_unloaded():
+    """``repro.obs`` resolves its package-level names lazily: importing
+    the tracer loads neither the exporters nor the run helpers, and the
+    package-level names still import."""
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys\n"
+        "import repro.obs.tracer\n"
+        "assert 'repro.obs.export' not in sys.modules\n"
+        "assert 'repro.obs.run' not in sys.modules\n"
+        "from repro.obs import run_instrumented, chrome_trace\n"
+        "from repro.obs.run import run_instrumented as direct\n"
+        "assert run_instrumented is direct and callable(chrome_trace)\n"
+        "import repro.obs\n"
+        "assert set(repro.obs.__all__) <= set(dir(repro.obs))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -46,6 +46,31 @@ def _always_kill_confidence():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+@pytest.fixture()
+def submissions(monkeypatch):
+    """The jobs each process pool was handed, in submission order: one
+    list per pool built (a broken pool is rebuilt for the requeue)."""
+    import repro.harness.parallel as parallel
+
+    pools: list[list[SimJob]] = []
+
+    class RecordingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append([])
+
+        def submit(self, fn, /, *args, **kwargs):
+            pools[-1].append(args[0])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def _indices(grid: list[SimJob], submitted: list[SimJob]) -> list[int]:
+    return [next(k for k, job in enumerate(grid) if job is s) for s in submitted]
+
+
 def _tiny_grid() -> list[SimJob]:
     jobs = []
     for name in ("compress", "perl"):
@@ -146,6 +171,32 @@ class TestWorkerDeathRecovery:
         inline = run_jobs(grid, jobs=1)
         assert [r.counters for r in fanned] == [r.counters for r in inline]
         assert [r.cycles for r in fanned] == [r.cycles for r in inline]
+
+    def test_requeue_keeps_longest_first_order(self, tmp_path, submissions):
+        flag = tmp_path / "died-once"
+        grid = [
+            SimJob("perl", _CONFIG, GREAT_MODEL, 400),
+            SimJob(
+                "compress",
+                _CONFIG,
+                GREAT_MODEL,
+                _LIMIT,
+                confidence=partial(_kamikaze_confidence, str(flag)),
+            ),
+            # Whole-program perl keeps the other worker busy past the
+            # SIGKILL, so the requeue holds more than one unit.
+            SimJob("perl", _CONFIG, GREAT_MODEL, None),
+            SimJob("compress", _CONFIG, GREAT_MODEL, 400),
+        ]
+        fanned = run_jobs(grid, jobs=2)
+        assert flag.exists()
+        longest_first = [2, 1, 0, 3]  # 400-instruction ties in plan order
+        first, requeue = (_indices(grid, pool) for pool in submissions)
+        assert first == longest_first
+        assert 1 in requeue and len(requeue) >= 2
+        assert requeue == [k for k in longest_first if k in requeue]
+        inline = run_jobs(grid, jobs=1)
+        assert [r.counters for r in fanned] == [r.counters for r in inline]
 
     def test_attempt_budget_bounds_retries(self):
         grid = [
@@ -362,3 +413,57 @@ class TestSweepEquality:
         assert confidence_strength_sweep(**kw, jobs=1) == (
             confidence_strength_sweep(**kw, jobs=2)
         )
+
+
+class TestLongestFirstDispatch:
+    """The pool hands units out largest staged trace first, so a long
+    whole-program point starts at once instead of ending the grid; the
+    order changes which worker runs what, never a result."""
+
+    def test_ranks_by_staged_size_ties_in_plan_order(self, tmp_path):
+        from repro.harness.parallel import _longest_first, _stage_traces
+        from repro.programs.suite import kernel
+        from repro.trace.cache import trace_path
+
+        grid = [
+            SimJob("compress", _CONFIG, None, 400),
+            SimJob("perl", _CONFIG, None, _LIMIT),
+            SimJob("compress", _CONFIG, GREAT_MODEL, _LIMIT),
+            SimJob("perl", _CONFIG, GREAT_MODEL, 400),
+            SimJob("compress", _CONFIG, None, _LIMIT),
+        ]
+        sizes = _stage_traces(grid, tmp_path)
+        assert sizes == {
+            (job.benchmark, job.max_instructions): trace_path(
+                job.benchmark, kernel(job.benchmark).source,
+                job.max_instructions, directory=tmp_path,
+            ).stat().st_size
+            for job in grid
+        }
+        assert sizes[("perl", _LIMIT)] > sizes[("perl", 400)]
+        assert sizes[("perl", _LIMIT)] == sizes[("compress", _LIMIT)]
+        assert _longest_first(grid, sizes) == [1, 2, 4, 0, 3]
+        # No sizes at all (staging could not write): plan order.
+        assert _longest_first(grid, {}) == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("cache", ["on", "off"])
+    def test_uneven_grid_matches_inline(self, monkeypatch, cache, submissions):
+        import repro.harness.parallel as parallel
+
+        if cache == "off":  # staged into a per-run temp directory
+            monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+        grid = [
+            SimJob("perl", _CONFIG, None, _LIMIT),
+            SimJob("compress", _CONFIG, None, None),
+            SimJob("perl", _CONFIG, GREAT_MODEL, _LIMIT),
+            SimJob("compress", _CONFIG, GREAT_MODEL, None),
+        ]
+        inline = run_jobs(grid, jobs=1)
+        assert submissions == []  # the inline path builds no pool
+        monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
+        monkeypatch.setenv("REPRO_TRACE_STRICT", "1")
+        fanned = run_jobs(grid, jobs=2)
+        assert [_indices(grid, pool) for pool in submissions] == [[1, 3, 0, 2]]
+        assert [r.counters for r in fanned] == [r.counters for r in inline]
+        assert [r.cycles for r in fanned] == [r.cycles for r in inline]
+        assert inline[1].counters.retired > 10 * inline[0].counters.retired

@@ -101,6 +101,37 @@ class TestResultStore:
         assert rs.load_wire(key, tmp_path) is None
         assert not path.exists()
 
+    def test_entry_from_a_newer_version_is_miss_and_kept(
+        self, computed, monkeypatch, tmp_path
+    ):
+        """A CRC-valid entry whose counters carry a field this version
+        lacks reads as a miss, is left for the version that wrote it,
+        and makes run_jobs recompute the point."""
+        job, result = computed
+        key = job_key(job)
+        path = rs.store_result(key, result, tmp_path)
+        doc = json.loads(path.read_text())
+        doc["result"]["counters"]["stall_future_counter"] = 7
+        doc["crc"] = rs._entry_crc(doc)
+        path.write_text(json.dumps(doc))
+        assert rs.load_wire(key, tmp_path) is not None
+        assert rs.load_result(key, tmp_path) is None
+        assert path.exists()
+
+        import repro.harness.parallel as parallel
+
+        executed: list = []
+        real = parallel._run_jobs_backend
+
+        def counting(job_list, *args, **kwargs):
+            executed.extend(job_list)
+            return real(job_list, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_run_jobs_backend", counting)
+        monkeypatch.setenv(rs.ENV_VAR, str(tmp_path))
+        assert run_jobs([job]) == [result]
+        assert executed == [job]
+
     def test_crc_mismatch_is_miss_and_deleted(self, computed, tmp_path):
         job, result = computed
         key = job_key(job)
