@@ -135,63 +135,6 @@ def service_rows(new: dict, baseline: dict) -> list[tuple[str, object, object]]:
     return rows
 
 
-def _sampled_block(report: dict) -> dict | None:
-    """The record's ``sampled`` block (PR 9 schema: phase-sampled vs
-    exact on long workloads), or ``None`` for records that predate the
-    streaming trace plane or carry a malformed block — old-schema
-    records must keep diffing cleanly."""
-    block = report.get("sampled")
-    if not isinstance(block, dict):
-        return None
-    if not isinstance(block.get("workloads"), dict):
-        return None
-    return block
-
-
-def sampled_rows(new: dict, baseline: dict) -> list[tuple[str, str, str]]:
-    """Rows of (label, fresh cell, committed cell) for the sampled-vs-
-    exact record: per workload, the CPI error (host-independent, the
-    number that must stay small) and the wall-clock speedup (same-host
-    paired ratio).  Empty when the fresh record has no sampled block;
-    a committed record without one renders "-" cells.
-    """
-    fresh = _sampled_block(new)
-    if fresh is None:
-        return []
-    committed = _sampled_block(baseline) or {"workloads": {}}
-    rows: list[tuple[str, str, str]] = []
-    for name, result in fresh["workloads"].items():
-        if not isinstance(result, dict):
-            continue
-        old = committed["workloads"].get(name)
-        old = old if isinstance(old, dict) else {}
-        error = result.get("cpi_error")
-        if isinstance(error, (int, float)):
-            old_error = old.get("cpi_error")
-            rows.append(
-                (
-                    f"{name} CPI error",
-                    f"{error:.2%}",
-                    f"{old_error:.2%}"
-                    if isinstance(old_error, (int, float))
-                    else "-",
-                )
-            )
-        speedup = result.get("speedup")
-        if isinstance(speedup, (int, float)):
-            old_speedup = old.get("speedup")
-            rows.append(
-                (
-                    f"{name} speedup",
-                    f"{speedup:.1f}x",
-                    f"{old_speedup:.1f}x"
-                    if isinstance(old_speedup, (int, float))
-                    else "-",
-                )
-            )
-    return rows
-
-
 def _ablation_block(report: dict) -> dict | None:
     """The record's ablation importance block, or ``None`` for records
     that predate the ablation framework or carry a malformed block —
@@ -361,16 +304,6 @@ def render_text(rows, new: dict, baseline: dict) -> str:
                 f"  {label:28s} {_service_cell(fresh):>10s}  "
                 f"(committed: {_service_cell(committed)})"
             )
-    sampled = sampled_rows(new, baseline)
-    if sampled:
-        lines.append(
-            "phase-sampled vs exact (error is host-independent, "
-            "speedup is a same-host paired ratio):"
-        )
-        for label, fresh, committed in sampled:
-            lines.append(
-                f"  {label:28s} {fresh:>10s}  (committed: {committed})"
-            )
     ablation = ablation_rows(new, baseline)
     if ablation:
         lines.append(
@@ -419,19 +352,6 @@ def render_markdown(rows, new: dict, baseline: dict) -> str:
                 f"| {label} | {_service_cell(fresh)} | "
                 f"{_service_cell(committed)} |"
             )
-    sampled = sampled_rows(new, baseline)
-    if sampled:
-        lines += [
-            "",
-            "**Phase-sampled vs exact** (CPI error is host-independent; "
-            "the speedup is a same-host paired ratio that grows with "
-            "trace length):",
-            "",
-            "| workload metric | fresh | committed |",
-            "|---|---:|---:|",
-        ]
-        for label, fresh, committed in sampled:
-            lines.append(f"| {label} | {fresh} | {committed} |")
     ablation = ablation_rows(new, baseline)
     if ablation:
         lines += [

@@ -37,13 +37,16 @@ import argparse
 import sys
 
 from repro.core.model import named_models
-from repro.engine.config import paper_config
+from repro.engine.config import PAPER_CONFIGS, paper_config
 from repro.engine.sim import run_baseline, run_trace
 from repro.harness.experiments import EXPERIMENTS
 from repro.harness.parallel import BACKENDS, BackendSelectionError
 from repro.metrics.summary import summarize_counters
 from repro.programs.suite import BenchmarkSelectionError, kernel, kernel_names
 
+
+#: The ``--config`` choices: the paper's ``width/window`` labels.
+CONFIG_LABELS = tuple(config.label for config in PAPER_CONFIGS)
 
 #: `repro ablate` defaults for the shared grid options it leaves unset.
 ABLATE_BENCHMARKS = ("micro:fib",)
@@ -95,62 +98,12 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sampled_bench(args, spec, trace, config) -> int:
-    """``bench --sample-phases N``: phase-sampled *estimate* mode."""
-    from repro.sampling import run_sampled
-    from repro.trace.columnar import ChunkedTrace
-
-    chunk_size = (
-        trace.chunk_size
-        if isinstance(trace, ChunkedTrace)
-        else max(len(trace) // 16, 1)
-    )
-    model = None if args.model == "none" else named_models()[args.model]
-    result = run_sampled(
-        trace,
-        config,
-        model,
-        phases=args.sample_phases,
-        chunk_size=chunk_size,
-        confidence=args.confidence,
-        update_timing=args.timing,
-    )
-    mode = "base" if model is None else model.name
-    print(f"{spec.name} @ {config.label} ({mode}) — {result.label}")
-    print(f"  CPI (estimate)          {result.cpi:12.4f}")
-    print(f"  CPI spread (error bar)  {result.cpi_spread:12.4f}")
-    print(f"  cycles (estimate)       {result.cycles_estimate:12d}")
-    print(f"  records simulated       {result.simulated_records:12d}")
-    print(f"  records total           {result.total_records:12d}")
-    for phase in result.phases:
-        alt = (
-            f"  alt CPI {phase.alternate_cpi:.4f}"
-            if phase.alternate_cpi is not None
-            else ""
-        )
-        print(
-            f"    phase {phase.phase}: weight {phase.weight:6.1%}  "
-            f"CPI {phase.cpi:8.4f}  rep chunk {phase.representative}  "
-            f"warmup {phase.warmup}{alt}"
-        )
-    print(
-        "  note: sampled results are estimates; rerun without "
-        "--sample-phases for exact counters"
-    )
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.sampling import sample_phases_from_env
     from repro.trace.cache import cached_trace
 
     spec = kernel(args.name)
     trace = cached_trace(args.name, args.max_instructions)
     config = paper_config(args.config)
-    if args.sample_phases is None:
-        args.sample_phases = sample_phases_from_env()
-    if args.sample_phases:
-        return _sampled_bench(args, spec, trace, config)
     base = run_baseline(trace, config)
     print(summarize_counters(base.counters, f"{spec.name} @ {config.label} (base)"))
     if args.model != "none":
@@ -578,6 +531,21 @@ def _add_store_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_run_options(
+    parser: argparse.ArgumentParser, *, model: str, max_instructions: int
+) -> None:
+    """The one-run options `bench` and the `obs` subcommands share; a
+    value outside the choices is a usage error."""
+    parser.add_argument("--config", default="8/48", choices=CONFIG_LABELS)
+    parser.add_argument(
+        "--model", default=model, choices=(*named_models(), "none"),
+        help=f"speculation model; none = base machine only (default: {model})",
+    )
+    parser.add_argument("--confidence", default="real", choices=("real", "oracle"))
+    parser.add_argument("--timing", default="D", choices=("I", "D"))
+    parser.add_argument("--max-instructions", type=int, default=max_instructions)
+
+
 def _address_option(text: str) -> str:
     """argparse ``type`` of ``--connect`` and ``--bind``: a ``host:port``
     that :func:`~repro.service.client.parse_address` accepts, kept as
@@ -808,13 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
             "name",
             help="suite kernel or micro:<name> (e.g. compress, micro:fib)",
         )
-        p.add_argument("--config", default="8/48", help="4/24 | 8/48 | 16/96")
-        p.add_argument(
-            "--model", default="good", help="super|great|good|none (none = base)"
-        )
-        p.add_argument("--confidence", default="real", help="real | oracle")
-        p.add_argument("--timing", default="D", help="I | D")
-        p.add_argument("--max-instructions", type=int, default=20000)
+        _add_run_options(p, model="good", max_instructions=20000)
         p.set_defaults(func=_cmd_obs)
 
     obs_trace = obs_sub.add_parser(
@@ -851,12 +813,14 @@ def build_parser() -> argparse.ArgumentParser:
     ablate_parser.add_argument(
         "--config",
         default="8/48",
+        choices=CONFIG_LABELS,
         help="processor configuration label (default: 8/48)",
     )
     ablate_parser.add_argument(
         "--model",
         default="great",
-        help="baseline speculation model: super | great | good",
+        choices=named_models(),
+        help="baseline speculation model (default: great)",
     )
     ablate_parser.add_argument(
         "--update-timing",
@@ -889,20 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser("bench", help="simulate one kernel")
     bench_parser.add_argument("name", choices=kernel_names())
-    bench_parser.add_argument("--config", default="8/48", help="4/24 | 8/48 | 16/96")
-    bench_parser.add_argument("--model", default="great", help="super|great|good|none")
-    bench_parser.add_argument("--confidence", default="real", help="real | oracle")
-    bench_parser.add_argument("--timing", default="D", help="I | D")
-    bench_parser.add_argument("--max-instructions", type=int, default=10000)
-    bench_parser.add_argument(
-        "--sample-phases",
-        type=int,
-        default=None,
-        metavar="N",
-        help="phase-sampled *estimate* mode: cluster trace chunks into N "
-        "phases and simulate one representative each (default: "
-        "REPRO_SAMPLE_PHASES, off when unset)",
-    )
+    _add_run_options(bench_parser, model="great", max_instructions=10000)
     bench_parser.set_defaults(func=_cmd_bench)
     return parser
 

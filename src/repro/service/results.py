@@ -188,7 +188,11 @@ def load_wire(key: str, directory: Path | None = None) -> dict | None:
 
     A corrupt entry (bad JSON, CRC mismatch, wrong key) or one written
     by a different format version is treated as a miss and deleted so
-    the next store replaces it — never served, never fatal.
+    the next store replaces it — never served, never fatal.  A CRC-valid
+    entry this version cannot rebuild — one written by a newer version
+    sharing the store, whose counters or config carry a field this one
+    lacks — is a miss too.  It is left in place: the version that wrote
+    it can still read it.
     """
     path = result_path(key, directory)
     if path is None:
@@ -216,27 +220,27 @@ def load_wire(key: str, directory: Path | None = None) -> dict | None:
         except OSError:
             pass
         return None
-    return doc["result"]
+    wire = doc["result"]
+    return wire if _rebuild(wire) is not None else None
 
 
-def load_result(key: str, directory: Path | None = None):
-    """The stored result for this key rebuilt as a
-    :class:`~repro.engine.sim.SimulationResult`, or ``None`` on a miss.
-
-    A CRC-valid entry this version cannot rebuild — one written by a
-    newer version sharing the store, whose counters or config carry a
-    field this one lacks — is a miss too.  It is left in place: the
-    version that wrote it can still read it.
-    """
-    wire = load_wire(key, directory)
-    if wire is None:
-        return None
+def _rebuild(wire: dict):
+    """``wire`` as a :class:`~repro.engine.sim.SimulationResult`, or
+    ``None`` when this version cannot rebuild it."""
     from repro.cluster.serial import result_from_wire
 
     try:
         return result_from_wire(wire)
     except (TypeError, KeyError, ValueError):
         return None
+
+
+def load_result(key: str, directory: Path | None = None):
+    """The stored result for this key rebuilt as a
+    :class:`~repro.engine.sim.SimulationResult`, or ``None`` on a miss
+    (every miss :func:`load_wire` reads)."""
+    wire = load_wire(key, directory)
+    return None if wire is None else _rebuild(wire)
 
 
 # -- maintenance (the service status endpoint and `repro serve`) -----------

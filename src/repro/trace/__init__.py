@@ -20,19 +20,9 @@ from repro.trace.stats import TraceStats, compute_stats
 from repro.trace.writer import write_trace, dumps_trace
 from repro.trace.reader import read_trace, loads_trace
 from repro.trace.synthetic import (
-    PhasedSyntheticConfig,
     SyntheticTraceConfig,
-    generate_phased_synthetic_trace,
     generate_synthetic_trace,
-    iter_phased_synthetic_trace,
     iter_synthetic_trace,
-)
-from repro.trace.transform import (
-    concatenate,
-    loop_region,
-    region_of_interest,
-    renumber,
-    skip_warmup,
 )
 from repro.trace.binary import (
     ChunkWriter,
@@ -63,17 +53,9 @@ __all__ = [
     "dumps_trace",
     "read_trace",
     "loads_trace",
-    "PhasedSyntheticConfig",
     "SyntheticTraceConfig",
-    "generate_phased_synthetic_trace",
     "generate_synthetic_trace",
-    "iter_phased_synthetic_trace",
     "iter_synthetic_trace",
-    "renumber",
-    "skip_warmup",
-    "region_of_interest",
-    "concatenate",
-    "loop_region",
     "ChunkWriter",
     "chunked_entry_info",
     "dumps_trace_chunked",

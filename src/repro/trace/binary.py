@@ -14,8 +14,9 @@ holds at most two chunks of rows; a file of one chunk — every trace up
 to the chunk size — is served as that chunk's ``ColumnarTrace``
 (:meth:`~repro.trace.columnar.ChunkedTrace.collapse`).  Each chunk's
 index entry also carries a basic-block-vector fingerprint (instruction
-counts bucketed by basic-block leader PC) computed during the write,
-the raw material for phase-sampled simulation (:mod:`repro.sampling`).
+counts bucketed by basic-block leader PC) computed during the write.
+Only :func:`dumps_trace_chunked` reads it back, to copy it through; it
+stays because it is part of every entry's bytes.
 
 Layout (all integers little-endian)::
 

@@ -563,11 +563,6 @@ class ChunkedTrace:
         """Indices of the chunks currently materialized (bounded)."""
         return tuple(self._loaded)
 
-    def chunk_bounds(self, index: int) -> tuple[int, int]:
-        """``(start, end)`` global record positions of chunk ``index``."""
-        start = self._starts[index]
-        return start, start + self._counts[index]
-
     def chunk(self, index: int) -> ColumnarTrace:
         """Chunk ``index`` as a :class:`ColumnarTrace` (LRU-cached)."""
         loaded = self._loaded

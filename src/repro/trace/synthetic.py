@@ -103,27 +103,17 @@ def generate_synthetic_trace(config: SyntheticTraceConfig) -> list[TraceRecord]:
     return list(iter_synthetic_trace(config))
 
 
-def iter_synthetic_trace(
-    config: SyntheticTraceConfig,
-    *,
-    pc_base: int = _TEXT_BASE,
-    seq_start: int = 0,
-):
+def iter_synthetic_trace(config: SyntheticTraceConfig):
     """Yield :func:`generate_synthetic_trace`'s records one at a time.
 
     This is the streaming form the 10M-record capture paths use: memory
     stays O(1) in trace length because nothing accumulates a record
-    list.  ``pc_base``/``seq_start`` relocate the loop in code space and
-    in global sequence numbers — the phased generator below uses them to
-    splice several distinct loops into one continuous trace.  With the
-    defaults the yielded stream is element-for-element identical to
-    ``generate_synthetic_trace(config)``.
+    list.
     """
     cfg = config
     streams: dict[int, _ValueStream] = {}
     rng = cfg.seed | 1
-    seq = seq_start
-    limit = seq_start + cfg.length
+    seq = 0
     pc_slots = max(cfg.chain_length + 2, 4)
 
     def stream_for(pc: int, slot: int) -> _ValueStream:
@@ -137,25 +127,21 @@ def iter_synthetic_trace(
             streams[pc] = stream
         return stream
 
-    while seq < limit:
+    while seq < cfg.length:
         prev_dest: int | None = None
         for slot in range(pc_slots):
-            if seq >= limit:
+            if seq >= cfg.length:
                 break
-            # Pattern decisions use the position *within this segment*
-            # so a phase behaves identically wherever the schedule
-            # places it (and identically to the unphased generator).
-            pos = seq - seq_start
-            pc = pc_base + 8 * slot
+            pc = _TEXT_BASE + 8 * slot
             is_load = (
                 cfg.load_every
                 and slot > 0
-                and pos % cfg.load_every == cfg.load_every - 1
+                and seq % cfg.load_every == cfg.load_every - 1
             )
             is_branch = (
                 cfg.branch_every
                 and slot == pc_slots - 1
-                and (pos // pc_slots) % max(cfg.branch_every // pc_slots, 1) == 0
+                and (seq // pc_slots) % max(cfg.branch_every // pc_slots, 1) == 0
             )
             if is_branch:
                 rng = _lcg(rng)
@@ -166,7 +152,7 @@ def iter_synthetic_trace(
                     opcode=Opcode.BNE,
                     src_regs=(8, 9) if prev_dest else (8,),
                     branch_taken=taken,
-                    next_pc=pc_base if taken else pc + 8,
+                    next_pc=_TEXT_BASE if taken else pc + 8,
                 )
             elif is_load:
                 dest = 8 + (slot % cfg.chain_length)
@@ -202,63 +188,3 @@ def iter_synthetic_trace(
                 )
                 prev_dest = dest
             seq += 1
-
-
-#: Code-space separation between phases: far enough apart that no two
-#: phases share a static PC, so their basic-block-vector fingerprints
-#: (and predictor state) are fully distinct.
-_PHASE_STRIDE = 0x40000
-
-
-@dataclass(frozen=True)
-class PhasedSyntheticConfig:
-    """A phase-rich workload: several synthetic loops spliced in time.
-
-    ``phases`` are the distinct program behaviors; ``schedule`` says
-    which phase runs in each segment (default: each phase once, in
-    order).  Each scheduled segment emits its phase's ``length`` records
-    from a loop at a phase-specific PC base, with globally continuous
-    sequence numbers — exactly the recurring-phase structure SimPoint-
-    style sampling exploits, under experimental control.
-    """
-
-    phases: tuple[SyntheticTraceConfig, ...]
-    schedule: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.phases:
-            raise ValueError("phases must be non-empty")
-        for index in self.schedule:
-            if not 0 <= index < len(self.phases):
-                raise ValueError(
-                    f"schedule entry {index} out of range for "
-                    f"{len(self.phases)} phases"
-                )
-
-    def resolved_schedule(self) -> tuple[int, ...]:
-        return self.schedule or tuple(range(len(self.phases)))
-
-    @property
-    def length(self) -> int:
-        return sum(
-            self.phases[index].length for index in self.resolved_schedule()
-        )
-
-
-def iter_phased_synthetic_trace(config: PhasedSyntheticConfig):
-    """Yield a phased workload's records with O(1) memory."""
-    seq = 0
-    for phase_index in config.resolved_schedule():
-        phase = config.phases[phase_index]
-        yield from iter_synthetic_trace(
-            phase,
-            pc_base=_TEXT_BASE + _PHASE_STRIDE * phase_index,
-            seq_start=seq,
-        )
-        seq += phase.length
-
-
-def generate_phased_synthetic_trace(
-    config: PhasedSyntheticConfig,
-) -> list[TraceRecord]:
-    return list(iter_phased_synthetic_trace(config))

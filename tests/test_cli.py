@@ -298,6 +298,37 @@ def test_bad_address_option_is_a_usage_error(command, capsys):
 
 
 @pytest.mark.parametrize("command", [
+    ["bench", "compress", "--model", "bogus"],
+    ["bench", "compress", "--confidence", "bogus"],
+    ["bench", "compress", "--timing", "X"],
+    ["bench", "compress", "--config", "9/9"],
+    ["obs", "histo", "micro:fib", "--timing", "X"],
+    ["obs", "trace", "micro:fib", "--config", "9/9"],
+    ["obs", "export", "micro:fib", "--model", "bogus"],
+    ["ablate", "--model", "none"],
+])
+def test_bad_run_option_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "invalid choice" in err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("command, model, limit", [
+    (["bench", "compress"], "great", 10000),
+    (["obs", "histo", "micro:fib"], "good", 20000),
+])
+def test_run_option_defaults(command, model, limit):
+    from repro.cli import build_parser
+
+    args = build_parser().parse_args(command)
+    assert (args.config, args.model, args.confidence, args.timing,
+            args.max_instructions) == ("8/48", model, "real", "D", limit)
+
+
+@pytest.mark.parametrize("command", [
     ["run", "abl-inval", "--max-instructions", "300",
      "--benchmarks", "compress", "--backend", "service"],
     ["submit", "abl-inval", "--max-instructions", "300",

@@ -501,7 +501,7 @@ class TestResumeFromStore:
         grid = _grid()[:2]
         store = tmp_path / "store"
         stored_key, torn_key = (job_key(j) for j in grid)
-        result_store.store_result(stored_key, {"cycles": 10}, store)
+        result_store.store_result(stored_key, run_jobs(grid[:1])[0], store)
         leftover = store / f".{torn_key}.vsres1.4242.17.tmp"
         leftover.write_bytes(b'{"v":1,"key":"' + torn_key.encode())
         with _service(store) as service:

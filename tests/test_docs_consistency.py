@@ -1,5 +1,7 @@
 """Documentation consistency checks: the docs must track the code."""
 
+import ast
+import re
 from pathlib import Path
 
 from repro.harness.experiments import EXPERIMENTS
@@ -75,3 +77,20 @@ def test_examples_are_documented_in_readme():
     examples = sorted(p.name for p in (_ROOT / "examples").glob("*.py"))
     for example in examples:
         assert example in text, f"README missing {example}"
+
+
+def test_performance_doc_tables_every_environment_variable():
+    """The environment-variable table in docs/PERFORMANCE.md has one row
+    per ``REPRO_*`` name that ``src/`` spells as a string literal."""
+    in_code = set()
+    for path in (_ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"REPRO_[A-Z_]+", node.value):
+                    in_code.add(node.value)
+    text = _read("docs/PERFORMANCE.md")
+    table = text[text.index("### Environment variables"):]
+    table = table[:table.index("\n## ")]
+    rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", table, re.MULTILINE)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == in_code

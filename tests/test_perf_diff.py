@@ -131,6 +131,28 @@ def test_old_record_with_batched_block_still_diffs(perf_diff, tmp_path, capsys):
         assert "batched" not in out.lower()
 
 
+def test_old_record_with_sampled_block_still_diffs(perf_diff, tmp_path, capsys):
+    """Records written while phase sampling existed carry a ``sampled``
+    block; they diff like any other record and the block is ignored in
+    both renderings."""
+    sampled = {
+        "chunk_records": 16_000,
+        "phases": 3,
+        "workloads": {"phased_alu": {"cpi_error": 0.0009, "speedup": 13.0}},
+    }
+    new = tmp_path / "new.json"
+    old = tmp_path / "old.json"
+    new.write_text(json.dumps(_record()))
+    old.write_text(json.dumps(_record(
+        model_aggregate_ips={"base": 50_000}, sampled=sampled,
+    )))
+    for extra in ([], ["--markdown"]):
+        assert perf_diff.main([str(new), "--baseline", str(old)] + extra) == 0
+        out = capsys.readouterr().out
+        assert "2.000" in out
+        assert "sampled" not in out.lower()
+
+
 def test_service_block_rendered_and_old_schema_tolerated(
     perf_diff, tmp_path, capsys
 ):
@@ -175,54 +197,6 @@ def test_service_rows_absent_malformed_and_paired(perf_diff):
     assert ("latency p95 (ms)", 4.0, None) in rows
     # fields missing from the fresh block are skipped, not rendered
     assert all(label != "latency p99 (ms)" for label, *_ in rows)
-
-
-def test_sampled_block_rendered_and_old_schema_tolerated(
-    perf_diff, tmp_path, capsys
-):
-    """A fresh record carrying the sampled block renders it even when
-    the committed baseline predates the streaming trace plane."""
-    new = tmp_path / "new.json"
-    old = tmp_path / "old.json"
-    new.write_text(json.dumps(_record(
-        sampled={
-            "chunk_records": 16_000,
-            "phases": 3,
-            "workloads": {
-                "phased_alu": {"cpi_error": 0.0009, "speedup": 13.0},
-                "phased_mix": {"cpi_error": 0.0016, "speedup": 16.7},
-            },
-        },
-    )))
-    old.write_text(json.dumps(_record()))  # no sampled block
-    assert perf_diff.main([str(new), "--baseline", str(old)]) == 0
-    out = capsys.readouterr().out
-    assert "phase-sampled vs exact" in out
-    assert "phased_alu CPI error" in out and "0.09%" in out
-    assert "phased_mix speedup" in out and "16.7x" in out
-    assert perf_diff.main([str(new), "--baseline", str(old),
-                           "--markdown"]) == 0
-    out = capsys.readouterr().out
-    assert "**Phase-sampled vs exact**" in out and "13.0x" in out
-
-
-def test_sampled_rows_absent_malformed_and_paired(perf_diff):
-    assert perf_diff.sampled_rows(_record(), _record()) == []
-    # malformed blocks (wrong type, workloads not a dict) degrade cleanly
-    assert perf_diff.sampled_rows(_record(sampled="fast"), _record()) == []
-    assert perf_diff.sampled_rows(
-        _record(sampled={"workloads": [1, 2]}), _record()
-    ) == []
-    rows = perf_diff.sampled_rows(
-        _record(sampled={"workloads": {
-            "w": {"cpi_error": 0.01, "speedup": 12.0},
-            "broken": "not-a-dict",
-        }}),
-        _record(sampled={"workloads": {"w": {"cpi_error": 0.02}}}),
-    )
-    assert ("w CPI error", "1.00%", "2.00%") in rows
-    assert ("w speedup", "12.0x", "-") in rows
-    assert all(not label.startswith("broken") for label, *_ in rows)
 
 
 def _ablation_block(**overrides) -> dict:

@@ -1,281 +1,257 @@
-"""Phase-sampled simulation: clustering, planning, and the estimator.
+"""Per-chunk basic-block-vector fingerprints and chunk-wise replay.
 
-Sampling is the one mode allowed to approximate, so its tests pin the
-parts that make the approximation trustworthy: the k-means core is
-deterministic and well-behaved on edge cases, fingerprints agree between
-the capture-time index and the on-the-fly walk, plans are pure functions
-of (trace, k, seed), and on a phase-structured stationary workload the
-estimate lands within the advertised error bound.
+Phase sampling used to cluster the basic-block-vector (BBV) fingerprint
+every VSRT v4 index entry carries, and to simulate chunk slices of
+multi-chunk traces.  The sampler is gone; what it stood on stays.  The
+fingerprint is part of every entry's bytes (``dumps_trace_chunked``
+copies it through, so a rewritten entry is byte-identical), and
+multi-chunk reads bound capture and replay memory.  These tests pin
+both: a fingerprint is a deterministic function of its chunk's own
+records, and an exact run over many chunks equals the in-memory run
+while holding only a couple of chunks.
 """
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from repro.engine.config import ProcessorConfig
-from repro.sampling import (
-    PHASES_ENV_VAR,
-    chunk_fingerprints,
-    compare_sampled_exact,
-    kmeans,
-    plan_phases,
-    run_sampled,
-    sample_phases_from_env,
+from repro.engine.sim import run_baseline
+from repro.programs.suite import kernel
+from repro.trace.binary import (
+    BBV_DIM,
+    ChunkWriter,
+    _bbv_bucket,
+    dumps_trace_chunked,
+    loads_trace_chunked,
 )
-from repro.trace.binary import dumps_trace_chunked, loads_trace_chunked
-from repro.trace.columnar import as_columnar
-from repro.trace.synthetic import (
-    PhasedSyntheticConfig,
-    SyntheticTraceConfig,
-    generate_phased_synthetic_trace,
-)
+from repro.trace.cache import CHUNK_ENV_VAR, chunk_records
+from repro.trace.columnar import ChunkedTrace, ColumnarTrace, as_columnar
+from repro.trace.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 
-#: Three visibly different code mixes (distinct branch/load cadence), no
-#: slowly-warming structures: load-free and fully-biased branches keep
-#: each phase's CPI stationary, which is the regime sampling targets.
-#: Each segment spans several 4k chunks, so phase-interior chunks exist
-#: and get same-phase warm-up — the structure SimPoint-style sampling
-#: is designed for.
-_PHASES = (
-    SyntheticTraceConfig(
-        length=16_000, chain_length=2, load_every=0, branch_every=8,
-        branch_taken_bias=1.0, seed=11,
-    ),
-    SyntheticTraceConfig(
-        length=16_000, chain_length=6, load_every=0, branch_every=24,
-        branch_taken_bias=1.0, seed=22,
-    ),
-    SyntheticTraceConfig(
-        length=16_000, chain_length=4, load_every=0, branch_every=12,
-        branch_taken_bias=1.0, seed=33,
-    ),
-)
-_SCHEDULE = (0, 1, 2) * 2  # 6 segments of 4 chunks each, 96k records
+_SEGMENT = 6_000  # records per kernel segment: three 2k chunks
+_CHUNK = 2_000
 
-_MEMO: list = []
+_MEMO: dict = {}
 
 
-def _phased_records():
-    if not _MEMO:
-        _MEMO.append(
-            generate_phased_synthetic_trace(
-                PhasedSyntheticConfig(phases=_PHASES, schedule=_SCHEDULE)
-            )
-        )
-    return _MEMO[0]
+def _kernel_records(name: str) -> list:
+    if name not in _MEMO:
+        _MEMO[name] = kernel(name).trace(max_instructions=_SEGMENT)
+    return _MEMO[name]
 
 
-# -- k-means core ---------------------------------------------------------
+def _chunked(records, chunk: int = _CHUNK, **writer_options) -> ChunkedTrace:
+    out = io.BytesIO()
+    with ChunkWriter(out, chunk, **writer_options) as writer:
+        writer.extend(records)
+    return loads_trace_chunked(out.getvalue())
+
+
+def _leaders(records) -> list[int]:
+    """Leader PC of every basic block of one chunk, block by block: a
+    block ends at a control-flow instruction or at the chunk's end."""
+    leaders = []
+    starts_block = True
+    for rec in records:
+        if starts_block:
+            leaders.append(rec.pc)
+        starts_block = rec.opcode.opclass.is_control
+    return leaders
+
+
+def _walk_bbv(records, dim: int = BBV_DIM) -> tuple[int, ...]:
+    """A chunk's fingerprint recomputed from its records."""
+    bbv = [0] * dim
+    leader = None
+    for rec in records:
+        if leader is None:
+            leader = rec.pc
+        bbv[_bbv_bucket(leader, dim)] += 1
+        if rec.opcode.opclass.is_control:
+            leader = None
+    return tuple(bbv)
+
+
+def _chunks(records, chunk: int = _CHUNK) -> list[list]:
+    return [records[i:i + chunk] for i in range(0, len(records), chunk)]
+
+
+# -- the fingerprint's shape ------------------------------------------------
 
 
 class TestKMeans:
+    """Fingerprint buckets: ``bbv_dim`` of them, filled by leader PC."""
+
     def test_deterministic_for_fixed_seed(self):
-        points = [(float(i % 5), float(i % 3)) for i in range(40)]
-        first = kmeans(points, 3, seed=7)
-        second = kmeans(points, 3, seed=7)
+        config = SyntheticTraceConfig(length=9_000, seed=7)
+        first = dumps_trace_chunked(generate_synthetic_trace(config), _CHUNK)
+        second = dumps_trace_chunked(generate_synthetic_trace(config), _CHUNK)
         assert first == second
+        assert loads_trace_chunked(first).bbvs() == loads_trace_chunked(
+            second
+        ).bbvs()
 
     def test_separates_obvious_clusters(self):
-        points = [(0.0, 0.0)] * 5 + [(10.0, 10.0)] * 5
-        assignments, centroids = kmeans(points, 2, seed=0)
-        assert len(set(assignments[:5])) == 1
-        assert len(set(assignments[5:])) == 1
-        assert assignments[0] != assignments[5]
-        assert sorted(centroids) == [(0.0, 0.0), (10.0, 10.0)]
+        """Chunks of two different programs never share a fingerprint."""
+        compress = _chunked(_kernel_records("compress")).bbvs()
+        perl = _chunked(_kernel_records("perl")).bbvs()
+        assert not set(compress) & set(perl)
 
     def test_k_capped_by_distinct_points(self):
-        points = [(1.0,), (1.0,), (2.0,)]
-        assignments, centroids = kmeans(points, 10, seed=0)
-        assert len(centroids) <= len(points)
-        assert all(0 <= a < len(centroids) for a in assignments)
+        """A chunk fills at most one bucket per distinct leader PC."""
+        records = _kernel_records("gcc")
+        trace = _chunked(records)
+        for bbv, chunk in zip(trace.bbvs(), _chunks(records)):
+            filled = sum(1 for count in bbv if count)
+            assert 1 <= filled <= min(len(set(_leaders(chunk))), BBV_DIM)
 
     def test_single_cluster(self):
-        points = [(float(i),) for i in range(6)]
-        assignments, centroids = kmeans(points, 1, seed=0)
-        assert assignments == [0] * 6
-        assert centroids == [(2.5,)]
+        """With one bucket, a chunk's fingerprint is its record count."""
+        trace = _chunked(_kernel_records("compress"), bbv_dim=1)
+        assert trace.bbvs() == tuple((count,) for count in trace.counts)
 
     def test_rejects_empty_and_bad_k(self):
         with pytest.raises(ValueError):
-            kmeans([], 2)
-        with pytest.raises(ValueError):
-            kmeans([(1.0,)], 0)
-
-
-# -- fingerprints ---------------------------------------------------------
+            ChunkWriter(io.BytesIO(), _CHUNK, bbv_dim=0)
+        assert _chunked([]).bbvs() == ()
 
 
 class TestFingerprints:
     def test_index_and_walk_agree(self):
-        """A v4 trace's stored BBVs equal the on-the-fly computation."""
-        records = _phased_records()
-        chunked = loads_trace_chunked(dumps_trace_chunked(records, 1_000))
-        from_index = chunk_fingerprints(chunked)
-        from_walk = chunk_fingerprints(records, 1_000)
-        assert from_index == from_walk
-        from_columnar = chunk_fingerprints(as_columnar(records), 1_000)
-        assert from_columnar == from_walk
+        """A v4 entry's stored BBVs equal a walk over each chunk's
+        records, whichever form the trace was written from."""
+        records = _kernel_records("m88ksim")
+        from_walk = tuple(_walk_bbv(chunk) for chunk in _chunks(records))
+        assert _chunked(records).bbvs() == from_walk
+        columnar = loads_trace_chunked(dumps_trace_chunked(as_columnar(records)))
+        assert columnar.bbvs() == (_walk_bbv(records),)
 
     def test_counts_and_geometry(self):
-        records = _phased_records()
-        bbvs, counts, size = chunk_fingerprints(records, 5_000)
-        assert size == 5_000
-        assert sum(counts) == len(records)
-        assert counts[:-1] == [5_000] * (len(counts) - 1)
-        assert all(sum(bbv) == count for bbv, count in zip(bbvs, counts))
+        records = _kernel_records("perl")[:5_500]
+        trace = _chunked(records)
+        assert trace.chunk_size == _CHUNK
+        assert trace.counts == (_CHUNK, _CHUNK, 1_500)
+        assert all(len(bbv) == BBV_DIM for bbv in trace.bbvs())
+        assert [sum(bbv) for bbv in trace.bbvs()] == list(trace.counts)
 
     def test_chunk_size_required_for_plain_traces(self):
+        """A record list is cut by the chunk size it is written with; a
+        chunked trace keeps its own chunks and fingerprints."""
+        records = _kernel_records("compress")
         with pytest.raises(ValueError):
-            chunk_fingerprints(_phased_records())
+            dumps_trace_chunked(records, 0)
+        trace = _chunked(records)
+        rewritten = loads_trace_chunked(dumps_trace_chunked(trace, 0))
+        assert rewritten.counts == trace.counts
+        assert rewritten.bbvs() == trace.bbvs()
 
 
-# -- phase planning -------------------------------------------------------
+# -- chunk geometry ---------------------------------------------------------
 
 
 class TestPlanPhases:
+    """How a trace is cut into chunks, and what each chunk carries."""
+
     def test_recovers_the_schedule(self):
-        """Chunks aligned with the phase schedule cluster by phase."""
-        records = _phased_records()
-        plan = plan_phases(records, 3, chunk_size=4_000)
-        assert plan.k == 3
-        # Chunks generated by the same SyntheticTraceConfig must land in
-        # the same cluster, i.e. the assignment pattern matches the
-        # schedule up to cluster relabeling.
-        by_phase = {}
-        for index, cluster in enumerate(plan.assignments):
-            by_phase.setdefault(_SCHEDULE[index // 4], set()).add(cluster)
-        clusters = list(by_phase.values())
-        assert all(len(c) == 1 for c in clusters)
-        assert len(set().union(*clusters)) == 3
+        """Chunk fingerprints repeat exactly where the workload does."""
+        a = _kernel_records("compress")
+        b = _kernel_records("perl")
+        bbvs = _chunked(a + b + a).bbvs()
+        per_segment = _SEGMENT // _CHUNK
+        first, middle, last = (
+            bbvs[i:i + per_segment]
+            for i in range(0, len(bbvs), per_segment)
+        )
+        assert first == last
+        assert not set(first) & set(middle)
 
     def test_plan_invariants(self):
-        plan = plan_phases(_phased_records(), 3, chunk_size=4_000)
-        assert plan.total_records == sum(plan.counts)
-        assert abs(sum(plan.weights) - 1.0) < 1e-9
-        for phase in range(plan.k):
-            rep = plan.representatives[phase]
-            assert plan.assignments[rep] == phase
-            alt = plan.alternates[phase]
-            if alt is not None:
-                assert alt != rep and plan.assignments[alt] == phase
-        start, stop = plan.chunk_bounds(1)
-        assert (start, stop) == (plan.counts[0], plan.counts[0] + plan.counts[1])
-
-    def test_representative_avoids_chunk_zero(self):
-        """Chunk 0 (no warm-up context) loses ties to later chunks."""
-        plan = plan_phases(_phased_records(), 3, chunk_size=4_000)
-        for phase in range(plan.k):
-            members = [
-                i for i, a in enumerate(plan.assignments) if a == phase
-            ]
-            if len(members) > 1:
-                assert plan.representatives[phase] != 0
+        """Each chunk's rows carry their global position in the trace."""
+        records = _kernel_records("gcc")[:5_500]
+        trace = _chunked(records)
+        start = 0
+        for index, count in enumerate(trace.counts):
+            chunk = trace.chunk(index)
+            assert len(chunk) == count
+            assert chunk[0].seq == start and chunk[-1].seq == start + count - 1
+            start += count
+        assert start == len(trace) == len(records)
+        assert len(trace.bbvs()) == trace.chunk_count
 
     def test_deterministic(self):
-        records = _phased_records()
-        assert plan_phases(records, 3, chunk_size=4_000) == plan_phases(
-            records, 3, chunk_size=4_000
-        )
+        """Streaming, bulk and re-serialized writes give the same bytes,
+        fingerprints included."""
+        records = _kernel_records("m88ksim")
+        streamed = io.BytesIO()
+        with ChunkWriter(streamed, _CHUNK) as writer:
+            for rec in records:
+                writer.append(rec)
+        bulk = dumps_trace_chunked(records, _CHUNK)
+        again = dumps_trace_chunked(loads_trace_chunked(bulk))
+        assert streamed.getvalue() == bulk == again
 
     def test_k_clamped_to_chunk_count(self):
-        records = _phased_records()[:8_000]
-        plan = plan_phases(records, 10, chunk_size=4_000)
-        assert plan.k <= 2
+        """A trace no longer than the chunk size is one chunk with one
+        fingerprint, served as a plain columnar trace."""
+        records = _kernel_records("compress")
+        trace = _chunked(records, chunk=len(records))
+        assert trace.chunk_count == 1 and len(trace.bbvs()) == 1
+        collapsed = trace.collapse()
+        assert isinstance(collapsed, ColumnarTrace)
+        assert collapsed == records
 
     def test_rejects_bad_inputs(self):
+        trace = _chunked(_kernel_records("compress"))
+        with pytest.raises(IndexError):
+            trace.chunk(trace.chunk_count)
         with pytest.raises(ValueError):
-            plan_phases(_phased_records(), 0, chunk_size=4_000)
-        with pytest.raises(ValueError):
-            plan_phases([], 2, chunk_size=100)
+            ChunkedTrace(trace._source, keep_chunks=0)
 
 
-# -- the sampled estimator ------------------------------------------------
+# -- exact replay over many chunks ------------------------------------------
 
 
 class TestRunSampled:
-    def test_deterministic(self):
-        records = _phased_records()
-        config = ProcessorConfig()
-        first = run_sampled(records, config, phases=3, chunk_size=4_000)
-        second = run_sampled(records, config, phases=3, chunk_size=4_000)
-        assert first == second
+    """The engine over a multi-chunk trace: exact, bounded memory."""
 
-    def test_is_labeled_estimate(self):
-        result = run_sampled(
-            _phased_records(), ProcessorConfig(), phases=3, chunk_size=4_000
-        )
-        assert "estimate" in result.label
-        assert "3 phases" in result.label
+    def test_deterministic(self):
+        trace = _chunked(_kernel_records("compress"), chunk=500)
+        first = run_baseline(trace, ProcessorConfig())
+        second = run_baseline(trace, ProcessorConfig())
+        assert first.counters == second.counters
 
     def test_simulates_fraction_of_trace(self):
-        result = run_sampled(
-            _phased_records(), ProcessorConfig(), phases=3, chunk_size=4_000
-        )
-        assert 0 < result.simulated_records < result.total_records
-        assert result.total_records == len(_phased_records())
-
-    def test_error_bars_cost_extra(self):
-        records = _phased_records()
-        config = ProcessorConfig()
-        with_bars = run_sampled(
-            records, config, phases=3, chunk_size=4_000, error_bars=True
-        )
-        without = run_sampled(
-            records, config, phases=3, chunk_size=4_000, error_bars=False
-        )
-        assert without.simulated_records < with_bars.simulated_records
-        assert without.cpi_spread == 0.0
-        assert without.cpi == with_bars.cpi  # point estimate unchanged
+        """Replay holds a fraction of the trace — at most two chunks —
+        yet retires every record."""
+        trace = _chunked(_kernel_records("perl"), chunk=500)
+        assert trace.chunk_count == 12
+        result = run_baseline(trace, ProcessorConfig())
+        assert result.counters.retired == len(trace)
+        assert len(trace.loaded_chunks) <= 2
 
     def test_works_on_chunked_trace(self):
-        records = _phased_records()
-        chunked = loads_trace_chunked(dumps_trace_chunked(records, 4_000))
-        from_chunked = run_sampled(chunked, ProcessorConfig(), phases=3)
-        from_records = run_sampled(
-            records, ProcessorConfig(), phases=3, chunk_size=4_000
-        )
-        assert from_chunked.cpi == pytest.approx(from_records.cpi)
-
-    def test_estimate_within_bound_on_stationary_phased_workload(self):
-        """The acceptance property: ≤2% CPI error on a workload with
-        genuine recurring phase structure."""
-        report = compare_sampled_exact(
-            _phased_records(), ProcessorConfig(), phases=3, chunk_size=4_000
-        )
-        assert report["cpi_error"] <= 0.02
-        assert report["simulated_records"] < report["records"] // 2
-
-    def test_compare_report_schema(self):
-        report = compare_sampled_exact(
-            _phased_records()[:8_000],
-            ProcessorConfig(),
-            phases=2,
-            chunk_size=4_000,
-        )
-        for key in (
-            "records", "phases", "chunk_size", "warmup",
-            "simulated_records", "exact_cpi", "sampled_cpi", "cpi_error",
-            "cpi_spread", "exact_seconds", "sampled_seconds", "speedup",
-        ):
-            assert key in report, key
+        records = _kernel_records("gcc")
+        chunked = _chunked(records, chunk=700)
+        assert chunked.chunk_count > 1
+        from_chunked = run_baseline(chunked, ProcessorConfig(4, 24))
+        from_records = run_baseline(records, ProcessorConfig(4, 24))
+        assert from_chunked.counters == from_records.counters
 
 
-# -- env plumbing ---------------------------------------------------------
+# -- the chunk plane's environment knob -------------------------------------
 
 
 class TestEnv:
-    def test_unset_and_falsy_mean_off(self, monkeypatch):
-        monkeypatch.delenv(PHASES_ENV_VAR, raising=False)
-        assert sample_phases_from_env() is None
-        for value in ("", "0", "off", "none", "False", "no", "-2"):
-            monkeypatch.setenv(PHASES_ENV_VAR, value)
-            assert sample_phases_from_env() is None, value
+    """``REPRO_TRACE_CHUNK``: records per chunk of a cache entry."""
 
     def test_positive_integer(self, monkeypatch):
-        monkeypatch.setenv(PHASES_ENV_VAR, "5")
-        assert sample_phases_from_env() == 5
+        monkeypatch.setenv(CHUNK_ENV_VAR, "5")
+        assert chunk_records() == 5
 
     def test_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv(PHASES_ENV_VAR, "many")
-        with pytest.raises(ValueError):
-            sample_phases_from_env()
+        monkeypatch.setenv(CHUNK_ENV_VAR, "many")
+        with pytest.raises(ValueError, match=CHUNK_ENV_VAR):
+            chunk_records()

@@ -114,7 +114,7 @@ class TestResultStore:
         doc["result"]["counters"]["stall_future_counter"] = 7
         doc["crc"] = rs._entry_crc(doc)
         path.write_text(json.dumps(doc))
-        assert rs.load_wire(key, tmp_path) is not None
+        assert rs.load_wire(key, tmp_path) is None
         assert rs.load_result(key, tmp_path) is None
         assert path.exists()
 
@@ -499,6 +499,26 @@ class TestServiceHTTP:
             code, _, doc = client._request("GET", f"/v1/result/{key}")
             assert code == 200 and doc["state"] == "done"
             assert doc["source"] == "computed"
+
+    def test_store_entry_from_a_newer_version_is_recomputed(
+        self, computed, tmp_path
+    ):
+        """A CRC-valid stored entry whose counters carry a field this
+        version lacks is a miss for the service too: the job runs and
+        the client gets a fresh result instead of a document it cannot
+        rebuild."""
+        job, result = computed
+        store = tmp_path / "s"
+        path = rs.store_result(job_key(job), result, store)
+        doc = json.loads(path.read_text())
+        doc["result"]["counters"]["stall_future_counter"] = 7
+        doc["crc"] = rs._entry_crc(doc)
+        path.write_text(json.dumps(doc))
+        with SimulationService(ServiceConfig(store=store)) as service:
+            [served] = ServiceClient(*service.address).run([job])
+            stats = service.status()["stats"]
+        assert served.counters == result.counters
+        assert stats["executed"] == 1 and stats["warm_hits"] == 0
 
     def test_inflight_dedup_executes_once(self, tmp_path, monkeypatch):
         """Two clients submitting the same job while it is queued share

@@ -8,8 +8,7 @@ the harness backends — pool workers and the service's cluster workers
 opening the chunked cache entry, or the pool's temp staging entry when
 the cache is off — against the serial in-memory result.
 
-This is the "streaming changes nothing" guarantee: sampling is the only
-mode allowed to approximate, and it is opt-in and labeled.
+This is the "streaming changes nothing" guarantee: every mode is exact.
 """
 
 import json

@@ -1,17 +1,20 @@
-"""Trace transformation tests."""
+"""Cutting and joining traces with the VSRT v4 plane.
+
+The engine needs ``seq == position``.  A v4 entry stores no ``seq``
+column: rows read back are numbered by position, so writing records is
+how a cut or a join is renumbered.  Slices of a chunked trace read the
+same rows as the record list, with their global numbers; a capture
+limit cuts a trace's front.
+"""
+
+import io
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.isa.opcodes import Opcode
-from repro.trace import (
-    TraceRecord,
-    concatenate,
-    loop_region,
-    region_of_interest,
-    renumber,
-    skip_warmup,
-)
+from repro.trace import TraceRecord
+from repro.trace.binary import ChunkWriter, dumps_trace_chunked, loads_trace_chunked
 
 
 def _trace(n, base_pc=0x1000):
@@ -22,51 +25,45 @@ def _trace(n, base_pc=0x1000):
     ]
 
 
+def _written(records, chunk=4):
+    return loads_trace_chunked(dumps_trace_chunked(records, chunk))
+
+
 def test_renumber():
-    records = renumber(list(reversed(_trace(5))))
+    records = list(_written(list(reversed(_trace(5)))))
     assert [r.seq for r in records] == [0, 1, 2, 3, 4]
     assert records[0].dest_value == 4  # order preserved, seq rewritten
 
 
 def test_skip_warmup():
-    records = skip_warmup(_trace(10), 4)
-    assert len(records) == 6
-    assert records[0].seq == 0
-    assert records[0].dest_value == 4  # original instruction 4
-
-    with pytest.raises(ValueError):
-        skip_warmup(_trace(3), -1)
+    """Skipping a warm-up prefix keeps global numbers until rewritten."""
+    tail = _written(_trace(10))[4:]
+    assert len(tail) == 6
+    assert tail[0].seq == 4 and tail[0].dest_value == 4
+    rewritten = _written(tail)
+    assert rewritten[0].seq == 0
+    assert rewritten[0].dest_value == 4  # original instruction 4
 
 
 def test_region_of_interest():
-    records = region_of_interest(_trace(20), start=5, length=7)
-    assert len(records) == 7
-    assert [r.dest_value for r in records] == list(range(5, 12))
-    with pytest.raises(ValueError):
-        region_of_interest(_trace(5), start=-1, length=2)
-    with pytest.raises(ValueError):
-        region_of_interest(_trace(5), start=0, length=0)
+    records = _trace(20)
+    trace = _written(records)
+    region = trace[5:12]  # crosses two chunk boundaries
+    assert region == records[5:12]
+    assert [r.dest_value for r in region] == list(range(5, 12))
+    with pytest.raises(IndexError):
+        trace[20]
 
 
 def test_concatenate():
-    joined = concatenate(_trace(3), _trace(2))
+    out = io.BytesIO()
+    with ChunkWriter(out, 4) as writer:
+        writer.extend(_trace(3))
+        writer.extend(_trace(2))
+    joined = loads_trace_chunked(out.getvalue())
     assert len(joined) == 5
     assert [r.seq for r in joined] == list(range(5))
-
-
-def test_loop_region():
-    # pcs cycle every 5 instructions: pc base_pc occurs at 0, 5, 10, 15
-    records = loop_region(_trace(20), head_pc=0x1000)
-    assert records[0].dest_value == 0
-    assert records[-1].dest_value == 14  # up to (not incl.) last occurrence
-
-    two_iters = loop_region(_trace(20), head_pc=0x1000, max_iterations=2)
-    assert len(two_iters) == 10
-
-    with pytest.raises(ValueError):
-        loop_region(_trace(5), head_pc=0x9999)
-    with pytest.raises(ValueError):
-        loop_region(_trace(20), head_pc=0x1000, max_iterations=0)
+    assert [r.dest_value for r in joined] == [0, 1, 2, 0, 1]
 
 
 def test_sliced_trace_simulates():
@@ -74,14 +71,17 @@ def test_sliced_trace_simulates():
     from repro.engine.sim import run_baseline
     from repro.programs.suite import kernel
 
-    trace = kernel("perl").trace(max_instructions=4000)
-    roi = region_of_interest(trace, start=1000, length=1500)
+    trace = _written(kernel("perl").trace(max_instructions=4000), 1000)
+    roi = _written(trace[1000:2500], 1000)
     result = run_baseline(roi, ProcessorConfig(4, 24))
     assert result.counters.retired == 1500
+    prefix = kernel("perl").trace(max_instructions=1500)
+    assert prefix == trace[:1500]
 
 
 @given(n=st.integers(1, 50), k=st.integers(0, 50))
 def test_skip_then_length(n, k):
-    records = skip_warmup(_trace(n), min(k, n))
-    assert len(records) == n - min(k, n)
+    tail = _written(_trace(n), 7)[min(k, n):]
+    assert len(tail) == n - min(k, n)
+    records = _written(tail, 7)
     assert [r.seq for r in records] == list(range(len(records)))
