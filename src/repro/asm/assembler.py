@@ -76,10 +76,6 @@ class Program:
     data_base: int = DATA_BASE
     source_lines: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def text_size(self) -> int:
-        return len(self.instructions) * INSTRUCTION_BYTES
-
     def instruction_at(self, pc: int) -> Instruction:
         """Fetch the instruction at byte address ``pc``."""
         offset = pc - self.text_base

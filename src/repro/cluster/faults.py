@@ -26,8 +26,9 @@ default to "off"; a default plan is exactly a production run.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
+
+from repro import env
 
 #: Environment variable carrying a worker's JSON-encoded fault plan.
 FAULTS_ENV_VAR = "REPRO_CLUSTER_FAULTS"
@@ -49,20 +50,21 @@ class FaultPlan:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_env(cls, environ=None) -> "FaultPlan":
+    def from_env(cls) -> "FaultPlan":
         """The plan in ``REPRO_CLUSTER_FAULTS``, or the no-fault plan.
 
         An unreadable value is treated as no faults: injection is a test
         facility and must never take a production worker down by itself.
         """
-        raw = (environ or os.environ).get(FAULTS_ENV_VAR, "")
-        if not raw.strip():
-            return cls()
+        return env.value(FAULTS_ENV_VAR, cls._from_json) or cls()
+
+    @classmethod
+    def _from_json(cls, text: str) -> "FaultPlan":
         try:
-            doc = json.loads(raw)
+            doc = json.loads(text)
             known = {f: doc[f] for f in doc if f in cls.__dataclass_fields__}
             return cls(**known)
-        except (json.JSONDecodeError, TypeError, ValueError):
+        except (TypeError, ValueError):  # JSONDecodeError is a ValueError
             return cls()
 
 

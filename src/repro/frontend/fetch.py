@@ -211,16 +211,6 @@ class FetchEngine:
             return False
         return True
 
-    def _predict_direction(self, rec: TraceRecord) -> bool:
-        """Predict and (immediately) train; returns direction-correct.
-
-        ``update`` recomputes the prediction itself before training (every
-        predictor's ``predict`` is a pure read), so one call does both.
-        """
-        if self.branch_predictor is None:
-            return True
-        return self.branch_predictor.update(rec.pc, bool(rec.branch_taken))
-
     def _target_correct(self, rec: TraceRecord) -> bool:
         """Target prediction under the configured frontend idealism."""
         if self.ideal_branch_targets:

@@ -76,8 +76,3 @@ def decode(word: int) -> Instruction:
         rt=_decode_reg((word >> 20) & 0x3F),
         imm=imm,
     )
-
-
-def encode_opcode(opcode: Opcode) -> int:
-    """Expose the stable numeric opcode (used by tests and tooling)."""
-    return opcode.code

@@ -19,10 +19,6 @@ class CacheStats:
     misses: int = 0
     writebacks: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 1.0
-
 
 class Cache:
     """One level of a cache hierarchy.

@@ -15,10 +15,6 @@ class MemoryHierarchy:
     l1d: Cache
     l2: Cache
 
-    def instruction_fetch(self, address: int) -> int:
-        """Latency for fetching the instruction block at ``address``."""
-        return self.l1i.access(address)
-
     def data_access(self, address: int, is_write: bool) -> int:
         """Latency for a data access to ``address``."""
         return self.l1d.access(address, is_write)

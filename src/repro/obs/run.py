@@ -44,14 +44,6 @@ def resolve_trace(
     return cached_trace(benchmark, max_instructions)
 
 
-def benchmark_names() -> list[str]:
-    """Every runnable benchmark name, suite kernels then micro kernels."""
-    from repro.programs.micro import MICRO_KERNELS
-    from repro.programs.suite import kernel_names
-
-    return kernel_names() + [MICRO_PREFIX + name for name in sorted(MICRO_KERNELS)]
-
-
 @dataclass
 class InstrumentedRun:
     """Everything one instrumented simulation produced."""

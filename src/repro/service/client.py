@@ -23,6 +23,7 @@ import os
 import re
 import time
 
+from repro import env
 from repro.cluster.serial import job_key, job_to_blob, result_from_wire
 
 #: Where ``--backend service`` connects when no address is given
@@ -70,16 +71,9 @@ def parse_address(text: str) -> tuple[str, int]:
 
 def env_address() -> tuple[str, int] | None:
     """The address in ``$REPRO_SERVICE_ADDR``, or ``None`` when it is
-    unset or blank.  Every reader of the variable goes through here, so
-    whitespace means unset everywhere and a malformed value raises one
-    ``ValueError`` that names the variable."""
-    text = os.environ.get(ENV_ADDR, "").strip()
-    if not text:
-        return None
-    try:
-        return parse_address(text)
-    except ValueError as error:
-        raise ValueError(f"{ENV_ADDR}: {error}") from None
+    unset or blank; a malformed value raises
+    :class:`~repro.env.EnvError`."""
+    return env.value(ENV_ADDR, parse_address)
 
 
 def resubmit_until_done(submit, fetch, *, poll: float,
@@ -336,7 +330,7 @@ def run_jobs_service(job_list, jobs: int = 1) -> list:
             from repro.harness.parallel import BackendSelectionError
 
             raise BackendSelectionError(
-                f"{ENV_ADDR}={os.environ[ENV_ADDR].strip()}: connection "
+                f"{ENV_ADDR}={env.value(ENV_ADDR, str)}: connection "
                 "refused (is a service running there?)"
             ) from None
         except (OSError, http.client.HTTPException):

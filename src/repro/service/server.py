@@ -171,10 +171,9 @@ class _Entry:
     """One job key's lifecycle inside the service.
 
     There is at most one live entry per key — the in-flight dedup
-    invariant.  ``wire`` holds the result only when the store cannot
-    (disabled or write failure); otherwise done entries are read back
-    from disk, keeping a long-lived service's memory bounded by the
-    *active* keys, not every key it ever served.  ``attempts``,
+    invariant.  A done entry holds its result in ``wire``, so a key
+    stays servable after a failed store write or after
+    ``store_max_entries`` evicts its file.  ``attempts``,
     ``worker``, ``deadline`` and ``eligible`` are the worker plane's
     lease bookkeeping.
     """
@@ -416,8 +415,7 @@ class SimulationService:
                     done = _Entry(key)
                     done.state = "done"
                     done.source = "store"
-                    if self.store_dir is None:  # pragma: no cover
-                        done.wire = wire
+                    done.wire = wire
                     done.done.set()
                     self._entries[key] = done
                     dispositions.append("store")
@@ -466,15 +464,10 @@ class SimulationService:
         doc: dict = {"state": entry.state}
         if entry.state == "done":
             doc["source"] = entry.source
-            doc["result"] = self._entry_wire(entry)
+            doc["result"] = entry.wire
         elif entry.state == "failed":
             doc["error"] = entry.error
         return doc
-
-    def _entry_wire(self, entry: _Entry) -> dict | None:
-        if entry.wire is not None:
-            return entry.wire
-        return result_store.load_wire(entry.key, self.store_dir)
 
     def fetch(self, keys: list[str]) -> dict:
         """Results for ``keys`` in order, or progress while pending."""
@@ -607,9 +600,9 @@ class SimulationService:
     def _settle(self, entry: _Entry, wire: dict) -> None:
         """Record a computed result (under the lock): durably store it
         — the fsync completes before this returns — then release the
-        key's waiters.  A failed write keeps the result in memory."""
+        key's waiters.  The entry keeps the result in memory either way."""
+        entry.wire = wire
         if result_store.store_result(entry.key, wire, self.store_dir) is None:
-            entry.wire = wire
             if self.store_dir is not None:
                 self._trace("store-write-failed", key=entry.key,
                             dir=str(self.store_dir))
@@ -730,6 +723,7 @@ class SimulationService:
                 entry.attempts = attempt if isinstance(attempt, int) else 1
                 if stored is not None:
                     entry.state, entry.source = "done", "store"
+                    entry.wire = stored
                     entry.done.set()
                 else:
                     self._trace("orphan-result-adopted", key=key,

@@ -17,8 +17,6 @@ from repro.trace.capture import (
     trace_program,
 )
 from repro.trace.stats import TraceStats, compute_stats
-from repro.trace.writer import write_trace, dumps_trace
-from repro.trace.reader import read_trace, loads_trace
 from repro.trace.synthetic import (
     SyntheticTraceConfig,
     generate_synthetic_trace,
@@ -49,10 +47,6 @@ __all__ = [
     "trace_program",
     "TraceStats",
     "compute_stats",
-    "write_trace",
-    "dumps_trace",
-    "read_trace",
-    "loads_trace",
     "SyntheticTraceConfig",
     "generate_synthetic_trace",
     "iter_synthetic_trace",

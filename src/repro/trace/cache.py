@@ -28,12 +28,15 @@ columns on demand, so engine changes cannot be masked by a stale cache.
 
 Configuration is via environment variables:
 
-* ``REPRO_TRACE_CACHE`` unset — cache under ``$XDG_CACHE_HOME/repro/traces``
-  (falling back to ``~/.cache/repro/traces``); a path — cache under that
-  directory; ``off``, ``none``, ``0`` or empty — disable the cache
-  entirely (captures are then held in memory only).
+* ``REPRO_TRACE_CACHE`` unset — cache under ``repro/traces`` in the
+  user cache directory (:func:`repro.env.cache_home`, by default
+  ``~/.cache/repro/traces``); a path — cache under that
+  directory; an off spelling (``off``, ``0``, empty, ...) — disable the
+  cache entirely (captures are then held in memory only).
 * ``REPRO_TRACE_CHUNK`` — records per chunk (a positive integer;
-  default 1M).
+  unset or blank: 1M).
+
+Both are read by :mod:`repro.env`, under its one rule.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent sweep
 workers can share one cache directory without coordination: the worst
@@ -49,6 +52,7 @@ import io
 import os
 from pathlib import Path
 
+from repro import env
 from repro.trace.binary import (
     DEFAULT_CHUNK_RECORDS,
     BinaryTraceError,
@@ -63,13 +67,9 @@ from repro.trace.columnar import ChunkedTrace, ColumnarTrace
 ENV_VAR = "REPRO_TRACE_CACHE"
 
 #: Env var: records per chunk for streaming capture and cache entries.
-#: Unset = the format default (1M records); otherwise a positive integer.
+#: Unset or blank = the format default (1M records); otherwise a
+#: positive integer.
 CHUNK_ENV_VAR = "REPRO_TRACE_CHUNK"
-
-#: ``REPRO_TRACE_CACHE`` values that turn the cache off.  Any common
-#: falsy spelling disables the cache everywhere rather than being
-#: misread as a relocation path named "false"/"no".
-_DISABLED_VALUES = frozenset({"", "0", "off", "none", "disabled", "false", "no"})
 
 #: File suffix; bump together with the binary format's magic so readers
 #: of a new format never even open old-format files.
@@ -83,21 +83,16 @@ _TMP_SUFFIX = ".tmp"
 _HASH_CHARS = 16
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError("not a positive integer (records per chunk)")
+    return int(text)
+
+
 def chunk_records() -> int:
     """Records per chunk from ``REPRO_TRACE_CHUNK``."""
-    raw = os.environ.get(CHUNK_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CHUNK_RECORDS
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(
-            f"{CHUNK_ENV_VAR}={raw!r} is not a positive integer "
-            "(records per chunk)"
-        )
-    return value
+    chunk = env.value(CHUNK_ENV_VAR, _positive_int)
+    return DEFAULT_CHUNK_RECORDS if chunk is None else chunk
 
 
 def cache_dir() -> Path | None:
@@ -107,14 +102,7 @@ def cache_dir() -> Path | None:
     read-only consumers (``repro cache info`` on a fresh machine) never
     touch the filesystem.
     """
-    override = os.environ.get(ENV_VAR)
-    if override is not None:
-        if override.strip().lower() in _DISABLED_VALUES:
-            return None
-        return Path(override).expanduser()
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
-    return base / "repro" / "traces"
+    return env.directory(ENV_VAR, env.cache_home("traces"))
 
 
 def cache_enabled() -> bool:

@@ -123,18 +123,6 @@ class ContextValuePredictor(ValuePredictor):
 
     # -- level-1 helpers ----------------------------------------------------
 
-    def _l1_index(self, pc: int) -> int:
-        return (pc >> _PC_SHIFT) & self._l1_mask
-
-    def _hash(self, values: list[int]) -> int:
-        """The classic select-fold-shift-XOR FCM hash: each value is folded
-        to ``context_bits`` bits and injected with a position-dependent
-        shift so its contribution ages out after ``order`` insertions."""
-        ctx = 0
-        for position, value in enumerate(values[-self.order :]):
-            ctx ^= fold_value(value, self.context_bits) << position
-        return ctx & self._ctx_mask
-
     def _walk_live(self, entry: list[int], spec: list[tuple[int, int, int]]) -> int:
         """Recompute the (unmasked) live context for an entry from the
         committed fold ring plus the outstanding speculative chain.  Only

@@ -45,15 +45,6 @@ class InstructionWindow:
     def get(self, sid: int) -> Station | None:
         return self._stations.get(sid)
 
-    def slot_of(self, sid: int) -> int:
-        """The physical window slot a station id maps to.
-
-        Sids are monotonic while the window recycles ``capacity`` entries,
-        so ``sid % capacity`` is the stable slot index — the per-station
-        track used by the observability timeline export.
-        """
-        return sid % self.capacity
-
     def head(self) -> Station | None:
         """Oldest station, or None when empty."""
         if not self._stations:

@@ -316,10 +316,6 @@ class Station:
             self.refresh_inputs()
         return self.in_spec
 
-    def inputs_valid_since(self) -> int:
-        """Latest cycle at which an operand became VALID (0 when none)."""
-        return max((op.valid_cycle for op in self.operands), default=0)
-
     def nullify(self, min_issue_cycle: int) -> None:
         """The paper's wakeup nullification semantics (Section 3.4):
         remove the effects of previous execution and enable a future

@@ -41,11 +41,6 @@ class TaintBitAllocator:
         """Number of bits currently allocated."""
         return len(self._owners)
 
-    @property
-    def high_water(self) -> int:
-        """Highest bit index ever handed out (mask width in bits)."""
-        return self._next
-
     def alloc(self, owner) -> int:
         """Allocate a bit for ``owner`` and return its mask (``1 << bit``).
 

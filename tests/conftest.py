@@ -1,10 +1,14 @@
 """Shared test fixtures.
 
-The persistent trace cache (``repro.trace.cache``) defaults to the
-user's ``~/.cache``; tests must stay hermetic, so the whole suite runs
-against a throwaway per-session cache directory instead.  Individual
-tests still override ``REPRO_TRACE_CACHE`` freely (``monkeypatch.setenv``
-takes precedence and is undone per test).
+The suite runs in a hermetic environment: every ``REPRO_*`` variable a
+developer has set is cleared for the session (the same prefix scrub
+``bench/run.py`` does), so none of them — a sweep backend, a service
+address, strict mode, a chunk size — leaks into a test.  Two are then
+pinned: the persistent trace cache (``repro.trace.cache``), which
+defaults to the user's ``~/.cache``, points at a throwaway per-session
+directory, and the result store is off.  Individual tests still set any
+variable freely (``monkeypatch.setenv`` takes precedence and is undone
+per test).
 """
 
 from __future__ import annotations
@@ -15,31 +19,23 @@ import pytest
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _hermetic_trace_cache(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("trace-cache")
-    previous = os.environ.get("REPRO_TRACE_CACHE")
-    os.environ["REPRO_TRACE_CACHE"] = str(directory)
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_TRACE_CACHE", None)
-    else:
-        os.environ["REPRO_TRACE_CACHE"] = previous
+def _hermetic_environment(tmp_path_factory):
+    """Clear every ``REPRO_*`` variable, then pin the trace cache to a
+    per-session directory and the result store off.
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _hermetic_result_store():
-    """Pin the result store off for the whole suite.
-
-    A developer's ``REPRO_RESULT_STORE`` must not leak into tests —
+    A developer's ``REPRO_RESULT_STORE`` in particular must not leak in:
     ``run_jobs`` would silently serve warm results and mask execution
     bugs.  Tests that exercise the store opt in per-test with
-    ``monkeypatch.setenv`` (which takes precedence and is undone) or by
-    passing explicit directories.
+    ``monkeypatch.setenv`` or by passing explicit directories.
     """
-    previous = os.environ.get("REPRO_RESULT_STORE")
+    previous = {
+        name: os.environ.pop(name)
+        for name in list(os.environ)
+        if name.startswith("REPRO_")
+    }
+    os.environ["REPRO_TRACE_CACHE"] = str(tmp_path_factory.mktemp("trace-cache"))
     os.environ["REPRO_RESULT_STORE"] = "off"
     yield
-    if previous is None:
-        os.environ.pop("REPRO_RESULT_STORE", None)
-    else:
-        os.environ["REPRO_RESULT_STORE"] = previous
+    for name in [name for name in os.environ if name.startswith("REPRO_")]:
+        del os.environ[name]
+    os.environ.update(previous)

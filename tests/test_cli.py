@@ -350,6 +350,27 @@ def test_bad_service_address_in_the_environment_is_a_one_line_error(
     assert ENV_ADDR in err and "'nonsense'" in err
 
 
+def test_bad_chunk_size_in_the_environment_is_a_one_line_error(
+    monkeypatch, capsys, tmp_path
+):
+    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))  # a cold capture
+    monkeypatch.setenv("REPRO_TRACE_CHUNK", "abc")
+    assert main(["bench", "compress", "--max-instructions", "300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "repro: REPRO_TRACE_CHUNK='abc': not a positive integer "
+        "(records per chunk)"
+    ]
+
+
+def test_cache_warm_limit_alias_is_gone(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["cache", "warm", "--limit", "5"])
+    assert caught.value.code == 2
+    assert "--limit" in capsys.readouterr().err
+
+
 def test_blank_service_address_in_the_environment_reads_as_unset(
     monkeypatch, capsys
 ):

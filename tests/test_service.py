@@ -520,6 +520,19 @@ class TestServiceHTTP:
         assert served.counters == result.counters
         assert stats["executed"] == 1 and stats["warm_hits"] == 0
 
+    def test_results_outlive_the_eviction_of_their_store_entries(
+        self, tmp_path
+    ):
+        """An entry budget smaller than the sweep evicts a key's file
+        before its client fetches it; the key is still served, because
+        every done entry keeps its result in memory."""
+        jobs = [_job(name) for name in ("compress", "perl", "go")]
+        expected = run_jobs(jobs)
+        config = ServiceConfig(store=tmp_path / "s", store_max_entries=1)
+        with SimulationService(config) as service:
+            served = ServiceClient(*service.address).run(jobs)
+        assert [r.counters for r in served] == [r.counters for r in expected]
+
     def test_inflight_dedup_executes_once(self, tmp_path, monkeypatch):
         """Two clients submitting the same job while it is queued share
         one execution: the second joins, nothing runs twice."""

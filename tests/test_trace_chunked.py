@@ -324,9 +324,10 @@ class TestCacheIntegration:
         assert trace_cache.chunk_records() == 1_000_000
         monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "250")
         assert trace_cache.chunk_records() == 250
-        # No spelling turns chunked storage off any more.
+        # No spelling turns chunked storage off any more (blank reads as
+        # unset: tests/test_env.py).
         monkeypatch.setenv(trace_cache.ENV_VAR, str(tmp_path))
-        for value in ("0", "-5", "off", "none", "", "1.5"):
+        for value in ("0", "-5", "off", "none", "1.5"):
             monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, value)
             with pytest.raises(ValueError, match=trace_cache.CHUNK_ENV_VAR):
                 trace_cache.chunk_records()
