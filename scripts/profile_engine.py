@@ -94,31 +94,42 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.core.model import named_models
     from repro.engine.config import paper_config
-    from repro.engine.sim import run_baseline, run_trace
+    from repro.engine.sim import make_confidence, simulator_class
     from repro.programs.suite import kernel
+    from repro.vp.context import ContextValuePredictor
+    from repro.vp.update_timing import UpdateTiming
 
     config = paper_config(args.config)
     trace = kernel(args.benchmark).trace(args.max_instructions)
     model = None if args.model == "none" else named_models()[args.model]
+    # Built here rather than through run_trace so the fetch engine's
+    # wrong-path counters can be read after the run.
+    engine, _path = simulator_class()
     if model is None:
-        def simulate():
-            return run_baseline(trace, config)
+        simulator = engine(trace, config, model=None)
     else:
-        def simulate():
-            return run_trace(
-                trace,
-                config,
-                model,
-                confidence=args.confidence,
-                update_timing=args.timing,
-            )
+        simulator = engine(
+            trace,
+            config,
+            model,
+            predictor=ContextValuePredictor(),
+            confidence=make_confidence(args.confidence),
+            update_timing=UpdateTiming(args.timing.strip().upper()),
+        )
 
     profiler = cProfile.Profile()
-    result = profiler.runcall(simulate)
+    counters = profiler.runcall(simulator.run)
+    fetch = simulator.fetch_engine
     print(
         f"{args.benchmark} @ {config.label}, model={args.model}: "
-        f"{result.counters.retired} instructions in "
-        f"{result.counters.cycles} cycles\n"
+        f"{counters.retired} instructions in {counters.cycles} cycles"
+    )
+    # One process, one run: the wrong-path memo starts cold, so every
+    # wrong-path record is synthesized; a warm memo would replay them.
+    print(
+        f"wrong path: {fetch.fetched_wrong_path} records fetched, "
+        f"{fetch.synthesized_wrong_path} synthesized, "
+        f"{fetch.replayed_wrong_path} replayed from the memo\n"
     )
 
     stats = pstats.Stats(profiler, stream=sys.stdout)

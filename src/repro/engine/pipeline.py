@@ -579,7 +579,7 @@ class PipelineSimulator:
                         self._dispatch()
                 elif (
                     fetch_engine._index < trace_len
-                    or fetch_engine._wrong_path_gen is not None
+                    or fetch_engine._wp_stream is not None
                 ):
                     stall_fetch_empty += 1
                 if cycle >= fetch_engine._stall_until and len(fetch_queue) < fetch_limit:

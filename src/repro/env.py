@@ -35,8 +35,9 @@ ON = frozenset({"1", "on", "true", "yes"})
 
 
 class EnvError(ValueError):
-    """A ``REPRO_*`` value that does not parse.  Its one message reads
-    ``NAME='value': problem``, so it pickles back from pool workers."""
+    """A ``REPRO_*`` value (or a directory option, under the same rule)
+    that does not parse.  Its one message reads ``NAME='value':
+    problem``, so it pickles back from pool workers."""
 
 
 def _error(name: str, raw: str, problem: str) -> EnvError:
@@ -53,6 +54,14 @@ def directory(name: str, default: Path | None) -> Path | None:
     raw = os.environ.get(name)
     if raw is None:
         return default
+    return path_or_off(name, raw)
+
+
+def path_or_off(name: str, raw: str) -> Path | None:
+    """A directory setting's text under the directory rule: ``None``
+    for an off spelling, an :class:`EnvError` naming ``name`` for an on
+    spelling, else the path.  Also the rule of a directory option such
+    as ``repro serve --store``."""
     if is_off(raw):
         return None
     if raw.strip().lower() in ON:

@@ -14,6 +14,15 @@ until the timing engine resolves the branch and calls :meth:`redirect`.
 Wrong-path *data* side effects are approximated: wrong-path loads touch the
 data cache (pollution), but wrong-path memory operations do not enter the
 load/store queue (see DESIGN.md, substitutions).
+
+A stream is a pure function of its key, the mispredicted branch's dynamic
+``seq`` (mixed with the engine seed) and its fall-through PC, so it is
+memoized process-wide: a later run of the same trace (another
+configuration or model of a sweep point) replays it, and so does a
+refetch after a complete-invalidation rewind.  Within one run a branch
+occurrence mispredicts once, so a cold run synthesizes every record it
+fetches on the wrong path (:attr:`FetchEngine.synthesized_wrong_path`
+counts them).
 """
 
 from __future__ import annotations
@@ -22,16 +31,17 @@ from dataclasses import dataclass
 
 from repro.isa.opcodes import INSTRUCTION_BYTES, Opcode
 from repro.mem.cache import Cache
-from repro.trace.record import TraceRecord
+from repro.trace.record import OPCODE_ROWS, TraceRecord
 from repro.trace.columnar import ColumnarTrace
 
 _MASK64 = (1 << 64) - 1
 _WRONG_PATH_SEQ = -1
+_new_record = TraceRecord.__new__
 
 
 def _mix(state: int) -> int:
     state = (state ^ (state >> 33)) * 0xFF51AFD7ED558CCD & _MASK64
-    return (state ^ (state >> 33)) & _MASK64
+    return state ^ (state >> 33)
 
 
 @dataclass(slots=True)
@@ -45,87 +55,85 @@ class FetchedInstruction:
     mispredicted: bool = False
 
 
-class _WrongPathGenerator:
-    """Deterministic synthetic wrong-path instruction stream.
+#: Base address of the data wrong-path loads touch.
+_WP_DATA_BASE = 0x600000
 
-    The stream for a given (seed, start pc) is a pure function of its
-    position, and a branch that mispredicts repeatedly replays the same
-    stream from the top — so generated records are memoized in a shared
-    ``[records, state, pc]`` cache (one per mispredicted branch, owned by
-    the :class:`FetchEngine`) and the generator only runs the synthesis
-    arithmetic when a replay walks past the longest previous one.
-    ``TraceRecord`` instances are immutable to the engine, so sharing
-    them across replays (and runs) is safe."""
+#: The flag-table rows (:data:`~repro.trace.record.OPCODE_ROWS`) of the
+#: four opcodes a wrong-path stream draws.
+_WP_ADD, _WP_LD, _WP_MUL, _WP_BNE = (
+    OPCODE_ROWS[op.code] for op in (Opcode.ADD, Opcode.LD, Opcode.MUL, Opcode.BNE)
+)
 
-    __slots__ = ("_cache", "_pos", "_data_base")
+#: The eight ``src_regs`` tuples a wrong-path record can carry, shared
+#: by every synthesized record.
+_WP_SRCS = tuple((reg,) for reg in range(8, 16))
 
-    def __init__(
-        self,
-        seed: int = 0,
-        start_pc: int = 0,
-        data_base: int = 0x600000,
-        cache: list | None = None,
-    ):
-        if cache is None:
-            cache = _wrong_path_cache(seed, start_pc)
-        self._cache = cache
-        self._pos = 0
-        self._data_base = data_base
 
-    def next(self) -> TraceRecord:
-        cache = self._cache
-        records = cache[0]
-        pos = self._pos
-        self._pos = pos + 1
-        if pos < len(records):
-            return records[pos]
-        state = _mix(cache[1])
-        cache[1] = state
-        pc = cache[2]
-        next_pc = pc + INSTRUCTION_BYTES
-        cache[2] = next_pc
-        roll = state % 100
-        dest = 8 + (state >> 8) % 8
-        src = 8 + (state >> 16) % 8
+def _extend_stream(stream: list) -> TraceRecord:
+    """Synthesize the next record of a wrong-path ``stream`` (a memo
+    entry, ``[records, rng_state, next_pc]``), append it and return it.
+
+    The record equals ``TraceRecord(...)`` built from the same draws
+    slot for slot; it is built from ``TraceRecord.__new__`` plus slot
+    stores, its flags come from the per-kind table row, its
+    ``src_regs`` is one of :data:`_WP_SRCS` and its ``dest_fold`` is its
+    ``dest_value`` object (a 16-bit value folds to itself).
+    """
+    state = _mix(stream[1])
+    stream[1] = state
+    pc = stream[2]
+    next_pc = stream[2] = pc + INSTRUCTION_BYTES
+    roll = state % 100
+    rec = _new_record(TraceRecord)
+    rec.seq = _WRONG_PATH_SEQ
+    rec.pc = pc
+    rec.next_pc = next_pc
+    rec.src_regs = _WP_SRCS[(state >> 16) & 7]
+    if roll < 90:
         if roll < 70:
-            opcode, mem_addr, mem_size = Opcode.ADD, None, None
+            row = _WP_ADD
+            rec.mem_addr = rec.mem_size = None
         elif roll < 85:
-            opcode = Opcode.LD
-            mem_addr = self._data_base + ((state >> 24) & 0xFFF) * 8
-            mem_size = 8
-        elif roll < 90:
-            opcode, mem_addr, mem_size = Opcode.MUL, None, None
+            row = _WP_LD
+            rec.mem_addr = _WP_DATA_BASE + ((state >> 24) & 0xFFF) * 8
+            rec.mem_size = 8
         else:
-            # Wrong-path branch: executes but never redirects fetch.
-            rec = TraceRecord(
-                seq=_WRONG_PATH_SEQ,
-                pc=pc,
-                opcode=Opcode.BNE,
-                src_regs=(src,),
-                branch_taken=bool(state & 1),
-                next_pc=next_pc,
-            )
-            records.append(rec)
-            return rec
-        rec = TraceRecord(
-            seq=_WRONG_PATH_SEQ,
-            pc=pc,
-            opcode=opcode,
-            src_regs=(src,),
-            dest_reg=dest,
-            dest_value=state & 0xFFFF,
-            mem_addr=mem_addr,
-            mem_size=mem_size,
-            next_pc=next_pc,
-        )
-        records.append(rec)
-        return rec
+            row = _WP_MUL
+            rec.mem_addr = rec.mem_size = None
+        rec.dest_reg = 8 + ((state >> 8) & 7)
+        rec.dest_value = rec.dest_fold = state & 0xFFFF
+        rec.writes_register = True
+        rec.branch_taken = None
+    else:
+        # Wrong-path branch: executes but never redirects fetch.
+        row = _WP_BNE
+        rec.dest_reg = rec.dest_value = rec.mem_addr = rec.mem_size = None
+        rec.dest_fold = 0
+        rec.writes_register = False
+        rec.branch_taken = bool(state & 1)
+    (
+        rec.opcode,
+        rec.opclass,
+        rec.is_load,
+        rec.is_store,
+        rec.is_memory,
+        rec.is_branch,
+        rec.is_control,
+        rec.is_indirect,
+        rec.exec_latency,
+        rec.sel_priority,
+        rec.is_ctrl,
+    ) = row
+    stream[0].append(rec)
+    return rec
 
 
 #: Process-wide wrong-path memo, keyed by ``(seed, start_pc)``.  A stream
 #: is a pure function of its key, so the memo is shared across engines and
-#: runs — repeated simulations of one trace (config sweeps, benchmark
+#: runs — later simulations of one trace (config sweeps, benchmark
 #: repetitions) replay recorded streams instead of re-synthesizing them.
+#: ``TraceRecord`` instances are immutable to the engine, so sharing them
+#: across replays and runs is safe.
 _WP_STREAMS: dict[tuple[int, int], list] = {}
 _WP_STREAM_LIMIT = 1 << 16
 
@@ -181,20 +189,30 @@ class FetchEngine:
         self._seed = seed
         self._index = 0
         self._stall_until = 0
-        self._wrong_path_gen: _WrongPathGenerator | None = None
+        #: The wrong-path memo stream being fetched (``None`` on the
+        #: correct path) and the position of its next record.
+        self._wp_stream: list | None = None
+        self._wp_pos = 0
         self._last_block: int | None = None
         self.fetched_correct = 0
         self.fetched_wrong_path = 0
+        #: Wrong-path records this engine synthesized, and those it
+        #: replayed from the memo.  Together they count every record
+        #: drawn, including one an I-cache miss consumed unfetched.  Kept
+        #: off ``SimCounters``: the memo's warmth differs between runs of
+        #: the same point.
+        self.synthesized_wrong_path = 0
+        self.replayed_wrong_path = 0
         self.icache_stall_cycles = 0
 
     @property
     def exhausted(self) -> bool:
         """Correct path fully delivered and not stuck on a wrong path."""
-        return self._index >= len(self.trace) and self._wrong_path_gen is None
+        return self._index >= len(self.trace) and self._wp_stream is None
 
     @property
     def on_wrong_path(self) -> bool:
-        return self._wrong_path_gen is not None
+        return self._wp_stream is not None
 
     def _icache_ready(self, pc: int, cycle: int) -> bool:
         """Model the I-cache access for the block holding ``pc``."""
@@ -244,8 +262,6 @@ class FetchEngine:
             return []
         out: list[tuple[TraceRecord, bool, bool, int]] = []
         out_append = out.append
-        trace = self.trace
-        trace_len = len(trace)
         icache = self.icache
         # Same-block accesses are free; inline that fast path so the
         # I-cache model is only consulted on block boundaries.  The whole
@@ -255,19 +271,22 @@ class FetchEngine:
         block_bytes = icache.block_bytes if icache is not None else 0
         icache_hit = icache.hit_latency if icache is not None else 0
         last_block = self._last_block
-        index = self._index
-        wrong_gen = self._wrong_path_gen
-        wrong_next = wrong_gen.next if wrong_gen is not None else None
-        bpred = self.branch_predictor
-        bp_update = bpred.update if bpred is not None else None
-        ideal_targets = self.ideal_branch_targets
-        ras = self.ras
-        n_correct = 0
-        n_wrong = 0
         count = 0
-        while count < max_count:
-            if wrong_next is not None:
-                rec = wrong_next()
+        stream = self._wp_stream
+        if stream is not None:
+            # Wrong path until the redirect: replay the memo stream,
+            # synthesizing past its recorded end.  A record is consumed
+            # even when its I-cache miss ends the group.
+            records = stream[0]
+            start = pos = self._wp_pos
+            synthesized = 0
+            while count < max_count:
+                if pos < len(records):
+                    rec = records[pos]
+                else:
+                    rec = _extend_stream(stream)
+                    synthesized += 1
+                pos += 1
                 if icache is not None:
                     block = rec.pc // block_bytes
                     if block != last_block:
@@ -278,9 +297,21 @@ class FetchEngine:
                             self.icache_stall_cycles += latency - icache_hit
                             break
                 out_append((rec, True, False, ready))
-                n_wrong += 1
                 count += 1
-                continue
+            self._wp_pos = pos
+            self._last_block = last_block
+            self.fetched_wrong_path += count
+            self.synthesized_wrong_path += synthesized
+            self.replayed_wrong_path += pos - start - synthesized
+            return out
+        trace = self.trace
+        trace_len = len(trace)
+        index = self._index
+        bpred = self.branch_predictor
+        bp_update = bpred.update if bpred is not None else None
+        ideal_targets = self.ideal_branch_targets
+        ras = self.ras
+        while count < max_count:
             if index >= trace_len:
                 break
             rec = trace[index]
@@ -309,24 +340,19 @@ class FetchEngine:
                     ras.push(rec.pc + INSTRUCTION_BYTES)
                 mispredicted = not (ideal_targets or self._target_correct(rec))
             out_append((rec, False, mispredicted, ready))
-            n_correct += 1
             count += 1
             if mispredicted:
                 if self.model_wrong_path:
-                    self._wrong_path_gen = _WrongPathGenerator(
-                        cache=_wrong_path_cache(
-                            self._seed ^ rec.seq, rec.next_pc + 0x4000
-                        )
+                    self._wp_stream = _wrong_path_cache(
+                        self._seed ^ rec.seq, rec.next_pc + 0x4000
                     )
+                    self._wp_pos = 0
                 else:
                     self._stall_until = 1 << 60  # wait for redirect
                 break
         self._index = index
         self._last_block = last_block
-        if n_correct:
-            self.fetched_correct += n_correct
-        if n_wrong:
-            self.fetched_wrong_path += n_wrong
+        self.fetched_correct += count
         return out
 
     def redirect(self, cycle: int, *, penalty: int = 1) -> None:
@@ -337,7 +363,7 @@ class FetchEngine:
         the instruction after the branch because the trace is the correct
         path by construction.
         """
-        self._wrong_path_gen = None
+        self._wp_stream = None
         self._stall_until = cycle + penalty
         self._last_block = None
 
@@ -346,6 +372,6 @@ class FetchEngine:
         complete value-misspeculation invalidation, which refetches like a
         branch misprediction."""
         self._index = seq
-        self._wrong_path_gen = None
+        self._wp_stream = None
         self._stall_until = cycle + penalty
         self._last_block = None

@@ -97,14 +97,16 @@ def resolve_store(setting: object = AUTO_STORE) -> Path | None:
     ``ServiceConfig.store``: :data:`AUTO_STORE` resolves
     through ``REPRO_RESULT_STORE`` with ``repro/results`` in the user
     cache directory as the default; ``None`` or an off spelling
-    disables the store; anything else is the directory itself.
+    disables the store; an on spelling names no directory and is an
+    :class:`~repro.env.EnvError`, as it is in ``REPRO_RESULT_STORE``;
+    anything else is the directory itself.
     """
     if setting is None:
         return None
     if setting == AUTO_STORE:
         return store_dir(default=env.cache_home("results"))
-    if isinstance(setting, str) and env.is_off(setting):
-        return None
+    if isinstance(setting, str):
+        return env.path_or_off("--store", setting)
     return Path(setting).expanduser()
 
 

@@ -149,8 +149,13 @@ def load_trace(
     is checked once, here, so a corrupt entry is detected at load
     (treated as a miss and deleted — the next capture regenerates it),
     never mid-simulation.  A one-chunk hit is a :class:`ColumnarTrace`;
-    a longer one is a :class:`ChunkedTrace`.
+    a longer one is a :class:`ChunkedTrace`.  A malformed
+    ``REPRO_TRACE_CHUNK`` raises :class:`~repro.env.EnvError` on a hit
+    as on a miss.
     """
+    # The chunk size only shapes a capture, but a malformed value is an
+    # error on a hit too, so a warm cache never lets it pass unnoticed.
+    chunk_records()
     path = trace_path(benchmark, source, max_instructions, directory=directory)
     if path is None or not path.is_file():
         return None

@@ -22,8 +22,11 @@ columns instead of one Python object per instruction:
   through many engine instances pays record construction once per
   process, not once per run.  Materialization writes the record's slots
   directly from the columns (the ``dest_fold`` precompute is a stored
-  column, the classification flags come from a per-opcode table), which
-  is cheaper than re-running ``TraceRecord.__init__``.
+  column, the classification flags come from the per-opcode table
+  :data:`~repro.trace.record.OPCODE_ROWS`), which is cheaper than
+  re-running ``TraceRecord.__init__``; ``rows()``, the engine's path,
+  builds every row in one pass over the columns' ``tolist()`` and
+  shares one ``src_regs`` tuple per packed ``srcs`` word.
 
 Column access returns plain Python ints at ``list``-like speed: columns
 are ``memoryview.cast`` views over one backing buffer (or ``array.array``
@@ -55,12 +58,13 @@ renumbered captures).
 
 from __future__ import annotations
 
+import gc
 import sys
 from array import array
 from typing import Callable, Iterator
 
-from repro.isa.opcodes import CLASS_LATENCY, OPCODE_BY_CODE, OpClass, Opcode
-from repro.trace.record import TraceRecord
+from repro.isa.opcodes import OPCODE_BY_CODE
+from repro.trace.record import OPCODE_ROWS, TraceRecord
 
 _MASK64 = (1 << 64) - 1
 
@@ -84,56 +88,46 @@ KIND_INDIRECT = 32
 MAX_SRC_REGS = 3
 
 
-def _kind_bits(opclass: OpClass) -> int:
-    bits = 0
-    if opclass is OpClass.BRANCH:
-        bits |= KIND_BRANCH
-    if opclass in (OpClass.BRANCH, OpClass.JUMP, OpClass.IJUMP):
-        bits |= KIND_CONTROL
-    if opclass is OpClass.LOAD:
-        bits |= KIND_LOAD | KIND_MEMORY
-    if opclass is OpClass.STORE:
-        bits |= KIND_STORE | KIND_MEMORY
-    if opclass is OpClass.IJUMP:
-        bits |= KIND_INDIRECT
-    return bits
+def _kind_bits(row: tuple | None) -> int:
+    """The kind byte of one :data:`~repro.trace.record.OPCODE_ROWS`
+    entry (0 for a code with no opcode)."""
+    if row is None:
+        return 0
+    is_load, is_store, is_memory, is_branch, is_control, is_indirect = row[2:8]
+    return (
+        (KIND_BRANCH if is_branch else 0)
+        | (KIND_CONTROL if is_control else 0)
+        | (KIND_LOAD if is_load else 0)
+        | (KIND_STORE if is_store else 0)
+        | (KIND_MEMORY if is_memory else 0)
+        | (KIND_INDIRECT if is_indirect else 0)
+    )
 
 
 #: opcode code -> kind byte, as a 256-entry translate table so deriving
 #: the whole kind column is one ``bytes.translate`` call.  Codes with no
 #: opcode map to 0 (validity is checked separately via ``_VALID_CODES``).
-_KIND_TABLE = bytes(
-    _kind_bits(OPCODE_BY_CODE[code].opclass) if code in OPCODE_BY_CODE else 0
-    for code in range(256)
-)
+_KIND_TABLE = bytes(_kind_bits(row) for row in OPCODE_ROWS)
 
 _VALID_CODES = frozenset(OPCODE_BY_CODE)
 
-#: opcode code -> (opcode, opclass, is_load, is_store, is_memory,
-#: is_branch, is_control, is_indirect, exec_latency, sel_priority,
-#: is_ctrl) for row materialization; None for invalid codes.  Kept in
-#: lockstep with ``repro.trace.record._CLASS_FLAGS``.
-_ROW_INFO: list[tuple | None] = [None] * 256
-for _code, _op in OPCODE_BY_CODE.items():
-    _oc = _op.opclass
-    _ROW_INFO[_code] = (
-        _op,
-        _oc,
-        _oc is OpClass.LOAD,
-        _oc is OpClass.STORE,
-        _oc is OpClass.LOAD or _oc is OpClass.STORE,
-        _oc is OpClass.BRANCH,
-        _oc is OpClass.BRANCH or _oc is OpClass.JUMP or _oc is OpClass.IJUMP,
-        _oc is OpClass.IJUMP,
-        CLASS_LATENCY[_oc],
-        0 if _oc is OpClass.BRANCH or _oc is OpClass.LOAD else 1,
-        _oc is OpClass.BRANCH or _oc is OpClass.IJUMP,
-    )
-del _code, _op, _oc
+#: flags byte -> the row's ``branch_taken`` (``None`` without an outcome).
+_TAKEN_BY_FLAGS = tuple(
+    bool(flags & FLAG_BRANCH_TAKEN) if flags & FLAG_HAS_BRANCH else None
+    for flags in range(256)
+)
 
-#: Pre-sliced src_regs tuples for the common arities (count 0/1/2 cover
-#: every ISA instruction; 3 is headroom for synthetic traces).
-_EMPTY_SRCS: tuple[int, ...] = ()
+
+def _unpack_srcs(packed: int) -> tuple[int, ...]:
+    """The ``src_regs`` tuple a packed ``srcs`` word stands for."""
+    count = packed & 0xFF
+    if count == 0:
+        return ()
+    if count == 1:
+        return ((packed >> 8) & 0xFF,)
+    if count == 2:
+        return ((packed >> 8) & 0xFF, (packed >> 16) & 0xFF)
+    return ((packed >> 8) & 0xFF, (packed >> 16) & 0xFF, (packed >> 24) & 0xFF)
 
 
 class ColumnarTraceError(ValueError):
@@ -365,7 +359,7 @@ class ColumnarTrace:
     # -- row views ---------------------------------------------------------
 
     def _materialize(self, index: int) -> TraceRecord:
-        info = _ROW_INFO[self.opcode[index]]
+        info = OPCODE_ROWS[self.opcode[index]]
         if info is None:
             raise ColumnarTraceError(
                 f"unknown opcode byte {self.opcode[index]:#x} at row {index}"
@@ -386,20 +380,7 @@ class ColumnarTrace:
             rec.sel_priority,
             rec.is_ctrl,
         ) = info
-        packed = self.srcs[index]
-        nsrcs = packed & 0xFF
-        if nsrcs == 0:
-            rec.src_regs = _EMPTY_SRCS
-        elif nsrcs == 1:
-            rec.src_regs = ((packed >> 8) & 0xFF,)
-        elif nsrcs == 2:
-            rec.src_regs = ((packed >> 8) & 0xFF, (packed >> 16) & 0xFF)
-        else:
-            rec.src_regs = (
-                (packed >> 8) & 0xFF,
-                (packed >> 16) & 0xFF,
-                (packed >> 24) & 0xFF,
-            )
+        rec.src_regs = _unpack_srcs(self.srcs[index])
         flags = self.flags[index]
         if flags & FLAG_HAS_DEST:
             dest = self.dest_reg[index]
@@ -416,9 +397,7 @@ class ColumnarTrace:
         else:
             rec.mem_addr = None
             rec.mem_size = None
-        rec.branch_taken = (
-            bool(flags & FLAG_BRANCH_TAKEN) if flags & FLAG_HAS_BRANCH else None
-        )
+        rec.branch_taken = _TAKEN_BY_FLAGS[flags]
         rec.next_pc = self.next_pc[index]
         rec.dest_fold = self.dest_fold[index]
         self._materialized += 1
@@ -439,12 +418,107 @@ class ColumnarTrace:
         read-only.
         """
         if self._materialized < self._count:
-            rows = self._rows
-            materialize = self._materialize
-            for index in range(self._count):
-                if rows[index] is None:
-                    rows[index] = materialize(index)
-        return self._rows  # fully populated from here on
+            built = self._materialize_all()
+            if self._materialized:  # keep the rows already handed out
+                for index, rec in enumerate(self._rows):
+                    if rec is not None:
+                        built[index] = rec
+            self._rows = built
+            self._materialized = self._count
+        return self._rows
+
+    def _materialize_all(self) -> list[TraceRecord]:
+        """Every row, built in one pass over the columns' ``tolist()``.
+
+        The same records as :meth:`_materialize`, slot for slot, with
+        equal immutable parts shared: rows with the same packed ``srcs``
+        word share one ``src_regs`` tuple, a row's ``pc`` is the previous
+        row's ``next_pc`` object when they are equal, and ``dest_fold``
+        is the ``dest_value`` object when they are equal.
+
+        The cycle collector is paused for the pass, as
+        ``PipelineSimulator.run`` pauses it: every object built here is
+        acyclic and kept, so its gen-0 sweeps would only re-scan the new
+        records.
+        """
+        new = TraceRecord.__new__
+        opcode_rows = OPCODE_ROWS
+        taken_by_flags = _TAKEN_BY_FLAGS
+        srcs_by_word: dict[int, tuple[int, ...]] = {}
+        built: list[TraceRecord] = []
+        append = built.append
+        seq = self._seq_base
+        fall_through = None
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            for (
+                pc, next_pc, value, addr, word, fold, code, flags, size, dest
+            ) in zip(
+                self.pc.tolist(),
+                self.next_pc.tolist(),
+                self.dest_value.tolist(),
+                self.mem_addr.tolist(),
+                self.srcs.tolist(),
+                self.dest_fold.tolist(),
+                self.opcode.tolist(),
+                self.flags.tolist(),
+                self.mem_size.tolist(),
+                self.dest_reg.tolist(),
+            ):
+                info = opcode_rows[code]
+                if info is None:
+                    raise ColumnarTraceError(
+                        f"unknown opcode byte {code:#x} at row "
+                        f"{seq - self._seq_base}"
+                    )
+                rec = new(TraceRecord)
+                rec.seq = seq
+                seq += 1
+                # Most rows start where the previous one fell through to:
+                # share that int object rather than hold an equal copy.
+                rec.pc = fall_through if pc == fall_through else pc
+                (
+                    rec.opcode,
+                    rec.opclass,
+                    rec.is_load,
+                    rec.is_store,
+                    rec.is_memory,
+                    rec.is_branch,
+                    rec.is_control,
+                    rec.is_indirect,
+                    rec.exec_latency,
+                    rec.sel_priority,
+                    rec.is_ctrl,
+                ) = info
+                srcs = srcs_by_word.get(word)
+                if srcs is None:
+                    srcs = srcs_by_word[word] = _unpack_srcs(word)
+                rec.src_regs = srcs
+                if flags & FLAG_HAS_DEST:
+                    rec.dest_reg = dest
+                    rec.dest_value = value
+                    rec.writes_register = dest != 0
+                else:
+                    rec.dest_reg = None
+                    rec.dest_value = None
+                    rec.writes_register = False
+                if flags & FLAG_HAS_MEM:
+                    rec.mem_addr = addr
+                    rec.mem_size = size
+                else:
+                    rec.mem_addr = None
+                    rec.mem_size = None
+                rec.branch_taken = taken_by_flags[flags]
+                rec.next_pc = fall_through = next_pc
+                # A 16-bit value folds to itself: share the value object.
+                rec.dest_fold = value if fold == value else fold
+                append(rec)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        return built
 
     # -- sequence protocol -------------------------------------------------
 

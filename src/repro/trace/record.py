@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from repro.isa.opcodes import CLASS_LATENCY, OpClass, Opcode
+from repro.isa.opcodes import (
+    CLASS_LATENCY,
+    OPCLASS_BY_OPCODE,
+    OPCODE_BY_CODE,
+    OpClass,
+    Opcode,
+)
 
 #: Width of the precomputed ``dest_fold`` value fold.  The value-prediction
 #: subsystem folds 64-bit values into ``context_bits``-wide chunks on every
@@ -13,29 +19,41 @@ FOLD_BITS = 16
 
 _MASK64 = (1 << 64) - 1
 
-#: Classification flags (plus functional-unit latency) per operation
-#: class, precomputed once so record construction (which runs for every
-#: wrong-path instruction synthesized during simulation) is one dict
-#: lookup plus a tuple unpack.
-_CLASS_FLAGS = {
-    opclass: (
-        opclass is OpClass.LOAD,
-        opclass is OpClass.STORE,
-        opclass is OpClass.LOAD or opclass is OpClass.STORE,
-        opclass is OpClass.BRANCH,
-        opclass is OpClass.BRANCH
-        or opclass is OpClass.JUMP
-        or opclass is OpClass.IJUMP,
-        opclass is OpClass.IJUMP,
-        CLASS_LATENCY[opclass],
+#: The one per-opcode flag table, indexed by the opcode's stable code
+#: (:data:`~repro.isa.opcodes.OPCODE_BY_CODE`): ``(opcode, opclass,
+#: is_load, is_store, is_memory, is_branch, is_control, is_indirect,
+#: exec_latency, sel_priority, is_ctrl)`` in :class:`TraceRecord` slot
+#: order, or ``None`` for a code with no opcode.  ``TraceRecord``
+#: construction, columnar row materialization and wrong-path synthesis
+#: all unpack these tuples straight into the record's slots.
+OPCODE_ROWS: list[tuple | None] = [None] * 256
+for _code, _op in OPCODE_BY_CODE.items():
+    _oc = OPCLASS_BY_OPCODE[_op]
+    OPCODE_ROWS[_code] = (
+        _op,
+        _oc,
+        _oc is OpClass.LOAD,
+        _oc is OpClass.STORE,
+        _oc is OpClass.LOAD or _oc is OpClass.STORE,
+        _oc is OpClass.BRANCH,
+        _oc is OpClass.BRANCH or _oc is OpClass.JUMP or _oc is OpClass.IJUMP,
+        _oc is OpClass.IJUMP,
+        CLASS_LATENCY[_oc],
         # Engine-side derived fields, precomputed here so dispatch writes
         # them straight into the reservation station: selection priority
         # class (0 = branch/load, 1 = everything else) and the
         # control-transfer flag the wakeup predicate gates on.
-        0 if opclass is OpClass.BRANCH or opclass is OpClass.LOAD else 1,
-        opclass is OpClass.BRANCH or opclass is OpClass.IJUMP,
+        0 if _oc is OpClass.BRANCH or _oc is OpClass.LOAD else 1,
+        _oc is OpClass.BRANCH or _oc is OpClass.IJUMP,
     )
-    for opclass in OpClass
+del _code, _op, _oc
+
+#: :data:`OPCODE_ROWS` keyed by mnemonic.  ``Opcode._value_`` is a plain
+#: instance attribute and a ``str`` caches its hash, whereas the
+#: ``opcode``/``code`` properties and ``Enum.__hash__`` run Python code
+#: on every lookup.
+_ROW_BY_MNEMONIC = {
+    row[0]._value_: row for row in OPCODE_ROWS if row is not None
 }
 
 
@@ -121,9 +139,6 @@ class TraceRecord:
     ):
         self.seq = seq
         self.pc = pc
-        self.opcode = opcode
-        opclass = opcode.opclass
-        self.opclass = opclass
         self.src_regs = src_regs
         self.dest_reg = dest_reg
         self.dest_value = dest_value
@@ -132,6 +147,8 @@ class TraceRecord:
         self.branch_taken = branch_taken
         self.next_pc = next_pc
         (
+            self.opcode,
+            self.opclass,
             self.is_load,
             self.is_store,
             self.is_memory,
@@ -141,7 +158,7 @@ class TraceRecord:
             self.exec_latency,
             self.sel_priority,
             self.is_ctrl,
-        ) = _CLASS_FLAGS[opclass]
+        ) = _ROW_BY_MNEMONIC[opcode._value_]
         #: True when the instruction produces a register value — the
         #: eligibility condition for value prediction.
         self.writes_register = dest_reg is not None and dest_reg != 0

@@ -27,6 +27,24 @@ def test_an_on_spelling_names_no_directory(spelling, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spelling", ["1", "on", " ON ", "true", "yes"])
+def test_an_on_spelling_names_no_store_directory(
+    spelling, monkeypatch, tmp_path, capsys
+):
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(env.EnvError, match="--store"):
+        result_store.resolve_store(spelling)
+    assert main(["serve", "--store", spelling, "--bind", "127.0.0.1:0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"repro: --store={spelling!r}: names no directory (give a path, or off)"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_directory_value_is_stripped(monkeypatch, tmp_path):
     monkeypatch.setenv(result_store.ENV_VAR, f" {tmp_path} ")
     assert result_store.store_dir() == tmp_path

@@ -159,3 +159,106 @@ def test_wrong_path_memo_hit_preserves_stream_state(monkeypatch):
     # copy or reset the recorded prefix).
     assert fetch_mod._wrong_path_cache(11, 0x4000) is cache
     assert cache[0] == ["sentinel-record"]
+
+
+# -- wrong-path synthesis ---------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def _reference_mix(state):
+    state = (state ^ (state >> 33)) * 0xFF51AFD7ED558CCD & _MASK64
+    return (state ^ (state >> 33)) & _MASK64
+
+
+def _reference_stream(seed, start_pc, length):
+    """The wrong-path stream for ``(seed, start_pc)``, each record built
+    through the keyword ``TraceRecord(...)`` from the stream's draws."""
+    state = _reference_mix(seed | 1)
+    pc = start_pc
+    out = []
+    for _ in range(length):
+        state = _reference_mix(state)
+        next_pc = pc + 8
+        roll = state % 100
+        src = (8 + (state >> 16) % 8,)
+        if roll >= 90:
+            out.append(TraceRecord(
+                seq=-1, pc=pc, opcode=Opcode.BNE, src_regs=src,
+                branch_taken=bool(state & 1), next_pc=next_pc,
+            ))
+        else:
+            opcode, mem_addr, mem_size = (
+                (Opcode.ADD, None, None) if roll < 70
+                else (Opcode.LD, 0x600000 + ((state >> 24) & 0xFFF) * 8, 8)
+                if roll < 85
+                else (Opcode.MUL, None, None)
+            )
+            out.append(TraceRecord(
+                seq=-1, pc=pc, opcode=opcode, src_regs=src,
+                dest_reg=8 + (state >> 8) % 8, dest_value=state & 0xFFFF,
+                mem_addr=mem_addr, mem_size=mem_size, next_pc=next_pc,
+            ))
+        pc = next_pc
+    return out
+
+
+def _assert_same_slots(got, want):
+    for name in TraceRecord.__slots__:
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert type(mine) is type(theirs), name
+        assert mine == theirs, name
+
+
+def test_synthesized_records_equal_keyword_construction(monkeypatch):
+    import repro.frontend.fetch as fetch_mod
+
+    monkeypatch.setattr(fetch_mod, "_WP_STREAMS", {})
+    for stream_no in range(1000):
+        seed = 7 ^ (stream_no * 2654435761)
+        start_pc = 0x4000 + 8 * stream_no
+        stream = fetch_mod._wrong_path_cache(seed, start_pc)
+        got = [fetch_mod._extend_stream(stream) for _ in range(60)]
+        assert got == stream[0]
+        for mine, theirs in zip(got, _reference_stream(seed, start_pc, 60)):
+            _assert_same_slots(mine, theirs)
+
+
+def test_synthesized_records_share_their_immutable_parts(monkeypatch):
+    import repro.frontend.fetch as fetch_mod
+
+    monkeypatch.setattr(fetch_mod, "_WP_STREAMS", {})
+    stream = fetch_mod._wrong_path_cache(3, 0x4000)
+    records = [fetch_mod._extend_stream(stream) for _ in range(400)]
+    by_regs = {}
+    for rec in records:
+        assert by_regs.setdefault(rec.src_regs, rec.src_regs) is rec.src_regs
+        if rec.dest_value is not None:
+            assert rec.dest_fold is rec.dest_value
+    assert len(by_regs) == 8
+    # Each record's next_pc is the object the following record's pc is.
+    assert all(a.next_pc is b.pc for a, b in zip(records, records[1:]))
+
+
+def _mispredicting_trace():
+    return [_branch_record(0, 0x1000, True, 0x4000),
+            TraceRecord(1, 0x4000, Opcode.ADD, (4,), 8, 0, next_pc=0x4008)]
+
+
+def test_synthesized_wrong_path_counts_cold_and_warm_memo(monkeypatch):
+    import repro.frontend.fetch as fetch_mod
+
+    monkeypatch.setattr(fetch_mod, "_WP_STREAMS", {})
+
+    def wrong_path_run():
+        engine = FetchEngine(_mispredicting_trace(), None, GsharePredictor())
+        engine.fetch(0, 1)
+        fetched = [f.rec for cycle in (1, 2, 3) for f in engine.fetch(cycle, 8)]
+        assert engine.fetched_wrong_path == len(fetched) == 24
+        return engine, fetched
+
+    cold, cold_records = wrong_path_run()
+    assert (cold.synthesized_wrong_path, cold.replayed_wrong_path) == (24, 0)
+    warm, warm_records = wrong_path_run()
+    assert (warm.synthesized_wrong_path, warm.replayed_wrong_path) == (0, 24)
+    assert all(a is b for a, b in zip(cold_records, warm_records))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.isa.opcodes import INSTRUCTION_BYTES, Opcode
-from repro.programs.suite import KernelSpec, kernel
+from repro.programs.suite import KernelSpec, kernel, kernel_names
 from repro.trace import cache as trace_cache
 from repro.trace.binary import (
     BinaryTraceError,
@@ -417,3 +417,83 @@ def test_warm_jobs4_sweep_zero_worker_materializations(
     assert capture_counter["count"] == 1  # no parent-side re-capture
     assert [r.counters for r in fanned] == [r.counters for r in serial]
     assert [r.cycles for r in fanned] == [r.cycles for r in serial]
+
+
+# -- bulk row materialization ----------------------------------------------
+
+
+def _assert_rows_equal_single_path(trace):
+    """``rows()`` (built in one pass) equals ``_materialize(i)`` (the
+    single-row path), slot for slot and type for type."""
+    rows = trace.rows()
+    assert len(rows) == len(trace)
+    for index, rec in enumerate(rows):
+        single = trace._materialize(index)
+        for name in TraceRecord.__slots__:
+            mine, theirs = getattr(rec, name), getattr(single, name)
+            assert type(mine) is type(theirs), (index, name)
+            assert mine == theirs, (index, name)
+
+
+@pytest.mark.parametrize("name", kernel_names())
+def test_bulk_rows_equal_single_rows_on_every_kernel(name):
+    _assert_rows_equal_single_path(
+        ColumnarTrace.from_records(kernel(name).trace(max_instructions=3000))
+    )
+
+
+def test_bulk_rows_equal_single_rows_on_chunks_with_a_seq_base():
+    records = kernel("go").trace(max_instructions=2500)
+    chunked = loads_trace_chunked(dumps_trace_chunked(records, 1000))
+    assert chunked.chunk_count == 3
+    for index in range(chunked.chunk_count):
+        chunk = chunked.chunk(index)
+        _assert_rows_equal_single_path(chunk)
+        assert chunk.rows()[0].seq == 1000 * index
+    assert [rec.seq for rec in chunked] == list(range(len(records)))
+
+
+def test_bulk_rows_equal_single_rows_on_a_three_source_row():
+    trace = ColumnarTrace.from_records(
+        [_rec(0, 0, src_regs=(1, 2, 3), dest_reg=4, dest_value=9),
+         _rec(1, 8, src_regs=(5,)),
+         _rec(2, 16, src_regs=(1, 2, 3))]
+    )
+    _assert_rows_equal_single_path(trace)
+    assert trace.rows()[0].src_regs == (1, 2, 3)
+
+
+def test_bulk_rows_intern_src_regs_and_keep_rows_handed_out():
+    trace = ColumnarTrace.from_records(kernel("compress").trace(max_instructions=800))
+    early = trace[5]
+    rows = trace.rows()
+    assert rows[5] is early
+    by_regs = {}
+    for rec in rows[6:]:
+        assert by_regs.setdefault(rec.src_regs, rec.src_regs) is rec.src_regs
+        if rec.dest_value is not None and rec.dest_value == rec.dest_fold:
+            assert rec.dest_fold is rec.dest_value
+    for before, after in zip(rows[6:], rows[7:]):
+        if before.next_pc == after.pc:
+            assert after.pc is before.next_pc
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+def test_bulk_rows_restore_the_collector_after_a_bad_opcode(collector_on):
+    import gc
+
+    from repro.trace.columnar import new_columns, record_row, row_appender
+
+    columns = new_columns()
+    row = row_appender(columns)
+    row(*record_row(_rec(0, 0)))
+    row(*record_row(_rec(1, 8))[:-1], 0xFE)  # no opcode has code 0xFE
+    trace = ColumnarTrace(columns, 2)
+    was_enabled = gc.isenabled()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        with pytest.raises(ColumnarTraceError, match="0xfe at row 1"):
+            trace.rows()
+        assert gc.isenabled() is collector_on
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
