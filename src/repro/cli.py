@@ -295,15 +295,6 @@ def _print_status_text(status: dict, title: str) -> None:
     queue = status.get("queue")
     if isinstance(queue, dict):
         print(f"  queue    {queue.get('depth', 0)}/{queue.get('max', '?')}")
-    clients = status.get("clients")
-    if isinstance(clients, dict) and clients:
-        print(f"  clients  {len(clients)}")
-        for name, lane in sorted(clients.items()):
-            print(
-                f"    {name}: queued={lane.get('queued', 0)} "
-                f"weight={lane.get('weight', 1.0)} "
-                f"dispatched={lane.get('dispatched', 0)}"
-            )
     store = status.get("store")
     if isinstance(store, dict):
         if store.get("enabled"):
@@ -363,24 +354,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import ServiceConfig, SimulationService
 
     host, port = parse_address(args.bind)
-    config = ServiceConfig(
-        host=host,
-        port=port,
-        store=_store_option(args),
-        backend=args.backend,
-        jobs=args.jobs if args.jobs is not None else 1,
-        max_queue=args.max_queue,
-        store_max_entries=args.store_max_entries,
-        heartbeat_timeout=args.heartbeat_timeout,
-        lease_timeout=args.lease_timeout,
-        max_attempts=args.max_attempts,
-    )
+    store = _store_option(args)
+    try:
+        config = ServiceConfig(
+            host=host,
+            port=port,
+            store=store,
+            backend=args.backend,
+            jobs=args.jobs,
+            max_queue=args.max_queue,
+            store_max_entries=args.store_max_entries,
+            heartbeat_timeout=args.heartbeat_timeout,
+            lease_timeout=args.lease_timeout,
+            max_attempts=args.max_attempts,
+        )
+    except ValueError as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
     service = SimulationService(config)
     bound = service.start()
     address = f"{bound[0]}:{bound[1]}"
     print(f"simulation service listening on http://{address}/v1/")
     _print_store_line(service.store_dir)
-    print(f"backend: {config.backend} (jobs={config.jobs})")
+    print(f"backend: {config.backend} (jobs={service.width})")
     if config.backend == "cluster":
         print(f"workers connect with: repro cluster work --connect {address}")
     print(f"submit with: repro submit <id> --connect {address}")
@@ -546,6 +542,9 @@ def _address_option(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.service.server import BACKENDS as SERVICE_BACKENDS
+    from repro.service.server import ServiceConfig
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Modeling Value Speculation' (HPCA 2002)",
@@ -686,36 +685,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_store_option(service_parser)
     service_parser.add_argument(
-        "--store-max-entries", type=int, default=None, metavar="N",
+        "--store-max-entries", type=int,
+        default=ServiceConfig.store_max_entries, metavar="N",
         help="evict oldest store entries beyond this count after each "
         "dispatch cycle or worker result (default: unbounded)",
     )
     service_parser.add_argument(
-        "--backend", choices=("serial", "pool", "cluster"), default="serial",
+        "--backend", choices=SERVICE_BACKENDS, default=ServiceConfig.backend,
         help="how admitted jobs execute; cluster leases them to "
-        "`repro cluster work` workers (default: serial)",
+        "`repro cluster work` workers (default: %(default)s)",
     )
     service_parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="process-pool width for --backend pool",
+        "--jobs", type=int, default=ServiceConfig.jobs, metavar="N",
+        help="process-pool width for --backend pool; 0 uses every core "
+        "(default: %(default)s)",
     )
     service_parser.add_argument(
-        "--max-queue", type=int, default=256, metavar="N",
+        "--max-queue", type=int, default=ServiceConfig.max_queue,
+        metavar="N",
         help="admission bound: queued jobs beyond this draw 429 "
-        "(default: 256)",
+        "(default: %(default)s)",
     )
     service_parser.add_argument(
-        "--heartbeat-timeout", type=float, default=8.0, metavar="SECONDS",
-        help="--backend cluster: presume a silent worker dead after this long",
+        "--heartbeat-timeout", type=float,
+        default=ServiceConfig.heartbeat_timeout, metavar="SECONDS",
+        help="--backend cluster: presume a silent worker dead after this "
+        "long (default: %(default)s)",
     )
     service_parser.add_argument(
-        "--lease-timeout", type=float, default=600.0, metavar="SECONDS",
+        "--lease-timeout", type=float, default=ServiceConfig.lease_timeout,
+        metavar="SECONDS",
         help="--backend cluster: requeue a leased job whose worker stopped "
-        "heartbeating for it within this long",
+        "heartbeating for it within this long (default: %(default)s)",
     )
     service_parser.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
-        help="--backend cluster: per-job attempt budget before it fails",
+        "--max-attempts", type=int, default=ServiceConfig.max_attempts,
+        metavar="N",
+        help="--backend cluster: per-job attempt budget before it fails "
+        "(default: %(default)s)",
     )
     service_parser.set_defaults(func=_cmd_serve)
 

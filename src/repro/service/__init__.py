@@ -6,7 +6,7 @@ Submodules (import them directly — this package stays lazy so that
 machinery into a plain sweep):
 
 * :mod:`repro.service.results` — the content-addressed result store
-* :mod:`repro.service.admission` — bounded weighted-fair admission queue
-* :mod:`repro.service.server` — the HTTP/JSON service itself
+* :mod:`repro.service.server` — the HTTP/JSON service itself, with its
+  bounded admission queue drained in arrival order
 * :mod:`repro.service.client` — client library + ``run_jobs`` adapter
 """

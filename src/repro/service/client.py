@@ -120,15 +120,15 @@ class ServiceClient:
         port: int,
         *,
         client_id: str | None = None,
-        weight: float = 1.0,
         timeout: float = 30.0,
         poll_interval: float = 0.05,
         chunk: int = DEFAULT_CHUNK,
     ):
         self.host = host
         self.port = int(port)
+        #: Sent with each submission as ``client``; the service does not
+        #: read it.
         self.client_id = client_id or f"pid-{os.getpid()}"
-        self.weight = weight
         self.timeout = timeout
         self.poll_interval = poll_interval
         self.chunk = max(1, int(chunk))
@@ -197,8 +197,7 @@ class ServiceClient:
             status, headers, doc = self._request(
                 "POST",
                 "/v1/submit",
-                {"jobs": batch, "client": self.client_id,
-                 "weight": self.weight},
+                {"jobs": batch, "client": self.client_id},
             )
             if status == 429:
                 delay = _retry_after(headers, doc)
@@ -233,7 +232,7 @@ class ServiceClient:
             {"key": job_key(job), "blob": job_to_blob(job)}
             for job in job_list
         ]
-        body = {"jobs": docs, "client": self.client_id, "weight": self.weight}
+        body = {"jobs": docs, "client": self.client_id}
         if timeout is not None:
             body["timeout"] = timeout
         status, headers, doc = self._request("POST", "/v1/run", body)

@@ -13,8 +13,8 @@ never recomputed**:
 * a request whose job key is already queued or running *joins* the
   in-flight execution — one execution per ``job_key``, every waiter
   shares the result;
-* only genuinely new keys are admitted to the bounded fair queue
-  (:mod:`repro.service.admission`) and executed, then persisted to the
+* only genuinely new keys are admitted to the bounded queue, which
+  is drained in arrival order, and executed, then persisted to the
   store before waiters are released, so a service restart mid-burst
   serves every completed point from disk.
 
@@ -74,9 +74,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -87,7 +89,6 @@ from repro.cluster.serial import (
 )
 from repro.harness import parallel
 from repro.service import results as result_store
-from repro.service.admission import FairQueue, clamp_weight
 from repro.service.client import MAX_BODY
 
 #: How admitted jobs execute (see the module docstring).
@@ -99,6 +100,10 @@ BACKENDS = ("serial", "pool", "cluster")
 BACKOFF_BASE = 0.25
 BACKOFF_CAP = 5.0
 BACKOFF_JITTER = 0.25
+
+#: The ``Retry-After`` advice of a 429 is clamped to this range (seconds).
+RETRY_AFTER_FLOOR = 0.5
+RETRY_AFTER_CAP = 30.0
 
 #: The worker-plane endpoints (``backend="cluster"`` only).
 WORKER_PLANE = ("/v1/lease", "/v1/heartbeat", "/v1/result")
@@ -118,19 +123,14 @@ class ServiceConfig:
     #: ``pool`` (``run_jobs`` process pool, ``jobs`` wide) or
     #: ``cluster`` (leased to ``repro cluster work`` workers).
     backend: str = "serial"
+    #: Jobs the dispatcher drains per cycle, and the ``pool`` width;
+    #: below 1 means every core, as ``parallel.effective_jobs`` reads it.
     jobs: int = 1
     #: Queue bound: queued-but-not-dispatched jobs across all clients.
     max_queue: int = 256
-    #: Jobs the dispatcher drains per cycle (fairness granularity vs
-    #: pool amortization); ``None`` = ``max(jobs, 1)``.
-    dispatch_window: int | None = None
-    default_weight: float = 1.0
     #: Result-store entry budget, enforced after each dispatch cycle
     #: and each worker result (``None`` = unbounded).
     store_max_entries: int | None = None
-    #: Retry-After bounds for 429 responses.
-    retry_after_floor: float = 0.5
-    retry_after_cap: float = 30.0
     # The worker plane (backend="cluster").  The defaults suit a real
     # deployment; tests shrink them to keep recovery sub-second.
     #: A worker is presumed dead after this long without any request;
@@ -138,7 +138,7 @@ class ServiceConfig:
     heartbeat_timeout: float = 8.0
     #: Revocation of a lease whose worker stopped heartbeating for it
     #: (heartbeats extend the lease).
-    lease_timeout: float = 60.0
+    lease_timeout: float = 600.0
     #: Leases one key may consume before it fails.
     max_attempts: int = 3
     #: Idle workers poll, and the monitor checks liveness, this often.
@@ -152,6 +152,23 @@ class ServiceConfig:
             raise ValueError(
                 f"unknown service backend {self.backend!r} "
                 f"(expected one of {BACKENDS})"
+            )
+        for name in ("max_queue", "max_attempts"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)}"
+                )
+        for name in ("heartbeat_timeout", "lease_timeout", "poll_interval"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # also NaN
+                raise ValueError(
+                    f"{name} must be a positive number of seconds, "
+                    f"got {value}"
+                )
+        if self.store_max_entries is not None and self.store_max_entries < 0:
+            raise ValueError(
+                f"store_max_entries must be at least 0, "
+                f"got {self.store_max_entries}"
             )
 
 
@@ -284,9 +301,15 @@ class SimulationService:
         self.config = config or ServiceConfig()
         self.tracer = tracer
         self.store_dir = result_store.resolve_store(self.config.store)
+        #: Jobs per dispatch cycle and the pool width, resolved once.
+        self.width = (self.config.jobs if self.config.jobs >= 1
+                      else os.cpu_count() or 1)
         self._lock = threading.RLock()
         self._entries: dict[str, _Entry] = {}
-        self._queue = FairQueue(self.config.max_queue)
+        # Admitted keys awaiting the dispatcher or a lease, in arrival
+        # order; ``_ready`` (on ``_lock``) wakes the dispatcher.
+        self._queue: deque[_Entry] = deque()
+        self._ready = threading.Condition(self._lock)
         self.stats = _Stats()
         self._stopping = threading.Event()
         self._httpd: ThreadingHTTPServer | None = None
@@ -323,8 +346,9 @@ class SimulationService:
         return self.address
 
     def stop(self) -> None:
-        self._stopping.set()
-        self._queue.close()
+        with self._lock:  # refuse further submissions, wake the dispatcher
+            self._stopping.set()
+            self._ready.notify_all()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -358,13 +382,7 @@ class SimulationService:
 
     # -- submission (HTTP handler side) ------------------------------------
 
-    def submit(
-        self,
-        jobs: list[dict],
-        *,
-        client: str = "anonymous",
-        weight: float | None = None,
-    ) -> dict:
+    def submit(self, jobs: list[dict]) -> dict:
         """Admit a job list; returns the receipt with per-key
         dispositions: ``store`` (already in the persistent store),
         ``done`` (computed earlier by this instance), ``joined``
@@ -373,12 +391,10 @@ class SimulationService:
         and ``done`` are warm hits.
 
         Raises :class:`Backpressure` — admitting *nothing* — when the
-        new work does not fit the queue bound, and ``ValueError`` for a
-        malformed or key-mismatched entry (nothing admitted either).
+        new work does not fit the queue bound or the service is
+        stopping, and ``ValueError`` for a malformed or key-mismatched
+        entry (nothing admitted either).
         """
-        weight = clamp_weight(
-            self.config.default_weight if weight is None else weight
-        )
         parsed: list[tuple[str, object, str]] = []
         for doc in jobs:
             if not isinstance(doc, dict):
@@ -423,11 +439,14 @@ class SimulationService:
                 dispositions.append("queued")
                 fresh.append(_Entry(key, job, blob))
                 fresh_keys.add(key)
-            if fresh and not self._queue.offer(client, weight, fresh):
+            full = len(self._queue) + len(fresh) > self.config.max_queue
+            if fresh and (full or self._stopping.is_set()):
                 self.stats.rejected += 1
-                raise Backpressure(self._retry_after(), self._queue.depth())
+                raise Backpressure(self._retry_after(), len(self._queue))
             for entry in fresh:
                 self._entries[entry.key] = entry
+            self._queue.extend(fresh)
+            self._ready.notify()
             warm = dispositions.count("store") + dispositions.count("done")
             self.stats.submitted += len(parsed)
             self.stats.warm_hits += warm
@@ -444,11 +463,9 @@ class SimulationService:
     def _retry_after(self) -> float:
         """Advice for a 429: roughly one queue-drain at the observed
         rate, clamped to something a client can act on."""
-        cfg = self.config
-        per_job = self.stats.ewma_job_seconds or cfg.retry_after_floor
-        window = max(1, cfg.dispatch_window or max(cfg.jobs, 1))
-        estimate = self._queue.depth() * per_job / window
-        return max(cfg.retry_after_floor, min(cfg.retry_after_cap, estimate))
+        per_job = self.stats.ewma_job_seconds or RETRY_AFTER_FLOOR
+        estimate = len(self._queue) * per_job / self.width
+        return max(RETRY_AFTER_FLOOR, min(RETRY_AFTER_CAP, estimate))
 
     # -- results (HTTP handler side) ---------------------------------------
 
@@ -531,6 +548,7 @@ class SimulationService:
                 else:
                     counts[entry.state] += 1
             stats = self.stats.as_dict()
+            depth = len(self._queue)
             now = time.monotonic()
             workers = {
                 w.worker_id: {"leased": w.leased,
@@ -540,15 +558,8 @@ class SimulationService:
         return {
             "type": "status",
             "jobs": counts,
-            "queue": {
-                "depth": self._queue.depth(),
-                "max": self.config.max_queue,
-            },
-            "clients": self._queue.snapshot(),
-            "backend": {
-                "backend": self.config.backend,
-                "jobs": self.config.jobs,
-            },
+            "queue": {"depth": depth, "max": self.config.max_queue},
+            "backend": {"backend": self.config.backend, "jobs": self.width},
             "store": result_store.store_info(self.store_dir),
             "stats": stats,
             "uptime_seconds": round(time.monotonic() - self._started, 3),
@@ -559,22 +570,25 @@ class SimulationService:
     # -- execution: the dispatcher (serial / pool) -------------------------
 
     def _dispatch_loop(self) -> None:
-        window = max(1, self.config.dispatch_window or max(self.config.jobs, 1))
-        while not self._stopping.is_set():
-            entries = self._queue.take(window, timeout=0.1)
-            if not entries:
-                continue
+        """Run up to ``width`` queued keys per cycle, oldest first."""
+        while True:
+            with self._lock:
+                while not self._queue and not self._stopping.is_set():
+                    self._ready.wait()
+                if self._stopping.is_set():
+                    return
+                entries = [self._queue.popleft()
+                           for _ in range(min(self.width, len(self._queue)))]
+                for entry in entries:
+                    entry.state = "running"
             self._dispatch(entries)
 
     def _dispatch(self, entries: list[_Entry]) -> None:
-        with self._lock:
-            for entry in entries:
-                entry.state = "running"
         started = time.perf_counter()
         try:
             results = parallel.run_jobs(
                 [entry.job for entry in entries],
-                jobs=self.config.jobs if self.config.backend == "pool" else 1,
+                jobs=self.width if self.config.backend == "pool" else 1,
                 backend="local",
             )
         except Exception as error:  # a failed cycle fails its entries only
@@ -664,15 +678,13 @@ class SimulationService:
                     "heartbeat_interval": cfg.heartbeat_timeout / 4}
 
     def _next_lease(self, now: float) -> _Entry | None:
-        """Fresh keys in fair-queue order first, then the requeued key
+        """Fresh keys in arrival order first, then the requeued key
         whose backoff ended earliest.  Keys settled while they waited
         (an adopted orphan result) are dropped."""
-        while True:
-            taken = self._queue.take(1, timeout=0)
-            if not taken:
-                break
-            if taken[0].state == "queued":
-                return taken[0]
+        while self._queue:
+            entry = self._queue.popleft()
+            if entry.state == "queued":
+                return entry
         self._retry = [e for e in self._retry if e.state == "queued"]
         eligible = [e for e in self._retry if e.eligible <= now]
         if not eligible:
@@ -926,8 +938,6 @@ def _make_handler(service: SimulationService):
             if not isinstance(jobs, list) or not jobs:
                 self._reply(400, {"error": "submit without jobs"})
                 return
-            client = str(body.get("client") or "anonymous")
-            weight = body.get("weight")
             timeout = body.get("timeout")
             if wait and timeout is not None:
                 try:
@@ -942,7 +952,7 @@ def _make_handler(service: SimulationService):
                     })
                     return
             try:
-                receipt = service.submit(jobs, client=client, weight=weight)
+                receipt = service.submit(jobs)
             except Backpressure as pressure:
                 self._reply(
                     429,

@@ -265,6 +265,36 @@ def test_serve_takes_the_worker_plane_options():
             args.max_attempts) == ("cluster", 3.0, 9.0, 5)
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--max-queue", "0"),
+    ("--max-attempts", "0"),
+    ("--heartbeat-timeout", "0"),
+    ("--heartbeat-timeout", "nan"),
+    ("--lease-timeout", "-1"),
+    ("--store-max-entries", "-1"),
+])
+def test_out_of_range_serve_setting_is_a_one_line_error(option, value,
+                                                        capsys):
+    assert main(["serve", "--store", "off", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro: ")
+    assert captured.err.count("\n") == 1
+    assert option[2:].replace("-", "_") in captured.err
+
+
+def test_serve_defaults_are_the_service_config_defaults():
+    from repro.cli import build_parser
+    from repro.service.server import ServiceConfig
+
+    args = build_parser().parse_args(["serve"])
+    names = ("backend", "jobs", "max_queue", "store_max_entries",
+             "heartbeat_timeout", "lease_timeout", "max_attempts")
+    config = ServiceConfig()
+    assert ({name: getattr(args, name) for name in names}
+            == {name: getattr(config, name) for name in names})
+
+
 def test_figure1_ignores_grid_options_on_submit(monkeypatch, capsys):
     from repro.service.client import ENV_ADDR
 

@@ -94,3 +94,21 @@ def test_performance_doc_tables_every_environment_variable():
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", table, re.MULTILINE)
     assert len(rows) == len(set(rows))
     assert set(rows) == in_code
+
+
+def test_service_doc_lists_every_serve_option():
+    """SERVICE.md's ``repro serve`` reference names exactly the options
+    the ``serve`` subparser takes."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    parsed = {option for action in commands.choices["serve"]._actions
+              for option in action.option_strings
+              if option.startswith("--") and option != "--help"}
+    block = re.search(r"^repro serve .*?(?=^repro )", _read("docs/SERVICE.md"),
+                      re.MULTILINE | re.DOTALL)
+    assert block is not None, "docs/SERVICE.md lost its `repro serve` block"
+    assert set(re.findall(r"--[a-z][a-z-]*", block.group(0))) == parsed

@@ -12,6 +12,7 @@ computed one.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from pathlib import Path
@@ -23,9 +24,12 @@ from repro.core.model import GREAT_MODEL
 from repro.engine.config import ProcessorConfig, paper_config
 from repro.harness.parallel import SimJob, run_jobs
 from repro.service import results as rs
-from repro.service.admission import FairQueue, clamp_weight
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import ServiceConfig, SimulationService
+from repro.service.server import (
+    Backpressure,
+    ServiceConfig,
+    SimulationService,
+)
 
 _CONFIG = paper_config("4/24")
 _LIMIT = 300
@@ -364,71 +368,6 @@ class TestRunJobsStore:
         assert rs.store_dir() is None
 
 
-# -- the admission queue ---------------------------------------------------
-
-
-class TestFairQueue:
-    def test_clamp_weight(self):
-        assert clamp_weight(1.0) == 1.0
-        assert clamp_weight(0.0) == 0.1
-        assert clamp_weight(-5) == 0.1
-        assert clamp_weight(10_000) == 100.0
-        assert clamp_weight(float("nan")) == 1.0
-        assert clamp_weight("bogus") == 1.0
-        assert clamp_weight(None) == 1.0
-
-    def test_offer_is_all_or_nothing(self):
-        queue = FairQueue(max_queue=4)
-        assert queue.offer("a", 1.0, [1, 2, 3])
-        assert not queue.offer("a", 1.0, [4, 5])  # 3 + 2 > 4
-        assert queue.depth() == 3
-        assert queue.offer("a", 1.0, [4])
-        assert queue.depth() == 4
-
-    def test_take_respects_weights(self):
-        queue = FairQueue(max_queue=1000)
-        queue.offer("heavy", 3.0, [("h", i) for i in range(300)])
-        queue.offer("light", 1.0, [("l", i) for i in range(300)])
-        taken = [queue.take(1)[0] for _ in range(200)]
-        heavy = sum(1 for client, _ in taken if client == "h")
-        light = len(taken) - heavy
-        assert heavy == pytest.approx(3 * light, rel=0.1)
-
-    def test_items_fifo_within_a_lane(self):
-        queue = FairQueue()
-        queue.offer("a", 1.0, [1, 2, 3])
-        assert queue.take(3) == [1, 2, 3]
-
-    def test_idle_lane_does_not_bank_credit(self):
-        queue = FairQueue()
-        queue.offer("busy", 1.0, list(range(50)))
-        for _ in range(50):
-            queue.take(1)
-        # "idle" never queued anything while busy ran; when both offer
-        # now, idle must not have accumulated 50 turns of priority —
-        # service alternates rather than draining idle's lane first.
-        queue.offer("busy", 1.0, ["b1", "b2"])
-        queue.offer("idle", 1.0, ["i1", "i2"])
-        first_four = [queue.take(1)[0] for _ in range(4)]
-        assert set(first_four[:2]) == {"b1", "i1"}
-
-    def test_take_timeout_and_close(self):
-        queue = FairQueue()
-        started = time.monotonic()
-        assert queue.take(1, timeout=0.05) == []
-        assert time.monotonic() - started >= 0.04
-        queue.close()
-        assert not queue.offer("a", 1.0, [1])
-        assert queue.take(1, timeout=0.01) == []
-
-    def test_snapshot(self):
-        queue = FairQueue()
-        queue.offer("a", 2.0, [1, 2])
-        queue.take(1)
-        snap = queue.snapshot()
-        assert snap == {"a": {"queued": 1, "weight": 2.0, "dispatched": 1}}
-
-
 # -- the HTTP service ------------------------------------------------------
 
 
@@ -448,7 +387,7 @@ class TestServiceHTTP:
         assert "workers" not in status  # serial: no worker plane
         assert set(status["backend"]) == {"backend", "jobs"}
         assert status["store"]["enabled"] is True
-        assert "queue" in status and "clients" in status
+        assert status["queue"] == {"depth": 0, "max": 256}
 
     def test_submit_verifies_client_claimed_keys(self, tmp_path):
         with SimulationService(ServiceConfig(store=tmp_path / "s")) as service:
@@ -578,9 +517,7 @@ class TestServiceHTTP:
             return real(job_list, **kwargs)
 
         monkeypatch.setattr(server_module.parallel, "run_jobs", gated)
-        config = ServiceConfig(
-            store=tmp_path / "s", max_queue=1, dispatch_window=1
-        )
+        config = ServiceConfig(store=tmp_path / "s", max_queue=1)
         with SimulationService(config) as service:
             client = ServiceClient(*service.address)
             blocked = _job()
@@ -644,30 +581,129 @@ class TestServiceHTTP:
             assert results[0] == run_jobs([job])[0]
             assert service.stats.as_dict()["failed"] == 1
 
-    def test_weighted_clients_visible_in_status(self, tmp_path, monkeypatch):
+
+# -- admission: one bounded queue, drained in arrival order ----------------
+
+
+def _doc(job: SimJob) -> dict:
+    return {"key": job_key(job), "blob": job_to_blob(job)}
+
+
+@pytest.mark.parametrize("setting", [
+    {"max_queue": 0}, {"max_attempts": 0}, {"heartbeat_timeout": 0.0},
+    {"lease_timeout": -1.0}, {"poll_interval": float("nan")},
+    {"store_max_entries": -1},
+])
+def test_config_refuses_out_of_range_settings(setting):
+    (name,) = setting
+    with pytest.raises(ValueError, match=name):
+        ServiceConfig(**setting)
+
+
+class TestAdmission:
+    def test_submission_that_does_not_fit_is_refused_whole(self, tmp_path):
+        pair = [_job(), _job("perl")]
+        config = ServiceConfig(store=tmp_path / "s", max_queue=1)
+        with SimulationService(config) as service:
+            client = ServiceClient(*service.address)
+            code, headers, doc = _post(client, "/v1/submit",
+                                       {"jobs": [_doc(job) for job in pair]})
+            assert code == 429 and doc["depth"] == 0
+            assert int({k.lower(): v for k, v in headers.items()}
+                       ["retry-after"]) >= 1
+            assert [service.entry_state(job_key(job)) for job in pair] == [
+                {"state": "unknown"}, {"state": "unknown"}]
+            assert service.status()["jobs"]["pending"] == 0
+            code, _, doc = _post(client, "/v1/submit",
+                                 {"jobs": [_doc(pair[0])]})
+            assert code == 202 and doc["dispositions"] == ["queued"]
+            assert service.wait([job_key(pair[0])], timeout=30.0)
+            assert service.stats.as_dict()["rejected"] == 1
+
+    def test_serial_dispatcher_runs_keys_in_submission_order(
+        self, tmp_path, monkeypatch
+    ):
         from repro.service import server as server_module
 
         gate = threading.Event()
+        order: list = []
         real = server_module.parallel.run_jobs
 
         def gated(job_list, **kwargs):
             gate.wait(timeout=30.0)
+            order.extend(job_key(job) for job in job_list)
             return real(job_list, **kwargs)
 
         monkeypatch.setattr(server_module.parallel, "run_jobs", gated)
+        names = ("compress", "perl", "go", "m88ksim", "vortex")
         with SimulationService(ServiceConfig(store=tmp_path / "s")) as service:
-            heavy = ServiceClient(*service.address, client_id="heavy",
-                                  weight=4.0)
-            light = ServiceClient(*service.address, client_id="light",
-                                  weight=0.5)
-            keys = heavy.submit([_job()])
-            keys += light.submit([_job(update_timing="I")])
-            status = service.status()
+            threads = list(service._threads)
+            keys: list = []
+            for number, name in enumerate(names):
+                client = ServiceClient(*service.address,
+                                       client_id=f"client-{number % 2}")
+                keys += client.submit([_job(name)])
             gate.set()
             assert service.wait(keys, timeout=30.0)
-        lanes = status["clients"]
-        assert lanes["heavy"]["weight"] == 4.0
-        assert lanes["light"]["weight"] == 0.5
+        assert order == keys
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_leases_go_out_in_submission_order(self, tmp_path):
+        first, second = [_job(), _job("perl")], [_job("go")]
+        config = ServiceConfig(store=tmp_path / "s", backend="cluster")
+        with SimulationService(config) as service:
+            for client_id, jobs in (("one", first), ("two", second)):
+                ServiceClient(*service.address,
+                              client_id=client_id).submit(jobs)
+            leased = [
+                _post(ServiceClient(*service.address), "/v1/lease",
+                      {"worker_id": f"w{number}"})[2]["key"]
+                for number in range(3)
+            ]
+        assert leased == [job_key(job) for job in first + second]
+
+    def test_stop_refuses_submissions_and_releases_waiters(self, tmp_path):
+        config = ServiceConfig(store=tmp_path / "s", backend="cluster")
+        service = SimulationService(config)
+        service.start()
+        threads = list(service._threads)
+        keys = ServiceClient(*service.address).submit([_job()])
+        settled: list = []
+        waiter = threading.Thread(
+            target=lambda: settled.append(service.wait(keys, timeout=30.0))
+        )
+        waiter.start()
+        time.sleep(0.05)  # let the waiter park on the queued key
+        service.stop()
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive() and settled == [True]
+        assert service.entry_state(keys[0]) == {"state": "failed",
+                                                "error": "service stopped"}
+        with pytest.raises(Backpressure):
+            service.submit([_doc(_job("perl"))])
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_pool_with_jobs_0_runs_every_core_per_cycle(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        batches: list = []
+        real = server_module.parallel.run_jobs
+
+        def recording(job_list, **kwargs):
+            batches.append((len(job_list), kwargs["jobs"]))
+            return real(job_list, jobs=1)
+
+        monkeypatch.setattr(server_module.parallel, "run_jobs", recording)
+        jobs = [_job(name) for name in ("compress", "perl", "go", "m88ksim")]
+        config = ServiceConfig(store=tmp_path / "s", backend="pool", jobs=0)
+        with SimulationService(config) as service:
+            keys = ServiceClient(*service.address).submit(jobs)
+            assert service.wait(keys, timeout=60.0)
+            width = service.status()["backend"]["jobs"]
+        assert batches == [(2, 2), (2, 2)] and width == 2
 
 
 # -- the acceptance scenario -----------------------------------------------
