@@ -1,17 +1,16 @@
 """Regenerate the golden trace-entry digests in ``tests/golden/traces/``.
 
 A trace-cache entry is a pure function of (kernel source, instruction
-limit, chunk size), so the sha256 of its VSRT v4 bytes pins the whole
-capture path at once: the functional machine's semantics, the column
-encoding, chunk geometry and the basic-block fingerprints in the index.
+limit), so the sha256 of its VSRT v5 bytes pins the whole capture path
+at once: the functional machine's semantics, the column encoding and
+the entry header.
 ``tests/test_golden_traces.py`` recaptures every entry into a fresh
 cache and compares digests, which is how changes to the functional
 simulator or the trace writer prove they are pure speed changes.
 
 The digests cover every suite kernel at 2,000 and 8,000 instructions,
-compress/perl/xlisp run to completion (also once at a small chunk size,
-so chunk flushes and per-chunk fingerprints are pinned), and every
-``micro:`` kernel at the golden micro budget.
+compress/perl/xlisp run to completion, and every ``micro:`` kernel at
+the golden micro budget.
 
 Run this ONLY when a trace change is intentional::
 
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -42,51 +40,29 @@ SPEC_LIMITS = (2000, 8000)
 FULL_KERNELS = ("compress", "perl", "xlisp")
 #: The micro budget of the golden counter snapshots.
 MICRO_TRACE_LIMIT = 3000
-#: A chunk size small enough that a full xlisp run spans several chunks.
-SMALL_CHUNK = 40_000
 
 
-def cases() -> list[tuple[str, int | None, int | None]]:
-    """(benchmark, instruction limit, chunk records or None = default)."""
-    out = [(name, limit, None) for name in kernel_names() for limit in SPEC_LIMITS]
-    out += [(name, None, None) for name in FULL_KERNELS]
-    out.append(("xlisp", None, SMALL_CHUNK))
+def cases() -> list[tuple[str, int | None]]:
+    """(benchmark, instruction limit or None = run to completion)."""
+    out = [(name, limit) for name in kernel_names() for limit in SPEC_LIMITS]
+    out += [(name, None) for name in FULL_KERNELS]
     out += [
-        (MICRO_PREFIX + name, MICRO_TRACE_LIMIT, None)
+        (MICRO_PREFIX + name, MICRO_TRACE_LIMIT)
         for name in sorted(MICRO_KERNELS)
     ]
     return out
 
 
-def case_id(benchmark: str, limit: int | None, chunk: int | None) -> str:
-    label = f"{benchmark}@{'full' if limit is None else limit}"
-    return label if chunk is None else f"{label}/chunk={chunk}"
+def case_id(benchmark: str, limit: int | None) -> str:
+    return f"{benchmark}@{'full' if limit is None else limit}"
 
 
-def entry_digest(benchmark: str, limit: int | None, chunk: int | None) -> str:
-    """Capture into a fresh private cache and hash the entry's bytes.
-    Sets ``REPRO_TRACE_CACHE``/``REPRO_TRACE_CHUNK`` for the capture and
-    restores them afterwards."""
-    saved = {
-        var: os.environ.get(var)
-        for var in (trace_cache.ENV_VAR, trace_cache.CHUNK_ENV_VAR)
-    }
+def entry_digest(benchmark: str, limit: int | None) -> str:
+    """Capture into a fresh private cache and hash the entry's bytes."""
     with tempfile.TemporaryDirectory(prefix="repro-golden-traces-") as tmp:
-        os.environ[trace_cache.ENV_VAR] = tmp
-        if chunk is None:
-            os.environ.pop(trace_cache.CHUNK_ENV_VAR, None)
-        else:
-            os.environ[trace_cache.CHUNK_ENV_VAR] = str(chunk)
-        try:
-            trace_cache.cached_trace(benchmark, limit)
-            (entry,) = Path(tmp).glob("*.vsrt4")
-            return hashlib.sha256(entry.read_bytes()).hexdigest()
-        finally:
-            for var, value in saved.items():
-                if value is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = value
+        trace_cache.cached_trace(benchmark, limit, directory=Path(tmp))
+        (entry,) = Path(tmp).glob("*.vsrt5")
+        return hashlib.sha256(entry.read_bytes()).hexdigest()
 
 
 def main() -> int:

@@ -5,7 +5,7 @@ Runs the same small sweep grid three times, the first two against a
 fresh private trace cache:
 
 1. **Cold** — captures each distinct (benchmark, limit) trace exactly
-   once and populates the VSRT v4 cache.
+   once and populates the VSRT v5 cache.
 2. **Warm, fanned** — re-runs the grid with ``--jobs N`` workers under
    ``REPRO_TRACE_STRICT=1``, so any worker that would fall back to
    functional capture *fails the run* instead: the sweep completing is
@@ -163,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
             status = 1
 
     own_rss, worker_rss = _peak_rss_mib()
-    entries = sorted(Path(cache_dir).glob("*.vsrt4"))
+    entries = sorted(Path(cache_dir).glob("*.vsrt5"))
     cache_bytes = sum(path.stat().st_size for path in entries)
 
     rows = [

@@ -400,20 +400,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return _cmd_run(args, backend="service")
 
 
-def _describe_geometry(geometry: dict) -> str:
-    """One ``repro cache info`` line: an entry's chunk geometry."""
-    if "error" in geometry:
-        return "[unreadable entry]"
-    sizes = geometry["chunk_bytes"]
-    if not sizes:
-        return "0 records (no chunks)"
-    return (
-        f"{geometry['records']} records in {geometry['chunks']} chunk(s) "
-        f"of {geometry['chunk_size']} "
-        f"(payload {min(sizes)}-{max(sizes)} bytes/chunk)"
-    )
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.trace import cache as trace_cache
 
@@ -427,9 +413,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"  bytes    {info['bytes']}")
             if info["temp_files"]:
                 print(f"  stranded {info['temp_files']} unfinished capture(s)")
-            for name in info["files"]:
-                geometry = _describe_geometry(info["geometry"][name])
-                print(f"    {name}  {geometry}")
+            for name, records in info["records"].items():
+                described = (
+                    "[unreadable entry]" if records is None
+                    else f"{records} records"
+                )
+                print(f"    {name}  {described}")
         return 0
     if args.action == "clear":
         removed = trace_cache.clear_cache()

@@ -13,9 +13,9 @@ the same in-process :class:`~repro.engine.pipeline.PipelineSimulator`
 the local harness runs.
 
 Traces reach a worker the one way they reach a local pool worker: as a
-VSRT v4 entry of the configured trace cache (:mod:`repro.trace.cache`),
-opened by :func:`repro.harness.parallel._trace_for` with every chunk
-CRC-checked.  A miss (or a corrupt entry) falls back to functional
+VSRT v5 entry of the configured trace cache (:mod:`repro.trace.cache`),
+opened by :func:`repro.harness.parallel._trace_for` and CRC-checked at
+load.  A miss (or a corrupt entry) falls back to functional
 capture *unless* ``REPRO_TRACE_STRICT`` is set, in which case the job
 fails rather than silently re-materialize.
 

@@ -7,7 +7,7 @@ memory access size and the static half of its trace row (packed source
 registers and opcode code).  One execution core,
 :meth:`Machine.execute`, interprets that table and hands every executed
 instruction to a row callback as its trace-record fields — the trace
-cache passes a :class:`~repro.trace.binary.ChunkWriter`'s ``row``, so a
+cache passes a :class:`~repro.trace.binary.TraceWriter`'s ``row``, so a
 capture builds no per-instruction object.  :meth:`Machine.step` and
 :meth:`Machine.run` run on the same core.
 """
@@ -128,7 +128,7 @@ class StepResult:
 
 #: A row callback: ``row(pc, next_pc, dest_reg, dest_value, mem_addr,
 #: mem_size, branch_taken, srcs, opcode_code)`` — the signature of
-#: :meth:`repro.trace.binary.ChunkWriter.row`.
+#: ``repro.trace.binary.TraceWriter.row``.
 Row = Callable[..., None]
 
 

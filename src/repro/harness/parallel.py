@@ -36,7 +36,7 @@ function inline — same trace cache, same factory handling — so it is not
 a separate code path that can drift.
 
 Trace distribution never pickles records, and has one staging tier:
-a VSRT v4 cache entry.  Before spawning workers, ``run_jobs`` makes sure
+a VSRT v5 cache entry.  Before spawning workers, ``run_jobs`` makes sure
 a staging directory holds an entry for every distinct (benchmark,
 limit) the grid needs, capturing only the missing ones, once.  The
 directory is the configured trace cache when it is on and writable,
@@ -66,7 +66,7 @@ from repro import env
 from repro.core.model import SpeculativeExecutionModel
 from repro.engine.config import ProcessorConfig
 from repro.engine.sim import SimulationResult, run_baseline, run_trace
-from repro.trace.columnar import ChunkedTrace, ColumnarTrace
+from repro.trace.columnar import ColumnarTrace
 
 #: Env var: when on, workers refuse to regenerate traces (memo or
 #: staged entry only).  Used by tests/CI to assert warm sweeps perform
@@ -166,9 +166,9 @@ def _expand_units(
 #: Per-process memo of built traces.  Workers are long-lived (one pool
 #: services a whole grid), so each process pays trace acquisition once
 #: per (benchmark, limit) no matter how many jobs it executes.
-_TRACE_CACHE: dict[tuple[str, int | None], ColumnarTrace | ChunkedTrace] = {}
+_TRACE_CACHE: dict[tuple[str, int | None], ColumnarTrace] = {}
 
-#: The directory this run's VSRT v4 entries were staged into, installed
+#: The directory this run's VSRT v5 entries were staged into, installed
 #: by the pool initializer; ``None`` means the configured trace cache.
 _STAGING_DIR: Path | None = None
 
@@ -187,12 +187,12 @@ def _init_worker(directory: Path | None, strict: bool) -> None:
 
 def _trace_for(benchmark: str, max_instructions: int | None):
     """The trace for one grid point, by one rule: the process memo,
-    then the VSRT v4 entry in the staging directory (the configured
+    then the VSRT v5 entry in the staging directory (the configured
     trace cache unless the parent staged elsewhere), then — unless
     ``REPRO_TRACE_STRICT`` forbids it — functional capture through
     :func:`~repro.trace.cache.cached_trace`.
 
-    :func:`~repro.trace.cache.load_trace` CRC-checks every chunk up
+    :func:`~repro.trace.cache.load_trace` CRC-checks the entry up
     front, so a corrupt entry is a miss (and is deleted), never a
     mid-simulation error.  Under ``REPRO_TRACE_STRICT`` a worker that
     misses raises instead — the tests' proof that warm sweeps never
@@ -225,7 +225,7 @@ def _trace_for(benchmark: str, max_instructions: int | None):
 def _stage_traces(
     job_list: list[SimJob], directory: Path
 ) -> dict[tuple[str, int | None], int] | None:
-    """Make sure ``directory`` holds a VSRT v4 entry for each distinct
+    """Make sure ``directory`` holds a VSRT v5 entry for each distinct
     trace the grid needs and return each entry's size in bytes, keyed by
     (benchmark, limit); ``None`` when one could not be written there.
 

@@ -48,13 +48,13 @@ class KernelSpec:
 
     def capture(self, writer, max_instructions: int | None = None) -> int:
         """Execute the kernel straight into ``writer`` (a
-        :class:`~repro.trace.binary.ChunkWriter`); returns the number of
+        :class:`~repro.trace.binary.TraceWriter`); returns the number of
         records written.
 
-        The bounded-memory form of :meth:`trace` and the trace cache's
-        one capture path: the machine's execution core hands each
+        The columnar form of :meth:`trace` and the trace cache's one
+        capture path: the machine's execution core hands each
         instruction's fields to ``writer.row``, so no per-instruction
-        object is built and the writer holds at most one chunk.
+        object is built.
         """
         return Machine(self.program()).execute(writer.row, max_instructions)
 

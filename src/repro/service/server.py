@@ -19,12 +19,15 @@ never recomputed**:
   serves every completed point from disk.
 
 How admitted keys execute is the backend: ``serial`` and ``pool`` run
-them in a dispatcher thread through
-:func:`repro.harness.parallel.run_jobs` (inline, or a process pool
-``jobs`` wide); ``cluster`` leases them, one key at a time, to
-``repro cluster work`` processes on any host — the *worker plane*:
+them in a dispatcher thread through ``run_jobs``'s store-free
+execution core (inline, or a process pool ``jobs`` wide), so each
+result is stored once, in the service's store, whatever
+``REPRO_RESULT_STORE`` says; ``cluster`` leases them, one key at a
+time, to ``repro cluster work`` processes on any host — the *worker
+plane*:
 
-* ``POST /v1/lease`` hands a worker one queued key with a deadline;
+* ``POST /v1/lease`` hands a worker one queued key with a deadline (a
+  worker that asks again while its lease runs gets the same key back);
   ``/v1/heartbeat`` proves the worker alive and extends its lease;
   ``/v1/result`` reports the outcome, which is fsynced into the store
   *before* the worker is answered, so a service crash never loses an
@@ -426,7 +429,7 @@ class SimulationService:
                     else:
                         dispositions.append("joined")
                     continue
-                wire = result_store.load_wire(key, self.store_dir)
+                wire = self._stored_wire(key)
                 if wire is not None:
                     done = _Entry(key)
                     done.state = "done"
@@ -474,7 +477,7 @@ class SimulationService:
         with self._lock:
             entry = self._entries.get(key)
         if entry is None:
-            wire = result_store.load_wire(key, self.store_dir)
+            wire = self._stored_wire(key)
             if wire is not None:
                 return {"state": "done", "source": "store", "result": wire}
             return {"state": "unknown"}
@@ -584,12 +587,14 @@ class SimulationService:
             self._dispatch(entries)
 
     def _dispatch(self, entries: list[_Entry]) -> None:
+        # The store-free execution core: the service stores each result
+        # once, in its own store (``_settle``), never in
+        # ``REPRO_RESULT_STORE`` as ``run_jobs`` would.
         started = time.perf_counter()
         try:
-            results = parallel.run_jobs(
+            results = parallel._run_jobs_backend(
                 [entry.job for entry in entries],
                 jobs=self.width if self.config.backend == "pool" else 1,
-                backend="local",
             )
         except Exception as error:  # a failed cycle fails its entries only
             with self._lock:
@@ -616,10 +621,11 @@ class SimulationService:
         — the fsync completes before this returns — then release the
         key's waiters.  The entry keeps the result in memory either way."""
         entry.wire = wire
-        if result_store.store_result(entry.key, wire, self.store_dir) is None:
-            if self.store_dir is not None:
-                self._trace("store-write-failed", key=entry.key,
-                            dir=str(self.store_dir))
+        if self.store_dir is not None and result_store.store_result(
+            entry.key, wire, self.store_dir
+        ) is None:
+            self._trace("store-write-failed", key=entry.key,
+                        dir=str(self.store_dir))
         entry.job = entry.blob = None  # the job served its purpose
         entry.state = "done"
         entry.source = "computed"
@@ -630,10 +636,19 @@ class SimulationService:
                     attempt=entry.attempts)
 
     def _evict(self) -> None:
-        if self.config.store_max_entries is not None:
+        budget = self.config.store_max_entries
+        if self.store_dir is not None and budget is not None:
             result_store.evict_store(
-                self.store_dir, max_entries=self.config.store_max_entries
+                self.store_dir, max_entries=budget
             )
+
+    def _stored_wire(self, key: str) -> dict | None:
+        """``key``'s result document from this service's own store
+        (``None`` with the store off: the result store functions would
+        read ``REPRO_RESULT_STORE`` for a ``None`` directory)."""
+        if self.store_dir is None:
+            return None
+        return result_store.load_wire(key, self.store_dir)
 
     # -- execution: the worker plane (cluster) -------------------------------
 
@@ -650,13 +665,25 @@ class SimulationService:
 
     def lease(self, worker_id: str) -> dict:
         """``POST /v1/lease``: one queued key for ``worker_id``, or
-        ``idle``/``shutdown``."""
+        ``idle``/``shutdown``.
+
+        A worker runs one job at a time, so a worker that leases again
+        while its lease is still running lost the reply to its last
+        lease request: it gets that same key and blob back, with its
+        deadline renewed and no further attempt burned."""
         cfg = self.config
         now = time.monotonic()
         with self._lock:
-            self._touch_worker(worker_id)
+            worker = self._touch_worker(worker_id)
             if self._draining:
                 return {"type": "shutdown"}
+            entry = self._entries.get(worker.leased or "")
+            if (entry is not None and entry.state == "running"
+                    and entry.worker == worker_id):
+                entry.deadline = now + cfg.lease_timeout
+                self._trace("lease-renewed", worker=worker_id, key=entry.key,
+                            attempt=entry.attempts)
+                return self._job_reply(entry)
             if self._fail_leases_left > 0:
                 self._fail_leases_left -= 1
                 self._trace("lease-fault-injected", worker=worker_id,
@@ -670,12 +697,15 @@ class SimulationService:
             entry.attempts += 1
             entry.worker = worker_id
             entry.deadline = now + cfg.lease_timeout
-            self._workers[worker_id].leased = entry.key
+            worker.leased = entry.key
             self._trace("lease-granted", worker=worker_id, key=entry.key,
                         attempt=entry.attempts)
-            return {"type": "job", "key": entry.key, "blob": entry.blob,
-                    "attempt": entry.attempts,
-                    "heartbeat_interval": cfg.heartbeat_timeout / 4}
+            return self._job_reply(entry)
+
+    def _job_reply(self, entry: _Entry) -> dict:
+        return {"type": "job", "key": entry.key, "blob": entry.blob,
+                "attempt": entry.attempts,
+                "heartbeat_interval": self.config.heartbeat_timeout / 4}
 
     def _next_lease(self, now: float) -> _Entry | None:
         """Fresh keys in arrival order first, then the requeued key
@@ -719,7 +749,7 @@ class SimulationService:
             # An orphan: a previous incarnation leased the key before a
             # restart.  Its stored result, if the ack was lost, makes
             # this a duplicate; otherwise the blob must prove the key.
-            stored = result_store.load_wire(key, self.store_dir)
+            stored = self._stored_wire(key)
             if stored is None:
                 verified_job(key, report.get("blob"))
         with self._lock:

@@ -10,28 +10,15 @@ per-instruction facts captured here.
 """
 
 from repro.trace.record import TraceRecord
-from repro.trace.capture import (
-    capture_trace,
-    capture_trace_chunked,
-    iter_trace,
-    trace_program,
-)
+from repro.trace.capture import capture_trace, iter_trace, trace_program
 from repro.trace.stats import TraceStats, compute_stats
 from repro.trace.synthetic import (
     SyntheticTraceConfig,
     generate_synthetic_trace,
     iter_synthetic_trace,
 )
-from repro.trace.binary import (
-    ChunkWriter,
-    chunked_entry_info,
-    dumps_trace_chunked,
-    loads_trace_chunked,
-    open_trace,
-    read_trace_chunked,
-    write_trace_chunked,
-)
-from repro.trace.columnar import ChunkedTrace, ColumnarTrace, as_columnar
+from repro.trace.binary import TraceWriter, dumps_trace, loads_trace, open_trace
+from repro.trace.columnar import ColumnarTrace, as_columnar
 from repro.trace.cache import (
     cache_info,
     cached_trace,
@@ -42,7 +29,6 @@ from repro.trace.cache import (
 __all__ = [
     "TraceRecord",
     "capture_trace",
-    "capture_trace_chunked",
     "iter_trace",
     "trace_program",
     "TraceStats",
@@ -50,14 +36,10 @@ __all__ = [
     "SyntheticTraceConfig",
     "generate_synthetic_trace",
     "iter_synthetic_trace",
-    "ChunkWriter",
-    "chunked_entry_info",
-    "dumps_trace_chunked",
-    "loads_trace_chunked",
+    "TraceWriter",
+    "dumps_trace",
+    "loads_trace",
     "open_trace",
-    "read_trace_chunked",
-    "write_trace_chunked",
-    "ChunkedTrace",
     "ColumnarTrace",
     "as_columnar",
     "cache_info",

@@ -53,31 +53,6 @@ def iter_trace(
         seq += 1
 
 
-def capture_trace_chunked(
-    machine: Machine,
-    path,
-    max_instructions: int | None = None,
-    chunk_records: int | None = None,
-):
-    """Run ``machine`` and stream its trace to ``path`` as a VSRT v4
-    chunked file; returns the reopened :class:`ChunkedTrace`.
-
-    This is the bounded-memory capture path: the machine's execution
-    core writes each instruction's row straight into the chunk writer,
-    so peak memory is O(chunk) no matter how long the run is (the
-    in-memory :func:`capture_trace` accumulates the whole record list).
-    """
-    from repro.trace.binary import (
-        DEFAULT_CHUNK_RECORDS,
-        ChunkWriter,
-        read_trace_chunked,
-    )
-
-    with ChunkWriter(path, chunk_records or DEFAULT_CHUNK_RECORDS) as writer:
-        machine.execute(writer.row, max_instructions)
-    return read_trace_chunked(path)
-
-
 def trace_program(
     source: str,
     max_instructions: int | None = None,

@@ -7,14 +7,13 @@ worker fan-out.  A :class:`ColumnarTrace` keeps the per-instruction facts
 of :class:`~repro.trace.record.TraceRecord` as parallel fixed-width
 columns instead of one Python object per instruction:
 
-* **A ColumnarTrace is one chunk.**  Its column layout is exactly one
-  chunk of the VSRT v4 format (:mod:`repro.trace.binary`), so loading a
-  chunk is one read plus a handful of ``memoryview.cast`` calls — no
-  per-record decode, no per-record allocation — and a cache entry of
-  one chunk is served as a ``ColumnarTrace``.
+* **A ColumnarTrace is one entry's column block.**  Its column layout
+  is exactly the block of a VSRT v5 entry (:mod:`repro.trace.binary`),
+  so loading an entry is one read plus a handful of ``memoryview.cast``
+  calls — no per-record decode, no per-record allocation.
 * **Distribution by file name.**  The same property lets the parallel
   sweep runner hand a trace to worker processes as the name of a VSRT
-  v4 cache entry, its one staging tier, instead of pickling a list of
+  v5 cache entry, its one staging tier, instead of pickling a list of
   records per worker (:mod:`repro.harness.parallel`).
 * **Row-view compatibility.**  The timing engine consumes
   ``TraceRecord`` objects; ``trace[i]`` materializes the row *once*, on
@@ -176,25 +175,18 @@ def pack_srcs(regs) -> int:
     return packed
 
 
-def row_appender(
-    columns: dict[str, array],
-    limit: int = sys.maxsize,
-    full: Callable[[], None] | None = None,
-) -> Callable[..., None]:
+def row_appender(columns: dict[str, array]) -> Callable[..., None]:
     """A function appending one row to ``columns`` (as made by
     :func:`new_columns`) — the one column encoding, behind
-    :meth:`ColumnarTrace.from_records`, the streaming v4 chunk writer
-    (``ChunkWriter.row``) and so the functional machine's capture.
+    :meth:`ColumnarTrace.from_records` and ``TraceWriter.row``, the row
+    sink the functional machine's capture calls.
 
     The row is given as its trace-record fields: ``row(pc, next_pc,
     dest_reg, dest_value, mem_addr, mem_size, branch_taken, srcs,
     opcode_code)``, with ``None`` for an absent field exactly as on a
     :class:`TraceRecord`, the 64-bit fields already truncated to 64 bits
     (:func:`record_row` does that for a record), ``srcs`` packed by
-    :func:`pack_srcs` and the opcode as its stable code.  ``full()`` is
-    called after the row that makes the columns ``limit`` rows long (the
-    chunk writer's flush)."""
-    opcodes = columns["opcode"]
+    :func:`pack_srcs` and the opcode as its stable code."""
     pc_col = columns["pc"].append
     next_pc_col = columns["next_pc"].append
     dest_value_col = columns["dest_value"].append
@@ -239,8 +231,6 @@ def row_appender(
         flags_col(flag)
         mem_size_col(mem_size or 0)
         dest_reg_col(dest_reg)
-        if len(opcodes) >= limit:
-            full()
 
     return row
 
@@ -293,17 +283,13 @@ class ColumnarTrace:
         "_count",
         "_rows",
         "_materialized",
-        #: Backing buffer keep-alive (the v4 chunk payload, read from a
-        #: cache-entry file or sliced from an in-memory image);
-        #: None when columns are own-memory ``array.array`` objects.
+        #: Backing buffer keep-alive (the column block of a VSRT v5
+        #: entry); None when columns are own-memory ``array.array``
+        #: objects.
         "_buffer",
-        #: Global sequence number of row 0 — non-zero when this trace is
-        #: one chunk of a :class:`ChunkedTrace`, so materialized rows
-        #: carry their position in the *whole* stream.
-        "_seq_base",
     )
 
-    def __init__(self, columns: dict, count: int, buffer=None, seq_base: int = 0):
+    def __init__(self, columns: dict, count: int, buffer=None):
         for name, _tc, _size in COLUMN_SPEC:
             setattr(self, name, columns[name])
         self.kind = bytes(columns["opcode"]).translate(_KIND_TABLE)
@@ -311,7 +297,6 @@ class ColumnarTrace:
         self._rows: list[TraceRecord | None] = [None] * count
         self._materialized = 0
         self._buffer = buffer
-        self._seq_base = seq_base
 
     # -- construction ------------------------------------------------------
 
@@ -326,7 +311,7 @@ class ColumnarTrace:
 
     @classmethod
     def from_buffer(
-        cls, buffer, count: int, offsets: dict[str, int], seq_base: int = 0
+        cls, buffer, count: int, offsets: dict[str, int]
     ) -> "ColumnarTrace":
         """Wrap columns living inside ``buffer`` (mmap, bytes) without
         copying.
@@ -340,16 +325,16 @@ class ColumnarTrace:
         columns = {}
         for name, typecode, itemsize in COLUMN_SPEC:
             start = offsets[name]
-            chunk = view[start : start + count * itemsize]
+            raw = view[start : start + count * itemsize]
             if _LITTLE_ENDIAN:
-                columns[name] = chunk.cast(typecode)
+                columns[name] = raw.cast(typecode)
             else:  # pragma: no cover - exercised only on big-endian hosts
                 col = array(typecode)
-                col.frombytes(bytes(chunk))
+                col.frombytes(bytes(raw))
                 col.byteswap()
                 columns[name] = col
         keep = buffer if _LITTLE_ENDIAN else None
-        trace = cls(columns, count, buffer=keep, seq_base=seq_base)
+        trace = cls(columns, count, buffer=keep)
         opcode_codes = set(bytes(columns["opcode"]))
         if not opcode_codes <= _VALID_CODES:
             bad = min(opcode_codes - _VALID_CODES)
@@ -365,7 +350,7 @@ class ColumnarTrace:
                 f"unknown opcode byte {self.opcode[index]:#x} at row {index}"
             )
         rec = TraceRecord.__new__(TraceRecord)
-        rec.seq = self._seq_base + index
+        rec.seq = index
         rec.pc = self.pc[index]
         (
             rec.opcode,
@@ -447,7 +432,7 @@ class ColumnarTrace:
         srcs_by_word: dict[int, tuple[int, ...]] = {}
         built: list[TraceRecord] = []
         append = built.append
-        seq = self._seq_base
+        seq = 0
         fall_through = None
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
@@ -470,8 +455,7 @@ class ColumnarTrace:
                 info = opcode_rows[code]
                 if info is None:
                     raise ColumnarTraceError(
-                        f"unknown opcode byte {code:#x} at row "
-                        f"{seq - self._seq_base}"
+                        f"unknown opcode byte {code:#x} at row {seq}"
                     )
                 rec = new(TraceRecord)
                 rec.seq = seq
@@ -578,160 +562,8 @@ class ColumnarTrace:
         return column_bytes(getattr(self, name))
 
 
-class ChunkedTrace:
-    """A long dynamic trace served one fixed-size chunk at a time.
-
-    Duck-types the ``list[TraceRecord]`` interface the engine consumes —
-    ``len``, integer/slice indexing, iteration, equality — while keeping
-    only a bounded number of chunks (default 2: the engine walks mostly
-    forward, but value-misspeculation recovery can step back across a
-    chunk boundary) materialized at any moment.  Peak memory is
-    O(chunk size), independent of trace length.
-
-    The chunk *source* is pluggable: anything with ``counts`` (records
-    per chunk), ``chunk_size`` (nominal records per chunk — every chunk
-    but the last holds exactly this many), ``load_chunk(i, seq_base)``
-    returning a :class:`ColumnarTrace`, and ``bbvs`` (per-chunk
-    basic-block-vector fingerprints, tuples of ints).  The file and
-    in-memory VSRT v4 sources live in :mod:`repro.trace.binary`.
-    """
-
-    __slots__ = ("_source", "_counts", "_starts", "_chunk_size", "_total",
-                 "_loaded", "_keep")
-
-    def __init__(self, source, keep_chunks: int = 2):
-        if keep_chunks < 1:
-            raise ValueError("keep_chunks must be >= 1")
-        self._source = source
-        self._counts = tuple(source.counts)
-        self._chunk_size = source.chunk_size
-        starts = []
-        pos = 0
-        for count in self._counts:
-            starts.append(pos)
-            pos += count
-        self._starts = tuple(starts)
-        self._total = pos
-        #: chunk index -> ColumnarTrace, insertion-ordered LRU.
-        self._loaded: dict[int, ColumnarTrace] = {}
-        self._keep = keep_chunks
-
-    # -- chunk access ------------------------------------------------------
-
-    @property
-    def chunk_count(self) -> int:
-        return len(self._counts)
-
-    @property
-    def chunk_size(self) -> int:
-        """Nominal records per chunk (the last chunk may be shorter)."""
-        return self._chunk_size
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        """Records per chunk."""
-        return self._counts
-
-    @property
-    def loaded_chunks(self) -> tuple[int, ...]:
-        """Indices of the chunks currently materialized (bounded)."""
-        return tuple(self._loaded)
-
-    def chunk(self, index: int) -> ColumnarTrace:
-        """Chunk ``index`` as a :class:`ColumnarTrace` (LRU-cached)."""
-        loaded = self._loaded
-        trace = loaded.get(index)
-        if trace is not None:
-            if next(reversed(loaded)) != index:  # move to LRU tail
-                del loaded[index]
-                loaded[index] = trace
-            return trace
-        if not 0 <= index < len(self._counts):
-            raise IndexError("chunk index out of range")
-        trace = self._source.load_chunk(index, self._starts[index])
-        while len(loaded) >= self._keep:
-            del loaded[next(iter(loaded))]
-        loaded[index] = trace
-        return trace
-
-    def collapse(self) -> "ColumnarTrace | ChunkedTrace":
-        """This trace as its only chunk when it has at most one — a
-        :class:`ColumnarTrace`, which the engine replays at list speed —
-        and ``self`` otherwise."""
-        if len(self._counts) > 1:
-            return self
-        if not self._counts:
-            return ColumnarTrace.from_records(())
-        return self.chunk(0)
-
-    def bbvs(self) -> tuple[tuple[int, ...], ...]:
-        """Per-chunk basic-block-vector fingerprints (capture-time)."""
-        return tuple(self._source.bbvs)
-
-    def chunk_crcs(self) -> tuple[int, ...]:
-        """Per-chunk payload CRCs from the index (no chunk is loaded).
-
-        Two captures of the same workload are bit-identical exactly when
-        these sequences match — the cheap determinism check the 10M-
-        record regression uses.
-        """
-        return tuple(self._source.crcs)
-
-    # -- sequence protocol -------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._total
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._total))]
-        if index < 0:
-            index += self._total
-        if not 0 <= index < self._total:
-            raise IndexError("trace row out of range")
-        chunk_index = index // self._chunk_size
-        return self.chunk(chunk_index).row(index - self._starts[chunk_index])
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        for chunk_index in range(len(self._counts)):
-            yield from self.chunk(chunk_index)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (ChunkedTrace, ColumnarTrace, list, tuple)):
-            if self._total != len(other):
-                return False
-            other_iter = iter(other)
-            return all(a == b for a, b in zip(self, other_iter))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"ChunkedTrace({self._total} records, "
-            f"{len(self._counts)} chunks of {self._chunk_size})"
-        )
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def nbytes(self) -> int:
-        """Total column payload size in bytes (all chunks)."""
-        itemsize = sum(size for _n, _tc, size in COLUMN_SPEC)
-        return self._total * itemsize
-
-    def to_records(self) -> list[TraceRecord]:
-        """A plain ``list[TraceRecord]`` copy (materializes everything —
-        test/convenience API, not for long traces)."""
-        return list(self)
-
-
 def as_columnar(trace) -> ColumnarTrace:
-    """``trace`` as a :class:`ColumnarTrace` (identity when it already is).
-
-    A :class:`ChunkedTrace` is materialized in full — callers that need
-    bounded memory should consume chunks directly instead.
-    """
+    """``trace`` as a :class:`ColumnarTrace` (identity when it already is)."""
     if isinstance(trace, ColumnarTrace):
         return trace
-    if isinstance(trace, ChunkedTrace):
-        return ColumnarTrace.from_records(iter(trace))
     return ColumnarTrace.from_records(trace)

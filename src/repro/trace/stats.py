@@ -11,7 +11,6 @@ from repro.trace.columnar import (
     FLAG_HAS_BRANCH,
     FLAG_HAS_DEST,
     KIND_BRANCH,
-    ChunkedTrace,
     ColumnarTrace,
 )
 from repro.trace.record import TraceRecord
@@ -79,13 +78,11 @@ def _joint_count(ones_a: bytes, ones_b: bytes) -> int:
 def _accumulate_columnar(
     stats: TraceStats, pcs: set[int], block: ColumnarTrace
 ) -> None:
-    """Fold one columnar block into ``stats`` without materializing rows.
+    """Fold one columnar trace into ``stats`` without materializing rows.
 
     Everything is derived straight from the column bytes: per-opcode
     counts classify instructions, flag/kind bytes give taken branches
-    and register writers.  Peak memory is O(block), which is what lets
-    :func:`compute_stats` walk a chunked 10M-record trace one chunk at
-    a time.
+    and register writers.
     """
     count = len(block)
     if not count:
@@ -117,20 +114,15 @@ def _accumulate_columnar(
 def compute_stats(trace: list[TraceRecord]) -> TraceStats:
     """Compute aggregate statistics over a trace.
 
-    Single-pass and bounded-memory on every trace representation: a
-    :class:`ChunkedTrace` is folded one chunk at a time (never holding
-    more than the chunk LRU window), a :class:`ColumnarTrace` is folded
-    columnwise (no row materialization, whose memoization would pin
-    every record object), and a plain record list falls back to the
-    record loop.  All three produce identical statistics — pinned by
-    the regression tests.
+    Single-pass on either trace representation: a
+    :class:`ColumnarTrace` is folded columnwise (no row materialization,
+    whose memoization would pin every record object), and a plain record
+    list falls back to the record loop.  Both produce identical
+    statistics — pinned by the regression tests.
     """
     stats = TraceStats()
     pcs: set[int] = set()
-    if isinstance(trace, ChunkedTrace):
-        for index in range(trace.chunk_count):
-            _accumulate_columnar(stats, pcs, trace.chunk(index))
-    elif isinstance(trace, ColumnarTrace):
+    if isinstance(trace, ColumnarTrace):
         _accumulate_columnar(stats, pcs, trace)
     else:
         for rec in trace:

@@ -3,7 +3,7 @@
 The suite runs in a hermetic environment: every ``REPRO_*`` variable a
 developer has set is cleared for the session (the same prefix scrub
 ``bench/run.py`` does), so none of them — a sweep backend, a service
-address, strict mode, a chunk size — leaks into a test.  Two are then
+address, strict mode — leaks into a test.  Two are then
 pinned: the persistent trace cache (``repro.trace.cache``), which
 defaults to the user's ``~/.cache``, points at a throwaway per-session
 directory, and the result store is off.  Individual tests still set any

@@ -380,37 +380,6 @@ def test_bad_service_address_in_the_environment_is_a_one_line_error(
     assert ENV_ADDR in err and "'nonsense'" in err
 
 
-def test_bad_chunk_size_in_the_environment_is_a_one_line_error(
-    monkeypatch, capsys, tmp_path
-):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))  # a cold capture
-    monkeypatch.setenv("REPRO_TRACE_CHUNK", "abc")
-    assert main(["bench", "compress", "--max-instructions", "300"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "repro: REPRO_TRACE_CHUNK='abc': not a positive integer "
-        "(records per chunk)"
-    ]
-
-
-def test_bad_chunk_size_is_an_error_on_a_warm_cache_too(
-    monkeypatch, capsys, tmp_path
-):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-    assert main(["bench", "compress", "--max-instructions", "300"]) == 0
-    assert list(tmp_path.iterdir())  # the trace is cached now
-    capsys.readouterr()
-    monkeypatch.setenv("REPRO_TRACE_CHUNK", "abc")
-    assert main(["bench", "compress", "--max-instructions", "300"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "repro: REPRO_TRACE_CHUNK='abc': not a positive integer "
-        "(records per chunk)"
-    ]
-
-
 def test_cache_warm_limit_alias_is_gone(capsys):
     with pytest.raises(SystemExit) as caught:
         main(["cache", "warm", "--limit", "5"])

@@ -407,6 +407,31 @@ class TestSchedulerProtocol:
         assert status["jobs"] == {"pending": 0, "leased": 0, "done": 0,
                                   "failed": 0}
 
+    def test_a_repeated_lease_returns_the_running_key(self):
+        """A worker whose ``/v1/lease`` reply was lost asks again while
+        its lease runs: it gets the same key and blob back, with no
+        attempt burned, and once it goes silent that key is requeued —
+        never left running."""
+        tracer = ServiceTracer()
+        jobs = [SimJob(name, _CONFIG, None, _LIMIT)
+                for name in ("compress", "perl")]
+        with _service(tracer=tracer, heartbeat_timeout=0.3) as service:
+            ServiceClient(*service.address).submit(jobs)
+            first = _lease(service, "w")
+            again = _lease(service, "w")
+            status = service.status()["jobs"]
+            deadline = time.monotonic() + 10.0
+            while (service.entry_state(first["key"])["state"] == "running"
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            state = service.entry_state(first["key"])["state"]
+        assert again["type"] == "job"
+        assert (again["key"], again["blob"]) == (first["key"], first["blob"])
+        assert again["attempt"] == first["attempt"] == 1
+        assert status == {"pending": 1, "leased": 1, "done": 0, "failed": 0}
+        assert "lease-renewed" in tracer.kinds()
+        assert state == "queued"
+
     def test_orphan_result_must_carry_a_blob_that_hashes_to_its_key(
         self, tmp_path
     ):

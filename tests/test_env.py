@@ -8,7 +8,12 @@ import pickle
 import pytest
 
 from repro import env
-from repro.harness.parallel import STRICT_ENV_VAR, strict_no_capture
+from repro.harness.parallel import (
+    BACKEND_ENV_VAR,
+    STRICT_ENV_VAR,
+    resolve_backend,
+    strict_no_capture,
+)
 from repro.service import results as result_store
 from repro.trace import cache as trace_cache
 
@@ -58,19 +63,19 @@ def test_strict_rejects_what_is_neither_on_nor_off(spelling, monkeypatch):
 
 
 @pytest.mark.parametrize("blank", ["", "  "])
-def test_a_blank_chunk_size_reads_as_the_default(blank, monkeypatch):
-    monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, blank)
-    assert trace_cache.chunk_records() == 1_000_000
+def test_a_blank_backend_reads_as_the_default(blank, monkeypatch):
+    monkeypatch.setenv(BACKEND_ENV_VAR, blank)
+    assert resolve_backend() == "local"
 
 
 def test_errors_pickle_back_from_pool_workers(monkeypatch):
-    monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "abc")
+    monkeypatch.setenv(BACKEND_ENV_VAR, "abc")
     with pytest.raises(env.EnvError) as caught:
-        trace_cache.chunk_records()
+        resolve_backend()
     copy = pickle.loads(pickle.dumps(caught.value))
     assert type(copy) is env.EnvError
     assert str(copy) == str(caught.value) == (
-        f"{trace_cache.CHUNK_ENV_VAR}='abc': not a positive integer "
-        "(records per chunk)"
+        f"{BACKEND_ENV_VAR}='abc': unknown sweep backend; expected one of: "
+        "local, service"
     )
 

@@ -1,14 +1,12 @@
 """The functional machine's one execution core.
 
 ``Machine.step()`` (and so ``iter_trace``) and the trace cache's capture
-(``KernelSpec.capture`` writing rows straight into a ``ChunkWriter``)
+(``KernelSpec.capture`` writing rows straight into a ``TraceWriter``)
 run the same predecoded core.  These tests hold the two views to each
 other on every kernel, and pin the error paths both must share.
 """
 
 from __future__ import annotations
-
-import io
 
 import pytest
 
@@ -20,7 +18,7 @@ from repro.programs import suite
 from repro.programs.micro import MICRO_KERNELS
 from repro.programs.suite import MICRO_PREFIX, kernel, kernel_names
 from repro.trace import cache as trace_cache
-from repro.trace.binary import ChunkWriter, loads_trace_chunked
+from repro.trace.binary import TraceWriter, dumps_trace, loads_trace
 from repro.trace.capture import iter_trace
 from repro.trace.columnar import ColumnarTrace, ColumnarTraceError
 from repro.trace.record import TraceRecord
@@ -37,14 +35,13 @@ def _capture(program, limit=None):
     """Capture ``program`` through the core into an in-memory writer:
     (rows as a trace, the machine, the error raised or None)."""
     machine = Machine(program)
-    out = io.BytesIO()
+    writer = TraceWriter()
     error = None
-    with ChunkWriter(out) as writer:
-        try:
-            machine.execute(writer.row, limit)
-        except Exception as exc:  # noqa: BLE001 - compared by the caller
-            error = exc
-    return loads_trace_chunked(out.getvalue()).collapse(), machine, error
+    try:
+        machine.execute(writer.row, limit)
+    except Exception as exc:  # noqa: BLE001 - compared by the caller
+        error = exc
+    return loads_trace(writer.getvalue()), machine, error
 
 
 def _step_all(program, limit=None):
@@ -187,5 +184,4 @@ def test_four_source_registers_still_rejected():
     with pytest.raises(ColumnarTraceError, match="source registers"):
         ColumnarTrace.from_records([record])
     with pytest.raises(ColumnarTraceError, match="source registers"):
-        with ChunkWriter(io.BytesIO()) as writer:
-            writer.append(record)
+        dumps_trace([record])

@@ -289,9 +289,9 @@ class TestStagingCleanup:
 
 
 class TestCorruptStagedEntry:
-    """A pool worker opens its staged entry with every chunk CRC-checked,
-    so a corrupt multi-chunk entry is a miss — exactly as on the inline
-    path — never an error in the middle of a simulation."""
+    """A pool worker opens its staged entry CRC-checked, so a corrupt
+    entry is a miss — exactly as on the inline path — never an error in
+    the middle of a simulation."""
 
     _GRID = [
         SimJob("compress", _CONFIG, None, 500),
@@ -302,40 +302,37 @@ class TestCorruptStagedEntry:
     def entry(self, monkeypatch, tmp_path):
         import repro.harness.parallel as parallel
         from repro.trace import cache as trace_cache
-        from repro.trace.binary import chunked_entry_info
 
         monkeypatch.setenv(trace_cache.ENV_VAR, str(tmp_path))
-        monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "100")
         monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
         trace_cache.cached_trace("compress", 500)
-        (path,) = tmp_path.glob("*.vsrt4")
-        assert chunked_entry_info(path)["chunks"] == 5
+        (path,) = tmp_path.glob("*.vsrt5")
         return path
 
     @staticmethod
-    def _corrupt_chunk_2(path):
-        from repro.trace.binary import chunked_entry_info
+    def _corrupt_block(path):
+        """Flip one byte of the ``next_pc`` column, mid-trace."""
+        from repro.trace.binary import HEADER_SIZE, block_layout
 
-        info = chunked_entry_info(path)
-        offset = 48 + sum(info["chunk_bytes"][:2]) + 64
+        offsets, _size = block_layout(500)
         data = bytearray(path.read_bytes())
-        data[offset] ^= 0xFF
+        data[HEADER_SIZE + offsets["next_pc"] + 8 * 250] ^= 0xFF
         path.write_bytes(bytes(data))
 
     def test_pool_recaptures_like_serial(self, monkeypatch, entry):
         import repro.harness.parallel as parallel
         from repro.trace.binary import open_trace
 
-        self._corrupt_chunk_2(entry)
+        self._corrupt_block(entry)
         serial = run_jobs(self._GRID, jobs=1)
-        self._corrupt_chunk_2(entry)
+        self._corrupt_block(entry)
         monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
         fanned = run_jobs(self._GRID, jobs=2)
         assert [r.counters for r in fanned] == [r.counters for r in serial]
         assert len(open_trace(entry)) == 500  # a valid entry is left
 
     def test_strict_pool_refuses_before_simulating(self, monkeypatch, entry):
-        self._corrupt_chunk_2(entry)
+        self._corrupt_block(entry)
         monkeypatch.setenv("REPRO_TRACE_STRICT", "1")
         with pytest.raises(RuntimeError, match="REPRO_TRACE_STRICT"):
             run_jobs(self._GRID, jobs=2)

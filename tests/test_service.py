@@ -459,6 +459,25 @@ class TestServiceHTTP:
         assert served.counters == result.counters
         assert stats["executed"] == 1 and stats["warm_hits"] == 0
 
+    @pytest.mark.parametrize("own_store", [False, True])
+    def test_results_are_stored_only_in_the_service_store(
+        self, own_store, monkeypatch, tmp_path
+    ):
+        """The service stores each result once, in its own store: with
+        ``REPRO_RESULT_STORE`` set, the environment's directory stays
+        empty whether the service's store is off or elsewhere."""
+        env_store = tmp_path / "env-store"
+        monkeypatch.setenv(rs.ENV_VAR, str(env_store))
+        own = tmp_path / "s" if own_store else None
+        jobs = [_job(), _job("perl")]
+        with SimulationService(ServiceConfig(store=own)) as service:
+            ServiceClient(*service.address).run(jobs)
+        assert not env_store.exists() or not list(env_store.iterdir())
+        if own_store:
+            assert sorted(path.stem for path in rs.store_entries(own)) == (
+                sorted(job_key(job) for job in jobs)
+            )
+
     def test_results_outlive_the_eviction_of_their_store_entries(
         self, tmp_path
     ):
@@ -479,14 +498,14 @@ class TestServiceHTTP:
 
         gate = threading.Event()
         calls: list = []
-        real = server_module.parallel.run_jobs
+        real = server_module.parallel._run_jobs_backend
 
         def gated(job_list, **kwargs):
             gate.wait(timeout=30.0)
             calls.append(list(job_list))
             return real(job_list, **kwargs)
 
-        monkeypatch.setattr(server_module.parallel, "run_jobs", gated)
+        monkeypatch.setattr(server_module.parallel, "_run_jobs_backend", gated)
         with SimulationService(ServiceConfig(store=tmp_path / "s")) as service:
             job = _job()
             first = ServiceClient(*service.address, client_id="one")
@@ -510,13 +529,13 @@ class TestServiceHTTP:
         from repro.service import server as server_module
 
         gate = threading.Event()
-        real = server_module.parallel.run_jobs
+        real = server_module.parallel._run_jobs_backend
 
         def gated(job_list, **kwargs):
             gate.wait(timeout=30.0)
             return real(job_list, **kwargs)
 
-        monkeypatch.setattr(server_module.parallel, "run_jobs", gated)
+        monkeypatch.setattr(server_module.parallel, "_run_jobs_backend", gated)
         config = ServiceConfig(store=tmp_path / "s", max_queue=1)
         with SimulationService(config) as service:
             client = ServiceClient(*service.address)
@@ -556,16 +575,16 @@ class TestServiceHTTP:
     ):
         from repro.service import server as server_module
 
-        real = server_module.parallel.run_jobs
+        real = server_module.parallel._run_jobs_backend
         fail_once = [True]
 
-        def flaky(job_list, **kwargs):
+        def flaky(job_list, *args, **kwargs):
             if fail_once[0]:
                 fail_once[0] = False
                 raise RuntimeError("injected executor fault")
-            return real(job_list, **kwargs)
+            return real(job_list, *args, **kwargs)
 
-        monkeypatch.setattr(server_module.parallel, "run_jobs", flaky)
+        monkeypatch.setattr(server_module.parallel, "_run_jobs_backend", flaky)
         with SimulationService(ServiceConfig(store=tmp_path / "s")) as service:
             client = ServiceClient(*service.address)
             job = _job()
@@ -627,14 +646,14 @@ class TestAdmission:
 
         gate = threading.Event()
         order: list = []
-        real = server_module.parallel.run_jobs
+        real = server_module.parallel._run_jobs_backend
 
         def gated(job_list, **kwargs):
             gate.wait(timeout=30.0)
             order.extend(job_key(job) for job in job_list)
             return real(job_list, **kwargs)
 
-        monkeypatch.setattr(server_module.parallel, "run_jobs", gated)
+        monkeypatch.setattr(server_module.parallel, "_run_jobs_backend", gated)
         names = ("compress", "perl", "go", "m88ksim", "vortex")
         with SimulationService(ServiceConfig(store=tmp_path / "s")) as service:
             threads = list(service._threads)
@@ -690,13 +709,13 @@ class TestAdmission:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         batches: list = []
-        real = server_module.parallel.run_jobs
+        real = server_module.parallel._run_jobs_backend
 
         def recording(job_list, **kwargs):
             batches.append((len(job_list), kwargs["jobs"]))
             return real(job_list, jobs=1)
 
-        monkeypatch.setattr(server_module.parallel, "run_jobs", recording)
+        monkeypatch.setattr(server_module.parallel, "_run_jobs_backend", recording)
         jobs = [_job(name) for name in ("compress", "perl", "go", "m88ksim")]
         config = ServiceConfig(store=tmp_path / "s", backend="pool", jobs=0)
         with SimulationService(config) as service:

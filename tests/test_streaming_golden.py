@@ -1,14 +1,17 @@
-"""Exact-mode streaming runs are bit-identical to the in-memory path.
+"""Runs on a loaded VSRT v5 entry are bit-identical to the in-memory path.
 
 Every golden snapshot (13 main + 24 predictor-path variants) is replayed
-through a :class:`ChunkedTrace` with a deliberately small chunk size, so
-each workload crosses many chunk boundaries; the counters must match the
-committed snapshots bit for bit.  A second group proves the same through
-the harness backends — pool workers and the service's cluster workers
-opening the chunked cache entry, or the pool's temp staging entry when
-the cache is off — against the serial in-memory result.
+through its trace written to VSRT v5 bytes and loaded back — the
+buffer-backed :class:`~repro.trace.columnar.ColumnarTrace` a cache hit
+returns; the counters must match the committed snapshots bit for bit.
+A second group proves the same through the harness backends — pool
+workers and the service's cluster workers opening the staged cache
+entry, or the pool's temp staging entry when the cache is off — against
+the serial in-memory result.
 
-This is the "streaming changes nothing" guarantee: every mode is exact.
+This is the "the entry changes nothing" guarantee: every path is exact.
+(The module and test names keep the vocabulary of the chunked format
+they were written for, so their ids stay stable.)
 """
 
 import json
@@ -24,7 +27,7 @@ from repro.engine.sim import run_baseline, run_trace
 from repro.func import Machine
 from repro.programs.micro import micro_kernel
 from repro.programs.suite import benchmark_suite
-from repro.trace.binary import dumps_trace_chunked, loads_trace_chunked
+from repro.trace.binary import dumps_trace, loads_trace
 from repro.trace.capture import capture_trace
 from repro.vp.confidence import SaturatingConfidenceEstimator
 from repro.vp.hybrid import HybridPredictor
@@ -39,9 +42,6 @@ VARIANT_SNAPSHOTS = sorted((GOLDEN_DIR / "variants").glob("*.json"))
 MICRO_TRACE_LIMIT = 3000
 SPEC_TRACE_LIMIT = 2000
 
-#: Small enough that every golden workload spans multiple chunks.
-CHUNK = 389
-
 _CONFIDENCE = {
     "R": lambda: "R",
     "SaturatingConfidenceEstimator": SaturatingConfidenceEstimator,
@@ -55,7 +55,7 @@ _PREDICTOR = {
 }
 
 #: Captured records per workload label, shared across all tests in this
-#: module (capture is the expensive part; every test re-chunks cheaply).
+#: module (capture is the expensive part; every test reloads cheaply).
 _TRACES: dict[str, list] = {}
 
 
@@ -86,9 +86,10 @@ def _records(label: str):
     return records
 
 
-def _chunked(label: str):
-    trace = loads_trace_chunked(dumps_trace_chunked(_records(label), CHUNK))
-    assert trace.chunk_count > 1  # the test is vacuous on a single chunk
+def _loaded(label: str):
+    """The workload's trace as a cache hit serves it: buffer-backed."""
+    trace = loads_trace(dumps_trace(_records(label)))
+    assert "buffer-backed" in repr(trace)
     return trace
 
 
@@ -96,7 +97,7 @@ def _chunked(label: str):
 def test_streaming_counters_match_golden(path):
     assert SNAPSHOTS, "tests/golden/ is empty"
     snapshot = json.loads(path.read_text())
-    trace = _chunked(snapshot["workload"])
+    trace = _loaded(snapshot["workload"])
     assert len(trace) == snapshot["trace_length"]
     config = ProcessorConfig(
         issue_width=snapshot["config"]["issue_width"],
@@ -116,7 +117,7 @@ def test_streaming_counters_match_golden(path):
 def test_streaming_variant_counters_match_golden(path):
     assert VARIANT_SNAPSHOTS, "tests/golden/variants/ is empty"
     snapshot = json.loads(path.read_text())
-    trace = _chunked(snapshot["workload"])
+    trace = _loaded(snapshot["workload"])
     assert len(trace) == snapshot["trace_length"]
     config = ProcessorConfig(
         issue_width=snapshot["config"]["issue_width"],
@@ -134,11 +135,11 @@ def test_streaming_variant_counters_match_golden(path):
 
 
 class TestBackendsStreaming:
-    """Every execution backend serves v4 cache entries bit-identically.
+    """Every execution backend serves v5 cache entries bit-identically.
 
-    The chunk size is forced down so the cached traces are genuinely
-    chunked, then the same grid runs serially from memory and through
-    each backend; counters must agree exactly.
+    The same grid runs serially from memory and through each backend,
+    which reads each trace from its staged entry; counters must agree
+    exactly.
     """
 
     @pytest.fixture()
@@ -159,7 +160,7 @@ class TestBackendsStreaming:
 
     def _reference(self, monkeypatch, tmp_path):
         """The grid run serially on in-memory record lists, then a
-        chunked cache set up for the backend under test."""
+        fresh cache set up for the backend under test."""
         from repro.harness import parallel
         from repro.programs.suite import kernel
         from repro.trace import cache as trace_cache
@@ -177,21 +178,20 @@ class TestBackendsStreaming:
                     confidence=job.confidence,
                     update_timing=job.update_timing,
                 ))
-        monkeypatch.setenv(trace_cache.ENV_VAR, str(tmp_path / "chunked"))
-        monkeypatch.setenv(trace_cache.CHUNK_ENV_VAR, "400")
+        monkeypatch.setenv(trace_cache.ENV_VAR, str(tmp_path / "staged"))
         monkeypatch.setattr(parallel, "_TRACE_CACHE", {})
         return reference
 
     @staticmethod
-    def _assert_multi_chunk(directory):
-        """The premise of the test: every cache entry the backend read
-        really spans several chunks."""
-        from repro.trace.binary import chunked_entry_info
+    def _assert_staged(directory):
+        """The premise of the test: the backend's traces were staged as
+        one entry per distinct trace."""
+        from repro.trace.binary import entry_records
 
-        entries = sorted(directory.glob("*.vsrt4"))
+        entries = sorted(directory.glob("*.vsrt5"))
         assert len(entries) == 2  # compress and m88ksim
         for entry in entries:
-            assert chunked_entry_info(entry)["chunks"] > 1, entry.name
+            assert entry_records(entry) == 1_500, entry.name
 
     @pytest.mark.parametrize("backend,jobs,cache", [
         pytest.param("local", 1, True, id="local-1"),
@@ -220,7 +220,7 @@ class TestBackendsStreaming:
 
             def run_pool(units, workers, directory, *rest):
                 # The temp directory only lives as long as the pool.
-                self._assert_multi_chunk(directory)
+                self._assert_staged(directory)
                 pooled.append(directory)
                 return real_run_pool(units, workers, directory, *rest)
 
@@ -230,7 +230,7 @@ class TestBackendsStreaming:
             counters_dict(r.counters) for r in reference
         ]
         if cache:
-            self._assert_multi_chunk(tmp_path / "chunked")
+            self._assert_staged(tmp_path / "staged")
         else:
             assert pooled and not list(tmp_path.glob("repro-traces-*"))
 
@@ -247,4 +247,4 @@ class TestBackendsStreaming:
         assert [counters_dict(r.counters) for r in results] == [
             counters_dict(r.counters) for r in reference
         ]
-        self._assert_multi_chunk(tmp_path / "chunked")
+        self._assert_staged(tmp_path / "staged")

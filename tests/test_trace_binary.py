@@ -1,16 +1,10 @@
-"""VSRT v4 binary format tests (round trip, edges, malformed input)."""
+"""VSRT v5 binary format tests (round trip, edges, malformed input)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.isa.opcodes import Opcode
-from repro.trace import (
-    TraceRecord,
-    dumps_trace_chunked,
-    loads_trace_chunked,
-    read_trace_chunked,
-    write_trace_chunked,
-)
+from repro.trace import TraceRecord, dumps_trace, loads_trace, open_trace
 from repro.trace.binary import BinaryTraceError
 
 # seq is positional in the binary format (capture traces are always
@@ -50,59 +44,49 @@ def _renumber(records):
     return out
 
 
-@given(
-    records=st.lists(_record, max_size=30),
-    chunk=st.integers(1, 12),
-)
-def test_binary_round_trip(records, chunk):
+@given(records=st.lists(_record, max_size=30))
+def test_binary_round_trip(records):
     records = _renumber(records)
-    trace = loads_trace_chunked(dumps_trace_chunked(records, chunk))
-    assert trace == records
-    assert trace.collapse() == records
+    assert loads_trace(dumps_trace(records)) == records
 
 
 def test_binary_round_trip_on_kernel_trace():
     from repro.programs.suite import kernel
 
     trace = kernel("compress").trace(max_instructions=3000)
-    blob = dumps_trace_chunked(trace)
-    loaded = loads_trace_chunked(blob)
-    assert loaded.chunk_count == 1
+    loaded = loads_trace(dumps_trace(trace))
+    assert len(loaded) == 3000
     assert loaded == trace
-    assert loaded.collapse() == trace
 
 
 def test_file_round_trip(tmp_path):
     from repro.programs.suite import kernel
 
     trace = kernel("gcc").trace(max_instructions=500)
-    path = tmp_path / "trace.vsrt4"
-    assert write_trace_chunked(trace, path) == len(trace)
-    assert path.read_bytes() == dumps_trace_chunked(trace)
-    assert read_trace_chunked(path) == trace
+    path = tmp_path / "trace.vsrt5"
+    path.write_bytes(dumps_trace(trace))
+    assert open_trace(path) == trace
 
 
 def test_bad_magic_rejected():
     with pytest.raises(BinaryTraceError, match="magic"):
-        loads_trace_chunked(b"NOPE" + bytes(60))
-    # The retired single-block and varint formats are not v4 either.
-    for magic in (b"VSRT\x03", b"VSRT\x02"):
+        loads_trace(b"NOPE" + bytes(60))
+    # The retired chunked, single-block and varint formats are not v5.
+    for magic in (b"VSRT\x04", b"VSRT\x03", b"VSRT\x02"):
         with pytest.raises(BinaryTraceError, match="magic"):
-            loads_trace_chunked(magic + bytes(59))
+            loads_trace(magic + bytes(59))
 
 
 def test_truncated_data_rejected():
     from repro.programs.suite import kernel
 
-    blob = dumps_trace_chunked(kernel("gcc").trace(max_instructions=50))
+    blob = dumps_trace(kernel("gcc").trace(max_instructions=50))
     for clipped in (blob[:10], blob[: len(blob) // 2], blob[:-1]):
         with pytest.raises(BinaryTraceError):
-            loads_trace_chunked(clipped)
+            loads_trace(clipped)
 
 
 def test_empty_trace():
-    blob = dumps_trace_chunked([])
-    trace = loads_trace_chunked(blob)
-    assert trace.chunk_count == 0
+    trace = loads_trace(dumps_trace([]))
+    assert len(trace) == 0
     assert trace == []
-    assert trace.collapse() == []

@@ -8,7 +8,7 @@ import pytest
 
 from repro.programs.suite import KernelSpec, kernel
 from repro.trace import cache as trace_cache
-from repro.trace.binary import write_trace_chunked
+from repro.trace.binary import dumps_trace
 from repro.trace.record import TraceRecord
 
 
@@ -16,7 +16,7 @@ def _store(benchmark, source, limit, records):
     """Write ``records`` as the cache entry for this key; returns its path."""
     path = trace_cache.trace_path(benchmark, source, limit)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_trace_chunked(records, path)
+    path.write_bytes(dumps_trace(records))
     return path
 
 
@@ -184,25 +184,30 @@ def test_info_and_clear(cache_dir):
 
 
 def test_clear_removes_legacy_entries(cache_dir):
-    """Files older versions stored under the retired ``.vsrt3`` suffix
-    are never read again; ``clear`` deletes them with the live entries
-    and leaves unrelated files alone."""
+    """Files older versions stored under the retired ``.vsrt3`` and
+    ``.vsrt4`` suffixes are never read again; ``clear`` deletes them
+    with the live entries and leaves unrelated files alone."""
     trace_cache.cached_trace("compress", 30)
-    legacy = cache_dir / "compress-0123456789abcdef-500.vsrt3"
-    legacy.write_bytes(b"VSRT\x03" + bytes(11))
+    (cache_dir / "compress-0123456789abcdef-500.vsrt3").write_bytes(
+        b"VSRT\x03" + bytes(11)
+    )
+    # A chunked entry under this very key: a miss, never opened.
+    (entry,) = cache_dir.glob("*.vsrt5")
+    entry.with_suffix(".vsrt4").write_bytes(b"VSRT\x04" + bytes(43))
     unrelated = cache_dir / "notes.txt"
     unrelated.write_text("keep")
     info = trace_cache.cache_info()
-    assert info["files"] == [next(cache_dir.glob("*.vsrt4")).name]
-    assert trace_cache.clear_cache() == 2
+    assert info["files"] == [entry.name]
+    assert trace_cache.clear_cache() == 3
     assert not list(cache_dir.glob("*.vsrt*"))
     assert unrelated.exists()
 
 
 def test_interrupted_capture_leaves_no_temp_file(cache_dir, monkeypatch):
     """A capture stopped by anything, not only an OSError (Ctrl+C here,
-    at the 100th record), unlinks its temp file; ``clear`` also deletes
-    temp files a killed capture stranded, and counts them."""
+    at the 100th record, then between writing the temp file and renaming
+    it), leaves no file behind; ``clear`` also deletes temp files a
+    killed capture stranded, and counts them."""
     original = KernelSpec.capture
 
     def interrupted(self, writer, max_instructions=None):
@@ -220,13 +225,25 @@ def test_interrupted_capture_leaves_no_temp_file(cache_dir, monkeypatch):
     monkeypatch.setattr(KernelSpec, "capture", interrupted)
     with pytest.raises(KeyboardInterrupt):
         trace_cache.cached_trace("compress", 500)
-    assert list(cache_dir.iterdir()) == []
+    assert not cache_dir.exists() or list(cache_dir.iterdir()) == []
     assert trace_cache.clear_cache() == 0
-    assert list(cache_dir.iterdir()) == []
 
     monkeypatch.setattr(KernelSpec, "capture", original)
+    real_replace = trace_cache.os.replace
+
+    def interrupted_replace(src, dst):
+        assert src.is_file()  # the temp file was written
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(trace_cache.os, "replace", interrupted_replace)
+    with pytest.raises(KeyboardInterrupt):
+        trace_cache.cached_trace("compress", 500)
+    assert list(cache_dir.iterdir()) == []
+    assert trace_cache.clear_cache() == 0
+
+    monkeypatch.setattr(trace_cache.os, "replace", real_replace)
     trace_cache.cached_trace("compress", 500)
-    (entry,) = cache_dir.glob("*.vsrt4")
+    (entry,) = cache_dir.glob("*.vsrt5")
     stranded = cache_dir / f".{entry.name}.4242.tmp"
     stranded.write_bytes(b"partial")
     assert trace_cache.cache_info()["temp_files"] == 1
@@ -303,7 +320,7 @@ def test_cli_cache_commands(cache_dir, capsys):
     out = capsys.readouterr().out
     assert "enabled" in out and str(cache_dir) in out
     (entry,) = trace_cache.cache_entries()
-    assert f"{entry.name}  40 records in 1 chunk(s) of 1000000" in out
+    assert f"{entry.name}  40 records" in out
     assert "v3" not in out
 
     assert main(["cache", "clear"]) == 0

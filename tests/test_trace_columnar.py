@@ -1,5 +1,5 @@
-"""Columnar trace plane: struct-of-arrays traces, one VSRT v4 chunk
-each, and zero-copy distribution to sweep workers.
+"""Columnar trace plane: struct-of-arrays traces, one VSRT v5 column
+block each, and zero-copy distribution to sweep workers.
 
 Three layers under test, mirroring docs/PERFORMANCE.md ("Columnar trace
 plane"):
@@ -7,7 +7,7 @@ plane"):
 * :class:`repro.trace.columnar.ColumnarTrace` — row-view equivalence
   with ``list[TraceRecord]``, lazy memoized materialization, packing
   limits;
-* a ColumnarTrace as one v4 chunk (:mod:`repro.trace.binary`) — round
+* a ColumnarTrace as one v5 entry (:mod:`repro.trace.binary`) — round
   trips including the edges (empty trace, ``dest_reg=None``, 64-bit
   maxima), truncation/corruption rejection, and the cache's
   regenerate-on-corrupt fallback;
@@ -25,12 +25,12 @@ from repro.isa.opcodes import INSTRUCTION_BYTES, Opcode
 from repro.programs.suite import KernelSpec, kernel, kernel_names
 from repro.trace import cache as trace_cache
 from repro.trace.binary import (
+    HEADER_SIZE,
     BinaryTraceError,
-    chunk_layout,
-    dumps_trace_chunked,
-    loads_trace_chunked,
+    block_layout,
+    dumps_trace,
+    loads_trace,
     open_trace,
-    write_trace_chunked,
 )
 from repro.trace.columnar import (
     COLUMN_SPEC,
@@ -76,7 +76,7 @@ def cache_dir(tmp_path, monkeypatch):
 def capture_counter(monkeypatch):
     # Counts functional-simulation captures through either entry point:
     # the in-memory KernelSpec.trace and KernelSpec.capture (the trace
-    # cache's one capture path, straight into a chunk writer).
+    # cache's one capture path, straight into a TraceWriter).
     calls = {"count": 0}
     original_trace = KernelSpec.trace
     original_capture = KernelSpec.capture
@@ -140,17 +140,15 @@ def test_columnar_rejects_unpackable_records():
         ColumnarTrace.from_records([_rec(0, 0, src_regs=(300,))])
 
 
-# -- one-chunk v4 round trips, including the edges -------------------------
-
-#: Byte offset of the only chunk's payload in a v4 image (after the
-#: 48-byte header).
-_CHUNK0 = 48
+# -- VSRT v5 round trips, including the edges ------------------------------
+# (Test names keep the ``v4``/``chunk`` of the chunked format they were
+# written for, so their ids stay stable; the entries are VSRT v5.)
 
 
 def _round_trip(records):
-    """``records`` through v4 bytes and back, as the one-chunk
-    ColumnarTrace a cache hit returns."""
-    loaded = loads_trace_chunked(dumps_trace_chunked(records)).collapse()
+    """``records`` through v5 bytes and back, as the ColumnarTrace a
+    cache hit returns."""
+    loaded = loads_trace(dumps_trace(records))
     assert isinstance(loaded, ColumnarTrace)
     return loaded
 
@@ -191,45 +189,44 @@ def test_v4_64bit_maxima_round_trip():
 
 def test_v4_kernel_trace_file_round_trip(tmp_path):
     records = kernel("gcc").trace(max_instructions=400)
-    path = tmp_path / "trace.vsrt4"
-    write_trace_chunked(records, path)
+    path = tmp_path / "trace.vsrt5"
+    path.write_bytes(dumps_trace(records))
     loaded = open_trace(path)
     assert isinstance(loaded, ColumnarTrace)
     assert loaded == records
 
 
 def test_chunk_layout_is_aligned_and_exact():
-    offsets, size = chunk_layout(7)
+    offsets, size = block_layout(7)
     assert all(offset % 8 == 0 for offset in offsets.values())
+    assert HEADER_SIZE % 8 == 0
     trace = as_columnar(kernel("compress").trace(max_instructions=7))
-    blob = dumps_trace_chunked(trace)
-    # Header, the one chunk's payload padded to 8 bytes, then one index
-    # entry (offset, count, crc, pad, 32 fingerprint buckets).
-    entry = 8 + 8 + 4 + 4 + 4 * 32
-    assert len(blob) == _CHUNK0 + ((size + 7) & ~7) + entry
+    blob = dumps_trace(trace)
+    # The header, then the column block and nothing else.
+    assert len(blob) == HEADER_SIZE + size
     for name, _typecode, itemsize in COLUMN_SPEC:
-        start = _CHUNK0 + offsets[name]
+        start = HEADER_SIZE + offsets[name]
         assert blob[start : start + 7 * itemsize] == trace.column_bytes(name)
 
 
 def test_v4_bad_magic_rejected():
     with pytest.raises(BinaryTraceError, match="magic"):
-        loads_trace_chunked(b"NOPE" + bytes(60))
+        loads_trace(b"NOPE" + bytes(60))
 
 
 def test_v4_truncated_rejected():
-    blob = dumps_trace_chunked(kernel("compress").trace(max_instructions=20))
+    blob = dumps_trace(kernel("compress").trace(max_instructions=20))
     with pytest.raises(BinaryTraceError, match="header"):
-        loads_trace_chunked(blob[:10])
-    with pytest.raises(BinaryTraceError):
-        loads_trace_chunked(blob[:-8])
-    with pytest.raises(BinaryTraceError, match="index"):
-        loads_trace_chunked(blob + bytes(8))
+        loads_trace(blob[:10])
+    with pytest.raises(BinaryTraceError, match="size"):
+        loads_trace(blob[:-8])
+    with pytest.raises(BinaryTraceError, match="size"):
+        loads_trace(blob + bytes(8))
 
 
 def test_v4_truncated_file_rejected(tmp_path):
-    path = tmp_path / "clipped.vsrt4"
-    blob = dumps_trace_chunked(kernel("compress").trace(max_instructions=20))
+    path = tmp_path / "clipped.vsrt5"
+    blob = dumps_trace(kernel("compress").trace(max_instructions=20))
     path.write_bytes(blob[:-16])
     with pytest.raises(BinaryTraceError):
         open_trace(path)
@@ -239,21 +236,21 @@ def test_v4_truncated_file_rejected(tmp_path):
 
 
 def test_v4_unknown_opcode_rejected():
-    offsets, _size = chunk_layout(1)
+    offsets, _size = block_layout(1)
     used = {op.code for op in Opcode}
     trace = as_columnar([_rec(0, 0)])
     trace.opcode[0] = next(c for c in range(256) if c not in used)
-    # Written through the writer, so the chunk CRC matches: the opcode
+    # Written through the writer, so the block CRC matches: the opcode
     # check itself must reject it.
-    blob = dumps_trace_chunked(trace)
-    assert blob[_CHUNK0 + offsets["opcode"]] == trace.opcode[0]
+    blob = dumps_trace(trace)
+    assert blob[HEADER_SIZE + offsets["opcode"]] == trace.opcode[0]
     with pytest.raises(BinaryTraceError, match="opcode"):
-        loads_trace_chunked(blob).collapse()
+        loads_trace(blob)
 
 
 def test_v4_load_is_zero_parse(tmp_path):
-    path = tmp_path / "trace.vsrt4"
-    write_trace_chunked(kernel("compress").trace(max_instructions=200), path)
+    path = tmp_path / "trace.vsrt5"
+    path.write_bytes(dumps_trace(kernel("compress").trace(max_instructions=200)))
     loaded = open_trace(path)
     # Buffer-backed and nothing materialized until a row is touched.
     assert "buffer-backed" in repr(loaded)
@@ -276,12 +273,12 @@ def test_corrupt_cache_entry_falls_back_to_regeneration(
     path = trace_cache.trace_path("compress", kernel("compress").source, 60)
     good = path.read_bytes()
     flipped = bytearray(good)
-    flipped[_CHUNK0 + 100] ^= 0xFF  # inside the one chunk: fails its CRC
+    flipped[HEADER_SIZE + 100] ^= 0xFF  # inside the block: fails its CRC
 
-    # The second one carries a plausible v4 magic but a garbage body.
+    # The second one carries a plausible v5 magic but a garbage body.
     corruptions = (
         good[:-24],
-        b"VSRT\x04" + b"\x00" * 59,
+        b"VSRT\x05" + b"\x00" * 59,
         b"junk",
         bytes(flipped),
     )
@@ -442,15 +439,12 @@ def test_bulk_rows_equal_single_rows_on_every_kernel(name):
     )
 
 
-def test_bulk_rows_equal_single_rows_on_chunks_with_a_seq_base():
+def test_bulk_rows_equal_single_rows_on_a_loaded_entry():
     records = kernel("go").trace(max_instructions=2500)
-    chunked = loads_trace_chunked(dumps_trace_chunked(records, 1000))
-    assert chunked.chunk_count == 3
-    for index in range(chunked.chunk_count):
-        chunk = chunked.chunk(index)
-        _assert_rows_equal_single_path(chunk)
-        assert chunk.rows()[0].seq == 1000 * index
-    assert [rec.seq for rec in chunked] == list(range(len(records)))
+    loaded = loads_trace(dumps_trace(records))
+    assert "buffer-backed" in repr(loaded)
+    _assert_rows_equal_single_path(loaded)
+    assert [rec.seq for rec in loaded.rows()] == list(range(len(records)))
 
 
 def test_bulk_rows_equal_single_rows_on_a_three_source_row():

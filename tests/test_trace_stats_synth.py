@@ -80,16 +80,13 @@ def test_synthetic_config_validation():
 
 
 def test_stats_identical_across_representations():
-    """The single-pass columnar/chunked fast paths must be observationally
+    """The single-pass columnar fast path must be observationally
     identical to the per-record reference loop — same dataclass, field
-    for field — on a workload exercising every instruction class."""
+    for field — on in-memory and loaded columns alike, on a workload
+    exercising every instruction class."""
     from dataclasses import asdict
 
-    from repro.trace import (
-        as_columnar,
-        dumps_trace_chunked,
-        loads_trace_chunked,
-    )
+    from repro.trace import as_columnar, dumps_trace, loads_trace
 
     records = generate_synthetic_trace(
         SyntheticTraceConfig(length=3_000, load_every=5, branch_every=7,
@@ -97,27 +94,6 @@ def test_stats_identical_across_representations():
     )
     reference = asdict(compute_stats(records))
     assert asdict(compute_stats(as_columnar(records))) == reference
-    chunked = loads_trace_chunked(dumps_trace_chunked(records, 400))
-    assert asdict(compute_stats(chunked)) == reference
-
-
-def test_stats_streaming_is_bounded(monkeypatch):
-    """compute_stats on a ChunkedTrace must not materialize the trace:
-    at most the LRU window of chunks may ever be resident."""
-    from repro.trace import dumps_trace_chunked, loads_trace_chunked
-    from repro.trace.columnar import ChunkedTrace
-
-    records = generate_synthetic_trace(SyntheticTraceConfig(length=2_000))
-    chunked = loads_trace_chunked(dumps_trace_chunked(records, 250))
-    seen = []
-    original = ChunkedTrace.chunk
-
-    def watching(self, index):
-        result = original(self, index)
-        seen.append(self.loaded_chunks)
-        return result
-
-    monkeypatch.setattr(ChunkedTrace, "chunk", watching)
-    compute_stats(chunked)
-    assert seen  # the fast path really went chunk by chunk
-    assert all(len(loaded) <= 2 for loaded in seen)
+    loaded = loads_trace(dumps_trace(records))
+    assert asdict(compute_stats(loaded)) == reference
+    assert loaded.materialized_rows == 0  # folded from the columns alone
