@@ -95,6 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.core.model import named_models
     from repro.engine.config import paper_config
     from repro.engine.sim import make_confidence, simulator_class
+    from repro.frontend import fetch as fetch_module
     from repro.programs.suite import kernel
     from repro.vp.context import ContextValuePredictor
     from repro.vp.update_timing import UpdateTiming
@@ -129,7 +130,10 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"wrong path: {fetch.fetched_wrong_path} records fetched, "
         f"{fetch.synthesized_wrong_path} synthesized, "
-        f"{fetch.replayed_wrong_path} replayed from the memo\n"
+        f"{fetch.replayed_wrong_path} replayed from the memo; "
+        f"the memo holds {fetch_module._wp_held} of its "
+        f"{fetch_module._WP_RECORD_BUDGET}-record budget "
+        f"in {len(fetch_module._WP_STREAMS)} streams\n"
     )
 
     stats = pstats.Stats(profiler, stream=sys.stdout)

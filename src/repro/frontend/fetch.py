@@ -23,6 +23,15 @@ refetch after a complete-invalidation rewind.  Within one run a branch
 occurrence mispredicts once, so a cold run synthesizes every record it
 fetches on the wrong path (:attr:`FetchEngine.synthesized_wrong_path`
 counts them).
+
+The memo is bounded by records, not streams: it admits streams, and lets
+admitted streams grow, until it holds :data:`_WP_RECORD_BUDGET` records,
+and then stops growing.  It evicts nothing, so the records a process
+synthesized first stay replayable.  A stream the memo refuses — a new
+one, or the unrecorded tail of an admitted one — is synthesized into a
+stream its engine alone holds and drops at :meth:`FetchEngine.redirect`
+or :meth:`FetchEngine.rewind_to`.  Every record is drawn from the same
+key either way, so the budget moves no record and no cycle.
 """
 
 from __future__ import annotations
@@ -70,8 +79,8 @@ _WP_SRCS = tuple((reg,) for reg in range(8, 16))
 
 
 def _extend_stream(stream: list) -> TraceRecord:
-    """Synthesize the next record of a wrong-path ``stream`` (a memo
-    entry, ``[records, rng_state, next_pc]``), append it and return it.
+    """Synthesize the next record of a wrong-path ``stream`` (``[records,
+    rng_state, next_pc]``), append it and return it.
 
     The record equals ``TraceRecord(...)`` built from the same draws
     slot for slot; it is built from ``TraceRecord.__new__`` plus slot
@@ -135,30 +144,32 @@ def _extend_stream(stream: list) -> TraceRecord:
 #: ``TraceRecord`` instances are immutable to the engine, so sharing them
 #: across replays and runs is safe.
 _WP_STREAMS: dict[tuple[int, int], list] = {}
-_WP_STREAM_LIMIT = 1 << 16
+#: Records the memo grows to at most (plus the rest of the fetch group
+#: that reaches it): 2^17 records of ~275 B are ~36 MB, about twice the
+#: largest memo a Figure 3, sweep or service benchmark process builds.
+_WP_RECORD_BUDGET = 1 << 17
+#: Records the streams of :data:`_WP_STREAMS` hold.
+_wp_held = 0
 
 
-def _wrong_path_cache(seed: int, start_pc: int) -> list:
-    """The memoized ``[records, rng_state, next_pc]`` stream cache for
-    ``(seed, start_pc)``, creating (and registering) it on first use.
+def _wrong_path_cache(seed: int, start_pc: int) -> tuple[list, bool]:
+    """The ``[records, rng_state, next_pc]`` stream for ``(seed,
+    start_pc)`` and whether the memo holds it.
 
-    The memo is a bounded LRU: a hit reinserts its key at the dict tail
-    (dicts preserve insertion order), so the head is always the coldest
-    stream and reaching the cap evicts exactly one entry instead of
-    dropping the whole memo.  The move-to-end runs once per wrong-path
-    episode, not per fetched instruction, so it stays off the hot path.
+    A memoized stream is returned however full the memo is.  A new
+    stream is registered while the memo holds fewer records than
+    :data:`_WP_RECORD_BUDGET`; past the budget it is returned unregistered,
+    for its engine alone.  Nothing is ever evicted.
     """
     key = (seed, start_pc)
-    streams = _WP_STREAMS
-    cache = streams.get(key)
-    if cache is None:
-        if len(streams) >= _WP_STREAM_LIMIT:
-            del streams[next(iter(streams))]
-        cache = streams[key] = [[], _mix(seed | 1), start_pc]
-    else:
-        del streams[key]
-        streams[key] = cache
-    return cache
+    stream = _WP_STREAMS.get(key)
+    if stream is not None:
+        return stream, True
+    stream = [[], _mix(seed | 1), start_pc]
+    admitted = _wp_held < _WP_RECORD_BUDGET
+    if admitted:
+        _WP_STREAMS[key] = stream
+    return stream, admitted
 
 
 class FetchEngine:
@@ -189,10 +200,12 @@ class FetchEngine:
         self._seed = seed
         self._index = 0
         self._stall_until = 0
-        #: The wrong-path memo stream being fetched (``None`` on the
-        #: correct path) and the position of its next record.
+        #: The wrong-path stream being fetched (``None`` on the correct
+        #: path), the position of its next record, and whether the memo
+        #: holds it (else this engine alone does).
         self._wp_stream: list | None = None
         self._wp_pos = 0
+        self._wp_shared = False
         self._last_block: int | None = None
         self.fetched_correct = 0
         self.fetched_wrong_path = 0
@@ -258,6 +271,7 @@ class FetchEngine:
         stamped into every tuple verbatim so the engine can extend its
         dispatch queue with the batch directly (the queue's entries carry
         the cycle the instruction becomes dispatchable)."""
+        global _wp_held
         if cycle < self._stall_until or max_count <= 0:
             return []
         out: list[tuple[TraceRecord, bool, bool, int]] = []
@@ -274,16 +288,26 @@ class FetchEngine:
         count = 0
         stream = self._wp_stream
         if stream is not None:
-            # Wrong path until the redirect: replay the memo stream,
-            # synthesizing past its recorded end.  A record is consumed
-            # even when its I-cache miss ends the group.
+            # Wrong path until the redirect: replay the stream,
+            # synthesizing past its recorded end.  A memo stream that
+            # runs out in a group starting with the memo full goes on as
+            # a private copy of its generator state, so the memo grows
+            # only in groups that start under the budget.  A record is
+            # consumed even when its I-cache miss ends the group.
             records = stream[0]
             start = pos = self._wp_pos
             synthesized = 0
+            full = self._wp_shared and _wp_held >= _WP_RECORD_BUDGET
             while count < max_count:
                 if pos < len(records):
                     rec = records[pos]
                 else:
+                    if full:
+                        stream = self._wp_stream = [[], stream[1], stream[2]]
+                        records = stream[0]
+                        start -= pos  # pos - start still counts this group
+                        pos = 0
+                        full = self._wp_shared = False
                     rec = _extend_stream(stream)
                     synthesized += 1
                 pos += 1
@@ -303,6 +327,8 @@ class FetchEngine:
             self.fetched_wrong_path += count
             self.synthesized_wrong_path += synthesized
             self.replayed_wrong_path += pos - start - synthesized
+            if self._wp_shared:
+                _wp_held += synthesized
             return out
         trace = self.trace
         trace_len = len(trace)
@@ -343,7 +369,7 @@ class FetchEngine:
             count += 1
             if mispredicted:
                 if self.model_wrong_path:
-                    self._wp_stream = _wrong_path_cache(
+                    self._wp_stream, self._wp_shared = _wrong_path_cache(
                         self._seed ^ rec.seq, rec.next_pc + 0x4000
                     )
                     self._wp_pos = 0

@@ -173,11 +173,13 @@ def render_report(results: dict) -> str:
     """Markdown report with the verdict table and the headline data."""
     verdicts = check_claims(results)
     reproduced = sum(1 for v in verdicts if v.reproduced)
+    jobs = results.get("jobs")
     lines = [
         "# Reproduction report",
         "",
         f"Trace limit: {results.get('trace_limit')} instructions/kernel; "
-        f"wall time {results.get('wall_seconds', '?')}s.",
+        f"wall time {results.get('wall_seconds', '?')}s"
+        + ("." if jobs is None else f" with `--jobs {jobs}`."),
         "",
         f"**{reproduced}/{len(verdicts)} checked claims reproduced.**",
         "",

@@ -48,6 +48,10 @@ Configuration is via the ``REPRO_RESULT_STORE`` environment variable:
 
 It is read by :mod:`repro.env`, under the rule ``REPRO_TRACE_CACHE``
 shares: an on spelling such as ``1`` is an error, not a directory.
+Only :func:`store_dir` and :func:`resolve_store` read it.  Every other
+function takes its directory from the caller and reads ``None`` as
+"store off", so a caller that resolved its own store (a service started
+with ``--store off``) never touches the environment's.
 """
 
 from __future__ import annotations
@@ -112,8 +116,6 @@ def resolve_store(setting: object = AUTO_STORE) -> Path | None:
 
 def result_path(key: str, directory: Path | None = None) -> Path | None:
     """Where the entry for this job key lives (``None`` when disabled)."""
-    if directory is None:
-        directory = store_dir()
     if directory is None:
         return None
     return Path(directory) / (key + _SUFFIX)
@@ -236,8 +238,6 @@ def load_result(key: str, directory: Path | None = None):
 
 def store_entries(directory: Path | None = None) -> list[Path]:
     """Every entry file currently in the store directory."""
-    if directory is None:
-        directory = store_dir()
     if directory is None or not Path(directory).is_dir():
         return []
     return sorted(Path(directory).glob(f"*{_SUFFIX}"))
@@ -258,8 +258,6 @@ def store_info(directory: Path | None) -> dict:
 def clear_store(directory: Path | None = None) -> int:
     """Delete every store entry and every temp file a crashed writer
     left behind; returns the number of files removed."""
-    if directory is None:
-        directory = store_dir()
     if directory is None:
         return 0
     leftovers = sorted(Path(directory).glob(f".*{_SUFFIX}.*.tmp"))

@@ -429,7 +429,7 @@ class SimulationService:
                     else:
                         dispositions.append("joined")
                     continue
-                wire = self._stored_wire(key)
+                wire = result_store.load_wire(key, self.store_dir)
                 if wire is not None:
                     done = _Entry(key)
                     done.state = "done"
@@ -477,7 +477,7 @@ class SimulationService:
         with self._lock:
             entry = self._entries.get(key)
         if entry is None:
-            wire = self._stored_wire(key)
+            wire = result_store.load_wire(key, self.store_dir)
             if wire is not None:
                 return {"state": "done", "source": "store", "result": wire}
             return {"state": "unknown"}
@@ -621,11 +621,10 @@ class SimulationService:
         — the fsync completes before this returns — then release the
         key's waiters.  The entry keeps the result in memory either way."""
         entry.wire = wire
-        if self.store_dir is not None and result_store.store_result(
-            entry.key, wire, self.store_dir
-        ) is None:
-            self._trace("store-write-failed", key=entry.key,
-                        dir=str(self.store_dir))
+        if result_store.store_result(entry.key, wire, self.store_dir) is None:
+            if self.store_dir is not None:
+                self._trace("store-write-failed", key=entry.key,
+                            dir=str(self.store_dir))
         entry.job = entry.blob = None  # the job served its purpose
         entry.state = "done"
         entry.source = "computed"
@@ -636,19 +635,10 @@ class SimulationService:
                     attempt=entry.attempts)
 
     def _evict(self) -> None:
-        budget = self.config.store_max_entries
-        if self.store_dir is not None and budget is not None:
+        if self.config.store_max_entries is not None:
             result_store.evict_store(
-                self.store_dir, max_entries=budget
+                self.store_dir, max_entries=self.config.store_max_entries
             )
-
-    def _stored_wire(self, key: str) -> dict | None:
-        """``key``'s result document from this service's own store
-        (``None`` with the store off: the result store functions would
-        read ``REPRO_RESULT_STORE`` for a ``None`` directory)."""
-        if self.store_dir is None:
-            return None
-        return result_store.load_wire(key, self.store_dir)
 
     # -- execution: the worker plane (cluster) -------------------------------
 
@@ -749,7 +739,7 @@ class SimulationService:
             # An orphan: a previous incarnation leased the key before a
             # restart.  Its stored result, if the ack was lost, makes
             # this a duplicate; otherwise the blob must prove the key.
-            stored = self._stored_wire(key)
+            stored = result_store.load_wire(key, self.store_dir)
             if stored is None:
                 verified_job(key, report.get("blob"))
         with self._lock:

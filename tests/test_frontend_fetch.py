@@ -1,5 +1,8 @@
 """Fetch engine tests: width, I-cache stalls, wrong path, redirect."""
 
+import pytest
+
+import repro.frontend.fetch as fetch_mod
 from repro.frontend import FetchEngine, GsharePredictor
 from repro.isa.opcodes import Opcode
 from repro.mem.cache import Cache
@@ -125,40 +128,106 @@ def test_wrong_path_mix_contains_loads():
     assert Opcode.ADD in opcodes
 
 
-def test_wrong_path_memo_lru_cap(monkeypatch):
-    import repro.frontend.fetch as fetch_mod
-
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty wrong-path memo (the process-wide one holds the streams
+    of every simulation this test process ran before)."""
     monkeypatch.setattr(fetch_mod, "_WP_STREAMS", {})
-    monkeypatch.setattr(fetch_mod, "_WP_STREAM_LIMIT", 4)
-    streams = fetch_mod._WP_STREAMS
-
-    for pc in (0x100, 0x200, 0x300, 0x400):
-        fetch_mod._wrong_path_cache(7, pc)
-    assert len(streams) == 4
-
-    # Touch the oldest entry so it becomes the most recently used.
-    fetch_mod._wrong_path_cache(7, 0x100)
-    assert next(reversed(streams)) == (7, 0x100)
-
-    # Inserting past the cap evicts exactly one entry - the coldest
-    # ((7, 0x200), since (7, 0x100) was just touched) - not the memo.
-    fetch_mod._wrong_path_cache(7, 0x500)
-    assert len(streams) == 4
-    assert (7, 0x200) not in streams
-    assert (7, 0x100) in streams
-    assert (7, 0x500) in streams
+    monkeypatch.setattr(fetch_mod, "_wp_held", 0)
 
 
-def test_wrong_path_memo_hit_preserves_stream_state(monkeypatch):
-    import repro.frontend.fetch as fetch_mod
+def _m88ksim_base_run():
+    """A 2,000-instruction m88ksim base run at 8/48: its counters and
+    its fetch engine."""
+    from repro.engine.config import paper_config
+    from repro.engine.sim import simulator_class
+    from repro.programs.suite import kernel
 
-    monkeypatch.setattr(fetch_mod, "_WP_STREAMS", {})
-    cache = fetch_mod._wrong_path_cache(11, 0x4000)
-    cache[0].append("sentinel-record")
-    # A hit returns the same mutable stream object (move-to-end must not
-    # copy or reset the recorded prefix).
-    assert fetch_mod._wrong_path_cache(11, 0x4000) is cache
-    assert cache[0] == ["sentinel-record"]
+    engine, _path = simulator_class()
+    simulator = engine(
+        kernel("m88ksim").trace(2000), paper_config("8/48"), model=None
+    )
+    counters = simulator.run()
+    return counters, simulator.fetch_engine
+
+
+#: A budget the m88ksim run crosses about a third of the way through.
+_FEW_HUNDRED = 300
+
+
+def _memo_records():
+    return sum(len(stream[0]) for stream in fetch_mod._WP_STREAMS.values())
+
+
+@pytest.fixture(scope="module")
+def cold_m88ksim_counters():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fetch_mod, "_WP_STREAMS", {})
+        patch.setattr(fetch_mod, "_wp_held", 0)
+        counters, fetch = _m88ksim_base_run()
+    assert fetch.synthesized_wrong_path > 3 * _FEW_HUNDRED
+    return counters
+
+
+@pytest.mark.parametrize("budget", [0, _FEW_HUNDRED, None])
+def test_record_budget_moves_no_counter(
+    fresh_memo, monkeypatch, cold_m88ksim_counters, budget
+):
+    """A refused stream is drawn from its key like an admitted one: cold
+    and warm runs under any budget count what a cold run under the
+    default budget does."""
+    if budget is not None:
+        monkeypatch.setattr(fetch_mod, "_WP_RECORD_BUDGET", budget)
+    for _run in ("cold", "warm"):
+        counters, _fetch = _m88ksim_base_run()
+        assert counters == cold_m88ksim_counters
+
+
+def test_refused_stream_is_held_by_its_engine_alone(fresh_memo, monkeypatch):
+    monkeypatch.setattr(fetch_mod, "_WP_RECORD_BUDGET", 0)
+    stream, shared = fetch_mod._wrong_path_cache(7, 0x100)
+    assert not shared and fetch_mod._WP_STREAMS == {}
+    assert stream == [[], fetch_mod._mix(7 | 1), 0x100]
+    # The budget refuses only new streams: a memoized one still hits.
+    fetch_mod._WP_STREAMS[(7, 0x200)] = held = [[], 0, 0x200]
+    stream, shared = fetch_mod._wrong_path_cache(7, 0x200)
+    assert stream is held and shared
+
+
+def test_memo_stops_growing_one_fetch_group_past_the_budget(
+    fresh_memo, monkeypatch
+):
+    from repro.engine.config import paper_config
+
+    budget = _FEW_HUNDRED
+    monkeypatch.setattr(fetch_mod, "_WP_RECORD_BUDGET", budget)
+    _counters, fetch = _m88ksim_base_run()
+    held = fetch_mod._wp_held
+    assert held == _memo_records()
+    # A fetch group is at most the fetch width, which is the issue width.
+    assert budget <= held < budget + paper_config("8/48").issue_width
+    # The rest of the run was refused: synthesized, but not memoized.
+    assert fetch.synthesized_wrong_path > held
+    # A warm run replays what the memo holds and adds nothing to it.
+    _m88ksim_base_run()
+    assert fetch_mod._wp_held == _memo_records() == held
+
+
+@pytest.mark.parametrize("budget", [_FEW_HUNDRED, None])
+def test_second_run_replays_what_the_first_admitted(
+    fresh_memo, monkeypatch, budget
+):
+    if budget is not None:
+        monkeypatch.setattr(fetch_mod, "_WP_RECORD_BUDGET", budget)
+    _counters, first = _m88ksim_base_run()
+    admitted = fetch_mod._wp_held
+    _counters, second = _m88ksim_base_run()
+    assert second.replayed_wrong_path == admitted
+    assert second.synthesized_wrong_path == (
+        first.synthesized_wrong_path - admitted
+    )
+    if budget is None:
+        assert second.synthesized_wrong_path == 0
 
 
 # -- wrong-path synthesis ---------------------------------------------------
@@ -210,25 +279,19 @@ def _assert_same_slots(got, want):
         assert mine == theirs, name
 
 
-def test_synthesized_records_equal_keyword_construction(monkeypatch):
-    import repro.frontend.fetch as fetch_mod
-
-    monkeypatch.setattr(fetch_mod, "_WP_STREAMS", {})
+def test_synthesized_records_equal_keyword_construction(fresh_memo):
     for stream_no in range(1000):
         seed = 7 ^ (stream_no * 2654435761)
         start_pc = 0x4000 + 8 * stream_no
-        stream = fetch_mod._wrong_path_cache(seed, start_pc)
+        stream, _shared = fetch_mod._wrong_path_cache(seed, start_pc)
         got = [fetch_mod._extend_stream(stream) for _ in range(60)]
         assert got == stream[0]
         for mine, theirs in zip(got, _reference_stream(seed, start_pc, 60)):
             _assert_same_slots(mine, theirs)
 
 
-def test_synthesized_records_share_their_immutable_parts(monkeypatch):
-    import repro.frontend.fetch as fetch_mod
-
-    monkeypatch.setattr(fetch_mod, "_WP_STREAMS", {})
-    stream = fetch_mod._wrong_path_cache(3, 0x4000)
+def test_synthesized_records_share_their_immutable_parts(fresh_memo):
+    stream, _shared = fetch_mod._wrong_path_cache(3, 0x4000)
     records = [fetch_mod._extend_stream(stream) for _ in range(400)]
     by_regs = {}
     for rec in records:
@@ -245,10 +308,7 @@ def _mispredicting_trace():
             TraceRecord(1, 0x4000, Opcode.ADD, (4,), 8, 0, next_pc=0x4008)]
 
 
-def test_synthesized_wrong_path_counts_cold_and_warm_memo(monkeypatch):
-    import repro.frontend.fetch as fetch_mod
-
-    monkeypatch.setattr(fetch_mod, "_WP_STREAMS", {})
+def test_synthesized_wrong_path_counts_cold_and_warm_memo(fresh_memo):
 
     def wrong_path_run():
         engine = FetchEngine(_mispredicting_trace(), None, GsharePredictor())

@@ -84,6 +84,14 @@ def test_render_report_contains_tables():
     assert "| 4/24 | D/R |" in text
 
 
+def test_render_report_header_names_the_worker_count():
+    results = _synthetic_results()
+    results.update(trace_limit=20000, wall_seconds=150.9)
+    assert "wall time 150.9s." in render_report(results)
+    results["jobs"] = 2
+    assert "wall time 150.9s with `--jobs 2`." in render_report(results)
+
+
 @pytest.mark.skipif(not _RESULTS.exists(), reason="no full-results run yet")
 def test_actual_full_results_reproduce_all_claims():
     """The committed full-scale run must pass every shape check."""

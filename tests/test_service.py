@@ -76,6 +76,27 @@ class TestResultStore:
         assert rs.store_result("ab" * 12, {"cycles": 1}) is None
         assert rs.load_wire("ab" * 12) is None
 
+    def test_no_directory_is_store_off_whatever_the_environment_says(
+        self, computed, monkeypatch, tmp_path
+    ):
+        """Only ``store_dir`` reads ``REPRO_RESULT_STORE``: a ``None``
+        directory neither writes, reads, lists, evicts nor clears the
+        environment's store."""
+        job, result = computed
+        key = job_key(job)
+        env_store = tmp_path / "env"
+        monkeypatch.setenv(rs.ENV_VAR, str(env_store))
+        assert rs.store_result(key, result, None) is None
+        assert not env_store.exists()
+        rs.store_result(key, result, env_store)
+        assert rs.result_path(key, None) is None
+        assert rs.load_wire(key, None) is None
+        assert rs.load_result(key, None) is None
+        assert rs.store_entries(None) == []
+        assert rs.evict_store(None, max_entries=0) == 0
+        assert rs.clear_store(None) == 0
+        assert rs.store_entries(env_store) == [rs.result_path(key, env_store)]
+
     @pytest.mark.parametrize(
         "spelling", ["", "0", "off", "none", "disabled", "false", "no",
                      " OFF ", "None"]
