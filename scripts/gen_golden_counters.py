@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from repro.asm import assemble
 from repro.cluster.serial import job_key
-from repro.core.model import GREAT_MODEL
+from repro.core.model import GOOD_MODEL, GREAT_MODEL
+from repro.core.variables import SelectionPolicy
 from repro.engine.config import ProcessorConfig
 from repro.engine.sim import run_baseline, run_trace
 from repro.func import Machine
@@ -57,6 +58,16 @@ VARIANTS = (
     ("hybrid_DR", "D", None, HybridPredictor),
     ("tagged_IR", "I", None, TaggedContextPredictor),
 )
+
+#: Selection-policy variants: the two non-paper policies on the good model
+#: at 4/24, D/R, where each run's counters differ from the paper-policy
+#: run of the same workload (with the great model at 8/48 they do not).
+#: Each entry is (variant name, selection policy).
+SELECTION_VARIANTS = (
+    ("good_oldest_first_DR", SelectionPolicy.OLDEST_FIRST),
+    ("good_speculative_equal_DR", SelectionPolicy.SPECULATIVE_EQUAL),
+)
+SELECTION_CONFIG = ProcessorConfig(issue_width=4, window_size=24)
 
 #: Variant snapshots run on a workload subset (the full counter dumps pin
 #: the code path, not the workload sweep — the 13 main snapshots do that).
@@ -170,6 +181,30 @@ def main() -> None:
                 "update_timing": timing,
                 "confidence": conf_factory.__name__ if conf_factory else "R",
                 "predictor": pred_factory.__name__ if pred_factory else "context",
+                "vp": counters_dict(vp.counters),
+            }
+            vpath = VARIANT_DIR / f"{label}__{variant}.json"
+            vpath.write_text(json.dumps(vsnap, indent=1, sort_keys=True) + "\n")
+            print(f"wrote variants/{vpath.name}: vp {vp.cycles} cyc")
+        for variant, policy in SELECTION_VARIANTS:
+            model = replace(
+                GOOD_MODEL,
+                variables=replace(GOOD_MODEL.variables, selection=policy),
+            )
+            vp = run_trace(
+                trace, SELECTION_CONFIG, model, confidence="R", update_timing="D"
+            )
+            vsnap = {
+                "workload": label,
+                "variant": variant,
+                "trace_length": len(trace),
+                "config": {"issue_width": SELECTION_CONFIG.issue_width,
+                           "window_size": SELECTION_CONFIG.window_size},
+                "model": GOOD_MODEL.name,
+                "selection": policy.value,
+                "update_timing": "D",
+                "confidence": "R",
+                "predictor": "context",
                 "vp": counters_dict(vp.counters),
             }
             vpath = VARIANT_DIR / f"{label}__{variant}.json"
