@@ -19,8 +19,12 @@ from pathlib import Path
 import pytest
 
 import repro.harness.parallel as parallel
-from repro.core.model import GREAT_MODEL
-from repro.core.variables import InvalidationScheme
+from repro.core.model import (
+    GREAT_MODEL,
+    SpeculativeExecutionModel,
+    named_models,
+)
+from repro.core.variables import InvalidationScheme, SelectionPolicy
 from repro.engine.config import ProcessorConfig
 from repro.harness.parallel import SimJob, plan_units, run_jobs
 from repro.vp.confidence import SaturatingConfidenceEstimator
@@ -55,6 +59,17 @@ def counters_dict(counters) -> dict:
         for f in fields(counters)
         if f.name != "extra"
     }
+
+
+def _snapshot_model(snapshot) -> SpeculativeExecutionModel:
+    """The snapshot's model and selection policy; a snapshot without
+    those fields was recorded with the great model and paper selection."""
+    model = named_models()[snapshot.get("model", "great")]
+    selection = SelectionPolicy(snapshot.get("selection", "paper"))
+    return dataclasses.replace(
+        model,
+        variables=dataclasses.replace(model.variables, selection=selection),
+    )
 
 
 def _result_key(result):
@@ -117,14 +132,15 @@ def test_batched_matches_golden(path):
 )
 def test_batched_matches_variant_golden(path):
     """Duplicated variant points — immediate update timing, saturating
-    confidence, every alternative predictor implementation — run once
-    and fill both positions with the variant snapshot."""
+    confidence, every alternative predictor implementation, the
+    non-paper selection policies — run once and fill both positions with
+    the variant snapshot."""
     snapshot = json.loads(path.read_text())
     benchmark, limit = _benchmark_and_limit(snapshot["workload"])
     job = SimJob(
         benchmark,
         _snapshot_config(snapshot),
-        GREAT_MODEL,
+        _snapshot_model(snapshot),
         limit,
         confidence=_CONFIDENCE[snapshot["confidence"]],
         update_timing=snapshot["update_timing"],

@@ -2,9 +2,10 @@
 
 ``tests/golden/variants/*.json`` pins the engine/predictor combinations
 the 13 main snapshots (``test_golden_counters.py``, great model, D/R,
-context predictor) never reach: immediate (I) update timing, saturating
-confidence, and the last-value / stride / hybrid / tagged predictor
-implementations.  Together with the main suite these snapshots make the
+context predictor, paper selection) never reach: immediate (I) update
+timing, saturating confidence, the last-value / stride / hybrid / tagged
+predictor implementations, and the oldest-first and speculative-equal
+selection policies (good model, 4/24).  Together with the main suite these snapshots make the
 array-backed predictor storage rewrite provably bit-identical on every
 update-timing and predictor code path.
 
@@ -14,13 +15,14 @@ Regenerate ONLY for intentional model changes::
 """
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from repro.asm import assemble
-from repro.core.model import GREAT_MODEL
+from repro.core.model import SpeculativeExecutionModel, named_models
+from repro.core.variables import SelectionPolicy
 from repro.engine.config import ProcessorConfig
 from repro.engine.sim import run_trace
 from repro.func import Machine
@@ -60,6 +62,14 @@ def counters_dict(counters) -> dict:
     }
 
 
+def _snapshot_model(snapshot) -> SpeculativeExecutionModel:
+    """The snapshot's model and selection policy; a snapshot without
+    those fields was recorded with the great model and paper selection."""
+    model = named_models()[snapshot.get("model", "great")]
+    selection = SelectionPolicy(snapshot.get("selection", "paper"))
+    return replace(model, variables=replace(model.variables, selection=selection))
+
+
 def _load_trace(label: str):
     kind, name = label.split("_", 1)
     if kind == "micro":
@@ -86,7 +96,7 @@ def test_variant_counters_match_golden(path):
     result = run_trace(
         trace,
         config,
-        GREAT_MODEL,
+        _snapshot_model(snapshot),
         confidence=_CONFIDENCE[snapshot["confidence"]](),
         update_timing=snapshot["update_timing"],
         predictor=_PREDICTOR[snapshot["predictor"]](),

@@ -12,14 +12,19 @@ every snapshot rather than on one instrumented workload.
 """
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from repro.asm import assemble
-from repro.core.model import GREAT_MODEL
+from repro.core.model import (
+    GREAT_MODEL,
+    SpeculativeExecutionModel,
+    named_models,
+)
+from repro.core.variables import SelectionPolicy
 from repro.engine.config import ProcessorConfig
 from repro.engine.pipeline import PipelineSimulator
 from repro.engine.sim import run_baseline, run_trace, simulator_class
@@ -60,6 +65,14 @@ def counters_dict(counters) -> dict:
         for f in fields(counters)
         if f.name != "extra"
     }
+
+
+def _snapshot_model(snapshot) -> SpeculativeExecutionModel:
+    """The snapshot's model and selection policy; a snapshot without
+    those fields was recorded with the great model and paper selection."""
+    model = named_models()[snapshot.get("model", "great")]
+    selection = SelectionPolicy(snapshot.get("selection", "paper"))
+    return replace(model, variables=replace(model.variables, selection=selection))
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +138,7 @@ def test_generic_matches_golden_variants(path):
     result = run_trace(
         trace,
         config,
-        GREAT_MODEL,
+        _snapshot_model(snapshot),
         confidence=_CONFIDENCE[snapshot["confidence"]](),
         update_timing=snapshot["update_timing"],
         predictor=_PREDICTOR[snapshot["predictor"]](),

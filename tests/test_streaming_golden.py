@@ -1,6 +1,6 @@
 """Runs on a loaded VSRT v5 entry are bit-identical to the in-memory path.
 
-Every golden snapshot (13 main + 24 predictor-path variants) is replayed
+Every golden snapshot (13 main + 32 variants) is replayed
 through its trace written to VSRT v5 bytes and loaded back — the
 buffer-backed :class:`~repro.trace.columnar.ColumnarTrace` a cache hit
 returns; the counters must match the committed snapshots bit for bit.
@@ -15,13 +15,18 @@ they were written for, so their ids stay stable.)
 """
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from repro.asm import assemble
-from repro.core.model import GREAT_MODEL
+from repro.core.model import (
+    GREAT_MODEL,
+    SpeculativeExecutionModel,
+    named_models,
+)
+from repro.core.variables import SelectionPolicy
 from repro.engine.config import ProcessorConfig
 from repro.engine.sim import run_baseline, run_trace
 from repro.func import Machine
@@ -65,6 +70,14 @@ def counters_dict(counters) -> dict:
         for f in fields(counters)
         if f.name != "extra"
     }
+
+
+def _snapshot_model(snapshot) -> SpeculativeExecutionModel:
+    """The snapshot's model and selection policy; a snapshot without
+    those fields was recorded with the great model and paper selection."""
+    model = named_models()[snapshot.get("model", "great")]
+    selection = SelectionPolicy(snapshot.get("selection", "paper"))
+    return replace(model, variables=replace(model.variables, selection=selection))
 
 
 def _records(label: str):
@@ -126,7 +139,7 @@ def test_streaming_variant_counters_match_golden(path):
     result = run_trace(
         trace,
         config,
-        GREAT_MODEL,
+        _snapshot_model(snapshot),
         confidence=_CONFIDENCE[snapshot["confidence"]](),
         update_timing=snapshot["update_timing"],
         predictor=_PREDICTOR[snapshot["predictor"]](),
