@@ -29,7 +29,6 @@ STAGE_ROWS = (
     "_predict_value",
     "_issue",
     "_try_load_access",
-    "_start_execution",
     "_process_events",
     "_on_result",
     "_broadcast",

@@ -56,7 +56,6 @@ from repro.core.variables import (
     InvalidationScheme,
     MemoryResolution,
     ModelVariables,
-    SelectionPolicy,
     VerificationScheme,
     WakeupPolicy,
 )
@@ -75,7 +74,7 @@ from repro.vp.confidence import ConfidenceEstimator, ResettingConfidenceEstimato
 from repro.vp.context import ContextValuePredictor
 from repro.vp.update_timing import UpdateTiming
 from repro.window.ruu import InstructionWindow
-from repro.window.selection import select
+from repro.window.selection import SELECTION_TERMS
 from repro.window.station import Operand, Station
 from repro.window.taintmask import TaintBitAllocator
 from repro.window.wakeup import operand_state_labels
@@ -245,9 +244,10 @@ class PipelineSimulator:
         #: per-dispatch gate collapses to two truthy attribute loads.
         self._predict_all = config.predict_classes == "all"
         self._vp_unlimited = not config.vp_ports
-        #: Default selection policy fast path: issue sorts native key
-        #: tuples instead of calling a key function per candidate.
-        self._sel_paper = self.variables.selection is SelectionPolicy.PAPER
+        #: Selection-key masks (branch/load priority, speculative
+        #: inputs) of the run's policy: issue sorts native key tuples
+        #: instead of calling a key function per candidate.
+        self._prio_term, self._spec_term = SELECTION_TERMS[self.variables.selection]
         #: Per-call constants, hoisted for the per-cycle stage methods.
         self._wakeup_valid_only = self.variables.wakeup is WakeupPolicy.VALID_ONLY
         self._branch_valid_only = (
@@ -646,23 +646,17 @@ class PipelineSimulator:
         new_station = Station.__new__
         new_operand = Operand.__new__
         peak = window.peak_occupancy
-        # Under paper selection (totally ordered candidates) a station
-        # with an un-ready operand never needs to enter the ready pool at
-        # dispatch: it cannot pass the wakeup predicate until a producer
-        # broadcast arrives, and _broadcast re-pools it at that moment.
-        # Skipping the insert avoids the pool round-trip (insert, predicate
-        # walk, park-delete) for the common in-flight-dependency case.
-        # Order-sensitive selection policies keep the unconditional insert
-        # so pool iteration order stays byte-identical.
-        pool_all = not self._sel_paper
+        # A station with an un-ready operand never enters the ready pool
+        # at dispatch: it cannot pass the wakeup predicate until a
+        # producer broadcast arrives, and _broadcast re-pools it at that
+        # moment.  (Every policy's selection key is total, so the order
+        # stations enter the pool never matters.)
         # Per-instruction counters accumulate in locals and flush once
         # after the loop (an attribute RMW per instruction is overhead).
         n_wrong = n_branches = n_mispred = n_loads = n_stores = 0
-        while dispatched < width:
-            if not fetch_queue:
-                if dispatched == 0 and not self.fetch_engine.exhausted:
-                    counters.stall_fetch_empty += 1
-                break
+        # run() calls this only when the queue head is ready, so an empty
+        # queue here always follows at least one dispatch.
+        while dispatched < width and fetch_queue:
             rec, wrong_path, mispredicted, ready = fetch_queue[0]
             if ready > cycle:
                 break
@@ -813,7 +807,7 @@ class PipelineSimulator:
             occ = len(win)
             if occ > peak:
                 peak = occ
-            if pool_ready or pool_all:
+            if pool_ready:
                 pool[sid] = station
             if wrong_path:
                 n_wrong += 1
@@ -927,27 +921,6 @@ class PipelineSimulator:
     # issue
     # ------------------------------------------------------------------
 
-    def _branch_ready_cycle(self, station: Station) -> int:
-        """Earliest cycle a valid-operand branch may issue, honouring the
-        Verification–Branch latency for network-verified operands."""
-        extra = self.latencies.verification_to_branch
-        ready = station.min_issue_cycle
-        for operand in station.operands:
-            gate = operand.valid_cycle + (extra if operand.via_network else 0)
-            if gate > ready:
-                ready = gate
-        return ready
-
-    def _memory_ready_cycle(self, station: Station) -> int:
-        """Earliest issue cycle honouring Verification-Address–Memory-Access."""
-        extra = self.latencies.verification_addr_to_mem_access
-        ready = station.min_issue_cycle
-        for operand in station.operands:
-            gate = operand.valid_cycle + (extra if operand.via_network else 0)
-            if gate > ready:
-                ready = gate
-        return ready
-
     def _issue(self) -> None:
         """Event-driven wakeup + selection.
 
@@ -978,162 +951,122 @@ class PipelineSimulator:
         # (valid_cycle is always a past or present cycle), so the gate
         # reduces to min_issue_cycle and the operand walk is skipped.
         lat_vb = self._lat_verify_branch
+        prio_term = self._prio_term
+        spec_term = self._spec_term
         candidates: list = []
-        if self._sel_paper:
-            # Pool order is irrelevant under paper selection (the
-            # candidate sort key is total), so the walk rebuilds the pool
-            # in place: parking an entry is simply not re-adding it, which
-            # replaces a list append plus a keyed delete per parked
-            # station.  Selected candidates were never re-added; overflow
-            # candidates go back at the end.
-            stations = list(pool.values())
-            pool.clear()
-            for station in stations:
-                if station.issued or station.retired:
-                    continue
-                if station.in_dirty:
-                    # Station.refresh_inputs, inlined (kept in lockstep
-                    # with window/station.py): the wakeup walk is the
-                    # hottest consumer of the cached operand summary.
-                    usable = correct = True
-                    union = 0
-                    spec = False
-                    for op in station.operands:
-                        if op.ready:
-                            t = op.taints
-                            if t:
-                                union |= t
-                                spec = True
-                            if not op.correct:
-                                correct = False
-                        else:
-                            usable = False
-                            correct = False
-                    station.in_usable = usable
-                    station.in_taint_union = union
-                    station.in_correct = correct
-                    station.in_spec = spec
-                    station.in_dirty = False
-                if not station.in_usable:
-                    # Waiting on a producer broadcast; deliver() re-arms.
-                    continue
-                tainted = station.in_taint_union
-                is_ctrl = station.is_ctrl
-                if tainted and (valid_only or (is_ctrl and branch_valid_only)):
-                    # Waiting on verification; taint clears re-arm.
-                    continue
-                gate = station.min_issue_cycle
-                if lat_vb and is_ctrl and not tainted:
-                    # _branch_ready_cycle, inlined (only network-verified
-                    # operands can push the gate past the current cycle).
-                    for operand in station.operands:
-                        if operand.via_network:
-                            g = operand.valid_cycle + lat_vb
-                            if g > gate:
-                                gate = g
-                if gate > cycle:
-                    self._gate_wakeup(gate, station)
-                    continue
-                if obs_on and station.wakeup_cycle < 0:
-                    station.wakeup_cycle = cycle
-                    self._trc_mark(
-                        cycle, station.rec.seq, station.sid, "wakeup",
-                        operand_state_labels(station),
-                    )
-                # Native-comparing key tuple (sid is unique, so the
-                # trailing station is never compared) — same total order
-                # as selection_key without a key-function call per sort
-                # comparison.
-                candidates.append(
-                    (station.sel_priority, station.in_spec, station.sid, station)
-                )
-            if not candidates:
-                return
-            candidates.sort()
-            for entry in candidates[width:]:
-                overflow = entry[3]
-                pool[overflow.sid] = overflow
-            del candidates[width:]
-            # _start_execution, inlined for the selected group: the
-            # per-station hoists (events dict, counters) are
-            # shared across the whole issue group and the issued/
-            # speculative/reissue counters flush once.
-            events = self._events
-            counters = self.counters
-            n_spec = 0
-            n_reissue = 0
-            for entry in candidates:
-                station = entry[3]
-                rec = station.rec
-                station.issued = True
-                station.executing = True
-                station.issue_cycle = cycle
-                if station.in_dirty:
-                    station.refresh_inputs()
-                if station.in_spec:
-                    n_spec += 1
-                exec_count = station.exec_count
-                if exec_count > 0:
-                    n_reissue += 1
-                when = cycle + rec.exec_latency
-                bucket = events.get(when)
-                if bucket is None:
-                    bucket = events[when] = []
-                if rec.is_load:
-                    bucket.append((_ADDRGEN, station, station.epoch))
-                else:
-                    bucket.append((_RESULT, station, station.epoch))
-                if obs_on and not station.wrong_path:
-                    self._obs_issue(station, cycle)
-            counters.issued += len(candidates)
-            if n_spec:
-                counters.issued_speculative += n_spec
-            if n_reissue:
-                counters.reissues += n_reissue
-            return
-        parked: list[int] = []
-        for sid, station in pool.items():
+        # Pool order is irrelevant (every policy's candidate sort key is
+        # total), so the walk rebuilds the pool in place: parking an
+        # entry is simply not re-adding it, which replaces a list append
+        # plus a keyed delete per parked station.  Selected candidates
+        # were never re-added; overflow candidates go back at the end.
+        stations = list(pool.values())
+        pool.clear()
+        for station in stations:
             if station.issued or station.retired:
-                parked.append(sid)
                 continue
             if station.in_dirty:
-                station.refresh_inputs()
+                # Station.refresh_inputs, inlined (kept in lockstep
+                # with window/station.py): the wakeup walk is the
+                # hottest consumer of the cached operand summary.
+                usable = correct = True
+                union = 0
+                spec = False
+                for op in station.operands:
+                    if op.ready:
+                        t = op.taints
+                        if t:
+                            union |= t
+                            spec = True
+                        if not op.correct:
+                            correct = False
+                    else:
+                        usable = False
+                        correct = False
+                station.in_usable = usable
+                station.in_taint_union = union
+                station.in_correct = correct
+                station.in_spec = spec
+                station.in_dirty = False
             if not station.in_usable:
                 # Waiting on a producer broadcast; deliver() re-arms.
-                parked.append(sid)
                 continue
             tainted = station.in_taint_union
             is_ctrl = station.is_ctrl
             if tainted and (valid_only or (is_ctrl and branch_valid_only)):
                 # Waiting on verification; taint clears re-arm.
-                parked.append(sid)
                 continue
             gate = station.min_issue_cycle
             if lat_vb and is_ctrl and not tainted:
-                # _branch_ready_cycle, inlined (same reduction as above).
+                # Only network-verified operands can push the gate past
+                # the current cycle.
                 for operand in station.operands:
                     if operand.via_network:
                         g = operand.valid_cycle + lat_vb
                         if g > gate:
                             gate = g
             if gate > cycle:
-                parked.append(sid)
                 self._gate_wakeup(gate, station)
                 continue
             if obs_on and station.wakeup_cycle < 0:
                 station.wakeup_cycle = cycle
                 self._trc_mark(
-                    cycle, station.rec.seq, sid, "wakeup",
+                    cycle, station.rec.seq, station.sid, "wakeup",
                     operand_state_labels(station),
                 )
-            candidates.append(station)
-        for sid in parked:
-            del pool[sid]
+            # Native-comparing key tuple (sid is unique, so the
+            # trailing station is never compared) — same total order
+            # as selection_key without a key-function call per sort
+            # comparison; a zero term mask drops that term for the
+            # policy.
+            candidates.append((
+                station.sel_priority & prio_term,
+                station.in_spec & spec_term,
+                station.sid,
+                station,
+            ))
         if not candidates:
             return
-        for station in select(candidates, width, self.variables):
-            self._start_execution(station)
-            del pool[station.sid]
+        candidates.sort()
+        for entry in candidates[width:]:
+            overflow = entry[3]
+            pool[overflow.sid] = overflow
+        del candidates[width:]
+        # Start execution for the selected group: the events dict and
+        # counters are hoisted across the whole group and the issued/
+        # speculative/reissue counters flush once.  (The walk above left
+        # every candidate's operand summary fresh.)
+        events = self._events
+        counters = self.counters
+        n_spec = 0
+        n_reissue = 0
+        for entry in candidates:
+            station = entry[3]
+            rec = station.rec
+            station.issued = True
+            station.executing = True
+            station.issue_cycle = cycle
+            if station.in_spec:
+                n_spec += 1
+            if station.exec_count > 0:
+                n_reissue += 1
+            when = cycle + rec.exec_latency
+            bucket = events.get(when)
+            if bucket is None:
+                bucket = events[when] = []
+            if rec.is_load:
+                # Two-phase memory operation: address generation now; the
+                # access starts when the address is valid (and
+                # disambiguated).
+                bucket.append((_ADDRGEN, station, station.epoch))
+            else:
+                bucket.append((_RESULT, station, station.epoch))
+            if obs_on and not station.wrong_path:
+                self._obs_issue(station, cycle)
+        counters.issued += len(candidates)
+        if n_spec:
+            counters.issued_speculative += n_spec
+        if n_reissue:
+            counters.reissues += n_reissue
 
     def _drain_waiting_access(self) -> None:
         """Retry pending load accesses (they issued already; only cache
@@ -1159,8 +1092,9 @@ class PipelineSimulator:
                 station.refresh_inputs()
             if not station.in_usable or station.in_taint_union:
                 return False
-            # _memory_ready_cycle, inlined and decomposed (cycle < max(...)
-            # is a disjunction; zero-latency terms can never fire because
+            # Verification-Address–Memory-Access gate: the issue gate and
+            # each network-verified operand's valid cycle plus the
+            # latency (zero-latency terms can never fire because
             # valid_cycle is always a past or present cycle).
             if cycle < station.min_issue_cycle:
                 return False
@@ -1193,35 +1127,6 @@ class PipelineSimulator:
         if self._obs_on and not station.wrong_path:
             self._obs_mem_access(station, cycle)
         return True
-
-    def _start_execution(self, station: Station) -> None:
-        rec = station.rec
-        cycle = self.cycle
-        counters = self.counters
-        station.issued = True
-        station.executing = True
-        station.issue_cycle = cycle
-        if station.in_dirty:
-            station.refresh_inputs()
-        if station.in_spec:
-            counters.issued_speculative += 1
-        counters.issued += 1
-        if station.exec_count > 0:
-            counters.reissues += 1
-        # _schedule, inlined (hottest scheduling site in the machine).
-        events = self._events
-        when = cycle + rec.exec_latency
-        bucket = events.get(when)
-        if bucket is None:
-            bucket = events[when] = []
-        if rec.is_load:
-            # Two-phase memory operation: address generation now; the
-            # access starts when the address is valid (and disambiguated).
-            bucket.append((_ADDRGEN, station, station.epoch))
-        else:
-            bucket.append((_RESULT, station, station.epoch))
-        if self._obs_on and not station.wrong_path:
-            self._obs_issue(station, cycle)
 
     def _on_addrgen(self, station: Station, cycle: int) -> None:
         """A load's address generation completed; start (or queue) the

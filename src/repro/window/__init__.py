@@ -10,7 +10,7 @@ their entry at retirement.
 from repro.window.station import Operand, Station
 from repro.window.ruu import InstructionWindow
 from repro.window.wakeup import can_wake
-from repro.window.selection import selection_key, select
+from repro.window.selection import selection_key
 
 __all__ = [
     "Operand",
@@ -18,5 +18,4 @@ __all__ = [
     "InstructionWindow",
     "can_wake",
     "selection_key",
-    "select",
 ]

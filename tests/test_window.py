@@ -12,7 +12,7 @@ from repro.core.variables import (
 from repro.isa.opcodes import Opcode
 from repro.trace.record import TraceRecord
 from repro.window.ruu import InstructionWindow
-from repro.window.selection import select, selection_key
+from repro.window.selection import selection_key
 from repro.window.station import Operand, Station
 from repro.window.wakeup import can_wake
 
@@ -175,18 +175,24 @@ class TestWakeup:
         assert can_wake(station, self.VARS, cycle=7)
 
 
+def _select(stations, width, policy=SelectionPolicy.PAPER):
+    """The ``width`` stations the engine's issue walk picks: the lowest
+    selection keys."""
+    return sorted(stations, key=lambda s: selection_key(s, policy))[:width]
+
+
 class TestSelection:
     def test_paper_priority_branch_load_first(self):
         alu = _station(0)
         load = _station(1, opcode=Opcode.LD, srcs=(8,), dest=9)
         branch = _station(2, opcode=Opcode.BNE, srcs=(1, 2), dest=None)
-        chosen = select([alu, load, branch], 2, ModelVariables())
+        chosen = _select([alu, load, branch], 2)
         assert {s.sid for s in chosen} == {1, 2}
 
     def test_oldest_first_within_type(self):
         older = _station(3)
         younger = _station(5)
-        chosen = select([younger, older], 1, ModelVariables())
+        chosen = _select([younger, older], 1)
         assert chosen[0].sid == 3
 
     def test_non_speculative_preferred(self):
@@ -196,9 +202,7 @@ class TestSelection:
             taints=1 << 9, correct=True, cycle=0, from_prediction=True
         )
         plain = _station(1)
-        chosen = select(
-            [speculative, plain], 1, ModelVariables()
-        )
+        chosen = _select([speculative, plain], 1)
         assert chosen[0].sid == 1  # younger but non-speculative wins
 
     def test_speculative_equal_policy_ignores_taints(self):
@@ -208,18 +212,19 @@ class TestSelection:
             taints=1 << 9, correct=True, cycle=0, from_prediction=True
         )
         plain = _station(1)
-        variables = ModelVariables(selection=SelectionPolicy.SPECULATIVE_EQUAL)
-        chosen = select([speculative, plain], 1, variables)
+        chosen = _select(
+            [speculative, plain], 1, SelectionPolicy.SPECULATIVE_EQUAL
+        )
         assert chosen[0].sid == 0  # oldest wins regardless of taints
 
     def test_oldest_first_policy(self):
         load = _station(4, opcode=Opcode.LD, srcs=(8,), dest=9)
         alu = _station(2)
-        variables = ModelVariables(selection=SelectionPolicy.OLDEST_FIRST)
-        chosen = select([load, alu], 1, variables)
+        chosen = _select([load, alu], 1, SelectionPolicy.OLDEST_FIRST)
         assert chosen[0].sid == 2
 
     def test_selection_key_is_total(self):
         stations = [_station(i) for i in range(5)]
-        keys = [selection_key(s, SelectionPolicy.PAPER) for s in stations]
-        assert len(set(keys)) == 5
+        for policy in SelectionPolicy:
+            keys = [selection_key(s, policy) for s in stations]
+            assert len(set(keys)) == 5
