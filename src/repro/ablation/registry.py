@@ -37,7 +37,6 @@ from repro.core.variables import (
     InvalidationScheme,
     SelectionPolicy,
     VerificationScheme,
-    WakeupPolicy,
 )
 from repro.engine.config import ProcessorConfig
 from repro.harness.parallel import SimJob
@@ -228,16 +227,6 @@ def _lesion_predictor_depth(point: AblationPoint) -> AblationPoint:
     )
 
 
-def _lesion_selective_reissue(point: AblationPoint) -> AblationPoint:
-    current = point.model.variables.wakeup
-    if current is not WakeupPolicy.VALID_OR_SPECULATIVE:
-        raise NotApplicable(
-            "baseline wakeup is not the paper's valid-or-speculative policy "
-            f"(wakeup={current.value}); no selective reissue gating to remove"
-        )
-    return point.with_variables(wakeup=WakeupPolicy.ANY_VALUE)
-
-
 def _lesion_selection_priority(point: AblationPoint) -> AblationPoint:
     current = point.model.variables.selection
     if current is not SelectionPolicy.PAPER:
@@ -308,18 +297,6 @@ def default_registry() -> ComponentRegistry:
             ),
             lesion_label="minimal L1/L2 tables (2^8 entries)",
             lesion=_lesion_predictor_depth,
-        ),
-        Component(
-            name="selective-reissue",
-            title="Selective reissue gating",
-            description=(
-                "Wakeup restricted to valid-or-speculative operands on "
-                "not-yet-issued instructions; lesioning wakes on any "
-                "arriving value (the Rotenberg-style scheme), reissuing "
-                "eagerly and needlessly."
-            ),
-            lesion_label="any-value wakeup",
-            lesion=_lesion_selective_reissue,
         ),
         Component(
             name="selection-priority",

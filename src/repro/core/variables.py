@@ -22,6 +22,12 @@ class WakeupPolicy(enum.Enum):
       speculative status of operands (the Rotenberg-style scheme of the
       Sodani/Sohi comparison [38]): may reissue misspeculated instructions
       faster but also issues needlessly.
+
+    The simulator tells only ``VALID_ONLY`` apart: ``ANY_VALUE`` wakes
+    exactly when ``VALID_OR_SPECULATIVE`` does (usable operands, not
+    issued), so the two simulate the same machine.  Eager reissue on
+    every arriving value is not modelled; the value stays so that a
+    model can name the paper's third wakeup function.
     """
 
     VALID_ONLY = "valid-only"

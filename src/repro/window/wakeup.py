@@ -31,16 +31,12 @@ def can_wake(station: Station, variables: ModelVariables, cycle: int) -> bool:
     if cycle < station.min_issue_cycle:
         return False
 
-    policy = variables.wakeup
-    if policy is WakeupPolicy.VALID_ONLY:
+    if variables.wakeup is WakeupPolicy.VALID_ONLY:
         if not station.inputs_valid:
             return False
-    elif policy is WakeupPolicy.VALID_OR_SPECULATIVE:
-        if not station.inputs_usable:
-            return False
-    else:  # ANY_VALUE: usable inputs, speculative status ignored
-        if not station.inputs_usable:
-            return False
+    elif not station.inputs_usable:
+        # VALID_OR_SPECULATIVE and ANY_VALUE: usable inputs.
+        return False
 
     if station.rec.is_branch or station.rec.is_indirect:
         if variables.branch_resolution is BranchResolution.VALID_ONLY:

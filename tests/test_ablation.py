@@ -72,7 +72,7 @@ class TestRegistry:
             "confidence-gating",
             "delayed-update",
             "predictor-depth",
-            "selective-reissue",
+            "selection-priority",
         ):
             assert expected in names
 

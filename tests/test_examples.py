@@ -77,7 +77,7 @@ def test_latency_events():
 
 def test_ablation_report():
     out = _run("ablation_report.py")
-    assert "planned 8 runs" in out
+    assert "planned 7 runs" in out
     assert "importance" in out
     assert "selective-invalidation" in out
     assert "baseline speedup" in out
