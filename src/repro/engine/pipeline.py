@@ -698,7 +698,6 @@ class PipelineSimulator:
             station.issued = False
             station.executing = False
             station.executed = False
-            station.exec_valid_inputs = False
             station.exec_count = 0
             station.out_ready = False
             station.out_taints = 0
@@ -706,9 +705,6 @@ class PipelineSimulator:
             station.exec_taints = 0
             station.taint_mask = 0
             station.out_valid_cycle = 0
-            station.out_via_network = False
-            station.dispatch_cycle = cycle
-            station.issue_cycle = 0
             station.result_cycle = 0
             station.equality_cycle = 0
             station.verify_cycle = 0
@@ -717,7 +713,6 @@ class PipelineSimulator:
             station.sel_priority = rec.sel_priority
             station.is_ctrl = rec.is_ctrl
             station.branch_mispredicted = False
-            station.mem_done = False
             station.retired = False
             station.misspeculations = 0
             station.in_dirty = True
@@ -1044,7 +1039,6 @@ class PipelineSimulator:
             rec = station.rec
             station.issued = True
             station.executing = True
-            station.issue_cycle = cycle
             if station.in_spec:
                 n_spec += 1
             if station.exec_count > 0:
@@ -1228,7 +1222,6 @@ class PipelineSimulator:
         station.executed = True
         station.exec_count += 1
         station.result_cycle = cycle
-        station.exec_valid_inputs = valid
         rec = station.rec
 
         live_prediction = (
@@ -1268,7 +1261,6 @@ class PipelineSimulator:
             station.exec_taints = taints
             if not taints:
                 station.out_valid_cycle = cycle
-                station.out_via_network = False
             self._broadcast(station, cycle)
             if (
                 station.predicted
@@ -1287,8 +1279,6 @@ class PipelineSimulator:
         if rec.is_store and not station.wrong_path and valid:
             self.lsq.set_address(station.sid, rec.mem_addr, rec.mem_size)
             self.lsq.set_store_data_ready(station.sid)
-        if rec.is_load:
-            station.mem_done = True
         if (
             station.branch_mispredicted
             and not station.wrong_path
@@ -1391,7 +1381,6 @@ class PipelineSimulator:
         station.out_correct = True
         if not station.out_taints:
             station.out_valid_cycle = cycle
-            station.out_via_network = True
         self.counters.verification_events += 1
         if self._obs_on:
             rec = station.rec
@@ -1490,7 +1479,6 @@ class PipelineSimulator:
                     )
                 ):
                     station.out_valid_cycle = cycle
-                    station.out_via_network = True
             if station.exec_taints:
                 station.exec_taints &= keep
             if touched:
@@ -1612,7 +1600,6 @@ class PipelineSimulator:
                         )
                     ):
                         station.out_valid_cycle = cycle
-                        station.out_via_network = True
                 if station.exec_taints & mask:
                     station.exec_taints &= keep
                     touched = True
@@ -1665,7 +1652,6 @@ class PipelineSimulator:
                 station.out_taints = 0
                 if station.out_ready:
                     station.out_valid_cycle = self.cycle
-                    station.out_via_network = True
             if changed:
                 station.in_dirty = True
                 self._mark_wakeup(station)
@@ -1731,7 +1717,6 @@ class PipelineSimulator:
         source.out_taints = 0
         source.out_correct = True
         source.out_valid_cycle = cycle
-        source.out_via_network = True
         self.counters.invalidation_events += 1
         if self._obs_on:
             rec = source.rec

@@ -139,7 +139,6 @@ class Station:
         "issued",
         "executing",
         "executed",
-        "exec_valid_inputs",
         "exec_count",
         "out_ready",
         "out_taints",
@@ -147,9 +146,6 @@ class Station:
         "exec_taints",
         "taint_mask",
         "out_valid_cycle",
-        "out_via_network",
-        "dispatch_cycle",
-        "issue_cycle",
         "result_cycle",
         "equality_cycle",
         "verify_cycle",
@@ -158,7 +154,6 @@ class Station:
         "sel_priority",
         "is_ctrl",
         "branch_mispredicted",
-        "mem_done",
         "retired",
         "misspeculations",
         "in_dirty",
@@ -208,7 +203,6 @@ class Station:
         self.issued = False
         self.executing = False
         self.executed = False  # produced a result at least once
-        self.exec_valid_inputs = False  # last execution used all-VALID inputs
         self.exec_count = 0
         # -- output state --
         self.out_ready = False
@@ -221,10 +215,7 @@ class Station:
         #: broadcast a confident prediction).
         self.taint_mask = 0
         self.out_valid_cycle = 0
-        self.out_via_network = False
         # -- timestamps --
-        self.dispatch_cycle = 0
-        self.issue_cycle = 0
         self.result_cycle = 0  # cycle the latest result becomes usable
         self.equality_cycle = 0
         self.verify_cycle = 0
@@ -239,7 +230,6 @@ class Station:
         #: (checked by the wakeup predicate on every issue evaluation).
         self.is_ctrl = rec.is_branch or rec.is_indirect
         self.branch_mispredicted = False
-        self.mem_done = False  # memory access completed (loads)
         self.retired = False
         self.misspeculations = 0
         # -- cached input summary (recomputed lazily when dirty) --
@@ -323,13 +313,11 @@ class Station:
         self.issued = False
         self.executing = False
         self.executed = False
-        self.exec_valid_inputs = False
         # An unmuted prediction broadcast still stands for consumers.
         live_prediction = self.predicted and not self.prediction_muted
         self.out_ready = live_prediction
         self.out_taints = self.taint_mask if live_prediction else 0
         self.out_correct = False
-        self.mem_done = False
         self.min_issue_cycle = max(self.min_issue_cycle, min_issue_cycle)
         self.epoch += 1
         self.misspeculations += 1
