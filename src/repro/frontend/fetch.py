@@ -24,6 +24,16 @@ occurrence mispredicts once, so a cold run synthesizes every record it
 fetches on the wrong path (:attr:`FetchEngine.synthesized_wrong_path`
 counts them).
 
+A wrong-path record holds only what the engine reads of it: opcode
+flags, registers and, for a load, the data address.  It has no ``pc``:
+the I-cache is the one reader of wrong-path pcs, and the fetch engine
+counts them itself, from the stream's start PC one instruction per
+record drawn.  Without a pc or a value, the 144 possible non-load records (ADD
+and MUL over 8 source × 8 destination registers, BNE over 8 sources ×
+taken) are built once at import and shared by every draw; only loads,
+about one draw in seven, are built per draw.  The memo thus holds
+references, most of them to the shared records.
+
 The memo is bounded by records, not streams: it admits streams, and lets
 admitted streams grow, until it holds :data:`_WP_RECORD_BUDGET` records,
 and then stops growing.  It evicts nothing, so the records a process
@@ -67,72 +77,80 @@ class FetchedInstruction:
 #: Base address of the data wrong-path loads touch.
 _WP_DATA_BASE = 0x600000
 
-#: The flag-table rows (:data:`~repro.trace.record.OPCODE_ROWS`) of the
-#: four opcodes a wrong-path stream draws.
-_WP_ADD, _WP_LD, _WP_MUL, _WP_BNE = (
-    OPCODE_ROWS[op.code] for op in (Opcode.ADD, Opcode.LD, Opcode.MUL, Opcode.BNE)
-)
+#: The flag-table row (:data:`~repro.trace.record.OPCODE_ROWS`) of a
+#: wrong-path load.
+_WP_LD = OPCODE_ROWS[Opcode.LD.code]
 
 #: The eight ``src_regs`` tuples a wrong-path record can carry, shared
 #: by every synthesized record.
 _WP_SRCS = tuple((reg,) for reg in range(8, 16))
 
+#: Every non-load record a stream can draw, built once: ADD and MUL
+#: indexed by ``src * 8 + dest``, BNE by ``src * 2 + taken``.  They have
+#: no ``pc``, ``next_pc`` or ``dest_value``.
+_WP_ADDS, _WP_MULS = (
+    tuple(
+        TraceRecord(_WRONG_PATH_SEQ, None, opcode, src, 8 + dest, next_pc=None)
+        for src in _WP_SRCS
+        for dest in range(8)
+    )
+    for opcode in (Opcode.ADD, Opcode.MUL)
+)
+_WP_BNES = tuple(
+    TraceRecord(
+        _WRONG_PATH_SEQ, None, Opcode.BNE, src, branch_taken=taken, next_pc=None
+    )
+    for src in _WP_SRCS
+    for taken in (False, True)
+)
+
 
 def _extend_stream(stream: list) -> TraceRecord:
-    """Synthesize the next record of a wrong-path ``stream`` (``[records,
-    rng_state, next_pc]``), append it and return it.
+    """Draw the next record of a wrong-path ``stream`` (``[records,
+    rng_state]``), append it and return it.
 
-    The record equals ``TraceRecord(...)`` built from the same draws
-    slot for slot; it is built from ``TraceRecord.__new__`` plus slot
-    stores, its flags come from the per-kind table row, its
-    ``src_regs`` is one of :data:`_WP_SRCS` and its ``dest_fold`` is its
-    ``dest_value`` object (a 16-bit value folds to itself).
+    The record carries only what the engine reads of a wrong-path
+    instruction: its opcode-row flags, ``src_regs``, ``dest_reg``,
+    ``writes_register``, ``branch_taken`` and, for a load, the
+    ``mem_addr``/``mem_size`` it pollutes the D-cache with.  Its ``seq``
+    is -1 and its ``pc``, ``next_pc`` and ``dest_value`` are ``None``
+    (:class:`FetchEngine` counts the wrong-path pcs itself).  A non-load
+    draw returns one of the shared records of :data:`_WP_ADDS`,
+    :data:`_WP_MULS` and :data:`_WP_BNES`; a load is built per draw.
     """
     state = _mix(stream[1])
     stream[1] = state
-    pc = stream[2]
-    next_pc = stream[2] = pc + INSTRUCTION_BYTES
     roll = state % 100
-    rec = _new_record(TraceRecord)
-    rec.seq = _WRONG_PATH_SEQ
-    rec.pc = pc
-    rec.next_pc = next_pc
-    rec.src_regs = _WP_SRCS[(state >> 16) & 7]
-    if roll < 90:
-        if roll < 70:
-            row = _WP_ADD
-            rec.mem_addr = rec.mem_size = None
-        elif roll < 85:
-            row = _WP_LD
-            rec.mem_addr = _WP_DATA_BASE + ((state >> 24) & 0xFFF) * 8
-            rec.mem_size = 8
-        else:
-            row = _WP_MUL
-            rec.mem_addr = rec.mem_size = None
+    if roll < 70:
+        rec = _WP_ADDS[((state >> 13) & 0x38) | ((state >> 8) & 7)]
+    elif roll < 85:
+        rec = _new_record(TraceRecord)
+        rec.seq = _WRONG_PATH_SEQ
+        rec.pc = rec.next_pc = rec.dest_value = rec.branch_taken = None
+        rec.src_regs = _WP_SRCS[(state >> 16) & 7]
         rec.dest_reg = 8 + ((state >> 8) & 7)
-        rec.dest_value = rec.dest_fold = state & 0xFFFF
+        rec.dest_fold = 0
         rec.writes_register = True
-        rec.branch_taken = None
+        rec.mem_addr = _WP_DATA_BASE + ((state >> 24) & 0xFFF) * 8
+        rec.mem_size = 8
+        (
+            rec.opcode,
+            rec.opclass,
+            rec.is_load,
+            rec.is_store,
+            rec.is_memory,
+            rec.is_branch,
+            rec.is_control,
+            rec.is_indirect,
+            rec.exec_latency,
+            rec.sel_priority,
+            rec.is_ctrl,
+        ) = _WP_LD
+    elif roll < 90:
+        rec = _WP_MULS[((state >> 13) & 0x38) | ((state >> 8) & 7)]
     else:
         # Wrong-path branch: executes but never redirects fetch.
-        row = _WP_BNE
-        rec.dest_reg = rec.dest_value = rec.mem_addr = rec.mem_size = None
-        rec.dest_fold = 0
-        rec.writes_register = False
-        rec.branch_taken = bool(state & 1)
-    (
-        rec.opcode,
-        rec.opclass,
-        rec.is_load,
-        rec.is_store,
-        rec.is_memory,
-        rec.is_branch,
-        rec.is_control,
-        rec.is_indirect,
-        rec.exec_latency,
-        rec.sel_priority,
-        rec.is_ctrl,
-    ) = row
+        rec = _WP_BNES[((state >> 15) & 0xE) | (state & 1)]
     stream[0].append(rec)
     return rec
 
@@ -145,16 +163,17 @@ def _extend_stream(stream: list) -> TraceRecord:
 #: across replays and runs is safe.
 _WP_STREAMS: dict[tuple[int, int], list] = {}
 #: Records the memo grows to at most (plus the rest of the fetch group
-#: that reaches it): 2^17 records of ~275 B are ~36 MB, about twice the
-#: largest memo a Figure 3, sweep or service benchmark process builds.
+#: that reaches it): 2^17 records are ~6 MB (a list slot per record plus
+#: one ~240 B load in seven), about twice the largest memo a Figure 3,
+#: sweep or service benchmark process builds.
 _WP_RECORD_BUDGET = 1 << 17
 #: Records the streams of :data:`_WP_STREAMS` hold.
 _wp_held = 0
 
 
 def _wrong_path_cache(seed: int, start_pc: int) -> tuple[list, bool]:
-    """The ``[records, rng_state, next_pc]`` stream for ``(seed,
-    start_pc)`` and whether the memo holds it.
+    """The ``[records, rng_state]`` stream for ``(seed, start_pc)`` and
+    whether the memo holds it.
 
     A memoized stream is returned however full the memo is.  A new
     stream is registered while the memo holds fewer records than
@@ -165,7 +184,7 @@ def _wrong_path_cache(seed: int, start_pc: int) -> tuple[list, bool]:
     stream = _WP_STREAMS.get(key)
     if stream is not None:
         return stream, True
-    stream = [[], _mix(seed | 1), start_pc]
+    stream = [[], _mix(seed | 1)]
     admitted = _wp_held < _WP_RECORD_BUDGET
     if admitted:
         _WP_STREAMS[key] = stream
@@ -201,10 +220,12 @@ class FetchEngine:
         self._index = 0
         self._stall_until = 0
         #: The wrong-path stream being fetched (``None`` on the correct
-        #: path), the position of its next record, and whether the memo
-        #: holds it (else this engine alone does).
+        #: path), the position of its next record, the pc the I-cache
+        #: sees for that record, and whether the memo holds the stream
+        #: (else this engine alone does).
         self._wp_stream: list | None = None
         self._wp_pos = 0
+        self._wp_pc = 0
         self._wp_shared = False
         self._last_block: int | None = None
         self.fetched_correct = 0
@@ -293,9 +314,12 @@ class FetchEngine:
             # runs out in a group starting with the memo full goes on as
             # a private copy of its generator state, so the memo grows
             # only in groups that start under the budget.  A record is
-            # consumed even when its I-cache miss ends the group.
+            # consumed even when its I-cache miss ends the group.  The
+            # records carry no pc: the stream's pcs run on from its
+            # start pc one instruction per record drawn.
             records = stream[0]
             start = pos = self._wp_pos
+            pc = self._wp_pc
             synthesized = 0
             full = self._wp_shared and _wp_held >= _WP_RECORD_BUDGET
             while count < max_count:
@@ -303,7 +327,7 @@ class FetchEngine:
                     rec = records[pos]
                 else:
                     if full:
-                        stream = self._wp_stream = [[], stream[1], stream[2]]
+                        stream = self._wp_stream = [[], stream[1]]
                         records = stream[0]
                         start -= pos  # pos - start still counts this group
                         pos = 0
@@ -312,17 +336,20 @@ class FetchEngine:
                     synthesized += 1
                 pos += 1
                 if icache is not None:
-                    block = rec.pc // block_bytes
+                    block = pc // block_bytes
                     if block != last_block:
-                        latency = icache.access(rec.pc)
+                        latency = icache.access(pc)
                         last_block = block
                         if latency > icache_hit:
+                            pc += INSTRUCTION_BYTES
                             self._stall_until = cycle + latency
                             self.icache_stall_cycles += latency - icache_hit
                             break
+                pc += INSTRUCTION_BYTES
                 out_append((rec, True, False, ready))
                 count += 1
             self._wp_pos = pos
+            self._wp_pc = pc
             self._last_block = last_block
             self.fetched_wrong_path += count
             self.synthesized_wrong_path += synthesized
@@ -369,8 +396,9 @@ class FetchEngine:
             count += 1
             if mispredicted:
                 if self.model_wrong_path:
+                    start_pc = self._wp_pc = rec.next_pc + 0x4000
                     self._wp_stream, self._wp_shared = _wrong_path_cache(
-                        self._seed ^ rec.seq, rec.next_pc + 0x4000
+                        self._seed ^ rec.seq, start_pc
                     )
                     self._wp_pos = 0
                 else:

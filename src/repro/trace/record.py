@@ -65,7 +65,9 @@ class TraceRecord:
     seq:
         Position in the dynamic instruction stream (0-based).
     pc:
-        Byte address of the instruction.
+        Byte address of the instruction; ``None`` on a synthesized
+        wrong-path record (:mod:`repro.frontend.fetch`), which also has
+        ``seq`` -1 and no ``next_pc`` or ``dest_value``.
     opcode / opclass:
         Operation identity and functional class.
     src_regs:
@@ -174,10 +176,8 @@ class TraceRecord:
             self.dest_fold = 0
 
     def __repr__(self) -> str:
-        return (
-            f"TraceRecord(seq={self.seq}, pc={self.pc:#x}, "
-            f"op={self.opcode.mnemonic})"
-        )
+        pc = "None" if self.pc is None else f"{self.pc:#x}"
+        return f"TraceRecord(seq={self.seq}, pc={pc}, op={self.opcode.mnemonic})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceRecord):
