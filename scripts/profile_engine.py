@@ -10,7 +10,9 @@ per-call overhead; this wrapper makes the profile one command away:
 The run is profiled once under :mod:`cProfile` and printed three ways — a
 per-stage cumulative-time table over the pipeline's stage methods, then
 the top rows by cumulative time (where the cycles go) and by internal
-time (which bodies to inline next).
+time (which bodies to inline next).  Before them it prints what the
+wrong-path memo holds after the run, in records and in bytes
+(:func:`memo_bytes`).
 docs/PERFORMANCE.md records the findings this view produced.
 """
 
@@ -43,6 +45,36 @@ STAGE_ROWS = (
     "_retire",
     "_squash_younger",
 )
+
+
+def memo_bytes(streams: dict) -> int:
+    """Bytes the wrong-path memo ``streams`` retains: ``sys.getsizeof``
+    summed over the distinct objects reachable from it — the dict, its
+    keys, the streams, their record lists and generator states, the
+    records, and the ints and tuples the records hold.  An object shared
+    by several records or streams counts once."""
+    seen: set[int] = set()
+    total = 0
+
+    def add(obj) -> bool:
+        nonlocal total
+        if id(obj) in seen:
+            return False
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        return True
+
+    add(streams)
+    for key, stream in streams.items():
+        for obj in (key, *key, *stream):
+            add(obj)
+        for rec in stream[0]:
+            if add(rec):
+                for name in rec.__slots__:
+                    value = getattr(rec, name)
+                    if type(value) is int or type(value) is tuple:
+                        add(value)
+    return total
 
 
 def print_stage_table(stats: pstats.Stats, top: int) -> None:
@@ -132,7 +164,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{fetch.replayed_wrong_path} replayed from the memo; "
         f"the memo holds {fetch_module._wp_held} of its "
         f"{fetch_module._WP_RECORD_BUDGET}-record budget "
-        f"in {len(fetch_module._WP_STREAMS)} streams\n"
+        f"in {len(fetch_module._WP_STREAMS)} streams, "
+        f"{memo_bytes(fetch_module._WP_STREAMS) / 1e6:.2f} MB\n"
     )
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
