@@ -3,8 +3,8 @@
 :func:`execute_plan` flattens an :class:`~repro.ablation.plan.AblationPlan`
 into one :func:`repro.harness.parallel.run_jobs` call, so an ablation
 inherits every execution amenity the harness already has: the local
-pool, the simulation service and its leased workers, the trace
-cache, and the persistent result store.  With ``REPRO_RESULT_STORE``
+pool, the simulation service, the trace cache, and the persistent
+result store.  With ``REPRO_RESULT_STORE``
 configured, re-running an ablation after one component change
 recomputes only the runs whose jobs changed — everything else is served
 warm, and the baseline jobs shared by every leave-one-out run execute

@@ -11,14 +11,14 @@ ablate [options]          leave-one-out ablation, ranked importance report
 cache info|clear|warm     manage the persistent on-disk trace cache
 serve [options]           run the simulation service (HTTP, result store)
 submit <id> [--connect]   run an experiment through the simulation service
-cluster work|status       a worker for `serve --backend cluster`; status
+status [--connect]        print a running service's jobs, queue and store
 table1 / figure1 / figure3 / figure4   shorthands for ``run <id>``
 
 Any grid-running command accepts ``--backend service`` (or
 ``REPRO_SWEEP_BACKEND=service``) to run its simulation grid through the
 simulation service — the one at ``REPRO_SERVICE_ADDR=HOST:PORT``, or
-without it an ephemeral in-process service leasing the grid to
-``--jobs`` worker processes — with bit-identical results; see
+without it an ephemeral in-process service running the grid on a
+``--jobs``-wide process pool — with bit-identical results; see
 docs/SERVICE.md.
 
 ``obs`` accepts suite kernel names and micro kernels via the
@@ -241,7 +241,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
+def _cmd_status(args: argparse.Namespace) -> int:
+    """A running service's ``GET /v1/status`` (``repro status``)."""
     import json as _json
 
     from repro.service.client import (
@@ -255,25 +256,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if host_port is None:
         print(f"no service address (--connect or {ENV_ADDR})", file=sys.stderr)
         return 2
-
-    if args.action == "work":
-        from repro.cluster.worker import ClusterWorker
-
-        worker = ClusterWorker(
-            host_port,
-            strict=True if args.strict else None,
-            reconnect_deadline=args.reconnect_deadline,
-        )
-        return worker.run()
-
-    # status
     address = f"{host_port[0]}:{host_port[1]}"
     try:
         status = ServiceClient(*host_port).status()
     except OSError as error:
         print(f"service unreachable at {address}: {error}", file=sys.stderr)
         return 1
-    if getattr(args, "json", False):
+    if args.json:
         print(_json.dumps(status, indent=2, sort_keys=True))
         return 0
     _print_status_text(status, f"service at {address}")
@@ -289,9 +278,6 @@ def _print_status_text(status: dict, title: str) -> None:
         + "  ".join(f"{k}={jobs.get(k, 0)}" for k in
                     ("pending", "leased", "done", "failed"))
     )
-    workers = status.get("workers")
-    if isinstance(workers, dict):
-        print(f"  workers  {len(workers)}")
     queue = status.get("queue")
     if isinstance(queue, dict):
         print(f"  queue    {queue.get('depth', 0)}/{queue.get('max', '?')}")
@@ -364,9 +350,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             max_queue=args.max_queue,
             store_max_entries=args.store_max_entries,
-            heartbeat_timeout=args.heartbeat_timeout,
-            lease_timeout=args.lease_timeout,
-            max_attempts=args.max_attempts,
         )
     except ValueError as error:
         print(f"repro: {error}", file=sys.stderr)
@@ -377,8 +360,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"simulation service listening on http://{address}/v1/")
     _print_store_line(service.store_dir)
     print(f"backend: {config.backend} (jobs={service.width})")
-    if config.backend == "cluster":
-        print(f"workers connect with: repro cluster work --connect {address}")
     print(f"submit with: repro submit <id> --connect {address}")
     _serve_until_interrupted(service)
     return 0
@@ -387,7 +368,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     """Run an experiment's grid through the simulation service at
     ``--connect`` (or ``REPRO_SERVICE_ADDR``), else an ephemeral one
-    with ``--jobs`` leased workers."""
+    with a ``--jobs``-wide process pool."""
     from repro.env import setting
     from repro.service.client import ENV_ADDR
 
@@ -576,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid execution backend (default: REPRO_SWEEP_BACKEND or local)",
     )
 
-    # The service address `cluster work`, `cluster status` and `submit`
-    # share; a malformed one is a usage error.
+    # The service address `status` and `submit` share; a malformed one
+    # is a usage error.
     connect = argparse.ArgumentParser(add_help=False)
     connect.add_argument(
         "--connect", type=_address_option, default=None, metavar="HOST:PORT",
@@ -631,35 +612,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_parser.set_defaults(func=_cmd_cache)
 
-    cluster_parser = sub.add_parser(
-        "cluster",
-        help="workers for `serve --backend cluster` (see docs/SERVICE.md)",
-    )
-    cluster_sub = cluster_parser.add_subparsers(dest="action", required=True)
-
-    work_parser = cluster_sub.add_parser(
-        "work", parents=[connect], help="run one worker process against a service"
-    )
-    work_parser.add_argument(
-        "--reconnect-deadline", type=float, default=30.0, metavar="SECONDS",
-        help="keep retrying an unreachable service this long",
-    )
-    work_parser.add_argument(
-        "--strict", action="store_true",
-        help="fail jobs on cold traces instead of capturing",
-    )
-    work_parser.set_defaults(func=_cmd_cluster)
-
-    status_parser = cluster_sub.add_parser(
+    status_parser = sub.add_parser(
         "status",
         parents=[connect],
-        help="print a service's jobs, workers, queue and store",
+        help="print a running service's jobs, queue and store",
     )
     status_parser.add_argument(
         "--json", action="store_true",
         help="emit the raw GET /v1/status document as JSON",
     )
-    status_parser.set_defaults(func=_cmd_cluster)
+    status_parser.set_defaults(func=_cmd_status)
 
     service_parser = sub.add_parser(
         "serve",
@@ -677,12 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-max-entries", type=int,
         default=ServiceConfig.store_max_entries, metavar="N",
         help="evict oldest store entries beyond this count after each "
-        "dispatch cycle or worker result (default: unbounded)",
+        "dispatch cycle (default: unbounded)",
     )
     service_parser.add_argument(
         "--backend", choices=SERVICE_BACKENDS, default=ServiceConfig.backend,
-        help="how admitted jobs execute; cluster leases them to "
-        "`repro cluster work` workers (default: %(default)s)",
+        help="how admitted jobs execute: inline, or on a process pool "
+        "--jobs wide (default: %(default)s)",
     )
     service_parser.add_argument(
         "--jobs", type=int, default=ServiceConfig.jobs, metavar="N",
@@ -695,32 +657,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission bound: queued jobs beyond this draw 429 "
         "(default: %(default)s)",
     )
-    service_parser.add_argument(
-        "--heartbeat-timeout", type=float,
-        default=ServiceConfig.heartbeat_timeout, metavar="SECONDS",
-        help="--backend cluster: presume a silent worker dead after this "
-        "long (default: %(default)s)",
-    )
-    service_parser.add_argument(
-        "--lease-timeout", type=float, default=ServiceConfig.lease_timeout,
-        metavar="SECONDS",
-        help="--backend cluster: requeue a leased job whose worker stopped "
-        "heartbeating for it within this long (default: %(default)s)",
-    )
-    service_parser.add_argument(
-        "--max-attempts", type=int, default=ServiceConfig.max_attempts,
-        metavar="N",
-        help="--backend cluster: per-job attempt budget before it fails "
-        "(default: %(default)s)",
-    )
     service_parser.set_defaults(func=_cmd_serve)
 
     svc_submit = sub.add_parser(
         "submit",
         parents=[connect, workers],
         help="run an experiment's grid through the simulation service "
-        "(without an address: an ephemeral in-process service with "
-        "--jobs workers)",
+        "(without an address: an ephemeral in-process service on a "
+        "--jobs-wide process pool)",
     )
     svc_submit.add_argument("id", help="experiment id (see `repro list`)")
     svc_submit.set_defaults(func=_cmd_submit)

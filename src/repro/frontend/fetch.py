@@ -248,21 +248,6 @@ class FetchEngine:
     def on_wrong_path(self) -> bool:
         return self._wp_stream is not None
 
-    def _icache_ready(self, pc: int, cycle: int) -> bool:
-        """Model the I-cache access for the block holding ``pc``."""
-        if self.icache is None:
-            return True
-        block = pc // self.icache.block_bytes
-        if block == self._last_block:
-            return True
-        latency = self.icache.access(pc)
-        self._last_block = block
-        if latency > self.icache.hit_latency:
-            self._stall_until = cycle + latency
-            self.icache_stall_cycles += latency - self.icache.hit_latency
-            return False
-        return True
-
     def _target_correct(self, rec: TraceRecord) -> bool:
         """Target prediction under the configured frontend idealism."""
         if self.ideal_branch_targets:
@@ -298,11 +283,11 @@ class FetchEngine:
         out: list[tuple[TraceRecord, bool, bool, int]] = []
         out_append = out.append
         icache = self.icache
-        # Same-block accesses are free; inline that fast path so the
-        # I-cache model is only consulted on block boundaries.  The whole
-        # of ``_icache_ready`` is inlined below (both call sites) with the
+        # The I-cache step is inlined at both call sites below, with the
         # last-block/latency state held in locals for the duration of the
-        # fetch group.
+        # fetch group.  Same-block accesses are free, so the I-cache
+        # model is only consulted on block boundaries; a miss stalls
+        # fetch until its latency has passed.
         block_bytes = icache.block_bytes if icache is not None else 0
         icache_hit = icache.hit_latency if icache is not None else 0
         last_block = self._last_block

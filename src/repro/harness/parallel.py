@@ -76,9 +76,9 @@ STRICT_ENV_VAR = "REPRO_TRACE_STRICT"
 #: Env var: default execution backend for ``run_jobs`` when the caller
 #: does not pass one — ``local`` (this module's process pool) or
 #: ``service`` (the simulation service, :mod:`repro.service`: the one
-#: at ``REPRO_SERVICE_ADDR``, else an ephemeral one with leased worker
-#: processes).  Lets any harness entry point ride a shared backend
-#: without code changes.
+#: at ``REPRO_SERVICE_ADDR``, else an ephemeral one on a process pool).
+#: Lets any harness entry point ride a shared backend without code
+#: changes.
 BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
 
 #: The values ``run_jobs``' ``backend`` (and ``REPRO_SWEEP_BACKEND``) take.

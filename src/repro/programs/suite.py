@@ -119,8 +119,8 @@ def select_benchmarks(benchmarks: Iterable[str] | None = None) -> list[str]:
 #: Benchmark-name prefix selecting a synthetic micro-kernel
 #: (``micro:fib`` etc.) instead of a suite member.  Resolving these here
 #: lets every consumer of :func:`kernel` — the trace cache, the parallel
-#: harness's staging, the service and its cluster workers — run micro
-#: kernels with no special-casing of its own.
+#: harness's staging and pool workers, the service — run micro kernels
+#: with no special-casing of its own.
 MICRO_PREFIX = "micro:"
 
 

@@ -12,7 +12,7 @@ degrades to a slower trickle instead of failing.
 
 :func:`run_jobs_service` is ``run_jobs(..., backend="service")``: with
 an address it sends the grid to that service; without one it stands up
-an in-process service plus worker subprocesses for the one grid.
+an in-process, pool-backed service for the one grid.
 """
 
 from __future__ import annotations
@@ -312,10 +312,10 @@ def run_jobs_service(job_list, jobs: int = 1) -> list:
     service and ``jobs`` is ignored — capacity belongs to the service;
     an address that refuses the first connection raises
     :class:`~repro.harness.parallel.BackendSelectionError` at once.
-    Otherwise an in-process service leases the grid to ``jobs`` worker
-    subprocesses over ``REPRO_RESULT_STORE`` (no persistence when
-    unset), so an interrupted sweep resumes from the points it already
-    stored.
+    Otherwise an in-process service runs the grid on its ``pool``
+    backend, ``jobs`` processes wide, over ``REPRO_RESULT_STORE`` (no
+    persistence when unset), so an interrupted sweep resumes from the
+    points it already stored.
     """
     if not job_list:
         return []
@@ -336,20 +336,16 @@ def run_jobs_service(job_list, jobs: int = 1) -> list:
             pass  # anything else is for the run loop's retries to ride out
         return client.run(job_list)
 
-    from repro.cluster.worker import local_workers
     from repro.harness.parallel import effective_jobs
     from repro.service import results as result_store
     from repro.service.server import ServiceConfig, SimulationService
 
     config = ServiceConfig(
         store=result_store.store_dir(),
-        backend="cluster",
-        max_queue=max(1, len(job_list)),
-        heartbeat_timeout=2.0,
-        lease_timeout=120.0,
-        poll_interval=0.05,
+        backend="pool",
+        jobs=effective_jobs(jobs, len(job_list)),
+        max_queue=len(job_list),
     )
     with SimulationService(config) as service:
-        with local_workers(service, effective_jobs(jobs, len(job_list))):
-            client = ServiceClient(*service.address)
-            return client.run(job_list, timeout=None)
+        client = ServiceClient(*service.address)
+        return client.run(job_list, timeout=None)

@@ -19,36 +19,18 @@ never recomputed**:
   serves every completed point from disk.
 
 How admitted keys execute is the backend: ``serial`` and ``pool`` run
-them in a dispatcher thread through ``run_jobs``'s store-free
+them in the one dispatcher thread through ``run_jobs``'s store-free
 execution core (inline, or a process pool ``jobs`` wide), so each
 result is stored once, in the service's store, whatever
-``REPRO_RESULT_STORE`` says; ``cluster`` leases them, one key at a
-time, to ``repro cluster work`` processes on any host — the *worker
-plane*:
-
-* ``POST /v1/lease`` hands a worker one queued key with a deadline (a
-  worker that asks again while its lease runs gets the same key back);
-  ``/v1/heartbeat`` proves the worker alive and extends its lease;
-  ``/v1/result`` reports the outcome, which is fsynced into the store
-  *before* the worker is answered, so a service crash never loses an
-  acknowledged point.
-* A monitor thread presumes a worker dead after ``heartbeat_timeout``
-  seconds without any request, and requeues its key, as it does a key
-  whose lease lapsed.  Every lease burns one of the key's
-  ``max_attempts``; a requeued key waits out exponential backoff with
-  jitter, and a key out of attempts fails.
-* Jobs are deterministic pure functions, so at-least-once execution
-  with first-result-wins is as good as exactly-once: a later
-  completion is flagged ``duplicate`` and not stored again.
-* A result for a key this service does not hold (a previous
-  incarnation leased it before a restart) is adopted into the store —
-  but only when the job blob it carries hashes to the key.
+``REPRO_RESULT_STORE`` says.  A pool survives the death of one of its
+worker processes (``parallel._run_pool``), and a service restarted over
+the same store answers every stored key from disk.
 
 Protocol: plain HTTP/1.1 with JSON bodies on the stdlib threaded
 server (``http.server.ThreadingHTTPServer`` — one thread per
 connection).  Jobs travel as ``{"key": <job_key>, "blob": <base64
 pickle>}``; the server re-derives the key from the blob and rejects
-mismatches, so a confused client or worker cannot poison the store.
+mismatches, so a confused client cannot poison the store.
 Job blobs are pickles: only expose the service to hosts already
 trusted to run the code (see docs/SERVICE.md).
 
@@ -61,9 +43,6 @@ Endpoints (all JSON)::
     POST /v1/submit           enqueue jobs, return per-key dispositions
     POST /v1/fetch            results for a key list (or pending counts)
     POST /v1/run              submit + wait: the synchronous front door
-    POST /v1/lease            worker plane: lease one key
-    POST /v1/heartbeat        worker plane: liveness, extends the lease
-    POST /v1/result           worker plane: report a leased key's outcome
 
 Request bodies above :data:`~repro.service.client.MAX_BODY` draw
 ``413`` before a byte of them is read.  Backpressure: a submission that
@@ -78,7 +57,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 import threading
 import time
 from collections import deque
@@ -95,21 +73,11 @@ from repro.service import results as result_store
 from repro.service.client import MAX_BODY
 
 #: How admitted jobs execute (see the module docstring).
-BACKENDS = ("serial", "pool", "cluster")
-
-#: A requeued key waits ``BACKOFF_BASE * 2^(n-1)`` seconds after its
-#: n-th attempt, capped at ``BACKOFF_CAP``, times a jitter factor drawn
-#: from ``[1, 1 + BACKOFF_JITTER]``.
-BACKOFF_BASE = 0.25
-BACKOFF_CAP = 5.0
-BACKOFF_JITTER = 0.25
+BACKENDS = ("serial", "pool")
 
 #: The ``Retry-After`` advice of a 429 is clamped to this range (seconds).
 RETRY_AFTER_FLOOR = 0.5
 RETRY_AFTER_CAP = 30.0
-
-#: The worker-plane endpoints (``backend="cluster"`` only).
-WORKER_PLANE = ("/v1/lease", "/v1/heartbeat", "/v1/result")
 
 
 @dataclass(frozen=True)
@@ -122,9 +90,8 @@ class ServiceConfig:
     #: a path, or ``None``/a disabled spelling (results live only in
     #: memory) — see :func:`repro.service.results.resolve_store`.
     store: object = result_store.AUTO_STORE
-    #: How admitted jobs execute: ``serial`` (inline in the dispatcher),
-    #: ``pool`` (``run_jobs`` process pool, ``jobs`` wide) or
-    #: ``cluster`` (leased to ``repro cluster work`` workers).
+    #: How admitted jobs execute: ``serial`` (inline in the dispatcher)
+    #: or ``pool`` (``run_jobs`` process pool, ``jobs`` wide).
     backend: str = "serial"
     #: Jobs the dispatcher drains per cycle, and the ``pool`` width;
     #: below 1 means every core, as ``parallel.effective_jobs`` reads it.
@@ -132,23 +99,8 @@ class ServiceConfig:
     #: Queue bound: queued-but-not-dispatched jobs across all clients.
     max_queue: int = 256
     #: Result-store entry budget, enforced after each dispatch cycle
-    #: and each worker result (``None`` = unbounded).
+    #: (``None`` = unbounded).
     store_max_entries: int | None = None
-    # The worker plane (backend="cluster").  The defaults suit a real
-    # deployment; tests shrink them to keep recovery sub-second.
-    #: A worker is presumed dead after this long without any request;
-    #: workers heartbeat four times as often.
-    heartbeat_timeout: float = 8.0
-    #: Revocation of a lease whose worker stopped heartbeating for it
-    #: (heartbeats extend the lease).
-    lease_timeout: float = 600.0
-    #: Leases one key may consume before it fails.
-    max_attempts: int = 3
-    #: Idle workers poll, and the monitor checks liveness, this often.
-    poll_interval: float = 0.25
-    #: Fault injection: answer the first ``n`` lease requests with an
-    #: error, so workers must back off and retry rather than die.
-    fail_leases: int = 0
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -156,18 +108,10 @@ class ServiceConfig:
                 f"unknown service backend {self.backend!r} "
                 f"(expected one of {BACKENDS})"
             )
-        for name in ("max_queue", "max_attempts"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be at least 1, got {getattr(self, name)}"
-                )
-        for name in ("heartbeat_timeout", "lease_timeout", "poll_interval"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # also NaN
-                raise ValueError(
-                    f"{name} must be a positive number of seconds, "
-                    f"got {value}"
-                )
+        if self.max_queue < 1:
+            raise ValueError(
+                f"max_queue must be at least 1, got {self.max_queue}"
+            )
         if self.store_max_entries is not None and self.store_max_entries < 0:
             raise ValueError(
                 f"store_max_entries must be at least 0, "
@@ -193,36 +137,19 @@ class _Entry:
     There is at most one live entry per key — the in-flight dedup
     invariant.  A done entry holds its result in ``wire``, so a key
     stays servable after a failed store write or after
-    ``store_max_entries`` evicts its file.  ``attempts``,
-    ``worker``, ``deadline`` and ``eligible`` are the worker plane's
-    lease bookkeeping.
+    ``store_max_entries`` evicts its file.
     """
 
-    __slots__ = ("key", "job", "blob", "state", "wire", "source", "error",
-                 "done", "attempts", "worker", "deadline", "eligible")
+    __slots__ = ("key", "job", "state", "wire", "source", "error", "done")
 
-    def __init__(self, key: str, job=None, blob: str | None = None):
+    def __init__(self, key: str, job=None):
         self.key = key
         self.job = job
-        self.blob = blob
         self.state = "queued"  # queued | running | done | failed
         self.wire: dict | None = None
         self.source: str | None = None  # store | computed
         self.error: str | None = None
         self.done = threading.Event()
-        self.attempts = 0  # leases granted so far
-        self.worker: str | None = None
-        self.deadline = 0.0  # lease revocation time
-        self.eligible = 0.0  # a requeued key's backoff end
-
-
-class _Worker:
-    __slots__ = ("worker_id", "last_beat", "leased")
-
-    def __init__(self, worker_id: str):
-        self.worker_id = worker_id
-        self.last_beat = time.monotonic()
-        self.leased: str | None = None
 
 
 class ServiceTracer:
@@ -309,8 +236,8 @@ class SimulationService:
                       else os.cpu_count() or 1)
         self._lock = threading.RLock()
         self._entries: dict[str, _Entry] = {}
-        # Admitted keys awaiting the dispatcher or a lease, in arrival
-        # order; ``_ready`` (on ``_lock``) wakes the dispatcher.
+        # Admitted keys awaiting the dispatcher, in arrival order;
+        # ``_ready`` (on ``_lock``) wakes the dispatcher.
         self._queue: deque[_Entry] = deque()
         self._ready = threading.Condition(self._lock)
         self.stats = _Stats()
@@ -319,18 +246,11 @@ class SimulationService:
         self._threads: list[threading.Thread] = []
         self._started = time.monotonic()
         self.address: tuple[str, int] | None = None
-        # The worker plane.
-        self._workers: dict[str, _Worker] = {}
-        self._retry: list[_Entry] = []  # requeued keys in backoff
-        self._draining = False
-        self._rng = random.Random()
-        self._fail_leases_left = self.config.fail_leases
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        """Bind, listen, and start the HTTP thread plus the dispatcher
-        (``serial``/``pool``) or the worker monitor (``cluster``)."""
+        """Bind, listen, and start the HTTP and dispatcher threads."""
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer(
             (self.config.host, self.config.port), handler
@@ -338,11 +258,8 @@ class SimulationService:
         self._httpd.daemon_threads = True
         self.address = self._httpd.server_address[:2]
         self._started = time.monotonic()
-        executor = ((self._monitor_loop, "service-monitor")
-                    if self.config.backend == "cluster"
-                    else (self._dispatch_loop, "service-dispatch"))
         for target, name in ((self._httpd.serve_forever, "service-http"),
-                             executor):
+                             (self._dispatch_loop, "service-dispatch")):
             thread = threading.Thread(target=target, name=name, daemon=True)
             thread.start()
             self._threads.append(thread)
@@ -365,12 +282,6 @@ class SimulationService:
                     entry.state = "failed"
                     entry.error = "service stopped"
                     entry.done.set()
-
-    def drain(self) -> None:
-        """Tell workers to exit: later lease requests get ``shutdown``."""
-        with self._lock:
-            self._draining = True
-        self._trace("drain-requested")
 
     def __enter__(self) -> "SimulationService":
         self.start()
@@ -398,19 +309,19 @@ class SimulationService:
         stopping, and ``ValueError`` for a malformed or key-mismatched
         entry (nothing admitted either).
         """
-        parsed: list[tuple[str, object, str]] = []
+        parsed: list[tuple[str, object]] = []
         for doc in jobs:
             if not isinstance(doc, dict):
                 raise ValueError("job entries must be objects")
-            key, blob = str(doc.get("key", "")), doc.get("blob")
-            parsed.append((key, verified_job(key, blob), blob))
+            key = str(doc.get("key", ""))
+            parsed.append((key, verified_job(key, doc.get("blob"))))
 
         dispositions: list[str] = []
         with self._lock:
             self.stats.requests += 1
             fresh: list[_Entry] = []
             fresh_keys: set[str] = set()
-            for key, job, blob in parsed:
+            for key, job in parsed:
                 entry = self._entries.get(key)
                 if entry is not None and entry.state == "failed":
                     # A resubmission is the operator's retry button: the
@@ -440,7 +351,7 @@ class SimulationService:
                     dispositions.append("store")
                     continue
                 dispositions.append("queued")
-                fresh.append(_Entry(key, job, blob))
+                fresh.append(_Entry(key, job))
                 fresh_keys.add(key)
             full = len(self._queue) + len(fresh) > self.config.max_queue
             if fresh and (full or self._stopping.is_set()):
@@ -538,9 +449,8 @@ class SimulationService:
 
     def status(self) -> dict:
         """Service status.  The ``jobs`` block counts ``pending``,
-        ``leased`` (running, on any backend), ``done`` and ``failed``
-        keys; a ``cluster`` service adds its ``workers``.
-        """
+        ``leased`` (running in the dispatcher), ``done`` and ``failed``
+        keys."""
         counts = {"pending": 0, "leased": 0, "done": 0, "failed": 0}
         with self._lock:
             for entry in self._entries.values():
@@ -552,12 +462,6 @@ class SimulationService:
                     counts[entry.state] += 1
             stats = self.stats.as_dict()
             depth = len(self._queue)
-            now = time.monotonic()
-            workers = {
-                w.worker_id: {"leased": w.leased,
-                              "age": round(now - w.last_beat, 3)}
-                for w in self._workers.values()
-            }
         return {
             "type": "status",
             "jobs": counts,
@@ -566,11 +470,9 @@ class SimulationService:
             "store": result_store.store_info(self.store_dir),
             "stats": stats,
             "uptime_seconds": round(time.monotonic() - self._started, 3),
-            **({"workers": workers} if self.config.backend == "cluster"
-               else {}),
         }
 
-    # -- execution: the dispatcher (serial / pool) -------------------------
+    # -- execution: the dispatcher -----------------------------------------
 
     def _dispatch_loop(self) -> None:
         """Run up to ``width`` queued keys per cycle, oldest first."""
@@ -625,203 +527,19 @@ class SimulationService:
             if self.store_dir is not None:
                 self._trace("store-write-failed", key=entry.key,
                             dir=str(self.store_dir))
-        entry.job = entry.blob = None  # the job served its purpose
+        entry.job = None  # the job served its purpose
         entry.state = "done"
         entry.source = "computed"
         entry.error = None
         entry.done.set()
         self.stats.executed += 1
-        self._trace("result-recorded", key=entry.key, worker=entry.worker,
-                    attempt=entry.attempts)
+        self._trace("result-recorded", key=entry.key)
 
     def _evict(self) -> None:
         if self.config.store_max_entries is not None:
             result_store.evict_store(
                 self.store_dir, max_entries=self.config.store_max_entries
             )
-
-    # -- execution: the worker plane (cluster) -------------------------------
-
-    def _touch_worker(self, worker_id: str) -> _Worker:
-        """Upsert a worker record: any request proves a worker alive, so
-        a restarted service re-learns its fleet from the first request
-        each worker sends."""
-        worker = self._workers.get(worker_id)
-        if worker is None:
-            worker = self._workers[worker_id] = _Worker(worker_id)
-        else:
-            worker.last_beat = time.monotonic()
-        return worker
-
-    def lease(self, worker_id: str) -> dict:
-        """``POST /v1/lease``: one queued key for ``worker_id``, or
-        ``idle``/``shutdown``.
-
-        A worker runs one job at a time, so a worker that leases again
-        while its lease is still running lost the reply to its last
-        lease request: it gets that same key and blob back, with its
-        deadline renewed and no further attempt burned."""
-        cfg = self.config
-        now = time.monotonic()
-        with self._lock:
-            worker = self._touch_worker(worker_id)
-            if self._draining:
-                return {"type": "shutdown"}
-            entry = self._entries.get(worker.leased or "")
-            if (entry is not None and entry.state == "running"
-                    and entry.worker == worker_id):
-                entry.deadline = now + cfg.lease_timeout
-                self._trace("lease-renewed", worker=worker_id, key=entry.key,
-                            attempt=entry.attempts)
-                return self._job_reply(entry)
-            if self._fail_leases_left > 0:
-                self._fail_leases_left -= 1
-                self._trace("lease-fault-injected", worker=worker_id,
-                            remaining=self._fail_leases_left)
-                return {"type": "error", "reason": "injected-lease-fault"}
-            entry = self._next_lease(now)
-            if entry is None:
-                return {"type": "idle", "retry_after": cfg.poll_interval,
-                        "heartbeat_interval": cfg.heartbeat_timeout / 4}
-            entry.state = "running"
-            entry.attempts += 1
-            entry.worker = worker_id
-            entry.deadline = now + cfg.lease_timeout
-            worker.leased = entry.key
-            self._trace("lease-granted", worker=worker_id, key=entry.key,
-                        attempt=entry.attempts)
-            return self._job_reply(entry)
-
-    def _job_reply(self, entry: _Entry) -> dict:
-        return {"type": "job", "key": entry.key, "blob": entry.blob,
-                "attempt": entry.attempts,
-                "heartbeat_interval": self.config.heartbeat_timeout / 4}
-
-    def _next_lease(self, now: float) -> _Entry | None:
-        """Fresh keys in arrival order first, then the requeued key
-        whose backoff ended earliest.  Keys settled while they waited
-        (an adopted orphan result) are dropped."""
-        while self._queue:
-            entry = self._queue.popleft()
-            if entry.state == "queued":
-                return entry
-        self._retry = [e for e in self._retry if e.state == "queued"]
-        eligible = [e for e in self._retry if e.eligible <= now]
-        if not eligible:
-            return None
-        entry = min(eligible, key=lambda e: e.eligible)
-        self._retry.remove(entry)
-        return entry
-
-    def heartbeat(self, worker_id: str) -> dict:
-        """``POST /v1/heartbeat``: a live worker keeps its lease — the
-        deadline moves so long jobs are not revoked mid-run."""
-        with self._lock:
-            worker = self._touch_worker(worker_id)
-            entry = self._entries.get(worker.leased or "")
-            if entry is not None and entry.state == "running":
-                entry.deadline = time.monotonic() + self.config.lease_timeout
-        return {"type": "ok"}
-
-    def record_result(self, worker_id: str, report: dict) -> dict:
-        """``POST /v1/result``: settle a leased key.  ``ValueError`` for
-        a malformed report or an orphan whose blob does not hash to its
-        key."""
-        key = str(report.get("key", ""))
-        ok = bool(report.get("ok"))
-        wire = report.get("result")
-        if ok and not isinstance(wire, dict):
-            raise ValueError("result report without a result document")
-        stored = None
-        with self._lock:
-            known = key in self._entries
-        if ok and not known:
-            # An orphan: a previous incarnation leased the key before a
-            # restart.  Its stored result, if the ack was lost, makes
-            # this a duplicate; otherwise the blob must prove the key.
-            stored = result_store.load_wire(key, self.store_dir)
-            if stored is None:
-                verified_job(key, report.get("blob"))
-        with self._lock:
-            worker = self._touch_worker(worker_id)
-            if worker.leased == key:
-                worker.leased = None
-            entry = self._entries.get(key)
-            if entry is None:
-                if not ok:
-                    return {"type": "ok", "known": False}
-                entry = self._entries[key] = _Entry(key)
-                attempt = report.get("attempt")
-                entry.attempts = attempt if isinstance(attempt, int) else 1
-                if stored is not None:
-                    entry.state, entry.source = "done", "store"
-                    entry.wire = stored
-                    entry.done.set()
-                else:
-                    self._trace("orphan-result-adopted", key=key,
-                                worker=worker_id)
-            if entry.state == "done":
-                # Re-execution is deterministic: a duplicate completion
-                # is bit-identical to the recorded one.  Keep the first.
-                self._trace("result-duplicate", key=key, worker=worker_id)
-                return {"type": "ok", "duplicate": True}
-            if not ok:
-                # Only the lease holder's failure burns an attempt: a
-                # revoked lease's key was already requeued.
-                if entry.state == "running" and entry.worker == worker_id:
-                    self._fail_attempt(entry, str(report.get("error")
-                                                  or "worker error"))
-                return {"type": "ok", "requeued": entry.state == "queued"}
-            entry.worker = worker_id
-            self._settle(entry, wire)
-        self._evict()
-        return {"type": "ok"}
-
-    def _fail_attempt(self, entry: _Entry, error: str) -> None:
-        """One attempt burned (worker error, death, or lease expiry):
-        requeue with backoff, or fail the key at the attempt budget."""
-        cfg = self.config
-        entry.worker = None
-        entry.error = error
-        if entry.attempts >= cfg.max_attempts:
-            entry.state = "failed"
-            entry.error = f"{error} (after {entry.attempts} attempts)"
-            entry.done.set()
-            self.stats.failed += 1
-            self._trace("job-failed", key=entry.key, attempts=entry.attempts,
-                        error=error)
-            return
-        delay = min(BACKOFF_CAP,
-                    BACKOFF_BASE * (2 ** max(0, entry.attempts - 1)))
-        delay *= 1.0 + BACKOFF_JITTER * self._rng.random()
-        entry.state = "queued"
-        entry.eligible = time.monotonic() + delay
-        self._retry.append(entry)
-        self._trace("job-requeued", key=entry.key, attempt=entry.attempts,
-                    backoff=round(delay, 3), error=error)
-
-    def _monitor_loop(self) -> None:
-        """Presume silent workers dead and revoke lapsed leases."""
-        cfg = self.config
-        while not self._stopping.wait(cfg.poll_interval):
-            now = time.monotonic()
-            with self._lock:
-                for worker_id, worker in list(self._workers.items()):
-                    dead = now - worker.last_beat > cfg.heartbeat_timeout
-                    if dead:
-                        del self._workers[worker_id]
-                        self._trace("worker-dead", worker=worker_id,
-                                    leased=worker.leased)
-                    entry = self._entries.get(worker.leased or "")
-                    if (entry is None or entry.state != "running"
-                            or entry.worker != worker_id):
-                        continue
-                    if dead:
-                        self._fail_attempt(entry, f"worker {worker_id} "
-                                                  "stopped heartbeating")
-                    elif now > entry.deadline:
-                        self._fail_attempt(entry,
-                                           f"lease expired on {worker_id}")
 
 
 # -- the HTTP layer --------------------------------------------------------
@@ -925,33 +643,8 @@ def _make_handler(service: SimulationService):
                     self._reply(400, {"error": "fetch without keys"})
                     return
                 self._reply(200, service.fetch(keys))
-            elif path in WORKER_PLANE:
-                self._worker_plane(path, body)
             else:
                 self._reply(404, {"error": f"no such endpoint {self.path!r}"})
-
-        def _worker_plane(self, path: str, body: dict) -> None:
-            if service.config.backend != "cluster":
-                self._reply(409, {
-                    "error": "no worker plane: this service runs its jobs "
-                    f"on the {service.config.backend!r} backend"
-                })
-                return
-            worker_id = str(body.get("worker_id") or "")
-            if not worker_id:
-                self._reply(400, {"error": "worker request without worker_id"})
-                return
-            try:
-                if path == "/v1/lease":
-                    reply = service.lease(worker_id)
-                elif path == "/v1/heartbeat":
-                    reply = service.heartbeat(worker_id)
-                else:
-                    reply = service.record_result(worker_id, body)
-            except ValueError as error:
-                self._reply(400, {"error": str(error)})
-                return
-            self._reply(503 if reply["type"] == "error" else 200, reply)
 
         def _submit(self, body: dict, *, wait: bool) -> None:
             jobs = body.get("jobs")

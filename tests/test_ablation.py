@@ -329,15 +329,16 @@ class TestExecuteAndReport:
 
 
 class TestBackendEquivalence:
-    def test_pool_and_cluster_bit_identical_to_serial(
+    def test_pool_and_service_bit_identical_to_serial(
         self, executed_report, monkeypatch
     ):
         plan, serial, _ = executed_report
         pooled = execute_plan(plan, jobs=2)
-        # The service backend without an address leases to two workers.
+        # The service backend without an address: an ephemeral service
+        # on a two-process pool.
         monkeypatch.delenv("REPRO_SERVICE_ADDR", raising=False)
-        clustered = execute_plan(plan, jobs=2, backend="service")
-        for label, other in (("pool", pooled), ("cluster", clustered)):
+        served = execute_plan(plan, jobs=2, backend="service")
+        for label, other in (("pool", pooled), ("service", served)):
             assert [item.run.run_id for item in other] == [
                 item.run.run_id for item in serial
             ], label

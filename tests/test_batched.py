@@ -13,6 +13,7 @@ process-pool and service backends.
 
 import dataclasses
 import json
+import threading
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -184,9 +185,13 @@ def _assert_duplicates_run_once(grid, reference, **kwargs):
     and its result fills every position that submitted it."""
     calls: list = []
     real = parallel._run_jobs_backend
+    caller = threading.get_ident()
 
     def spy(units, *args, **kw):
-        calls.append(list(units))
+        # Only ``run_jobs``' own calls: the ephemeral service's
+        # dispatcher calls the same core from its thread, once a cycle.
+        if threading.get_ident() == caller:
+            calls.append(list(units))
         return real(units, *args, **kw)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -214,9 +219,9 @@ def test_batched_pool_backend(small_grid_reference):
     _assert_duplicates_run_once(jobs, reference, jobs=2)
 
 
-def test_batched_cluster_backend(small_grid_reference, monkeypatch):
+def test_batched_service_backend(small_grid_reference, monkeypatch):
     # The service backend without an address: an ephemeral service
-    # leases the planned units to two cluster workers.
+    # runs the planned units on a two-process pool.
     monkeypatch.delenv("REPRO_SERVICE_ADDR", raising=False)
     jobs, reference = small_grid_reference
     _assert_duplicates_run_once(jobs, reference, jobs=2, backend="service")

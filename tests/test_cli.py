@@ -246,31 +246,23 @@ def test_unknown_sweep_backend_is_a_one_line_error(monkeypatch, capsys):
     ["cluster", "serve"],
     ["cluster", "submit", "figure3"],
     ["run", "figure3", "--backend", "cluster"],
+    ["cluster", "work"],
+    ["serve", "--backend", "cluster"],
+    ["serve", "--heartbeat-timeout", "3"],
 ])
 def test_removed_cluster_commands_no_longer_parse(command, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(command)
     assert excinfo.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
-
-
-def test_serve_takes_the_worker_plane_options():
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args([
-        "serve", "--backend", "cluster", "--heartbeat-timeout", "3",
-        "--lease-timeout", "9", "--max-attempts", "5",
-    ])
-    assert (args.backend, args.heartbeat_timeout, args.lease_timeout,
-            args.max_attempts) == ("cluster", 3.0, 9.0, 5)
+    # A removed option is unrecognized; a removed command or backend is
+    # not among the choices.
+    expected = ("unrecognized arguments: --heartbeat-timeout"
+                if "--heartbeat-timeout" in command else "invalid choice")
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option, value", [
     ("--max-queue", "0"),
-    ("--max-attempts", "0"),
-    ("--heartbeat-timeout", "0"),
-    ("--heartbeat-timeout", "nan"),
-    ("--lease-timeout", "-1"),
     ("--store-max-entries", "-1"),
 ])
 def test_out_of_range_serve_setting_is_a_one_line_error(option, value,
@@ -288,8 +280,7 @@ def test_serve_defaults_are_the_service_config_defaults():
     from repro.service.server import ServiceConfig
 
     args = build_parser().parse_args(["serve"])
-    names = ("backend", "jobs", "max_queue", "store_max_entries",
-             "heartbeat_timeout", "lease_timeout", "max_attempts")
+    names = ("backend", "jobs", "max_queue", "store_max_entries")
     config = ServiceConfig()
     assert ({name: getattr(args, name) for name in names}
             == {name: getattr(config, name) for name in names})
@@ -312,8 +303,7 @@ def test_figure1_ignores_grid_options_on_submit(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", [
     ["submit", "figure1", "--connect", "nonsense"],
-    ["cluster", "work", "--connect", "nonsense"],
-    ["cluster", "status", "--connect", "nonsense"],
+    ["status", "--connect", "nonsense"],
     ["serve", "--bind", "nonsense"],
 ])
 def test_bad_address_option_is_a_usage_error(command, capsys):
@@ -363,8 +353,7 @@ def test_run_option_defaults(command, model, limit):
      "--benchmarks", "compress", "--backend", "service"],
     ["submit", "abl-inval", "--max-instructions", "300",
      "--benchmarks", "compress"],
-    ["cluster", "work"],
-    ["cluster", "status"],
+    ["status"],
 ])
 def test_bad_service_address_in_the_environment_is_a_one_line_error(
     command, monkeypatch, capsys
@@ -393,7 +382,7 @@ def test_blank_service_address_in_the_environment_reads_as_unset(
     from repro.service.client import ENV_ADDR
 
     monkeypatch.setenv(ENV_ADDR, "  ")
-    assert main(["cluster", "status"]) == 2
+    assert main(["status"]) == 2
     assert capsys.readouterr().err.strip() == (
         f"no service address (--connect or {ENV_ADDR})"
     )

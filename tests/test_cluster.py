@@ -1,31 +1,25 @@
-"""The simulation service's worker plane (``backend="cluster"``).
+"""The simulation service's building blocks, and its dispatcher against
+a real service.
 
-Three layers of coverage:
+Two layers of coverage:
 
 * Edges of the building blocks — the HTTP request boundary (truncated,
   oversized, corrupt bodies), the shared submit/poll/resubmit loop,
   job content hashing and result serialization.
-* The worker plane's behavior against a real service: unknown
-  endpoints, key/blob mismatches at submit and in orphan results,
-  duplicate results (idempotent, stored once), and resume from the
-  result store (an empty store, a crashed writer's leftover temp file,
-  a corrupt entry among good ones).
-* End-to-end sweeps through real ``repro cluster work`` subprocesses
-  with injected faults — worker SIGKILL mid-sweep, a forced service
-  restart over the result store, lease failures, result corruption,
-  dropped heartbeats, attempt-budget exhaustion — every one asserting
-  the repo's tentpole invariant: the merged results are bit-identical
-  to ``jobs=1``.
+* The dispatcher's behavior against a real ``serial`` service: unknown
+  endpoints, a corrupt request body, a failed store write (the result
+  stays servable from memory), and resume from the result store (an
+  empty store, a crashed writer's leftover temp file, a corrupt entry
+  among good ones), each asserting the repo's tentpole invariant where
+  results are computed: bit-identical to ``jobs=1``.
 """
 
 import socket
 import time
 from collections import Counter
-from contextlib import contextmanager
 
 import pytest
 
-from repro.cluster.faults import FaultPlan
 from repro.cluster.serial import (
     job_fingerprint,
     job_from_blob,
@@ -34,13 +28,11 @@ from repro.cluster.serial import (
     result_from_wire,
     result_to_wire,
 )
-from repro.cluster.worker import local_workers, reap, spawn_worker
 from repro.core.model import GREAT_MODEL
 from repro.engine.config import ProcessorConfig
 from repro.harness.parallel import SimJob, run_jobs
 from repro.service import results as result_store
 from repro.service.client import (
-    ENV_ADDR,
     MAX_BODY,
     ServiceClient,
     ServiceError,
@@ -52,14 +44,6 @@ from repro.service.server import ServiceConfig, ServiceTracer, SimulationService
 
 _CONFIG = ProcessorConfig(issue_width=4, window_size=24)
 _LIMIT = 400
-
-#: Sub-second supervision so fault recovery keeps test wall time low.
-_FAST = dict(
-    backend="cluster",
-    heartbeat_timeout=1.0,
-    lease_timeout=30.0,
-    poll_interval=0.05,
-)
 
 
 def _grid() -> list[SimJob]:
@@ -76,7 +60,7 @@ def _counters(results) -> list:
 
 def _recorded(tracer: ServiceTracer) -> Counter:
     """How many times each key's result was recorded (computed and
-    stored) across every service sharing ``tracer``."""
+    stored) by the service ``tracer`` watched."""
     return Counter(
         detail["key"] for _, kind, detail in tracer.items()
         if kind == "result-recorded"
@@ -88,21 +72,22 @@ def _stored_keys(directory) -> list[str]:
 
 
 def _service(store=None, tracer=None, **overrides) -> SimulationService:
-    return SimulationService(ServiceConfig(store=store, **{**_FAST, **overrides}),
+    """A ``serial`` service (the default backend) over ``store``."""
+    return SimulationService(ServiceConfig(store=store, **overrides),
                              tracer=tracer)
-
-
-@contextmanager
-def _cluster(store=None, *, workers=1, faults=None, tracer=None, **overrides):
-    """A started worker-plane service plus ``workers`` worker
-    subprocesses; yields the service and a client for it."""
-    with _service(store, tracer, **overrides) as service:
-        with local_workers(service, workers, faults=faults):
-            yield service, ServiceClient(*service.address)
 
 
 def _post(service, path: str, body: dict):
     return ServiceClient(*service.address)._request("POST", path, body)
+
+
+def _submit_docs(service, jobs) -> dict:
+    """``POST /v1/submit`` of ``jobs``; returns the receipt."""
+    code, _, receipt = _post(service, "/v1/submit", {
+        "jobs": [{"key": job_key(j), "blob": job_to_blob(j)} for j in jobs],
+    })
+    assert code == 202, receipt
+    return receipt
 
 
 def _exchange(address, data: bytes, *, close_write: bool = True) -> bytes:
@@ -198,7 +183,7 @@ class TestProtocol:
     def test_non_object_payload(self):
         with _service() as service:
             reply = _exchange(service.address,
-                              _post_bytes("/v1/lease", b"[1,2,3]"))
+                              _post_bytes("/v1/submit", b"[1,2,3]"))
             assert _status_code(reply) == 400
 
     def test_parse_address(self):
@@ -359,13 +344,7 @@ class TestSerial:
         )
 
 
-# -- the worker plane against a real service --------------------------------
-
-
-def _lease(service, worker_id="w1") -> dict:
-    code, _, reply = _post(service, "/v1/lease", {"worker_id": worker_id})
-    assert code == 200, reply
-    return reply
+# -- the dispatcher against a real service ---------------------------------
 
 
 class TestSchedulerProtocol:
@@ -380,105 +359,11 @@ class TestSchedulerProtocol:
         tracer = ServiceTracer()
         with _service(tracer=tracer) as service:
             reply = _exchange(service.address,
-                              _post_bytes("/v1/result", b"garbage"))
+                              _post_bytes("/v1/run", b"garbage"))
             assert _status_code(reply) == 400
             # The bad connection was dropped; a fresh one still works.
             assert ServiceClient(*service.address).status()["type"] == "status"
         assert "bad-request" in tracer.kinds()
-
-    def test_worker_plane_needs_the_cluster_backend(self):
-        with _service(backend="serial") as service:
-            code, _, reply = _post(service, "/v1/lease", {"worker_id": "w1"})
-        assert code == 409 and "worker plane" in reply["error"]
-
-    def test_mismatched_key_is_never_leased(self):
-        # The key of one job with the blob of another: refused whole,
-        # so no worker can store B's result under A's key.
-        a = SimJob("compress", _CONFIG, None, _LIMIT)
-        b = SimJob("perl", _CONFIG, None, _LIMIT)
-        with _service() as service:
-            code, _, reply = _post(service, "/v1/submit", {
-                "jobs": [{"key": job_key(a), "blob": job_to_blob(b)}],
-            })
-            lease = _lease(service)
-            status = service.status()
-        assert code == 400 and "mismatch" in reply["error"]
-        assert lease["type"] == "idle"
-        assert status["jobs"] == {"pending": 0, "leased": 0, "done": 0,
-                                  "failed": 0}
-
-    def test_a_repeated_lease_returns_the_running_key(self):
-        """A worker whose ``/v1/lease`` reply was lost asks again while
-        its lease runs: it gets the same key and blob back, with no
-        attempt burned, and once it goes silent that key is requeued —
-        never left running."""
-        tracer = ServiceTracer()
-        jobs = [SimJob(name, _CONFIG, None, _LIMIT)
-                for name in ("compress", "perl")]
-        with _service(tracer=tracer, heartbeat_timeout=0.3) as service:
-            ServiceClient(*service.address).submit(jobs)
-            first = _lease(service, "w")
-            again = _lease(service, "w")
-            status = service.status()["jobs"]
-            deadline = time.monotonic() + 10.0
-            while (service.entry_state(first["key"])["state"] == "running"
-                   and time.monotonic() < deadline):
-                time.sleep(0.05)
-            state = service.entry_state(first["key"])["state"]
-        assert again["type"] == "job"
-        assert (again["key"], again["blob"]) == (first["key"], first["blob"])
-        assert again["attempt"] == first["attempt"] == 1
-        assert status == {"pending": 1, "leased": 1, "done": 0, "failed": 0}
-        assert "lease-renewed" in tracer.kinds()
-        assert state == "queued"
-
-    def test_orphan_result_must_carry_a_blob_that_hashes_to_its_key(
-        self, tmp_path
-    ):
-        a = SimJob("compress", _CONFIG, None, _LIMIT)
-        b = SimJob("perl", _CONFIG, None, _LIMIT)
-        wire_b = result_to_wire(run_jobs([b])[0])
-        store = tmp_path / "store"
-        orphan = {"worker_id": "w1", "key": job_key(a), "attempt": 1,
-                  "ok": True, "result": wire_b}
-        with _service(store) as service:
-            refused = [
-                _post(service, "/v1/result", dict(orphan, blob=blob))
-                for blob in (None, job_to_blob(b), "!!not-base64!!")
-            ]
-            assert service.entry_state(job_key(a)) == {"state": "unknown"}
-            # The honest orphan — B's result under B's key — is adopted.
-            code, _, adopted = _post(service, "/v1/result", dict(
-                orphan, key=job_key(b), blob=job_to_blob(b)))
-        assert [code for code, _, _ in refused] == [400, 400, 400]
-        assert "mismatch" in refused[1][2]["error"]
-        assert code == 200 and adopted == {"type": "ok"}
-        assert _stored_keys(store) == [job_key(b)]
-
-    def test_duplicate_result_idempotent_and_journaled_once(self, tmp_path):
-        job = SimJob("compress", _CONFIG, None, _LIMIT)
-        key = job_key(job)
-        wire = result_to_wire(run_jobs([job])[0])
-        store = tmp_path / "store"
-        tracer = ServiceTracer()
-        with _service(store, tracer) as service:
-            ServiceClient(*service.address).submit([job])
-            lease = _lease(service)
-            assert lease["type"] == "job" and lease["key"] == key
-            report = {"worker_id": "w1", "key": key, "blob": lease["blob"],
-                      "attempt": 1, "ok": True, "result": wire}
-            _, _, first = _post(service, "/v1/result", report)
-            _, _, duplicate = _post(service, "/v1/result",
-                                    dict(report, attempt=2))
-            status = service.status()
-        assert first == {"type": "ok"}
-        assert duplicate == {"type": "ok", "duplicate": True}
-        assert _recorded(tracer) == {key: 1}
-        assert _stored_keys(store) == [key]
-        assert result_store.load_wire(key, store) == wire
-        assert status["store"]["dir"] == str(store)
-        assert status["store"]["entries"] == 1
-        assert set(status["workers"]) == {"w1"}
 
     def test_failed_store_write_keeps_result_in_memory(self, tmp_path):
         job = SimJob("compress", _CONFIG, None, _LIMIT)
@@ -490,35 +375,34 @@ class TestSchedulerProtocol:
         with _service(unwritable, tracer) as service:
             client = ServiceClient(*service.address)
             client.submit([job])
-            lease = _lease(service)
-            assert lease["key"] == key
-            code, _, ack = _post(service, "/v1/result", {
-                "worker_id": "w1", "key": key, "blob": lease["blob"],
-                "attempt": 1, "ok": True, "result": wire,
-            })
+            assert service.wait([key], timeout=60.0)
             fetched = client.fetch([key])
-        assert code == 200 and ack == {"type": "ok"}
         assert "store-write-failed" in tracer.kinds()
+        assert _recorded(tracer) == {key: 1}
         assert fetched["results"] == [wire]
+        assert fetched["sources"] == ["computed"]
 
 
 class TestResumeFromStore:
     """A service over a result store resumes at submit time: stored
-    keys come back as warm ``store`` hits, everything else is leased.
-    The store's damaged-state cases map to the worker plane here."""
+    keys come back as warm ``store`` hits, everything else is queued
+    for the dispatcher, which computes and stores it once."""
 
     def test_empty_store_is_a_fresh_sweep(self, tmp_path):
+        grid = _grid()
+        serial = run_jobs(grid, jobs=1)
+        keys = [job_key(j) for j in grid]
         store = tmp_path / "store"
         store.mkdir()
-        with _service(store) as service:
-            receipt = ServiceClient(*service.address)._request(
-                "POST", "/v1/submit",
-                {"jobs": [{"key": job_key(j), "blob": job_to_blob(j)}
-                          for j in _grid()]},
-            )[2]
-        assert receipt["total"] == receipt["queued"] == len(_grid())
+        tracer = ServiceTracer()
+        with _service(store, tracer) as service:
+            receipt = _submit_docs(service, grid)
+            results = ServiceClient(*service.address).run(grid, timeout=120)
+        assert receipt["total"] == receipt["queued"] == len(grid)
         assert receipt["warm"] == 0
-        assert _stored_keys(store) == []
+        assert _counters(results) == _counters(serial)
+        assert sorted(_recorded(tracer).elements()) == sorted(keys)
+        assert sorted(_stored_keys(store)) == sorted(keys)
 
     def test_leftover_temp_file_is_a_miss(self, tmp_path):
         # A writer that crashed between its temp-file write and the
@@ -529,15 +413,15 @@ class TestResumeFromStore:
         result_store.store_result(stored_key, run_jobs(grid[:1])[0], store)
         leftover = store / f".{torn_key}.vsres1.4242.17.tmp"
         leftover.write_bytes(b'{"v":1,"key":"' + torn_key.encode())
-        with _service(store) as service:
-            _, _, receipt = _post(service, "/v1/submit", {
-                "jobs": [{"key": job_key(j), "blob": job_to_blob(j)}
-                         for j in grid],
-            })
+        tracer = ServiceTracer()
+        with _service(store, tracer) as service:
+            receipt = _submit_docs(service, grid)
+            assert service.wait([stored_key, torn_key], timeout=60.0)
             status = service.status()
         assert receipt["dispositions"] == ["store", "queued"]
-        assert status["jobs"]["pending"] == 1
-        assert status["store"]["entries"] == 1
+        assert _recorded(tracer) == {torn_key: 1}
+        assert status["stats"]["executed"] == 1
+        assert sorted(_stored_keys(store)) == sorted([stored_key, torn_key])
 
     def test_corrupt_entry_recomputed_good_entries_replayed(self, tmp_path):
         grid = _grid()
@@ -551,164 +435,10 @@ class TestResumeFromStore:
         middle = len(raw) // 2
         damaged.write_bytes(raw[:middle] + b"XX" + raw[middle + 2:])
         tracer = ServiceTracer()
-        with _cluster(store, tracer=tracer) as (service, client):
-            _, _, receipt = _post(service, "/v1/submit", {
-                "jobs": [{"key": k, "blob": job_to_blob(j)}
-                         for k, j in zip(keys, grid)],
-            })
-            results = client.run(grid, timeout=120)
+        with _service(store, tracer) as service:
+            receipt = _submit_docs(service, grid)
+            results = ServiceClient(*service.address).run(grid, timeout=120)
         assert receipt["warm"] == len(grid) - 1
         assert _counters(results) == _counters(serial)
         assert _recorded(tracer) == {keys[1]: 1}
         assert sorted(_stored_keys(store)) == sorted(keys)
-
-
-# -- end-to-end sweeps with injected faults --------------------------------
-
-
-class TestClusterSweeps:
-    def test_cluster_backend_bit_identical_to_serial(self, monkeypatch):
-        # No address: an ephemeral service leases the grid to two
-        # worker subprocesses.
-        monkeypatch.delenv(ENV_ADDR, raising=False)
-        grid = _grid()
-        serial = run_jobs(grid, jobs=1)
-        clustered = run_jobs(grid, jobs=2, backend="service")
-        assert _counters(clustered) == _counters(serial)
-        assert [r.cycles for r in clustered] == [r.cycles for r in serial]
-
-    def test_running_service_with_two_workers_bit_identical(
-        self, monkeypatch, tmp_path
-    ):
-        grid = _grid()
-        serial = run_jobs(grid, jobs=1)
-        with _cluster(tmp_path / "store", workers=2) as (service, _):
-            host, port = service.address
-            monkeypatch.setenv(ENV_ADDR, f"{host}:{port}")
-            remote = run_jobs(grid, backend="service")
-            status = service.status()
-        assert _counters(remote) == _counters(serial)
-        assert status["stats"]["executed"] == len(grid)
-        assert len(status["workers"]) == 2
-
-    def test_worker_killed_mid_sweep(self, tmp_path):
-        grid = _grid()
-        serial = run_jobs(grid, jobs=1)
-        store = tmp_path / "store"
-        tracer = ServiceTracer()
-        # Worker 1's requests are slowed so it cannot drain the grid
-        # before worker 0 has started and taken (and died on) its first
-        # lease.
-        faults = {0: FaultPlan(kill_on_lease=1),
-                  1: FaultPlan(delay_request_s=0.2)}
-        with _cluster(store, workers=2, faults=faults,
-                      tracer=tracer) as (_, client):
-            results = client.run(grid, timeout=120)
-        assert _counters(results) == _counters(serial)
-        # The kill was detected and the orphaned job requeued.
-        assert {"worker-dead", "job-requeued"} <= tracer.kinds()
-        keys = sorted(job_key(j) for j in grid)
-        assert sorted(_recorded(tracer).elements()) == keys
-        assert sorted(_stored_keys(store)) == keys
-
-    def test_scheduler_restart_resumes_without_recompute(self, tmp_path):
-        """The acceptance scenario: kill the service mid-sweep, restart
-        it over the same result store, and finish — bit-identical to
-        serial, with every pre-restart point replayed from disk, not
-        re-run."""
-        grid = _grid()
-        serial = run_jobs(grid, jobs=1)
-        store = tmp_path / "store"
-        tracer = ServiceTracer()  # shared: counts span the restart
-        first = _service(store, tracer)
-        address = first.start()
-        # Slowed requests keep part of the grid in flight at the kill.
-        workers = [spawn_worker(address, reconnect_deadline=60.0,
-                                faults=FaultPlan(delay_request_s=0.05))
-                   for _ in range(2)]
-        client = ServiceClient(*address)
-        try:
-            client.submit(grid)
-            deadline = time.monotonic() + 60.0
-            while not _stored_keys(store):
-                assert time.monotonic() < deadline, "no progress before kill"
-                time.sleep(0.05)
-            first.stop()  # forced restart: drop all in-memory state
-            pre_restart = set(_stored_keys(store))
-            assert len(pre_restart) < len(grid), "nothing left to resume"
-
-            second = _service(store, tracer, port=address[1])
-            second.start()
-            try:
-                _, _, receipt = _post(second, "/v1/submit", {
-                    "jobs": [{"key": job_key(j), "blob": job_to_blob(j)}
-                             for j in grid],
-                })
-                # Every point completed before the restart was served
-                # from the store — zero of them recomputed.
-                assert receipt["warm"] >= len(pre_restart)
-                results = client.run(grid, timeout=120)
-            finally:
-                second.drain()
-                reap(workers, timeout=30)
-                second.stop()
-        finally:
-            reap(workers, timeout=0)
-        assert _counters(results) == _counters(serial)
-        # Each key recorded exactly once across both incarnations:
-        # completions were never redone and duplicates never re-stored.
-        keys = sorted(job_key(j) for j in grid)
-        assert sorted(_recorded(tracer).elements()) == keys
-        assert sorted(_stored_keys(store)) == keys
-        assert pre_restart <= set(keys)
-
-    def test_injected_lease_failures_are_retried(self):
-        grid = _grid()[:2]
-        serial = run_jobs(grid, jobs=1)
-        tracer = ServiceTracer()
-        with _cluster(tracer=tracer, fail_leases=3) as (_, client):
-            assert client.status()["type"] == "status"
-            results = client.run(grid, timeout=120)
-        assert _counters(results) == _counters(serial)
-        assert "lease-fault-injected" in tracer.kinds()
-
-    def test_corrupt_result_frame_resent_clean(self):
-        grid = _grid()[:2]
-        serial = run_jobs(grid, jobs=1)
-        tracer = ServiceTracer()
-        with _cluster(faults={0: FaultPlan(corrupt_result=1)},
-                      tracer=tracer) as (_, client):
-            results = client.run(grid, timeout=120)
-        assert _counters(results) == _counters(serial)
-        assert "bad-request" in tracer.kinds()
-        assert sorted(_recorded(tracer)) == sorted(job_key(j) for j in grid)
-
-    def test_silent_worker_presumed_dead_sweep_still_exact(self):
-        # The worker keeps computing but stops heartbeating after its
-        # first beat: the service must declare it dead and requeue; its
-        # late results are adopted/deduped — never double-counted.  The
-        # jobs are sized to outlast the (shrunken) heartbeat timeout,
-        # since any request a worker makes also proves it alive.
-        grid = [
-            SimJob("compress", _CONFIG, GREAT_MODEL, 30000),
-            SimJob("perl", _CONFIG, GREAT_MODEL, 30000),
-        ]
-        serial = run_jobs(grid, jobs=1)
-        tracer = ServiceTracer()
-        with _cluster(faults={0: FaultPlan(drop_heartbeats_after=1)},
-                      tracer=tracer, heartbeat_timeout=0.2) as (_, client):
-            results = client.run(grid, timeout=120)
-        assert _counters(results) == _counters(serial)
-        assert "worker-dead" in tracer.kinds()
-
-    def test_attempt_budget_exhaustion_fails_the_sweep(self):
-        grid = [
-            SimJob("no-such-kernel", _CONFIG, None, _LIMIT),
-            SimJob("compress", _CONFIG, None, _LIMIT),
-        ]
-        with _cluster(max_attempts=2) as (_, client):
-            with pytest.raises(ServiceError) as info:
-                client.run(grid, timeout=120)
-        message = str(info.value)
-        assert job_key(grid[0]) in message
-        assert message.count("after 2 attempts") == 1

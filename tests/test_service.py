@@ -405,7 +405,7 @@ class TestServiceHTTP:
         assert status["type"] == "status"
         # the jobs count schema, exactly
         assert set(status["jobs"]) == {"pending", "leased", "done", "failed"}
-        assert "workers" not in status  # serial: no worker plane
+        assert "workers" not in status
         assert set(status["backend"]) == {"backend", "jobs"}
         assert status["store"]["enabled"] is True
         assert status["queue"] == {"depth": 0, "max": 256}
@@ -630,9 +630,7 @@ def _doc(job: SimJob) -> dict:
 
 
 @pytest.mark.parametrize("setting", [
-    {"max_queue": 0}, {"max_attempts": 0}, {"heartbeat_timeout": 0.0},
-    {"lease_timeout": -1.0}, {"poll_interval": float("nan")},
-    {"store_max_entries": -1},
+    {"max_queue": 0}, {"store_max_entries": -1},
 ])
 def test_config_refuses_out_of_range_settings(setting):
     (name,) = setting
@@ -688,39 +686,48 @@ class TestAdmission:
         assert order == keys
         assert not any(thread.is_alive() for thread in threads)
 
-    def test_leases_go_out_in_submission_order(self, tmp_path):
-        first, second = [_job(), _job("perl")], [_job("go")]
-        config = ServiceConfig(store=tmp_path / "s", backend="cluster")
-        with SimulationService(config) as service:
-            for client_id, jobs in (("one", first), ("two", second)):
-                ServiceClient(*service.address,
-                              client_id=client_id).submit(jobs)
-            leased = [
-                _post(ServiceClient(*service.address), "/v1/lease",
-                      {"worker_id": f"w{number}"})[2]["key"]
-                for number in range(3)
-            ]
-        assert leased == [job_key(job) for job in first + second]
+    def test_stop_refuses_submissions_and_releases_waiters(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import server as server_module
 
-    def test_stop_refuses_submissions_and_releases_waiters(self, tmp_path):
-        config = ServiceConfig(store=tmp_path / "s", backend="cluster")
-        service = SimulationService(config)
+        entered, gate = threading.Event(), threading.Event()
+        real = server_module.parallel._run_jobs_backend
+
+        def gated(job_list, **kwargs):
+            entered.set()
+            gate.wait(timeout=30.0)
+            return real(job_list, **kwargs)
+
+        monkeypatch.setattr(server_module.parallel, "_run_jobs_backend", gated)
+        service = SimulationService(ServiceConfig(store=tmp_path / "s"))
         service.start()
         threads = list(service._threads)
-        keys = ServiceClient(*service.address).submit([_job()])
+        client = ServiceClient(*service.address)
+        running = client.submit([_job()])
+        assert entered.wait(timeout=30.0)
+        # Held queued behind the gated job: the serial dispatcher runs
+        # one key per cycle.
+        keys = client.submit([_job("perl")])
         settled: list = []
         waiter = threading.Thread(
             target=lambda: settled.append(service.wait(keys, timeout=30.0))
         )
         waiter.start()
         time.sleep(0.05)  # let the waiter park on the queued key
-        service.stop()
+        stopper = threading.Thread(target=service.stop)
+        stopper.start()
+        assert service._stopping.wait(timeout=10.0)
+        gate.set()  # the running job finishes; the queued one never starts
+        stopper.join(timeout=30.0)
         waiter.join(timeout=10.0)
+        assert not stopper.is_alive()
         assert not waiter.is_alive() and settled == [True]
+        assert service.entry_state(running[0])["state"] == "done"
         assert service.entry_state(keys[0]) == {"state": "failed",
                                                 "error": "service stopped"}
         with pytest.raises(Backpressure):
-            service.submit([_doc(_job("perl"))])
+            service.submit([_doc(_job("go"))])
         assert not any(thread.is_alive() for thread in threads)
 
     def test_pool_with_jobs_0_runs_every_core_per_cycle(

@@ -5,9 +5,9 @@ through its trace written to VSRT v5 bytes and loaded back — the
 buffer-backed :class:`~repro.trace.columnar.ColumnarTrace` a cache hit
 returns; the counters must match the committed snapshots bit for bit.
 A second group proves the same through the harness backends — pool
-workers and the service's cluster workers opening the staged cache
-entry, or the pool's temp staging entry when the cache is off — against
-the serial in-memory result.
+workers, on their own or behind the ephemeral service, opening the
+staged cache entry, or the pool's temp staging entry when the cache is
+off — against the serial in-memory result.
 
 This is the "the entry changes nothing" guarantee: every path is exact.
 (The module and test names keep the vocabulary of the chunked format
@@ -211,9 +211,9 @@ class TestBackendsStreaming:
         pytest.param("local", 2, True, id="local-2"),
         # Cache off: the pool stages into a per-run temp directory.
         pytest.param("local", 2, False, id="local-2-cache-off"),
-        # No service address: an ephemeral service leasing to two
-        # cluster workers.
-        pytest.param("service", 2, True, id="cluster-2"),
+        # No service address: an ephemeral service on a two-process
+        # pool.
+        pytest.param("service", 2, True, id="service-2"),
     ])
     def test_backend_matches_in_memory(
         self, monkeypatch, tmp_path, backend, jobs, cache
