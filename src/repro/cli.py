@@ -16,10 +16,8 @@ table1 / figure1 / figure3 / figure4   shorthands for ``run <id>``
 
 Any grid-running command accepts ``--backend service`` (or
 ``REPRO_SWEEP_BACKEND=service``) to run its simulation grid through the
-simulation service — the one at ``REPRO_SERVICE_ADDR=HOST:PORT``, or
-without it an ephemeral in-process service running the grid on a
-``--jobs``-wide process pool — with bit-identical results; see
-docs/SERVICE.md.
+running simulation service at ``REPRO_SERVICE_ADDR=HOST:PORT``, with
+bit-identical results; see docs/SERVICE.md.
 
 ``obs`` accepts suite kernel names and micro kernels via the
 ``micro:<name>`` form (e.g. ``micro:fib``).
@@ -367,8 +365,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     """Run an experiment's grid through the simulation service at
-    ``--connect`` (or ``REPRO_SERVICE_ADDR``), else an ephemeral one
-    with a ``--jobs``-wide process pool."""
+    ``--connect`` (or ``REPRO_SERVICE_ADDR``); with neither, a grid is
+    a one-line error."""
     from repro.env import setting
     from repro.service.client import ENV_ADDR
 
@@ -524,8 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiments").set_defaults(func=_cmd_list)
 
     # The trace selection `run`, its shorthands, `ablate`, `export`,
-    # `submit` and `cache` share; `workers` adds `--jobs` and `grid`
-    # `--backend`.  A value left unset means the command's own default.
+    # `submit` and `cache` share; `grid` adds `--jobs` and `--backend`.
+    # A value left unset means the command's own default.
     selection = argparse.ArgumentParser(add_help=False)
     selection.add_argument(
         "--max-instructions",
@@ -541,15 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"restrict to a subset of {kernel_names()} "
         "(ablate also takes micro:<name>)",
     )
-    workers = argparse.ArgumentParser(add_help=False, parents=[selection])
-    workers.add_argument(
+    grid = argparse.ArgumentParser(add_help=False, parents=[selection])
+    grid.add_argument(
         "--jobs",
         type=int,
         default=None,
         metavar="N",
         help="worker processes for the simulation grid (0 = all cores)",
     )
-    grid = argparse.ArgumentParser(add_help=False, parents=[workers])
     grid.add_argument(
         "--backend",
         choices=BACKENDS,
@@ -661,10 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     svc_submit = sub.add_parser(
         "submit",
-        parents=[connect, workers],
-        help="run an experiment's grid through the simulation service "
-        "(without an address: an ephemeral in-process service on a "
-        "--jobs-wide process pool)",
+        parents=[connect, selection],
+        help="run an experiment's grid through a running simulation service",
     )
     svc_submit.add_argument("id", help="experiment id (see `repro list`)")
     svc_submit.set_defaults(func=_cmd_submit)

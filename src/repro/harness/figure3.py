@@ -10,6 +10,7 @@ processor across the SPECint95 suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.model import (
     GOOD_MODEL,
@@ -18,6 +19,7 @@ from repro.core.model import (
     SpeculativeExecutionModel,
 )
 from repro.engine.config import PAPER_CONFIGS, ProcessorConfig
+from repro.engine.sim import SimulationResult
 from repro.harness.parallel import SimJob, run_jobs
 from repro.harness.render import render_bar, render_table
 from repro.metrics.speedup import harmonic_mean
@@ -45,23 +47,14 @@ class Figure3Cell:
     per_benchmark: dict[str, float] = field(default_factory=dict, compare=False)
 
 
-def run_figure3(
+def plan_figure3(
     max_instructions: int | None = 6000,
     benchmarks: list[str] | None = None,
     configs: tuple[ProcessorConfig, ...] = PAPER_CONFIGS,
     models: tuple[SpeculativeExecutionModel, ...] = MODELS,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[Figure3Cell]:
-    """Run the full Figure 3 sweep.
-
-    ``max_instructions`` truncates each kernel trace (the pure-Python
-    cycle-level engine is the cost driver — see DESIGN.md); the paper's
-    qualitative shape is stable from a few thousand instructions up.
-    ``jobs`` fans the whole (config x setting x model x benchmark) grid —
-    baselines included — over worker processes; the cells are identical
-    for any worker count.
-    """
+) -> tuple[list[SimJob], Callable[[list[SimulationResult]], list[Figure3Cell]]]:
+    """Figure 3's grid as ``(job_list, reduce)``: ``reduce`` turns the
+    results of ``job_list``, in submission order, into the cells."""
     names = select_benchmarks(benchmarks)
     # One flat grid: per config, the baselines then every
     # (setting, model, benchmark) point, submitted together.
@@ -81,26 +74,50 @@ def run_figure3(
                     )
                     for n in names
                 )
-    results = iter(run_jobs(job_list, jobs=jobs, backend=backend))
 
-    cells: list[Figure3Cell] = []
-    for config in configs:
-        base_cycles = {n: next(results).cycles for n in names}
-        for timing, conf in SETTINGS:
-            for model in models:
-                per_benchmark = {
-                    n: base_cycles[n] / next(results).cycles for n in names
-                }
-                cells.append(
-                    Figure3Cell(
-                        config_label=config.label,
-                        setting=f"{timing}/{conf}",
-                        model_name=model.name,
-                        speedup=harmonic_mean(per_benchmark.values()),
-                        per_benchmark=per_benchmark,
+    def reduce(results: list[SimulationResult]) -> list[Figure3Cell]:
+        results = iter(results)
+        cells: list[Figure3Cell] = []
+        for config in configs:
+            base_cycles = {n: next(results).cycles for n in names}
+            for timing, conf in SETTINGS:
+                for model in models:
+                    per_benchmark = {
+                        n: base_cycles[n] / next(results).cycles for n in names
+                    }
+                    cells.append(
+                        Figure3Cell(
+                            config_label=config.label,
+                            setting=f"{timing}/{conf}",
+                            model_name=model.name,
+                            speedup=harmonic_mean(per_benchmark.values()),
+                            per_benchmark=per_benchmark,
+                        )
                     )
-                )
-    return cells
+        return cells
+
+    return job_list, reduce
+
+
+def run_figure3(
+    max_instructions: int | None = 6000,
+    benchmarks: list[str] | None = None,
+    configs: tuple[ProcessorConfig, ...] = PAPER_CONFIGS,
+    models: tuple[SpeculativeExecutionModel, ...] = MODELS,
+    jobs: int = 1,
+    backend: str | None = None,
+) -> list[Figure3Cell]:
+    """Run the full Figure 3 sweep.
+
+    ``max_instructions`` truncates each kernel trace (the pure-Python
+    cycle-level engine is the cost driver — see DESIGN.md); the paper's
+    qualitative shape is stable from a few thousand instructions up.
+    ``jobs`` fans the whole (config x setting x model x benchmark) grid —
+    baselines included — over worker processes; the cells are identical
+    for any worker count.
+    """
+    job_list, reduce = plan_figure3(max_instructions, benchmarks, configs, models)
+    return reduce(run_jobs(job_list, jobs=jobs, backend=backend))
 
 
 def render_figure3(cells: list[Figure3Cell]) -> str:

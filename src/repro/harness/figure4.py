@@ -12,9 +12,11 @@ accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.model import GREAT_MODEL, SpeculativeExecutionModel
 from repro.engine.config import PAPER_CONFIGS, ProcessorConfig
+from repro.engine.sim import SimulationResult
 from repro.harness.parallel import SimJob, run_jobs
 from repro.harness.render import render_table
 from repro.metrics.accuracy import AccuracyBreakdown, average_breakdown
@@ -30,17 +32,14 @@ class Figure4Cell:
     breakdown: AccuracyBreakdown
 
 
-def run_figure4(
+def plan_figure4(
     max_instructions: int | None = 6000,
     benchmarks: list[str] | None = None,
     configs: tuple[ProcessorConfig, ...] = PAPER_CONFIGS,
     model: SpeculativeExecutionModel = GREAT_MODEL,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> list[Figure4Cell]:
-    """Measure the CH/CL/IH/IL breakdown for the great model (real
-    confidence) across configurations and update timings.  ``jobs`` fans
-    the (config x timing x benchmark) grid over worker processes."""
+) -> tuple[list[SimJob], Callable[[list[SimulationResult]], list[Figure4Cell]]]:
+    """Figure 4's grid as ``(job_list, reduce)``: ``reduce`` turns the
+    results of ``job_list``, in submission order, into the cells."""
     names = select_benchmarks(benchmarks)
     grid = [(config, timing) for config in configs for timing in ("D", "I")]
     job_list = [
@@ -55,18 +54,37 @@ def run_figure4(
         for config, timing in grid
         for name in names
     ]
-    results = iter(run_jobs(job_list, jobs=jobs, backend=backend))
-    cells: list[Figure4Cell] = []
-    for config, timing in grid:
-        breakdowns = [next(results).accuracy_breakdown for _ in names]
-        cells.append(
-            Figure4Cell(
-                config_label=config.label,
-                timing=timing,
-                breakdown=average_breakdown(breakdowns),
+
+    def reduce(results: list[SimulationResult]) -> list[Figure4Cell]:
+        results = iter(results)
+        cells: list[Figure4Cell] = []
+        for config, timing in grid:
+            breakdowns = [next(results).accuracy_breakdown for _ in names]
+            cells.append(
+                Figure4Cell(
+                    config_label=config.label,
+                    timing=timing,
+                    breakdown=average_breakdown(breakdowns),
+                )
             )
-        )
-    return cells
+        return cells
+
+    return job_list, reduce
+
+
+def run_figure4(
+    max_instructions: int | None = 6000,
+    benchmarks: list[str] | None = None,
+    configs: tuple[ProcessorConfig, ...] = PAPER_CONFIGS,
+    model: SpeculativeExecutionModel = GREAT_MODEL,
+    jobs: int = 1,
+    backend: str | None = None,
+) -> list[Figure4Cell]:
+    """Measure the CH/CL/IH/IL breakdown for the great model (real
+    confidence) across configurations and update timings.  ``jobs`` fans
+    the (config x timing x benchmark) grid over worker processes."""
+    job_list, reduce = plan_figure4(max_instructions, benchmarks, configs, model)
+    return reduce(run_jobs(job_list, jobs=jobs, backend=backend))
 
 
 def render_figure4(cells: list[Figure4Cell]) -> str:

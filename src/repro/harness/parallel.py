@@ -75,10 +75,9 @@ STRICT_ENV_VAR = "REPRO_TRACE_STRICT"
 
 #: Env var: default execution backend for ``run_jobs`` when the caller
 #: does not pass one — ``local`` (this module's process pool) or
-#: ``service`` (the simulation service, :mod:`repro.service`: the one
-#: at ``REPRO_SERVICE_ADDR``, else an ephemeral one on a process pool).
-#: Lets any harness entry point ride a shared backend without code
-#: changes.
+#: ``service`` (the simulation service at ``REPRO_SERVICE_ADDR``,
+#: :mod:`repro.service`).  Lets any harness entry point ride a shared
+#: backend without code changes.
 BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
 
 #: The values ``run_jobs``' ``backend`` (and ``REPRO_SWEEP_BACKEND``) take.
@@ -309,7 +308,8 @@ def effective_jobs(jobs: int | None, n_tasks: int) -> int:
 
 class BackendSelectionError(ValueError):
     """A ``backend`` argument that is not one of :data:`BACKENDS`, or
-    a ``REPRO_SERVICE_ADDR`` that refuses connections."""
+    a service backend with no ``REPRO_SERVICE_ADDR`` or one that
+    refuses connections."""
 
 
 def _backend(text: str) -> str:
@@ -324,7 +324,8 @@ def _backend(text: str) -> str:
 def resolve_backend(backend: str | None = None) -> str:
     """The effective sweep backend: explicit argument, then
     ``REPRO_SWEEP_BACKEND``, then ``local``.  The service backend's
-    address is checked here, before any trace is staged."""
+    address must be set; it is checked here, before any trace is
+    staged."""
     if backend:
         try:
             chosen = _backend(backend)
@@ -333,9 +334,13 @@ def resolve_backend(backend: str | None = None) -> str:
     else:
         chosen = env.value(BACKEND_ENV_VAR, _backend) or "local"
     if chosen == "service":
-        from repro.service.client import env_address
+        from repro.service.client import ENV_ADDR, env_address
 
-        env_address()
+        if env_address() is None:
+            raise BackendSelectionError(
+                f"the service backend needs {ENV_ADDR}=HOST:PORT "
+                "(start a service with `repro serve`)"
+            )
     return chosen
 
 
@@ -479,7 +484,7 @@ def _run_jobs_backend(
         # Imported lazily: the service client depends on this module.
         from repro.service.client import run_jobs_service
 
-        return run_jobs_service(units, jobs)
+        return run_jobs_service(units)
     workers = effective_jobs(jobs, len(units))
     if workers <= 1:
         return [_execute(unit) for unit in units]

@@ -177,7 +177,8 @@ def render_report(results: dict) -> str:
     lines = [
         "# Reproduction report",
         "",
-        f"Trace limit: {results.get('trace_limit')} instructions/kernel; "
+        f"Trace limit: {results.get('trace_limit')} instructions/kernel, "
+        f"sweep limit {results.get('sweep_limit')}; "
         f"wall time {results.get('wall_seconds', '?')}s"
         + ("." if jobs is None else f" with `--jobs {jobs}`."),
         "",

@@ -8,17 +8,17 @@ value-predictor comparison (extension) and ten more.
 Each sweep is declared once, as a :class:`Sweep` in :data:`SWEEPS`: its
 id, list title, paper reference, rendered heading and the builder of its
 variants.  ``repro run abl-*`` (:data:`repro.harness.experiments.EXPERIMENTS`),
-``repro export`` (:data:`repro.harness.export.EXPORTS`) and
-``scripts/run_full_experiments.py`` all read the table.  Each entry is
-also importable under its builder's name (``verification_scheme_sweep``
-and so on); calling it runs the sweep.
+``repro export`` (:data:`repro.harness.export.EXPORTS`) and the full
+reproduction (:func:`repro.harness.experiments.run_reproduction`) all
+read the table.  Each entry is also importable under its builder's name
+(``verification_scheme_sweep`` and so on); calling it runs the sweep.
 
 Every sweep flattens its whole grid — the baseline runs *and* every
-variant x benchmark point — into a single batch for
-:func:`repro.harness.parallel.run_jobs`, so ``jobs=N`` fans the entire
-sweep out over N worker processes while ``jobs=1`` (the default) runs
-the identical batch inline.  Results are merged positionally, so the
-sweep output is bit-identical for any worker count.
+variant x benchmark point — into a single batch (:meth:`Sweep.plan`)
+for :func:`repro.harness.parallel.run_jobs`, so ``jobs=N`` fans the
+entire sweep out over N worker processes while ``jobs=1`` (the default)
+runs the identical batch inline.  Results are merged positionally, so
+the sweep output is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -154,23 +154,21 @@ class Sweep:
     section: str | None = None
     extra_detail: Callable[[list[SimulationResult]], dict[str, float]] | None = None
 
-    def __call__(
+    def plan(
         self,
         max_instructions: int | None = 5000,
         benchmarks: list[str] | None = None,
         config: ProcessorConfig | None = None,
-        jobs: int = 1,
-        backend: str | None = None,
         **axes,
-    ) -> list[SweepPoint]:
-        """Run the sweep's full grid as one parallel batch.
+    ) -> tuple[list[SimJob], Callable[[list[SimulationResult]], list[SweepPoint]]]:
+        """The sweep's full grid as ``(job_list, reduce)``: ``reduce``
+        turns the results of ``job_list``, in submission order, into
+        the points.
 
-        The batch is: one baseline run per distinct baseline config per
-        benchmark, then every variant x benchmark point, all submitted to
-        :func:`run_jobs` together so a multi-benchmark, multi-variant sweep
-        saturates the worker pool instead of synchronising per variant.
-        ``axes`` are the builder's own keywords (``values=``,
-        ``counter_bits=`` and so on).
+        The grid is: one baseline run per distinct baseline config per
+        benchmark, then every variant x benchmark point.  ``axes`` are
+        the builder's own keywords (``values=``, ``counter_bits=`` and
+        so on).
         """
         config = config or ProcessorConfig(issue_width=8, window_size=48)
         names = select_benchmarks(benchmarks)
@@ -197,26 +195,45 @@ class Sweep:
                 )
                 for name in names
             )
-        results = run_jobs(job_list, jobs=jobs, backend=backend)
 
-        width = len(names)
-        base_cycles: dict[ProcessorConfig, dict[str, int]] = {}
-        for i, base_config in enumerate(base_configs):
-            chunk = results[i * width : (i + 1) * width]
-            base_cycles[base_config] = {n: r.cycles for n, r in zip(names, chunk)}
-        points: list[SweepPoint] = []
-        offset = len(base_configs) * width
-        for i, variant in enumerate(variants):
-            chunk = results[offset + i * width : offset + (i + 1) * width]
-            base = base_cycles[variant.baseline]
-            per_benchmark = {n: base[n] / r.cycles for n, r in zip(names, chunk)}
-            detail = dict(per_benchmark)
-            if self.extra_detail is not None:
-                detail.update(self.extra_detail(chunk))
-            points.append(
-                SweepPoint(variant.label, harmonic_mean(per_benchmark.values()), detail)
-            )
-        return points
+        def reduce(results: list[SimulationResult]) -> list[SweepPoint]:
+            width = len(names)
+            base_cycles: dict[ProcessorConfig, dict[str, int]] = {}
+            for i, base_config in enumerate(base_configs):
+                chunk = results[i * width : (i + 1) * width]
+                base_cycles[base_config] = {n: r.cycles for n, r in zip(names, chunk)}
+            points: list[SweepPoint] = []
+            offset = len(base_configs) * width
+            for i, variant in enumerate(variants):
+                chunk = results[offset + i * width : offset + (i + 1) * width]
+                base = base_cycles[variant.baseline]
+                per_benchmark = {n: base[n] / r.cycles for n, r in zip(names, chunk)}
+                detail = dict(per_benchmark)
+                if self.extra_detail is not None:
+                    detail.update(self.extra_detail(chunk))
+                points.append(
+                    SweepPoint(
+                        variant.label, harmonic_mean(per_benchmark.values()), detail
+                    )
+                )
+            return points
+
+        return job_list, reduce
+
+    def __call__(
+        self,
+        max_instructions: int | None = 5000,
+        benchmarks: list[str] | None = None,
+        config: ProcessorConfig | None = None,
+        jobs: int = 1,
+        backend: str | None = None,
+        **axes,
+    ) -> list[SweepPoint]:
+        """Run the sweep's full grid (:meth:`plan`) as one parallel
+        batch, so a multi-benchmark, multi-variant sweep saturates the
+        worker pool instead of synchronising per variant."""
+        job_list, reduce = self.plan(max_instructions, benchmarks, config, **axes)
+        return reduce(run_jobs(job_list, jobs=jobs, backend=backend))
 
     def render(self, points: list[SweepPoint]) -> str:
         """The points as a table under the sweep's heading."""

@@ -10,9 +10,8 @@ Backpressure (``429``) is handled by honoring ``Retry-After`` and
 halving the submission chunk, so a client behind a saturated service
 degrades to a slower trickle instead of failing.
 
-:func:`run_jobs_service` is ``run_jobs(..., backend="service")``: with
-an address it sends the grid to that service; without one it stands up
-an in-process, pool-backed service for the one grid.
+:func:`run_jobs_service` is ``run_jobs(..., backend="service")``: it
+sends the grid to the service at ``REPRO_SERVICE_ADDR``.
 """
 
 from __future__ import annotations
@@ -305,47 +304,26 @@ def _retry_after(headers: dict, doc: dict) -> float:
         return 0.5
 
 
-def run_jobs_service(job_list, jobs: int = 1) -> list:
-    """``run_jobs(..., backend="service")``: execute jobs on a service.
-
-    With ``$REPRO_SERVICE_ADDR`` set the grid goes to that running
-    service and ``jobs`` is ignored — capacity belongs to the service;
-    an address that refuses the first connection raises
+def run_jobs_service(job_list) -> list:
+    """``run_jobs(..., backend="service")``: execute jobs on the running
+    service at ``$REPRO_SERVICE_ADDR``, which owns the capacity (the
+    address is set: :func:`~repro.harness.parallel.resolve_backend`
+    checked it).  An address that refuses the first connection raises
     :class:`~repro.harness.parallel.BackendSelectionError` at once.
-    Otherwise an in-process service runs the grid on its ``pool``
-    backend, ``jobs`` processes wide, over ``REPRO_RESULT_STORE`` (no
-    persistence when unset), so an interrupted sweep resumes from the
-    points it already stored.
     """
     if not job_list:
         return []
-    address = env_address()
-    if address is not None:
-        client = ServiceClient(*address)
-        try:
-            client._request("GET", "/v1/healthz")
-        except ConnectionRefusedError:
-            # Nothing listens there: fail now, not at the run's timeout.
-            from repro.harness.parallel import BackendSelectionError
+    client = ServiceClient(*env_address())
+    try:
+        client._request("GET", "/v1/healthz")
+    except ConnectionRefusedError:
+        # Nothing listens there: fail now, not at the run's timeout.
+        from repro.harness.parallel import BackendSelectionError
 
-            raise BackendSelectionError(
-                f"{ENV_ADDR}={env.value(ENV_ADDR, str)}: connection "
-                "refused (is a service running there?)"
-            ) from None
-        except (OSError, http.client.HTTPException):
-            pass  # anything else is for the run loop's retries to ride out
-        return client.run(job_list)
-
-    from repro.harness.parallel import effective_jobs
-    from repro.service import results as result_store
-    from repro.service.server import ServiceConfig, SimulationService
-
-    config = ServiceConfig(
-        store=result_store.store_dir(),
-        backend="pool",
-        jobs=effective_jobs(jobs, len(job_list)),
-        max_queue=len(job_list),
-    )
-    with SimulationService(config) as service:
-        client = ServiceClient(*service.address)
-        return client.run(job_list, timeout=None)
+        raise BackendSelectionError(
+            f"{ENV_ADDR}={env.value(ENV_ADDR, str)}: connection "
+            "refused (is a service running there?)"
+        ) from None
+    except (OSError, http.client.HTTPException):
+        pass  # anything else is for the run loop's retries to ride out
+    return client.run(job_list)

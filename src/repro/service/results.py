@@ -41,8 +41,7 @@ Configuration is via the ``REPRO_RESULT_STORE`` environment variable:
   instead defaults to ``repro/results`` in the user cache directory,
   :func:`repro.env.cache_home` — see :func:`resolve_store`);
 * a path — store under that directory (enables the
-  :func:`repro.harness.parallel.run_jobs` warm-skip, and is the store
-  of the ephemeral service the ``service`` backend starts);
+  :func:`repro.harness.parallel.run_jobs` warm-skip);
 * an off spelling (``off``, ``none``, ``0``, ``false``, ``no``,
   ``disabled`` or empty) — disabled everywhere.
 

@@ -39,3 +39,18 @@ def _hermetic_environment(tmp_path_factory):
     for name in [name for name in os.environ if name.startswith("REPRO_")]:
         del os.environ[name]
     os.environ.update(previous)
+
+
+@pytest.fixture
+def pool_service(monkeypatch):
+    """A running simulation service on a two-process pool, with no
+    result store, that ``REPRO_SERVICE_ADDR`` points at for the test:
+    what ``--backend service`` needs."""
+    from repro.service.client import ENV_ADDR
+    from repro.service.server import ServiceConfig, SimulationService
+
+    config = ServiceConfig(store=None, backend="pool", jobs=2)
+    with SimulationService(config) as service:
+        host, port = service.address
+        monkeypatch.setenv(ENV_ADDR, f"{host}:{port}")
+        yield service

@@ -330,14 +330,12 @@ class TestExecuteAndReport:
 
 class TestBackendEquivalence:
     def test_pool_and_service_bit_identical_to_serial(
-        self, executed_report, monkeypatch
+        self, executed_report, pool_service
     ):
         plan, serial, _ = executed_report
         pooled = execute_plan(plan, jobs=2)
-        # The service backend without an address: an ephemeral service
-        # on a two-process pool.
-        monkeypatch.delenv("REPRO_SERVICE_ADDR", raising=False)
-        served = execute_plan(plan, jobs=2, backend="service")
+        # A running service on a two-process pool.
+        served = execute_plan(plan, backend="service")
         for label, other in (("pool", pooled), ("service", served)):
             assert [item.run.run_id for item in other] == [
                 item.run.run_id for item in serial

@@ -188,7 +188,7 @@ def _assert_duplicates_run_once(grid, reference, **kwargs):
     caller = threading.get_ident()
 
     def spy(units, *args, **kw):
-        # Only ``run_jobs``' own calls: the ephemeral service's
+        # Only ``run_jobs``' own calls: an in-process service's
         # dispatcher calls the same core from its thread, once a cycle.
         if threading.get_ident() == caller:
             calls.append(list(units))
@@ -219,12 +219,10 @@ def test_batched_pool_backend(small_grid_reference):
     _assert_duplicates_run_once(jobs, reference, jobs=2)
 
 
-def test_batched_service_backend(small_grid_reference, monkeypatch):
-    # The service backend without an address: an ephemeral service
-    # runs the planned units on a two-process pool.
-    monkeypatch.delenv("REPRO_SERVICE_ADDR", raising=False)
+def test_batched_service_backend(small_grid_reference, pool_service):
+    # A running service runs the planned units on a two-process pool.
     jobs, reference = small_grid_reference
-    _assert_duplicates_run_once(jobs, reference, jobs=2, backend="service")
+    _assert_duplicates_run_once(jobs, reference, backend="service")
 
 
 def test_plan_units_slots_and_first_submission_order():

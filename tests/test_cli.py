@@ -217,17 +217,20 @@ def test_export_table1_honours_benchmarks(capsys):
     assert len(lines) == 2 and lines[1].startswith("compress,")
 
 
-def test_submit_without_an_address_runs_an_ephemeral_service(
-    monkeypatch, capsys
-):
+def test_submit_without_an_address_is_a_one_line_error(monkeypatch, capsys):
     from repro.service.client import ENV_ADDR
 
     monkeypatch.delenv(ENV_ADDR, raising=False)
-    options = ["--max-instructions", "300", "--benchmarks", "compress"]
-    assert main(["run", "abl-inval", *options]) == 0
-    expected = capsys.readouterr().out
-    assert main(["submit", "abl-inval", *options, "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == expected
+    assert main(["submit", "abl-inval", "--max-instructions", "300",
+                 "--benchmarks", "compress"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err and ENV_ADDR in err
+    # The service owns its capacity: `submit` takes no `--jobs`.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["submit", "abl-inval", "--jobs", "2"])
+    assert excinfo.value.code == 2
 
 
 def test_unknown_sweep_backend_is_a_one_line_error(monkeypatch, capsys):

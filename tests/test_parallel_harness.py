@@ -18,6 +18,7 @@ import pytest
 from repro.core.model import GREAT_MODEL
 from repro.engine.config import ProcessorConfig
 from repro.harness.parallel import (
+    BackendSelectionError,
     SimJob,
     effective_jobs,
     resolve_backend,
@@ -138,10 +139,26 @@ class TestBackendResolution:
         assert resolve_backend(None) == "local"
         assert resolve_backend("local") == "local"
 
-    def test_env_var_selects_service(self, monkeypatch):
+    def test_env_var_selects_service(self, monkeypatch, pool_service):
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "service")
         assert resolve_backend() == "service"
         assert resolve_backend("local") == "local"  # argument wins
+
+    def test_service_without_an_address_fails_before_staging(
+        self, monkeypatch
+    ):
+        from repro.harness import parallel
+        from repro.service.client import ENV_ADDR
+
+        monkeypatch.delenv(ENV_ADDR, raising=False)
+        with pytest.raises(BackendSelectionError, match=ENV_ADDR):
+            resolve_backend("service")
+        staged = []
+        monkeypatch.setattr(parallel, "_stage_traces", staged.append)
+        grid = [SimJob("compress", _CONFIG, None, _LIMIT)]
+        with pytest.raises(BackendSelectionError, match=ENV_ADDR):
+            run_jobs(grid, jobs=2, backend="service")
+        assert staged == []
 
     def test_unknown_backend_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown sweep backend"):

@@ -92,6 +92,15 @@ def test_render_report_header_names_the_worker_count():
     assert "wall time 150.9s with `--jobs 2`." in render_report(results)
 
 
+def test_render_report_header_names_both_budgets():
+    results = _synthetic_results()
+    results.update(trace_limit=20000, sweep_limit=6000)
+    header = render_report(results).splitlines()[2]
+    assert header.startswith(
+        "Trace limit: 20000 instructions/kernel, sweep limit 6000;"
+    )
+
+
 @pytest.mark.skipif(not _RESULTS.exists(), reason="no full-results run yet")
 def test_actual_full_results_reproduce_all_claims():
     """The committed full-scale run must pass every shape check."""

@@ -5,7 +5,7 @@ through its trace written to VSRT v5 bytes and loaded back — the
 buffer-backed :class:`~repro.trace.columnar.ColumnarTrace` a cache hit
 returns; the counters must match the committed snapshots bit for bit.
 A second group proves the same through the harness backends — pool
-workers, on their own or behind the ephemeral service, opening the
+workers, on their own or behind a running service, opening the
 staged cache entry, or the pool's temp staging entry when the cache is
 off — against the serial in-memory result.
 
@@ -211,12 +211,11 @@ class TestBackendsStreaming:
         pytest.param("local", 2, True, id="local-2"),
         # Cache off: the pool stages into a per-run temp directory.
         pytest.param("local", 2, False, id="local-2-cache-off"),
-        # No service address: an ephemeral service on a two-process
-        # pool.
+        # A running service on a two-process pool.
         pytest.param("service", 2, True, id="service-2"),
     ])
     def test_backend_matches_in_memory(
-        self, monkeypatch, tmp_path, backend, jobs, cache
+        self, request, monkeypatch, tmp_path, backend, jobs, cache
     ):
         import tempfile
 
@@ -225,6 +224,8 @@ class TestBackendsStreaming:
         from repro.trace import cache as trace_cache
 
         reference = self._reference(monkeypatch, tmp_path)
+        if backend == "service":
+            request.getfixturevalue("pool_service")
         pooled = []
         if not cache:
             monkeypatch.setenv(trace_cache.ENV_VAR, "off")
