@@ -21,11 +21,8 @@ latency/throughput SLOs documented in docs/SERVICE.md:
    excluded from the latency population).
 
 The JSON report is written to ``--out`` (CI uploads it as an
-artifact); ``--record BENCH_engine_perf.json`` additionally merges the
-summary under the record's ``service`` key so ``scripts/perf_diff.py``
-renders it next to the engine-throughput diff.  Absolute numbers are
-host-dependent — like every perf record here, the report is
-informational, never a CI gate.
+artifact).  Absolute numbers are host-dependent — like every perf
+record here, the report is informational, never a CI gate.
 
 Usage::
 
@@ -239,10 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         help="queue bound for the in-process service",
     )
     parser.add_argument("--out", default=None, help="write the JSON report here")
-    parser.add_argument(
-        "--record", default=None, metavar="PATH",
-        help="merge the SLO summary under this perf record's `service` key",
-    )
     args = parser.parse_args(argv)
     ramp = [int(n) for n in args.ramp.split(",") if n.strip()]
 
@@ -285,25 +278,6 @@ def main(argv: list[str] | None = None) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}")
-    if args.record:
-        record_path = Path(args.record)
-        try:
-            record = json.loads(record_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            record = {}
-        if isinstance(record, dict):
-            record["service"] = {
-                key: report[key]
-                for key in (
-                    "p50_ms", "p95_ms", "p99_ms", "throughput_rps",
-                    "warm_hit_ratio", "saturation_clients",
-                )
-            }
-            record_path.write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"merged service SLO into {record_path}")
-
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:
         lines = [

@@ -27,7 +27,6 @@ from repro.ablation.report import (
     build_report,
     render_csv,
     render_text,
-    report_record,
     validate_report,
     write_report,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "plan_ablation",
     "render_csv",
     "render_text",
-    "report_record",
     "validate_report",
     "write_report",
 ]

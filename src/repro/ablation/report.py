@@ -12,11 +12,6 @@ A *harmful* component is one whose lesioning **helps** (importance
 workload.  The canonical example is ``delayed-update`` — its lesion
 substitutes the immediate-update idealization, so a negative importance
 there just restates the paper's realistic-update penalty.
-
-The JSON document leads with the same ``{v, revision, fingerprint}``
-header block the throughput record (``BENCH_engine_perf.json``) uses,
-so ``scripts/perf_diff.py`` can render an ablation block with the same
-old-schema tolerance it applies everywhere else.
 """
 
 from __future__ import annotations
@@ -207,23 +202,6 @@ def render_csv(report: dict) -> str:
             f"{entry['harmful']}"
         )
     return "\n".join(rows)
-
-
-def report_record(report: dict) -> dict:
-    """The compact block a throughput record embeds under ``"ablation"``
-    for :mod:`scripts.perf_diff` rendering."""
-    return {
-        "fingerprint": report["fingerprint"],
-        "baseline_speedup": report["baseline"]["speedup"],
-        "importance": {
-            "+".join(entry["components"]): entry["importance"]
-            for entry in report["components"]
-        },
-        "harmful": [
-            "+".join(entry["components"])
-            for entry in report["components"] if entry["harmful"]
-        ],
-    }
 
 
 def write_report(report: dict, path: str | Path) -> Path:

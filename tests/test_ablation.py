@@ -29,7 +29,6 @@ from repro.ablation import (
     plan_ablation,
     render_csv,
     render_text,
-    report_record,
     validate_report,
     write_report,
 )
@@ -296,14 +295,6 @@ class TestExecuteAndReport:
             assert joined in csv
         assert "baseline" in csv.splitlines()[1]
         assert len(csv.splitlines()) == 2 + len(report["components"])
-
-    def test_report_record_block_shape(self, executed_report):
-        _, _, report = executed_report
-        block = report_record(report)
-        assert block["fingerprint"] == report["fingerprint"]
-        assert set(block["importance"]) == {
-            "+".join(e["components"]) for e in report["components"]
-        }
 
     def test_write_report_round_trips(self, executed_report, tmp_path):
         _, _, report = executed_report

@@ -35,7 +35,11 @@ def _synthetic_results(good_below_base=True):
         "trace_limit": 1000,
         "table1": [
             {"benchmark": "compress", "predicted_pct": 71.0,
-             "paper_predicted_pct": 70.5}
+             "paper_predicted_pct": 70.5},
+            {"benchmark": "ijpeg", "predicted_pct": 83.0,
+             "paper_predicted_pct": 82.0},
+            {"benchmark": "xlisp", "predicted_pct": 72.5,
+             "paper_predicted_pct": 70.0},
         ],
         "figure1": {
             "base": 5, "super/correct": 3, "great/correct": 3,
@@ -57,14 +61,87 @@ def _synthetic_results(good_below_base=True):
             "Exec-Eq-Verification=0": 1.06, "Exec-Eq-Verification=2": 0.98,
             "Exec-Eq-Invalidation=0": 1.06, "Exec-Eq-Invalidation=2": 1.05,
             "Invalidation-Reissue=0": 1.06, "Invalidation-Reissue=2": 1.06,
+            "Verification-Branch=0": 1.06, "Verification-Branch=2": 1.05,
+            "Verification-FreeRes=0": 1.06, "Verification-FreeRes=2": 1.06,
+        },
+        "ABL-V verification schemes": {
+            "parallel-network": 1.05, "hierarchical": 1.03,
+            "retirement-based": 0.70, "hybrid": 0.97,
+        },
+        "ABL-I invalidation schemes": {
+            "selective-parallel": 1.05, "selective-hierarchical": 1.05,
+            "complete": 0.95,
+        },
+        "ABL-R resolution policies": {
+            "valid-only (paper)": 1.05, "speculative-branches": 1.07,
+            "speculative-memory": 1.07, "speculative-both": 1.09,
+        },
+        "ABL-W width scaling": {
+            "2/12": 1.01, "4/24": 1.02, "8/48": 1.05, "16/96": 1.08,
+            "32/192": 1.09,
+        },
+        "ABL-P predictors": {
+            "context": 1.05, "last-value": 1.00, "stride": 1.01,
+            "hybrid": 1.05, "tagged-context": 1.05,
         },
     }
 
 
 def test_all_claims_pass_on_paper_shaped_data():
     verdicts = check_claims(_synthetic_results())
-    assert len(verdicts) == 10
+    assert len(verdicts) == 18
     assert all(v.reproduced for v in verdicts)
+
+
+def _row(results, section, **match):
+    return next(
+        row for row in results[section]
+        if all(row[k] == v for k, v in match.items())
+    )
+
+
+#: One value flipped per ported claim family, and the one claim it breaks.
+_FLIPS = [
+    ("Table 1: ijpeg is the most predictable", lambda r: _row(
+        r, "table1", benchmark="xlisp").update(predicted_pct=73.5)),
+    ("Figure 3: good is significantly worse", lambda r: _row(
+        r, "figure3", config="8/48", setting="D/R", model="good",
+    ).update(speedup=1.12)),
+    ("Figure 3: confidence moves performance", lambda r: _row(
+        r, "figure3", config="4/24", setting="I/R", model="super",
+    ).update(speedup=1.11)),
+    ("Figure 4: immediate update", lambda r: _row(
+        r, "figure4", config="4/24", timing="I").update(CH=0.20)),
+    ("Conclusion: fast verification essential", lambda r: r[
+        "ABL-L latency sensitivity"].update({"Exec-Eq-Invalidation=2": 0.98})),
+    ("ABL-L: more verification latency never helps", lambda r: r[
+        "ABL-L latency sensitivity"].update({"Verification-Branch=2": 1.08})),
+    ("ABL-V:", lambda r: r["ABL-V verification schemes"].update(
+        {"retirement-based": 1.04})),
+    ("ABL-I:", lambda r: r["ABL-I invalidation schemes"].update(complete=1.06)),
+    ("ABL-R:", lambda r: r["ABL-R resolution policies"].update(
+        {"speculative-both": 1.02})),
+    ("ABL-W:", lambda r: r["ABL-W width scaling"].update({"4/24": 1.10})),
+    ("ABL-P:", lambda r: r["ABL-P predictors"].update({"last-value": 0.92})),
+]
+
+
+@pytest.mark.parametrize(
+    "claim, flip", _FLIPS, ids=[claim.rstrip(":") for claim, _ in _FLIPS]
+)
+def test_one_flipped_value_breaks_only_its_claim(claim, flip):
+    results = _synthetic_results()
+    flip(results)
+    broken = [v for v in check_claims(results) if not v.reproduced]
+    assert len(broken) == 1 and broken[0].claim.startswith(claim)
+    assert broken[0].margin < 0
+
+
+def test_absent_sweep_sections_skip_their_claims():
+    results = _synthetic_results()
+    for section in [k for k in results if k.startswith("ABL-")]:
+        del results[section]
+    assert len(check_claims(results)) == 11
 
 
 def test_deviation_detected():
@@ -82,6 +159,7 @@ def test_render_report_contains_tables():
     assert "# Reproduction report" in text
     assert "REPRODUCED" in text
     assert "| 4/24 | D/R |" in text
+    assert "| REPRODUCED | +0.0000 | Figure 1: base processor" in text
 
 
 def test_render_report_header_names_the_worker_count():
@@ -108,6 +186,13 @@ def test_actual_full_results_reproduce_all_claims():
     verdicts = check_claims(results)
     failures = [v for v in verdicts if not v.reproduced]
     assert not failures, [f"{v.claim}: {v.evidence}" for v in failures]
+
+
+@pytest.mark.skipif(not _RESULTS.exists(), reason="no full-results run yet")
+def test_actual_full_results_have_nonnegative_margins():
+    results = json.loads(_RESULTS.read_text())
+    margins = {v.claim: v.margin for v in check_claims(results)}
+    assert all(m >= 0 for m in margins.values()), margins
 
 
 def test_verdict_tags():
