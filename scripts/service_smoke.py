@@ -16,6 +16,9 @@ acceptance scenario on one host:
 4. Runs the SLO load profile (``scripts/service_load.py``) against a
    third instance and writes the report into ``--out-dir`` for CI to
    upload as an artifact.
+5. Runs ``repro submit abl-inval --connect ADDR`` against a fourth
+   instance through the CLI's ``main``: its stdout must equal that of
+   ``repro run abl-inval`` with the same options.
 
 Usage::
 
@@ -180,6 +183,30 @@ def main(argv: list[str] | None = None) -> int:
     if slo_status != 0:
         fail(f"service_load exited {slo_status}")
 
+    # -- phase 4: `repro submit` prints what `repro run` prints -------------
+    import contextlib
+    import io
+
+    from repro.cli import main as repro_main
+
+    selection = ["--max-instructions", str(args.max_instructions),
+                 "--benchmarks", *names]
+    printed: dict[str, str] = {}
+    service = SimulationService(ServiceConfig(store=None))
+    host, port = service.start()
+    for command in (["run", "abl-inval"],
+                    ["submit", "abl-inval", "--connect", f"{host}:{port}"]):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = repro_main(command + selection)
+        if code != 0:
+            fail(f"`repro {' '.join(command)}` exited {code}")
+        printed[command[0]] = out.getvalue()
+    submit_executed = service.stats.as_dict()["executed"]
+    service.stop()
+    submit_matches = printed["submit"] == printed["run"]
+    if not submit_matches:
+        fail("`repro submit abl-inval` printed other than `repro run`")
+
     rows = [
         ("grid points", str(len(grid))),
         ("inline reference (jobs=1)", f"{serial_seconds:.2f} s"),
@@ -191,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
         ("post-restart executions", str(stats2["executed"])),
         ("merged SimCounters identical", "yes" if merged_ref ==
          merged_warm else "NO"),
+        ("`submit abl-inval` stdout == `run`",
+         "yes" if submit_matches else "NO"),
+        ("jobs the submit executed", str(submit_executed)),
         ("result", "ok" if status == 0 else "FAIL"),
     ]
     width = max(len(label) for label, _ in rows)

@@ -2,7 +2,7 @@
 
 Declare ablatable components (:mod:`repro.ablation.registry`), expand a
 baseline into the leave-one-out run set with stable content-hash run
-IDs (:mod:`repro.ablation.plan`), execute it on any harness backend
+IDs (:mod:`repro.ablation.plan`), execute it on the harness
 (:mod:`repro.ablation.execute`), and rank per-component importance
 (:mod:`repro.ablation.report`).  See docs/ABLATION.md; CLI entry point:
 ``repro ablate``.

@@ -1,14 +1,14 @@
-"""Ablation execution: run a planned run set on any harness backend.
+"""Ablation execution: run a planned run set on the harness.
 
 :func:`execute_plan` flattens an :class:`~repro.ablation.plan.AblationPlan`
 into one :func:`repro.harness.parallel.run_jobs` call, so an ablation
-inherits every execution amenity the harness already has: the local
-pool, the simulation service, the trace cache, and the persistent
-result store.  With ``REPRO_RESULT_STORE``
-configured, re-running an ablation after one component change
-recomputes only the runs whose jobs changed — everything else is served
-warm, and the baseline jobs shared by every leave-one-out run execute
-exactly once thanks to the harness's duplicate-key dedup.
+inherits every execution amenity the harness already has: the process
+pool, the trace cache, and the persistent result store.  With
+``REPRO_RESULT_STORE`` configured, re-running an ablation after one
+component change recomputes only the runs whose jobs changed —
+everything else is served warm, and the baseline jobs shared by every
+leave-one-out run execute exactly once thanks to the harness's
+duplicate-key dedup.
 """
 
 from __future__ import annotations
@@ -34,21 +34,19 @@ def execute_plan(
     plan: AblationPlan,
     *,
     jobs: int = 1,
-    backend: str | None = None,
 ) -> list[RunResults]:
     """Execute every planned run and return results aligned with
     ``plan.runs`` (baseline first).
 
-    The whole run set goes to the backend as one flattened job list;
-    ``jobs``/``backend`` follow the
-    :func:`~repro.harness.parallel.run_jobs` conventions (environment
-    fallbacks included).
+    The whole run set goes to
+    :func:`~repro.harness.parallel.run_jobs` as one flattened job list,
+    ``jobs`` processes wide.
     """
     flat: list[SimJob] = []
     for run in plan.runs:
         flat.extend(run.base_jobs)
         flat.extend(run.jobs)
-    results = iter(run_jobs(flat, jobs, backend=backend))
+    results = iter(run_jobs(flat, jobs))
     out: list[RunResults] = []
     for run in plan.runs:
         base_results = tuple(next(results) for _ in run.base_jobs)

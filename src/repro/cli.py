@@ -10,14 +10,14 @@ obs trace|histo|export    instrumented runs: timelines, latency histograms
 ablate [options]          leave-one-out ablation, ranked importance report
 cache info|clear|warm     manage the persistent on-disk trace cache
 serve [options]           run the simulation service (HTTP, result store)
-submit <id> [--connect]   run an experiment through the simulation service
+submit <id> [--connect]   run an experiment's grid on the simulation service
 status [--connect]        print a running service's jobs, queue and store
 table1 / figure1 / figure3 / figure4   shorthands for ``run <id>``
 
-Any grid-running command accepts ``--backend service`` (or
-``REPRO_SWEEP_BACKEND=service``) to run its simulation grid through the
-running simulation service at ``REPRO_SERVICE_ADDR=HOST:PORT``, with
-bit-identical results; see docs/SERVICE.md.
+``run`` executes an experiment's grid in this process (``--jobs N``
+wide); ``submit`` sends the same grid to the running simulation service
+at ``--connect`` (default ``REPRO_SERVICE_ADDR=HOST:PORT``) and prints
+exactly what ``run`` prints; see docs/SERVICE.md.
 
 ``obs`` accepts suite kernel names and micro kernels via the
 ``micro:<name>`` form (e.g. ``micro:fib``).
@@ -38,8 +38,7 @@ from repro.core.model import named_models
 from repro.engine.config import PAPER_CONFIGS, paper_config
 from repro.engine.sim import run_baseline, run_trace
 from repro.env import EnvError
-from repro.harness.experiments import EXPERIMENTS
-from repro.harness.parallel import BACKENDS, BackendSelectionError
+from repro.harness.experiments import EXPERIMENTS, Experiment
 from repro.metrics.summary import summarize_counters
 from repro.programs.suite import BenchmarkSelectionError, kernel, kernel_names
 
@@ -60,8 +59,6 @@ def _experiment_kwargs(args: argparse.Namespace) -> dict:
         kwargs["benchmarks"] = args.benchmarks
     if getattr(args, "jobs", None) is not None:
         kwargs["jobs"] = args.jobs
-    if getattr(args, "backend", None) is not None:
-        kwargs["backend"] = args.backend
     return kwargs
 
 
@@ -73,14 +70,21 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace, **overrides) -> int:
-    """Run experiment ``args.id`` with the command's grid options
-    (``overrides`` win); ``submit`` pins the backend through it."""
+def _experiment(args: argparse.Namespace) -> Experiment | None:
+    """Experiment ``args.id``; ``None`` (after a one-line error) when
+    there is none."""
     experiment = EXPERIMENTS.get(args.id)
     if experiment is None:
         print(f"unknown experiment {args.id!r}; try `repro list`", file=sys.stderr)
+    return experiment
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Run experiment ``args.id`` with the command's grid options."""
+    experiment = _experiment(args)
+    if experiment is None:
         return 2
-    print(experiment.run(**{**_experiment_kwargs(args), **overrides}))
+    print(experiment.run(**_experiment_kwargs(args)))
     return 0
 
 
@@ -239,20 +243,25 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_status(args: argparse.Namespace) -> int:
-    """A running service's ``GET /v1/status`` (``repro status``)."""
-    import json as _json
-
-    from repro.service.client import (
-        ENV_ADDR,
-        ServiceClient,
-        env_address,
-        parse_address,
-    )
+def _service_address(args: argparse.Namespace) -> tuple[str, int] | None:
+    """``--connect``, else ``REPRO_SERVICE_ADDR``; ``None`` (after a
+    one-line error) when neither is set."""
+    from repro.service.client import ENV_ADDR, env_address, parse_address
 
     host_port = parse_address(args.connect) if args.connect else env_address()
     if host_port is None:
         print(f"no service address (--connect or {ENV_ADDR})", file=sys.stderr)
+    return host_port
+
+
+def _cmd_status(args: argparse.Namespace) -> int:
+    """A running service's ``GET /v1/status`` (``repro status``)."""
+    import json as _json
+
+    from repro.service.client import ServiceClient
+
+    host_port = _service_address(args)
+    if host_port is None:
         return 2
     address = f"{host_port[0]}:{host_port[1]}"
     try:
@@ -364,19 +373,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    """Run an experiment's grid through the simulation service at
-    ``--connect`` (or ``REPRO_SERVICE_ADDR``); with neither, a grid is
-    a one-line error."""
-    from repro.env import setting
-    from repro.service.client import ENV_ADDR
+    """Run experiment ``args.id``'s plan on the simulation service at
+    ``--connect`` (or ``REPRO_SERVICE_ADDR``) and print what ``repro
+    run`` prints.  An experiment with no grid contacts no service; a
+    grid with no address, or one where nothing listens, is a one-line
+    error."""
+    from repro.service.client import run_on_service
 
-    if args.connect is None:
-        return _cmd_run(args, backend="service")
-    # The grid finds the service through the environment; the caller's
-    # value comes back afterwards, so a later grid in this process does
-    # not silently target this address.
-    with setting(ENV_ADDR, args.connect):
-        return _cmd_run(args, backend="service")
+    experiment = _experiment(args)
+    if experiment is None:
+        return 2
+    job_list, present = experiment.plan(**_experiment_kwargs(args))
+    results: list = []
+    if job_list:
+        host_port = _service_address(args)
+        if host_port is None:
+            return 2
+        try:
+            results = run_on_service(host_port, job_list)
+        except ConnectionRefusedError:
+            print(
+                f"repro: service at {host_port[0]}:{host_port[1]}: connection "
+                "refused (is a service running there?)",
+                file=sys.stderr,
+            )
+            return 2
+    print(present(results))
+    return 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -451,11 +474,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         ),
     )
     plan = plan_ablation(spec, pairs=args.pairs, limit=args.limit)
-    executed = execute_plan(
-        plan,
-        jobs=args.jobs if args.jobs is not None else 1,
-        backend=args.backend,
-    )
+    executed = execute_plan(plan, jobs=args.jobs if args.jobs is not None else 1)
     report = build_report(plan, executed)
     validate_report(report)
     print(render_text(report))
@@ -510,8 +529,7 @@ def _address_option(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.service.server import BACKENDS as SERVICE_BACKENDS
-    from repro.service.server import ServiceConfig
+    from repro.service.server import BACKENDS, ServiceConfig
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -522,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiments").set_defaults(func=_cmd_list)
 
     # The trace selection `run`, its shorthands, `ablate`, `export`,
-    # `submit` and `cache` share; `grid` adds `--jobs` and `--backend`.
+    # `submit` and `cache` share; `grid` adds `--jobs`.
     # A value left unset means the command's own default.
     selection = argparse.ArgumentParser(add_help=False)
     selection.add_argument(
@@ -546,12 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="worker processes for the simulation grid (0 = all cores)",
-    )
-    grid.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="grid execution backend (default: REPRO_SWEEP_BACKEND or local)",
     )
 
     # The service address `status` and `submit` share; a malformed one
@@ -639,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dispatch cycle (default: unbounded)",
     )
     service_parser.add_argument(
-        "--backend", choices=SERVICE_BACKENDS, default=ServiceConfig.backend,
+        "--backend", choices=BACKENDS, default=ServiceConfig.backend,
         help="how admitted jobs execute: inline, or on a process pool "
         "--jobs wide (default: %(default)s)",
     )
@@ -763,7 +775,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # output piped into a pager/head that closed early: not an error
         return 0
-    except (BenchmarkSelectionError, BackendSelectionError, EnvError) as error:
+    except (BenchmarkSelectionError, EnvError) as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2
 

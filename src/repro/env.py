@@ -21,9 +21,8 @@ Off spellings are :data:`OFF`, on spellings :data:`ON`.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
@@ -97,18 +96,3 @@ def cache_home(name: str) -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return base / "repro" / name
-
-
-@contextmanager
-def setting(name: str, text: str) -> Iterator[None]:
-    """Set ``name`` to ``text`` for the block, then restore the
-    caller's value (or its absence)."""
-    previous = os.environ.get(name)
-    os.environ[name] = text
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[name]
-        else:
-            os.environ[name] = previous

@@ -1,46 +1,69 @@
 """The experiment registry: every paper artifact and ablation by id.
 
-``EXPERIMENTS`` maps DESIGN.md's experiment ids to runnable entries; the
-CLI (``python -m repro run <id>``) executes them.  The ``abl-*`` entries
-come from :data:`repro.harness.sweeps.SWEEPS`.  :func:`run_reproduction`
-runs every artifact and sweep section at once, as one plan.
+``EXPERIMENTS`` maps DESIGN.md's experiment ids to entries that plan
+their grid; the CLI runs a plan here (``python -m repro run <id>``) or
+on the simulation service (``python -m repro submit <id>``).  The
+``abl-*`` entries come from :data:`repro.harness.sweeps.SWEEPS`.
+:func:`run_reproduction` runs every artifact and sweep section at once,
+as one plan.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
+from repro.engine.sim import SimulationResult
 from repro.harness import figure1, figure3, figure4, parallel, table1
+from repro.harness.parallel import SimJob
 from repro.harness.render import render_table
-from repro.harness.sweeps import SWEEPS, Sweep, SweepPoint
+from repro.harness.sweeps import SWEEPS, SweepPoint
 from repro.programs.suite import kernel, select_benchmarks
 
 
-#: The grid options every command may pass an experiment.
-GRID_OPTIONS = ("max_instructions", "benchmarks", "jobs", "backend")
+#: An experiment's plan: the simulation points it needs, and the
+#: presenter that renders their results (in submission order) as text.
+Plan = tuple[list[SimJob], Callable[[list[SimulationResult]], str]]
 
 
 @dataclass(frozen=True)
 class Experiment:
     """A runnable reproduction artifact.
 
-    ``runner`` returns the rendered text and takes the grid options
-    named in ``options``; :meth:`run` drops the other grid options, so
-    every command (``run``, ``submit``) can pass all of them.
+    ``plan`` takes the trace selection every command may pass
+    (``max_instructions``, ``benchmarks``) and returns the artifact's
+    :data:`Plan`.  An artifact with no grid (Table 1, Figure 1, the
+    limit study) plans no jobs and does its work in the presenter.
     """
 
     id: str
     title: str
     paper_ref: str
-    runner: Callable[..., str]
-    options: tuple[str, ...] = GRID_OPTIONS
+    plan: Callable[..., Plan]
 
-    def run(self, **kwargs) -> str:
-        ignored = set(GRID_OPTIONS).difference(self.options)
-        return self.runner(**{k: v for k, v in kwargs.items() if k not in ignored})
+    def run(self, jobs: int = 1, **selection) -> str:
+        """The rendered artifact, its grid run here ``jobs`` processes
+        wide."""
+        job_list, present = self.plan(**selection)
+        return present(parallel.run_jobs(job_list, jobs))
+
+
+def _grid(planner: Callable, render: Callable) -> Callable[..., Plan]:
+    """The planner of an artifact whose grid ``planner`` plans as
+    ``(job_list, reduce)`` and whose reduced results ``render`` draws."""
+
+    def plan(**selection) -> Plan:
+        job_list, reduce = planner(**selection)
+        return job_list, lambda results: render(reduce(results))
+
+    return plan
+
+
+def _analysis(run: Callable[..., str]) -> Callable[..., Plan]:
+    """The planner of an artifact with no grid: no jobs, and a presenter
+    that runs ``run`` on the selection."""
+    return lambda **selection: ([], lambda results: run(**selection))
 
 
 def _render_figure3(cells: list[figure3.Figure3Cell]) -> str:
@@ -58,14 +81,6 @@ def _run_limit_study(
     )
 
 
-def _run_sweep(sweep: Sweep, **grid) -> str:
-    return sweep.render(sweep(**grid))
-
-
-#: Options of the artifacts that are pure trace analysis (nothing to fan
-#: out over workers).
-_ANALYSIS_OPTIONS = ("max_instructions", "benchmarks")
-
 EXPERIMENTS: dict[str, Experiment] = {
     e.id: e
     for e in (
@@ -73,38 +88,41 @@ EXPERIMENTS: dict[str, Experiment] = {
             "table1",
             "Benchmark characteristics",
             "Table 1",
-            lambda **grid: table1.render_table1(table1.run_table1(**grid)),
-            _ANALYSIS_OPTIONS,
+            _analysis(
+                lambda **selection: table1.render_table1(
+                    table1.run_table1(**selection)
+                )
+            ),
         ),
         Experiment(
             "figure1",
             "Pipeline execution example (3-instruction chain)",
             "Figure 1",
-            # seven hand-built scenarios: no trace, nothing to fan out
-            lambda: figure1.render_figure1(figure1.run_figure1()),
-            (),
+            # seven hand-built scenarios: no trace, nothing to select
+            _analysis(
+                lambda **_: figure1.render_figure1(figure1.run_figure1())
+            ),
         ),
         Experiment(
             "figure3",
             "Average speedup of speculative execution models",
             "Figure 3",
-            lambda **grid: _render_figure3(figure3.run_figure3(**grid)),
+            _grid(figure3.plan_figure3, _render_figure3),
         ),
         Experiment(
             "figure4",
             "Average prediction accuracy (CH/CL/IH/IL)",
             "Figure 4",
-            lambda **grid: figure4.render_figure4(figure4.run_figure4(**grid)),
+            _grid(figure4.plan_figure4, figure4.render_figure4),
         ),
         Experiment(
             "limit-study",
             "Window-constrained ILP limits, base vs perfect value prediction",
             "Section 1 motivation",
-            _run_limit_study,
-            _ANALYSIS_OPTIONS,
+            _analysis(_run_limit_study),
         ),
         *(
-            Experiment(s.id, s.title, s.paper_ref, partial(_run_sweep, s))
+            Experiment(s.id, s.title, s.paper_ref, _grid(s.plan, s.render))
             for s in SWEEPS.values()
         ),
     )

@@ -105,7 +105,6 @@ def run_figure3(
     configs: tuple[ProcessorConfig, ...] = PAPER_CONFIGS,
     models: tuple[SpeculativeExecutionModel, ...] = MODELS,
     jobs: int = 1,
-    backend: str | None = None,
 ) -> list[Figure3Cell]:
     """Run the full Figure 3 sweep.
 
@@ -117,7 +116,7 @@ def run_figure3(
     for any worker count.
     """
     job_list, reduce = plan_figure3(max_instructions, benchmarks, configs, models)
-    return reduce(run_jobs(job_list, jobs=jobs, backend=backend))
+    return reduce(run_jobs(job_list, jobs=jobs))
 
 
 def render_figure3(cells: list[Figure3Cell]) -> str:

@@ -78,13 +78,12 @@ def run_figure4(
     configs: tuple[ProcessorConfig, ...] = PAPER_CONFIGS,
     model: SpeculativeExecutionModel = GREAT_MODEL,
     jobs: int = 1,
-    backend: str | None = None,
 ) -> list[Figure4Cell]:
     """Measure the CH/CL/IH/IL breakdown for the great model (real
     confidence) across configurations and update timings.  ``jobs`` fans
     the (config x timing x benchmark) grid over worker processes."""
     job_list, reduce = plan_figure4(max_instructions, benchmarks, configs, model)
-    return reduce(run_jobs(job_list, jobs=jobs, backend=backend))
+    return reduce(run_jobs(job_list, jobs=jobs))
 
 
 def render_figure4(cells: list[Figure4Cell]) -> str:

@@ -73,16 +73,6 @@ from repro.trace.columnar import ColumnarTrace
 #: zero per-worker trace materializations.
 STRICT_ENV_VAR = "REPRO_TRACE_STRICT"
 
-#: Env var: default execution backend for ``run_jobs`` when the caller
-#: does not pass one — ``local`` (this module's process pool) or
-#: ``service`` (the simulation service at ``REPRO_SERVICE_ADDR``,
-#: :mod:`repro.service`).  Lets any harness entry point ride a shared
-#: backend without code changes.
-BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
-
-#: The values ``run_jobs``' ``backend`` (and ``REPRO_SWEEP_BACKEND``) take.
-BACKENDS = ("local", "service")
-
 #: Default per-job attempt budget when a *worker* dies mid-grid (the
 #: job itself raising is never retried — jobs are deterministic, so a
 #: job error would just recur).
@@ -130,7 +120,7 @@ def plan_units(job_list: list[SimJob]) -> tuple[list[SimJob], list[list[int]]]:
     :func:`~repro.cluster.serial.job_key`, in first-submission order, and
     ``slots[k]`` lists the ``job_list`` indices unit ``k`` serves.  A
     grid repeating a point (ablation run sets share their baseline jobs)
-    thus pays for each distinct key once, on every backend, and
+    thus pays for each distinct key once, inline or pooled, and
     :func:`_expand_units` scatters the shared result back to every
     occurrence.
     """
@@ -306,44 +296,6 @@ def effective_jobs(jobs: int | None, n_tasks: int) -> int:
     return max(1, min(jobs, n_tasks))
 
 
-class BackendSelectionError(ValueError):
-    """A ``backend`` argument that is not one of :data:`BACKENDS`, or
-    a service backend with no ``REPRO_SERVICE_ADDR`` or one that
-    refuses connections."""
-
-
-def _backend(text: str) -> str:
-    chosen = text.lower()
-    if chosen not in BACKENDS:
-        raise ValueError(
-            f"unknown sweep backend; expected one of: {', '.join(BACKENDS)}"
-        )
-    return chosen
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """The effective sweep backend: explicit argument, then
-    ``REPRO_SWEEP_BACKEND``, then ``local``.  The service backend's
-    address must be set; it is checked here, before any trace is
-    staged."""
-    if backend:
-        try:
-            chosen = _backend(backend)
-        except ValueError as error:
-            raise BackendSelectionError(f"{backend!r}: {error}") from None
-    else:
-        chosen = env.value(BACKEND_ENV_VAR, _backend) or "local"
-    if chosen == "service":
-        from repro.service.client import ENV_ADDR, env_address
-
-        if env_address() is None:
-            raise BackendSelectionError(
-                f"the service backend needs {ENV_ADDR}=HOST:PORT "
-                "(start a service with `repro serve`)"
-            )
-    return chosen
-
-
 def _run_pool(
     job_list: list[SimJob],
     workers: int,
@@ -414,43 +366,35 @@ def run_jobs(
     job_list: list[SimJob],
     jobs: int = 1,
     *,
-    backend: str | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> list[SimulationResult]:
     """Execute a grid of simulation points, ``jobs`` processes wide.
 
     Returns results positionally aligned with ``job_list`` regardless of
     completion order, so callers can ``zip`` jobs with results and the
-    merged output is identical for any worker count — and for any
-    backend: ``backend="service"`` (or ``REPRO_SWEEP_BACKEND=service``)
-    routes the grid through the simulation service (:mod:`repro.service`)
-    with bit-identical results.
+    merged output is identical for any worker count.
 
     The grid is planned into units first (:func:`plan_units`): a point
     submitted more than once runs once and its result fills every
     occurrence.
 
-    The local pool survives worker death: completed results are kept,
+    The pool survives worker death: completed results are kept,
     the pool is rebuilt, and only unfinished jobs are resubmitted, each
     with a ``max_attempts`` budget.
 
     When the persistent result store is configured
     (``REPRO_RESULT_STORE=<dir>``; see :mod:`repro.service.results`),
-    local units whose results are already on disk are served from the
+    units whose results are already on disk are served from the
     store — *warm jobs skip execution* — and freshly computed results
     are written back, so any sweep this process runs warms the same
-    store the simulation service reads.  The service backend leaves
-    the store to the service.
+    store the simulation service reads.
     """
-    backend = resolve_backend(backend)
     units, slots = plan_units(job_list)
     from repro.service import results as result_store
 
-    directory = result_store.store_dir() if backend == "local" else None
+    directory = result_store.store_dir()
     if directory is None:
-        results = _run_jobs_backend(
-            units, jobs, backend=backend, max_attempts=max_attempts
-        )
+        results = _run_jobs_backend(units, jobs, max_attempts=max_attempts)
     else:
         # Store consult: serve warm units from disk, execute only the
         # cold remainder, then persist what was computed.
@@ -461,8 +405,7 @@ def run_jobs(
         cold = [k for k, result in enumerate(results) if result is None]
         if cold:
             computed = _run_jobs_backend(
-                [units[k] for k in cold], jobs,
-                backend=backend, max_attempts=max_attempts,
+                [units[k] for k in cold], jobs, max_attempts=max_attempts
             )
             for k, result in zip(cold, computed):
                 result_store.store_result(keys[k], result, directory)
@@ -474,17 +417,11 @@ def _run_jobs_backend(
     units: list[SimJob],
     jobs: int = 1,
     *,
-    backend: str = "local",
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> list[SimulationResult]:
-    """The execution core behind :func:`run_jobs`: run planned units on
-    the local pool or the service (no local store involvement), results
-    aligned with ``units``."""
-    if backend == "service":
-        # Imported lazily: the service client depends on this module.
-        from repro.service.client import run_jobs_service
-
-        return run_jobs_service(units)
+    """The execution core behind :func:`run_jobs` and the service's
+    dispatcher: run planned units inline or on the process pool (no
+    store involvement), results aligned with ``units``."""
     workers = effective_jobs(jobs, len(units))
     if workers <= 1:
         return [_execute(unit) for unit in units]
@@ -505,35 +442,3 @@ def _run_jobs_backend(
         if temp is not None:
             shutil.rmtree(temp, ignore_errors=True)
     return results
-
-
-def run_grid(
-    benchmarks: list[str],
-    config: ProcessorConfig,
-    model: SpeculativeExecutionModel | None,
-    *,
-    max_instructions: int | None = None,
-    confidence: object = "R",
-    update_timing: str = "I",
-    predictor: Callable | None = None,
-    jobs: int = 1,
-    backend: str | None = None,
-) -> dict[str, SimulationResult]:
-    """One (config, model, setting) row across a benchmark suite.
-
-    The common harness shape: same settings, one run per benchmark,
-    results keyed by benchmark name in input order.
-    """
-    job_list = [
-        SimJob(
-            benchmark=name,
-            config=config,
-            model=model,
-            max_instructions=max_instructions,
-            confidence=confidence,
-            update_timing=update_timing,
-            predictor=predictor,
-        )
-        for name in benchmarks
-    ]
-    return dict(zip(benchmarks, run_jobs(job_list, jobs=jobs, backend=backend)))

@@ -226,14 +226,13 @@ class Sweep:
         benchmarks: list[str] | None = None,
         config: ProcessorConfig | None = None,
         jobs: int = 1,
-        backend: str | None = None,
         **axes,
     ) -> list[SweepPoint]:
         """Run the sweep's full grid (:meth:`plan`) as one parallel
         batch, so a multi-benchmark, multi-variant sweep saturates the
         worker pool instead of synchronising per variant."""
         job_list, reduce = self.plan(max_instructions, benchmarks, config, **axes)
-        return reduce(run_jobs(job_list, jobs=jobs, backend=backend))
+        return reduce(run_jobs(job_list, jobs=jobs))
 
     def render(self, points: list[SweepPoint]) -> str:
         """The points as a table under the sweep's heading."""

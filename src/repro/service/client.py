@@ -10,8 +10,8 @@ Backpressure (``429``) is handled by honoring ``Retry-After`` and
 halving the submission chunk, so a client behind a saturated service
 degrades to a slower trickle instead of failing.
 
-:func:`run_jobs_service` is ``run_jobs(..., backend="service")``: it
-sends the grid to the service at ``REPRO_SERVICE_ADDR``.
+:func:`run_on_service` is what ``repro submit`` runs an experiment's
+grid with: one health probe, then that loop.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import time
 from repro import env
 from repro.cluster.serial import job_key, job_to_blob, result_from_wire
 
-#: Where ``--backend service`` connects when no address is given
-#: explicitly (``host:port`` / ``[v6]:port``).
+#: Where ``repro submit`` and ``repro status`` connect when no
+#: ``--connect`` address is given (``host:port`` / ``[v6]:port``).
 ENV_ADDR = "REPRO_SERVICE_ADDR"
 
 DEFAULT_TIMEOUT = 600.0
@@ -304,26 +304,20 @@ def _retry_after(headers: dict, doc: dict) -> float:
         return 0.5
 
 
-def run_jobs_service(job_list) -> list:
-    """``run_jobs(..., backend="service")``: execute jobs on the running
-    service at ``$REPRO_SERVICE_ADDR``, which owns the capacity (the
-    address is set: :func:`~repro.harness.parallel.resolve_backend`
-    checked it).  An address that refuses the first connection raises
-    :class:`~repro.harness.parallel.BackendSelectionError` at once.
+def run_on_service(address: tuple[str, int], job_list) -> list:
+    """The results of ``job_list``, aligned with it, computed by the
+    service at ``address``, which owns the capacity.
+
+    One ``GET /v1/healthz`` probe comes first, so an address where
+    nothing listens raises :class:`ConnectionRefusedError` at once
+    instead of at the run's timeout; any other failure of the probe is
+    left to the run loop's retries.
     """
-    if not job_list:
-        return []
-    client = ServiceClient(*env_address())
+    client = ServiceClient(*address)
     try:
         client._request("GET", "/v1/healthz")
     except ConnectionRefusedError:
-        # Nothing listens there: fail now, not at the run's timeout.
-        from repro.harness.parallel import BackendSelectionError
-
-        raise BackendSelectionError(
-            f"{ENV_ADDR}={env.value(ENV_ADDR, str)}: connection "
-            "refused (is a service running there?)"
-        ) from None
+        raise
     except (OSError, http.client.HTTPException):
-        pass  # anything else is for the run loop's retries to ride out
+        pass
     return client.run(job_list)

@@ -152,30 +152,6 @@ class _Entry:
         self.done = threading.Event()
 
 
-class ServiceTracer:
-    """Optional observability hook: scheduling lifecycle events.
-
-    Events land in a bounded :class:`repro.obs.tracer.EventRing` as
-    ``(wall_time, kind, detail)`` tuples — the same oldest-overwrite
-    discipline the pipeline tracer uses, so a tracer left attached to a
-    long-lived service keeps the most recent window and bounded memory.
-    """
-
-    def __init__(self, capacity: int = 4096):
-        from repro.obs.tracer import EventRing
-
-        self.events = EventRing(capacity)
-
-    def record(self, kind: str, **detail) -> None:
-        self.events.append((time.time(), kind, detail))
-
-    def items(self) -> list:
-        return self.events.items()
-
-    def kinds(self) -> set[str]:
-        return {kind for _, kind, _ in self.events.items()}
-
-
 def verified_job(key: str, blob):
     """The job a ``(key, blob)`` pair carries; ``ValueError`` unless the
     blob decodes and hashes to the key."""
@@ -205,6 +181,8 @@ class _Stats:
     executed: int = 0  # jobs actually simulated by this instance
     failed: int = 0
     rejected: int = 0  # 429 backpressure rejections
+    bad_requests: int = 0  # bodies refused with 400/413 before parsing
+    store_write_failures: int = 0  # results held in memory only
     dispatch_cycles: int = 0
     #: EWMA of per-job execution seconds (drives Retry-After).
     ewma_job_seconds: float = 0.0
@@ -218,6 +196,8 @@ class _Stats:
             "executed": self.executed,
             "failed": self.failed,
             "rejected": self.rejected,
+            "bad_requests": self.bad_requests,
+            "store_write_failures": self.store_write_failures,
             "dispatch_cycles": self.dispatch_cycles,
             "ewma_job_seconds": round(self.ewma_job_seconds, 6),
         }
@@ -226,10 +206,8 @@ class _Stats:
 class SimulationService:
     """The always-on front door.  See the module docstring."""
 
-    def __init__(self, config: ServiceConfig | None = None,
-                 tracer: ServiceTracer | None = None):
+    def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
-        self.tracer = tracer
         self.store_dir = result_store.resolve_store(self.config.store)
         #: Jobs per dispatch cycle and the pool width, resolved once.
         self.width = (self.config.jobs if self.config.jobs >= 1
@@ -289,10 +267,6 @@ class SimulationService:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-    def _trace(self, kind: str, **detail) -> None:
-        if self.tracer is not None:
-            self.tracer.record(kind, **detail)
 
     # -- submission (HTTP handler side) ------------------------------------
 
@@ -523,17 +497,15 @@ class SimulationService:
         — the fsync completes before this returns — then release the
         key's waiters.  The entry keeps the result in memory either way."""
         entry.wire = wire
-        if result_store.store_result(entry.key, wire, self.store_dir) is None:
-            if self.store_dir is not None:
-                self._trace("store-write-failed", key=entry.key,
-                            dir=str(self.store_dir))
+        stored = result_store.store_result(entry.key, wire, self.store_dir)
+        if stored is None and self.store_dir is not None:
+            self.stats.store_write_failures += 1
         entry.job = None  # the job served its purpose
         entry.state = "done"
         entry.source = "computed"
         entry.error = None
         entry.done.set()
         self.stats.executed += 1
-        self._trace("result-recorded", key=entry.key)
 
     def _evict(self) -> None:
         if self.config.store_max_entries is not None:
@@ -627,8 +599,8 @@ def _make_handler(service: SimulationService):
             except _Rejected as rejected:
                 # The body may be unread: this connection cannot carry
                 # another request.
-                service._trace("bad-request", path=path,
-                               status=rejected.status, error=str(rejected))
+                with service._lock:
+                    service.stats.bad_requests += 1
                 self.close_connection = True
                 self._reply(rejected.status, {"error": str(rejected)},
                             headers={"Connection": "close"})

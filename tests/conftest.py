@@ -2,8 +2,8 @@
 
 The suite runs in a hermetic environment: every ``REPRO_*`` variable a
 developer has set is cleared for the session (the same prefix scrub
-``bench/run.py`` does), so none of them — a sweep backend, a service
-address, strict mode — leaks into a test.  Two are then
+``bench/run.py`` does), so none of them — a service address, strict
+mode — leaks into a test.  Two are then
 pinned: the persistent trace cache (``repro.trace.cache``), which
 defaults to the user's ``~/.cache``, points at a throwaway per-session
 directory, and the result store is off.  Individual tests still set any
@@ -42,15 +42,11 @@ def _hermetic_environment(tmp_path_factory):
 
 
 @pytest.fixture
-def pool_service(monkeypatch):
+def pool_service():
     """A running simulation service on a two-process pool, with no
-    result store, that ``REPRO_SERVICE_ADDR`` points at for the test:
-    what ``--backend service`` needs."""
-    from repro.service.client import ENV_ADDR
+    result store."""
     from repro.service.server import ServiceConfig, SimulationService
 
     config = ServiceConfig(store=None, backend="pool", jobs=2)
     with SimulationService(config) as service:
-        host, port = service.address
-        monkeypatch.setenv(ENV_ADDR, f"{host}:{port}")
         yield service

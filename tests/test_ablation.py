@@ -320,24 +320,19 @@ class TestExecuteAndReport:
 
 
 class TestBackendEquivalence:
-    def test_pool_and_service_bit_identical_to_serial(
-        self, executed_report, pool_service
-    ):
+    def test_pool_bit_identical_to_serial(self, executed_report):
         plan, serial, _ = executed_report
         pooled = execute_plan(plan, jobs=2)
-        # A running service on a two-process pool.
-        served = execute_plan(plan, backend="service")
-        for label, other in (("pool", pooled), ("service", served)):
-            assert [item.run.run_id for item in other] == [
-                item.run.run_id for item in serial
-            ], label
-            for mine, reference in zip(other, serial):
-                assert [r.counters for r in mine.results] == [
-                    r.counters for r in reference.results
-                ], (label, mine.run.label)
-                assert [r.counters for r in mine.base_results] == [
-                    r.counters for r in reference.base_results
-                ], (label, mine.run.label)
+        assert [item.run.run_id for item in pooled] == [
+            item.run.run_id for item in serial
+        ]
+        for mine, reference in zip(pooled, serial):
+            assert [r.counters for r in mine.results] == [
+                r.counters for r in reference.results
+            ], mine.run.label
+            assert [r.counters for r in mine.base_results] == [
+                r.counters for r in reference.base_results
+            ], mine.run.label
 
 
 class TestValidateReport:

@@ -7,13 +7,13 @@ indices unit ``k`` serves.  Results are scattered back by those slots.
 The contract is that planning is invisible: every position of the
 result list equals what running its point alone produces.  This suite
 pins that contract against every golden and variant snapshot (each
-point submitted twice), across submission chunk sizes and the serial,
-process-pool and service backends.
+point submitted twice), across submission chunk sizes and the serial
+and process-pool paths.  The simulation service, which dedups by job
+key on its own, is held to the same results.
 """
 
 import dataclasses
 import json
-import threading
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from repro.core.model import (
 from repro.core.variables import InvalidationScheme, SelectionPolicy
 from repro.engine.config import ProcessorConfig
 from repro.harness.parallel import SimJob, plan_units, run_jobs
+from repro.service.client import ServiceClient
 from repro.vp.confidence import SaturatingConfidenceEstimator
 from repro.vp.hybrid import HybridPredictor
 from repro.vp.last_value import LastValuePredictor
@@ -185,13 +186,9 @@ def _assert_duplicates_run_once(grid, reference, **kwargs):
     and its result fills every position that submitted it."""
     calls: list = []
     real = parallel._run_jobs_backend
-    caller = threading.get_ident()
 
     def spy(units, *args, **kw):
-        # Only ``run_jobs``' own calls: an in-process service's
-        # dispatcher calls the same core from its thread, once a cycle.
-        if threading.get_ident() == caller:
-            calls.append(list(units))
+        calls.append(list(units))
         return real(units, *args, **kw)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -220,9 +217,12 @@ def test_batched_pool_backend(small_grid_reference):
 
 
 def test_batched_service_backend(small_grid_reference, pool_service):
-    # A running service runs the planned units on a two-process pool.
+    # A running service on a two-process pool executes each distinct
+    # point once: a duplicate joins its first submission.
     jobs, reference = small_grid_reference
-    _assert_duplicates_run_once(jobs, reference, backend="service")
+    results = ServiceClient(*pool_service.address).run(_with_duplicates(jobs))
+    assert pool_service.status()["stats"]["executed"] == len(jobs)
+    assert [_result_key(r) for r in results] == reference + reference[::-1]
 
 
 def test_plan_units_slots_and_first_submission_order():

@@ -129,13 +129,19 @@ def test_batch_option_is_gone_and_shorthands_share_grid_options(capsys):
     for command in ("run table1", "table1", "figure1", "figure3", "figure4",
                     "ablate"):
         args = parser.parse_args(
-            command.split() + ["--jobs", "2", "--backend", "service",
-                               "--max-instructions", "500",
+            command.split() + ["--jobs", "2", "--max-instructions", "500",
                                "--benchmarks", "compress"]
         )
-        assert (args.jobs, args.backend) == (2, "service"), command
+        assert args.jobs == 2, command
         assert args.max_instructions == 500
         assert args.benchmarks == ["compress"]
+        # A grid runs here, or on the service through `submit`.
+        with pytest.raises(SystemExit) as excinfo:
+            main(command.split() + ["--backend", "service"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend service" in (
+            capsys.readouterr().err
+        ), command
 
 
 def test_ablate(capsys, tmp_path):
@@ -218,11 +224,17 @@ def test_export_table1_honours_benchmarks(capsys):
 
 
 def test_submit_without_an_address_is_a_one_line_error(monkeypatch, capsys):
+    from repro.harness import parallel
     from repro.service.client import ENV_ADDR
+    from repro.trace import cache as trace_cache
 
     monkeypatch.delenv(ENV_ADDR, raising=False)
+    staged = []
+    monkeypatch.setattr(parallel, "_stage_traces", staged.append)
+    monkeypatch.setattr(trace_cache, "cached_trace", staged.append)
     assert main(["submit", "abl-inval", "--max-instructions", "300",
                  "--benchmarks", "compress"]) == 2
+    assert staged == []
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip()
@@ -231,18 +243,6 @@ def test_submit_without_an_address_is_a_one_line_error(monkeypatch, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["submit", "abl-inval", "--jobs", "2"])
     assert excinfo.value.code == 2
-
-
-def test_unknown_sweep_backend_is_a_one_line_error(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_SWEEP_BACKEND", "cluster")
-    code = main(["run", "abl-inval", "--max-instructions", "300",
-                 "--benchmarks", "compress"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip()
-    assert "\n" not in err
-    assert "'cluster'" in err and "local, service" in err
 
 
 @pytest.mark.parametrize("command", [
@@ -257,10 +257,15 @@ def test_removed_cluster_commands_no_longer_parse(command, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(command)
     assert excinfo.value.code == 2
-    # A removed option is unrecognized; a removed command or backend is
-    # not among the choices.
-    expected = ("unrecognized arguments: --heartbeat-timeout"
-                if "--heartbeat-timeout" in command else "invalid choice")
+    # A removed option (and `run` has no `--backend` at all) is
+    # unrecognized; a removed command or service backend is not among
+    # the choices.
+    if "--heartbeat-timeout" in command:
+        expected = "unrecognized arguments: --heartbeat-timeout"
+    elif command[0] == "run":
+        expected = "unrecognized arguments: --backend cluster"
+    else:
+        expected = "invalid choice"
     assert expected in capsys.readouterr().err
 
 
@@ -352,8 +357,6 @@ def test_run_option_defaults(command, model, limit):
 
 
 @pytest.mark.parametrize("command", [
-    ["run", "abl-inval", "--max-instructions", "300",
-     "--benchmarks", "compress", "--backend", "service"],
     ["submit", "abl-inval", "--max-instructions", "300",
      "--benchmarks", "compress"],
     ["status"],
@@ -417,13 +420,33 @@ def test_refused_service_address_fails_fast(monkeypatch, capsys):
     monkeypatch.setenv(ENV_ADDR, f"127.0.0.1:{port}")
     begin = time.monotonic()
     assert main([
-        "run", "abl-inval", "--max-instructions", "300",
-        "--benchmarks", "compress", "--backend", "service",
+        "submit", "abl-inval", "--max-instructions", "300",
+        "--benchmarks", "compress",
     ]) == 2
     assert time.monotonic() - begin < 30
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
-    assert f"{ENV_ADDR}=127.0.0.1:{port}" in lines[0]
+    assert f"127.0.0.1:{port}" in lines[0]
     assert "connection refused" in lines[0]
+
+
+def test_submit_prints_what_run_prints(pool_service, capsys):
+    from repro.harness.experiments import EXPERIMENTS
+    from repro.harness.parallel import plan_units
+
+    selection = ["--max-instructions", "300", "--benchmarks", "compress"]
+    assert main(["run", "abl-inval", *selection]) == 0
+    expected = capsys.readouterr().out
+    host, port = pool_service.address
+    assert main(["submit", "abl-inval", "--connect", f"{host}:{port}",
+                 *selection]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+    job_list, _ = EXPERIMENTS["abl-inval"].plan(
+        max_instructions=300, benchmarks=["compress"]
+    )
+    units, _ = plan_units(job_list)
+    assert pool_service.status()["stats"]["executed"] == len(units)

@@ -16,7 +16,6 @@ Two layers of coverage:
 
 import socket
 import time
-from collections import Counter
 
 import pytest
 
@@ -40,7 +39,7 @@ from repro.service.client import (
     parse_address,
     resubmit_until_done,
 )
-from repro.service.server import ServiceConfig, ServiceTracer, SimulationService
+from repro.service.server import ServiceConfig, SimulationService
 
 _CONFIG = ProcessorConfig(issue_width=4, window_size=24)
 _LIMIT = 400
@@ -58,23 +57,13 @@ def _counters(results) -> list:
     return [r.counters for r in results]
 
 
-def _recorded(tracer: ServiceTracer) -> Counter:
-    """How many times each key's result was recorded (computed and
-    stored) by the service ``tracer`` watched."""
-    return Counter(
-        detail["key"] for _, kind, detail in tracer.items()
-        if kind == "result-recorded"
-    )
-
-
 def _stored_keys(directory) -> list[str]:
     return [path.stem for path in result_store.store_entries(directory)]
 
 
-def _service(store=None, tracer=None, **overrides) -> SimulationService:
+def _service(store=None, **overrides) -> SimulationService:
     """A ``serial`` service (the default backend) over ``store``."""
-    return SimulationService(ServiceConfig(store=store, **overrides),
-                             tracer=tracer)
+    return SimulationService(ServiceConfig(store=store, **overrides))
 
 
 def _post(service, path: str, body: dict):
@@ -125,11 +114,10 @@ class TestProtocol:
     def test_clean_eof_is_none(self):
         # A connection closed before any request is the normal end of a
         # keep-alive connection: no reply, no error, service unaffected.
-        tracer = ServiceTracer()
-        with _service(tracer=tracer) as service:
+        with _service() as service:
             assert _exchange(service.address, b"") == b""
             assert ServiceClient(*service.address).healthy()
-        assert "bad-request" not in tracer.kinds()
+            assert service.status()["stats"]["bad_requests"] == 0
 
     def test_truncated_payload(self):
         with _service() as service:
@@ -356,14 +344,13 @@ class TestSchedulerProtocol:
         assert "no such endpoint" in reply["error"]
 
     def test_corrupt_frame_answered_then_service_stays_up(self):
-        tracer = ServiceTracer()
-        with _service(tracer=tracer) as service:
+        with _service() as service:
             reply = _exchange(service.address,
                               _post_bytes("/v1/run", b"garbage"))
             assert _status_code(reply) == 400
             # The bad connection was dropped; a fresh one still works.
-            assert ServiceClient(*service.address).status()["type"] == "status"
-        assert "bad-request" in tracer.kinds()
+            status = ServiceClient(*service.address).status()
+        assert status["stats"]["bad_requests"] == 1
 
     def test_failed_store_write_keeps_result_in_memory(self, tmp_path):
         job = SimJob("compress", _CONFIG, None, _LIMIT)
@@ -371,14 +358,13 @@ class TestSchedulerProtocol:
         wire = result_to_wire(run_jobs([job])[0])
         unwritable = tmp_path / "a-file"
         unwritable.write_text("not a directory")
-        tracer = ServiceTracer()
-        with _service(unwritable, tracer) as service:
-            client = ServiceClient(*service.address)
-            client.submit([job])
+        with _service(unwritable) as service:
+            receipt = _submit_docs(service, [job])
             assert service.wait([key], timeout=60.0)
-            fetched = client.fetch([key])
-        assert "store-write-failed" in tracer.kinds()
-        assert _recorded(tracer) == {key: 1}
+            fetched = ServiceClient(*service.address).fetch([key])
+            stats = service.status()["stats"]
+        assert receipt["dispositions"] == ["queued"]
+        assert (stats["store_write_failures"], stats["executed"]) == (1, 1)
         assert fetched["results"] == [wire]
         assert fetched["sources"] == ["computed"]
 
@@ -394,14 +380,14 @@ class TestResumeFromStore:
         keys = [job_key(j) for j in grid]
         store = tmp_path / "store"
         store.mkdir()
-        tracer = ServiceTracer()
-        with _service(store, tracer) as service:
+        with _service(store) as service:
             receipt = _submit_docs(service, grid)
             results = ServiceClient(*service.address).run(grid, timeout=120)
-        assert receipt["total"] == receipt["queued"] == len(grid)
+            status = service.status()
+        assert receipt["dispositions"] == ["queued"] * len(grid)
         assert receipt["warm"] == 0
         assert _counters(results) == _counters(serial)
-        assert sorted(_recorded(tracer).elements()) == sorted(keys)
+        assert status["stats"]["executed"] == len(grid)
         assert sorted(_stored_keys(store)) == sorted(keys)
 
     def test_leftover_temp_file_is_a_miss(self, tmp_path):
@@ -413,13 +399,11 @@ class TestResumeFromStore:
         result_store.store_result(stored_key, run_jobs(grid[:1])[0], store)
         leftover = store / f".{torn_key}.vsres1.4242.17.tmp"
         leftover.write_bytes(b'{"v":1,"key":"' + torn_key.encode())
-        tracer = ServiceTracer()
-        with _service(store, tracer) as service:
+        with _service(store) as service:
             receipt = _submit_docs(service, grid)
             assert service.wait([stored_key, torn_key], timeout=60.0)
             status = service.status()
         assert receipt["dispositions"] == ["store", "queued"]
-        assert _recorded(tracer) == {torn_key: 1}
         assert status["stats"]["executed"] == 1
         assert sorted(_stored_keys(store)) == sorted([stored_key, torn_key])
 
@@ -434,11 +418,11 @@ class TestResumeFromStore:
         raw = damaged.read_bytes()
         middle = len(raw) // 2
         damaged.write_bytes(raw[:middle] + b"XX" + raw[middle + 2:])
-        tracer = ServiceTracer()
-        with _service(store, tracer) as service:
+        with _service(store) as service:
             receipt = _submit_docs(service, grid)
             results = ServiceClient(*service.address).run(grid, timeout=120)
-        assert receipt["warm"] == len(grid) - 1
+            status = service.status()
+        assert receipt["dispositions"] == ["store", "queued", "store", "store"]
         assert _counters(results) == _counters(serial)
-        assert _recorded(tracer) == {keys[1]: 1}
+        assert status["stats"]["executed"] == 1
         assert sorted(_stored_keys(store)) == sorted(keys)

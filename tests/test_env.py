@@ -8,13 +8,9 @@ import pickle
 import pytest
 
 from repro import env
-from repro.harness.parallel import (
-    BACKEND_ENV_VAR,
-    STRICT_ENV_VAR,
-    resolve_backend,
-    strict_no_capture,
-)
+from repro.harness.parallel import STRICT_ENV_VAR, strict_no_capture
 from repro.service import results as result_store
+from repro.service.client import ENV_ADDR, env_address
 from repro.trace import cache as trace_cache
 
 
@@ -62,20 +58,18 @@ def test_strict_rejects_what_is_neither_on_nor_off(spelling, monkeypatch):
         strict_no_capture()
 
 
-@pytest.mark.parametrize("blank", ["", "  "])
-def test_a_blank_backend_reads_as_the_default(blank, monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, blank)
-    assert resolve_backend() == "local"
+@pytest.mark.parametrize("blank", ["", "  "], ids=["empty", "spaces"])
+def test_a_blank_value_reads_as_unset(blank, monkeypatch):
+    monkeypatch.setenv(ENV_ADDR, blank)
+    assert env_address() is None
 
 
 def test_errors_pickle_back_from_pool_workers(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "abc")
+    monkeypatch.setenv(ENV_ADDR, "abc")
     with pytest.raises(env.EnvError) as caught:
-        resolve_backend()
+        env_address()
     copy = pickle.loads(pickle.dumps(caught.value))
     assert type(copy) is env.EnvError
     assert str(copy) == str(caught.value) == (
-        f"{BACKEND_ENV_VAR}='abc': unknown sweep backend; expected one of: "
-        "local, service"
+        f"{ENV_ADDR}='abc': expected host:port, got 'abc'"
     )
-

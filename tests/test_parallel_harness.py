@@ -17,14 +17,7 @@ import pytest
 
 from repro.core.model import GREAT_MODEL
 from repro.engine.config import ProcessorConfig
-from repro.harness.parallel import (
-    BackendSelectionError,
-    SimJob,
-    effective_jobs,
-    resolve_backend,
-    run_grid,
-    run_jobs,
-)
+from repro.harness.parallel import SimJob, effective_jobs, run_jobs
 
 _CONFIG = ProcessorConfig(issue_width=4, window_size=24)
 _LIMIT = 800
@@ -125,47 +118,6 @@ class TestMergeExactness:
             assert base.counters.retired == model.counters.retired
             assert base.model_name is None  # baseline run
             assert model.model_name == "great"
-
-    def test_run_grid_keys_in_input_order(self):
-        names = ["perl", "compress"]
-        results = run_grid(
-            names, _CONFIG, None, max_instructions=_LIMIT, jobs=2
-        )
-        assert list(results) == names
-
-
-class TestBackendResolution:
-    def test_defaults_to_local(self):
-        assert resolve_backend(None) == "local"
-        assert resolve_backend("local") == "local"
-
-    def test_env_var_selects_service(self, monkeypatch, pool_service):
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "service")
-        assert resolve_backend() == "service"
-        assert resolve_backend("local") == "local"  # argument wins
-
-    def test_service_without_an_address_fails_before_staging(
-        self, monkeypatch
-    ):
-        from repro.harness import parallel
-        from repro.service.client import ENV_ADDR
-
-        monkeypatch.delenv(ENV_ADDR, raising=False)
-        with pytest.raises(BackendSelectionError, match=ENV_ADDR):
-            resolve_backend("service")
-        staged = []
-        monkeypatch.setattr(parallel, "_stage_traces", staged.append)
-        grid = [SimJob("compress", _CONFIG, None, _LIMIT)]
-        with pytest.raises(BackendSelectionError, match=ENV_ADDR):
-            run_jobs(grid, jobs=2, backend="service")
-        assert staged == []
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown sweep backend"):
-            resolve_backend("bogus")
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "cluster")
-        with pytest.raises(ValueError, match="expected one of: local, service"):
-            resolve_backend()
 
 
 class TestWorkerDeathRecovery:
@@ -357,7 +309,7 @@ class TestCorruptStagedEntry:
 
 class TestDuplicateJobDedup:
     """A grid repeating a point (ablation run sets share their baseline
-    jobs) must execute each distinct key once — on every backend, store
+    jobs) must execute each distinct key once — inline or pooled, store
     configured or not — with results scattered back in submission order.
     """
 

@@ -221,11 +221,10 @@ class TestBackendsStreaming:
 
         from repro.harness import parallel
         from repro.harness.parallel import run_jobs
+        from repro.service.client import ServiceClient
         from repro.trace import cache as trace_cache
 
         reference = self._reference(monkeypatch, tmp_path)
-        if backend == "service":
-            request.getfixturevalue("pool_service")
         pooled = []
         if not cache:
             monkeypatch.setenv(trace_cache.ENV_VAR, "off")
@@ -239,7 +238,11 @@ class TestBackendsStreaming:
                 return real_run_pool(units, workers, directory, *rest)
 
             monkeypatch.setattr(parallel, "_run_pool", run_pool)
-        results = run_jobs(self._grid(), jobs=jobs, backend=backend)
+        if backend == "service":
+            service = request.getfixturevalue("pool_service")
+            results = ServiceClient(*service.address).run(self._grid())
+        else:
+            results = run_jobs(self._grid(), jobs=jobs)
         assert [counters_dict(r.counters) for r in results] == [
             counters_dict(r.counters) for r in reference
         ]
@@ -249,15 +252,12 @@ class TestBackendsStreaming:
             assert pooled and not list(tmp_path.glob("repro-traces-*"))
 
     def test_service_backend_matches_in_memory(self, monkeypatch, tmp_path):
-        from repro.harness.parallel import run_jobs
-        from repro.service.client import ENV_ADDR
+        from repro.service.client import ServiceClient
         from repro.service.server import ServiceConfig, SimulationService
 
         reference = self._reference(monkeypatch, tmp_path)
         with SimulationService(ServiceConfig(store=None)) as service:
-            host, port = service.address
-            monkeypatch.setenv(ENV_ADDR, f"{host}:{port}")
-            results = run_jobs(self._grid(), backend="service")
+            results = ServiceClient(*service.address).run(self._grid())
         assert [counters_dict(r.counters) for r in results] == [
             counters_dict(r.counters) for r in reference
         ]
