@@ -120,6 +120,27 @@ class TestMergeExactness:
             assert model.model_name == "great"
 
 
+class TestBackendResolution:
+    """`run_jobs` is local only; a grid reaches the service solely
+    through `repro submit`, which checks for an address first."""
+
+    def test_service_without_an_address_fails_before_staging(
+        self, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.harness import parallel
+        from repro.service.client import ENV_ADDR
+        from repro.trace import cache as trace_cache
+
+        monkeypatch.delenv(ENV_ADDR, raising=False)
+        staged = []
+        monkeypatch.setattr(parallel, "_stage_traces", staged.append)
+        monkeypatch.setattr(trace_cache, "cached_trace", staged.append)
+        assert main(["submit", "abl-inval", "--max-instructions", "300",
+                     "--benchmarks", "compress"]) == 2
+        assert staged == []
+
+
 class TestWorkerDeathRecovery:
     def test_pool_survives_worker_sigkill(self, tmp_path):
         flag = tmp_path / "died-once"
